@@ -35,10 +35,9 @@
 //! (the PR's budget: under 5%).
 //!
 //! `wire_codec` compares the payload codecs on the same blocking
-//! determine: `determine_json` (v1/v2 JSON frames) vs
-//! `determine_binary` (negotiated v3 binary frames), on both server
-//! cores — the criterion twin of the recorded `BENCH_wire.json` matrix
-//! written by `src/bin/bench_wire.rs`.
+//! determine: `determine_json` (v2 JSON frames) vs `determine_binary`
+//! (negotiated v3 binary frames) — the criterion twin of the recorded
+//! `BENCH_wire.json` matrix written by `src/bin/bench_wire.rs`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -51,7 +50,7 @@ use smartpick_core::training::TrainOptions;
 use smartpick_core::wp::{ConstraintMode, PredictionRequest};
 use smartpick_ml::forest::ForestParams;
 use smartpick_service::{ServiceConfig, SmartpickService};
-use smartpick_wire::{Response, ServerCore, WireClient, WireServer, WireServerConfig};
+use smartpick_wire::{Response, WireClient, WireServer, WireServerConfig};
 use smartpick_workloads::tpcds;
 
 fn trained_driver() -> Smartpick {
@@ -269,60 +268,51 @@ fn bench_scrape_under_load(c: &mut Criterion) {
 
 fn bench_wire_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("wire_codec");
-    for core in [ServerCore::ThreadPerConnection, ServerCore::Reactor] {
-        let service = Arc::new(SmartpickService::new(ServiceConfig {
-            retrain_workers: 2,
-            ..ServiceConfig::default()
-        }));
-        let template = trained_driver();
-        service
-            .register_fork("bench", &template, 7)
-            .expect("register tenant");
-        let server = WireServer::bind(
-            "127.0.0.1:0",
-            Arc::clone(&service),
-            template,
-            WireServerConfig {
-                core,
-                ..WireServerConfig::default()
-            },
-        )
-        .expect("bind loopback server");
-        let suffix = match core {
-            ServerCore::ThreadPerConnection => "threaded",
-            ServerCore::Reactor => "reactor",
-        };
-        let query = tpcds::query(82, 100.0).expect("catalog query");
-        let mut seed = 0u64;
+    let service = Arc::new(SmartpickService::new(ServiceConfig {
+        retrain_workers: 2,
+        ..ServiceConfig::default()
+    }));
+    let template = trained_driver();
+    service
+        .register_fork("bench", &template, 7)
+        .expect("register tenant");
+    let server = WireServer::bind(
+        "127.0.0.1:0",
+        Arc::clone(&service),
+        template,
+        WireServerConfig::default(),
+    )
+    .expect("bind loopback server");
+    let query = tpcds::query(82, 100.0).expect("catalog query");
+    let mut seed = 0u64;
 
-        let mut json_client = WireClient::connect(server.local_addr()).expect("connect");
-        group.bench_function(format!("determine_json_{suffix}"), |b| {
-            b.iter(|| {
-                seed += 1;
-                black_box(
-                    json_client
-                        .determine("bench", &query, seed)
-                        .expect("json determine"),
-                )
-            });
+    let mut json_client = WireClient::connect(server.local_addr()).expect("connect");
+    group.bench_function("determine_json", |b| {
+        b.iter(|| {
+            seed += 1;
+            black_box(
+                json_client
+                    .determine("bench", &query, seed)
+                    .expect("json determine"),
+            )
         });
+    });
 
-        let mut bin_client = WireClient::connect(server.local_addr()).expect("connect");
-        assert!(
-            bin_client.negotiate_binary().expect("negotiate"),
-            "server speaks binary"
-        );
-        group.bench_function(format!("determine_binary_{suffix}"), |b| {
-            b.iter(|| {
-                seed += 1;
-                black_box(
-                    bin_client
-                        .determine("bench", &query, seed)
-                        .expect("binary determine"),
-                )
-            });
+    let mut bin_client = WireClient::connect(server.local_addr()).expect("connect");
+    assert!(
+        bin_client.negotiate_binary().expect("negotiate"),
+        "server speaks binary"
+    );
+    group.bench_function("determine_binary", |b| {
+        b.iter(|| {
+            seed += 1;
+            black_box(
+                bin_client
+                    .determine("bench", &query, seed)
+                    .expect("binary determine"),
+            )
         });
-    }
+    });
     group.finish();
 }
 

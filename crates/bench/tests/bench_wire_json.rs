@@ -1,6 +1,6 @@
 //! Guard for the committed `BENCH_wire.json` (written by
 //! `src/bin/bench_wire.rs`): the recorded binary-vs-JSON codec matrix
-//! and reactor connection-scaling entries parse, are internally
+//! and connection-scaling entries parse, are internally
 //! consistent, and hold the PR's acceptance bars — asserted on the
 //! *committed record*, not a re-run, so the test is deterministic.
 
@@ -86,7 +86,13 @@ fn recorded_reactor_scaling_covers_a_thousand_connections() {
     let thousand = entries
         .iter()
         .find(|e| num(field(e, "connections")) >= 1024.0)
-        .expect("a >=1024-connection reactor entry is recorded");
-    assert_eq!(field(thousand, "core"), &Value::Str("reactor".to_owned()));
+        .expect("a >=1024-connection entry is recorded");
     assert!(num(field(thousand, "parked_ping_median_us")) > 0.0);
+    // std's 128-deep accept queue made this 6-7 s of SYN retransmits;
+    // with the backlog raised a connect storm never waits one out.
+    let connect_ms = num(field(thousand, "connect_and_first_ping_ms"));
+    assert!(
+        connect_ms < 1000.0,
+        "1024 connections took {connect_ms} ms to connect: accept-queue overflow is back"
+    );
 }

@@ -309,8 +309,12 @@ impl ResidencyCtl {
         if let Some(max) = self.max_resident {
             let mut resident = self.registry.resident();
             if resident.len() > max {
-                // LRU: oldest touch first; evict only the excess.
-                resident.sort_by_key(|(_, state)| state.last_touch_us.load(Ordering::Relaxed));
+                // LRU: oldest touch first; evict only the excess. Each
+                // stamp is read once — concurrent touches move them, and
+                // a key that changes between comparisons is not a total
+                // order (the sort may panic on one).
+                resident
+                    .sort_by_cached_key(|(_, state)| state.last_touch_us.load(Ordering::Relaxed));
                 let excess = resident.len() - max;
                 let mut evicted = 0usize;
                 for (slot, state) in resident {

@@ -488,13 +488,21 @@ impl SmartpickService {
         // removes exactly these instances (identity-keyed), never a
         // re-registration's fresh ones.
         let counters = Arc::new(TenantCounters::detached());
-        let state = self.registry.insert(TenantState::new(
+        let fresh = TenantState::new(
             id.clone(),
             driver,
             self.now_us(),
             Arc::clone(&counters),
             epoch,
-        ))?;
+        );
+        // The insert below makes the tenant evictable before its
+        // generation-0 snapshot is written: start it marked ahead of the
+        // disk, so an eviction that wins that race persists the state
+        // instead of going cold over files that do not exist yet.
+        fresh
+            .applied_since_persist
+            .store(u64::from(self.persist.is_some()), Ordering::Relaxed);
+        let state = self.registry.insert(fresh)?;
         counters.install(self.obs.metrics(), &format!("tenant.{id}"));
         self.tenants_gauge.inc();
         self.residency.note_registered();
@@ -518,6 +526,14 @@ impl SmartpickService {
             // stamped the state, in which case nothing is written.
             match sp.files.fresh_start(&sp.store, &snap, &state.defunct) {
                 Ok(Some(bytes)) => {
+                    // The disk is current again unless a worker applied
+                    // a report meanwhile (then its own count stands).
+                    let _ = state.applied_since_persist.compare_exchange(
+                        1,
+                        0,
+                        Ordering::Relaxed,
+                        Ordering::Relaxed,
+                    );
                     sp.metrics.snapshots_persisted.inc();
                     sp.metrics.snapshot_bytes_written.add(bytes);
                     self.obs.events().publish(

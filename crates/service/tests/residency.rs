@@ -459,3 +459,66 @@ fn torn_evict_snapshot_recovers_from_previous_generation_plus_wal() {
         );
     }
 }
+
+/// The capacity sweep orders tenants by a last-touch stamp that readers
+/// keep moving while it sorts. Sweeping in a loop while 4 threads touch
+/// 64 tenants under a cap of 8 must never panic (a sort key that
+/// changes between comparisons is not a total order), and once the
+/// touching stops the cap holds.
+#[test]
+fn sweep_under_concurrent_touches_never_panics_and_holds_the_cap() {
+    const TENANTS: usize = 64;
+    const CAP: usize = 8;
+    let dir = test_root("sweep-under-touch");
+    let svc = Arc::new(
+        SmartpickService::open(
+            &dir,
+            ServiceConfig {
+                max_resident_tenants: Some(CAP),
+                ..durable_config(&dir, u64::MAX)
+            },
+        )
+        .unwrap(),
+    );
+    let tpl = template();
+    for i in 0..TENANTS {
+        svc.register_tenant(format!("t{i}"), tpl.fork(i as u64))
+            .unwrap();
+    }
+
+    let stop = Arc::new(AtomicUsize::new(0));
+    let touchers: Vec<_> = (0..4)
+        .map(|t| {
+            let svc = Arc::clone(&svc);
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut i = t;
+                while stop.load(Ordering::Relaxed) == 0 {
+                    svc.predict(&format!("t{}", i % TENANTS), &probe(i as u64))
+                        .unwrap();
+                    i += 4;
+                }
+            })
+        })
+        .collect();
+
+    // Each sweep waits for the touchers to re-heat well past the cap, so
+    // every sort covers dozens of tenants whose stamps are in motion.
+    for _ in 0..200 {
+        let reheat = std::time::Instant::now();
+        while svc.resident_tenants() < TENANTS / 2 && reheat.elapsed() < Duration::from_secs(5) {
+            std::thread::yield_now();
+        }
+        svc.residency_sweep();
+    }
+    stop.store(1, Ordering::Relaxed);
+    for toucher in touchers {
+        toucher.join().unwrap();
+    }
+    svc.residency_sweep();
+    assert!(
+        svc.resident_tenants() <= CAP,
+        "{} tenants resident under a cap of {CAP}",
+        svc.resident_tenants()
+    );
+}

@@ -1,8 +1,10 @@
-//! The typed client: blocking one-method-per-request calls (v1 frames,
-//! answered in order) plus the pipelined v2 surface — a non-blocking
+//! The typed client: blocking one-method-per-request calls plus the
+//! pipelined surface they ride on — a non-blocking
 //! [`WireClient::submit`]/[`WireClient::recv`] pair, the batched
 //! [`WireClient::determine_many`], and [`WireClient::split`] into
 //! independently-owned send/receive halves for cross-thread pipelining.
+//! Every request travels in an id-tagged frame: v2 (JSON) until
+//! [`WireClient::negotiate_binary`] upgrades the connection to v3.
 
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -14,24 +16,24 @@ use smartpick_obs::{HealthReport, ScrapeEnvelope};
 use smartpick_service::{CompletedRun, ServiceStats, TenantStats};
 
 use crate::codec::{self, Codec};
-use crate::error::WireError;
+use crate::error::{ErrorKind, WireError};
 use crate::frame::{
-    read_frame_any_into, read_frame_into, write_frame_buffered, write_frame_v2_buffered,
-    write_frame_v3_buffered, FrameError, DEFAULT_MAX_FRAME_LEN,
+    read_frame_any_into, write_frame_v2_buffered, write_frame_v3_buffered, FrameError,
+    DEFAULT_MAX_FRAME_LEN,
 };
-use crate::proto::{Request, Response};
+use crate::proto::{Rejection, Request, Response};
 
 /// A connection to a [`crate::WireServer`].
 ///
 /// The typed convenience methods ([`WireClient::ping`],
-/// [`WireClient::determine`], …) are strictly blocking request/response
-/// in legacy v1 frames. The pipelined surface —
-/// [`WireClient::submit`] / [`WireClient::recv`] — speaks v2: every
-/// submitted request gets a `u64` id, many can be in flight at once, and
-/// responses arrive tagged with the id they answer (possibly out of
-/// order). Don't interleave a blocking call while pipelined requests are
-/// outstanding: the blocking call would read a v2 response frame and
-/// fail; drain with `recv` first.
+/// [`WireClient::determine`], …) are strictly blocking request/response:
+/// one [`WireClient::submit`] followed by one [`WireClient::recv`]. On
+/// the pipelined surface every submitted request gets a `u64` id, many
+/// can be in flight at once, and responses arrive tagged with the id
+/// they answer (possibly out of order). Don't interleave a blocking
+/// call while pipelined requests are outstanding: the blocking call
+/// would read some other request's response and fail; drain with `recv`
+/// first.
 ///
 /// The client keeps reusable encode/decode scratch buffers, so a
 /// steady-state call allocates nothing for framing: the request JSON is
@@ -114,11 +116,11 @@ impl WireClient {
     /// the negotiation — there is no separate handshake message), and
     /// every later request from this client is framed as binary. A
     /// pre-v3 server treats the unknown version byte as a framing
-    /// violation: it answers with a v1 `protocol` error and closes the
-    /// connection — in that case this client reconnects to the same
-    /// address and stays on JSON, so the call is safe against servers of
-    /// any generation. Don't call it while pipelined requests are
-    /// outstanding.
+    /// violation: it answers with an un-numbered `protocol` error and
+    /// closes the connection — in that case this client reconnects to
+    /// the same address and stays on JSON, so the call is safe against
+    /// servers of any generation. Don't call it while pipelined requests
+    /// are outstanding.
     ///
     /// # Examples
     ///
@@ -136,33 +138,35 @@ impl WireClient {
     ///
     /// # Errors
     ///
-    /// Socket failures during the probe or the fallback reconnect.
+    /// A server at its connection cap answers the probe with a
+    /// retryable `busy` rejection, returned as such (the connection is
+    /// gone; reconnect later). Otherwise socket failures during the
+    /// fallback reconnect.
     pub fn negotiate_binary(&mut self) -> Result<bool, WireError> {
         let peer = self.stream.peer_addr().map_err(WireError::Io)?;
-        let id = self.next_id;
-        self.next_id += 1;
-        codec::encode_envelope_into(&Request::Ping, &mut self.bin_buf);
-        let probe =
-            write_frame_v3_buffered(&mut self.stream, id, &self.bin_buf, &mut self.frame_buf)
-                .and_then(|()| {
-                    read_frame_any_into(&mut self.stream, self.max_frame_len, &mut self.read_buf)
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-                });
-        match probe {
-            Ok(header) if header.id == Some(id) && header.codec() == Codec::Binary => {
-                // Confirm it decodes as pong; anything else means the
-                // "server" mirrors bytes without understanding them.
-                match codec::decode_envelope::<Response>(&self.read_buf) {
-                    Ok(Response::Pong) => {
-                        self.codec = Codec::Binary;
-                        Ok(true)
-                    }
-                    _ => self.reconnect_json(&peer),
-                }
+        let sent = submit_on(
+            &mut self.stream,
+            Codec::Binary,
+            &mut self.encode_buf,
+            &mut self.bin_buf,
+            &mut self.frame_buf,
+            &mut self.next_id,
+            &Request::Ping,
+        );
+        match sent.and_then(|id| Ok((id, self.recv()?))) {
+            Ok((id, (got, Response::Pong))) if got == id => {
+                self.codec = Codec::Binary;
+                Ok(true)
             }
-            // Old server: a v1/v2 error frame (then close), or the close
-            // alone surfacing as an I/O or framing error. Either way the
-            // stream may be poisoned — reconnect and stay on JSON.
+            Err(
+                busy @ WireError::Rejected {
+                    kind: ErrorKind::Busy,
+                    ..
+                },
+            ) => Err(busy),
+            // Old server: an un-numbered `protocol` error frame (then
+            // close), or the close alone surfacing as an I/O error.
+            // Either way the stream is gone — reconnect and stay on JSON.
             Ok(_) | Err(_) => self.reconnect_json(&peer),
         }
     }
@@ -425,15 +429,16 @@ impl WireClient {
     }
 
     // ---------------------------------------------------------------
-    // Pipelining (protocol v2)
+    // Pipelining
     // ---------------------------------------------------------------
 
     /// Submits `request` without waiting for its response: the request
-    /// is framed as v2 with a fresh id (returned) and the call comes
-    /// back as soon as the bytes are written. Pair with
-    /// [`WireClient::recv`]; any number of submissions may be in flight
-    /// (the server rejects over-cap ones with a retryable `busy`
-    /// response carrying their id).
+    /// is framed with a fresh id (returned) and the call comes back as
+    /// soon as the bytes are written. Pair with [`WireClient::recv`];
+    /// any number of submissions may be in flight — past the server's
+    /// per-connection cap it stops reading this connection until
+    /// responses drain, so a client that only submits and never
+    /// receives eventually blocks in the socket write.
     ///
     /// # Errors
     ///
@@ -469,17 +474,19 @@ impl WireClient {
         })
     }
 
-    /// Receives the next pipelined response: blocks for one v2 frame and
+    /// Receives the next pipelined response: blocks for one frame and
     /// returns `(id, response)`. Responses may arrive in any order;
-    /// match them to submissions by id. Server-side rejections are
+    /// match them to submissions by id. Per-request rejections are
     /// returned as [`Response::Error`] *values* (not `Err`) so the
     /// caller still learns which request they answer.
     ///
     /// # Errors
     ///
-    /// Socket/framing failures, or a v1 (un-numbered) frame arriving
-    /// while pipelining — which means a blocking call was interleaved
-    /// with outstanding submissions.
+    /// Socket/framing failures. An un-numbered frame is a
+    /// connection-level error (connection cap `busy`, framing
+    /// violation) that answers no particular request: it surfaces as
+    /// the [`WireError::Rejected`] it carries, and the server closes
+    /// the connection after it.
     pub fn recv(&mut self) -> Result<(u64, Response), WireError> {
         recv_on(&mut self.stream, self.max_frame_len, &mut self.read_buf)
     }
@@ -574,13 +581,7 @@ impl WireClient {
                     }
                     return Ok(result);
                 }
-                Response::Error(r) => {
-                    return Err(WireError::Rejected {
-                        kind: r.kind,
-                        message: r.message,
-                        retryable: r.retryable,
-                    })
-                }
+                Response::Error(r) => return Err(rejected(r)),
                 other => return Err(unexpected("batch_item or batch_end", &other)),
             }
         }
@@ -588,56 +589,18 @@ impl WireClient {
 
     /// One request/response exchange; server-side rejections become
     /// [`WireError::Rejected`].
-    ///
-    /// JSON mode speaks legacy v1 frames (so the blocking surface works
-    /// against every server generation); binary mode speaks id-tagged v3
-    /// frames and checks the echoed id.
     fn call(&mut self, request: &Request) -> Result<Response, WireError> {
-        let response = match self.codec {
-            Codec::Json => self.call_v1(request)?,
-            Codec::Binary => {
-                let id = self.submit(request)?;
-                let (got, response) = self.recv()?;
-                if got != id {
-                    return Err(WireError::Protocol(format!(
-                        "blocking call {id} answered with response for {got}"
-                    )));
-                }
-                response
-            }
-        };
+        let id = self.submit(request)?;
+        let (got, response) = self.recv()?;
+        if got != id {
+            return Err(WireError::Protocol(format!(
+                "blocking call {id} answered with response for {got}"
+            )));
+        }
         if let Response::Error(r) = response {
-            return Err(WireError::Rejected {
-                kind: r.kind,
-                message: r.message,
-                retryable: r.retryable,
-            });
+            return Err(rejected(r));
         }
         Ok(response)
-    }
-
-    fn call_v1(&mut self, request: &Request) -> Result<Response, WireError> {
-        serde_json::to_string_into(request, &mut self.encode_buf)
-            .map_err(|e| WireError::Protocol(format!("encoding request: {e}")))?;
-        write_frame_buffered(
-            &mut self.stream,
-            self.encode_buf.as_bytes(),
-            &mut self.frame_buf,
-        )?;
-        read_frame_into(&mut self.stream, self.max_frame_len, &mut self.read_buf).map_err(|e| {
-            match e {
-                FrameError::Eof => WireError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                )),
-                FrameError::Io(e) => WireError::Io(e),
-                other => WireError::Protocol(other.to_string()),
-            }
-        })?;
-        let text = std::str::from_utf8(&self.read_buf)
-            .map_err(|e| WireError::Protocol(format!("response is not UTF-8: {e}")))?;
-        serde_json::from_str(text)
-            .map_err(|e| WireError::Protocol(format!("decoding response: {e}")))
     }
 }
 
@@ -739,10 +702,10 @@ fn submit_on(
     Ok(id)
 }
 
-/// Reads one pipelined response frame and decodes its envelope in
-/// whatever codec the frame's version byte names (shared by
-/// [`WireClient::recv`] and [`WireReceiver::recv`]) — so one receiver
-/// handles a server mixing v2 and v3 answers.
+/// Reads one response frame and decodes its envelope in whatever codec
+/// the frame's version byte names (shared by [`WireClient::recv`] and
+/// [`WireReceiver::recv`]) — so one receiver handles a server mixing v2
+/// and v3 answers, and un-numbered connection-level error frames.
 fn recv_on(
     stream: &mut TcpStream,
     max_frame_len: usize,
@@ -756,11 +719,6 @@ fn recv_on(
         FrameError::Io(e) => WireError::Io(e),
         other => WireError::Protocol(other.to_string()),
     })?;
-    let Some(id) = header.id else {
-        return Err(WireError::Protocol(
-            "un-numbered (v1) response while pipelining — blocking call interleaved?".to_owned(),
-        ));
-    };
     let response = match header.codec() {
         Codec::Json => {
             let text = std::str::from_utf8(read_buf)
@@ -771,7 +729,20 @@ fn recv_on(
         Codec::Binary => codec::decode_response(read_buf)
             .map_err(|e| WireError::Protocol(format!("decoding binary response: {e}")))?,
     };
-    Ok((id, response))
+    match (header.id, response) {
+        (Some(id), response) => Ok((id, response)),
+        (None, Response::Error(r)) => Err(rejected(r)),
+        (None, other) => Err(unexpected("un-numbered error frame", &other)),
+    }
+}
+
+/// The typed error a server-side rejection surfaces as.
+fn rejected(r: Rejection) -> WireError {
+    WireError::Rejected {
+        kind: r.kind,
+        message: r.message,
+        retryable: r.retryable,
+    }
 }
 
 fn unexpected(wanted: &str, got: &Response) -> WireError {

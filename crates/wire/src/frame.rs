@@ -1,22 +1,25 @@
 //! The frame layer: how request/response payloads travel over TCP.
 //!
-//! Two frame generations coexist on the same socket. A **v1** frame is a
-//! version byte, a big-endian `u32` payload length, and that many payload
-//! bytes (UTF-8 JSON); a **v2** frame additionally carries a big-endian
-//! `u64` request id between the version byte and the length, so many
-//! requests can be in flight on one connection and every response names
-//! the request it answers:
+//! Requests and their responses travel in **id-tagged** frames: a
+//! version byte, a big-endian `u64` request id, a big-endian `u32`
+//! payload length, and that many payload bytes — UTF-8 JSON when the
+//! version byte is 2, the binary codec of [`crate::codec`] when it is 3.
+//! The id lets many requests be in flight on one connection with every
+//! response naming the request it answers. The **un-numbered** layout
+//! (version byte 1, no id) was generation v1's request/response frame;
+//! v1 is retired, and the layout now carries only the server's
+//! connection-level error frames, which answer no particular request:
 //!
 //! ```text
-//! v1:  +---------+-------------------------+------------------------+
-//!      | u8 = 1  | u32 payload length (BE) | payload (JSON, UTF-8)  |
-//!      +---------+-------------------------+------------------------+
-//!        1 byte            4 bytes              `length` bytes
+//! id-tagged:    +------------+---------------------+-------------------------+-----------+
+//!               | u8 = 2 | 3 | u64 request id (BE) | u32 payload length (BE) | payload   |
+//!               +------------+---------------------+-------------------------+-----------+
+//!                  1 byte          8 bytes                  4 bytes           `length` bytes
 //!
-//! v2:  +---------+---------------------+-------------------------+------------------------+
-//!      | u8 = 2  | u64 request id (BE) | u32 payload length (BE) | payload (JSON, UTF-8)  |
-//!      +---------+---------------------+-------------------------+------------------------+
-//!        1 byte         8 bytes                  4 bytes              `length` bytes
+//! un-numbered:  +---------+-------------------------+------------------------+
+//!               | u8 = 1  | u32 payload length (BE) | payload (JSON, UTF-8)  |
+//!               +---------+-------------------------+------------------------+
+//!                 1 byte            4 bytes              `length` bytes
 //! ```
 //!
 //! The version byte guards against talking to the wrong protocol
@@ -28,8 +31,11 @@
 
 use std::io::{self, Read, Write};
 
-/// The legacy protocol generation: one un-numbered frame per
-/// request/response turn, answered strictly in order.
+/// The un-numbered frame layout. As a *request* generation (v1: one
+/// frame per request/response turn, answered strictly in order) it is
+/// retired — a server answers this byte with a `protocol` error and a
+/// close. The layout remains as the server's connection-level error
+/// frame (connection cap `busy`, framing violations).
 pub const PROTOCOL_VERSION: u8 = 1;
 
 /// The pipelined protocol generation: every frame carries a `u64`
@@ -103,8 +109,7 @@ impl std::fmt::Display for FrameError {
             FrameError::Io(e) => write!(f, "frame i/o error: {e}"),
             FrameError::VersionMismatch { got } => write!(
                 f,
-                "protocol version mismatch: got {got}, want {PROTOCOL_VERSION}, {PROTOCOL_V2}, \
-                 or {PROTOCOL_V3}"
+                "protocol version mismatch: got {got}, want {PROTOCOL_V2} or {PROTOCOL_V3}"
             ),
             FrameError::Oversized { len, max } => {
                 write!(f, "frame payload of {len} bytes exceeds the {max}-byte cap")
@@ -263,10 +268,10 @@ pub fn read_frame_into(
     Ok(())
 }
 
-/// Reads one frame of *any* generation (v1, v2, or binary v3) into
+/// Reads one frame of *any* layout (un-numbered, v2, or binary v3) into
 /// `payload` (cleared first, allocation reused) and reports which kind
-/// arrived — what the servers (and a pipelined client) read with, since
-/// all generations must keep working on the same listener. On error the
+/// arrived — what the client reads with, since a server answers in v2
+/// or v3 and reports connection-level errors un-numbered. On error the
 /// buffer contents are unspecified.
 ///
 /// # Errors

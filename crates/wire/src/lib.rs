@@ -4,12 +4,11 @@
 //! Prediction as a standalone server other serverless data-analytics
 //! systems call over Thrift RPC (§5); this crate is that serving
 //! boundary for [`smartpick_service::SmartpickService`] — a framed
-//! TCP protocol in three generations (v1/v2 JSON, v3 binary), two
-//! server cores (capped thread-per-connection, or the readiness-driven
-//! [`ServerCore::Reactor`] event loop multiplexing thousands of
-//! nonblocking connections), and a typed [`WireClient`] with blocking
-//! calls, a non-blocking `submit`/`recv` pipelining surface, and
-//! per-connection codec negotiation
+//! TCP protocol (id-tagged v2 JSON and v3 binary frames), one server
+//! core (the readiness-driven [`reactor`] event loop multiplexing
+//! thousands of nonblocking connections), and a typed [`WireClient`]
+//! with blocking calls, a non-blocking `submit`/`recv` pipelining
+//! surface, and per-connection codec negotiation
 //! ([`WireClient::negotiate_binary`]).
 //!
 //! The normative protocol specification — negotiation, back-pressure,
@@ -19,38 +18,40 @@
 //! ## Frame format
 //!
 //! ```text
-//! v1:  +---------+-------------------------+------------------------+
-//!      | u8 = 1  | u32 payload length (BE) | payload (JSON, UTF-8)  |
-//!      +---------+-------------------------+------------------------+
-//!
 //! v2:  +---------+---------------------+-------------------------+-----------+
 //!      | u8 = 2  | u64 request id (BE) | u32 payload length (BE) | payload   |
 //!      +---------+---------------------+-------------------------+-----------+
 //!
 //! v3:  as v2, but the version byte is 3 and the payload is the
 //!      length-tagged binary codec of [`codec`] instead of JSON.
+//!
+//! un-numbered (connection-level errors only, server to client):
+//!      +---------+-------------------------+------------------------+
+//!      | u8 = 1  | u32 payload length (BE) | payload (JSON, UTF-8)  |
+//!      +---------+-------------------------+------------------------+
 //! ```
 //!
-//! All generations coexist on one socket: v1 frames are answered
-//! strictly in order (legacy clients keep working unchanged), while
-//! v2/v3 frames let one connection keep many requests in flight —
-//! responses come back in completion order, each naming the request id
-//! it answers, with a per-connection in-flight cap answered by a
-//! retryable `busy` rejection. **The version byte is the codec
-//! negotiation**: the server answers each frame in the generation (and
-//! codec) it arrived with. `determine_batch` additionally ships N
-//! prediction requests in *one* frame, answered from one server-side
-//! snapshot read, and `determine_stream` streams the batch back one
-//! `BatchItem` frame per result.
+//! One connection keeps many requests in flight: responses come back in
+//! completion order, each naming the request id it answers, and at the
+//! per-connection in-flight cap the server stops reading the socket
+//! until responses drain (flow control, not rejection). **The version
+//! byte is the codec negotiation**: the server answers each frame in
+//! the generation (and codec) it arrived with. `determine_batch`
+//! additionally ships N prediction requests in *one* frame, answered
+//! from one server-side snapshot read, and `determine_stream` streams
+//! the batch back one `BatchItem` frame per result. Generation v1
+//! (un-numbered *request* frames, answered in order) is retired: its
+//! version byte now gets a `protocol` error and a close, and its layout
+//! survives only as the error frame for conditions that answer no
+//! particular request (connection cap, framing violations).
 //!
 //! See [`frame`] for the version byte and the max-frame-size guard,
 //! [`proto`] for the request/response envelopes, and [`error`] for the
-//! typed failures. One bad frame never kills the listener: request-level
-//! garbage gets an error response on a still-usable connection;
-//! framing-level garbage (bad version, oversized length) gets an error
-//! response and a close of that one connection. A v2 frame with a
-//! garbage *payload* only fails its own request id — length framing
-//! keeps the stream in sync.
+//! typed failures. One bad frame never kills the listener: a frame with
+//! a garbage *payload* only fails its own request id — length framing
+//! keeps the stream in sync; framing-level garbage (bad version,
+//! oversized length) gets an error frame and a close of that one
+//! connection.
 //!
 //! One number-model caveat: the vendored serde shim stores every JSON
 //! number as `f64`, so integers above 2⁵³ (seeds, very large counters)
@@ -117,4 +118,4 @@ pub use codec::Codec;
 pub use error::{ErrorKind, WireError};
 pub use frame::{FrameHeader, DEFAULT_MAX_FRAME_LEN, PROTOCOL_V2, PROTOCOL_V3, PROTOCOL_VERSION};
 pub use proto::{Rejection, Request, Response};
-pub use server::{ServerCore, WireServer, WireServerConfig};
+pub use server::{WireServer, WireServerConfig};

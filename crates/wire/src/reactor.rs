@@ -1,14 +1,10 @@
-//! The readiness-driven connection core: one event-loop thread
-//! multiplexing every connection over nonblocking sockets.
+//! The connection-handling core: one event-loop thread multiplexing
+//! every connection over nonblocking sockets.
 //!
-//! The thread-per-connection core in [`crate::server`] spends an OS
-//! thread (stack and scheduler slot included) per connection, which caps
-//! the practical connection count at hundreds. This module is the other
-//! answer, selected with [`crate::ServerCore::Reactor`]: an epoll-style
-//! event loop (via the vendored `polling` shim) owns *all* sockets in
-//! nonblocking mode, so a mostly-idle connection costs a few kilobytes
-//! of buffers instead of a thread — thousands of concurrent connections
-//! on one core.
+//! An epoll-style event loop (via the vendored `polling` shim) owns
+//! *all* sockets in nonblocking mode, so a mostly-idle connection costs
+//! a few kilobytes of buffers instead of a thread — thousands of
+//! concurrent connections on one core.
 //!
 //! ## Structure
 //!
@@ -24,41 +20,41 @@
 //! - The **event loop** accepts, reads, parses frames out of
 //!   per-connection accumulation buffers, and writes framed responses —
 //!   all nonblocking. It never executes a request.
-//! - Decoded requests go to a shared **executor pool** over a bounded
-//!   run queue (its depth is the `wire.reactor.run_queue_depth` gauge);
-//!   a full queue answers `busy` rather than blocking the loop.
+//! - Decoded requests go to a server-wide **executor pool** over a
+//!   bounded run queue (its depth is the `wire.reactor.run_queue_depth`
+//!   gauge); a full queue answers `busy` rather than blocking the loop.
 //! - Executors hand completed responses back over a bounded completion
 //!   queue and nudge the loop awake through one half of a
 //!   `UnixStream::pair` registered with the poller, so a completion
 //!   arriving while every socket is quiet still gets written promptly.
 //!
-//! ## Semantics preserved from the threaded core
+//! ## Semantics
 //!
-//! Same frame grammar, same codec mirroring (a request's response uses
-//! the codec generation the request arrived in), same error taxonomy:
-//! v1 framing violations get one best-effort `protocol` error frame and
-//! a close after a short drain; pipelined (v2/v3) payload garbage fails
-//! only its own request id. v1 responses are emitted strictly in
-//! request order via per-connection sequence numbers, even though
-//! execution is concurrent. Connections over
-//! [`crate::WireServerConfig::max_connections`] get a retryable `busy`
-//! frame and a close; connections idle past the deadline are dropped.
+//! Only id-tagged frames execute (v2 JSON, v3 binary), and a request's
+//! response uses the generation it arrived in. Payload garbage fails
+//! only its own request id. A framing violation — an unknown version
+//! byte, the retired v1 byte, an oversized length prefix — gets one
+//! best-effort un-numbered `protocol` error frame and a close after a
+//! short drain. Connections over
+//! [`crate::WireServerConfig::max_connections`] get an un-numbered
+//! retryable `busy` frame and a close; connections idle past the
+//! deadline are dropped.
 //!
-//! One deliberate difference: where the threaded core answers a
-//! pipelined request over the in-flight cap with a retryable `busy`,
-//! the reactor applies **flow control** instead — it stops *parsing*
-//! (and deregisters read interest) until completions drain the
-//! connection below the cap, so a well-behaved client never sees a
-//! cap-induced busy, it just observes back-pressure. Only a full global
-//! run queue produces `busy` here.
+//! Back-pressure is **flow control**, not rejection: at
+//! [`crate::WireServerConfig::max_in_flight`] the loop stops *parsing*
+//! the connection (and deregisters read interest) until completions
+//! drain it below the cap, so a well-behaved client never sees a
+//! cap-induced busy, it just observes TCP push-back. `busy` (retryable,
+//! carrying the request's id) is reserved for a full run queue and for
+//! blocking operations over the server-wide blocking-op cap.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -84,18 +80,13 @@ const TOKEN_WAKER: usize = 1;
 /// delivered to the wrong connection.
 const TOKEN_FIRST_CONN: usize = 2;
 
-/// v1 header: version byte + u32 length.
-const HDR_V1: usize = 5;
-/// v2/v3 header: version byte + u64 id + u32 length.
-const HDR_V23: usize = 13;
+/// Frame header: version byte + u64 id + u32 length.
+const HDR_LEN: usize = 13;
 
 /// One decoded request on its way to the executor pool.
 struct Job {
     token: usize,
-    /// v1 ordering sequence (meaningful only when `id` is `None`).
-    seq: u64,
-    /// The pipelined request id, `None` for v1 frames.
-    id: Option<u64>,
+    id: u64,
     codec: Codec,
     request: Request,
 }
@@ -103,8 +94,7 @@ struct Job {
 /// One executed request on its way back to the event loop.
 struct Completion {
     token: usize,
-    seq: u64,
-    id: Option<u64>,
+    id: u64,
     codec: Codec,
     responses: Vec<Response>,
 }
@@ -115,8 +105,7 @@ struct Conn {
     opened: Instant,
     /// Last time a byte moved in *either* direction. Outbound progress
     /// counts: a slow reader that is still consuming a large response
-    /// is alive, not idle (the threaded core gets the same tolerance
-    /// from its per-write timeout).
+    /// is alive, not idle.
     last_byte_at: Instant,
     /// Unparsed inbound bytes (a frame can arrive in many readable
     /// events); `parse_pos` tracks how far frame parsing has consumed.
@@ -132,12 +121,6 @@ struct Conn {
     in_flight: usize,
     /// Read interest withdrawn because `in_flight` hit the cap.
     paused: bool,
-    /// Next sequence number handed to an inbound v1 frame.
-    v1_next_seq: u64,
-    /// Next v1 sequence whose responses may be written (strict order).
-    v1_emit_seq: u64,
-    /// Completed v1 responses waiting for their turn.
-    v1_ready: BTreeMap<u64, Vec<Response>>,
     /// Fatal framing violation seen: flush, drain briefly, close.
     closing: Option<Instant>,
     /// Peer sent EOF; no more reads, but pending work still answers.
@@ -159,9 +142,6 @@ impl Conn {
             scratch: EncodeScratch::default(),
             in_flight: 0,
             paused: false,
-            v1_next_seq: 0,
-            v1_emit_seq: 0,
-            v1_ready: BTreeMap::new(),
             closing: None,
             peer_eof: false,
             registered: Interest::READABLE,
@@ -172,10 +152,12 @@ impl Conn {
         self.write_pos < self.write_buf.len()
     }
 
-    /// The interest this connection's state wants right now.
+    /// The interest this connection's state wants right now. A closing
+    /// connection keeps reading (and discarding): bytes left unread at
+    /// the close would turn the peer's EOF into a reset.
     fn desired_interest(&self) -> Interest {
         Interest {
-            readable: !self.paused && self.closing.is_none() && !self.peer_eof,
+            readable: (self.closing.is_some() || !self.paused) && !self.peer_eof,
             writable: self.has_pending_write(),
         }
     }
@@ -189,137 +171,100 @@ enum Parsed {
     /// A decoded request to run, plus the bytes it consumed.
     Job {
         consumed: usize,
-        id: Option<u64>,
+        id: u64,
         codec: Codec,
         request: Request,
     },
-    /// An inline error reply (decode failure), plus consumed bytes.
-    Reply {
+    /// The payload did not decode: a `bad_request` for this id only.
+    BadRequest {
         consumed: usize,
-        id: Option<u64>,
+        id: u64,
         codec: Codec,
-        response: Response,
-        /// Close after flushing (v1 framing/encoding violations).
-        fatal: bool,
+        message: String,
     },
-    /// Framing itself is untrustworthy: reply (no id), then close.
-    Fatal { error: FrameError },
+    /// Framing itself is untrustworthy: un-numbered `protocol` error
+    /// carrying `message`, then close.
+    Fatal { message: String },
 }
 
 /// Parses the next frame out of `buf`, if complete. Pure: no state
 /// mutation, so the caller can act on the outcome after the borrow
 /// ends.
 fn parse_one(buf: &[u8], max_frame_len: usize) -> Parsed {
-    let Some(&version) = buf.first() else {
-        return Parsed::Incomplete;
-    };
-    let (hdr_len, id) = match version {
-        PROTOCOL_VERSION => (HDR_V1, None),
-        PROTOCOL_V2 | PROTOCOL_V3 => {
-            if buf.len() < HDR_V23 {
-                return Parsed::Incomplete;
-            }
-            let mut id_bytes = [0u8; 8];
-            id_bytes.copy_from_slice(&buf[1..9]);
-            (HDR_V23, Some(u64::from_be_bytes(id_bytes)))
-        }
-        got => {
+    let codec = match buf.first() {
+        None => return Parsed::Incomplete,
+        Some(&PROTOCOL_V2) => Codec::Json,
+        Some(&PROTOCOL_V3) => Codec::Binary,
+        Some(&PROTOCOL_VERSION) => {
             return Parsed::Fatal {
-                error: FrameError::VersionMismatch { got },
+                message: format!(
+                    "protocol v1 (un-numbered request frames) is retired; send id-tagged \
+                     v{PROTOCOL_V2} (JSON) or v{PROTOCOL_V3} (binary) frames"
+                ),
+            }
+        }
+        Some(&got) => {
+            return Parsed::Fatal {
+                message: FrameError::VersionMismatch { got }.to_string(),
             }
         }
     };
-    let Some(len_field) = buf.get(hdr_len - 4..hdr_len) else {
+    let Some(header) = buf.get(..HDR_LEN) else {
         return Parsed::Incomplete;
     };
+    let mut id_bytes = [0u8; 8];
+    id_bytes.copy_from_slice(&header[1..9]);
+    let id = u64::from_be_bytes(id_bytes);
     let mut len_bytes = [0u8; 4];
-    len_bytes.copy_from_slice(len_field);
+    len_bytes.copy_from_slice(&header[9..13]);
     let len = u32::from_be_bytes(len_bytes) as usize;
     if len > max_frame_len {
         return Parsed::Fatal {
-            error: FrameError::Oversized {
+            message: FrameError::Oversized {
                 len,
                 max: max_frame_len,
-            },
+            }
+            .to_string(),
         };
     }
-    let Some(payload) = buf.get(hdr_len..hdr_len + len) else {
+    let Some(payload) = buf.get(HDR_LEN..HDR_LEN + len) else {
         return Parsed::Incomplete;
     };
-    let consumed = hdr_len + len;
-    let codec = if version == PROTOCOL_V3 {
-        Codec::Binary
-    } else {
-        Codec::Json
-    };
-    match id {
-        // v1: UTF-8/JSON violations are framing-level (fatal), shape
-        // violations are request-level — same taxonomy as the threaded
-        // core's `respond_to`.
-        None => match decode_v1(payload) {
-            Ok(request) => Parsed::Job {
-                consumed,
-                id: None,
-                codec: Codec::Json,
-                request,
-            },
-            Err((kind, message)) => Parsed::Reply {
-                consumed,
-                id: None,
-                codec: Codec::Json,
-                response: Response::Error(Rejection {
-                    kind,
-                    message,
-                    retryable: false,
-                }),
-                fatal: kind == ErrorKind::Protocol,
-            },
+    let consumed = HDR_LEN + len;
+    match decode_request(payload, codec) {
+        Ok(request) => Parsed::Job {
+            consumed,
+            id,
+            codec,
+            request,
         },
-        // v2/v3: payload problems fail only this id.
-        Some(id) => match decode_request(payload, codec) {
-            Ok(request) => Parsed::Job {
-                consumed,
-                id: Some(id),
-                codec,
-                request,
-            },
-            Err(message) => Parsed::Reply {
-                consumed,
-                id: Some(id),
-                codec,
-                response: Response::Error(Rejection {
-                    kind: ErrorKind::BadRequest,
-                    message,
-                    retryable: false,
-                }),
-                fatal: false,
-            },
+        Err(message) => Parsed::BadRequest {
+            consumed,
+            id,
+            codec,
+            message,
         },
     }
 }
 
-/// Decodes a v1 payload into a request, classifying failures as
-/// `Protocol` (not UTF-8 / not JSON: the stream is untrustworthy) or
-/// `BadRequest` (valid JSON of the wrong shape).
-fn decode_v1(payload: &[u8]) -> Result<Request, (ErrorKind, String)> {
-    let text = std::str::from_utf8(payload).map_err(|e| {
-        (
-            ErrorKind::Protocol,
-            format!("frame payload is not UTF-8: {e}"),
-        )
-    })?;
-    let value: serde::Value = serde_json::from_str(text).map_err(|e| {
-        (
-            ErrorKind::Protocol,
-            format!("frame payload is not JSON: {e}"),
-        )
-    })?;
-    <Request as serde::Deserialize>::from_value(&value)
-        .map_err(|e| (ErrorKind::BadRequest, format!("unrecognised request: {e}")))
+/// A wire-layer error response; of the kinds the loop itself produces
+/// only `busy` is worth a retry.
+fn error_response(kind: ErrorKind, message: String) -> Response {
+    Response::Error(Rejection {
+        kind,
+        message,
+        retryable: kind == ErrorKind::Busy,
+    })
 }
 
-/// The shared executor pool: workers pull jobs off one bounded queue and
-/// push completions plus a waker nudge back to the loop.
+/// `flush` parks its executor until the retrain workers drain, with no
+/// deadline — the one request that can hold a pool thread indefinitely.
+fn is_blocking(request: &Request) -> bool {
+    matches!(request, Request::Flush)
+}
+
+/// The server-wide executor pool: workers pull jobs off one bounded
+/// queue and push completions plus a waker nudge back to the loop.
 struct Executors {
     job_tx: SyncSender<Job>,
     workers: Vec<JoinHandle<()>>,
@@ -345,16 +290,20 @@ impl Executors {
             let worker = std::thread::Builder::new()
                 .name(format!("smartpick-wire-rexec-{i}"))
                 .spawn(move || loop {
-                    // The mutex guards *dequeueing* only, exactly like
-                    // the threaded core's executor pool.
+                    // The mutex guards *dequeueing* only (workers take
+                    // turns waiting on the channel); execution below
+                    // runs unlocked and in parallel.
                     // lint:allow(guard-across-blocking, reason = "the lock exists to make workers take turns on recv; it guards nothing but the dequeue itself and is dropped before execution")
                     let msg = job_rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
                     let Ok(job) = msg else { return };
                     shared.wm.reactor_run_queue.dec();
+                    let blocking = is_blocking(&job.request);
                     let responses = execute_multi(job.request, &shared);
+                    if blocking {
+                        shared.blocking_ops.fetch_sub(1, Ordering::SeqCst);
+                    }
                     let done = Completion {
                         token: job.token,
-                        seq: job.seq,
                         id: job.id,
                         codec: job.codec,
                         responses,
@@ -382,10 +331,16 @@ impl Executors {
 }
 
 /// The event loop itself. Runs on the thread [`crate::WireServer::bind`]
-/// spawns when the config selects [`crate::ServerCore::Reactor`]; exits
-/// when the shutdown flag is raised (the wakeup is either the shutdown
-/// dial's accept event or the poll-interval timeout).
-pub(crate) fn reactor_loop(listener: TcpListener, shared: Arc<Shared>) {
+/// spawns; exits when the shutdown flag is raised (shutdown nudges
+/// `waker_tx`'s pipe, so the loop notices without waiting out a poll
+/// interval). Executors write a byte to `waker_tx`, the loop reads it
+/// off `waker_rx`.
+pub(crate) fn reactor_loop(
+    listener: TcpListener,
+    waker_rx: UnixStream,
+    waker_tx: UnixStream,
+    shared: Arc<Shared>,
+) {
     if listener.set_nonblocking(true).is_err() {
         return;
     }
@@ -396,10 +351,6 @@ pub(crate) fn reactor_loop(listener: TcpListener, shared: Arc<Shared>) {
     {
         return;
     }
-    // Completion waker: executors write a byte, the loop reads it off.
-    let Ok((waker_rx, waker_tx)) = UnixStream::pair() else {
-        return;
-    };
     if waker_rx.set_nonblocking(true).is_err() || waker_tx.set_nonblocking(true).is_err() {
         return;
     }
@@ -527,9 +478,11 @@ fn teardown_conn(conn: Conn, poller: &Poller, shared: &Shared) {
         .publish(event(EventKind::ConnectionClosed).duration(conn.opened.elapsed()));
 }
 
-/// Accepts until the listener would block, enforcing the connection cap
-/// with a best-effort v1 busy frame (the socket buffer of a fresh
-/// connection always has room for one small frame).
+/// Accepts until the listener would block — draining the whole accept
+/// queue per readiness event is what keeps a connect storm from
+/// overflowing it — enforcing the connection cap with a best-effort
+/// un-numbered busy frame (the socket buffer of a fresh connection
+/// always has room for one small frame).
 fn accept_ready(
     listener: &TcpListener,
     poller: &Poller,
@@ -555,14 +508,13 @@ fn accept_ready(
             let mut rejection = Vec::new();
             let _ = send_response(
                 &mut rejection,
-                &Response::Error(Rejection {
-                    kind: ErrorKind::Busy,
-                    message: format!(
+                &error_response(
+                    ErrorKind::Busy,
+                    format!(
                         "server at its {}-connection cap; retry later",
                         shared.config.max_connections
                     ),
-                    retryable: true,
-                }),
+                ),
                 &mut EncodeScratch::default(),
             );
             let mut stream = stream;
@@ -693,39 +645,29 @@ fn parse_and_admit(conn: &mut Conn, shared: &Arc<Shared>, job_tx: &SyncSender<Jo
         conn.paused = false;
         // lint:allow(panic-free-server-paths, reason = "parse_pos only ever advances by the `consumed` length of a frame parse_one found inside read_buf, so it stays <= read_buf.len()")
         let unparsed = &conn.read_buf[conn.parse_pos..];
-        let parsed = parse_one(unparsed, shared.config.max_frame_len);
-        match parsed {
+        match parse_one(unparsed, shared.config.max_frame_len) {
             Parsed::Incomplete => break,
-            Parsed::Fatal { error } => {
-                enqueue_v1_reply(
-                    conn,
-                    shared,
-                    vec![Response::Error(Rejection {
-                        kind: ErrorKind::Protocol,
-                        message: error.to_string(),
-                        retryable: false,
-                    })],
-                );
+            Parsed::Fatal { message } => {
+                let error = error_response(ErrorKind::Protocol, message);
+                // Encoding into a Vec cannot fail on I/O; a
+                // serialization failure is unrepresentable for our own
+                // response types.
+                if send_response(&mut conn.write_buf, &error, &mut conn.scratch).is_ok() {
+                    shared.wm.frames_written_v1.inc();
+                }
                 begin_close(conn, shared);
                 break;
             }
-            Parsed::Reply {
+            Parsed::BadRequest {
                 consumed,
                 id,
                 codec,
-                response,
-                fatal,
+                message,
             } => {
                 conn.parse_pos += consumed;
-                count_read(conn, shared, id, codec);
-                match id {
-                    None => enqueue_v1_reply(conn, shared, vec![response]),
-                    Some(id) => append_tagged(conn, shared, id, codec, &[response]),
-                }
-                if fatal {
-                    begin_close(conn, shared);
-                    break;
-                }
+                count_read(shared, codec);
+                let error = error_response(ErrorKind::BadRequest, message);
+                append_tagged(conn, shared, id, codec, &[error]);
             }
             Parsed::Job {
                 consumed,
@@ -734,53 +676,15 @@ fn parse_and_admit(conn: &mut Conn, shared: &Arc<Shared>, job_tx: &SyncSender<Jo
                 request,
             } => {
                 conn.parse_pos += consumed;
-                count_read(conn, shared, id, codec);
-                let seq = match id {
-                    None => {
-                        let seq = conn.v1_next_seq;
-                        conn.v1_next_seq += 1;
-                        seq
-                    }
-                    Some(_) => 0,
-                };
-                let job = Job {
-                    token,
-                    seq,
-                    id,
-                    codec,
-                    request,
-                };
-                match job_tx.try_send(job) {
-                    Ok(()) => {
-                        conn.in_flight += 1;
-                        shared.wm.reactor_run_queue.inc();
-                    }
-                    Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) => {
-                        // Global run queue saturated: retryable busy,
-                        // routed through the same ordering machinery so
-                        // v1 answers still come back in request order.
-                        shared.wm.busy_rejections.inc();
-                        shared.obs.events().publish(
-                            event(EventKind::BusyRejection)
-                                .detail("reactor run queue full; told to retry"),
-                        );
-                        let busy = Response::Error(Rejection {
-                            kind: ErrorKind::Busy,
-                            message: "server run queue full; retry later".to_owned(),
-                            retryable: true,
-                        });
-                        match job.id {
-                            // The v1 sequence slot was already taken at
-                            // decode time: the busy answer must fill
-                            // *that* slot, or every later v1 response
-                            // would wait on it forever.
-                            None => {
-                                conn.v1_ready.insert(job.seq, vec![busy]);
-                                drain_v1_ready(conn, shared);
-                            }
-                            Some(id) => append_tagged(conn, shared, id, job.codec, &[busy]),
-                        }
-                    }
+                count_read(shared, codec);
+                if let Err(reason) = admit(conn, shared, job_tx, token, id, codec, request) {
+                    shared.wm.busy_rejections.inc();
+                    shared
+                        .obs
+                        .events()
+                        .publish(event(EventKind::BusyRejection).detail(reason));
+                    let busy = error_response(ErrorKind::Busy, format!("{reason}; retry later"));
+                    append_tagged(conn, shared, id, codec, &[busy]);
                 }
             }
         }
@@ -792,18 +696,58 @@ fn parse_and_admit(conn: &mut Conn, shared: &Arc<Shared>, job_tx: &SyncSender<Jo
     let _ = flush_writes(conn);
 }
 
-fn count_read(conn: &mut Conn, shared: &Arc<Shared>, id: Option<u64>, codec: Codec) {
-    let _ = conn;
-    match (id, codec) {
-        (None, _) => shared.wm.frames_read_v1.inc(),
-        (Some(_), Codec::Json) => shared.wm.frames_read_v2.inc(),
-        (Some(_), Codec::Binary) => shared.wm.frames_read_v3.inc(),
+/// Hands one decoded request to the executor pool, or says why it must
+/// be told `busy`: the server-wide run queue is full, or it is a
+/// blocking operation and `max(1, pipeline_workers - 1)` of those are
+/// already running — one executor always stays free for reads, so
+/// overload sheds feedback-side work, never query results.
+fn admit(
+    conn: &mut Conn,
+    shared: &Shared,
+    job_tx: &SyncSender<Job>,
+    token: usize,
+    id: u64,
+    codec: Codec,
+    request: Request,
+) -> Result<(), &'static str> {
+    let blocking = is_blocking(&request);
+    if blocking {
+        let cap = shared.config.pipeline_workers.saturating_sub(1).max(1);
+        // Only the loop thread increments, so check-then-add cannot
+        // overshoot; executors only ever decrement.
+        if shared.blocking_ops.load(Ordering::SeqCst) >= cap {
+            return Err("server at its blocking-operation cap");
+        }
+        shared.blocking_ops.fetch_add(1, Ordering::SeqCst);
+    }
+    let job = Job {
+        token,
+        id,
+        codec,
+        request,
+    };
+    if job_tx.try_send(job).is_err() {
+        if blocking {
+            shared.blocking_ops.fetch_sub(1, Ordering::SeqCst);
+        }
+        return Err("server run queue full");
+    }
+    conn.in_flight += 1;
+    shared.wm.in_flight_hwm.set_max(conn.in_flight as i64);
+    shared.wm.reactor_run_queue.inc();
+    Ok(())
+}
+
+fn count_read(shared: &Shared, codec: Codec) {
+    match codec {
+        Codec::Json => shared.wm.frames_read_v2.inc(),
+        Codec::Binary => shared.wm.frames_read_v3.inc(),
     }
 }
 
 /// Routes one executed request's responses back onto its connection,
-/// respecting v1 ordering, then resumes parsing if the connection was
-/// flow-controlled. Returns `false` when the connection must close.
+/// then resumes parsing if the connection was flow-controlled. Returns
+/// `false` when the connection must close.
 fn apply_completion(
     conn: &mut Conn,
     done: Completion,
@@ -813,13 +757,7 @@ fn apply_completion(
     token: usize,
 ) -> bool {
     conn.in_flight = conn.in_flight.saturating_sub(1);
-    match done.id {
-        None => {
-            conn.v1_ready.insert(done.seq, done.responses);
-            drain_v1_ready(conn, shared);
-        }
-        Some(id) => append_tagged(conn, shared, id, done.codec, &done.responses),
-    }
+    append_tagged(conn, shared, done.id, done.codec, &done.responses);
     if !flush_writes(conn) {
         return false;
     }
@@ -831,30 +769,6 @@ fn apply_completion(
     }
     update_interest(conn, poller, token);
     true
-}
-
-/// Queues v1 responses at the next sequence slot and emits everything
-/// that is now in order.
-fn enqueue_v1_reply(conn: &mut Conn, shared: &Arc<Shared>, responses: Vec<Response>) {
-    let seq = conn.v1_next_seq;
-    conn.v1_next_seq += 1;
-    conn.v1_ready.insert(seq, responses);
-    drain_v1_ready(conn, shared);
-}
-
-/// Writes every v1 response whose turn has come, in strict request
-/// order, into the outbound buffer.
-fn drain_v1_ready(conn: &mut Conn, shared: &Arc<Shared>) {
-    while let Some(responses) = conn.v1_ready.remove(&conn.v1_emit_seq) {
-        conn.v1_emit_seq += 1;
-        for response in responses {
-            // Encoding into a Vec cannot fail on I/O; a serialization
-            // failure is unrepresentable for our own response types.
-            if send_response(&mut conn.write_buf, &response, &mut conn.scratch).is_ok() {
-                shared.wm.frames_written_v1.inc();
-            }
-        }
-    }
 }
 
 /// Appends id-tagged (v2/v3) responses to the outbound buffer in the
@@ -881,8 +795,11 @@ fn append_tagged(
 }
 
 /// Starts the fatal-close sequence: flush what is queued, discard
-/// inbound bytes, close after a short drain window (the nonblocking
-/// equivalent of the threaded core's `drain_briefly`).
+/// inbound bytes, close after a short drain window. Closing a socket
+/// with unread received bytes sends a reset that can discard the
+/// just-written error frame before the peer reads it; the drain makes
+/// "error response, then close" reliable even when the peer was
+/// mid-write.
 fn begin_close(conn: &mut Conn, shared: &Arc<Shared>) {
     if conn.closing.is_none() {
         conn.closing = Some(Instant::now() + 4 * shared.config.poll_interval);

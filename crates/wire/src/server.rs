@@ -1,85 +1,58 @@
 //! The TCP front-end: a listener embedding a [`SmartpickService`].
 //!
-//! Connection model: one acceptor thread plus, per connection, a
-//! **reader** (the handler thread), a **writer** fed by a bounded
-//! response queue, and — once the peer sends its first pipelined (v2)
-//! frame — a small lazy pool of executor threads. Reading is decoupled
-//! from writing, so a single connection can keep many v2 requests in
-//! flight: the reader admits each one against a per-connection in-flight
-//! cap (over-cap requests get a retryable `busy` rejection carrying
-//! their id), executors run them concurrently, and the writer frames
-//! responses in completion order with the id naming which request each
-//! answers. Legacy v1 frames carry no id and are executed inline on the
-//! reader, so they are answered strictly in request order, exactly as
-//! before. Connections are capped at
-//! [`WireServerConfig::max_connections`] — one over the cap gets a
-//! `busy` error frame and an immediate close instead of an unbounded
-//! thread. Handler threads poll a shared shutdown flag between reads
-//! (socket read timeouts keep the poll cheap), and
-//! [`WireServer::shutdown`] unblocks the acceptor by dialing its own
-//! listen address, so a graceful stop never hangs on `accept`.
+//! This module owns what is independent of how sockets are driven: the
+//! tunables ([`WireServerConfig`]), the `wire.*` telemetry, bind and
+//! shutdown, and the request path every frame ends up on — decode the
+//! envelope in the codec its frame named, execute it against the
+//! service, encode the response in the same codec. Connection handling
+//! itself (accept, nonblocking reads, frame parsing, flow control, the
+//! executor pool, writes) is the event loop in [`crate::reactor`].
 //!
 //! Error containment: one connection's bad frame can never take another
-//! connection (or the listener) down. A v1 frame that parses as JSON but
-//! not as a request gets a `bad_request` error response and the
-//! connection stays usable; a v1 frame whose *framing* is untrustworthy
-//! (wrong version byte, oversized length prefix, non-JSON bytes) gets a
-//! `protocol` error response and then the connection is closed, because
-//! resynchronising a byte stream after a framing violation is guesswork.
-//! A **v2** frame's length-delimited framing stays trustworthy even when
-//! its payload is garbage, and its id lets the error name exactly the
-//! request it answers — so any v2 payload problem (non-UTF-8, non-JSON,
-//! unknown op) is a per-request `bad_request` on a still-usable
-//! connection; only version/length violations remain fatal.
+//! connection (or the listener) down. An id-tagged frame's
+//! length-delimited framing stays trustworthy even when its payload is
+//! garbage, and its id lets the error name exactly the request it
+//! answers — so any payload problem (non-UTF-8, non-JSON, unknown op)
+//! is a per-request `bad_request` on a still-usable connection. Only a
+//! frame whose *framing* is untrustworthy (unknown or retired version
+//! byte, oversized length prefix) gets one un-numbered `protocol` error
+//! frame and a close, because resynchronising a byte stream after a
+//! framing violation is guesswork.
 
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, Write};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use smartpick_core::driver::Smartpick;
-use smartpick_obs::{event, Counter, EventKind, Gauge, LatencyHistogram, Observability};
+use smartpick_obs::{Counter, Gauge, LatencyHistogram, Observability};
 use smartpick_service::{ServiceError, SmartpickService};
 
 use crate::codec::{self, Codec};
 use crate::error::ErrorKind;
 use crate::frame::{
-    read_frame_any_into, write_frame_buffered, write_frame_v2_buffered, write_frame_v3_buffered,
-    FrameError, DEFAULT_MAX_FRAME_LEN,
+    write_frame_buffered, write_frame_v2_buffered, write_frame_v3_buffered, DEFAULT_MAX_FRAME_LEN,
 };
 use crate::proto::{Rejection, Request, Response};
 
-/// Which connection-handling core a [`WireServer`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServerCore {
-    /// One reader thread (plus a writer and a lazy executor pool) per
-    /// connection. Simple, and each blocking request gets a whole OS
-    /// thread — but thread stacks cap the practical connection count at
-    /// hundreds.
-    #[default]
-    ThreadPerConnection,
-    /// A single readiness-driven event loop (epoll via the vendored
-    /// `polling` shim) multiplexing every connection over nonblocking
-    /// sockets, with request execution offloaded to a shared executor
-    /// pool — thousands of mostly-idle connections cost one thread plus
-    /// a few kilobytes of buffers each. See [`crate::reactor`].
-    Reactor,
-}
+/// Accept-queue depth requested from the kernel (clamped to
+/// `net.core.somaxconn`): std binds with 128, which a connect storm of
+/// a thousand clients overflows into SYN retransmits.
+const LISTEN_BACKLOG: i32 = 4096;
 
 /// Tunables for a [`WireServer`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireServerConfig {
-    /// Which connection-handling core serves the listener.
-    pub core: ServerCore,
     /// Concurrent connections served; the next one is told `busy`.
     pub max_connections: usize,
     /// Per-frame payload cap enforced before the payload is read.
     pub max_frame_len: usize,
-    /// How often an idle handler wakes to check the shutdown flag (the
-    /// socket read timeout).
+    /// Longest the event loop parks before re-checking idle deadlines
+    /// and drain windows; a fatal close drains for four of these.
     pub poll_interval: Duration,
     /// Close a connection that has sent no bytes for this long (`None`
     /// = never). Idle connections hold slots against
@@ -87,21 +60,22 @@ pub struct WireServerConfig {
     /// and goes silent pins a slot forever — the cheapest way to
     /// exhaust the serving boundary.
     pub idle_timeout: Option<Duration>,
-    /// Per-connection cap on pipelined (v2) requests in flight — queued
-    /// or executing. A request over the cap is answered immediately with
-    /// a retryable `busy` rejection carrying its id; admitted work is
-    /// never affected.
+    /// Per-connection cap on requests in flight — queued or executing.
+    /// At the cap the server stops reading the connection (TCP pushes
+    /// back on the client) until a completion frees a slot; admitted
+    /// work is never affected.
     pub max_in_flight: usize,
-    /// Executor threads a connection spins up to run pipelined requests
-    /// concurrently. Spawned lazily on the first v2 frame, so pure-v1
-    /// connections cost exactly what they used to.
+    /// Executor threads running requests. The pool is **server-wide**:
+    /// every connection's requests share these threads, so at most
+    /// `max(1, pipeline_workers - 1)` blocking operations (`flush`) are
+    /// admitted at once and the rest are told `busy` — reads always
+    /// keep an executor.
     pub pipeline_workers: usize,
 }
 
 impl Default for WireServerConfig {
     fn default() -> Self {
         WireServerConfig {
-            core: ServerCore::default(),
             max_connections: 64,
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
             poll_interval: Duration::from_millis(50),
@@ -117,27 +91,26 @@ impl Default for WireServerConfig {
 /// layers.
 #[derive(Debug)]
 pub(crate) struct WireMetrics {
-    /// Frames decoded off sockets, by protocol version (v3 = binary
-    /// codec) — the per-codec split an operator reads to see which
-    /// generation their fleet actually speaks.
-    pub(crate) frames_read_v1: Arc<Counter>,
+    /// Request frames decoded off sockets, by frame generation (v3 =
+    /// binary codec) — the per-codec split an operator reads to see
+    /// which generation their fleet actually speaks.
     pub(crate) frames_read_v2: Arc<Counter>,
     pub(crate) frames_read_v3: Arc<Counter>,
-    /// Frames the writer threads put on sockets, by protocol version.
+    /// Frames put on sockets, by generation; `v1` counts the
+    /// un-numbered connection-level error frames (cap `busy`, framing
+    /// violations).
     pub(crate) frames_written_v1: Arc<Counter>,
     pub(crate) frames_written_v2: Arc<Counter>,
     pub(crate) frames_written_v3: Arc<Counter>,
-    /// Busy rejections issued: over the connection cap or over a
-    /// connection's in-flight cap.
+    /// Busy rejections issued: over the connection cap, run queue full,
+    /// or over the blocking-operation cap.
     pub(crate) busy_rejections: Arc<Counter>,
     /// Connections currently being served.
     pub(crate) connections: Arc<Gauge>,
-    /// High-water mark of pipelined requests in flight on any single
-    /// connection since the server started.
+    /// High-water mark of requests in flight on any single connection
+    /// since the server started.
     pub(crate) in_flight_hwm: Arc<Gauge>,
-    /// Requests decoded but not yet picked up by an executor — the
-    /// reactor core's run-queue depth (always 0 on the threaded core,
-    /// whose executors pull from per-connection queues).
+    /// Requests decoded but not yet picked up by an executor.
     pub(crate) reactor_run_queue: Arc<Gauge>,
     /// Connection lifetimes, accept to teardown.
     pub(crate) connection_lifetime: Arc<LatencyHistogram>,
@@ -147,7 +120,6 @@ impl WireMetrics {
     fn register(obs: &Observability) -> WireMetrics {
         let m = obs.metrics();
         WireMetrics {
-            frames_read_v1: m.counter("wire.frames_read.v1"),
             frames_read_v2: m.counter("wire.frames_read.v2"),
             frames_read_v3: m.counter("wire.frames_read.v3"),
             frames_written_v1: m.counter("wire.frames_written.v1"),
@@ -162,8 +134,7 @@ impl WireMetrics {
     }
 }
 
-/// State shared by the acceptor and every handler thread (and, on the
-/// reactor core, by the event loop and its executor pool).
+/// State shared by the event loop and its executor pool.
 #[derive(Debug)]
 pub(crate) struct Shared {
     pub(crate) service: Arc<SmartpickService>,
@@ -174,7 +145,9 @@ pub(crate) struct Shared {
     pub(crate) config: WireServerConfig,
     pub(crate) shutdown: AtomicBool,
     pub(crate) active: AtomicUsize,
-    pub(crate) handlers: Mutex<Vec<JoinHandle<()>>>,
+    /// Blocking operations admitted and not yet finished (see
+    /// [`WireServerConfig::pipeline_workers`]).
+    pub(crate) blocking_ops: AtomicUsize,
     /// The service's observability bundle (the wire layer reports into
     /// the same scrape).
     pub(crate) obs: Arc<Observability>,
@@ -191,7 +164,10 @@ pub(crate) struct Shared {
 pub struct WireServer {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
+    /// Write half of the event loop's wake pipe: shutdown nudges the
+    /// loop instead of waiting out a poll interval.
+    waker: UnixStream,
+    reactor: Option<JoinHandle<()>>,
 }
 
 impl WireServer {
@@ -200,7 +176,7 @@ impl WireServer {
     ///
     /// # Errors
     ///
-    /// Propagates bind failures and acceptor-thread spawn failures.
+    /// Propagates bind failures and event-loop thread spawn failures.
     pub fn bind(
         addr: impl ToSocketAddrs,
         service: Arc<SmartpickService>,
@@ -218,7 +194,9 @@ impl WireServer {
             "pipeline_workers must be positive"
         );
         let listener = TcpListener::bind(addr)?;
+        polling::set_listen_backlog(listener.as_raw_fd(), LISTEN_BACKLOG)?;
         let local_addr = listener.local_addr()?;
+        let (waker_rx, waker) = UnixStream::pair()?;
         let obs = Arc::clone(service.observability());
         let wm = WireMetrics::register(&obs);
         let shared = Arc::new(Shared {
@@ -227,25 +205,24 @@ impl WireServer {
             config,
             shutdown: AtomicBool::new(false),
             active: AtomicUsize::new(0),
-            handlers: Mutex::new(Vec::new()),
+            blocking_ops: AtomicUsize::new(0),
             obs,
             wm,
         });
-        let acceptor = {
+        let loop_waker = waker.try_clone()?;
+        let reactor = {
             let shared = Arc::clone(&shared);
-            match shared.config.core {
-                ServerCore::ThreadPerConnection => std::thread::Builder::new()
-                    .name("smartpick-wire-accept".to_owned())
-                    .spawn(move || accept_loop(listener, shared))?,
-                ServerCore::Reactor => std::thread::Builder::new()
-                    .name("smartpick-wire-reactor".to_owned())
-                    .spawn(move || crate::reactor::reactor_loop(listener, shared))?,
-            }
+            std::thread::Builder::new()
+                .name("smartpick-wire-reactor".to_owned())
+                .spawn(move || {
+                    crate::reactor::reactor_loop(listener, waker_rx, loop_waker, shared)
+                })?
         };
         Ok(WireServer {
             local_addr,
             shared,
-            acceptor: Some(acceptor),
+            waker,
+            reactor: Some(reactor),
         })
     }
 
@@ -264,43 +241,15 @@ impl WireServer {
         &self.shared.service
     }
 
-    /// Stops accepting, wakes every handler, and joins all server
+    /// Stops accepting, closes every connection, and joins all server
     /// threads. Idempotent; also runs on drop. The embedded
     /// [`SmartpickService`] is *not* shut down — it may be shared.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(acceptor) = self.acceptor.take() {
-            // Unblock the blocking `accept` with a throwaway connection.
-            // A wildcard bind address (0.0.0.0 / ::) is not connectable
-            // on every platform — dial loopback of the same family.
-            let mut dial = self.local_addr;
-            if dial.ip().is_unspecified() {
-                dial.set_ip(match dial {
-                    SocketAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-                    SocketAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
-                });
-            }
-            match TcpStream::connect_timeout(&dial, Duration::from_secs(1)) {
-                // The acceptor has an unblocking connection inbound (or
-                // just processed one): it will see the flag and return.
-                Ok(_) => {
-                    let _ = acceptor.join();
-                }
-                // Could not reach our own listener (exotic network
-                // config): leak the acceptor thread rather than hang
-                // shutdown/drop forever waiting on a blocked `accept`.
-                Err(_) => drop(acceptor),
-            }
-        }
-        let handlers = std::mem::take(
-            &mut *self
-                .shared
-                .handlers
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()),
-        );
-        for handler in handlers {
-            let _ = handler.join();
+        if let Some(reactor) = self.reactor.take() {
+            // A full wake pipe means a wakeup is already pending.
+            let _ = (&self.waker).write(&[1]);
+            let _ = reactor.join();
         }
     }
 }
@@ -308,522 +257,6 @@ impl WireServer {
 impl Drop for WireServer {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _peer)) => stream,
-            Err(_) if shared.shutdown.load(Ordering::SeqCst) => return,
-            // Transient accept failures (per-connection resets) must not
-            // stop the listener.
-            Err(_) => continue,
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        // Connection cap: reject over-cap connections with a retryable
-        // busy frame instead of queueing unbounded handler threads. The
-        // send + drain runs on a throwaway thread: a peer that neither
-        // reads nor closes must stall only its own rejection, never the
-        // acceptor (which has to keep handing freed slots to
-        // well-behaved clients).
-        if shared.active.load(Ordering::SeqCst) >= shared.config.max_connections {
-            shared.wm.busy_rejections.inc();
-            shared.obs.events().publish(
-                event(EventKind::BusyRejection)
-                    .detail("over the server connection cap; told to retry"),
-            );
-            let shared = Arc::clone(&shared);
-            let _ = std::thread::Builder::new()
-                .name("smartpick-wire-busy".to_owned())
-                .spawn(move || {
-                    let mut stream = stream;
-                    // Bound the rejection write too: a peer that never
-                    // reads must not pin this thread.
-                    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-                    let sent = send_response(
-                        &mut stream,
-                        &Response::Error(Rejection {
-                            kind: ErrorKind::Busy,
-                            message: format!(
-                                "server at its {}-connection cap; retry later",
-                                shared.config.max_connections
-                            ),
-                            retryable: true,
-                        }),
-                        &mut EncodeScratch::default(),
-                    );
-                    if sent.is_ok() {
-                        shared.wm.frames_written_v1.inc();
-                        drain_briefly(&stream, &shared);
-                    }
-                });
-            continue;
-        }
-        shared.active.fetch_add(1, Ordering::SeqCst);
-        let handler = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("smartpick-wire-conn".to_owned())
-                .spawn(move || {
-                    handle_connection(stream, &shared);
-                    shared.active.fetch_sub(1, Ordering::SeqCst);
-                })
-        };
-        let mut handlers = shared.handlers.lock().unwrap_or_else(|e| e.into_inner());
-        // Reap finished handlers so the registry tracks live connections,
-        // not every connection ever served (dropping a finished handle
-        // just releases it).
-        handlers.retain(|h| !h.is_finished());
-        match handler {
-            Ok(handle) => handlers.push(handle),
-            Err(_) => {
-                // Could not spawn: undo the reservation; the connection
-                // drops, which the client sees as an I/O error.
-                shared.active.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
-    }
-}
-
-/// Wraps a stream so reads park politely: socket timeouts are retried
-/// (they exist only so this loop can poll the shutdown flag), shutdown
-/// surfaces as a distinct error `read_exact` will not swallow, and a
-/// peer silent past the idle deadline is cut off so it cannot pin a
-/// connection-cap slot forever.
-struct PollingReader<'a> {
-    stream: &'a TcpStream,
-    shared: &'a Shared,
-    last_byte_at: Instant,
-}
-
-impl Read for PollingReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        loop {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                return Err(io::Error::new(
-                    io::ErrorKind::ConnectionAborted,
-                    "server shutting down",
-                ));
-            }
-            if let Some(idle) = self.shared.config.idle_timeout {
-                if self.last_byte_at.elapsed() >= idle {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "connection idle past the deadline",
-                    ));
-                }
-            }
-            match self.stream.read(buf) {
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    continue
-                }
-                Ok(n) if n > 0 => {
-                    self.last_byte_at = Instant::now();
-                    return Ok(n);
-                }
-                other => return other,
-            }
-        }
-    }
-}
-
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    let opened = Instant::now();
-    shared.wm.connections.inc();
-    shared
-        .obs
-        .events()
-        .publish(event(EventKind::ConnectionOpened));
-    handle_connection_inner(stream, shared);
-    shared.wm.connections.dec();
-    shared.wm.connection_lifetime.record(opened.elapsed());
-    shared
-        .obs
-        .events()
-        .publish(event(EventKind::ConnectionClosed).duration(opened.elapsed()));
-}
-
-fn handle_connection_inner(stream: TcpStream, shared: &Arc<Shared>) {
-    // Responses are single small writes on a ping-pong protocol —
-    // Nagle's worst case; without nodelay every round-trip stalls on
-    // delayed ACKs.
-    let _ = stream.set_nodelay(true);
-    // The read timeout is the shutdown-poll interval, not a client
-    // deadline: PollingReader turns expiries into another check of the
-    // flag.
-    if stream
-        .set_read_timeout(Some(shared.config.poll_interval))
-        .is_err()
-    {
-        return;
-    }
-    // Writes get the idle deadline directly: a peer that stops *reading*
-    // (full send buffer) would otherwise block `write_all` forever,
-    // pinning a cap slot past every read-side defense and hanging
-    // shutdown's join on this handler.
-    if stream
-        .set_write_timeout(shared.config.idle_timeout)
-        .is_err()
-    {
-        return;
-    }
-    let writer_stream = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    // The reader→writer decoupling: responses flow through a bounded
-    // queue to a dedicated writer thread, so a slow response write never
-    // stops the reader admitting more pipelined requests, and executor
-    // completions (any order) are framed without racing each other.
-    let dead = Arc::new(AtomicBool::new(false));
-    let (resp_tx, resp_rx) = sync_channel::<ResponseMsg>(shared.config.max_in_flight + 2);
-    let writer = {
-        let dead = Arc::clone(&dead);
-        let shared = Arc::clone(shared);
-        match std::thread::Builder::new()
-            .name("smartpick-wire-write".to_owned())
-            .spawn(move || writer_loop(writer_stream, resp_rx, &dead, &shared))
-        {
-            Ok(handle) => handle,
-            Err(_) => return,
-        }
-    };
-    // Pipelined (v2) requests in flight: queued or executing.
-    let in_flight = Arc::new(AtomicUsize::new(0));
-    let mut executors: Option<ExecutorPool> = None;
-
-    let mut reader = PollingReader {
-        stream: &stream,
-        shared,
-        last_byte_at: Instant::now(),
-    };
-    // Per-connection scratch buffer: steady-state frame decode reuses
-    // this allocation instead of a fresh Vec per frame.
-    let mut payload = Vec::new();
-    // Whether the connection must close after the queued responses flush
-    // (v1 framing violations only).
-    let mut fatal = false;
-    loop {
-        if dead.load(Ordering::SeqCst) {
-            break;
-        }
-        let header =
-            match read_frame_any_into(&mut reader, shared.config.max_frame_len, &mut payload) {
-                Ok(header) => header,
-                Err(FrameError::Eof) => break,
-                // Framing violations get one best-effort error frame, then
-                // the connection closes: after a bad version byte or length
-                // prefix the stream position is untrustworthy.
-                Err(e @ (FrameError::VersionMismatch { .. } | FrameError::Oversized { .. })) => {
-                    let _ = queue_response(
-                        shared,
-                        &dead,
-                        &resp_tx,
-                        ResponseMsg {
-                            id: None,
-                            codec: Codec::Json,
-                            response: Response::Error(Rejection {
-                                kind: ErrorKind::Protocol,
-                                message: e.to_string(),
-                                retryable: false,
-                            }),
-                        },
-                    );
-                    fatal = true;
-                    break;
-                }
-                Err(FrameError::Io(_)) => break,
-            };
-        let codec = header.codec();
-        match (header.id, codec) {
-            (None, _) => shared.wm.frames_read_v1.inc(),
-            (Some(_), Codec::Json) => shared.wm.frames_read_v2.inc(),
-            (Some(_), Codec::Binary) => shared.wm.frames_read_v3.inc(),
-        }
-        match header.id {
-            // v1: executed inline on the reader, so legacy requests are
-            // answered strictly in request order.
-            None => {
-                let responses = respond_to(&payload, shared);
-                let protocol_err = responses
-                    .iter()
-                    .any(|r| matches!(r, Response::Error(rej) if rej.kind == ErrorKind::Protocol));
-                let mut delivered = true;
-                for response in responses {
-                    delivered = queue_response(
-                        shared,
-                        &dead,
-                        &resp_tx,
-                        ResponseMsg {
-                            id: None,
-                            codec: Codec::Json,
-                            response,
-                        },
-                    );
-                    if !delivered {
-                        break;
-                    }
-                }
-                if !delivered {
-                    break;
-                }
-                if protocol_err {
-                    fatal = true;
-                    break;
-                }
-            }
-            // v2/v3: the length-delimited framing stays trustworthy even
-            // when the payload is garbage, and the id names exactly the
-            // request an error answers — so payload problems are
-            // per-request `bad_request`s, never a close. Responses mirror
-            // the codec each request arrived in: that per-frame echo *is*
-            // the codec negotiation.
-            Some(id) => match decode_request(&payload, codec) {
-                Err(message) => {
-                    let delivered = queue_response(
-                        shared,
-                        &dead,
-                        &resp_tx,
-                        ResponseMsg {
-                            id: Some(id),
-                            codec,
-                            response: Response::Error(Rejection {
-                                kind: ErrorKind::BadRequest,
-                                message,
-                                retryable: false,
-                            }),
-                        },
-                    );
-                    if !delivered {
-                        break;
-                    }
-                }
-                Ok(request) => {
-                    // Reserve an in-flight slot (compensating add, the
-                    // same pattern as the service's pending quotas).
-                    let cap = shared.config.max_in_flight;
-                    let prior = in_flight.fetch_add(1, Ordering::SeqCst);
-                    let mut admitted = false;
-                    if prior < cap {
-                        shared.wm.in_flight_hwm.set_max((prior + 1) as i64);
-                        if executors.is_none() {
-                            // A failed pool start (OS thread exhaustion)
-                            // degrades to a retryable busy below — never
-                            // a panic, which would unwind past the
-                            // acceptor's connection-cap release and leak
-                            // the slot forever.
-                            executors = ExecutorPool::start(shared, &resp_tx, &in_flight, &dead);
-                        }
-                        admitted = executors
-                            .as_ref()
-                            .is_some_and(|pool| pool.req_tx.try_send((id, codec, request)).is_ok());
-                    }
-                    if !admitted {
-                        in_flight.fetch_sub(1, Ordering::SeqCst);
-                        shared.wm.busy_rejections.inc();
-                        shared.obs.events().publish(
-                            event(EventKind::BusyRejection)
-                                .detail("over the per-connection in-flight cap; told to retry"),
-                        );
-                        let delivered = queue_response(
-                            shared,
-                            &dead,
-                            &resp_tx,
-                            ResponseMsg {
-                                id: Some(id),
-                                codec,
-                                response: Response::Error(Rejection {
-                                    kind: ErrorKind::Busy,
-                                    message: format!(
-                                        "connection at its {cap}-request in-flight cap; retry later"
-                                    ),
-                                    retryable: true,
-                                }),
-                            },
-                        );
-                        if !delivered {
-                            break;
-                        }
-                    }
-                }
-            },
-        }
-    }
-    // Teardown in dependency order: stop feeding executors and let them
-    // finish in-flight work, then close the response queue so the writer
-    // drains and exits, then (for v1 framing violations) linger briefly
-    // so the error frame survives the close.
-    if let Some(pool) = executors.take() {
-        pool.join();
-    }
-    drop(resp_tx);
-    let _ = writer.join();
-    if fatal && !dead.load(Ordering::SeqCst) {
-        drain_briefly(&stream, shared);
-    }
-}
-
-/// One queued outbound response: the pipelined request id it answers
-/// (`None` = answer in a v1 frame), the codec the frame must use
-/// (mirroring the request's), and the response itself. Encoding and
-/// framing happen on the writer thread, off the reader and executors.
-struct ResponseMsg {
-    id: Option<u64>,
-    codec: Codec,
-    response: Response,
-}
-
-/// The per-connection writer: frames queued responses in arrival order,
-/// v1, v2, or v3 as each message dictates. On a write failure it flags
-/// the connection dead and keeps *draining* the queue (discarding) so no
-/// executor ever blocks on a send to a dead socket.
-fn writer_loop(
-    mut stream: TcpStream,
-    rx: Receiver<ResponseMsg>,
-    dead: &AtomicBool,
-    shared: &Shared,
-) {
-    let mut scratch = EncodeScratch::default();
-    let mut broken = false;
-    while let Ok(msg) = rx.recv() {
-        if broken {
-            continue;
-        }
-        let sent = match (msg.id, msg.codec) {
-            (Some(id), Codec::Binary) => {
-                send_response_v3(&mut stream, id, &msg.response, &mut scratch)
-            }
-            (Some(id), Codec::Json) => {
-                send_response_v2(&mut stream, id, &msg.response, &mut scratch)
-            }
-            (None, _) => send_response(&mut stream, &msg.response, &mut scratch),
-        };
-        match (&sent, msg.id, msg.codec) {
-            (Ok(()), Some(_), Codec::Binary) => shared.wm.frames_written_v3.inc(),
-            (Ok(()), Some(_), Codec::Json) => shared.wm.frames_written_v2.inc(),
-            (Ok(()), None, _) => shared.wm.frames_written_v1.inc(),
-            (Err(_), _, _) => {
-                broken = true;
-                dead.store(true, Ordering::SeqCst);
-            }
-        }
-    }
-}
-
-/// The lazy per-connection executor pool that runs pipelined requests
-/// concurrently: a bounded request queue fans out to
-/// [`WireServerConfig::pipeline_workers`] threads, each answering into
-/// the shared response queue with its request's id.
-struct ExecutorPool {
-    req_tx: SyncSender<(u64, Codec, Request)>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl ExecutorPool {
-    /// Returns `None` when not a single executor thread could be
-    /// spawned (OS thread exhaustion): the caller then answers with a
-    /// retryable `busy` instead of panicking. A partially spawned pool
-    /// (some threads) is fine — it just has less parallelism.
-    fn start(
-        shared: &Arc<Shared>,
-        resp_tx: &SyncSender<ResponseMsg>,
-        in_flight: &Arc<AtomicUsize>,
-        dead: &Arc<AtomicBool>,
-    ) -> Option<ExecutorPool> {
-        let (req_tx, req_rx) = sync_channel::<(u64, Codec, Request)>(shared.config.max_in_flight);
-        let req_rx = Arc::new(Mutex::new(req_rx));
-        let mut workers = Vec::with_capacity(shared.config.pipeline_workers);
-        for i in 0..shared.config.pipeline_workers {
-            let shared = Arc::clone(shared);
-            let resp_tx = resp_tx.clone();
-            let in_flight = Arc::clone(in_flight);
-            let dead = Arc::clone(dead);
-            let req_rx = Arc::clone(&req_rx);
-            let worker = std::thread::Builder::new()
-                .name(format!("smartpick-wire-exec-{i}"))
-                .spawn(move || loop {
-                    // The mutex guards *dequeueing* only (workers
-                    // take turns waiting on the channel); execution
-                    // below runs unlocked and in parallel.
-                    // lint:allow(guard-across-blocking, reason = "the lock exists to make workers take turns on recv; it guards nothing but the dequeue itself and is dropped before execution")
-                    let msg = req_rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
-                    let Ok((id, codec, request)) = msg else {
-                        return;
-                    };
-                    let responses = execute_multi(request, &shared);
-                    // Release the slot *before* queueing the answer,
-                    // so a client that reacts to the response can
-                    // never be told `busy` for a slot this very
-                    // request was still holding.
-                    in_flight.fetch_sub(1, Ordering::SeqCst);
-                    for response in responses {
-                        let delivered = queue_response(
-                            &shared,
-                            &dead,
-                            &resp_tx,
-                            ResponseMsg {
-                                id: Some(id),
-                                codec,
-                                response,
-                            },
-                        );
-                        if !delivered {
-                            return;
-                        }
-                    }
-                });
-            if let Ok(worker) = worker {
-                workers.push(worker);
-            }
-        }
-        if workers.is_empty() {
-            return None;
-        }
-        Some(ExecutorPool { req_tx, workers })
-    }
-
-    /// Stops feeding the pool and joins every worker (in-flight requests
-    /// finish and answer first).
-    fn join(self) {
-        drop(self.req_tx);
-        for worker in self.workers {
-            let _ = worker.join();
-        }
-    }
-}
-
-/// Queues one response for the writer, polling the shutdown and
-/// connection-dead flags whenever the bounded queue is full — so a peer
-/// that stops reading (stalling the writer) can never park the reader
-/// or an executor in an uninterruptible `send` past server shutdown.
-/// Returns `false` when the message cannot (or should no longer) be
-/// delivered.
-fn queue_response(
-    shared: &Shared,
-    dead: &AtomicBool,
-    tx: &SyncSender<ResponseMsg>,
-    mut msg: ResponseMsg,
-) -> bool {
-    loop {
-        match tx.try_send(msg) {
-            Ok(()) => return true,
-            Err(TrySendError::Disconnected(_)) => return false,
-            Err(TrySendError::Full(back)) => {
-                if shared.shutdown.load(Ordering::SeqCst) || dead.load(Ordering::SeqCst) {
-                    return false;
-                }
-                std::thread::sleep(shared.config.poll_interval);
-                msg = back;
-            }
-        }
     }
 }
 
@@ -843,46 +276,6 @@ pub(crate) fn decode_request(payload: &[u8], codec: Codec) -> Result<Request, St
         Codec::Binary => codec::decode_envelope::<Request>(payload)
             .map_err(|e| format!("binary payload rejected: {e}")),
     }
-}
-
-/// Decodes one v1 payload and executes it — every failure becomes an
-/// error *response*, never a handler panic or a dead listener. Returns
-/// the responses to send, in order (more than one only for
-/// `determine_stream`).
-pub(crate) fn respond_to(payload: &[u8], shared: &Shared) -> Vec<Response> {
-    let text = match std::str::from_utf8(payload) {
-        Ok(text) => text,
-        Err(e) => {
-            return vec![Response::Error(Rejection {
-                kind: ErrorKind::Protocol,
-                message: format!("frame payload is not UTF-8: {e}"),
-                retryable: false,
-            })]
-        }
-    };
-    // Not-JSON is a framing-level violation (close); JSON of the wrong
-    // shape is a request-level one (connection stays usable).
-    let value: serde::Value = match serde_json::from_str(text) {
-        Ok(value) => value,
-        Err(e) => {
-            return vec![Response::Error(Rejection {
-                kind: ErrorKind::Protocol,
-                message: format!("frame payload is not JSON: {e}"),
-                retryable: false,
-            })]
-        }
-    };
-    let request = match <Request as serde::Deserialize>::from_value(&value) {
-        Ok(request) => request,
-        Err(e) => {
-            return vec![Response::Error(Rejection {
-                kind: ErrorKind::BadRequest,
-                message: format!("unrecognised request: {e}"),
-                retryable: false,
-            })]
-        }
-    };
-    execute_multi(request, shared)
 }
 
 /// Executes one request, expanding `determine_stream` into its streamed
@@ -955,37 +348,6 @@ pub(crate) fn execute(request: Request, shared: &Shared) -> Response {
         Request::Health => Ok(Response::Health(service.health())),
     };
     result.unwrap_or_else(|e| service_error(&e))
-}
-
-/// Discards inbound bytes for a few poll intervals (or until the peer
-/// closes) before a server-side close. Closing a socket with unread
-/// received bytes sends a reset that can discard a just-written error
-/// frame before the peer reads it — the drain makes "error response,
-/// then close" reliable even when the peer was mid-write.
-pub(crate) fn drain_briefly(mut stream: &TcpStream, shared: &Shared) {
-    if stream
-        .set_read_timeout(Some(shared.config.poll_interval))
-        .is_err()
-    {
-        return;
-    }
-    let deadline = Instant::now() + 4 * shared.config.poll_interval;
-    let mut scratch = [0u8; 4096];
-    while Instant::now() < deadline && !shared.shutdown.load(Ordering::SeqCst) {
-        match stream.read(&mut scratch) {
-            Ok(0) => return, // peer closed: the error frame was consumed
-            Ok(_) => continue,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue
-            }
-            Err(_) => return,
-        }
-    }
 }
 
 pub(crate) fn service_error(e: &ServiceError) -> Response {

@@ -3,42 +3,19 @@
 //! zero lost tenant reports, and the whole incident is visible to a wire
 //! client through `Scrape` (events + restart counter) and `Health`.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use smartpick_cloudsim::{CloudEnv, Provider};
-use smartpick_core::driver::Smartpick;
-use smartpick_core::properties::SmartpickProperties;
-use smartpick_core::training::TrainOptions;
-use smartpick_ml::forest::ForestParams;
 use smartpick_obs::RestartPolicy;
 use smartpick_service::{CompletedRun, ServiceConfig, SmartpickService};
-use smartpick_wire::{WireClient, WireServer, WireServerConfig};
+use smartpick_wire::frame::{read_frame_any_into, write_frame_v2_buffered};
+use smartpick_wire::{WireClient, WireServer, WireServerConfig, DEFAULT_MAX_FRAME_LEN};
 use smartpick_workloads::tpcds;
 
-fn template() -> Smartpick {
-    let queries = vec![tpcds::query(82, 100.0).unwrap()];
-    let opts = TrainOptions {
-        configs_per_query: 5,
-        burst_factor: 3,
-        forest: ForestParams {
-            n_trees: 10,
-            ..ForestParams::default()
-        },
-        max_vm: 3,
-        max_sl: 3,
-        ..TrainOptions::default()
-    };
-    Smartpick::train_with_options(
-        CloudEnv::new(Provider::Aws),
-        SmartpickProperties::default(),
-        &queries,
-        &opts,
-        11,
-    )
-    .unwrap()
-    .0
-}
+mod common;
+use common::template;
 
 #[test]
 fn worker_crash_recovery_is_visible_over_the_wire() {
@@ -113,9 +90,9 @@ fn worker_crash_recovery_is_visible_over_the_wire() {
     assert!(kinds.contains(&"worker_restarted"), "events: {kinds:?}");
 
     // The wire layer's own telemetry rides in the same envelope: this
-    // client has been speaking v1 frames the whole time.
-    assert!(envelope.counter("wire.frames_read.v1") >= 10);
-    assert!(envelope.counter("wire.frames_written.v1") >= 10);
+    // client has been speaking JSON (v2) frames the whole time.
+    assert!(envelope.counter("wire.frames_read.v2") >= 10);
+    assert!(envelope.counter("wire.frames_written.v2") >= 10);
     assert_eq!(envelope.gauge("wire.connections"), 1);
 
     // Health over the wire: recovered and ready, restart on the record.
@@ -128,4 +105,44 @@ fn worker_crash_recovery_is_visible_over_the_wire() {
     // And the restarted worker still applies feedback end to end.
     client.report_run("acme", run).unwrap();
     client.flush().unwrap();
+}
+
+/// `wire.in_flight_hwm` records the deepest pipeline any connection has
+/// driven. Sixteen pings land in ONE socket write, so the event loop
+/// admits all of them before it applies a single completion.
+#[test]
+fn in_flight_high_water_mark_tracks_pipeline_depth() {
+    const DEPTH: u64 = 16;
+    let service = Arc::new(SmartpickService::with_defaults());
+    let server = WireServer::bind(
+        "127.0.0.1:0",
+        service,
+        template(),
+        WireServerConfig::default(),
+    )
+    .unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let (mut burst, mut scratch) = (Vec::new(), Vec::new());
+    for id in 0..DEPTH {
+        write_frame_v2_buffered(&mut burst, id, b"{\"op\":\"ping\"}", &mut scratch).unwrap();
+    }
+    stream.write_all(&burst).unwrap();
+    let mut payload = Vec::new();
+    for _ in 0..DEPTH {
+        read_frame_any_into(&mut stream, DEFAULT_MAX_FRAME_LEN, &mut payload).unwrap();
+    }
+
+    let scrape = WireClient::connect(server.local_addr())
+        .unwrap()
+        .scrape(0)
+        .unwrap();
+    let hwm = scrape.gauge("wire.in_flight_hwm");
+    let cap = WireServerConfig::default().max_in_flight as i64;
+    assert!(
+        (DEPTH as i64..=cap).contains(&hwm),
+        "hwm {hwm} after a {DEPTH}-deep burst under a {cap}-request cap"
+    );
 }

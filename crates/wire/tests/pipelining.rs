@@ -1,64 +1,26 @@
-//! Multiplexing correctness for the pipelined (v2) protocol: many
+//! Multiplexing correctness for the pipelined protocol: many
 //! interleaved in-flight requests on one connection, every response
 //! matched to its request id; fault injection (a malformed mid-stream
-//! frame errors only its own id); the in-flight cap's retryable `busy`
-//! rejection; and v1/v2 interop on a single socket.
+//! frame errors only its own id); the in-flight cap's flow control; the
+//! blocking-operation cap that keeps `flush` from starving reads; and
+//! the retirement of un-numbered (v1) request frames.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
 
-use smartpick_cloudsim::{CloudEnv, Provider};
-use smartpick_core::driver::Smartpick;
-use smartpick_core::properties::SmartpickProperties;
-use smartpick_core::training::TrainOptions;
-use smartpick_ml::forest::ForestParams;
-use smartpick_service::{ServiceConfig, SmartpickService};
+use smartpick_service::{CompletedRun, ServiceConfig, SmartpickService};
+use smartpick_wire::frame::read_frame_any_into;
 use smartpick_wire::{
     ErrorKind, Request, Response, WireClient, WireServer, WireServerConfig, PROTOCOL_V2,
+    PROTOCOL_VERSION,
 };
 use smartpick_workloads::tpcds;
 
-fn template() -> Smartpick {
-    let queries: Vec<_> = [82u32, 68]
-        .iter()
-        .map(|&q| tpcds::query(q, 100.0).unwrap())
-        .collect();
-    let opts = TrainOptions {
-        configs_per_query: 5,
-        burst_factor: 3,
-        forest: ForestParams {
-            n_trees: 10,
-            ..ForestParams::default()
-        },
-        max_vm: 3,
-        max_sl: 3,
-        ..TrainOptions::default()
-    };
-    Smartpick::train_with_options(
-        CloudEnv::new(Provider::Aws),
-        SmartpickProperties::default(),
-        &queries,
-        &opts,
-        11,
-    )
-    .unwrap()
-    .0
-}
-
-fn server_with(config: WireServerConfig) -> WireServer {
-    let service = Arc::new(SmartpickService::new(ServiceConfig {
-        retrain_workers: 2,
-        ..ServiceConfig::default()
-    }));
-    WireServer::bind("127.0.0.1:0", service, template(), config).expect("bind ephemeral port")
-}
-
-fn det_json(d: &smartpick_core::wp::Determination) -> String {
-    serde_json::to_string(d).unwrap()
-}
+mod common;
+use common::{det_json, server_with, template};
 
 /// 64 interleaved in-flight determines from 4 threads on ONE connection:
 /// every response must match its request id and be identical to the same
@@ -70,8 +32,8 @@ fn sixty_four_interleaved_in_flight_determines_match_sequential() {
     let server = server_with(WireServerConfig::default());
     let query = tpcds::query(82, 100.0).unwrap();
 
-    // Sequential oracle on its own (blocking, v1) connection, against
-    // the same frozen registration snapshot.
+    // Sequential oracle on its own (blocking) connection, against the
+    // same frozen registration snapshot.
     let mut oracle = WireClient::connect(server.local_addr()).unwrap();
     oracle.register_tenant("acme", 7).unwrap();
     let expected: HashMap<u64, String> = (0..THREADS * PER_THREAD)
@@ -215,95 +177,188 @@ fn malformed_mid_stream_frame_errors_only_its_own_id() {
     assert!(text.contains("pong"), "reply: {text}");
 }
 
-/// Submissions over the per-connection in-flight cap get an immediate,
-/// retryable `busy` rejection carrying their id; admitted work is
-/// unaffected and every id is answered exactly once.
+/// The in-flight cap is flow control, not rejection: a client that
+/// submits four times the cap without reading a single response gets
+/// every answer and never a `busy` — the server just stops reading its
+/// socket until completions free slots.
 #[test]
-fn over_cap_submissions_get_retryable_busy_with_their_id() {
-    const SUBMITS: usize = 48;
+fn unread_submissions_past_the_cap_are_flow_controlled_not_refused() {
+    const CAP: usize = 8;
+    const SUBMITS: usize = 4 * CAP;
     let server = server_with(WireServerConfig {
-        max_in_flight: 1,
-        pipeline_workers: 1,
+        max_in_flight: CAP,
+        pipeline_workers: 2,
         ..WireServerConfig::default()
     });
     let mut client = WireClient::connect(server.local_addr()).unwrap();
+    client
+        .set_io_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
     client.register_tenant("acme", 7).unwrap();
     let query = tpcds::query(82, 100.0).unwrap();
 
-    let mut ids = Vec::new();
-    for seed in 0..SUBMITS as u64 {
-        ids.push(client.submit_determine("acme", &query, seed).unwrap());
-    }
-    let mut determinations = 0usize;
-    let mut busy = 0usize;
-    let mut seen = HashMap::new();
+    let mut unanswered: HashMap<u64, ()> = (0..SUBMITS as u64)
+        .map(|seed| (client.submit_determine("acme", &query, seed).unwrap(), ()))
+        .collect();
     for _ in 0..SUBMITS {
         let (id, response) = client.recv().unwrap();
-        assert!(seen.insert(id, ()).is_none(), "duplicate id {id}");
-        match response {
-            Response::Determination(_) => determinations += 1,
-            Response::Error(r) => {
-                assert_eq!(r.kind, ErrorKind::Busy, "only busy rejections expected");
-                assert!(r.retryable, "busy must be retryable");
-                busy += 1;
-            }
-            other => panic!("id {id}: unexpected response {other:?}"),
-        }
+        assert!(
+            unanswered.remove(&id).is_some(),
+            "unknown or duplicate id {id}"
+        );
+        assert!(
+            matches!(response, Response::Determination(_)),
+            "id {id}: flow control must never refuse, got {response:?}"
+        );
     }
-    for id in ids {
-        assert!(seen.contains_key(&id), "id {id} never answered");
-    }
-    assert!(determinations >= 1, "admitted work must complete");
+    let scrape = client.scrape(0).unwrap();
+    assert_eq!(scrape.counter("wire.busy_rejections"), 0);
+    let hwm = scrape.gauge("wire.in_flight_hwm");
     assert!(
-        busy >= 1,
-        "with a 1-deep in-flight cap and {SUBMITS} rapid submissions, \
-         some must be turned away ({determinations} determinations)"
+        (1..=CAP as i64).contains(&hwm),
+        "in-flight high-water mark {hwm} must stay within the {CAP}-request cap"
     );
-    // A busy rejection is retryable: resubmitting now (nothing in
-    // flight) succeeds.
-    let id = client.submit_determine("acme", &query, 1).unwrap();
-    let (rid, response) = client.recv().unwrap();
-    assert_eq!(rid, id);
-    assert!(matches!(response, Response::Determination(_)));
 }
 
-/// v1 (legacy blocking) and v2 (pipelined) traffic interoperate on one
-/// socket: the v2 server answers each in its own framing, as long as
-/// blocking calls are not interleaved with outstanding submissions.
+/// `flush` blocks its executor until the retrain workers drain, and the
+/// executor pool is server-wide — so flushes are capped one below the
+/// pool size and the excess is told `busy`. With a retrain worker held
+/// mid-apply, four flushing connections must leave a fifth connection's
+/// ping answered promptly.
 #[test]
-fn v1_and_v2_interop_on_one_connection() {
-    let server = server_with(WireServerConfig::default());
-    let mut client = WireClient::connect(server.local_addr()).unwrap();
-    let query = tpcds::query(82, 100.0).unwrap();
-
-    // v1 blocking calls first (the legacy client behaviour, unchanged).
-    client.ping().unwrap();
+fn blocked_flushes_leave_an_executor_for_reads() {
+    let service = Arc::new(SmartpickService::new(ServiceConfig {
+        retrain_workers: 1,
+        ..ServiceConfig::default()
+    }));
+    let server = WireServer::bind(
+        "127.0.0.1:0",
+        Arc::clone(&service),
+        template(),
+        WireServerConfig::default(), // 4 executors: 3 flushes admitted
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let mut client = WireClient::connect(addr).unwrap();
     client.register_tenant("acme", 7).unwrap();
-    let sequential = client.determine("acme", &query, 42).unwrap();
+    let query = tpcds::query(82, 100.0).unwrap();
+    let outcome = service.submit("acme", &query, 3).unwrap();
+    client.flush().unwrap();
 
-    // Pipelined v2 burst on the same connection.
-    let ids: Vec<u64> = (0..4)
-        .map(|i| client.submit_determine("acme", &query, 40 + i).unwrap())
+    // Hold the tenant's driver lock: the retrain worker parks on it when
+    // it applies the report below, so no flush can complete until
+    // `release` fires.
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let holder = {
+        let service = Arc::clone(&service);
+        std::thread::spawn(move || {
+            service
+                .inspect_tenant("acme", |_| {
+                    entered_tx.send(()).unwrap();
+                    let _ = release_rx.recv();
+                })
+                .unwrap();
+        })
+    };
+    entered_rx.recv().unwrap();
+    client
+        .report_run(
+            "acme",
+            CompletedRun {
+                query,
+                determination: outcome.determination,
+                report: outcome.report,
+            },
+        )
+        .unwrap();
+
+    let mut flushers: Vec<(WireClient, u64)> = (0..4)
+        .map(|_| {
+            let mut flusher = WireClient::connect(addr).unwrap();
+            flusher
+                .set_io_timeout(Some(Duration::from_secs(60)))
+                .unwrap();
+            let id = flusher.submit(&Request::Flush).unwrap();
+            (flusher, id)
+        })
         .collect();
-    let mut by_id = HashMap::new();
-    for _ in 0..ids.len() {
-        let (id, response) = client.recv().unwrap();
+    // The fourth flush being refused proves the other three were
+    // admitted first — every flush frame has reached the server.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while service
+        .observability()
+        .scrape(0)
+        .counter("wire.busy_rejections")
+        < 1
+    {
+        assert!(
+            Instant::now() < deadline,
+            "four concurrent flushes were all admitted to a four-executor pool"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    let mut reader = WireClient::connect(addr).unwrap();
+    reader
+        .set_io_timeout(Some(Duration::from_millis(250)))
+        .unwrap();
+    reader
+        .ping()
+        .expect("blocked flushes starved a read on another connection");
+
+    release_tx.send(()).unwrap();
+    holder.join().unwrap();
+    let mut flushed = 0;
+    for (flusher, id) in flushers.iter_mut() {
+        let (got, response) = flusher.recv().unwrap();
+        assert_eq!(got, *id, "the refusal must carry the flush's own id");
         match response {
-            Response::Determination(d) => {
-                by_id.insert(id, d);
+            Response::Flushed => flushed += 1,
+            Response::Error(r) => {
+                assert_eq!(r.kind, ErrorKind::Busy);
+                assert!(r.retryable);
             }
             other => panic!("unexpected {other:?}"),
         }
     }
-    // The pipelined determine with the same seed equals the blocking one.
     assert_eq!(
-        det_json(&by_id[&ids[2]]),
-        det_json(&sequential),
-        "seed 42 must answer identically through both framings"
+        flushed, 3,
+        "exactly pipeline_workers - 1 flushes run at once"
+    );
+}
+
+/// Generation v1 is retired: an un-numbered *request* frame is a
+/// framing violation — exactly one un-numbered `protocol` error naming
+/// the retirement, then EOF — and the listener keeps serving.
+#[test]
+fn v1_request_frame_gets_one_retirement_error_then_eof() {
+    let server = server_with(WireServerConfig::default());
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let ping = b"{\"op\":\"ping\"}";
+    raw.write_all(&[PROTOCOL_VERSION]).unwrap();
+    raw.write_all(&(ping.len() as u32).to_be_bytes()).unwrap();
+    raw.write_all(ping).unwrap();
+
+    let mut payload = Vec::new();
+    let header = read_frame_any_into(&mut raw, 1 << 20, &mut payload).unwrap();
+    assert_eq!(header.id, None, "the error frame is un-numbered");
+    let response: Response = serde_json::from_str(std::str::from_utf8(&payload).unwrap()).unwrap();
+    match response {
+        Response::Error(r) => {
+            assert_eq!(r.kind, ErrorKind::Protocol);
+            assert!(!r.retryable);
+            assert!(r.message.contains("retired"), "message: {}", r.message);
+        }
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    assert_eq!(
+        raw.read(&mut [0u8; 1]).unwrap(),
+        0,
+        "then the server closes"
     );
 
-    // Back to v1 blocking calls once the pipeline is drained.
-    let stats = client.tenant_stats("acme").unwrap();
-    assert_eq!(stats.predictions, 5);
+    let mut client = WireClient::connect(server.local_addr()).unwrap();
     client.ping().unwrap();
 }

@@ -1,4 +1,4 @@
-//! Lifecycle robustness for the reactor core, where the failure mode is
+//! Lifecycle robustness for the event loop, where the failure mode is
 //! a hang or a wrongly-dropped connection rather than a wrong answer:
 //! shutdown must terminate even with the run queue saturated, the idle
 //! sweep must not reap a connection that is quiet only because the
@@ -11,58 +11,12 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use smartpick_cloudsim::{CloudEnv, Provider};
-use smartpick_core::driver::Smartpick;
-use smartpick_core::properties::SmartpickProperties;
-use smartpick_core::training::TrainOptions;
 use smartpick_core::wp::{ConstraintMode, PredictionRequest};
-use smartpick_ml::forest::ForestParams;
-use smartpick_service::{ServiceConfig, SmartpickService};
-use smartpick_wire::{
-    Request, Response, ServerCore, WireClient, WireServer, WireServerConfig, PROTOCOL_V2,
-    PROTOCOL_V3, PROTOCOL_VERSION,
-};
+use smartpick_wire::{Request, Response, WireClient, WireServerConfig, PROTOCOL_V2, PROTOCOL_V3};
 use smartpick_workloads::tpcds;
 
-fn template_with(n_trees: usize) -> Smartpick {
-    let queries = vec![tpcds::query(82, 100.0).unwrap()];
-    let opts = TrainOptions {
-        configs_per_query: 5,
-        burst_factor: 3,
-        forest: ForestParams {
-            n_trees,
-            ..ForestParams::default()
-        },
-        max_vm: 3,
-        max_sl: 3,
-        ..TrainOptions::default()
-    };
-    Smartpick::train_with_options(
-        CloudEnv::new(Provider::Aws),
-        SmartpickProperties::default(),
-        &queries,
-        &opts,
-        11,
-    )
-    .unwrap()
-    .0
-}
-
-fn template() -> Smartpick {
-    template_with(10)
-}
-
-fn server_on(config: WireServerConfig, template: Smartpick) -> WireServer {
-    let service = Arc::new(SmartpickService::new(ServiceConfig {
-        retrain_workers: 2,
-        ..ServiceConfig::default()
-    }));
-    WireServer::bind("127.0.0.1:0", service, template, config).expect("bind ephemeral port")
-}
-
-fn server_with(config: WireServerConfig) -> WireServer {
-    server_on(config, template())
-}
+mod common;
+use common::{server_on, server_with, template_with};
 
 fn batch(query: &smartpick_engine::QueryProfile, n: u64) -> Vec<PredictionRequest> {
     (0..n)
@@ -91,7 +45,6 @@ fn shutdown_terminates_with_a_saturated_run_queue() {
     // structurally, not by a timing accident.
     let mut server = server_on(
         WireServerConfig {
-            core: ServerCore::Reactor,
             max_in_flight: 16,
             pipeline_workers: 2,
             max_frame_len: 8 << 20,
@@ -182,7 +135,6 @@ fn shutdown_terminates_with_a_saturated_run_queue() {
 #[test]
 fn in_flight_request_outlasting_idle_timeout_is_still_answered() {
     let server = server_with(WireServerConfig {
-        core: ServerCore::Reactor,
         // Far shorter than the batch below takes to execute.
         idle_timeout: Some(Duration::from_millis(100)),
         poll_interval: Duration::from_millis(20),
@@ -194,7 +146,7 @@ fn in_flight_request_outlasting_idle_timeout_is_still_answered() {
     registrar.register_tenant("acme", 7).unwrap();
 
     // Pre-encode a 10k-determine batch (so client-side serialization
-    // adds no quiet time on the wire), send it as one raw v1 frame, and
+    // adds no quiet time on the wire), send it as one raw v2 frame, and
     // wait: execution takes hundreds of milliseconds of server-side
     // work during which this connection is byte-quiet and many idle
     // sweeps fire.
@@ -208,18 +160,27 @@ fn in_flight_request_outlasting_idle_timeout_is_still_answered() {
     stream
         .set_read_timeout(Some(Duration::from_secs(120)))
         .unwrap();
-    stream.write_all(&[PROTOCOL_VERSION]).unwrap();
+    stream.write_all(&[PROTOCOL_V2]).unwrap();
+    stream.write_all(&7u64.to_be_bytes()).unwrap();
     stream
         .write_all(&(payload.len() as u32).to_be_bytes())
         .unwrap();
     stream.write_all(payload.as_bytes()).unwrap();
 
-    let mut header = [0u8; 5];
+    let mut header = [0u8; 13];
     stream
         .read_exact(&mut header)
         .expect("the idle sweep reaped a connection with work in flight");
-    assert_eq!(header[0], PROTOCOL_VERSION, "response must be a v1 frame");
-    let len = u32::from_be_bytes([header[1], header[2], header[3], header[4]]) as usize;
+    assert_eq!(
+        header[0], PROTOCOL_V2,
+        "response must mirror the request's generation"
+    );
+    assert_eq!(
+        header[1..9],
+        7u64.to_be_bytes(),
+        "response must carry the request's id"
+    );
+    let len = u32::from_be_bytes(header[9..13].try_into().unwrap()) as usize;
     let mut body = vec![0u8; len];
     stream.read_exact(&mut body).unwrap();
     let response: Response = serde_json::from_str(std::str::from_utf8(&body).unwrap()).unwrap();
@@ -235,7 +196,6 @@ fn in_flight_request_outlasting_idle_timeout_is_still_answered() {
 #[test]
 fn framing_violator_that_never_reads_is_reaped_at_the_drain_deadline() {
     let server = server_with(WireServerConfig {
-        core: ServerCore::Reactor,
         poll_interval: Duration::from_millis(20),
         max_frame_len: 8 << 20,
         ..WireServerConfig::default()

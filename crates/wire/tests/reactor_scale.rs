@@ -1,49 +1,21 @@
-//! Connection-scaling acceptance for the reactor core: a single event
-//! loop sustains over a thousand concurrent connections — all held open
-//! at once, all proven live with real pings — which the
-//! thread-per-connection core cannot do without a thousand OS threads.
-//! The scrape confirms the server's own accounting agrees.
+//! Connection-scaling acceptance: a single event loop sustains over a
+//! thousand concurrent connections — all held open at once, all proven
+//! live with real pings — at a few kilobytes of buffers each. The
+//! scrape confirms the server's own accounting agrees.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use smartpick_cloudsim::{CloudEnv, Provider};
-use smartpick_core::driver::Smartpick;
-use smartpick_core::properties::SmartpickProperties;
-use smartpick_core::training::TrainOptions;
-use smartpick_ml::forest::ForestParams;
 use smartpick_obs::MetricValue;
 use smartpick_service::{ServiceConfig, SmartpickService};
-use smartpick_wire::{Codec, ServerCore, WireClient, WireServer, WireServerConfig};
-use smartpick_workloads::tpcds;
+use smartpick_wire::{Codec, WireClient, WireServer, WireServerConfig};
+
+mod common;
+use common::template;
 
 const CONNECTIONS: usize = 1024;
 
-fn template() -> Smartpick {
-    let queries = vec![tpcds::query(82, 100.0).unwrap()];
-    let opts = TrainOptions {
-        configs_per_query: 5,
-        burst_factor: 3,
-        forest: ForestParams {
-            n_trees: 10,
-            ..ForestParams::default()
-        },
-        max_vm: 3,
-        max_sl: 3,
-        ..TrainOptions::default()
-    };
-    Smartpick::train_with_options(
-        CloudEnv::new(Provider::Aws),
-        SmartpickProperties::default(),
-        &queries,
-        &opts,
-        11,
-    )
-    .unwrap()
-    .0
-}
-
-/// One reactor core holds 1024 concurrent connections open and answers
+/// One event loop holds 1024 concurrent connections open and answers
 /// a live ping on every single one — twice, to prove the connections
 /// stay usable while parked, not merely accepted.
 #[test]
@@ -57,7 +29,6 @@ fn one_core_sustains_a_thousand_live_connections() {
         service,
         template(),
         WireServerConfig {
-            core: ServerCore::Reactor,
             max_connections: CONNECTIONS + 8,
             // Idle sweeps must not reap parked connections mid-test.
             idle_timeout: Some(Duration::from_secs(600)),

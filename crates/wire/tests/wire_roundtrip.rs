@@ -6,44 +6,16 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use smartpick_cloudsim::{CloudEnv, Provider};
-use smartpick_core::driver::Smartpick;
-use smartpick_core::properties::SmartpickProperties;
-use smartpick_core::training::TrainOptions;
 use smartpick_core::wp::PredictionRequest;
-use smartpick_ml::forest::ForestParams;
 use smartpick_service::{CompletedRun, ServiceConfig, SmartpickService};
+use smartpick_wire::frame::read_frame_any_into;
 use smartpick_wire::{
-    ErrorKind, WireClient, WireError, WireServer, WireServerConfig, PROTOCOL_VERSION,
+    ErrorKind, WireClient, WireError, WireServer, WireServerConfig, PROTOCOL_V2, PROTOCOL_VERSION,
 };
 use smartpick_workloads::tpcds;
 
-fn template() -> Smartpick {
-    let queries: Vec<_> = [82u32, 68]
-        .iter()
-        .map(|&q| tpcds::query(q, 100.0).unwrap())
-        .collect();
-    let opts = TrainOptions {
-        configs_per_query: 5,
-        burst_factor: 3,
-        forest: ForestParams {
-            n_trees: 10,
-            ..ForestParams::default()
-        },
-        max_vm: 3,
-        max_sl: 3,
-        ..TrainOptions::default()
-    };
-    Smartpick::train_with_options(
-        CloudEnv::new(Provider::Aws),
-        SmartpickProperties::default(),
-        &queries,
-        &opts,
-        11,
-    )
-    .unwrap()
-    .0
-}
+mod common;
+use common::template;
 
 fn server() -> WireServer {
     let service = Arc::new(SmartpickService::new(ServiceConfig {
@@ -152,7 +124,8 @@ fn rejections_come_back_typed_and_connection_survives() {
     client.ping().unwrap();
 }
 
-/// Reads one raw frame (version, BE length, payload) off a test socket.
+/// Reads one raw un-numbered frame (version, BE length, payload) — the
+/// connection-level error frame — off a test socket.
 fn read_raw_frame(stream: &mut TcpStream) -> Vec<u8> {
     let mut header = [0u8; 5];
     stream.read_exact(&mut header).unwrap();
@@ -163,11 +136,11 @@ fn read_raw_frame(stream: &mut TcpStream) -> Vec<u8> {
     payload
 }
 
-fn write_raw_frame(stream: &mut TcpStream, version: u8, payload: &[u8]) {
+/// Writes one raw id-tagged frame header under `version`, then `payload`.
+fn write_raw_frame(stream: &mut TcpStream, version: u8, id: u64, len: u32, payload: &[u8]) {
     stream.write_all(&[version]).unwrap();
-    stream
-        .write_all(&(payload.len() as u32).to_be_bytes())
-        .unwrap();
+    stream.write_all(&id.to_be_bytes()).unwrap();
+    stream.write_all(&len.to_be_bytes()).unwrap();
     stream.write_all(payload).unwrap();
 }
 
@@ -175,39 +148,37 @@ fn write_raw_frame(stream: &mut TcpStream, version: u8, payload: &[u8]) {
 fn malformed_and_oversized_frames_do_not_kill_the_server() {
     let server = server();
     let addr = server.local_addr();
+    let ping = b"{\"op\":\"ping\"}";
 
     // 1. A frame that parses as JSON but not as a request: error
-    //    response, connection stays usable.
+    //    response under its own id, connection stays usable.
     let mut raw = TcpStream::connect(addr).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    write_raw_frame(&mut raw, PROTOCOL_VERSION, b"{\"op\":\"self_destruct\"}");
-    let reply = String::from_utf8(read_raw_frame(&mut raw)).unwrap();
-    assert!(reply.contains("bad_request"), "reply: {reply}");
-    write_raw_frame(&mut raw, PROTOCOL_VERSION, b"{\"op\":\"ping\"}");
-    let reply = String::from_utf8(read_raw_frame(&mut raw)).unwrap();
-    assert!(reply.contains("pong"), "reply: {reply}");
+    let bogus = b"{\"op\":\"self_destruct\"}";
+    write_raw_frame(&mut raw, PROTOCOL_V2, 1, bogus.len() as u32, bogus);
+    write_raw_frame(&mut raw, PROTOCOL_V2, 2, ping.len() as u32, ping);
+    let mut replies = [String::new(), String::new()];
+    let mut payload = Vec::new();
+    for _ in 0..2 {
+        let header = read_frame_any_into(&mut raw, 1 << 20, &mut payload).unwrap();
+        assert_eq!(header.version, PROTOCOL_V2);
+        replies[header.id.unwrap() as usize - 1] = String::from_utf8(payload.clone()).unwrap();
+    }
+    assert!(replies[0].contains("bad_request"), "reply: {}", replies[0]);
+    assert!(replies[1].contains("pong"), "reply: {}", replies[1]);
 
-    // 2. Non-JSON payload: protocol error response, then close.
+    // 2. Wrong version byte: protocol error response, then close.
     let mut raw = TcpStream::connect(addr).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    write_raw_frame(&mut raw, PROTOCOL_VERSION, b"\x01\x02 not json");
-    let reply = String::from_utf8(read_raw_frame(&mut raw)).unwrap();
-    assert!(reply.contains("protocol"), "reply: {reply}");
-    assert_eq!(raw.read(&mut [0u8; 1]).unwrap(), 0, "server closes conn");
-
-    // 3. Wrong version byte: protocol error response, then close.
-    let mut raw = TcpStream::connect(addr).unwrap();
-    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    write_raw_frame(&mut raw, 0x7f, b"{\"op\":\"ping\"}");
+    write_raw_frame(&mut raw, 0x7f, 1, ping.len() as u32, ping);
     let reply = String::from_utf8(read_raw_frame(&mut raw)).unwrap();
     assert!(reply.contains("version mismatch"), "reply: {reply}");
     assert_eq!(raw.read(&mut [0u8; 1]).unwrap(), 0, "server closes conn");
 
-    // 4. Oversized length prefix: rejected before any payload is read.
+    // 3. Oversized length prefix: rejected before any payload is read.
     let mut raw = TcpStream::connect(addr).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    raw.write_all(&[PROTOCOL_VERSION]).unwrap();
-    raw.write_all(&u32::MAX.to_be_bytes()).unwrap();
+    write_raw_frame(&mut raw, PROTOCOL_V2, 1, u32::MAX, b"");
     let reply = String::from_utf8(read_raw_frame(&mut raw)).unwrap();
     assert!(reply.contains("exceeds"), "reply: {reply}");
     assert_eq!(raw.read(&mut [0u8; 1]).unwrap(), 0, "server closes conn");
@@ -236,12 +207,10 @@ fn connection_cap_turns_away_with_busy() {
     .unwrap();
 
     let mut first = WireClient::connect(server.local_addr()).unwrap();
-    first.ping().unwrap(); // handler is definitely up → cap reached
+    first.ping().unwrap(); // the connection is registered → cap reached
 
-    // The acceptor reads the active count after the ping round-trip, so
-    // the second connection must be turned away with an unsolicited
-    // retryable busy frame. Read it without writing first: a write could
-    // race the server-side close into a reset that discards the reply.
+    // The second connection must be turned away with an unsolicited
+    // un-numbered retryable busy frame, readable without writing first.
     let mut second = TcpStream::connect(server.local_addr()).unwrap();
     second
         .set_read_timeout(Some(Duration::from_secs(30)))
@@ -253,7 +222,7 @@ fn connection_cap_turns_away_with_busy() {
     // The admitted connection is unaffected, and capacity frees on drop.
     first.ping().unwrap();
     drop(first);
-    // The slot frees asynchronously (handler notices EOF); retry briefly.
+    // The slot frees asynchronously (the loop notices EOF); retry briefly.
     let mut served = false;
     for _ in 0..100 {
         let mut retry = WireClient::connect(server.local_addr()).unwrap();

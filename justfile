@@ -123,13 +123,20 @@ bench-residency-record:
     cargo build --release -p smartpick_bench --bin bench_residency
     ./target/release/bench_residency --tenants 100000 --max-resident 1000
 
-# Regenerate BENCH_wire.json (binary-vs-JSON codec matrix + reactor
-# connection scaling; quoted by the README Performance table and
-# guarded by crates/bench/tests/bench_wire_json.rs). The 1024-connection
-# scaling run needs a raised fd limit.
+# Regenerate BENCH_wire.json (binary-vs-JSON codec matrix,
+# multi-connection throughput, connection scaling; quoted by the README
+# Performance table and guarded by crates/bench/tests/bench_wire_json.rs).
+# The 1024-connection scaling run needs a raised fd limit.
 bench-wire-record:
     cargo build --release -p smartpick_bench --bin bench_wire
     sh -c 'ulimit -n 20000; ./target/release/bench_wire'
+
+# Source lines per crate (`crates/*/src` only — tests, benches and
+# fixtures excluded): the per-crate line table CHANGES.md keeps one row
+# of per PR.
+loc:
+    @for c in crates/*; do printf '%-18s %6d\n' "$c" "$(find "$c/src" -name '*.rs' -exec cat {} + | wc -l)"; done
+    @printf '%-18s %6d\n' total "$(find crates/*/src -name '*.rs' -exec cat {} + | wc -l)"
 
 # Reproduce all paper figure/table binaries (release). Fails fast: a
 # panicking figure binary fails the recipe (and the CI smoke job).
