@@ -2,7 +2,7 @@
 //! tenant costs at rest and what a crash costs at startup, guarded by
 //! `tests/bench_store_json.rs`.
 //!
-//! Two matrices:
+//! Three matrices:
 //!
 //! * **snapshot at rest** — the encoded size of one tenant's full
 //!   driver state (predictor + history + monitor + RNG) as persisted by
@@ -13,6 +13,14 @@
 //!   scan, replay through `apply_report`, republish, re-persist. The
 //!   row family shows how replay cost scales with WAL length — the
 //!   knob `snapshot_every` trades against.
+//! * **feedback** — the write path under sustained load: a durable
+//!   service at its default knobs fed 32-report bursts with a flush
+//!   after each (the end-to-end benchmark's write window, without the
+//!   wire), for 1 and 8 tenants under `PerBatch` and `Never`: reports
+//!   applied per second, WAL fsyncs per report, WAL rewrites and the
+//!   bytes they wrote per report. Each row carries the same measurement
+//!   taken at the commit before the WAL was group-committed
+//!   ([`FEEDBACK_BEFORE`]).
 //!
 //! Usage: `cargo run --release -p smartpick_bench --bin bench_store
 //! [output-path]` (default `BENCH_store.json` in the working
@@ -27,7 +35,9 @@ use smartpick_core::driver::Smartpick;
 use smartpick_core::properties::SmartpickProperties;
 use smartpick_core::training::TrainOptions;
 use smartpick_ml::forest::ForestParams;
-use smartpick_service::{CompletedRun, PersistenceConfig, ServiceConfig, SmartpickService};
+use smartpick_service::{
+    CompletedRun, FsyncPolicy, PersistenceConfig, ServiceConfig, SmartpickService,
+};
 use smartpick_workloads::tpcds;
 
 fn trained_driver(query_ids: &[u32]) -> Smartpick {
@@ -77,6 +87,107 @@ fn durable_config(dir: &Path) -> ServiceConfig {
         }),
         ..ServiceConfig::default()
     }
+}
+
+/// Reports fed per feedback row, in bursts of [`FEEDBACK_BURST`].
+const FEEDBACK_REPORTS: u64 = 4096;
+const FEEDBACK_BURST: u64 = 32;
+
+/// One feedback row's measurement.
+struct Feedback {
+    reports_per_s: f64,
+    fsyncs_per_report: f64,
+    compactions: u64,
+    rewritten_bytes_per_report: f64,
+}
+
+impl Feedback {
+    const fn at(
+        reports_per_s: f64,
+        fsyncs_per_report: f64,
+        compactions: u64,
+        rewritten_bytes_per_report: f64,
+    ) -> Self {
+        Feedback {
+            reports_per_s,
+            fsyncs_per_report,
+            compactions,
+            rewritten_bytes_per_report,
+        }
+    }
+}
+
+/// The feedback rows as measured at the parent of the group-commit
+/// change (PR 12, commit 916a708) by this same loop, same box, same day,
+/// with two counters patched into a scratch copy (one per `sync()` call
+/// the worker made, one adding each rewrite's output bytes) — that
+/// commit had neither. Keyed by (tenants, fsync policy).
+const FEEDBACK_BEFORE: [(u64, &str, Feedback); 4] = [
+    (1, "per_batch", Feedback::at(1991.0, 0.0640, 16, 4137.0)),
+    (1, "never", Feedback::at(1905.0, 0.0, 16, 4137.0)),
+    (8, "per_batch", Feedback::at(1209.0, 0.5542, 16, 24759.0)),
+    (8, "never", Feedback::at(1393.0, 0.0, 16, 24753.0)),
+];
+
+/// Feeds [`FEEDBACK_REPORTS`] reports round-robin over `tenants` forks
+/// of `template` into a durable service at its default knobs, a flush
+/// after every burst, and reads the write path's own counters.
+fn feedback_row(
+    tenants: u64,
+    fsync: FsyncPolicy,
+    template: &Smartpick,
+    run: &CompletedRun,
+) -> Feedback {
+    let dir = bench_root(&format!("feedback{tenants}"));
+    let service = SmartpickService::open(
+        &dir,
+        ServiceConfig {
+            persistence: Some(PersistenceConfig {
+                fsync,
+                ..PersistenceConfig::at(&dir)
+            }),
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("open store");
+    let ids: Vec<String> = (0..tenants).map(|t| format!("bench-{t}")).collect();
+    for (t, id) in ids.iter().enumerate() {
+        service
+            .register_fork(id.clone(), template, t as u64)
+            .expect("register");
+    }
+    let started = Instant::now();
+    for burst in 0..FEEDBACK_REPORTS / FEEDBACK_BURST {
+        for i in 0..FEEDBACK_BURST {
+            let id = &ids[((burst * FEEDBACK_BURST + i) % tenants) as usize];
+            service.report_run(id, run.clone()).expect("report");
+        }
+        assert!(service.flush(), "flush after the burst");
+    }
+    // A rewrite the last burst triggered runs after its ack: wait it out,
+    // it is work the feed caused.
+    assert!(service.flush(), "trailing flush");
+    let elapsed = started.elapsed().as_secs_f64();
+    let counter = |name: &str| service.observability().metrics().counter(name).get();
+    assert_eq!(counter("service.reports_applied"), FEEDBACK_REPORTS);
+    let row = Feedback {
+        reports_per_s: FEEDBACK_REPORTS as f64 / elapsed,
+        fsyncs_per_report: counter("store.wal_syncs") as f64 / FEEDBACK_REPORTS as f64,
+        compactions: counter("store.compactions"),
+        rewritten_bytes_per_report: counter("store.compaction_bytes_written") as f64
+            / FEEDBACK_REPORTS as f64,
+    };
+    drop(service);
+    let _ = std::fs::remove_dir_all(&dir);
+    row
+}
+
+fn feedback_json(row: &Feedback) -> String {
+    format!(
+        "{{\"reports_per_s\": {:.0}, \"fsyncs_per_report\": {:.4}, \"compactions\": {}, \
+         \"rewritten_bytes_per_report\": {:.0}}}",
+        row.reports_per_s, row.fsyncs_per_report, row.compactions, row.rewritten_bytes_per_report
+    )
 }
 
 fn main() {
@@ -183,12 +294,52 @@ fn main() {
     }
     smartpick_bench::rule(64);
 
+    // --- sustained feedback: the write path's own throughput ----------
+    println!("sustained feedback ({FEEDBACK_REPORTS} reports, bursts of {FEEDBACK_BURST} + flush)");
+    smartpick_bench::rule(64);
+    println!(
+        "{:<8} {:<10} {:>10} {:>12} {:>9} {:>12}",
+        "tenants", "fsync", "reports/s", "fsyncs/rep", "rewrites", "rewr B/rep"
+    );
+    smartpick_bench::rule(64);
+    let template = trained_driver(&[82]);
+    let mut feedback_rows = String::new();
+    for (i, (tenants, policy, before)) in FEEDBACK_BEFORE.iter().enumerate() {
+        let fsync = match *policy {
+            "never" => FsyncPolicy::Never,
+            _ => FsyncPolicy::PerBatch,
+        };
+        let after = feedback_row(*tenants, fsync, &template, &run);
+        println!(
+            "{tenants:<8} {policy:<10} {:>10.0} {:>12.4} {:>9} {:>12.0}",
+            after.reports_per_s,
+            after.fsyncs_per_report,
+            after.compactions,
+            after.rewritten_bytes_per_report
+        );
+        if i > 0 {
+            feedback_rows.push_str(",\n");
+        }
+        let _ = write!(
+            feedback_rows,
+            "    {{\"tenants\": {tenants}, \"fsync\": \"{policy}\",\n     \"before\": {},\n     \
+             \"after\": {}}}",
+            feedback_json(before),
+            feedback_json(&after)
+        );
+    }
+    smartpick_bench::rule(64);
+
     let json = format!(
         "{{\n  \"bench\": \"store_durability\",\n  \"snapshot_unit\": \"bytes at rest for one \
          tenant's full driver snapshot (persist_tenant)\",\n  \"recovery_unit\": \"milliseconds \
          for SmartpickService::open to recover one tenant from a generation-0 snapshot plus a \
-         WAL of N reports\",\n  \"snapshot_at_rest\": [\n{snap_rows}\n  ],\n  \"recovery\": \
-         [\n{rec_rows}\n  ]\n}}\n"
+         WAL of N reports\",\n  \"feedback_unit\": \"{FEEDBACK_REPORTS} reports fed round-robin \
+         to N tenants of a durable service at its default knobs, in bursts of {FEEDBACK_BURST} \
+         with a flush after each: reports applied per second, WAL fsyncs per report, WAL rewrites \
+         and the bytes they wrote per report; before = PR 12, after = this commit\",\n  \
+         \"snapshot_at_rest\": [\n{snap_rows}\n  ],\n  \"recovery\": [\n{rec_rows}\n  ],\n  \
+         \"feedback\": [\n{feedback_rows}\n  ]\n}}\n"
     );
     std::fs::write(&out_path, json).expect("write BENCH_store.json");
     println!("wrote {out_path}");

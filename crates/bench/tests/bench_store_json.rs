@@ -102,3 +102,75 @@ fn bench_store_json_holds_the_durability_bars() {
         );
     }
 }
+
+/// The write-path record: sustained feedback for 1 and 8 tenants under
+/// `PerBatch` and `Never`, each row with the same measurement from
+/// before the WAL was group-committed. The bars are the ones that change
+/// claims: a batch's reports share one sync and its commits another, so
+/// fsyncs per report fall well under the two-per-tenant-group of before;
+/// rewrites are amortised, so they write at most twice per report what
+/// the log itself takes (one ~4.4 KB record); and with several tenants
+/// to a shard the feed runs faster for it.
+#[test]
+fn bench_store_json_holds_the_feedback_bars() {
+    let root = load();
+    let feedback = rows(&root, "feedback");
+    let mut seen = Vec::new();
+    for row in feedback {
+        let tenants = num(field(row, "tenants"));
+        let Value::Str(fsync) = field(row, "fsync") else {
+            panic!("`fsync` must be a string");
+        };
+        seen.push((tenants as u64, fsync.clone()));
+        let (before, after) = (field(row, "before"), field(row, "after"));
+        for side in [before, after] {
+            for key in [
+                "reports_per_s",
+                "fsyncs_per_report",
+                "compactions",
+                "rewritten_bytes_per_report",
+            ] {
+                let v = num(field(side, key));
+                assert!(v.is_finite() && v >= 0.0, "{key} = {v}");
+            }
+            assert!(num(field(side, "reports_per_s")) > 0.0);
+        }
+        let fsyncs = |side| num(field(side, "fsyncs_per_report"));
+        let rewritten = |side| num(field(side, "rewritten_bytes_per_report"));
+        if fsync == "never" {
+            assert_eq!(fsyncs(after), 0.0, "`Never` must never sync");
+        } else {
+            assert!(
+                fsyncs(after) <= 0.25,
+                "group commit: a 32-report burst syncs a handful of times, got {} per report",
+                fsyncs(after)
+            );
+            // One tenant is one group a batch either way; several used to
+            // sync twice each.
+            assert!(tenants == 1.0 || fsyncs(after) < 0.5 * fsyncs(before));
+        }
+        assert!(
+            rewritten(after) <= 2.0 * 4608.0,
+            "rewrites must stay within twice what is appended, got {} B per report",
+            rewritten(after)
+        );
+        if tenants > 1.0 {
+            assert!(rewritten(after) < rewritten(before));
+            assert!(
+                num(field(after, "reports_per_s")) >= 1.3 * num(field(before, "reports_per_s")),
+                "{tenants} tenants, {fsync}: the group-committed feed must be at least 1.3x faster"
+            );
+        }
+    }
+    seen.sort();
+    assert_eq!(
+        seen,
+        [
+            (1, "never"),
+            (1, "per_batch"),
+            (8, "never"),
+            (8, "per_batch")
+        ]
+        .map(|(t, f)| (t, f.to_owned()))
+    );
+}

@@ -82,3 +82,5 @@ pub use service::{FlushOutcome, ServiceConfig, SmartpickService};
 pub use smartpick_store::FsyncPolicy;
 pub use stats::{LatencyHistogram, LatencySummary, ServiceStats, TenantStats, WorkerShardStats};
 pub use worker::CompletedRun;
+#[doc(hidden)]
+pub use worker::CrashPoint;

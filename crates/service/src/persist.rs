@@ -73,6 +73,14 @@ pub(crate) struct StoreMetrics {
     pub(crate) torn_tails_dropped: Arc<Counter>,
     pub(crate) compactions: Arc<Counter>,
     pub(crate) recovery_duration_us: Arc<Gauge>,
+    /// `fdatasync` calls on shard WALs.
+    pub(crate) wal_syncs: Arc<Counter>,
+    /// Bytes WAL rewrites wrote — kept out of `wal_bytes_written`, which
+    /// counts appended records only.
+    pub(crate) compaction_bytes_written: Arc<Counter>,
+    /// Accepted reports applied without a WAL record because they could
+    /// not be rendered.
+    pub(crate) wal_reports_unencodable: Arc<Counter>,
 }
 
 impl StoreMetrics {
@@ -87,6 +95,9 @@ impl StoreMetrics {
             torn_tails_dropped: metrics.counter("store.torn_tails_dropped"),
             compactions: metrics.counter("store.compactions"),
             recovery_duration_us: metrics.gauge("store.recovery_duration_us"),
+            wal_syncs: metrics.counter("store.wal_syncs"),
+            compaction_bytes_written: metrics.counter("store.compaction_bytes_written"),
+            wal_reports_unencodable: metrics.counter("store.wal_reports_unencodable"),
         }
     }
 }
@@ -203,18 +214,30 @@ pub(crate) struct ServicePersist {
 
 /// One retrain worker's store handle: the shard WAL plus the knobs the
 /// apply loop needs. Rebuilt per spawn attempt (a restarted worker opens
-/// a fresh append handle).
+/// a fresh append handle) and owned by that worker's thread alone.
 #[derive(Debug)]
 pub(crate) struct WorkerPersist {
     pub(crate) store: Store,
     /// `None` when the WAL could not be opened — the worker then runs
     /// non-durable (a `StoreDegraded` event was emitted at spawn).
-    pub(crate) wal: Mutex<Option<WalWriter>>,
+    pub(crate) wal: Option<WalWriter>,
     pub(crate) snapshot_every: u64,
     pub(crate) compact_threshold_bytes: u64,
     pub(crate) fsync: FsyncPolicy,
     pub(crate) metrics: Arc<StoreMetrics>,
     pub(crate) files: Arc<TenantFiles>,
+    /// Bytes the last rewrite of the shard log kept; 0 until this worker
+    /// has made one, so a restarted worker — which cannot know how much
+    /// of the log it inherited is live — rewrites at the first chance.
+    pub(crate) compacted_len: u64,
+    /// Renders a run for its `Report` record (`encode_run`, except in
+    /// the test that makes it fail).
+    pub(crate) encode_run: fn(&CompletedRun) -> Result<String, serde_json::Error>,
+}
+
+/// A `CompletedRun` as the canonical JSON a `Report` record carries.
+pub(crate) fn encode_run(run: &CompletedRun) -> Result<String, serde_json::Error> {
+    serde_json::to_string(run)
 }
 
 /// A fresh durability epoch for a registration: wall-clock nanoseconds,

@@ -7,7 +7,6 @@ use std::sync::mpsc::{sync_channel, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use smartpick_core::driver::{QueryOutcome, Smartpick};
 use smartpick_core::wp::{
     ConstraintMode, Determination, PredictionRequest, WorkloadPredictionService,
@@ -27,7 +26,7 @@ use crate::queue::{PushRejected, ShardedQueue};
 use crate::registry::{tenant_hash, ShardedRegistry, TenantState};
 use crate::residency::ResidencyCtl;
 use crate::stats::{ServiceStats, ShardCounters, TenantCounters, TenantStats, WorkerShardStats};
-use crate::worker::{run_worker, CompletedRun, WorkerCtx, WorkerMsg};
+use crate::worker::{run_worker, CompletedRun, CrashPoint, ReportStages, WorkerCtx, WorkerMsg};
 
 /// Tunables for a [`SmartpickService`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -335,6 +334,7 @@ impl SmartpickService {
             let obs = Arc::clone(&obs);
             let batch_max = config.retrain_batch_max;
             let persist = persist.clone();
+            let stages = Arc::new(ReportStages::register(metrics));
             Box::new(move |shard, attempt| {
                 let queue = Arc::clone(shard_queues.get(shard)?);
                 let worker_persist = persist.as_ref().map(|sp| {
@@ -352,15 +352,17 @@ impl SmartpickService {
                             None
                         }
                     };
-                    Arc::new(WorkerPersist {
+                    WorkerPersist {
                         store: sp.store.clone(),
-                        wal: Mutex::new(wal),
+                        wal,
                         snapshot_every: sp.cfg.snapshot_every,
                         compact_threshold_bytes: sp.cfg.compact_threshold_bytes,
                         fsync: sp.cfg.fsync,
                         metrics: Arc::clone(&sp.metrics),
                         files: Arc::clone(&sp.files),
-                    })
+                        compacted_len: 0,
+                        encode_run: persist::encode_run,
+                    }
                 });
                 let ctx = WorkerCtx {
                     shard,
@@ -368,11 +370,11 @@ impl SmartpickService {
                     totals: Arc::clone(&totals),
                     obs: Arc::clone(&obs),
                     epoch,
-                    persist: worker_persist,
+                    stages: Arc::clone(&stages),
                 };
                 std::thread::Builder::new()
                     .name(format!("smartpickd-retrain-{shard}.{attempt}"))
-                    .spawn(move || run_worker(queue, batch_max, ctx))
+                    .spawn(move || run_worker(queue, batch_max, ctx, worker_persist))
                     .ok()
             })
         };
@@ -1385,12 +1387,28 @@ impl SmartpickService {
     /// Panics (in the *calling* thread) if `shard` is out of range.
     #[doc(hidden)]
     pub fn poison_worker(&self, shard: usize) -> Result<(), ServiceError> {
+        self.poison_worker_at(shard, CrashPoint::BatchStart)
+    }
+
+    /// [`SmartpickService::poison_worker`] with the panic placed at `at`
+    /// inside the batch the poison arrives in, for tests of what a crash
+    /// at each durability boundary leaves behind.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::Stopped`] after shutdown.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in the *calling* thread) if `shard` is out of range.
+    #[doc(hidden)]
+    pub fn poison_worker_at(&self, shard: usize, at: CrashPoint) -> Result<(), ServiceError> {
         assert!(
             shard < self.queues.shard_count(),
             "shard {shard} out of range"
         );
         self.queues
-            .push_blocking(shard, WorkerMsg::Poison)
+            .push_blocking(shard, WorkerMsg::Poison(at))
             .map_err(|_| ServiceError::Stopped)
     }
 

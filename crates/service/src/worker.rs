@@ -34,11 +34,11 @@ use std::time::Instant;
 use smartpick_core::persist::DriverState;
 use smartpick_core::wp::Determination;
 use smartpick_engine::{QueryProfile, RunReport};
-use smartpick_obs::{event, EventKind, Observability};
+use smartpick_obs::{event, EventKind, LatencyHistogram, MetricsRegistry, Observability};
 use smartpick_store::wal::WalPayload;
-use smartpick_store::{Snapshot, WalRecord};
+use smartpick_store::{Snapshot, WalRecord, WalWriter};
 
-use crate::persist::WorkerPersist;
+use crate::persist::{StoreMetrics, WorkerPersist};
 use crate::queue::BoundedQueue;
 use crate::registry::TenantState;
 use crate::stats::{ShardCounters, TenantCounters};
@@ -73,14 +73,65 @@ pub(crate) enum WorkerMsg {
     },
     /// Ack once every message enqueued before this one has been applied.
     Flush(SyncSender<()>),
-    /// Panic the worker that dequeues this — the fault-injection message
-    /// behind [`crate::SmartpickService::poison_worker`]. Marked consumed
+    /// Panic the worker that dequeues this, at the named point of the
+    /// batch it arrived in — the fault-injection message behind
+    /// [`crate::SmartpickService::poison_worker`]. Marked consumed
     /// *before* the panic so a restarted worker does not die again on the
     /// same message.
-    Poison,
+    Poison(CrashPoint),
 }
 
-/// Everything one worker thread needs besides its queue shard.
+/// Where in a drained batch a poisoned worker panics (see
+/// `process_batch` for the phases). Fault injection only; not part of
+/// the public API contract.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CrashPoint {
+    /// Before any of the batch is touched.
+    BatchStart,
+    /// Every report of the batch is appended and synced; no driver has
+    /// been mutated yet.
+    AfterReportSync,
+    /// Every group is applied and published and its commit appended; the
+    /// commit sync has not run.
+    BeforeCommitSync,
+}
+
+/// A rewrite of the shard log waits until the log is this many times
+/// what the last rewrite kept.
+const COMPACT_GROWTH_FACTOR: u64 = 2;
+
+/// The feedback path's stage budget, `service.report.*`: one histogram
+/// per stage for the whole service (none per tenant or shard).
+#[derive(Debug)]
+pub(crate) struct ReportStages {
+    /// Encoding and appending a batch's reports (one sample per batch).
+    wal_append: Arc<LatencyHistogram>,
+    /// One WAL sync (two samples per batch: reports, commits).
+    wal_sync: Arc<LatencyHistogram>,
+    /// Applying one tenant's group and republishing its snapshot.
+    apply: Arc<LatencyHistogram>,
+    /// Encoding and persisting one due snapshot.
+    snapshot_persist: Arc<LatencyHistogram>,
+    /// One shard-log rewrite.
+    compact: Arc<LatencyHistogram>,
+}
+
+impl ReportStages {
+    pub(crate) fn register(metrics: &MetricsRegistry) -> Self {
+        let stage = |name: &str| metrics.histogram(&format!("service.report.{name}"));
+        ReportStages {
+            wal_append: stage("wal_append"),
+            wal_sync: stage("wal_sync"),
+            apply: stage("apply"),
+            snapshot_persist: stage("snapshot_persist"),
+            compact: stage("compact"),
+        }
+    }
+}
+
+/// Everything one worker thread needs besides its queue shard and its
+/// store handle.
 #[derive(Debug, Clone)]
 pub(crate) struct WorkerCtx {
     /// This worker's shard index (for events).
@@ -94,14 +145,20 @@ pub(crate) struct WorkerCtx {
     /// The service epoch `published_at_us`/progress stamps are relative
     /// to.
     pub(crate) epoch: Instant,
-    /// The durability layer, when the service was opened over a store:
-    /// this shard's WAL handle plus the snapshot/compaction knobs.
-    /// `None` runs the classic in-memory-only worker.
-    pub(crate) persist: Option<Arc<WorkerPersist>>,
+    /// The stage histograms every worker records into.
+    pub(crate) stages: Arc<ReportStages>,
 }
 
 /// The worker loop: runs until its queue shard is closed and drained.
-pub(crate) fn run_worker(queue: Arc<BoundedQueue<WorkerMsg>>, batch_max: usize, ctx: WorkerCtx) {
+/// `persist` is this spawn attempt's own store handle (`None` runs the
+/// classic in-memory-only worker); nothing else touches it, so the WAL
+/// append handle needs no lock.
+pub(crate) fn run_worker(
+    queue: Arc<BoundedQueue<WorkerMsg>>,
+    batch_max: usize,
+    ctx: WorkerCtx,
+    mut persist: Option<WorkerPersist>,
+) {
     while let Some(first) = queue.pop() {
         let mut rescue = BatchRescue::new(&queue);
         rescue.admit(first);
@@ -109,7 +166,7 @@ pub(crate) fn run_worker(queue: Arc<BoundedQueue<WorkerMsg>>, batch_max: usize, 
             rescue.admit(msg);
         }
         ctx.counters.batches.inc();
-        process_batch(&mut rescue, &ctx);
+        process_batch(&mut rescue, &ctx, persist.as_mut());
         ctx.counters
             .mark_progress(ctx.epoch.elapsed().as_micros() as u64);
     }
@@ -141,6 +198,14 @@ impl<'q> BatchRescue<'q> {
     fn consume(&mut self, i: usize) -> Option<WorkerMsg> {
         self.slots.get_mut(i)?.take()
     }
+
+    /// The job in slot `i`, if it still holds one.
+    fn job(&self, i: usize) -> Option<(u64, &CompletedRun)> {
+        match self.slots.get(i) {
+            Some(Some(WorkerMsg::Job { run_id, run, .. })) => Some((*run_id, run)),
+            _ => None,
+        }
+    }
 }
 
 impl Drop for BatchRescue<'_> {
@@ -153,28 +218,75 @@ impl Drop for BatchRescue<'_> {
     }
 }
 
-/// Applies one drained batch: poison check, group by tenant, apply each
-/// group under its driver lock, republish snapshots, ack flushes.
-fn process_batch(rescue: &mut BatchRescue<'_>, ctx: &WorkerCtx) {
+/// One tenant's job slots in a drained batch, in queue order.
+type Group = (Arc<TenantState>, Vec<usize>);
+
+/// What applying one [`Group`] left for the durability tail.
+struct Published {
+    tenant: Arc<TenantState>,
+    /// The generation the group's publish produced.
+    generation: u64,
+    /// The tenant's consumption watermark at that publish.
+    watermark: u64,
+    /// The state to persist, when the group crossed the `snapshot_every`
+    /// cadence — exported under the driver lock, so it is the published
+    /// model — with the applied-report count it covers.
+    due: Option<(DriverState, u64)>,
+}
+
+/// Panics the worker if the batch carries a poison aimed at `here`.
+fn crash_if(armed: Option<CrashPoint>, here: CrashPoint) {
+    if armed == Some(here) {
+        #[allow(clippy::panic)] // mirrored by the lint:allow below
+        {
+            // lint:allow(panic-free-server-paths, reason = "deliberate fault injection: WorkerMsg::Poison exists only for poison_worker() supervision tests and the supervisor is built to catch exactly this panic")
+            panic!("retrain worker poisoned via poison_worker() at {here:?}");
+        }
+    }
+}
+
+/// Applies one drained batch as a group commit. With persistence
+/// configured the phases are:
+///
+/// 1. append every group's `Report` records, then one sync — every
+///    accepted report of the batch is durable before any driver in it is
+///    mutated, so a crash from here on replays them;
+/// 2. apply each group under its driver lock and republish its snapshot
+///    (readers see the new model here; nothing above waits on the disk
+///    again until phase 3);
+/// 3. append every group's `Commit` record, then one sync;
+/// 4. persist the snapshots that came due;
+/// 5. ack the batch's flushes — an ack therefore still means applied,
+///    published, commit synced, due snapshots on disk;
+/// 6. only then compact the shard log, if a snapshot moved a floor and
+///    the log has doubled since its last rewrite.
+///
+/// A worker panic between 1 and 2 replays the records at recovery; a
+/// panic after an apply re-appends that report via the rescue re-queue —
+/// both collapse to exactly-once because replay deduplicates by run id.
+/// A publish whose `Commit` never reached the disk is counted by
+/// recovery as the one trailing publish it was.
+fn process_batch(
+    rescue: &mut BatchRescue<'_>,
+    ctx: &WorkerCtx,
+    persist: Option<&mut WorkerPersist>,
+) {
     // Poison first: the panic must not take any of the batch's real work
     // with it — everything still unconsumed is requeued by the rescue
     // guard, and the poison slot itself is consumed up front so the
     // restarted worker does not re-panic on it.
-    if let Some(p) = rescue
+    let poison = rescue
         .slots
         .iter()
-        .position(|s| matches!(s, Some(WorkerMsg::Poison)))
-    {
-        rescue.consume(p);
-        #[allow(clippy::panic)] // mirrored by the lint:allow below
-        {
-            // lint:allow(panic-free-server-paths, reason = "deliberate fault injection: WorkerMsg::Poison exists only for poison_worker() supervision tests and the supervisor is built to catch exactly this panic")
-            panic!("retrain worker poisoned via poison_worker()");
-        }
-    }
+        .position(|s| matches!(s, Some(WorkerMsg::Poison(_))));
+    let armed = match poison.and_then(|p| rescue.consume(p)) {
+        Some(WorkerMsg::Poison(at)) => Some(at),
+        _ => None,
+    };
+    crash_if(armed, CrashPoint::BatchStart);
 
     // Group job slots by tenant, preserving per-tenant FIFO order.
-    let mut groups: Vec<(Arc<TenantState>, Vec<usize>)> = Vec::new();
+    let mut groups: Vec<Group> = Vec::new();
     let mut flushes: Vec<usize> = Vec::new();
     for (i, slot) in rescue.slots.iter().enumerate() {
         match slot {
@@ -185,12 +297,32 @@ fn process_batch(rescue: &mut BatchRescue<'_>, ctx: &WorkerCtx) {
                 }
             }
             Some(WorkerMsg::Flush(_)) => flushes.push(i),
-            Some(WorkerMsg::Poison) | None => {}
+            Some(WorkerMsg::Poison(_)) | None => {}
         }
     }
 
-    for (tenant, idxs) in groups {
-        apply_group(&tenant, &idxs, rescue, ctx);
+    // A batch of flushes alone has nothing to make durable.
+    let mut persist = persist.filter(|_| !groups.is_empty());
+    if let Some(persist) = persist.as_deref_mut() {
+        persist.append_reports(&groups, rescue, ctx);
+        persist.sync(ctx);
+    }
+    crash_if(armed, CrashPoint::AfterReportSync);
+
+    let snapshot_every = persist.as_deref().map(|p| p.snapshot_every);
+    let published: Vec<Published> = groups
+        .iter()
+        .map(|(tenant, idxs)| apply_group(tenant, idxs, rescue, ctx, snapshot_every))
+        .collect();
+
+    let mut floors_moved = false;
+    if let Some(persist) = persist.as_deref_mut() {
+        persist.append_commits(&published, ctx);
+        crash_if(armed, CrashPoint::BeforeCommitSync);
+        persist.sync(ctx);
+        for group in published {
+            floors_moved |= persist.persist_due_snapshot(group, ctx);
+        }
     }
 
     // Jobs enqueued before each flush are now applied (FIFO queue, whole
@@ -202,325 +334,581 @@ fn process_batch(rescue: &mut BatchRescue<'_>, ctx: &WorkerCtx) {
             let _ = ack.send(());
         }
     }
+
+    // Nobody waits on a rewrite of the log: it runs after the acks.
+    if let Some(persist) = persist.filter(|_| floors_moved) {
+        persist.compact_if_due(ctx);
+    }
 }
 
 /// Applies one tenant's slots under its driver lock, then republishes the
-/// snapshot exactly once and emits the retrain events.
-///
-/// With persistence configured the order is WAL-first: every report in
-/// the group is appended (and synced per policy) *before* any apply
-/// mutates the driver, so an accepted report is durable before the crash
-/// window opens. A worker panic between append and apply replays the
-/// record at recovery; a panic after apply re-appends it via the rescue
-/// re-queue — both collapse to exactly-once because replay deduplicates
-/// by run id. The commit record and any due snapshot persist happen
-/// after the publish, off the driver lock.
+/// snapshot exactly once and emits the retrain events. `snapshot_every`
+/// is the persistence cadence, when there is a store to persist to.
 fn apply_group(
     tenant: &Arc<TenantState>,
     idxs: &[usize],
     rescue: &mut BatchRescue<'_>,
     ctx: &WorkerCtx,
-) {
+    snapshot_every: Option<u64>,
+) -> Published {
     let started = Instant::now();
     ctx.obs.events().publish(
         event(EventKind::RetrainStarted)
             .tenant(&tenant.id)
             .shard(ctx.shard),
     );
-    if let Some(persist) = ctx.persist.as_deref() {
-        wal_append_reports(persist, tenant, idxs, rescue, ctx);
-    }
     let mut applied = 0u64;
     let mut retrains = 0u64;
     let mut consumed = 0u64;
-    let mut exported: Option<DriverState> = None;
-    {
-        let mut driver = tenant.driver.lock();
-        for &i in idxs {
-            let (outcome, run_id) = match rescue.slots.get(i) {
-                Some(Some(WorkerMsg::Job { run, run_id, .. })) => (
-                    driver.apply_report(&run.query, &run.determination, &run.report),
-                    *run_id,
-                ),
-                _ => continue,
-            };
-            match outcome {
-                Ok(retrain) => {
-                    applied += 1;
-                    tenant.counters.reports_applied.inc();
-                    ctx.totals.reports_applied.inc();
-                    ctx.counters.reports_applied.inc();
-                    if retrain.is_some() {
-                        retrains += 1;
-                        tenant.counters.retrains.inc();
-                        ctx.totals.retrains.inc();
-                        ctx.counters.retrains.inc();
-                    }
-                }
-                Err(_) => {
-                    // A failed apply (e.g. a retrain hiccup) must not take
-                    // the worker down; it is surfaced through the stats
-                    // instead.
-                    tenant.counters.apply_failures.inc();
-                    ctx.totals.apply_failures.inc();
+    let mut due = None;
+    let mut driver = tenant.driver.lock();
+    for &i in idxs {
+        let Some((run_id, run)) = rescue.job(i) else {
+            continue;
+        };
+        match driver.apply_report(&run.query, &run.determination, &run.report) {
+            Ok(retrain) => {
+                applied += 1;
+                tenant.counters.reports_applied.inc();
+                ctx.totals.reports_applied.inc();
+                ctx.counters.reports_applied.inc();
+                if retrain.is_some() {
+                    retrains += 1;
+                    tenant.counters.retrains.inc();
+                    ctx.totals.retrains.inc();
+                    ctx.counters.retrains.inc();
                 }
             }
-            // The watermark tracks consumption (the record will never be
-            // offered again), not apply success — replay treats a
-            // deterministic apply failure the same way.
-            tenant
-                .applied_watermark
-                .fetch_max(run_id, Ordering::Relaxed);
-            consumed += 1;
-            tenant.counters.pending.fetch_sub(1, Ordering::Relaxed);
-            rescue.consume(i);
-        }
-        if let Some(persist) = ctx.persist.as_deref() {
-            if consumed > 0 {
-                let since = tenant
-                    .applied_since_persist
-                    .fetch_add(consumed, Ordering::Relaxed)
-                    + consumed;
-                if since >= persist.snapshot_every {
-                    // Export under the lock so the persisted state and the
-                    // about-to-publish snapshot are the same model.
-                    exported = Some(driver.export_state());
-                    tenant.applied_since_persist.store(0, Ordering::Relaxed);
-                }
+            Err(_) => {
+                // A failed apply (e.g. a retrain hiccup) must not take
+                // the worker down; it is surfaced through the stats
+                // instead.
+                tenant.counters.apply_failures.inc();
+                ctx.totals.apply_failures.inc();
             }
         }
-        let snapshot = driver.snapshot();
-        drop(driver);
-        let now_us = ctx.epoch.elapsed().as_micros() as u64;
-        tenant.publish_snapshot(snapshot, now_us);
-        // An actively-reporting tenant counts as touched: the residency
-        // sweep's LRU clock should not evict a tenant whose model is
-        // still absorbing feedback. (While the batch was pending, the
-        // pending counter pinned it hot outright.)
-        tenant.last_touch_us.store(now_us, Ordering::Relaxed);
+        // The watermark tracks consumption (the record will never be
+        // offered again), not apply success — replay treats a
+        // deterministic apply failure the same way.
+        tenant
+            .applied_watermark
+            .fetch_max(run_id, Ordering::Relaxed);
+        consumed += 1;
+        tenant.counters.pending.fetch_sub(1, Ordering::Relaxed);
+        rescue.consume(i);
     }
+    if let Some(every) = snapshot_every {
+        let since = tenant
+            .applied_since_persist
+            .fetch_add(consumed, Ordering::Relaxed)
+            + consumed;
+        if since >= every {
+            // Export under the lock so the persisted state and the
+            // about-to-publish snapshot are the same model. The count
+            // stays up until the file lands: an eviction in between
+            // must see a tenant that is ahead of its disk.
+            due = Some((driver.export_state(), since));
+        }
+    }
+    let snapshot = driver.snapshot();
+    drop(driver);
+    let now_us = ctx.epoch.elapsed().as_micros() as u64;
+    tenant.publish_snapshot(snapshot, now_us);
+    let generation = tenant.generation.load(Ordering::Relaxed);
+    let watermark = tenant.applied_watermark.load(Ordering::Relaxed);
+    // An actively-reporting tenant counts as touched: the residency
+    // sweep's LRU clock should not evict a tenant whose model is
+    // still absorbing feedback. (While the batch was pending, the
+    // pending counter pinned it hot outright.)
+    tenant.last_touch_us.store(now_us, Ordering::Relaxed);
     ctx.obs.events().publish(
         event(EventKind::SnapshotPublished)
             .tenant(&tenant.id)
             .shard(ctx.shard),
     );
-    if let Some(persist) = ctx.persist.as_deref() {
-        if consumed > 0 {
-            persist_after_publish(persist, tenant, exported, ctx);
-        }
-    }
+    let took = started.elapsed();
+    ctx.stages.apply.record(took);
     ctx.obs.events().publish(
         event(EventKind::RetrainFinished)
             .tenant(&tenant.id)
             .shard(ctx.shard)
-            .duration(started.elapsed())
+            .duration(took)
             .detail(format!(
                 "{applied} reports applied, {retrains} retrains fired"
             )),
     );
-}
-
-/// Appends the group's reports to the shard WAL and syncs per policy.
-/// Failures degrade: one `StoreDegraded` event, and the batch proceeds
-/// non-durable (availability over durability — the query results behind
-/// these reports were already returned).
-fn wal_append_reports(
-    persist: &WorkerPersist,
-    tenant: &Arc<TenantState>,
-    idxs: &[usize],
-    rescue: &BatchRescue<'_>,
-    ctx: &WorkerCtx,
-) {
-    // A deregistered tenant's records would be dead on arrival (replay
-    // only visits tenants with a store directory); skip the writes.
-    if tenant.defunct.load(Ordering::SeqCst) {
-        return;
-    }
-    let mut wal = persist.wal.lock();
-    let Some(writer) = wal.as_mut() else {
-        return;
-    };
-    let before = writer.bytes_written();
-    let mut appended = 0u64;
-    for &i in idxs {
-        let Some(Some(WorkerMsg::Job { run, run_id, .. })) = rescue.slots.get(i) else {
-            continue;
-        };
-        let record = WalRecord {
-            tenant: tenant.id.clone(),
-            epoch: tenant.epoch,
-            payload: WalPayload::Report {
-                run_id: *run_id,
-                run_json: serde_json::to_string(run.as_ref()).unwrap_or_default(),
-            },
-        };
-        match writer.append(&record.encode_payload()) {
-            Ok(()) => appended += 1,
-            Err(e) => {
-                ctx.obs.events().publish(
-                    event(EventKind::StoreDegraded)
-                        .tenant(&tenant.id)
-                        .shard(ctx.shard)
-                        .detail(format!("WAL append failed: {e}")),
-                );
-                break;
-            }
-        }
-    }
-    if let Err(e) = writer.sync() {
-        ctx.obs.events().publish(
-            event(EventKind::StoreDegraded)
-                .shard(ctx.shard)
-                .detail(format!("WAL sync failed: {e}")),
-        );
-    }
-    persist.metrics.wal_records_appended.add(appended);
-    persist
-        .metrics
-        .wal_bytes_written
-        .add(writer.bytes_written().saturating_sub(before));
-}
-
-/// The post-publish durability tail: commit record, due snapshot
-/// persist, and (after a snapshot moved the floors) a compaction pass.
-///
-/// The ghost-tenant guard lives here: a worker holds its own
-/// `Arc<TenantState>`, so it can reach this point for a tenant
-/// `deregister_tenant` has *already* removed — and the snapshot persist
-/// below recreates `tenants/<id>/`, resurrecting the tenant at the next
-/// open. Deregistration stamps `defunct` before removing the store
-/// directory; the snapshot write goes through
-/// [`TenantFiles::persist_unless_defunct`], which re-checks the stamp
-/// inside the tenant's file lock — the write either precedes the
-/// teardown's removal (and is deleted with the directory) or is skipped,
-/// so it can never land after the removal and resurrect the tenant.
-/// Persisting for a merely *evicted* (retired, non-defunct) tenant stays
-/// allowed: generation is monotone and the bytes equal what eviction
-/// wrote.
-///
-/// [`TenantFiles::persist_unless_defunct`]: crate::persist::TenantFiles::persist_unless_defunct
-fn persist_after_publish(
-    persist: &WorkerPersist,
-    tenant: &Arc<TenantState>,
-    exported: Option<DriverState>,
-    ctx: &WorkerCtx,
-) {
-    if tenant.defunct.load(Ordering::SeqCst) {
-        return;
-    }
-    let generation = tenant.generation.load(Ordering::Relaxed);
-    let watermark = tenant.applied_watermark.load(Ordering::Relaxed);
-    {
-        let mut wal = persist.wal.lock();
-        if let Some(writer) = wal.as_mut() {
-            let before = writer.bytes_written();
-            let record = WalRecord {
-                tenant: tenant.id.clone(),
-                epoch: tenant.epoch,
-                payload: WalPayload::Commit {
-                    generation,
-                    watermark,
-                },
-            };
-            let appended = writer
-                .append(&record.encode_payload())
-                .and_then(|()| writer.sync());
-            if let Err(e) = appended {
-                ctx.obs.events().publish(
-                    event(EventKind::StoreDegraded)
-                        .tenant(&tenant.id)
-                        .shard(ctx.shard)
-                        .detail(format!("WAL commit failed: {e}")),
-                );
-            } else {
-                persist.metrics.wal_records_appended.inc();
-                persist
-                    .metrics
-                    .wal_bytes_written
-                    .add(writer.bytes_written().saturating_sub(before));
-            }
-        }
-    }
-    let Some(state) = exported else {
-        return;
-    };
-    let snap = Snapshot {
-        tenant: tenant.id.clone(),
-        epoch: tenant.epoch,
+    Published {
+        tenant: Arc::clone(tenant),
         generation,
         watermark,
-        state,
-    };
-    match persist
-        .files
-        .persist_unless_defunct(&persist.store, &snap, &tenant.defunct)
-    {
-        // Deregistration landed since the check at the top; its removal
-        // owns the directory and the write was skipped under the file
-        // lock.
-        Ok(None) => return,
-        Ok(Some(bytes)) => {
-            persist.metrics.snapshots_persisted.inc();
-            persist.metrics.snapshot_bytes_written.add(bytes);
-            ctx.obs.events().publish(
-                event(EventKind::SnapshotPersisted)
-                    .tenant(&tenant.id)
-                    .shard(ctx.shard)
-                    .detail(format!("generation {generation}, {bytes} bytes")),
-            );
+        due,
+    }
+}
+
+/// The durability phases of [`process_batch`]. Every failure degrades:
+/// one `StoreDegraded` event, and the batch proceeds non-durable
+/// (availability over durability — the query results behind these
+/// reports were already returned).
+impl WorkerPersist {
+    /// Phase 1: appends every group's reports to the shard WAL.
+    fn append_reports(&mut self, groups: &[Group], rescue: &BatchRescue<'_>, ctx: &WorkerCtx) {
+        let started = Instant::now();
+        let encode_run = self.encode_run;
+        let metrics = &*self.metrics;
+        with_wal(&mut self.wal, metrics, |writer| {
+            for (tenant, idxs) in groups {
+                // A deregistered tenant's records would be dead on arrival
+                // (replay only visits tenants with a store directory);
+                // skip the writes.
+                if tenant.defunct.load(Ordering::SeqCst) {
+                    continue;
+                }
+                for &i in idxs {
+                    let Some((run_id, run)) = rescue.job(i) else {
+                        continue;
+                    };
+                    // A record replay cannot parse is a report lost in
+                    // silence: log none, and say so.
+                    let run_json = match encode_run(run) {
+                        Ok(json) => json,
+                        Err(e) => {
+                            metrics.wal_reports_unencodable.inc();
+                            degraded(ctx, Some(tenant), format!("run {run_id} not logged: {e}"));
+                            continue;
+                        }
+                    };
+                    let record = WalRecord {
+                        tenant: tenant.id.clone(),
+                        epoch: tenant.epoch,
+                        payload: WalPayload::Report { run_id, run_json },
+                    };
+                    match writer.append(&record.encode_payload()) {
+                        Ok(()) => metrics.wal_records_appended.inc(),
+                        Err(e) => {
+                            degraded(ctx, Some(tenant), format!("WAL append failed: {e}"));
+                            return;
+                        }
+                    }
+                }
+            }
+        });
+        ctx.stages.wal_append.record(started.elapsed());
+    }
+
+    /// Phase 3: appends one commit per published group, recording which
+    /// generation its publish produced.
+    ///
+    /// The ghost-tenant guard starts here: a worker holds its own
+    /// `Arc<TenantState>`, so it can reach this point for a tenant
+    /// `deregister_tenant` has *already* removed; its records would be
+    /// dead on arrival.
+    fn append_commits(&mut self, published: &[Published], ctx: &WorkerCtx) {
+        let metrics = &*self.metrics;
+        with_wal(&mut self.wal, metrics, |writer| {
+            for group in published {
+                if group.tenant.defunct.load(Ordering::SeqCst) {
+                    continue;
+                }
+                let record = WalRecord {
+                    tenant: group.tenant.id.clone(),
+                    epoch: group.tenant.epoch,
+                    payload: WalPayload::Commit {
+                        generation: group.generation,
+                        watermark: group.watermark,
+                    },
+                };
+                match writer.append(&record.encode_payload()) {
+                    Ok(()) => metrics.wal_records_appended.inc(),
+                    Err(e) => {
+                        degraded(ctx, Some(&group.tenant), format!("WAL commit failed: {e}"));
+                        return;
+                    }
+                }
+            }
+        });
+    }
+
+    /// The one sync that closes phase 1 and phase 3 (under
+    /// `FsyncPolicy::PerRecord` the appends already synced themselves and
+    /// this finds nothing left to do).
+    fn sync(&mut self, ctx: &WorkerCtx) {
+        let started = Instant::now();
+        if let Some(Err(e)) = with_wal(&mut self.wal, &self.metrics, WalWriter::sync) {
+            degraded(ctx, None, format!("WAL sync failed: {e}"));
         }
-        Err(e) => {
-            ctx.obs.events().publish(
-                event(EventKind::StoreDegraded)
-                    .tenant(&tenant.id)
-                    .shard(ctx.shard)
-                    .detail(format!("snapshot persist failed: {e}")),
-            );
+        ctx.stages.wal_sync.record(started.elapsed());
+    }
+
+    /// Phase 4: persists `group`'s snapshot if it came due. Returns
+    /// whether a file landed — which is when this tenant's compaction
+    /// floor moved.
+    ///
+    /// A snapshot write recreates `tenants/<id>/`, which would resurrect
+    /// a tenant deregistered since the apply. Deregistration stamps
+    /// `defunct` before removing the store directory; the write goes
+    /// through [`TenantFiles::persist_unless_defunct`], which re-checks
+    /// the stamp inside the tenant's file lock — the write either
+    /// precedes the teardown's removal (and is deleted with the
+    /// directory) or is skipped, so it can never land after the removal.
+    /// Persisting for a merely *evicted* (retired, non-defunct) tenant
+    /// stays allowed: generation is monotone and the bytes equal what
+    /// eviction wrote.
+    ///
+    /// [`TenantFiles::persist_unless_defunct`]: crate::persist::TenantFiles::persist_unless_defunct
+    fn persist_due_snapshot(&mut self, group: Published, ctx: &WorkerCtx) -> bool {
+        let Published {
+            tenant,
+            generation,
+            watermark,
+            due,
+        } = group;
+        let Some((state, covered)) = due else {
+            return false;
+        };
+        if tenant.defunct.load(Ordering::SeqCst) {
+            return false;
+        }
+        let started = Instant::now();
+        let snap = Snapshot {
+            tenant: tenant.id.clone(),
+            epoch: tenant.epoch,
+            generation,
+            watermark,
+            state,
+        };
+        let persisted = self
+            .files
+            .persist_unless_defunct(&self.store, &snap, &tenant.defunct);
+        ctx.stages.snapshot_persist.record(started.elapsed());
+        match persisted {
+            // Deregistration landed since the check above; its removal
+            // owns the directory and the write was skipped under the file
+            // lock.
+            Ok(None) => false,
+            Ok(Some(bytes)) => {
+                // The disk now covers what was counted at the export
+                // (an eviction may have persisted and zeroed it first).
+                let _ = tenant.applied_since_persist.fetch_update(
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                    |since| Some(since.saturating_sub(covered)),
+                );
+                self.metrics.snapshots_persisted.inc();
+                self.metrics.snapshot_bytes_written.add(bytes);
+                ctx.obs.events().publish(
+                    event(EventKind::SnapshotPersisted)
+                        .tenant(&tenant.id)
+                        .shard(ctx.shard)
+                        .detail(format!("generation {generation}, {bytes} bytes")),
+                );
+                true
+            }
+            Err(e) => {
+                degraded(ctx, Some(&tenant), format!("snapshot persist failed: {e}"));
+                false
+            }
+        }
+    }
+
+    /// Phase 6: rewrites the shard log once it is past the configured
+    /// threshold **and** has doubled since its last rewrite, so a byte is
+    /// rewritten a bounded number of times however often snapshots land,
+    /// and the log stays within twice what the last rewrite kept. The
+    /// append handle is closed across the rewrite (the file is replaced)
+    /// and reopened on the renamed path.
+    fn compact_if_due(&mut self, ctx: &WorkerCtx) {
+        let len = self.wal.as_ref().map_or(0, WalWriter::file_len);
+        if len <= self.compact_threshold_bytes
+            || len < COMPACT_GROWTH_FACTOR.saturating_mul(self.compacted_len)
+        {
             return;
         }
-    }
-    // The snapshot just raised this tenant's floor; if the shard WAL has
-    // grown past the threshold, rewrite it. The append handle must be
-    // closed across the rewrite (the file is replaced) and reopened
-    // after.
-    let mut wal = persist.wal.lock();
-    let over = wal
-        .as_ref()
-        .is_some_and(|w| w.file_len() > persist.compact_threshold_bytes);
-    if !over {
-        return;
-    }
-    *wal = None;
-    match persist.store.compact_wal(ctx.shard) {
-        Ok(stats) => {
-            persist.metrics.compactions.inc();
-            ctx.obs
-                .events()
-                .publish(
+        let started = Instant::now();
+        self.wal = None;
+        match self.store.compact_wal(ctx.shard) {
+            Ok(stats) => {
+                self.compacted_len = stats.bytes_after;
+                self.metrics.compactions.inc();
+                self.metrics.compaction_bytes_written.add(stats.bytes_after);
+                let took = started.elapsed();
+                ctx.stages.compact.record(took);
+                ctx.obs.events().publish(
                     event(EventKind::WalCompacted)
                         .shard(ctx.shard)
+                        .duration(took)
                         .detail(format!(
                             "{} records kept, {} dropped; {} -> {} bytes",
                             stats.kept, stats.dropped, stats.bytes_before, stats.bytes_after
                         )),
                 );
+            }
+            Err(e) => degraded(ctx, None, format!("WAL compaction failed: {e}")),
         }
-        Err(e) => {
-            ctx.obs.events().publish(
-                event(EventKind::StoreDegraded)
-                    .shard(ctx.shard)
-                    .detail(format!("WAL compaction failed: {e}")),
-            );
+        match WalWriter::open(&self.store.wal_path(ctx.shard), self.fsync) {
+            Ok(writer) => self.wal = Some(writer),
+            Err(e) => degraded(
+                ctx,
+                None,
+                format!("WAL reopen after compaction failed: {e}"),
+            ),
         }
     }
-    match persist.store.open_wal(ctx.shard, persist.fsync) {
-        Ok(writer) => *wal = Some(writer),
-        Err(e) => {
-            ctx.obs.events().publish(
-                event(EventKind::StoreDegraded)
-                    .shard(ctx.shard)
-                    .detail(format!("WAL reopen after compaction failed: {e}")),
-            );
+}
+
+/// Runs `f` on the append handle, if one is open, and books what it wrote
+/// and synced.
+fn with_wal<T>(
+    wal: &mut Option<WalWriter>,
+    metrics: &StoreMetrics,
+    f: impl FnOnce(&mut WalWriter) -> T,
+) -> Option<T> {
+    let writer = wal.as_mut()?;
+    let (bytes, syncs) = (writer.bytes_written(), writer.syncs());
+    let out = f(writer);
+    metrics
+        .wal_bytes_written
+        .add(writer.bytes_written() - bytes);
+    metrics.wal_syncs.add(writer.syncs() - syncs);
+    Some(out)
+}
+
+/// Publishes one `StoreDegraded` event for this shard.
+fn degraded(ctx: &WorkerCtx, tenant: Option<&Arc<TenantState>>, detail: String) {
+    let mut draft = event(EventKind::StoreDegraded).shard(ctx.shard);
+    if let Some(tenant) = tenant {
+        draft = draft.tenant(&tenant.id);
+    }
+    ctx.obs.events().publish(draft.detail(detail));
+}
+
+#[cfg(test)]
+mod tests {
+    use std::path::PathBuf;
+    use std::sync::mpsc::{sync_channel, Receiver};
+    use std::sync::Mutex;
+
+    use smartpick_cloudsim::{CloudEnv, Provider};
+    use smartpick_core::driver::Smartpick;
+    use smartpick_core::properties::SmartpickProperties;
+    use smartpick_core::training::TrainOptions;
+    use smartpick_ml::forest::ForestParams;
+    use smartpick_store::wal::scan_wal;
+    use smartpick_store::{FsyncPolicy, Store};
+    use smartpick_workloads::tpcds;
+
+    use super::*;
+    use crate::persist::{encode_run, TenantFiles};
+    use crate::{ServiceConfig, SmartpickService};
+
+    fn template() -> Smartpick {
+        let opts = TrainOptions {
+            configs_per_query: 5,
+            burst_factor: 3,
+            forest: ForestParams {
+                n_trees: 10,
+                ..ForestParams::default()
+            },
+            max_vm: 3,
+            max_sl: 3,
+            ..TrainOptions::default()
+        };
+        Smartpick::train_with_options(
+            CloudEnv::new(Provider::Aws),
+            SmartpickProperties::default(),
+            &[tpcds::query(82, 100.0).unwrap()],
+            &opts,
+            11,
+        )
+        .unwrap()
+        .0
+    }
+
+    /// One worker's world without the thread: a queue shard, a context,
+    /// a store handle and a registered-on-disk tenant, so a test can run
+    /// `process_batch` on its own thread and watch it from the inside.
+    struct Rig {
+        queue: BoundedQueue<WorkerMsg>,
+        ctx: WorkerCtx,
+        persist: WorkerPersist,
+        tenant: Arc<TenantState>,
+        run: CompletedRun,
+        dir: PathBuf,
+    }
+
+    fn rig(tag: &str, snapshot_every: u64, compact_threshold_bytes: u64) -> Rig {
+        let dir = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/tmp"))
+            .join(format!("worker-unit-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Store::open(&dir).unwrap();
+        let obs = Arc::new(Observability::new(256));
+        let driver = template();
+        let run = {
+            let minter = SmartpickService::new(ServiceConfig::default());
+            minter.register_tenant("mint", driver.fork(1)).unwrap();
+            let query = tpcds::query(82, 100.0).unwrap();
+            let outcome = minter.submit("mint", &query, 7).unwrap();
+            CompletedRun {
+                query,
+                determination: outcome.determination,
+                report: outcome.report,
+            }
+        };
+        let tenant = Arc::new(TenantState::new(
+            "acme".into(),
+            driver,
+            0,
+            Arc::new(TenantCounters::detached()),
+            3,
+        ));
+        store
+            .persist_snapshot(&Snapshot {
+                tenant: "acme".into(),
+                epoch: 3,
+                generation: 0,
+                watermark: 0,
+                state: tenant.driver.lock().export_state(),
+            })
+            .unwrap();
+        let metrics = obs.metrics();
+        Rig {
+            queue: BoundedQueue::new(64),
+            ctx: WorkerCtx {
+                shard: 0,
+                counters: Arc::new(ShardCounters::register(metrics, 0)),
+                totals: Arc::new(TenantCounters::detached()),
+                stages: Arc::new(ReportStages::register(metrics)),
+                obs: Arc::clone(&obs),
+                epoch: Instant::now(),
+            },
+            persist: WorkerPersist {
+                wal: Some(store.open_wal(0, FsyncPolicy::PerBatch).unwrap()),
+                store,
+                snapshot_every,
+                compact_threshold_bytes,
+                fsync: FsyncPolicy::PerBatch,
+                metrics: Arc::new(StoreMetrics::register(metrics)),
+                files: Arc::new(TenantFiles::default()),
+                compacted_len: 0,
+                encode_run,
+            },
+            tenant,
+            run,
+            dir,
         }
+    }
+
+    impl Rig {
+        /// Runs one batch of `reports` jobs for the tenant (run ids
+        /// from `first_id`) followed by a flush, whose ack it returns.
+        fn batch(&mut self, first_id: u64, reports: u64) -> Receiver<()> {
+            let (ack, done) = sync_channel(1);
+            self.batch_acking(first_id, reports, ack);
+            done
+        }
+
+        /// [`Rig::batch`] with the flush's ack channel made by the caller.
+        fn batch_acking(&mut self, first_id: u64, reports: u64, ack: SyncSender<()>) {
+            let mut rescue = BatchRescue::new(&self.queue);
+            for run_id in first_id..first_id + reports {
+                self.tenant.counters.pending.fetch_add(1, Ordering::Relaxed);
+                rescue.admit(WorkerMsg::Job {
+                    tenant: Arc::clone(&self.tenant),
+                    run_id,
+                    run: Box::new(self.run.clone()),
+                });
+            }
+            rescue.admit(WorkerMsg::Flush(ack));
+            process_batch(&mut rescue, &self.ctx, Some(&mut self.persist));
+        }
+
+        fn logged_run_ids(&self) -> Vec<u64> {
+            let bytes = std::fs::read(self.persist.store.wal_path(0)).unwrap();
+            scan_wal(&bytes)
+                .unwrap()
+                .records
+                .iter()
+                .filter_map(|r| match r.payload {
+                    WalPayload::Report { run_id, .. } => Some(run_id),
+                    WalPayload::Commit { .. } => None,
+                })
+                .collect()
+        }
+    }
+
+    /// The batch that triggers a rewrite of the log has its flush acked
+    /// first: at the moment `WalCompacted` is published — on the worker's
+    /// own thread, the rewrite just finished — the ack is already in the
+    /// flusher's channel, and the snapshot that moved the floor is on
+    /// disk before both.
+    #[test]
+    fn a_flush_is_acked_before_the_batch_compacts() {
+        let mut rig = rig("ack-first", 2, 1);
+        let done: Arc<Mutex<Option<Receiver<()>>>> = Arc::default();
+        let seen: Arc<Mutex<Vec<(EventKind, bool)>>> = Arc::default();
+        {
+            let (done, seen) = (Arc::clone(&done), Arc::clone(&seen));
+            rig.ctx.obs.events().subscribe(move |e| {
+                if matches!(
+                    e.kind,
+                    EventKind::SnapshotPersisted | EventKind::WalCompacted
+                ) {
+                    let acked = done
+                        .lock()
+                        .unwrap()
+                        .as_ref()
+                        .is_some_and(|rx| rx.try_recv().is_ok());
+                    seen.lock().unwrap().push((e.kind, acked));
+                }
+            });
+        }
+        let (ack, rx) = sync_channel(1);
+        *done.lock().unwrap() = Some(rx);
+        rig.batch_acking(1, 2, ack);
+        assert_eq!(
+            *seen.lock().unwrap(),
+            vec![
+                (EventKind::SnapshotPersisted, false),
+                (EventKind::WalCompacted, true)
+            ]
+        );
+        // The rewrite closed and reopened the append handle on the
+        // renamed file: the next batch lands in it.
+        assert!(rig.batch(3, 1).try_recv().is_ok());
+        assert_eq!(rig.logged_run_ids(), vec![1, 2, 3]);
+        let _ = std::fs::remove_dir_all(&rig.dir);
+    }
+
+    /// A report that cannot be rendered gets no WAL record — not an empty
+    /// one for replay to count and skip — and the loss of durability is
+    /// said out loud: a `StoreDegraded` event naming the run, and a
+    /// counter. The report itself is still applied.
+    #[test]
+    fn an_unencodable_report_is_skipped_loudly_not_logged_blank() {
+        let mut rig = rig("unencodable", u64::MAX, u64::MAX);
+        fn refuse(_: &CompletedRun) -> Result<String, serde_json::Error> {
+            serde_json::from_str::<CompletedRun>("not a run").map(|_| String::new())
+        }
+        assert!(rig.batch(1, 1).try_recv().is_ok());
+        rig.persist.encode_run = refuse;
+        assert!(rig.batch(2, 1).try_recv().is_ok());
+        rig.persist.encode_run = encode_run;
+        assert!(rig.batch(3, 1).try_recv().is_ok());
+
+        assert_eq!(rig.logged_run_ids(), vec![1, 3]);
+        assert_eq!(rig.persist.metrics.wal_reports_unencodable.get(), 1);
+        assert_eq!(rig.tenant.counters.reports_applied.get(), 3);
+        assert_eq!(rig.tenant.applied_watermark.load(Ordering::Relaxed), 3);
+        let degraded: Vec<_> = rig
+            .ctx
+            .obs
+            .events()
+            .recent(256)
+            .into_iter()
+            .filter(|e| e.kind == EventKind::StoreDegraded)
+            .collect();
+        assert_eq!(degraded.len(), 1);
+        assert_eq!(degraded[0].tenant.as_deref(), Some("acme"));
+        assert!(degraded[0].detail.as_deref().unwrap().contains("run 2 "));
+        let _ = std::fs::remove_dir_all(&rig.dir);
     }
 }

@@ -8,6 +8,7 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use smartpick_cloudsim::{CloudEnv, Provider};
@@ -16,10 +17,14 @@ use smartpick_core::properties::SmartpickProperties;
 use smartpick_core::training::TrainOptions;
 use smartpick_core::{ConstraintMode, PredictionRequest};
 use smartpick_ml::forest::ForestParams;
-use smartpick_obs::{EventKind, RestartPolicy};
+use smartpick_obs::{EventKind, MetricSample, MetricValue, RestartPolicy};
 use smartpick_service::{
-    CompletedRun, FlushOutcome, PersistenceConfig, ServiceConfig, SmartpickService,
+    CompletedRun, CrashPoint, FlushOutcome, FsyncPolicy, PersistenceConfig, ServiceConfig,
+    SmartpickService,
 };
+use smartpick_store::snapshot::SnapshotMeta;
+use smartpick_store::wal::{scan_wal, MAGIC};
+use smartpick_store::{Snapshot, WalPayload, WalRecord};
 use smartpick_workloads::tpcds;
 
 /// A store root inside the repo's own `target/` (tests must not touch
@@ -354,4 +359,437 @@ fn registration_and_admin_checkpoints_are_durable() {
     drop(svc);
     let empty = SmartpickService::open(&dir, durable_config(&dir, u64::MAX)).unwrap();
     assert!(empty.tenants().is_empty());
+}
+
+// -------------------------------------------------------------------
+// Group commit: one drained batch, two syncs; crashes at its boundaries
+// -------------------------------------------------------------------
+
+/// `n` distinct accepted runs, minted by a throwaway in-memory service.
+fn mint_runs(n: u64) -> Vec<CompletedRun> {
+    let minter = SmartpickService::new(ServiceConfig {
+        retrain_workers: 1,
+        ..ServiceConfig::default()
+    });
+    minter.register_tenant("mint", template()).unwrap();
+    let query = tpcds::query(82, 100.0).unwrap();
+    (0..n)
+        .map(|seed| {
+            let outcome = minter.submit("mint", &query, 500 + seed).unwrap();
+            CompletedRun {
+                query: query.clone(),
+                determination: outcome.determination,
+                report: outcome.report,
+            }
+        })
+        .collect()
+}
+
+fn counter(svc: &SmartpickService, name: &str) -> u64 {
+    svc.observability().metrics().counter(name).get()
+}
+
+/// Parks shard 0's worker inside a batch of its own — one report for
+/// tenant `gate`, whose driver lock this holds — runs `enqueue`, then
+/// lets the worker go: everything `enqueue` queued is drained as **one**
+/// batch, the next one.
+fn as_one_batch(svc: &Arc<SmartpickService>, run: &CompletedRun, enqueue: impl FnOnce()) {
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let holder = {
+        let svc = Arc::clone(svc);
+        std::thread::spawn(move || {
+            svc.inspect_tenant("gate", |_| {
+                entered_tx.send(()).unwrap();
+                let _ = release_rx.recv();
+            })
+            .unwrap();
+        })
+    };
+    entered_rx.recv().unwrap();
+    let batches = counter(svc, "service.worker.0.batches");
+    svc.report_run("gate", run.clone()).unwrap();
+    while counter(svc, "service.worker.0.batches") == batches {
+        std::thread::yield_now();
+    }
+    enqueue();
+    release_tx.send(()).unwrap();
+    holder.join().unwrap();
+}
+
+/// A drained batch is one group commit: whatever number of tenants and
+/// reports it spans, it syncs the WAL twice (reports, commits) under
+/// `PerBatch`; under `PerRecord` every record syncs itself and the batch
+/// adds none.
+#[test]
+fn a_batch_spanning_n_tenants_syncs_twice_per_batch_or_once_per_record() {
+    const TENANTS: u64 = 3;
+    const REPORTS_EACH: u64 = 4;
+    let runs = mint_runs(REPORTS_EACH);
+    let base = template();
+    for (policy, tag) in [
+        (FsyncPolicy::PerBatch, "syncs-batch"),
+        (FsyncPolicy::PerRecord, "syncs-record"),
+    ] {
+        let dir = test_root(tag);
+        let mut config = durable_config(&dir, u64::MAX);
+        config.persistence.as_mut().unwrap().fsync = policy;
+        let svc = Arc::new(SmartpickService::open(&dir, config).unwrap());
+        svc.register_fork("gate", &base, 0).unwrap();
+        for t in 0..TENANTS {
+            svc.register_fork(format!("t{t}"), &base, t).unwrap();
+        }
+        let syncs = counter(&svc, "store.wal_syncs");
+        let batches = counter(&svc, "service.worker.0.batches");
+        // What the log held each time the worker turned to a tenant's
+        // driver: WAL-first, for the whole batch.
+        let at_apply: Arc<Mutex<Vec<(u64, u64)>>> = Arc::default();
+        {
+            let metrics = svc.observability().metrics();
+            let appended = metrics.counter("store.wal_records_appended");
+            let synced = metrics.counter("store.wal_syncs");
+            let at_apply = Arc::clone(&at_apply);
+            svc.observability().events().subscribe(move |e| {
+                if e.kind == EventKind::RetrainStarted && e.tenant.as_deref() != Some("gate") {
+                    at_apply
+                        .lock()
+                        .unwrap()
+                        .push((appended.get(), synced.get() - syncs));
+                }
+            });
+        }
+        as_one_batch(&svc, &runs[0], || {
+            for run in &runs {
+                for t in 0..TENANTS {
+                    svc.report_run(&format!("t{t}"), run.clone()).unwrap();
+                }
+            }
+        });
+        assert!(svc.flush());
+        // Before the first of the batch's drivers was touched, the gate's
+        // two records and every report of the batch were in the log, and
+        // (under `PerBatch`) the batch's one report sync had run.
+        let logged = 2 + TENANTS * REPORTS_EACH;
+        let synced = match policy {
+            FsyncPolicy::PerBatch => 2 + 1,
+            _ => logged,
+        };
+        assert_eq!(
+            *at_apply.lock().unwrap(),
+            vec![(logged, synced); TENANTS as usize],
+            "{policy:?}"
+        );
+        // The gate's batch, the spanning batch, and perhaps the flush's
+        // own (which holds no job and so syncs nothing).
+        let batches = counter(&svc, "service.worker.0.batches") - batches;
+        assert!((2..=3).contains(&batches), "{batches} batches");
+        let records = (1 + 1) + TENANTS * (REPORTS_EACH + 1);
+        assert_eq!(counter(&svc, "store.wal_records_appended"), records);
+        let want = match policy {
+            // Two for the gate's one-report batch, two for the batch of
+            // TENANTS x REPORTS_EACH reports.
+            FsyncPolicy::PerBatch => 2 + 2,
+            // REPORTS_EACH reports and one commit per tenant, each synced
+            // by its own append (and the same for the gate).
+            _ => records,
+        };
+        assert_eq!(counter(&svc, "store.wal_syncs") - syncs, want, "{policy:?}");
+        for t in 0..TENANTS {
+            let stats = svc.tenant_stats(&format!("t{t}")).unwrap();
+            assert_eq!(stats.reports_applied, REPORTS_EACH);
+            assert_eq!(stats.snapshot_generation, 1, "one publish per group");
+        }
+    }
+}
+
+/// Every frame of a shard log: the decoded record and the offset its
+/// frame ends at.
+fn wal_frames(dir: &Path) -> Vec<(WalRecord, usize)> {
+    let bytes = fs::read(dir.join("wal").join("shard-0.wal")).unwrap();
+    let scan = scan_wal(&bytes).unwrap();
+    assert!(scan.torn.is_none());
+    let mut end = MAGIC.len();
+    scan.records
+        .into_iter()
+        .map(|record| {
+            end += 8 + record.encode_payload().len();
+            (record, end)
+        })
+        .collect()
+}
+
+/// A worker killed at either durability boundary inside a batch — after
+/// the batch's reports are synced but before any is applied, or after
+/// every commit is appended but before their sync — restarts, finishes
+/// the batch, and the store it leaves reopens bitwise-equal to a twin
+/// that never crashed: every report applied exactly once, the same
+/// generation. The second boundary is also reopened with the unsynced
+/// commits cut off the log, which is what losing power there leaves.
+#[test]
+fn a_crash_at_either_commit_boundary_reopens_equal_to_the_twin() {
+    const TENANTS: u64 = 3;
+    const REPORTS_EACH: u64 = 3;
+    let runs = mint_runs(1 + REPORTS_EACH);
+    let base = template();
+    for (at, cut_commits, tag) in [
+        (CrashPoint::AfterReportSync, false, "crash-reports"),
+        (CrashPoint::BeforeCommitSync, false, "crash-commits"),
+        (CrashPoint::BeforeCommitSync, true, "crash-commits-cut"),
+    ] {
+        let dir = test_root(tag);
+        let durable =
+            Arc::new(SmartpickService::open(&dir, durable_config(&dir, u64::MAX)).unwrap());
+        let twin = SmartpickService::new(ServiceConfig {
+            retrain_workers: 1,
+            ..ServiceConfig::default()
+        });
+        durable.register_fork("gate", &base, 0).unwrap();
+        let tenants: Vec<String> = (0..TENANTS).map(|t| format!("t{t}")).collect();
+        for (t, id) in tenants.iter().enumerate() {
+            durable.register_fork(id.clone(), &base, t as u64).unwrap();
+            twin.register_fork(id.clone(), &base, t as u64).unwrap();
+        }
+        // An uneventful first batch, so the crashed one is not the
+        // tenants' first generation.
+        for id in &tenants {
+            durable.report_run(id, runs[0].clone()).unwrap();
+            twin.report_run(id, runs[0].clone()).unwrap();
+        }
+        assert!(durable.flush() && twin.flush());
+
+        let applied = counter(&durable, "service.reports_applied");
+        as_one_batch(&durable, &runs[0], || {
+            durable.poison_worker_at(0, at).unwrap();
+            for run in &runs[1..] {
+                for id in &tenants {
+                    durable.report_run(id, run.clone()).unwrap();
+                }
+            }
+        });
+        for run in &runs[1..] {
+            for id in &tenants {
+                twin.report_run(id, run.clone()).unwrap();
+            }
+        }
+        // The restarted worker finishes the batch and acks.
+        assert!(durable.flush() && twin.flush());
+        assert!(durable
+            .observability()
+            .events()
+            .recent(256)
+            .iter()
+            .any(|e| e.kind == EventKind::WorkerPanic
+                && e.detail
+                    .as_deref()
+                    .is_some_and(|d| d.contains(&format!("{at:?}")))));
+        assert_eq!(
+            counter(&durable, "service.reports_applied") - applied,
+            1 + TENANTS * REPORTS_EACH,
+            "the live service applied the gate's report and each of the batch's once"
+        );
+        let generations: Vec<u64> = tenants
+            .iter()
+            .map(|id| durable.tenant_stats(id).unwrap().snapshot_generation)
+            .collect();
+        assert_eq!(generations, vec![2; TENANTS as usize]);
+        drop(durable);
+
+        // What the crash left in the log.
+        let frames = wal_frames(&dir);
+        let copies = |id: &str, want: u64| {
+            frames
+                .iter()
+                .filter(|(r, _)| {
+                    r.tenant == id
+                        && matches!(r.payload, WalPayload::Report { run_id, .. } if run_id == want)
+                })
+                .count()
+        };
+        for id in &tenants {
+            for run_id in 2..=1 + REPORTS_EACH {
+                match at {
+                    // Logged by the worker that died and again by the one
+                    // that applied it: replay must deduplicate.
+                    CrashPoint::AfterReportSync => assert_eq!(copies(id, run_id), 2),
+                    // Applied before the crash: never offered again.
+                    _ => assert_eq!(copies(id, run_id), 1),
+                }
+            }
+        }
+        if cut_commits {
+            let last_report = frames
+                .iter()
+                .filter(|(r, _)| matches!(r.payload, WalPayload::Report { .. }))
+                .map(|&(_, end)| end)
+                .max()
+                .unwrap();
+            assert!(last_report < frames.last().unwrap().1, "commits follow");
+            let log = fs::OpenOptions::new()
+                .write(true)
+                .open(dir.join("wal").join("shard-0.wal"))
+                .unwrap();
+            log.set_len(last_report as u64).unwrap();
+        }
+
+        let recovered = SmartpickService::open(&dir, durable_config(&dir, u64::MAX)).unwrap();
+        assert_eq!(
+            counter(&recovered, "store.wal_records_replayed"),
+            1 + TENANTS * (1 + REPORTS_EACH),
+            "{tag}: every logged report replayed once, duplicates dropped"
+        );
+        for (id, generation) in tenants.iter().zip(&generations) {
+            assert_eq!(
+                recovered.tenant_stats(id).unwrap().snapshot_generation,
+                *generation,
+                "{tag}: {id}"
+            );
+            for seed in [1, 9, 42, 7777] {
+                assert_same_prediction(&recovered, &twin, id, seed);
+            }
+        }
+    }
+}
+
+/// The newest two retained snapshot metas of `tenant`, newest first.
+fn retained_metas(dir: &Path, tenant: &str) -> Vec<SnapshotMeta> {
+    let mut metas: Vec<SnapshotMeta> = fs::read_dir(dir.join("tenants").join(tenant))
+        .unwrap()
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "snap"))
+        .map(|p| Snapshot::decode_meta(&fs::read(p).unwrap()).unwrap())
+        .collect();
+    metas.sort_by_key(|m| std::cmp::Reverse(m.generation));
+    metas
+}
+
+/// However many snapshots land, the shard log stays bounded by its live
+/// records — at most twice what recovery could need, plus the configured
+/// threshold — rewrites stay rarer than snapshots, and all of them
+/// together write at most twice what was appended: each byte is rewritten
+/// O(1) times. "Could need" is the top of the live set's swing: with two
+/// generations retained a tenant's live records go from one snapshot
+/// interval (its snapshot just landed) to two (the next is due), a
+/// rewrite keeps whatever is live when it runs, and the log then grows
+/// to twice that before the next one.
+#[test]
+fn the_shard_log_stays_within_twice_its_live_records() {
+    const TENANTS: u64 = 3;
+    const THRESHOLD: u64 = 16 << 10;
+    let dir = test_root("log-bound");
+    let mut config = durable_config(&dir, 4);
+    config.persistence.as_mut().unwrap().compact_threshold_bytes = THRESHOLD;
+    let svc = SmartpickService::open(&dir, config).unwrap();
+    let base = template();
+    let tenants: Vec<String> = (0..TENANTS).map(|t| format!("t{t}")).collect();
+    for (t, id) in tenants.iter().enumerate() {
+        svc.register_fork(id.clone(), &base, t as u64).unwrap();
+    }
+    let runs = mint_runs(3);
+    let mut widest = 0.0f64;
+    let mut peak_live = 0;
+    for round in 0..40 {
+        // Uneven feeds, so the tenants' snapshots drift apart; a flush
+        // after each report, so every batch is that one report whatever
+        // the scheduler does and the log's history is the same every run.
+        for (t, id) in tenants.iter().enumerate() {
+            for run in &runs[..1 + (round + t) % 3] {
+                svc.report_run(id, run.clone()).unwrap();
+                assert!(svc.flush());
+            }
+        }
+        // This flush is behind the last batch's compaction.
+        assert!(svc.flush());
+        let frames = wal_frames(&dir);
+        let mut live = MAGIC.len();
+        let mut start = MAGIC.len();
+        for (record, end) in &frames {
+            let metas = retained_metas(&dir, &record.tenant);
+            let watermark = metas.iter().map(|m| m.watermark).min().unwrap();
+            let generation = metas.iter().map(|m| m.generation).min().unwrap();
+            let kept = match record.payload {
+                WalPayload::Report { run_id, .. } => run_id > watermark,
+                WalPayload::Commit { generation: g, .. } => g > generation,
+            };
+            if kept {
+                live += end - start;
+            }
+            start = *end;
+        }
+        let len = frames.last().map_or(MAGIC.len(), |f| f.1);
+        peak_live = peak_live.max(live);
+        assert!(
+            len as u64 <= 2 * peak_live as u64 + THRESHOLD,
+            "round {round}: a {len}-byte log, {live} bytes live now and {peak_live} at most"
+        );
+        widest = widest.max(len as f64 / live as f64);
+    }
+    let compactions = counter(&svc, "store.compactions");
+    let snapshots = counter(&svc, "store.snapshots_persisted");
+    assert!(
+        compactions >= 3,
+        "{compactions} rewrites: the bound was never tested"
+    );
+    assert!(
+        compactions * 2 <= snapshots,
+        "{compactions} rewrites for {snapshots} snapshots"
+    );
+    assert!(
+        counter(&svc, "store.compaction_bytes_written")
+            <= 2 * counter(&svc, "store.wal_bytes_written"),
+        "rewrites wrote more than twice what was appended"
+    );
+    println!("widest log / live ratio seen: {widest:.2}");
+}
+
+/// One durable flush moves every stage histogram and store counter of
+/// the feedback path, all through the scrape envelope; rewrites are
+/// counted apart from appends, whose counter keeps its meaning.
+#[test]
+fn a_durable_flush_moves_every_report_stage_metric() {
+    let runs = mint_runs(2);
+    let base = template();
+    let mut appended = Vec::new();
+    for (threshold, tag) in [(1, "stages-compacting"), (u64::MAX, "stages-appending")] {
+        let dir = test_root(tag);
+        let mut config = durable_config(&dir, 1);
+        config.persistence.as_mut().unwrap().compact_threshold_bytes = threshold;
+        let svc = SmartpickService::open(&dir, config).unwrap();
+        svc.register_fork("acme", &base, 7).unwrap();
+        for run in &runs {
+            svc.report_run("acme", run.clone()).unwrap();
+            // The second flush is behind the batch's compaction.
+            assert!(svc.flush() && svc.flush());
+        }
+        let scrape = svc.scrape(0);
+        let samples = |name: &str| match scrape.metric(name).map(|m| &m.value) {
+            Some(MetricValue::Histogram(summary)) => summary.count,
+            other => panic!("{name} is not a scraped histogram: {other:?}"),
+        };
+        assert_eq!(samples("service.report.wal_append"), 2);
+        assert_eq!(samples("service.report.wal_sync"), 4);
+        assert_eq!(samples("service.report.apply"), 2);
+        assert_eq!(samples("service.report.snapshot_persist"), 2);
+        assert_eq!(scrape.counter("store.wal_syncs"), 4);
+        assert_eq!(scrape.counter("store.wal_reports_unencodable"), 0);
+        // The first snapshot triggers a rewrite; the second finds a log
+        // that has not doubled since.
+        let compacting = threshold == 1;
+        assert_eq!(samples("service.report.compact"), u64::from(compacting));
+        assert_eq!(scrape.counter("store.compactions"), u64::from(compacting));
+        assert_eq!(
+            scrape.counter("store.compaction_bytes_written") > 0,
+            compacting
+        );
+        let stages = |m: &&MetricSample| matches!(m.value, MetricValue::Histogram(_));
+        assert_eq!(
+            scrape.metrics.iter().filter(stages).count(),
+            5 + 2,
+            "five stage histograms beside the two the service had: none per tenant or shard"
+        );
+        appended.push(scrape.counter("store.wal_bytes_written"));
+    }
+    assert_eq!(
+        appended[0], appended[1],
+        "wal_bytes_written counts appended records, with or without rewrites"
+    );
 }

@@ -20,15 +20,20 @@
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use crate::error::StoreError;
 use crate::snapshot::{Snapshot, SnapshotMeta};
-use crate::wal::{scan_wal, FsyncPolicy, WalPayload, WalRecord, WalScan, WalWriter};
+use crate::wal::{
+    scan_wal, FsyncPolicy, WalFrames, WalPayload, WalRecord, WalScan, WalWriter, MAGIC,
+};
 
 /// How many snapshot generations are retained per tenant.
 pub const RETAINED_SNAPSHOTS: usize = 2;
+
+/// Read and write buffer of a streaming WAL rewrite.
+const COPY_BUF: usize = 64 << 10;
 
 /// A handle on one store root directory. Cheap to clone (it is only the
 /// paths); all state lives on disk.
@@ -93,7 +98,8 @@ impl Store {
         self.root.join("tenants").join(encode_tenant(tenant))
     }
 
-    fn wal_path(&self, shard: usize) -> PathBuf {
+    /// Where shard `shard`'s WAL lives.
+    pub fn wal_path(&self, shard: usize) -> PathBuf {
         self.root.join("wal").join(format!("shard-{shard}.wal"))
     }
 
@@ -320,90 +326,128 @@ impl Store {
     /// back), same-epoch only; records for tenants with no snapshot
     /// directory (deregistered) are dropped.
     ///
+    /// The log is streamed, never loaded: each record of the valid prefix
+    /// is read, CRC-checked, decoded and tested against its tenant's
+    /// floor, and a kept frame's bytes are copied as they are into
+    /// `shard-<k>.tmp`, which is fsynced and renamed over the log. The
+    /// walk stops where [`scan_wal`] would, so a torn tail is dropped by
+    /// the rewrite, and a scan of the output equals the floor filter of a
+    /// scan of the input. A crash before the rename leaves the old log
+    /// and a stale `.tmp` the next rewrite truncates.
+    ///
     /// The caller must not hold an open [`WalWriter`] on this shard
     /// across the call — the file is replaced, so the handle must be
-    /// reopened after.
+    /// reopened after ([`WalWriter::open`] on [`Store::wal_path`]: what
+    /// was just written needs no torn-tail scan).
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] on filesystem failures.
     pub fn compact_wal(&self, shard: usize) -> Result<CompactStats, StoreError> {
+        let floors = self.compaction_floors()?;
         let path = self.wal_path(shard);
-        let bytes = if path.is_file() {
-            fs::read(&path).map_err(StoreError::from)?
-        } else {
-            Vec::new()
+        let tmp = path.with_extension("tmp");
+        let mut stats = CompactStats {
+            kept: 0,
+            dropped: 0,
+            bytes_before: 0,
+            bytes_after: MAGIC.len() as u64,
         };
-        let bytes_before = bytes.len() as u64;
-        let scan = scan_wal(&bytes).unwrap_or(WalScan {
-            records: Vec::new(),
-            valid_len: 0,
-            torn: Some("not a WAL".into()),
-        });
+        let mut out = BufWriter::with_capacity(
+            COPY_BUF,
+            OpenOptions::new()
+                .create(true)
+                .write(true)
+                .truncate(true)
+                .open(&tmp)
+                .map_err(StoreError::from)?,
+        );
+        out.write_all(MAGIC).map_err(StoreError::from)?;
+        if path.is_file() {
+            let log = File::open(&path).map_err(StoreError::from)?;
+            stats.bytes_before = log.metadata().map_err(StoreError::from)?.len();
+            match WalFrames::open(BufReader::with_capacity(COPY_BUF, log), stats.bytes_before) {
+                Ok(mut frames) => {
+                    while let Some(frame) = frames.next_frame()? {
+                        if floors.keeps(&frame.record) {
+                            out.write_all(&frame.header).map_err(StoreError::from)?;
+                            out.write_all(frame.payload).map_err(StoreError::from)?;
+                            stats.kept += 1;
+                            stats.bytes_after += (frame.header.len() + frame.payload.len()) as u64;
+                        } else {
+                            stats.dropped += 1;
+                        }
+                    }
+                }
+                // A file that is not a WAL at all holds nothing to keep.
+                Err(e) if e.is_corrupt() => {}
+                Err(e) => return Err(e),
+            }
+        }
+        let file = out
+            .into_inner()
+            .map_err(|e| StoreError::from(e.into_error()))?;
+        file.sync_data().map_err(StoreError::from)?;
+        drop(file);
+        fs::rename(&tmp, &path).map_err(StoreError::from)?;
+        sync_dir(&self.root.join("wal"));
+        Ok(stats)
+    }
 
-        // Per-tenant floors from the retained snapshot metas: the floor
-        // is the *minimum* (oldest retained) watermark/generation, keyed
-        // by the current epoch on disk.
-        let mut floors: HashMap<String, (u64, u64, u64)> = HashMap::new();
+    /// Per-tenant compaction floors from the retained snapshot metas: the
+    /// floor is the *minimum* (oldest retained) watermark/generation,
+    /// keyed by the current epoch on disk.
+    fn compaction_floors(&self) -> Result<Floors, StoreError> {
+        let mut floors = HashMap::new();
         for tenant in self.tenant_ids()? {
             let metas = self.snapshot_metas(&self.tenant_dir(&tenant))?;
             if let Some(newest) = metas.first() {
                 let epoch = newest.epoch;
-                let (wm, generation) = metas
+                let (watermark, generation) = metas
                     .iter()
                     .filter(|m| m.epoch == epoch)
                     .map(|m| (m.watermark, m.generation))
                     .fold((u64::MAX, u64::MAX), |acc, v| {
                         (acc.0.min(v.0), acc.1.min(v.1))
                     });
-                floors.insert(tenant, (epoch, wm, generation));
+                floors.insert(
+                    tenant,
+                    Floor {
+                        epoch,
+                        watermark,
+                        generation,
+                    },
+                );
             }
         }
+        Ok(Floors(floors))
+    }
+}
 
-        let mut kept_records = Vec::new();
-        let mut dropped = 0usize;
-        for record in scan.records {
-            let keep = match floors.get(&record.tenant) {
-                Some(&(epoch, wm_floor, gen_floor)) if record.epoch == epoch => {
-                    match &record.payload {
-                        WalPayload::Report { run_id, .. } => *run_id > wm_floor,
-                        WalPayload::Commit { generation, .. } => *generation > gen_floor,
-                    }
-                }
-                // Wrong epoch or no snapshot at all: stale, drop.
-                _ => false,
-            };
-            if keep {
-                kept_records.push(record);
-            } else {
-                dropped += 1;
-            }
-        }
+/// What the retained snapshots of one tenant already cover.
+#[derive(Debug)]
+struct Floor {
+    epoch: u64,
+    watermark: u64,
+    generation: u64,
+}
 
-        let tmp = self.root.join("wal").join(format!("shard-{shard}.tmp"));
-        {
-            let mut f = OpenOptions::new()
-                .create(true)
-                .write(true)
-                .truncate(true)
-                .open(&tmp)
-                .map_err(StoreError::from)?;
-            f.write_all(crate::wal::MAGIC).map_err(StoreError::from)?;
-            for record in &kept_records {
-                f.write_all(&WalRecord::frame(&record.encode_payload()))
-                    .map_err(StoreError::from)?;
-            }
-            f.sync_data().map_err(StoreError::from)?;
+/// Every on-disk tenant's [`Floor`]: the keep/drop rule of a compaction.
+#[derive(Debug)]
+struct Floors(HashMap<String, Floor>);
+
+impl Floors {
+    /// Whether recovery could still need `record`: its tenant is on disk
+    /// at this epoch and no retained snapshot covers it.
+    fn keeps(&self, record: &WalRecord) -> bool {
+        match self.0.get(&record.tenant) {
+            Some(floor) if record.epoch == floor.epoch => match &record.payload {
+                WalPayload::Report { run_id, .. } => *run_id > floor.watermark,
+                WalPayload::Commit { generation, .. } => *generation > floor.generation,
+            },
+            // Wrong epoch or no snapshot at all: stale, drop.
+            _ => false,
         }
-        fs::rename(&tmp, &path).map_err(StoreError::from)?;
-        sync_dir(&self.root.join("wal"));
-        let bytes_after = fs::metadata(&path).map_err(StoreError::from)?.len();
-        Ok(CompactStats {
-            kept: kept_records.len(),
-            dropped,
-            bytes_before,
-            bytes_after,
-        })
     }
 }
 
@@ -740,5 +784,123 @@ mod tests {
             WalPayload::Report { run_id, .. } => *run_id > 5,
             WalPayload::Commit { generation, .. } => *generation > 1,
         }));
+    }
+
+    /// The definition the streaming rewrite replaced — read the whole
+    /// log, scan it, filter the records by the floors — kept as the
+    /// oracle. `snaps` is what was persisted per tenant, in order; the
+    /// floors come from the newest [`RETAINED_SNAPSHOTS`] of each.
+    fn filter_by_floors(log: &[u8], snaps: &HashMap<&str, Vec<(u64, u64, u64)>>) -> Vec<WalRecord> {
+        let Ok(scan) = scan_wal(log) else {
+            return Vec::new();
+        };
+        scan.records
+            .into_iter()
+            .filter(|record| {
+                let Some(persisted) = snaps.get(record.tenant.as_str()) else {
+                    return false;
+                };
+                let mut retained = persisted.clone();
+                retained.sort_by_key(|&(_, generation, _)| std::cmp::Reverse(generation));
+                retained.truncate(RETAINED_SNAPSHOTS);
+                let epoch = retained[0].0;
+                let same_epoch = retained.iter().filter(|s| s.0 == epoch);
+                let gen_floor = same_epoch.clone().map(|s| s.1).min().unwrap();
+                let wm_floor = same_epoch.map(|s| s.2).min().unwrap();
+                record.epoch == epoch
+                    && match &record.payload {
+                        WalPayload::Report { run_id, .. } => *run_id > wm_floor,
+                        WalPayload::Commit { generation, .. } => *generation > gen_floor,
+                    }
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// For any log — torn and bit-flipped tails included — a scan of
+        /// the rewrite equals the floor filter of a scan of the original.
+        #[test]
+        fn streamed_compaction_equals_the_floor_filter_of_the_valid_prefix(
+            specs in proptest::prop::collection::vec(
+                (0u8..3, 1u64..3, 0u8..2, 0u64..12, ".{0,24}"),
+                0..24,
+            ),
+            snaps_a in proptest::prop::collection::vec((1u64..3, 0u64..10), 1..4),
+            snaps_b in proptest::prop::collection::vec((1u64..3, 0u64..10), 1..4),
+            damage in 0u8..4,
+            at in 0.0f64..1.0,
+            bit in 0u8..8,
+        ) {
+            let store = Store::open(test_root("stream")).unwrap();
+            // Tenants `a` and `b` are on disk; `c` was deregistered.
+            let mut persisted: HashMap<&str, Vec<(u64, u64, u64)>> = HashMap::new();
+            for (tenant, snaps) in [("a", &snaps_a), ("b", &snaps_b)] {
+                for (i, &(epoch, watermark)) in snaps.iter().enumerate() {
+                    let generation = i as u64 + 1;
+                    store
+                        .persist_snapshot(&snapshot(tenant, epoch, generation, watermark))
+                        .unwrap();
+                    persisted
+                        .entry(tenant)
+                        .or_default()
+                        .push((epoch, generation, watermark));
+                }
+            }
+            let mut log = MAGIC.to_vec();
+            for (tenant, epoch, kind, n, json) in &specs {
+                let tenant = ["a", "b", "c"][*tenant as usize];
+                let record = WalRecord {
+                    tenant: tenant.into(),
+                    epoch: *epoch,
+                    payload: if *kind == 0 {
+                        WalPayload::Report { run_id: *n, run_json: json.clone() }
+                    } else {
+                        WalPayload::Commit { generation: *n, watermark: *n }
+                    },
+                };
+                log.extend_from_slice(&WalRecord::frame(&record.encode_payload()));
+            }
+            // `at < 1.0`, so the offset is inside the log.
+            let offset = ((log.len() as f64) * at) as usize;
+            match damage {
+                1 => log.truncate(offset),
+                2 => log[offset] ^= 1 << bit,
+                3 => log.extend_from_slice(&[0xA5; 11]),
+                _ => {}
+            }
+            fs::write(store.wal_path(0), &log).unwrap();
+
+            let want = filter_by_floors(&log, &persisted);
+            let scanned = scan_wal(&log).map(|s| s.records.len()).unwrap_or(0);
+            let stats = store.compact_wal(0).unwrap();
+            let rewritten = fs::read(store.wal_path(0)).unwrap();
+            let got = scan_wal(&rewritten).unwrap();
+            proptest::prop_assert!(got.torn.is_none(), "a rewrite leaves no torn tail");
+            proptest::prop_assert_eq!(&got.records, &want);
+            proptest::prop_assert_eq!(stats.kept, want.len());
+            proptest::prop_assert_eq!(stats.dropped, scanned - want.len());
+            proptest::prop_assert_eq!(stats.bytes_before, log.len() as u64);
+            proptest::prop_assert_eq!(stats.bytes_after, rewritten.len() as u64);
+            proptest::prop_assert!(!store.wal_path(0).with_extension("tmp").exists());
+        }
+    }
+
+    #[test]
+    fn compaction_of_a_missing_or_foreign_file_leaves_an_empty_wal() {
+        let store = Store::open(test_root("foreign")).unwrap();
+        let stats = store.compact_wal(3).unwrap();
+        assert_eq!((stats.kept, stats.dropped, stats.bytes_before), (0, 0, 0));
+        assert_eq!(fs::read(store.wal_path(3)).unwrap(), MAGIC);
+        fs::write(store.wal_path(4), b"NOTAWAL!and then some").unwrap();
+        let stats = store.compact_wal(4).unwrap();
+        assert_eq!((stats.kept, stats.bytes_after), (0, MAGIC.len() as u64));
+        assert_eq!(fs::read(store.wal_path(4)).unwrap(), MAGIC);
+        // The rewritten file takes appends through a plain reopen.
+        let mut w = WalWriter::open(&store.wal_path(4), FsyncPolicy::PerBatch).unwrap();
+        w.append(&report("a", 1, 1).encode_payload()).unwrap();
+        w.sync().unwrap();
+        assert_eq!(store.scan_wals().unwrap()[1].scan.records.len(), 1);
     }
 }

@@ -35,7 +35,7 @@
 //! the property `tests/wal_truncation.rs` proves at every byte offset.
 
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::Path;
 
 use crate::codec::{put_str, put_u64, put_u8, Reader};
@@ -192,58 +192,139 @@ pub struct WalScan {
 /// [`StoreError::Corrupt`] only when the magic itself is wrong. Never
 /// panics.
 pub fn scan_wal(bytes: &[u8]) -> Result<WalScan, StoreError> {
-    let head = bytes.get(..8);
-    match head {
-        Some(m) if m == MAGIC => {}
-        Some(_) => return Err(StoreError::Corrupt("bad WAL magic".into())),
-        None if bytes.is_empty() => {
-            // A zero-length file is what a crash between create and the
-            // magic write leaves behind: an empty, valid WAL.
-            return Ok(WalScan {
-                records: Vec::new(),
-                valid_len: 0,
-                torn: None,
-            });
-        }
-        None => {
-            return Ok(WalScan {
-                records: Vec::new(),
-                valid_len: 0,
-                torn: Some(format!("magic torn at {} bytes", bytes.len())),
-            });
-        }
-    }
+    let mut frames = WalFrames::open(bytes, bytes.len() as u64)?;
     let mut records = Vec::new();
-    let mut pos = 8usize;
-    let torn = loop {
-        if pos == bytes.len() {
-            break None;
-        }
-        let Some(header) = bytes.get(pos..pos + 8).filter(|h| h.len() == 8) else {
-            break Some(format!("record header torn at offset {pos}"));
-        };
-        let len = u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize;
-        let want_crc = u32::from_be_bytes([header[4], header[5], header[6], header[7]]);
-        let payload_start = pos + 8;
-        let Some(payload) = bytes.get(payload_start..payload_start.saturating_add(len)) else {
-            break Some(format!(
-                "record payload torn at offset {pos} (wanted {len} bytes)"
-            ));
-        };
-        if crc32(payload) != want_crc {
-            break Some(format!("record CRC mismatch at offset {pos}"));
-        }
-        match WalRecord::decode_payload(payload) {
-            Ok(r) => records.push(r),
-            Err(e) => break Some(format!("malformed record at offset {pos}: {e}")),
-        }
-        pos = payload_start + len;
-    };
+    while let Some(frame) = frames.next_frame()? {
+        records.push(frame.record);
+    }
     Ok(WalScan {
         records,
-        valid_len: pos as u64,
-        torn,
+        valid_len: frames.valid_len,
+        torn: frames.torn,
     })
+}
+
+/// One record of a WAL's valid prefix, as [`WalFrames`] hands it out:
+/// decoded, plus the exact bytes it occupies on disk so a rewrite can
+/// copy the frame instead of re-encoding it.
+#[derive(Debug)]
+pub(crate) struct WalFrame<'a> {
+    /// The decoded record.
+    pub(crate) record: WalRecord,
+    /// The frame's `len | crc` prefix as read.
+    pub(crate) header: [u8; 8],
+    /// The frame's payload bytes as read (CRC-checked).
+    pub(crate) payload: &'a [u8],
+}
+
+/// The one walker over a WAL's longest valid prefix, one record at a
+/// time: [`scan_wal`] collects it from a byte slice, and
+/// [`crate::Store::compact_wal`] streams it from the file — so what a
+/// rewrite keeps and what a scan sees stop at the same byte, and a walk
+/// holds one record in memory, not the log.
+#[derive(Debug)]
+pub(crate) struct WalFrames<R> {
+    src: R,
+    /// Source bytes not yet consumed. A length prefix is checked against
+    /// this before anything is allocated for it.
+    remaining: u64,
+    payload: Vec<u8>,
+    /// Byte length of the valid prefix walked so far (magic included).
+    valid_len: u64,
+    /// Why the walk stopped early, once it has (`None` = still going, or
+    /// the whole source was valid).
+    torn: Option<String>,
+}
+
+impl<R: Read> WalFrames<R> {
+    /// Starts a walk over `src`, which holds `len` bytes. An empty source
+    /// is a valid, empty WAL (a crash between create and the magic
+    /// write); a source shorter than the magic is a torn one.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] when the magic is wrong,
+    /// [`StoreError::Io`] when `src` cannot be read.
+    pub(crate) fn open(src: R, len: u64) -> Result<Self, StoreError> {
+        let mut frames = WalFrames {
+            src,
+            remaining: len,
+            payload: Vec::new(),
+            valid_len: 0,
+            torn: None,
+        };
+        if len == 0 {
+            return Ok(frames);
+        }
+        if len < MAGIC.len() as u64 {
+            frames.torn = Some(format!("magic torn at {len} bytes"));
+            frames.remaining = 0;
+            return Ok(frames);
+        }
+        let mut magic = [0u8; 8];
+        frames
+            .src
+            .read_exact(&mut magic)
+            .map_err(StoreError::from)?;
+        if &magic != MAGIC {
+            return Err(StoreError::Corrupt("bad WAL magic".into()));
+        }
+        frames.remaining -= MAGIC.len() as u64;
+        frames.valid_len = MAGIC.len() as u64;
+        Ok(frames)
+    }
+
+    /// The next record of the valid prefix, or `None` at its end — the
+    /// end of the source, or the first length prefix, CRC or payload that
+    /// does not check out (then `torn` says which).
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] when `src` cannot be read. Damage is not an
+    /// error.
+    pub(crate) fn next_frame(&mut self) -> Result<Option<WalFrame<'_>>, StoreError> {
+        if self.remaining == 0 || self.torn.is_some() {
+            return Ok(None);
+        }
+        let pos = self.valid_len;
+        if self.remaining < 8 {
+            self.torn = Some(format!("record header torn at offset {pos}"));
+            return Ok(None);
+        }
+        let mut header = [0u8; 8];
+        self.src.read_exact(&mut header).map_err(StoreError::from)?;
+        let len = u32::from_be_bytes([header[0], header[1], header[2], header[3]]);
+        let want_crc = u32::from_be_bytes([header[4], header[5], header[6], header[7]]);
+        if u64::from(len) > self.remaining - 8 {
+            self.torn = Some(format!(
+                "record payload torn at offset {pos} (wanted {len} bytes)"
+            ));
+            return Ok(None);
+        }
+        self.payload.resize(len as usize, 0);
+        self.src
+            .read_exact(&mut self.payload)
+            .map_err(StoreError::from)?;
+        if crc32(&self.payload) != want_crc {
+            self.torn = Some(format!("record CRC mismatch at offset {pos}"));
+            return Ok(None);
+        }
+        let record = match WalRecord::decode_payload(&self.payload) {
+            Ok(record) => record,
+            Err(e) => {
+                self.torn = Some(format!("malformed record at offset {pos}: {e}"));
+                return Ok(None);
+            }
+        };
+        let frame_len = 8 + u64::from(len);
+        self.remaining -= frame_len;
+        self.valid_len += frame_len;
+        Ok(Some(WalFrame {
+            record,
+            header,
+            payload: &self.payload,
+        }))
+    }
 }
 
 /// An append handle on one shard's WAL file.
@@ -253,6 +334,9 @@ pub struct WalWriter {
     policy: FsyncPolicy,
     bytes_written: u64,
     file_len: u64,
+    /// Appended bytes no `sync_data` has covered yet.
+    dirty: bool,
+    syncs: u64,
 }
 
 impl WalWriter {
@@ -285,6 +369,8 @@ impl WalWriter {
             policy,
             bytes_written: 0,
             file_len,
+            dirty: false,
+            syncs: 0,
         })
     }
 
@@ -300,23 +386,33 @@ impl WalWriter {
         self.file.write_all(&framed).map_err(StoreError::from)?;
         self.bytes_written += framed.len() as u64;
         self.file_len += framed.len() as u64;
+        self.dirty = true;
         if self.policy == FsyncPolicy::PerRecord {
-            self.file.sync_data().map_err(StoreError::from)?;
+            self.sync()?;
         }
         Ok(())
     }
 
-    /// Flushes appended records to stable storage (a no-op under
-    /// [`FsyncPolicy::Never`]).
+    /// Flushes appended records to stable storage: one `fdatasync` when
+    /// anything was appended since the last one, nothing otherwise (and
+    /// never under [`FsyncPolicy::Never`]).
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] on a failed sync.
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        if self.policy != FsyncPolicy::Never {
+        if self.dirty && self.policy != FsyncPolicy::Never {
             self.file.sync_data().map_err(StoreError::from)?;
+            self.syncs += 1;
+            self.dirty = false;
         }
         Ok(())
+    }
+
+    /// `fdatasync` calls made through this handle (for the
+    /// `store.wal_syncs` counter).
+    pub fn syncs(&self) -> u64 {
+        self.syncs
     }
 
     /// Bytes appended through this handle (for the `store.*` counters).
@@ -434,5 +530,64 @@ mod tests {
         assert_eq!(scan.records.len(), 2);
         assert!(scan.torn.is_none());
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_walk_holds_one_record_not_the_log() {
+        // 2000 records of ~100 bytes: a 200 KB log.
+        let records: Vec<_> = (1..=2000).map(|i| report("tenant", i)).collect();
+        let mut bytes = wal_bytes(&records);
+        let largest = records
+            .iter()
+            .map(|r| r.encode_payload().len())
+            .max()
+            .unwrap();
+        // A length prefix claiming more than the source holds is refused
+        // before anything is allocated for it.
+        bytes.extend_from_slice(&u32::MAX.to_be_bytes());
+        bytes.extend_from_slice(&[0; 12]);
+        let mut frames = WalFrames::open(&bytes[..], bytes.len() as u64).unwrap();
+        let mut walked = 0;
+        while frames.next_frame().unwrap().is_some() {
+            walked += 1;
+        }
+        assert_eq!(walked, records.len());
+        assert!(frames.torn.as_deref().unwrap().contains("payload torn"));
+        assert!(
+            frames.payload.capacity() <= 2 * largest,
+            "the walk's buffer holds {} bytes for records of at most {largest}",
+            frames.payload.capacity()
+        );
+    }
+
+    #[test]
+    fn sync_touches_the_disk_once_per_dirty_span() {
+        let dir =
+            std::path::PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/tmp"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let open = |policy| {
+            let path = dir.join(format!("smartpick-wal-syncs-{}.wal", std::process::id()));
+            let _ = std::fs::remove_file(&path);
+            WalWriter::open(&path, policy).unwrap()
+        };
+        let mut w = open(FsyncPolicy::PerBatch);
+        w.sync().unwrap();
+        assert_eq!(w.syncs(), 0, "nothing appended, nothing to sync");
+        for i in 1..=3 {
+            w.append(&report("a", i).encode_payload()).unwrap();
+        }
+        w.sync().unwrap();
+        w.sync().unwrap();
+        assert_eq!(w.syncs(), 1, "one sync covers the three appends");
+        let mut w = open(FsyncPolicy::PerRecord);
+        for i in 1..=3 {
+            w.append(&report("a", i).encode_payload()).unwrap();
+        }
+        w.sync().unwrap();
+        assert_eq!(w.syncs(), 3, "each append synced itself");
+        let mut w = open(FsyncPolicy::Never);
+        w.append(&report("a", 1).encode_payload()).unwrap();
+        w.sync().unwrap();
+        assert_eq!(w.syncs(), 0);
     }
 }
