@@ -2,8 +2,8 @@
 //! the pre-vectorization baseline.
 //!
 //! `vectorized` is the shipping [`WorkloadPredictionService::determine`]
-//! — flat-forest batch pre-evaluation of the cached candidate grid (or
-//! the lazy GP search when the priced budget says sweeping is dearer) —
+//! — one region descent per tree over the cached candidate lattice, the
+//! search consuming the swept values —
 //! and `reference` is `determine_reference`, the old path: grid rebuilt
 //! per call, a feature `Vec` allocated per probe, `enum`-node tree walks
 //! and the GP surrogate loop. Grid sizes 8×8 / 16×16 / 32×32 crossed

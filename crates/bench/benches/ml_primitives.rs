@@ -1,5 +1,6 @@
-//! Micro-benchmarks of the ML substrate: forest training/inference, GP
-//! fitting/posterior, and the acquisition-function ablation (PI — the
+//! Micro-benchmarks of the ML substrate: forest training/inference, the
+//! grid sweep (batch walk vs lattice descent), GP fitting/posterior, and
+//! the acquisition-function ablation (PI — the
 //! paper's choice — vs EI vs UCB).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -12,6 +13,7 @@ use smartpick_ml::bayesopt::{Acquisition, BayesianOptimizer, BoParams};
 use smartpick_ml::dataset::Dataset;
 use smartpick_ml::forest::{ForestParams, RandomForest};
 use smartpick_ml::gp::{GaussianProcess, GpParams};
+use smartpick_ml::lattice::Lattice;
 
 fn synthetic_dataset(n: usize, seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -39,6 +41,66 @@ fn bench_forest(c: &mut Criterion) {
     let forest = RandomForest::fit(&data, &ForestParams::default(), 3).expect("fit succeeds");
     let probe: Vec<f64> = (0..10).map(|i| i as f64 * 7.0).collect();
     group.bench_function("predict", |b| b.iter(|| black_box(forest.predict(&probe))));
+    group.finish();
+}
+
+/// The same `RF_t` surface two ways: the batch walk over a 17×17 grid's
+/// materialised rows against one region descent per tree over the grid's
+/// lattice. Columns follow the Table 3 shape — two request columns, `vm`,
+/// `sl`, and the rest derived from `vm + sl` or constant.
+fn bench_lattice(c: &mut Criterion) {
+    let row = |vm: u32, sl: u32| -> Vec<f64> {
+        let n = f64::from(vm + sl);
+        let (vm, sl) = (f64::from(vm), f64::from(sl));
+        vec![
+            1.0,
+            vm,
+            sl,
+            64.0,
+            0.0,
+            n * 2048.0,
+            n * 2048.0,
+            2048.0,
+            0.0,
+            n * 5.0,
+        ]
+    };
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut data = Dataset::new((0..10).map(|i| format!("f{i}")).collect());
+    for _ in 0..400 {
+        let (vm, sl) = (rng.gen_range(0..17u32), rng.gen_range(0..17u32));
+        let mut x = row(vm, sl);
+        x[4] = rng.gen_range(0.0..86_400.0);
+        x[8] = f64::from(rng.gen_range(0..4u32));
+        data.push(
+            x,
+            600.0 / f64::from(vm + 2 * sl + 1) + rng.gen_range(0.0..5.0),
+        );
+    }
+    let forest = RandomForest::fit(&data, &ForestParams::default(), 3).expect("fit succeeds");
+    let coords: Vec<(u32, u32)> = (0..17u32)
+        .flat_map(|vm| (0..17).map(move |sl| (vm, sl)))
+        .collect();
+    let rows: Vec<f64> = coords.iter().flat_map(|&(vm, sl)| row(vm, sl)).collect();
+    let lattice = Lattice::compile(&coords, &rows, 10).expect("the schema is a lattice");
+    let mut out = vec![0.0; coords.len()];
+
+    let mut group = c.benchmark_group("forest_grid_sweep");
+    group.bench_function("batch_walk_17x17", |b| {
+        b.iter(|| {
+            forest.predict_batch_into(black_box(&rows), &mut out);
+            black_box(out[0])
+        })
+    });
+    group.bench_function("lattice_descent_17x17", |b| {
+        b.iter(|| {
+            forest.predict_lattice_into(&lattice, black_box(lattice.base_row()), &mut out);
+            black_box(out[0])
+        })
+    });
+    group.bench_function("lattice_compile_17x17", |b| {
+        b.iter(|| black_box(Lattice::compile(&coords, &rows, 10).expect("compiles")))
+    });
     group.finish();
 }
 
@@ -86,5 +148,11 @@ fn bench_acquisitions(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_forest, bench_gp, bench_acquisitions);
+criterion_group!(
+    benches,
+    bench_forest,
+    bench_lattice,
+    bench_gp,
+    bench_acquisitions
+);
 criterion_main!(benches);

@@ -1,13 +1,15 @@
 //! Records the `determine_latency` before/after matrix into
-//! `BENCH_determine.json` — the priced prediction-latency budget the
-//! README's Performance table quotes and CI guards for parseability.
+//! `BENCH_determine.json` — the prediction-latency budget the README's
+//! Performance table quotes and `tests/bench_determine_json.rs` guards.
 //!
 //! For every grid × forest configuration the binary measures the median
 //! in-process `determine()` latency of the pre-vectorization reference
 //! path (grid rebuilt per call, per-probe feature `Vec`s, `enum`-node
-//! tree walks, GP surrogate) and of the shipping vectorized path
-//! (cached grid + flat-forest batch pre-evaluation, or the priced lazy
-//! fallback), then writes both numbers and their ratio.
+//! tree walks, GP surrogate) and of the shipping vectorized path (one
+//! region descent per tree over the cached candidate lattice), then
+//! writes both numbers and their ratio beside `before_us`: what the
+//! vectorized path cost while it still walked every tree once per
+//! candidate ([`BEFORE_US`]).
 //!
 //! Usage: `cargo run --release -p smartpick_bench --bin bench_determine
 //! [output-path]` (default `BENCH_determine.json` in the working
@@ -21,6 +23,13 @@ use smartpick_bench::{determine_lab, DETERMINE_CONFIGS};
 use smartpick_core::wp::{PredictionRequest, WorkloadPredictionService};
 use smartpick_core::WorkloadPredictor;
 use smartpick_workloads::tpcds;
+
+/// `vectorized_us` as last recorded before the lattice descent (PR 13's
+/// committed record: candidates × trees batch walk on the 8×8 and 16×16
+/// rows, the priced lazy GP search on the 32×32 ones), in
+/// [`DETERMINE_CONFIGS`] order.
+const BEFORE_US: [f64; DETERMINE_CONFIGS.len()] =
+    [9.2, 32.2, 70.5, 29.6, 117.8, 238.9, 102.6, 333.0, 388.9];
 
 fn median_us(samples: &mut [f64]) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
@@ -48,7 +57,9 @@ fn measure(
         run(predictor, 1000 + seed as u64);
         samples.push(t.elapsed().as_secs_f64() * 1e6);
     }
-    median_us(&mut samples)
+    // To the record's one decimal, so the ratios written beside the
+    // medians are the ratios of what is written.
+    (median_us(&mut samples) * 10.0).round() / 10.0
 }
 
 fn main() {
@@ -61,12 +72,12 @@ fn main() {
         .unwrap_or(120);
 
     println!("determine() latency: reference vs vectorized ({iters} iterations, median)");
-    smartpick_bench::rule(76);
+    smartpick_bench::rule(87);
     println!(
-        "{:<10} {:>6} {:>12} {:>14} {:>14} {:>9}",
-        "grid", "trees", "candidates", "reference µs", "vectorized µs", "speedup"
+        "{:<10} {:>6} {:>12} {:>14} {:>10} {:>14} {:>9}",
+        "grid", "trees", "candidates", "reference µs", "before µs", "vectorized µs", "speedup"
     );
-    smartpick_bench::rule(76);
+    smartpick_bench::rule(87);
 
     let query = tpcds::query(82, 100.0).expect("catalog query");
     let mut rows = String::new();
@@ -90,12 +101,14 @@ fn main() {
             std::hint::black_box(det.allocation);
         });
         let speedup = reference_us / vectorized_us;
+        let before_us = BEFORE_US[i];
         println!(
-            "{:<10} {:>6} {:>12} {:>14.1} {:>14.1} {:>8.1}x",
+            "{:<10} {:>6} {:>12} {:>14.1} {:>10.1} {:>14.1} {:>8.1}x",
             format!("{grid}x{grid}"),
             trees,
             candidates,
             reference_us,
+            before_us,
             vectorized_us,
             speedup
         );
@@ -105,18 +118,20 @@ fn main() {
         let _ = write!(
             rows,
             "    {{\"grid\": \"{grid}x{grid}\", \"trees\": {trees}, \"candidates\": {candidates}, \
-             \"baseline_us\": {reference_us:.1}, \"vectorized_us\": {vectorized_us:.1}, \
-             \"speedup\": {speedup:.2}}}"
+             \"baseline_us\": {reference_us:.1}, \"before_us\": {before_us:.1}, \
+             \"vectorized_us\": {vectorized_us:.1}, \"speedup\": {speedup:.2}}}"
         );
     }
-    smartpick_bench::rule(76);
+    smartpick_bench::rule(87);
 
     let json = format!(
         "{{\n  \"bench\": \"determine_latency\",\n  \"unit\": \"microseconds (median per \
          in-process determine() call)\",\n  \"baseline\": \"determine_reference: per-call grid \
          rebuild, per-probe feature Vec, enum-node tree walks, GP surrogate search\",\n  \
-         \"vectorized\": \"cached candidate grid + flat-forest tree-outer batch pre-evaluation \
-         consumed by the BO loop; priced lazy GP fallback for oversized sweeps\",\n  \
+         \"before\": \"vectorized_us as recorded before the lattice descent: candidates x trees \
+         flat-forest batch walk (8x8, 16x16) or the priced lazy GP search (32x32)\",\n  \
+         \"vectorized\": \"cached candidate lattice, one region descent per tree, swept values \
+         consumed by the BO loop\",\n  \
          \"iterations\": {iters},\n  \"configs\": [\n{rows}\n  ]\n}}\n"
     );
     std::fs::write(&out_path, json).expect("write BENCH_determine.json");

@@ -85,3 +85,38 @@ fn recorded_budget_meets_the_headline_target() {
         "recorded 16x16/50 speedup regressed below 3x"
     );
 }
+
+#[test]
+fn recorded_lattice_rows_hold_their_bars_against_the_batch_walk() {
+    // `before_us` is what the vectorized path cost while it walked every
+    // tree once per candidate. The committed record must show the region
+    // descent at least 3x under it where the forest dominates (16x16
+    // grid, 100 trees: 238.9 us before) and slower on no row.
+    let root = load();
+    let Value::Arr(configs) = field(&root, "configs") else {
+        panic!("`configs` must be a list");
+    };
+    for entry in configs {
+        let before = num(field(entry, "before_us"));
+        let vectorized = num(field(entry, "vectorized_us"));
+        let row = format!(
+            "{:?}/{}",
+            field(entry, "grid"),
+            num(field(entry, "trees")) as usize
+        );
+        assert!(before > 0.0 && before.is_finite(), "{row}");
+        assert!(
+            vectorized <= before,
+            "{row}: {vectorized} us recorded, slower than the {before} us before"
+        );
+        if field(entry, "grid") == &Value::Str("16x16".to_owned())
+            && num(field(entry, "trees")) as usize == 100
+        {
+            assert_eq!(before, 238.9, "{row}: the before column is a constant");
+            assert!(
+                vectorized * 3.0 <= before,
+                "{row}: {vectorized} us is not 3x under {before} us"
+            );
+        }
+    }
+}

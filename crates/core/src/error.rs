@@ -7,6 +7,8 @@ use smartpick_cloudsim::CloudSimError;
 use smartpick_engine::EngineError;
 use smartpick_ml::MlError;
 
+use crate::wp::ConstraintMode;
+
 /// Errors reported by the Smartpick system.
 #[derive(Debug)]
 #[non_exhaustive]
@@ -31,6 +33,10 @@ pub enum SmartpickError {
     },
     /// A persisted driver state failed validation during restore.
     InvalidState(String),
+    /// The predictor's search bounds leave the requested constraint mode
+    /// no configuration to choose from (say, a VM-only request to a
+    /// predictor whose `max_vm` is 0).
+    EmptySearchSpace(ConstraintMode),
 }
 
 impl fmt::Display for SmartpickError {
@@ -54,6 +60,11 @@ impl fmt::Display for SmartpickError {
             SmartpickError::InvalidState(what) => {
                 write!(f, "invalid persisted state: {what}")
             }
+            SmartpickError::EmptySearchSpace(constraint) => write!(
+                f,
+                "no configuration satisfies `{}` within the predictor's search bounds",
+                constraint.name()
+            ),
         }
     }
 }

@@ -278,7 +278,7 @@ pub(crate) fn restore_predictor(
             })
             .collect(),
     );
-    Ok(WorkloadPredictor::assemble(
+    WorkloadPredictor::assemble(
         env,
         forest,
         known,
@@ -288,7 +288,7 @@ pub(crate) fn restore_predictor(
         state.max_vm,
         state.max_sl,
         state.min_total,
-    ))
+    )
 }
 
 /// Captures the MFE's full state as plain data.

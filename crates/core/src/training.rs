@@ -184,7 +184,7 @@ pub fn train_predictor(
         options.max_vm,
         options.max_sl,
         options.min_total,
-    );
+    )?;
     Ok((predictor, report))
 }
 

@@ -25,6 +25,7 @@ use smartpick_cloudsim::{CloudEnv, Money};
 use smartpick_engine::{Allocation, QueryProfile, RelayPolicy};
 use smartpick_ml::bayesopt::{BayesianOptimizer, BoParams, BoResult};
 use smartpick_ml::forest::RandomForest;
+use smartpick_ml::lattice::Lattice;
 
 use crate::error::SmartpickError;
 use crate::features::{QueryFeatures, INPUT_BYTES_COL, N_FEATURES, QUERY_CODE_COL};
@@ -172,39 +173,40 @@ pub trait WorkloadPredictionService {
 }
 
 /// One constraint mode's precompiled search space: the BO candidate
-/// coordinates plus the row-major Table-3 feature matrix template the
-/// batched forest evaluation consumes. The template rows are complete
-/// except for the two query-dependent columns (`query-code`,
-/// `input-size`), which `determine()` fills in per request — everything
-/// else (instances, memory, cores) depends only on the grid and the
-/// environment, so it is computed exactly once per trained predictor.
+/// coordinates plus the [`Lattice`] of their Table-3 feature rows — what
+/// varies across the grid (`n-vm`, `n-sl`, and the three columns
+/// [`QueryFeatures::for_allocation`] derives from `nVM + nSL`) as value
+/// tables, everything else as one uniform value. `determine()` supplies
+/// the two query-dependent columns (`query-code`, `input-size`) per
+/// request; the rest depends only on the grid and the environment, so it
+/// is compiled exactly once per trained predictor.
 #[derive(Debug)]
 struct CandidateGrid {
-    /// `[n_vm, n_sl]` per candidate, in the same nested-loop order the
-    /// pre-cache implementation generated.
+    /// `[n_vm, n_sl]` per candidate, in [`grid_coords`] order — the
+    /// lattice's row order.
     candidates: Vec<Vec<f64>>,
-    /// `candidates.len() × N_FEATURES` row-major feature rows with the
-    /// query columns zeroed.
-    feature_template: Vec<f64>,
+    lattice: Lattice,
 }
 
 impl CandidateGrid {
-    fn build(env: &CloudEnv, coords: Vec<(u32, u32)>) -> CandidateGrid {
-        let mut candidates = Vec::with_capacity(coords.len());
-        let mut feature_template = vec![0.0; coords.len() * N_FEATURES];
-        for ((n_vm, n_sl), row) in coords
-            .iter()
-            .copied()
-            .zip(feature_template.chunks_exact_mut(N_FEATURES))
-        {
-            candidates.push(vec![n_vm as f64, n_sl as f64]);
+    fn build(env: &CloudEnv, coords: &[(u32, u32)]) -> Result<CandidateGrid, SmartpickError> {
+        let mut rows = vec![0.0; coords.len() * N_FEATURES];
+        for (&(n_vm, n_sl), row) in coords.iter().zip(rows.chunks_exact_mut(N_FEATURES)) {
             QueryFeatures::for_allocation(0.0, 0.0, &Allocation::new(n_vm, n_sl), env)
                 .write_into(row);
         }
-        CandidateGrid {
-            candidates,
-            feature_template,
-        }
+        CandidateGrid::compile(coords, &rows)
+    }
+
+    /// Compiles the feature rows of `coords` (query columns zeroed). The
+    /// lattice is read off the rows themselves, so a schema change that
+    /// makes a column vary in a way region descent cannot follow fails
+    /// here, at assembly, instead of answering wrongly.
+    fn compile(coords: &[(u32, u32)], rows: &[f64]) -> Result<CandidateGrid, SmartpickError> {
+        Ok(CandidateGrid {
+            candidates: candidate_points(coords),
+            lattice: Lattice::compile(coords, rows, N_FEATURES)?,
+        })
     }
 }
 
@@ -221,14 +223,21 @@ struct CandidateGrids {
 }
 
 impl CandidateGrids {
-    fn build(env: &CloudEnv, max_vm: u32, max_sl: u32, min_total: u32) -> CandidateGrids {
-        let coords = |constraint| grid_coords(max_vm, max_sl, min_total, constraint);
-        CandidateGrids {
-            hybrid: CandidateGrid::build(env, coords(ConstraintMode::Hybrid)),
-            vm_only: CandidateGrid::build(env, coords(ConstraintMode::VmOnly)),
-            sl_only: CandidateGrid::build(env, coords(ConstraintMode::SlOnly)),
-            equal_sl_vm: CandidateGrid::build(env, coords(ConstraintMode::EqualSlVm)),
-        }
+    fn build(
+        env: &CloudEnv,
+        max_vm: u32,
+        max_sl: u32,
+        min_total: u32,
+    ) -> Result<CandidateGrids, SmartpickError> {
+        let grid = |constraint| {
+            CandidateGrid::build(env, &grid_coords(max_vm, max_sl, min_total, constraint))
+        };
+        Ok(CandidateGrids {
+            hybrid: grid(ConstraintMode::Hybrid)?,
+            vm_only: grid(ConstraintMode::VmOnly)?,
+            sl_only: grid(ConstraintMode::SlOnly)?,
+            equal_sl_vm: grid(ConstraintMode::EqualSlVm)?,
+        })
     }
 
     fn get(&self, constraint: ConstraintMode) -> &CandidateGrid {
@@ -273,8 +282,14 @@ pub struct WorkloadPredictor {
 }
 
 impl WorkloadPredictor {
-    /// Assembles a predictor from its parts (used by the training
-    /// pipeline).
+    /// Assembles a predictor from its parts (the training pipeline and
+    /// every rehydration from a stored snapshot), compiling the four
+    /// constraint modes' candidate grids.
+    ///
+    /// # Errors
+    ///
+    /// Forwards [`smartpick_ml::MlError::NonAxisColumn`] when a Table-3 column varies
+    /// across a grid in a way the lattice descent cannot follow.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         env: CloudEnv,
@@ -286,20 +301,20 @@ impl WorkloadPredictor {
         max_vm: u32,
         max_sl: u32,
         min_total: u32,
-    ) -> Self {
+    ) -> Result<Self, SmartpickError> {
         let index = known
             .iter()
             .enumerate()
             .map(|(i, k)| (k.id.clone(), i))
             .collect();
-        WorkloadPredictor {
+        Ok(WorkloadPredictor {
             planner: Planner::new(env.clone()),
             grids: Arc::new(CandidateGrids::build(
                 &env,
                 max_vm,
                 max_sl,
                 min_total.max(1),
-            )),
+            )?),
             env,
             forest,
             known,
@@ -315,7 +330,7 @@ impl WorkloadPredictor {
                 ..BoParams::default()
             },
             noise_sigma: 0.25,
-        }
+        })
     }
 
     /// The environment the predictor was trained for.
@@ -434,37 +449,12 @@ impl WorkloadPredictor {
     /// Enumerates through the same [`grid_coords`] the precompiled grids
     /// use, so the two paths can never search different candidate sets.
     fn candidates_rebuilt(&self, constraint: ConstraintMode) -> Vec<Vec<f64>> {
-        grid_coords(self.max_vm, self.max_sl, self.min_total, constraint)
-            .into_iter()
-            .map(|(n_vm, n_sl)| vec![n_vm as f64, n_sl as f64])
-            .collect()
-    }
-
-    /// One GP-guided probe is worth roughly this many flat tree-walks:
-    /// the surrogate iteration's acquisition sweep does a posterior
-    /// (RBF row against every observed probe + a triangular solve) per
-    /// pooled candidate, which measures at ~10–20 tree-walks apiece.
-    /// Priced at the conservative end of that band so a borderline grid
-    /// never sweeps itself slower than the lazy search it replaced.
-    const GP_PROBE_PRICE_WALKS: usize = 10;
-
-    /// Prices the two Equation 2 search strategies for an
-    /// `n_candidates`-point grid and reports whether the batch sweep is
-    /// the cheaper spend of the prediction-latency budget.
-    ///
-    /// Batch sweep: one flat tree-walk per (candidate, tree) pair. Lazy
-    /// GP search: up to `max_evals` surrogate iterations, each scoring
-    /// an `acq_subsample`-candidate pool at
-    /// [`Self::GP_PROBE_PRICE_WALKS`] walks per score.
-    fn batch_sweep_is_cheaper(&self, n_candidates: usize) -> bool {
-        let batch_walks = n_candidates * self.forest.n_trees();
-        let pool = self
-            .bo
-            .acq_subsample
-            .unwrap_or(n_candidates)
-            .min(n_candidates);
-        let gp_walks = self.bo.max_evals * pool * Self::GP_PROBE_PRICE_WALKS;
-        batch_walks <= gp_walks
+        candidate_points(&grid_coords(
+            self.max_vm,
+            self.max_sl,
+            self.min_total,
+            constraint,
+        ))
     }
 
     /// The relay policy the determination should carry.
@@ -478,7 +468,7 @@ impl WorkloadPredictor {
 
     /// Turns a finished search into a [`Determination`]: builds `ET_l`
     /// with planner costs, applies the §3.3 knob, and stamps the match
-    /// metadata. Shared by the vectorized and reference paths.
+    /// metadata. Shared by the shipping and reference paths.
     fn finish(
         &self,
         result: BoResult,
@@ -602,6 +592,14 @@ fn grid_coords(
     out
 }
 
+/// The optimizer's view of a grid: `[n_vm, n_sl]` per candidate.
+fn candidate_points(coords: &[(u32, u32)]) -> Vec<Vec<f64>> {
+    coords
+        .iter()
+        .map(|&(n_vm, n_sl)| vec![n_vm as f64, n_sl as f64])
+        .collect()
+}
+
 /// Approximates a query DAG as a uniform workload for the planner's cost
 /// model: total tasks at the mean per-task VM time.
 pub(crate) fn approximate_workload(query: &QueryProfile, env: &CloudEnv) -> UniformWorkload {
@@ -625,186 +623,288 @@ pub(crate) fn approximate_workload(query: &QueryProfile, env: &CloudEnv) -> Unif
 }
 
 impl WorkloadPredictionService for WorkloadPredictor {
-    /// The vectorized `determine()` with a **priced latency budget**:
-    /// both Equation 2 search strategies are priced in flat-tree-walk
-    /// equivalents and the cheaper one runs.
-    ///
-    /// * **Batch sweep** (small grids, the common case): Equation 1 is
-    ///   batch-evaluated over the *entire* precompiled candidate grid in
-    ///   one tree-outer pass through the flat forest, and the search
-    ///   consumes the precomputed `RF_t` values — same seeded initial
-    ///   design, δ observation noise, `ET_l` recording and §3.1
-    ///   termination rule, but probes cost an array lookup and the
-    ///   model's true grid optimum is guaranteed to be among them.
-    /// * **Lazy GP search** (grids big enough that sweeping them costs
-    ///   more than the surrogate loop): the paper's GP-guided probing,
-    ///   but over the cached grid, with stack-allocated feature rows and
-    ///   flat-tree probes.
+    /// The shipping `determine()`: Equation 1 is evaluated over the
+    /// *entire* precompiled candidate grid by one region descent per
+    /// tree ([`RandomForest::predict_lattice_into`]) — no feature row is
+    /// built — and the search consumes the precomputed `RF_t` values:
+    /// same seeded initial design, δ observation noise, `ET_l` recording
+    /// and §3.1 termination rule as the GP-guided search, but probes cost
+    /// an array lookup and the model's true grid optimum is guaranteed to
+    /// be among them.
     fn determine(&self, request: &PredictionRequest) -> Result<Determination, SmartpickError> {
         let (known, similarity, known_query) = self.resolve(&request.query)?;
-        let code = known.code;
         let matched_id = known.id.clone();
-
-        let grid = self.grids.get(request.constraint);
-        let mut noise_rng = StdRng::seed_from_u64(request.seed ^ NOISE_SEED_MIX);
-        let bo = BayesianOptimizer::new(self.bo.clone());
-
-        let result = if self.batch_sweep_is_cheaper(grid.candidates.len()) {
-            // Fill the two query-dependent columns of the cached feature
-            // template, then batch-evaluate RF_t for every candidate.
-            let mut features = grid.feature_template.clone();
-            let input_bytes = QueryFeatures::input_gb_to_bytes(request.query.input_gb);
-            for row in features.chunks_exact_mut(N_FEATURES) {
-                row[QUERY_CODE_COL] = code;
-                row[INPUT_BYTES_COL] = input_bytes;
-            }
-            let mut objective = vec![0.0; grid.candidates.len()];
-            self.forest.predict_batch_into(&features, &mut objective);
-            // Equation 2 maximises −(RF_t + δ): negate in place, add δ
-            // per probe below.
-            for v in &mut objective {
-                *v = -*v;
-            }
-            bo.maximize_precomputed(&grid.candidates, &objective, request.seed, |_| {
-                -sample_normal(&mut noise_rng, 0.0, self.noise_sigma)
-            })
-        } else {
-            bo.maximize(&grid.candidates, request.seed, |x| {
-                let alloc = Allocation::new(x[0] as u32, x[1] as u32);
-                let features =
-                    QueryFeatures::for_allocation(code, request.query.input_gb, &alloc, &self.env);
-                let rf_t = self.forest.predict(&features.to_array());
-                let delta = sample_normal(&mut noise_rng, 0.0, self.noise_sigma);
-                -(rf_t + delta)
-            })
-        };
-
+        let result = self.search(request, known.code)?;
         Ok(self.finish(result, request.knob, known_query, matched_id, similarity))
     }
 
-    /// The batched determine: all sweep-eligible requests' candidate
-    /// grids are staged into **one** concatenated row-major feature
-    /// matrix and priced by a single tree-outer
-    /// [`RandomForest::predict_batch_into`] pass — each tree's flat
-    /// arrays are walked once per *batch* instead of once per request —
-    /// then every request's search consumes its own slice of the
-    /// precomputed objective with its own seeded δ-noise stream.
-    /// Bit-identical to N sequential [`Self::determine`] calls (batch
-    /// row evaluation is row-independent; the per-request RNG streams
-    /// are derived exactly as in the scalar path). Requests whose grid
-    /// is too big for the sweep keep the lazy GP search, per request.
+    /// The batched determine. Bit-identical to N sequential
+    /// [`Self::determine`] calls: it *is* those calls, less the repeats —
+    /// a determination is a pure function of the request (the δ-noise
+    /// stream is seeded from it), so identical requests inside one frame
+    /// are computed once and the result fanned out per index — and with
+    /// every query resolved up front, so an unmatchable one fails the
+    /// whole batch before any search work is spent.
     fn determine_batch(
         &self,
         requests: &[PredictionRequest],
     ) -> Result<Vec<Determination>, SmartpickError> {
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Cross-request dedup: a determination is a pure function of the
-        // request (the δ-noise stream is seeded from it), so identical
-        // requests inside one frame are computed once and the result
-        // fanned out per index. Keyed on the canonical serialisation; a
-        // request that fails to serialise simply keeps its own slot.
+        // Keyed on the canonical serialisation; a request that fails to
+        // serialise simply keeps its own slot.
         let mut first_of: HashMap<String, usize> = HashMap::new();
         let mut slot_of: Vec<usize> = Vec::with_capacity(requests.len());
-        let mut unique: Vec<usize> = Vec::new();
+        let mut unique: Vec<&PredictionRequest> = Vec::new();
         for (i, r) in requests.iter().enumerate() {
             let key = serde_json::to_string(r).unwrap_or_else(|_| format!("__nodedup_{i}"));
             let slot = *first_of.entry(key).or_insert_with(|| {
-                unique.push(i);
+                unique.push(r);
                 unique.len() - 1
             });
             slot_of.push(slot);
         }
-        if unique.len() < requests.len() {
-            let uniques: Vec<PredictionRequest> =
-                unique.iter().map(|&i| requests[i].clone()).collect();
-            let computed = self.determine_unique_batch(&uniques)?;
-            return Ok(slot_of.iter().map(|&s| computed[s].clone()).collect());
+        let mut resolved = Vec::with_capacity(unique.len());
+        for r in &unique {
+            let (known, similarity, known_query) = self.resolve(&r.query)?;
+            resolved.push((known.code, known.id.clone(), similarity, known_query));
         }
-        self.determine_unique_batch(requests)
+        let mut computed = Vec::with_capacity(unique.len());
+        for (request, (code, matched_id, similarity, known_query)) in unique.iter().zip(resolved) {
+            let result = self.search(request, code)?;
+            computed.push(self.finish(result, request.knob, known_query, matched_id, similarity));
+        }
+        if computed.len() == requests.len() {
+            return Ok(computed);
+        }
+        Ok(slot_of.iter().map(|&s| computed[s].clone()).collect())
     }
 }
 
 impl WorkloadPredictor {
-    /// The batched determine over already-deduplicated requests — the
-    /// computation half of [`WorkloadPredictionService::determine_batch`].
-    fn determine_unique_batch(
-        &self,
-        requests: &[PredictionRequest],
-    ) -> Result<Vec<Determination>, SmartpickError> {
-        // Resolve every query up front so an unmatchable one fails the
-        // whole batch before any search work is spent.
-        let mut resolved = Vec::with_capacity(requests.len());
-        for r in requests {
-            let (known, similarity, known_query) = self.resolve(&r.query)?;
-            resolved.push((known.code, known.id.clone(), similarity, known_query));
+    /// Equation 2 for one request: sweeps `−RF_t` over the request's
+    /// constraint grid, then lets the optimizer probe the swept values
+    /// under the request's seeded δ-noise stream.
+    fn search(&self, request: &PredictionRequest, code: f64) -> Result<BoResult, SmartpickError> {
+        let grid = self.grids.get(request.constraint);
+        if grid.candidates.is_empty() {
+            return Err(SmartpickError::EmptySearchSpace(request.constraint));
         }
-
-        // Stage sweep-eligible requests into the shared feature matrix.
-        let mut spans: Vec<Option<(usize, usize)>> = Vec::with_capacity(requests.len());
-        let mut features: Vec<f64> = Vec::new();
-        let mut rows = 0usize;
-        for (r, (code, ..)) in requests.iter().zip(&resolved) {
-            let grid = self.grids.get(r.constraint);
-            let n = grid.candidates.len();
-            if !self.batch_sweep_is_cheaper(n) {
-                spans.push(None);
-                continue;
-            }
-            spans.push(Some((rows, n)));
-            let at = features.len();
-            features.extend_from_slice(&grid.feature_template);
-            let input_bytes = QueryFeatures::input_gb_to_bytes(r.query.input_gb);
-            for row in features[at..].chunks_exact_mut(N_FEATURES) {
-                row[QUERY_CODE_COL] = *code;
-                row[INPUT_BYTES_COL] = input_bytes;
-            }
-            rows += n;
+        let mut fixed = [0.0; N_FEATURES];
+        fixed.copy_from_slice(grid.lattice.base_row());
+        fixed[QUERY_CODE_COL] = code;
+        fixed[INPUT_BYTES_COL] = QueryFeatures::input_gb_to_bytes(request.query.input_gb);
+        let mut objective = vec![0.0; grid.candidates.len()];
+        self.forest
+            .predict_lattice_into(&grid.lattice, &fixed, &mut objective);
+        // Equation 2 maximises −(RF_t + δ): negate in place, add δ per
+        // probe below.
+        for v in &mut objective {
+            *v = -*v;
         }
-        let mut objective = vec![0.0; rows];
-        if rows > 0 {
-            self.forest.predict_batch_into(&features, &mut objective);
-            // Equation 2 maximises −(RF_t + δ): negate once for the whole
-            // batch, add δ per probe below.
-            for v in &mut objective {
-                *v = -*v;
-            }
-        }
-
-        let mut out = Vec::with_capacity(requests.len());
-        for ((request, span), (code, matched_id, similarity, known_query)) in
-            requests.iter().zip(&spans).zip(resolved)
-        {
-            let grid = self.grids.get(request.constraint);
-            let mut noise_rng = StdRng::seed_from_u64(request.seed ^ NOISE_SEED_MIX);
-            let bo = BayesianOptimizer::new(self.bo.clone());
-            let result = match span {
-                Some((offset, n)) => bo.maximize_precomputed(
-                    &grid.candidates,
-                    &objective[*offset..offset + n],
-                    request.seed,
-                    |_| -sample_normal(&mut noise_rng, 0.0, self.noise_sigma),
-                ),
-                None => bo.maximize(&grid.candidates, request.seed, |x| {
-                    let alloc = Allocation::new(x[0] as u32, x[1] as u32);
-                    let features = QueryFeatures::for_allocation(
-                        code,
-                        request.query.input_gb,
-                        &alloc,
-                        &self.env,
-                    );
-                    let rf_t = self.forest.predict(&features.to_array());
-                    let delta = sample_normal(&mut noise_rng, 0.0, self.noise_sigma);
-                    -(rf_t + delta)
-                }),
-            };
-            out.push(self.finish(result, request.knob, known_query, matched_id, similarity));
-        }
-        Ok(out)
+        let mut noise_rng = StdRng::seed_from_u64(request.seed ^ NOISE_SEED_MIX);
+        let bo = BayesianOptimizer::new(self.bo.clone());
+        Ok(
+            bo.maximize_precomputed(&grid.candidates, &objective, request.seed, |_| {
+                -sample_normal(&mut noise_rng, 0.0, self.noise_sigma)
+            }),
+        )
     }
 }
 
 /// Mixed into the request seed so the δ-noise stream differs from the BO's
 /// own candidate shuffling.
 const NOISE_SEED_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::training::{train_predictor, TrainOptions};
+    use smartpick_cloudsim::Provider;
+    use smartpick_ml::forest::ForestParams;
+    use smartpick_ml::MlError;
+    use smartpick_workloads::tpcds;
+
+    impl WorkloadPredictor {
+        /// The sweep as it ran before the lattice, kept as the oracle:
+        /// every candidate's feature row is materialised and the forest
+        /// batch-walks the rows.
+        fn determine_materialised(
+            &self,
+            request: &PredictionRequest,
+        ) -> Result<Determination, SmartpickError> {
+            let (known, similarity, known_query) = self.resolve(&request.query)?;
+            let coords = grid_coords(self.max_vm, self.max_sl, self.min_total, request.constraint);
+            if coords.is_empty() {
+                return Err(SmartpickError::EmptySearchSpace(request.constraint));
+            }
+            let mut rows = vec![0.0; coords.len() * N_FEATURES];
+            for (&(n_vm, n_sl), row) in coords.iter().zip(rows.chunks_exact_mut(N_FEATURES)) {
+                let alloc = Allocation::new(n_vm, n_sl);
+                QueryFeatures::for_allocation(
+                    known.code,
+                    request.query.input_gb,
+                    &alloc,
+                    &self.env,
+                )
+                .write_into(row);
+            }
+            let mut objective = vec![0.0; coords.len()];
+            self.forest.predict_batch_into(&rows, &mut objective);
+            for v in &mut objective {
+                *v = -*v;
+            }
+            let mut noise_rng = StdRng::seed_from_u64(request.seed ^ NOISE_SEED_MIX);
+            let result = BayesianOptimizer::new(self.bo.clone()).maximize_precomputed(
+                &self.candidates_rebuilt(request.constraint),
+                &objective,
+                request.seed,
+                |_| -sample_normal(&mut noise_rng, 0.0, self.noise_sigma),
+            );
+            Ok(self.finish(
+                result,
+                request.knob,
+                known_query,
+                known.id.clone(),
+                similarity,
+            ))
+        }
+    }
+
+    /// Bitwise equality of two answers, typed errors included.
+    fn assert_same(
+        got: Result<Determination, SmartpickError>,
+        want: Result<Determination, SmartpickError>,
+        context: &str,
+    ) {
+        match (got, want) {
+            (Ok(got), Ok(want)) => {
+                assert_eq!(got.allocation, want.allocation, "{context}");
+                assert_eq!(
+                    got.predicted_seconds.to_bits(),
+                    want.predicted_seconds.to_bits(),
+                    "{context}"
+                );
+                assert_eq!(got.predicted_cost, want.predicted_cost, "{context}");
+                assert_eq!(got.et_list, want.et_list, "{context}");
+                assert_eq!(got.evaluations, want.evaluations, "{context}");
+                assert_eq!(got.matched_query, want.matched_query, "{context}");
+            }
+            (
+                Err(SmartpickError::EmptySearchSpace(got)),
+                Err(SmartpickError::EmptySearchSpace(want)),
+            ) => assert_eq!(got, want, "{context}"),
+            (got, want) => panic!("{context}: {got:?} vs {want:?}"),
+        }
+    }
+
+    const MODES: [ConstraintMode; 4] = [
+        ConstraintMode::Hybrid,
+        ConstraintMode::VmOnly,
+        ConstraintMode::SlOnly,
+        ConstraintMode::EqualSlVm,
+    ];
+
+    #[test]
+    fn lattice_sweep_equals_the_materialised_batch_walk_on_every_mode_and_bound() {
+        let env = CloudEnv::new(Provider::Aws);
+        let queries: Vec<_> = [82u32, 68]
+            .iter()
+            .map(|&q| tpcds::query(q, 100.0).unwrap())
+            .collect();
+        let opts = TrainOptions {
+            configs_per_query: 8,
+            burst_factor: 4,
+            forest: ForestParams {
+                n_trees: 30,
+                ..ForestParams::default()
+            },
+            ..TrainOptions::default()
+        };
+        let (trained, _) = train_predictor(&env, &queries, &opts, 42).unwrap();
+
+        for (max_vm, max_sl, min_total) in [
+            (0, 12, 1),
+            (0, 12, 4),
+            (12, 0, 4),
+            (1, 1, 1),
+            (1, 1, 4),
+            (8, 8, 4),
+            (16, 16, 4),
+            (16, 9, 7),
+            (32, 32, 4),
+        ] {
+            let wp = WorkloadPredictor::assemble(
+                env.clone(),
+                trained.forest.clone(),
+                trained.known.clone(),
+                trained.sc.clone(),
+                false,
+                trained.stderr,
+                max_vm,
+                max_sl,
+                min_total,
+            )
+            .unwrap();
+            let mut requests = Vec::new();
+            for constraint in MODES {
+                for (qnum, input_gb, seed) in [(82u32, 100.0, 3u64), (68, 250.0, 4), (62, 40.0, 5)]
+                {
+                    requests.push(PredictionRequest {
+                        query: tpcds::query(qnum, input_gb).unwrap(),
+                        knob: 0.1 * (seed % 3) as f64,
+                        constraint,
+                        seed,
+                    });
+                }
+            }
+            let mut answerable = Vec::new();
+            for request in &requests {
+                let context = format!(
+                    "{max_vm}x{max_sl} floor {min_total} {:?} {}",
+                    request.constraint, request.query.id
+                );
+                let want = wp.determine_materialised(request);
+                if want.is_ok() {
+                    answerable.push(request.clone());
+                }
+                assert_same(wp.determine(request), want, &context);
+            }
+            // The batch fails whole on an empty grid; over the rest it is
+            // the oracle slot for slot.
+            if answerable.len() < requests.len() {
+                assert!(matches!(
+                    wp.determine_batch(&requests),
+                    Err(SmartpickError::EmptySearchSpace(_))
+                ));
+            }
+            let batch = wp.determine_batch(&answerable).unwrap();
+            assert_eq!(batch.len(), answerable.len());
+            for (request, got) in answerable.iter().zip(batch) {
+                let context = format!("batch {max_vm}x{max_sl} {:?}", request.constraint);
+                assert_same(Ok(got), wp.determine_materialised(request), &context);
+            }
+        }
+    }
+
+    #[test]
+    fn a_grid_with_a_column_no_axis_explains_fails_to_compile() {
+        let env = CloudEnv::new(Provider::Aws);
+        let coords = grid_coords(6, 6, 2, ConstraintMode::Hybrid);
+        let rows_with = |edit: &dyn Fn(u32, u32, &mut [f64])| {
+            let mut rows = vec![0.0; coords.len() * N_FEATURES];
+            for (&(n_vm, n_sl), row) in coords.iter().zip(rows.chunks_exact_mut(N_FEATURES)) {
+                QueryFeatures::for_allocation(0.0, 0.0, &Allocation::new(n_vm, n_sl), &env)
+                    .write_into(row);
+                edit(n_vm, n_sl, row);
+            }
+            rows
+        };
+        // The schema as it stands compiles.
+        assert!(CandidateGrid::compile(&coords, &rows_with(&|_, _, _| {})).is_ok());
+        // `num-waiting-apps` growing with nVM × nSL follows no axis.
+        let waiting = rows_with(&|n_vm, n_sl, row| row[8] = (n_vm * n_sl) as f64);
+        assert!(matches!(
+            CandidateGrid::compile(&coords, &waiting),
+            Err(SmartpickError::Ml(MlError::NonAxisColumn { column: 8 }))
+        ));
+    }
+}

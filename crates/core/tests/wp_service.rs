@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use smartpick_cloudsim::{CloudEnv, Provider};
 use smartpick_core::training::{train_predictor, TrainOptions};
 use smartpick_core::wp::{ConstraintMode, PredictionRequest, WorkloadPredictionService};
-use smartpick_core::WorkloadPredictor;
+use smartpick_core::{Smartpick, SmartpickError, SmartpickProperties, WorkloadPredictor};
 use smartpick_ml::forest::ForestParams;
 use smartpick_workloads::tpcds;
 
@@ -333,6 +333,125 @@ fn duplicate_requests_in_a_batch_dedup_without_changing_results() {
     // Duplicates really did collapse to the same answer object-for-object.
     assert_eq!(batch[0].et_list, batch[2].et_list);
     assert_eq!(batch[0].et_list, batch[4].et_list);
+}
+
+/// The four constraint modes' candidate sets, from the definition.
+fn grid(max_vm: u32, max_sl: u32, min_total: u32, mode: ConstraintMode) -> Vec<(u32, u32)> {
+    let mut out = Vec::new();
+    for n_vm in 0..=max_vm {
+        for n_sl in 0..=max_sl {
+            let keep = match mode {
+                ConstraintMode::Hybrid => true,
+                ConstraintMode::VmOnly => n_sl == 0,
+                ConstraintMode::SlOnly => n_vm == 0,
+                ConstraintMode::EqualSlVm => n_vm == n_sl && n_vm > 0,
+            };
+            if keep && n_vm + n_sl >= min_total.max(1) {
+                out.push((n_vm, n_sl));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn every_mode_and_bound_sweeps_the_scalar_model_or_refuses_an_empty_grid() {
+    // One trained model rehydrated under each pair of bounds — the path
+    // every stored tenant takes, and the one that compiles the lattices.
+    // (The bitwise comparison against the materialised batch walk needs
+    // the crate's private search pieces and lives beside them, in
+    // `wp.rs`; here the lattice sweep is held to the *scalar* model
+    // through the public API alone.)
+    let env = CloudEnv::new(Provider::Aws);
+    let queries: Vec<_> = [82u32, 68]
+        .iter()
+        .map(|&q| tpcds::query(q, 100.0).unwrap())
+        .collect();
+    let opts = TrainOptions {
+        configs_per_query: 6,
+        burst_factor: 3,
+        forest: ForestParams {
+            n_trees: 20,
+            ..ForestParams::default()
+        },
+        ..TrainOptions::default()
+    };
+    let (driver, _) =
+        Smartpick::train_with_options(env, SmartpickProperties::default(), &queries, &opts, 9)
+            .unwrap();
+    let mut state = driver.export_state();
+    for (max_vm, max_sl, min_total) in [
+        (0, 10, 1),
+        (10, 0, 4),
+        (1, 1, 1),
+        (1, 1, 4),
+        (8, 8, 4),
+        (16, 16, 4),
+        (32, 32, 4),
+    ] {
+        state.predictor.max_vm = max_vm;
+        state.predictor.max_sl = max_sl;
+        state.predictor.min_total = min_total;
+        let restored = Smartpick::from_state(&state).unwrap();
+        let wp = restored.predictor();
+        for mode in [
+            ConstraintMode::Hybrid,
+            ConstraintMode::VmOnly,
+            ConstraintMode::SlOnly,
+            ConstraintMode::EqualSlVm,
+        ] {
+            let context = format!("{max_vm}x{max_sl} floor {min_total} {mode:?}");
+            let candidates = grid(max_vm, max_sl, min_total, mode);
+            let requests: Vec<PredictionRequest> = [(82u32, 100.0, 5u64), (68, 300.0, 6)]
+                .iter()
+                .map(|&(qnum, input_gb, seed)| PredictionRequest {
+                    query: tpcds::query(qnum, input_gb).unwrap(),
+                    knob: 0.0,
+                    constraint: mode,
+                    seed,
+                })
+                .collect();
+            if candidates.is_empty() {
+                for result in [
+                    wp.determine(&requests[0]).map(|_| ()),
+                    wp.determine_batch(&requests).map(|_| ()),
+                ] {
+                    assert!(
+                        matches!(result, Err(SmartpickError::EmptySearchSpace(m)) if m == mode),
+                        "{context}: {result:?}"
+                    );
+                }
+                continue;
+            }
+            let batch = wp.determine_batch(&requests).unwrap();
+            for (request, got) in requests.iter().zip(&batch) {
+                let det = wp.determine(request).unwrap();
+                assert_bit_identical(got, &det, &context);
+                assert_eq!(det.evaluations, det.et_list.len().min(candidates.len()));
+                let mut best = f64::INFINITY;
+                for &(n_vm, n_sl) in &candidates {
+                    let alloc = smartpick_engine::Allocation::new(n_vm, n_sl);
+                    best = best.min(wp.predict_seconds(&request.query, &alloc).unwrap());
+                }
+                let mut probed_best = f64::INFINITY;
+                for e in &det.et_list {
+                    let at = (e.allocation.n_vm, e.allocation.n_sl);
+                    assert!(candidates.contains(&at), "{context}: probed {at:?}");
+                    let alloc = smartpick_engine::Allocation::new(at.0, at.1);
+                    let model = wp.predict_seconds(&request.query, &alloc).unwrap();
+                    // δ has σ = 0.25: 6σ bounds it.
+                    assert!(
+                        (e.est_seconds - model).abs() < 1.5,
+                        "{context}: {at:?} swept {} vs scalar {model}",
+                        e.est_seconds
+                    );
+                    probed_best = probed_best.min(model);
+                }
+                // The sweep knows the whole grid: its optimum is probed.
+                assert_eq!(probed_best.to_bits(), best.to_bits(), "{context}");
+            }
+        }
+    }
 }
 
 /// Trains the shared predictor once for the property test below.

@@ -260,9 +260,9 @@ impl BayesianOptimizer {
     }
 
     /// Maximises an objective whose *mean* value at every candidate is
-    /// already known — the fast path for callers that batch-evaluate
-    /// their model over the whole candidate set up front (Smartpick's
-    /// vectorized `determine()`).
+    /// already known — the fast path for callers that evaluate their
+    /// model over the whole candidate set up front (Smartpick's
+    /// `determine()`).
     ///
     /// The GP surrogate earns its O(n³) keep only while objective
     /// evaluations are scarce; with `values[i]` precomputed there is
@@ -349,15 +349,24 @@ impl BayesianOptimizer {
             );
         }
 
-        // Phase 2: consume candidates best-mean-first. One descending
-        // sort replaces every GP fit + acquisition sweep.
-        let mut order: Vec<usize> = (0..candidates.len()).collect();
-        order.sort_by(|&a, &b| {
-            values[b]
-                .partial_cmp(&values[a])
+        // Phase 2: consume candidates best-mean-first — the order every
+        // GP fit + acquisition sweep would converge to. Each entry the
+        // loop looks at either is one of the initial probes or becomes a
+        // probe, so it ends within `max_evals` entries: only that head is
+        // selected and sorted, not the whole grid.
+        let best_first = |a: &usize, b: &usize| {
+            values[*b]
+                .partial_cmp(&values[*a])
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
+                .then(a.cmp(b))
+        };
+        let mut order: Vec<usize> = (0..candidates.len()).collect();
+        let head = p.max_evals.min(order.len());
+        if (1..order.len()).contains(&head) {
+            order.select_nth_unstable_by(head - 1, best_first);
+        }
+        order.truncate(head);
+        order.sort_unstable_by(best_first);
         for idx in order {
             if probes.len() >= p.max_evals || stale >= p.patience {
                 break;
@@ -575,6 +584,56 @@ mod tests {
         assert_eq!(calls, order, "noise stream must follow probe order");
         // The recorded objective carries the noise term.
         assert_eq!(res.probes[0].objective, 1.0);
+    }
+
+    #[test]
+    fn precomputed_probe_order_is_the_full_sorts() {
+        use rand::Rng;
+        // Selecting the reachable head must not change a single probe:
+        // after the initial design, the sequence is the whole grid sorted
+        // by (value descending, index ascending), less the initial
+        // probes, cut at `max_evals` — over values full of ties.
+        let mut rng = StdRng::seed_from_u64(17);
+        for case in 0..200 {
+            let n = rng.gen_range(1..300usize);
+            let candidates: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64]).collect();
+            let values: Vec<f64> = (0..n).map(|_| rng.gen_range(0..6) as f64).collect();
+            let params = BoParams {
+                n_init: rng.gen_range(1..12),
+                max_evals: rng.gen_range(1..90),
+                patience: usize::MAX,
+                ..BoParams::default()
+            };
+            let bo = BayesianOptimizer::new(params.clone());
+            let got: Vec<usize> = bo
+                .maximize_precomputed(&candidates, &values, case, |_| 0.0)
+                .probes
+                .iter()
+                .map(|p| p.candidate_index)
+                .collect();
+            let (init, rest) = got.split_at(params.n_init.min(n));
+            let mut sorted: Vec<usize> = (0..n).collect();
+            sorted.sort_by(|&a, &b| values[b].partial_cmp(&values[a]).unwrap().then(a.cmp(&b)));
+            let want: Vec<usize> = sorted
+                .into_iter()
+                .filter(|i| !init.contains(i))
+                .take(params.max_evals.saturating_sub(init.len()))
+                .collect();
+            assert_eq!(rest, want, "case {case}: n {n}, {params:?}");
+
+            // The termination rule only ever cuts that sequence short.
+            let patient = BayesianOptimizer::new(BoParams {
+                patience: 10,
+                ..params
+            });
+            let cut: Vec<usize> = patient
+                .maximize_precomputed(&candidates, &values, case, |_| 0.0)
+                .probes
+                .iter()
+                .map(|p| p.candidate_index)
+                .collect();
+            assert_eq!(cut, got[..cut.len()], "case {case}");
+        }
     }
 
     #[test]

@@ -20,6 +20,13 @@ pub enum MlError {
     NotPositiveDefinite,
     /// An invalid hyperparameter value was supplied.
     InvalidParameter(&'static str),
+    /// A candidate matrix column is neither the same in every row nor a
+    /// non-decreasing function of one lattice axis (see
+    /// [`crate::lattice::Lattice::compile`]).
+    NonAxisColumn {
+        /// The offending feature column.
+        column: usize,
+    },
 }
 
 impl fmt::Display for MlError {
@@ -39,6 +46,11 @@ impl fmt::Display for MlError {
                 )
             }
             MlError::InvalidParameter(what) => write!(f, "invalid parameter: {what}"),
+            MlError::NonAxisColumn { column } => write!(
+                f,
+                "feature column {column} is neither uniform across the candidate grid nor \
+                 non-decreasing in vm, sl or vm + sl"
+            ),
         }
     }
 }

@@ -14,6 +14,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::dataset::Dataset;
 use crate::error::MlError;
+use crate::lattice::Lattice;
 use crate::tree::{RegressionTree, TreeParams};
 
 /// Hyperparameters for a random forest.
@@ -240,6 +241,36 @@ impl RandomForest {
         out.fill(0.0);
         for tree in &self.trees {
             tree.accumulate_batch(xs, out);
+        }
+        let n = self.trees.len() as f64;
+        for o in out {
+            *o /= n;
+        }
+    }
+
+    /// [`RandomForest::predict_batch_into`] over the rows `lattice` was
+    /// compiled from, with every uniform column holding `fixed`'s value
+    /// for it — but each tree is descended **once** for the whole grid
+    /// (see [`crate::lattice`]) instead of once per row. Trees accumulate
+    /// in the same order and every row receives exactly one leaf value
+    /// per tree, so `out` is bit-identical to the batch walk's.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `lattice` and `fixed` are `n_features` wide and
+    /// `out` has one slot per lattice row.
+    pub fn predict_lattice_into(&self, lattice: &Lattice, fixed: &[f64], out: &mut [f64]) {
+        assert_eq!(
+            lattice.n_features(),
+            self.n_features,
+            "lattice width mismatch"
+        );
+        assert_eq!(fixed.len(), self.n_features, "feature width mismatch");
+        assert_eq!(out.len(), lattice.n_rows(), "one output per lattice row");
+        out.fill(0.0);
+        let mut stack = Vec::new();
+        for tree in &self.trees {
+            tree.accumulate_lattice(lattice, fixed, out, &mut stack);
         }
         let n = self.trees.len() as f64;
         for o in out {

@@ -14,6 +14,9 @@
 //! * [`forest::RandomForest`] — bagged trees with feature subsampling and
 //!   scikit-learn-style `warm_start` extension used for background
 //!   retraining (§5 "Prediction model updates").
+//! * [`lattice::Lattice`] — a `{nVM, nSL}` candidate grid compiled to what
+//!   varies across it, so [`forest::RandomForest::predict_lattice_into`]
+//!   descends each tree once per grid instead of once per candidate.
 //! * [`gp::GaussianProcess`] — exact GP regression with an RBF kernel
 //!   (Cholesky solve), the Bayesian optimizer's surrogate (§3.1).
 //! * [`bayesopt::BayesianOptimizer`] — maximises a black-box objective over
@@ -57,6 +60,7 @@ pub mod dataset;
 pub mod error;
 pub mod forest;
 pub mod gp;
+pub mod lattice;
 pub mod linalg;
 pub mod metrics;
 pub mod tree;
@@ -66,4 +70,5 @@ pub use dataset::Dataset;
 pub use error::MlError;
 pub use forest::{ForestParams, RandomForest};
 pub use gp::{GaussianProcess, GpParams};
+pub use lattice::Lattice;
 pub use tree::{RegressionTree, TreeParams};

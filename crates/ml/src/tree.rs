@@ -8,6 +8,7 @@ use rand::Rng;
 
 use crate::dataset::Dataset;
 use crate::error::MlError;
+use crate::lattice::{Lattice, Region, Route};
 
 /// Hyperparameters for one regression tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -467,6 +468,43 @@ impl RegressionTree {
         }
         for (row, o) in rows.remainder().chunks_exact(nf).zip(outs.into_remainder()) {
             *o += self.flat.predict(row);
+        }
+    }
+
+    /// [`RegressionTree::accumulate_batch`] over the rows `lattice` was
+    /// compiled from (uniform columns taken from `fixed`), without
+    /// visiting them: one descent carrying the region of rows that reach
+    /// each node, a leaf adding its value to its region's rows. `stack`
+    /// is scratch, so a forest pass allocates it once.
+    pub(crate) fn accumulate_lattice(
+        &self,
+        lattice: &Lattice,
+        fixed: &[f64],
+        out: &mut [f64],
+        stack: &mut Vec<(u32, Region)>,
+    ) {
+        stack.clear();
+        let (mut i, mut region) = (0usize, lattice.root());
+        loop {
+            let f = self.flat.feature[i];
+            if f == LEAF {
+                lattice.add(region, self.flat.threshold[i], out);
+                match stack.pop() {
+                    Some((node, rest)) => (i, region) = (node as usize, rest),
+                    None => return,
+                }
+                continue;
+            }
+            let left = self.flat.children[i];
+            i = match lattice.route(region, f as usize, self.flat.threshold[i], fixed) {
+                Route::Left => left as usize,
+                Route::Right => left as usize + 1,
+                Route::Both(l, r) => {
+                    stack.push((left + 1, r));
+                    region = l;
+                    left as usize
+                }
+            };
         }
     }
 

@@ -720,9 +720,10 @@ impl SmartpickService {
 
     /// Answers every request in one batched snapshot read: the tenant is
     /// resolved once, **one** snapshot `Arc` is cloned out, and the
-    /// whole batch is priced by a single tree-outer forest pass
-    /// (`WorkloadPredictor::determine_batch`), so N queries cost one
-    /// registry hop + one snapshot acquisition instead of N of each.
+    /// whole batch is searched against it
+    /// (`WorkloadPredictor::determine_batch`, which computes repeated
+    /// requests once), so N queries cost one registry hop + one snapshot
+    /// acquisition instead of N of each.
     /// Results are identical to N sequential [`SmartpickService::predict`]
     /// calls with the same requests against an unchanged snapshot, and
     /// the tenant's prediction counter advances by N.
