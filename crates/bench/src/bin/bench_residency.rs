@@ -9,12 +9,15 @@
 //! free when nothing was applied since the last persist) and the first
 //! touch of a cold tenant transparently rehydrates it.
 //!
-//! Three families:
+//! Four families:
 //!
 //! * **registration** — RSS and resident-count checkpoints while
 //!   registering N tenants under a cap of M: the resident set (and the
 //!   memory bill) stays bounded while the registry grows unbounded.
 //! * **resident set** — the post-sweep resident count against the cap.
+//! * **scrape** — at that point, the metrics registry's series count,
+//!   the scrape's sample count and its size as a binary-codec response:
+//!   the scrape follows the resident set, not the registered one.
 //! * **latency** — median `predict` on a hot tenant under the cap,
 //!   the same on an uncapped in-memory twin (the "hot path unchanged"
 //!   bar), and the median first-touch (rehydrate + determine) on a cold
@@ -37,6 +40,7 @@ use smartpick_core::training::TrainOptions;
 use smartpick_core::{ConstraintMode, PredictionRequest};
 use smartpick_ml::forest::ForestParams;
 use smartpick_service::{PersistenceConfig, ServiceConfig, SmartpickService};
+use smartpick_wire::{codec, Response};
 use smartpick_workloads::tpcds;
 
 fn template() -> Smartpick {
@@ -191,6 +195,19 @@ fn main() {
         "sweep must bound the resident set: {resident_after_sweep} > {max_resident}"
     );
 
+    // --- what an operator's scrape weighs at this point ---------------
+    let registry_metrics = service.observability().metrics().len();
+    let scrape = service.scrape(0);
+    let scrape_metrics = scrape.metrics.len();
+    let mut frame = Vec::new();
+    codec::encode_response_into(&Response::Scrape(Box::new(scrape)), &mut frame);
+    let scrape_binary_bytes = frame.len();
+    println!(
+        "scrape: {registry_metrics} registry series, {scrape_metrics} samples, \
+         {scrape_binary_bytes} B binary"
+    );
+    smartpick_bench::rule(64);
+
     // --- latency: hot under the cap, hot uncapped, cold hit ----------
     const HOT_SAMPLES: usize = 200;
     let cold_samples = 100.min(tenants / 2);
@@ -260,9 +277,10 @@ fn main() {
          microseconds per predict: hot under the cap, hot on an uncapped in-memory twin, and the \
          first touch of an evicted tenant (rehydrate + determine)\",\n  \"registration\": \
          [\n{reg_rows}\n  ],\n  \"resident_after_sweep\": {resident_after_sweep},\n  \
-         \"latency\": {{\"hot_capped_us\": {hot_capped_us:.1}, \"hot_uncapped_us\": \
-         {hot_uncapped_us:.1}, \"cold_hit_us\": {cold_hit_us:.1}, \"hot_samples\": \
-         {HOT_SAMPLES}, \"cold_samples\": {cold_samples}}}\n}}\n"
+         \"registry_metrics\": {registry_metrics},\n  \"scrape_metrics\": {scrape_metrics},\n  \
+         \"scrape_binary_bytes\": {scrape_binary_bytes},\n  \"latency\": {{\"hot_capped_us\": \
+         {hot_capped_us:.1}, \"hot_uncapped_us\": {hot_uncapped_us:.1}, \"cold_hit_us\": \
+         {cold_hit_us:.1}, \"hot_samples\": {HOT_SAMPLES}, \"cold_samples\": {cold_samples}}}\n}}\n"
     );
     std::fs::write(&out_path, json).expect("write BENCH_residency.json");
     println!("wrote {out_path}");

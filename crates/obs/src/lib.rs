@@ -10,7 +10,10 @@
 //!   [`Counter`]s, [`Gauge`]s, and [`LatencyHistogram`]s behind one
 //!   [`Metric`] trait. Hot paths hold `Arc`s and update with relaxed
 //!   atomics; the registry lock is touched only at registration and
-//!   scrape time.
+//!   scrape time. Nothing is ever unregistered: it holds process-wide
+//!   series, and a layer whose numbers come and go with some owner (the
+//!   service's tenants) renders those as extra [`MetricSample`] rows
+//!   into the envelope instead.
 //! * [`events`] — a bounded ring of typed, timestamped [`Event`]s
 //!   ([`EventLog`]) with severities, subscriber hooks for tests, and an
 //!   optional JSON-line sink.
@@ -102,24 +105,31 @@ impl Observability {
     }
 }
 
-/// The versioned scrape payload: every registered metric (sorted by
-/// name) plus the most recent events, stamped with the log's clock.
+/// The versioned scrape payload: every metric (sorted by name, each name
+/// once) plus the most recent events, stamped with the log's clock.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ScrapeEnvelope {
     /// Schema version ([`SCRAPE_VERSION`]).
     pub version: u64,
     /// Scrape time, µs since the event log's creation.
     pub at_us: u64,
-    /// Every registered metric, sorted by name.
+    /// Every registered metric plus whatever rows the scraped layer
+    /// renders itself (the service's `tenant.<id>.*` rows for resident
+    /// tenants), sorted by name.
     pub metrics: Vec<MetricSample>,
     /// The most recent events, oldest first.
     pub events: Vec<Event>,
 }
 
 impl ScrapeEnvelope {
-    /// The sample named `name`, if scraped.
+    /// The sample named `name`, if scraped (a binary search: `metrics`
+    /// is sorted by name).
     pub fn metric(&self, name: &str) -> Option<&MetricSample> {
-        self.metrics.iter().find(|m| m.name == name)
+        let at = self
+            .metrics
+            .binary_search_by(|m| m.name.as_str().cmp(name))
+            .ok()?;
+        self.metrics.get(at)
     }
 
     /// The counter named `name`, or zero if absent/mistyped — the

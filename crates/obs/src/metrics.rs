@@ -4,11 +4,11 @@
 //! The registry's lock is touched only at registration and scrape time —
 //! hot paths hold `Arc`s to the individual metrics and update them with
 //! relaxed atomics, so instrumentation never serialises the operations it
-//! measures. Names are dot-separated paths; per-tenant metrics live under
-//! a `tenant.<id>.` prefix and are dropped wholesale with
-//! [`MetricsRegistry::remove_prefix`] when the tenant deregisters (any
-//! `Arc` a hot path still holds keeps working — it just stops being
-//! scraped).
+//! measures. Names are dot-separated paths. A registered metric stays
+//! for the life of the process — there is no removal — so the registry
+//! holds process-scoped series only. Numbers whose owner comes and goes
+//! (a tenant's counters) stay with that owner, which renders them into
+//! the scrape as [`MetricSample`] rows while it is around.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -66,10 +66,19 @@ pub enum MetricValue {
     Histogram(LatencySummary),
 }
 
+impl MetricValue {
+    /// The kind of metric this value was sampled from.
+    pub fn kind(&self) -> MetricKind {
+        match self {
+            MetricValue::Counter(_) => MetricKind::Counter,
+            MetricValue::Gauge(_) => MetricKind::Gauge,
+            MetricValue::Histogram(_) => MetricKind::Histogram,
+        }
+    }
+}
+
 /// The common face of every registered metric.
 pub trait Metric: std::fmt::Debug + Send + Sync {
-    /// Which kind of metric this is.
-    fn kind(&self) -> MetricKind;
     /// A point-in-time sample of its value.
     fn value(&self) -> MetricValue;
 }
@@ -101,10 +110,6 @@ impl Counter {
 }
 
 impl Metric for Counter {
-    fn kind(&self) -> MetricKind {
-        MetricKind::Counter
-    }
-
     fn value(&self) -> MetricValue {
         MetricValue::Counter(self.get())
     }
@@ -153,10 +158,6 @@ impl Gauge {
 }
 
 impl Metric for Gauge {
-    fn kind(&self) -> MetricKind {
-        MetricKind::Gauge
-    }
-
     fn value(&self) -> MetricValue {
         MetricValue::Gauge(self.get())
     }
@@ -245,10 +246,6 @@ impl LatencyHistogram {
 }
 
 impl Metric for LatencyHistogram {
-    fn kind(&self) -> MetricKind {
-        MetricKind::Histogram
-    }
-
     fn value(&self) -> MetricValue {
         MetricValue::Histogram(self.summary())
     }
@@ -282,6 +279,17 @@ pub struct MetricSample {
     pub kind: MetricKind,
     /// Its value at scrape time.
     pub value: MetricValue,
+}
+
+impl MetricSample {
+    /// A sample of `value` under `name`; the kind is the value's.
+    pub fn new(name: String, value: MetricValue) -> MetricSample {
+        MetricSample {
+            name,
+            kind: value.kind(),
+            value,
+        }
+    }
 }
 
 impl serde::Serialize for MetricSample {
@@ -428,50 +436,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Binds `name` to exactly this counter instance, replacing whatever
-    /// was registered there. The identity-keyed half of tenant-churn
-    /// metric lifecycles: a registration *installs* its own instances
-    /// (after its slot insert succeeds) and its deregistration later
-    /// removes only those instances with
-    /// [`MetricsRegistry::remove_counter_exact`] — so a concurrent
-    /// re-registration of the same name can never have its fresh
-    /// counters pruned by the old teardown.
-    pub fn install_counter(&self, name: &str, counter: &Arc<Counter>) {
-        self.inner
-            .write()
-            .insert(name.to_owned(), MetricHandle::Counter(Arc::clone(counter)));
-    }
-
-    /// Unregisters `name` only if the registered counter is *this
-    /// instance* (pointer identity), returning whether it was removed.
-    /// See [`MetricsRegistry::install_counter`].
-    pub fn remove_counter_exact(&self, name: &str, counter: &Arc<Counter>) -> bool {
-        let mut map = self.inner.write();
-        match map.get(name) {
-            Some(MetricHandle::Counter(c)) if Arc::ptr_eq(c, counter) => {
-                map.remove(name);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Unregisters every metric whose name starts with `prefix` (tenant
-    /// teardown), returning how many were removed. Hot paths still
-    /// holding `Arc`s keep updating them harmlessly off-registry.
-    pub fn remove_prefix(&self, prefix: &str) -> usize {
-        let mut map = self.inner.write();
-        let doomed: Vec<String> = map
-            .range(prefix.to_owned()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, _)| k.clone())
-            .collect();
-        for name in &doomed {
-            map.remove(name);
-        }
-        doomed.len()
-    }
-
     /// Registered metric count.
     pub fn len(&self) -> usize {
         self.inner.read().len()
@@ -487,27 +451,16 @@ impl MetricsRegistry {
         self.inner
             .read()
             .iter()
-            .map(|(name, handle)| {
-                let m = handle.as_metric();
-                MetricSample {
-                    name: name.clone(),
-                    kind: m.kind(),
-                    value: m.value(),
-                }
-            })
+            .map(|(name, handle)| MetricSample::new(name.clone(), handle.as_metric().value()))
             .collect()
     }
 
     /// Samples one metric by exact name.
     pub fn sample(&self, name: &str) -> Option<MetricSample> {
-        self.inner.read().get(name).map(|handle| {
-            let m = handle.as_metric();
-            MetricSample {
-                name: name.to_owned(),
-                kind: m.kind(),
-                value: m.value(),
-            }
-        })
+        self.inner
+            .read()
+            .get(name)
+            .map(|handle| MetricSample::new(name.to_owned(), handle.as_metric().value()))
     }
 }
 
@@ -545,48 +498,6 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].value, MetricValue::Counter(1));
-    }
-
-    #[test]
-    fn remove_prefix_drops_only_the_scope() {
-        let reg = MetricsRegistry::new();
-        reg.counter("tenant.a.predictions").inc();
-        reg.counter("tenant.ab.predictions").inc();
-        reg.counter("tenant.b.predictions").inc();
-        reg.counter("service.predictions").inc();
-        // `tenant.a.` must not sweep up `tenant.ab.`.
-        assert_eq!(reg.remove_prefix("tenant.a."), 1);
-        let names: Vec<String> = reg.snapshot().into_iter().map(|s| s.name).collect();
-        assert_eq!(
-            names,
-            vec![
-                "service.predictions",
-                "tenant.ab.predictions",
-                "tenant.b.predictions"
-            ]
-        );
-    }
-
-    #[test]
-    fn exact_removal_is_keyed_by_instance_identity() {
-        let reg = MetricsRegistry::new();
-        let old = Arc::new(Counter::new());
-        reg.install_counter("tenant.t.predictions", &old);
-        assert!(reg.remove_counter_exact("tenant.t.predictions", &old));
-        // Re-install (a re-registration), then try the *old* teardown
-        // again: identity mismatch, the fresh instance survives.
-        let fresh = Arc::new(Counter::new());
-        fresh.add(5);
-        reg.install_counter("tenant.t.predictions", &fresh);
-        assert!(!reg.remove_counter_exact("tenant.t.predictions", &old));
-        assert_eq!(
-            reg.sample("tenant.t.predictions").map(|s| s.value),
-            Some(MetricValue::Counter(5))
-        );
-        // Wrong-kind and missing names are no-ops too.
-        reg.gauge("g").set(1);
-        assert!(!reg.remove_counter_exact("g", &fresh));
-        assert!(!reg.remove_counter_exact("missing", &fresh));
     }
 
     #[test]

@@ -28,9 +28,10 @@
 //!   subsequent touch rehydrates them transparently (single-flight per
 //!   tenant), so total registered tenants can far exceed resident ones.
 //! * [`stats`] — the public stats shapes ([`ServiceStats`],
-//!   [`TenantStats`], [`WorkerShardStats`]) over `smartpick_obs`-backed
-//!   counters; per-tenant counters live under `tenant.<id>.*` and
-//!   service totals under `service.*` in the shared metrics registry.
+//!   [`TenantStats`], [`WorkerShardStats`]); service totals live under
+//!   `service.*` in the shared metrics registry, a tenant's counters in
+//!   its registry slot, rendered as `tenant.<id>.*` scrape rows while
+//!   the tenant is resident.
 //! * [`error`] — typed [`ServiceError`] rejections (admission control
 //!   rejections are marked retryable).
 //! * [`persist`] — the durability wiring over `smartpick_store`:
@@ -38,11 +39,12 @@
 //!   periodic snapshot persistence, and the crash-recovery pass behind
 //!   [`SmartpickService::open`]. The read path never touches it.
 //!
-//! Observability is built in: every counter lives in a shared
+//! Observability is built in: process-wide counters live in a shared
 //! [`smartpick_obs::Observability`] bundle, structured events go to its
-//! bounded ring, [`SmartpickService::scrape`] returns the lot as one
-//! versioned envelope, and [`SmartpickService::health`] answers
-//! liveness/readiness. Retrain workers run under a
+//! bounded ring, [`SmartpickService::scrape`] returns the lot (plus the
+//! resident tenants' rows) as one versioned envelope, and
+//! [`SmartpickService::health`] answers liveness/readiness. Retrain
+//! workers run under a
 //! [`smartpick_obs::Supervisor`] with a configurable restart policy —
 //! a panicked worker's in-flight batch is re-queued before the restart,
 //! so accepted feedback survives worker crashes.

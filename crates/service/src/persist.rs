@@ -25,8 +25,7 @@ use smartpick_obs::{event, Counter, EventKind, Gauge, MetricsRegistry, Observabi
 use smartpick_store::wal::WalPayload;
 use smartpick_store::{FsyncPolicy, Snapshot, Store, StoreError, WalRecord, WalWriter};
 
-use crate::registry::{ShardedRegistry, TenantState};
-use crate::stats::TenantCounters;
+use crate::registry::{ColdMeta, ShardedRegistry, TenantState};
 use crate::worker::CompletedRun;
 
 /// Durability tunables for a [`crate::SmartpickService`] opened over a
@@ -342,17 +341,16 @@ pub(crate) fn recover(
     outcome
 }
 
-/// One tenant's recovery. `Err(reason)` means unrecoverable (the caller
-/// emits the event); the service still starts.
-fn recover_tenant(
+/// Loads `id`'s newest snapshot that validates and rebuilds its driver
+/// bit-exactly — the front half of both crash recovery and rehydration.
+/// Files the store quarantined on the way are counted and reported;
+/// `Err(reason)` means nothing on disk yields a driver.
+pub(crate) fn load_tenant(
     store: &Store,
-    registry: &ShardedRegistry,
+    metrics: &StoreMetrics,
     obs: &Observability,
-    metrics: &Arc<StoreMetrics>,
-    now_us: u64,
     id: &str,
-    records: &[WalRecord],
-) -> Result<(), String> {
+) -> Result<(Snapshot, Smartpick), String> {
     let loaded = store
         .load_snapshot(id)
         .map_err(|e| format!("snapshot load failed: {e}"))?;
@@ -367,8 +365,23 @@ fn recover_tenant(
     let snap = loaded
         .snapshot
         .ok_or_else(|| "no snapshot validated at any generation".to_owned())?;
-    let mut driver =
+    let driver =
         Smartpick::from_state(&snap.state).map_err(|e| format!("snapshot state invalid: {e}"))?;
+    Ok((snap, driver))
+}
+
+/// One tenant's recovery. `Err(reason)` means unrecoverable (the caller
+/// emits the event); the service still starts.
+fn recover_tenant(
+    store: &Store,
+    registry: &ShardedRegistry,
+    obs: &Observability,
+    metrics: &Arc<StoreMetrics>,
+    now_us: u64,
+    id: &str,
+    records: &[WalRecord],
+) -> Result<(), String> {
+    let (snap, mut driver) = load_tenant(store, metrics, obs, id)?;
     obs.events()
         .publish(event(EventKind::SnapshotLoaded).tenant(id).detail(format!(
             "generation {}, watermark {}",
@@ -455,21 +468,21 @@ fn recover_tenant(
         watermark,
         state: driver.export_state(),
     };
-    let counters = Arc::new(TenantCounters::detached());
-    let state = TenantState::new(
-        id.to_owned(),
-        driver,
-        now_us,
-        Arc::clone(&counters),
-        snap.epoch,
-    );
-    state.generation.store(generation, Ordering::Relaxed);
-    state.next_run_id.store(watermark, Ordering::Relaxed);
-    state.applied_watermark.store(watermark, Ordering::Relaxed);
+    let floors = ColdMeta {
+        generation,
+        epoch: snap.epoch,
+        watermark,
+        next_run_id: watermark,
+    };
     let state = registry
-        .insert(state)
+        .insert(TenantState::new(
+            id.to_owned(),
+            driver,
+            now_us,
+            Arc::default(),
+            floors,
+        ))
         .map_err(|e| format!("registry insert failed: {e}"))?;
-    counters.install(obs.metrics(), &format!("tenant.{id}"));
 
     match store.persist_snapshot(&fresh) {
         Ok(bytes) => {

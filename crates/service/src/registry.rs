@@ -22,10 +22,11 @@
 //!   concurrent callers block on the slot's condvar until the one
 //!   rehydration completes (or fails back to Cold).
 //!
-//! The slot keeps the tenant's identity — its id, its `tenant.<id>.*`
-//! counter instances, and a defunct flag — across residency transitions,
-//! so a cold tenant is indistinguishable from a hot one at every public
-//! API except latency (ARCHITECTURE.md invariant #9).
+//! The slot keeps the tenant's identity — its id, its counters, and a
+//! defunct flag — across residency transitions, so a cold tenant is
+//! indistinguishable from a hot one at every public API except latency
+//! and the scrape, which lists resident tenants only (ARCHITECTURE.md
+//! invariant #9).
 
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
@@ -59,8 +60,9 @@ pub(crate) struct TenantState {
     pub(crate) rm: Arc<ResourceManager>,
     /// The tenant's configured cost–performance knob ε.
     pub(crate) knob: f64,
-    /// Hot-path counters, scraped under `tenant.<id>.*`. Shared with the
-    /// registry slot so they survive evict/rehydrate cycles.
+    /// Hot-path counters, the slot's own: they outlive this state across
+    /// evict/rehydrate cycles and are scraped as `tenant.<id>.*` rows
+    /// while it is resident.
     pub(crate) counters: Arc<TenantCounters>,
     /// Snapshots published so far (0 = registration snapshot).
     pub(crate) generation: AtomicU64,
@@ -76,7 +78,7 @@ pub(crate) struct TenantState {
     /// of the same id.
     pub(crate) epoch: u64,
     /// The last run id handed out by `enqueue_report` (ids start at 1;
-    /// 0 means "none yet"). Restored to the replay watermark at recovery.
+    /// 0 means "none yet").
     pub(crate) next_run_id: AtomicU64,
     /// The highest run id a retrain worker has consumed for this tenant —
     /// the watermark stamped into WAL commits and persisted snapshots.
@@ -104,12 +106,17 @@ pub(crate) struct TenantState {
 }
 
 impl TenantState {
+    /// A hot state around `driver`, starting from `floors`: a
+    /// registration's are [`ColdMeta::fresh`]; a state rebuilt from a
+    /// persisted snapshot carries that snapshot's (and, on rehydration,
+    /// the cold slot's), so generation stays monotone and no run id is
+    /// reissued within the epoch.
     pub(crate) fn new(
         id: String,
         driver: Smartpick,
         now_us: u64,
         counters: Arc<TenantCounters>,
-        epoch: u64,
+        floors: ColdMeta,
     ) -> Self {
         TenantState {
             snapshot: RwLock::new(driver.snapshot()),
@@ -118,12 +125,12 @@ impl TenantState {
             driver: Mutex::new(driver),
             id,
             counters,
-            generation: AtomicU64::new(0),
+            generation: AtomicU64::new(floors.generation),
             published_at_us: AtomicU64::new(now_us),
             stale_flagged: AtomicBool::new(false),
-            epoch,
-            next_run_id: AtomicU64::new(0),
-            applied_watermark: AtomicU64::new(0),
+            epoch: floors.epoch,
+            next_run_id: AtomicU64::new(floors.next_run_id),
+            applied_watermark: AtomicU64::new(floors.watermark),
             applied_since_persist: AtomicU64::new(0),
             defunct: AtomicBool::new(false),
             retired: AtomicBool::new(false),
@@ -164,6 +171,18 @@ pub(crate) struct ColdMeta {
     pub(crate) next_run_id: u64,
 }
 
+impl ColdMeta {
+    /// The floors of a brand-new registration.
+    pub(crate) fn fresh(epoch: u64) -> ColdMeta {
+        ColdMeta {
+            generation: 0,
+            epoch,
+            watermark: 0,
+            next_run_id: 0,
+        }
+    }
+}
+
 /// Where a tenant's heavy state currently lives. See the module docs.
 #[derive(Debug)]
 pub(crate) enum Residency {
@@ -197,10 +216,10 @@ pub(crate) enum Acquired {
 pub(crate) struct TenantSlot {
     /// The tenant id.
     pub(crate) id: String,
-    /// The tenant's `tenant.<id>.*` counter instances — shared with the
-    /// hot state and reused across rehydrations, so stats never run
-    /// backwards over an evict/rehydrate cycle and teardown can remove
-    /// exactly these instances from the scrape.
+    /// The tenant's counters, owned here: shared with the hot state and
+    /// reused across rehydrations, so stats never run backwards over an
+    /// evict/rehydrate cycle. Nothing else names them — they are scraped
+    /// through whichever slot the registry holds and die with it.
     pub(crate) counters: Arc<TenantCounters>,
     /// Set when the slot is deregistered; a rehydration completing
     /// against a defunct slot stamps its state defunct too, so late
@@ -299,22 +318,21 @@ impl TenantSlot {
         }
     }
 
-    /// Claims this slot's teardown: the first caller wins and gets
-    /// `Some(hot_state)` (the hot state, if any, with its own defunct
-    /// stamp set); every later caller gets `None` — the id reads as
-    /// unknown while the winner completes the teardown. The stamp
-    /// precedes the store-directory removal, which precedes the registry
-    /// entry removal: persists are fenced by the stamp, and the id only
-    /// becomes re-registrable once its files are gone.
-    pub(crate) fn claim_defunct(&self) -> Option<Option<Arc<TenantState>>> {
+    /// Claims this slot's teardown: the first caller wins (`true`; the
+    /// hot state, if any, gets its own defunct stamp); every later
+    /// caller gets `false` — the id reads as unknown while the winner
+    /// completes the teardown. The stamp precedes the store-directory
+    /// removal, which precedes the registry entry removal: persists are
+    /// fenced by the stamp, and the id only becomes re-registrable once
+    /// its files are gone.
+    pub(crate) fn claim_defunct(&self) -> bool {
         if self.defunct.swap(true, Ordering::SeqCst) {
-            return None;
+            return false;
         }
-        let hot = self.peek_hot();
-        if let Some(state) = &hot {
+        if let Some(state) = self.peek_hot() {
             state.defunct.store(true, Ordering::SeqCst);
         }
-        Some(hot)
+        true
     }
 }
 
@@ -351,8 +369,8 @@ impl ShardedRegistry {
     }
 
     /// Inserts a new tenant as a hot slot; rejects duplicates. Returns
-    /// the inserted state so callers can run post-insert steps
-    /// (metric install, registration snapshot) against exactly it.
+    /// the inserted state so callers can run post-insert steps (the
+    /// registration snapshot) against exactly it.
     pub(crate) fn insert(&self, state: TenantState) -> Result<Arc<TenantState>, ServiceError> {
         let state = Arc::new(state);
         match self.shard(&state.id).write().entry(state.id.clone()) {
@@ -393,8 +411,9 @@ impl ShardedRegistry {
     }
 
     /// Every currently-hot tenant, with its slot (the eviction sweep's
-    /// candidate list). Shard locks are held only to clone slot `Arc`s
-    /// out; each slot is then peeked under its own mutex.
+    /// candidate list and the scrape's tenant rows). Shard locks are
+    /// held only to clone slot `Arc`s out; each slot is then peeked
+    /// under its own mutex.
     pub(crate) fn resident(&self) -> Vec<(Arc<TenantSlot>, Arc<TenantState>)> {
         let slots: Vec<Arc<TenantSlot>> = self
             .shards
@@ -405,19 +424,6 @@ impl ShardedRegistry {
             .into_iter()
             .filter_map(|slot| slot.peek_hot().map(|state| (slot, state)))
             .collect()
-    }
-
-    /// How many tenants are hot right now.
-    pub(crate) fn resident_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .values()
-                    .filter(|slot| slot.peek_hot().is_some())
-                    .count()
-            })
-            .sum()
     }
 }
 
@@ -447,7 +453,6 @@ mod tests {
             r.remove("missing"),
             Err(ServiceError::UnknownTenant(_))
         ));
-        assert_eq!(r.resident_count(), 0);
         assert!(r.resident().is_empty());
     }
 }

@@ -35,12 +35,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use smartpick_core::driver::Smartpick;
-use smartpick_obs::{event, Counter, EventKind, Gauge, LatencyHistogram, Observability};
+use smartpick_obs::{event, Counter, EventKind, LatencyHistogram, Observability};
 use smartpick_store::Snapshot;
 
 use crate::error::ServiceError;
-use crate::persist::ServicePersist;
+use crate::persist::{self, ServicePersist};
 use crate::registry::{Acquired, ColdMeta, ShardedRegistry, TenantSlot, TenantState};
 
 /// Sweeps are throttled to this interval regardless of the supervisor
@@ -63,7 +62,6 @@ pub(crate) struct ResidencyCtl {
     evictions: Arc<Counter>,
     rehydrations: Arc<Counter>,
     rehydrate_failures: Arc<Counter>,
-    resident_gauge: Arc<Gauge>,
     rehydrate_latency: Arc<LatencyHistogram>,
     last_sweep_us: AtomicU64,
 }
@@ -71,8 +69,7 @@ pub(crate) struct ResidencyCtl {
 impl ResidencyCtl {
     /// Builds the controller (always — metrics are registered even when
     /// no limits are configured, so dashboards see zeros instead of
-    /// holes). Run after recovery so the gauge starts at the recovered
-    /// resident count.
+    /// holes).
     pub(crate) fn new(
         registry: Arc<ShardedRegistry>,
         persist: Option<Arc<ServicePersist>>,
@@ -82,14 +79,11 @@ impl ResidencyCtl {
         epoch: Instant,
     ) -> Self {
         let metrics = obs.metrics();
-        let resident_gauge = metrics.gauge("service.residency.resident_tenants");
-        resident_gauge.set(registry.resident_count() as i64);
         ResidencyCtl {
             evictions: metrics.counter("service.residency.evictions"),
             rehydrations: metrics.counter("service.residency.rehydrations"),
             rehydrate_failures: metrics.counter("service.residency.rehydrate_failures"),
             rehydrate_latency: metrics.histogram("service.residency.rehydrate_latency"),
-            resident_gauge,
             registry,
             persist,
             obs,
@@ -115,23 +109,6 @@ impl ResidencyCtl {
 
     fn now_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
-    }
-
-    /// Re-derives the resident gauge from the registry (scrape-time
-    /// truth; transitions also update it incrementally).
-    pub(crate) fn refresh_gauge(&self) {
-        self.resident_gauge
-            .set(self.registry.resident_count() as i64);
-    }
-
-    /// A registration added a hot tenant.
-    pub(crate) fn note_registered(&self) {
-        self.resident_gauge.inc();
-    }
-
-    /// A deregistration dropped a hot tenant.
-    pub(crate) fn note_dropped_hot(&self) {
-        self.resident_gauge.dec();
     }
 
     // ---------------------------------------------------------------
@@ -177,53 +154,30 @@ impl ResidencyCtl {
             return Err(ServiceError::Store("persistence not configured".into()));
         };
         let started = Instant::now();
-        let loaded = sp
-            .store
-            .load_snapshot(&slot.id)
-            .map_err(|e| self.note_rehydrate_failure(slot, format!("snapshot load failed: {e}")))?;
-        for name in &loaded.quarantined {
-            sp.metrics.snapshots_quarantined.inc();
-            self.obs.events().publish(
-                event(EventKind::SnapshotQuarantined)
-                    .tenant(&slot.id)
-                    .detail(format!("{name} failed validation; moved to quarantine/")),
-            );
-        }
-        let snap = loaded.snapshot.ok_or_else(|| {
-            self.note_rehydrate_failure(slot, "no snapshot validated at any generation".to_owned())
-        })?;
-        let driver = Smartpick::from_state(&snap.state).map_err(|e| {
-            self.note_rehydrate_failure(slot, format!("snapshot state invalid: {e}"))
-        })?;
-
-        let now_us = self.now_us();
-        let state = TenantState::new(
-            slot.id.clone(),
-            driver,
-            now_us,
-            Arc::clone(&slot.counters),
-            snap.epoch,
-        );
-        // Restore the floors. Generation stays monotone across the
+        let (snap, driver) = persist::load_tenant(&sp.store, &sp.metrics, &self.obs, &slot.id)
+            .map_err(|why| self.note_rehydrate_failure(slot, why))?;
+        // The floors: generation stays monotone across the
         // evict/rehydrate cycle (a worker may have persisted past the
         // evict-time generation; take the max of both records), and run
         // ids issued before eviction — including ids *burned* by queue
         // rejections, which never reach the WAL — are never reissued
         // within the epoch.
-        state
-            .generation
-            .store(snap.generation.max(meta.generation), Ordering::Relaxed);
-        state
-            .next_run_id
-            .store(snap.watermark.max(meta.next_run_id), Ordering::Relaxed);
-        state
-            .applied_watermark
-            .store(snap.watermark, Ordering::Relaxed);
-        let state = Arc::new(state);
+        let floors = ColdMeta {
+            generation: snap.generation.max(meta.generation),
+            epoch: snap.epoch,
+            watermark: snap.watermark,
+            next_run_id: snap.watermark.max(meta.next_run_id),
+        };
+        let state = Arc::new(TenantState::new(
+            slot.id.clone(),
+            driver,
+            self.now_us(),
+            Arc::clone(&slot.counters),
+            floors,
+        ));
 
         guard.armed = false;
         slot.finish_rehydrate(Arc::clone(&state));
-        self.resident_gauge.inc();
         self.rehydrations.inc();
         self.rehydrate_latency.record(started.elapsed());
         self.obs.events().publish(
@@ -232,8 +186,7 @@ impl ResidencyCtl {
                 .duration(started.elapsed())
                 .detail(format!(
                     "generation {}, watermark {}",
-                    snap.generation.max(meta.generation),
-                    snap.watermark
+                    floors.generation, floors.watermark
                 )),
         );
         Ok(state)
@@ -327,7 +280,6 @@ impl ResidencyCtl {
                 }
             }
         }
-        self.refresh_gauge();
     }
 
     /// Operator hook: evict one tenant now, regardless of policy.
@@ -442,7 +394,6 @@ impl ResidencyCtl {
             state.retired.store(false, Ordering::SeqCst);
             return false;
         }
-        self.resident_gauge.dec();
         self.evictions.inc();
         self.obs
             .events()

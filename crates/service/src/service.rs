@@ -23,9 +23,9 @@ use crate::persist::{
     self, PersistenceConfig, ServicePersist, StoreMetrics, TenantFiles, WorkerPersist,
 };
 use crate::queue::{PushRejected, ShardedQueue};
-use crate::registry::{tenant_hash, ShardedRegistry, TenantState};
+use crate::registry::{tenant_hash, ColdMeta, ShardedRegistry, TenantState};
 use crate::residency::ResidencyCtl;
-use crate::stats::{ServiceStats, ShardCounters, TenantCounters, TenantStats, WorkerShardStats};
+use crate::stats::{ServiceStats, ServiceTotals, ShardCounters, TenantStats, WorkerShardStats};
 use crate::worker::{run_worker, CompletedRun, CrashPoint, ReportStages, WorkerCtx, WorkerMsg};
 
 /// Tunables for a [`SmartpickService`].
@@ -151,10 +151,11 @@ impl FlushOutcome {
 /// per-tenant pending quotas) sheds training feedback under overload
 /// instead of ever failing or delaying the read path.
 ///
-/// Observability: every hot-path counter lives in a shared
+/// Observability: process-wide counters live in a shared
 /// [`Observability`] bundle (metrics registry + event log) under
-/// `service.*` / `tenant.<id>.*` names; [`SmartpickService::scrape`]
-/// returns the whole thing as one envelope and
+/// `service.*` names, each tenant's counters in its registry slot;
+/// [`SmartpickService::scrape`] returns the registry plus
+/// `tenant.<id>.*` rows for the resident tenants as one envelope and
 /// [`SmartpickService::health`] answers liveness/readiness. Retrain
 /// workers run under a [`Supervisor`] applying the configured
 /// [`RestartPolicy`] when one panics — with the panicked worker's
@@ -200,10 +201,11 @@ pub struct SmartpickService {
     /// Service-wide totals, incremented on the hot path alongside the
     /// per-tenant counters so [`SmartpickService::stats`] never walks the
     /// registry.
-    totals: Arc<TenantCounters>,
+    totals: Arc<ServiceTotals>,
     predict_latency: Arc<LatencyHistogram>,
     tenants_gauge: Arc<Gauge>,
     queue_depth_gauge: Arc<Gauge>,
+    resident_gauge: Arc<Gauge>,
     shard_depth_gauges: Box<[Arc<Gauge>]>,
     /// The durable store, when configured: registration/deregistration
     /// snapshots and the `persist_*` admin API. The worker-side WAL
@@ -261,10 +263,11 @@ impl SmartpickService {
         let shard_depth_gauges: Box<[Arc<Gauge>]> = (0..config.retrain_workers)
             .map(|i| metrics.gauge(&format!("service.worker.{i}.queue_depth")))
             .collect();
-        let totals = Arc::new(TenantCounters::register(metrics, "service"));
+        let totals = Arc::new(ServiceTotals::register(metrics));
         let predict_latency = metrics.histogram("service.predict_latency");
         let tenants_gauge = metrics.gauge("service.tenants");
         let queue_depth_gauge = metrics.gauge("service.queue_depth");
+        let resident_gauge = metrics.gauge("service.residency.resident_tenants");
         let epoch = Instant::now();
         let registry = Arc::new(ShardedRegistry::new(config.shards));
 
@@ -304,9 +307,8 @@ impl SmartpickService {
                     }
                 });
 
-        // The residency controller is built after recovery so its
-        // resident gauge starts at the recovered tenant count; its sweep
-        // rides the supervisor's poll loop (throttled internally).
+        // The residency controller's sweep rides the supervisor's poll
+        // loop (throttled internally).
         let residency = Arc::new(ResidencyCtl::new(
             Arc::clone(&registry),
             persist.clone(),
@@ -403,6 +405,7 @@ impl SmartpickService {
             predict_latency,
             tenants_gauge,
             queue_depth_gauge,
+            resident_gauge,
             shard_depth_gauges,
             persist,
         }
@@ -484,18 +487,12 @@ impl SmartpickService {
         // only after the insert succeeds, so a duplicate-id rejection
         // cannot touch the existing tenant's files.
         let exported = self.persist.as_ref().map(|_| driver.export_state());
-        // Counters are built detached and only *installed* into the
-        // scrape after the insert succeeds — a rejected duplicate never
-        // touches the incumbent's metrics, and deregistration later
-        // removes exactly these instances (identity-keyed), never a
-        // re-registration's fresh ones.
-        let counters = Arc::new(TenantCounters::detached());
         let fresh = TenantState::new(
             id.clone(),
             driver,
             self.now_us(),
-            Arc::clone(&counters),
-            epoch,
+            Arc::default(),
+            ColdMeta::fresh(epoch),
         );
         // The insert below makes the tenant evictable before its
         // generation-0 snapshot is written: start it marked ahead of the
@@ -505,9 +502,7 @@ impl SmartpickService {
             .applied_since_persist
             .store(u64::from(self.persist.is_some()), Ordering::Relaxed);
         let state = self.registry.insert(fresh)?;
-        counters.install(self.obs.metrics(), &format!("tenant.{id}"));
         self.tenants_gauge.inc();
-        self.residency.note_registered();
         self.obs
             .events()
             .publish(event(EventKind::TenantRegistered).tenant(&id));
@@ -582,8 +577,8 @@ impl SmartpickService {
     /// still applied (the worker holds its own handle) and still count
     /// into the service-wide totals — those are incremented live on the
     /// hot path, so aggregates never run backwards across tenant churn.
-    /// The tenant's `tenant.<id>.*` metrics are unregistered from the
-    /// scrape.
+    /// The tenant's `tenant.<id>.*` rows leave the scrape with its
+    /// registry entry.
     ///
     /// # Errors
     ///
@@ -598,18 +593,10 @@ impl SmartpickService {
         // file lock, so nothing can recreate `tenants/<id>/` after the
         // removal below. That is the ghost-tenant resurrection race this
         // ordering exists to close.
-        let Some(was_hot) = slot.claim_defunct() else {
+        if !slot.claim_defunct() {
             return Err(ServiceError::UnknownTenant(id.to_owned()));
-        };
-        // Identity-keyed: removes exactly this registration's counter
-        // instances, so a concurrent `register_tenant` of the same id
-        // can never have its fresh metrics pruned by this teardown.
-        slot.counters
-            .uninstall(self.obs.metrics(), &format!("tenant.{id}"));
-        self.tenants_gauge.dec();
-        if was_hot.is_some() {
-            self.residency.note_dropped_hot();
         }
+        self.tenants_gauge.dec();
         if let Some(sp) = &self.persist {
             // Best-effort: leftover WAL records for the removed tenant
             // are dropped at the next compaction/recovery (no tenant
@@ -1153,7 +1140,7 @@ impl SmartpickService {
     /// [`ServiceConfig::max_resident_tenants`] set this converges to at
     /// most the cap (pinned tenants can exceed it transiently).
     pub fn resident_tenants(&self) -> usize {
-        self.registry.resident_count()
+        self.registry.resident().len()
     }
 
     /// Runs one residency sweep on the caller's thread — deterministic
@@ -1262,6 +1249,8 @@ impl SmartpickService {
         }
     }
 
+    /// The one reading of a hot tenant: `tenant_stats` returns it and
+    /// `scrape` renders its rows from it.
     fn stats_of(&self, state: &TenantState) -> TenantStats {
         let published = state.published_at_us.load(Ordering::Relaxed);
         let snapshot_age = Duration::from_micros(self.now_us().saturating_sub(published));
@@ -1288,12 +1277,20 @@ impl SmartpickService {
         }
     }
 
-    /// One versioned envelope of every registered metric plus the last
-    /// `max_events` events — what `Request::Scrape` answers with.
-    /// Point-in-time gauges (queue depths) are refreshed first; counter
-    /// values are sampled with relaxed atomic loads. Like
-    /// [`SmartpickService::stats`], this never touches a registry shard
-    /// lock.
+    /// One versioned envelope — what `Request::Scrape` answers with:
+    /// every registered (process-wide) metric, [`TenantStats::SCRAPE_ROWS`]
+    /// `tenant.<id>.*` rows for each tenant **resident** right now, and
+    /// the last `max_events` events. Metrics are sorted by name, each
+    /// name once. A cold tenant has no rows (so the envelope's size
+    /// follows the resident set, not the registered one); ask
+    /// [`SmartpickService::tenant_stats`] for it, which rehydrates.
+    ///
+    /// Point-in-time gauges (queue depths, resident tenants) are
+    /// refreshed first; values are sampled with relaxed atomic loads.
+    /// The resident set comes from one walk over the registry shards,
+    /// each read-locked only long enough to clone its slot `Arc`s out:
+    /// no shard lock is held while rows are rendered, and `predict` is
+    /// never waited on.
     pub fn scrape(&self, max_events: usize) -> ScrapeEnvelope {
         let depths = self.queues.depths();
         for (gauge, &depth) in self.shard_depth_gauges.iter().zip(&depths) {
@@ -1301,8 +1298,21 @@ impl SmartpickService {
         }
         self.queue_depth_gauge
             .set(depths.iter().sum::<usize>() as i64);
-        self.residency.refresh_gauge();
-        self.obs.scrape(max_events)
+        let mut resident = self.registry.resident();
+        self.resident_gauge.set(resident.len() as i64);
+        resident.sort_unstable_by(|(a, _), (b, _)| a.id.cmp(&b.id));
+        let mut envelope = self.obs.scrape(max_events);
+        envelope
+            .metrics
+            .reserve(resident.len() * TenantStats::SCRAPE_ROWS);
+        for (_, state) in &resident {
+            self.stats_of(state).push_rows(&mut envelope.metrics);
+        }
+        // Two runs already in order — the registry's, and the tenants'
+        // unless one id extends another (`a`, `a.b`) — which the sort
+        // merges: the tenant rows land between `store.*` and `wire.*`.
+        envelope.metrics.sort_by(|a, b| a.name.cmp(&b.name));
+        envelope
     }
 
     /// Liveness/readiness: ready iff every retrain worker is alive (or

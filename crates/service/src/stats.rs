@@ -1,53 +1,61 @@
-//! Service observability: counter sets over the `smartpick_obs` metrics
-//! registry, plus the public stats shapes the wire protocol carries.
+//! Service observability: who owns each number, plus the public stats
+//! shapes the wire protocol carries.
 //!
 //! Everything here is updated with relaxed atomics on the hot path —
-//! stats must never serialise the readers they are measuring. Counters
-//! are registered in the shared [`MetricsRegistry`] under dot-separated
-//! names (`service.*` for process totals, `tenant.<id>.*` per tenant,
-//! `service.worker.<shard>.*` per retrain shard), so one `Scrape` sees
-//! the same numbers [`ServiceStats`] reports — and the hot path
-//! increments *both* its tenant counter and the service total, which is
-//! what lets [`crate::SmartpickService::stats`] aggregate with pure
-//! atomic loads instead of walking the tenant registry under its shard
-//! locks.
+//! stats must never serialise the readers they are measuring. Each
+//! number has one owner. Process-scoped series live in the shared
+//! [`MetricsRegistry`] under dot-separated names (`service.*` totals,
+//! `service.worker.<shard>.*` per retrain shard). A tenant's counters
+//! are plain atomics in its registry slot, never registered by name:
+//! [`crate::SmartpickService::scrape`] renders them as `tenant.<id>.*`
+//! rows (one [`TenantStats`] each) for the tenants resident at that
+//! moment, so the registry's size does not depend on how many tenants
+//! exist. The hot path increments *both* its tenant counter and the
+//! service total, which is what lets [`crate::SmartpickService::stats`]
+//! aggregate with pure atomic loads instead of walking the tenant
+//! registry under its shard locks.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use smartpick_obs::{Counter, MetricsRegistry};
+use smartpick_obs::{Counter, MetricSample, MetricValue, MetricsRegistry};
 
 pub use smartpick_obs::{LatencyHistogram, LatencySummary};
 
-/// One scope's worth of hot-path counters (relaxed atomics), registered
-/// under `<prefix>.<field>` in the metrics registry. Used twice: once
-/// per tenant (`tenant.<id>`) and once for the service-wide totals
-/// (`service`).
-#[derive(Debug)]
-pub(crate) struct TenantCounters {
-    pub(crate) predictions: Arc<Counter>,
-    pub(crate) executions: Arc<Counter>,
-    pub(crate) reports_enqueued: Arc<Counter>,
-    pub(crate) reports_applied: Arc<Counter>,
-    pub(crate) retrains: Arc<Counter>,
-    pub(crate) rejections: Arc<Counter>,
-    pub(crate) apply_failures: Arc<Counter>,
+/// One scope's worth of hot-path counters (relaxed atomics). `C` is
+/// where a counter lives: a plain [`Counter`] inside a tenant's slot
+/// ([`TenantCounters`]), or an `Arc<Counter>` the metrics registry
+/// scrapes by name ([`ServiceTotals`]).
+#[derive(Debug, Default)]
+pub(crate) struct Counters<C> {
+    pub(crate) predictions: C,
+    pub(crate) executions: C,
+    pub(crate) reports_enqueued: C,
+    pub(crate) reports_applied: C,
+    pub(crate) retrains: C,
+    pub(crate) rejections: C,
+    pub(crate) apply_failures: C,
     /// Predictions served from a snapshot past the staleness bound.
-    pub(crate) stale_predictions: Arc<Counter>,
+    pub(crate) stale_predictions: C,
     /// Reports accepted but not yet applied (quota accounting; a level,
-    /// not a counter, so it stays a plain atomic off the registry).
+    /// not a counter — per tenant only, the totals leave it at zero).
     pub(crate) pending: AtomicUsize,
 }
 
-impl TenantCounters {
-    /// Registers this scope's counters under `<prefix>.<field>`
-    /// (get-or-create). Used for the never-churning `service` totals
-    /// scope; per-tenant scopes use [`TenantCounters::detached`] +
-    /// [`TenantCounters::install`] so teardown can be identity-keyed.
-    pub(crate) fn register(metrics: &MetricsRegistry, prefix: &str) -> TenantCounters {
-        let c = |field: &str| metrics.counter(&format!("{prefix}.{field}"));
-        TenantCounters {
+/// A tenant's counters: owned by its registry slot, shared with its hot
+/// state, and reused across evict/rehydrate cycles so they never run
+/// backwards. They go away with the slot; no name is bound to them.
+pub(crate) type TenantCounters = Counters<Counter>;
+
+/// The service-wide totals, registered as `service.<field>`.
+pub(crate) type ServiceTotals = Counters<Arc<Counter>>;
+
+impl ServiceTotals {
+    /// Gets or registers the totals in `metrics`.
+    pub(crate) fn register(metrics: &MetricsRegistry) -> ServiceTotals {
+        let c = |field: &str| metrics.counter(&format!("service.{field}"));
+        Counters {
             predictions: c("predictions"),
             executions: c("executions"),
             reports_enqueued: c("reports_enqueued"),
@@ -58,61 +66,6 @@ impl TenantCounters {
             stale_predictions: c("stale_predictions"),
             pending: AtomicUsize::new(0),
         }
-    }
-
-    /// Fresh counter instances not (yet) registered anywhere. A tenant
-    /// registration builds its state around these and only *installs*
-    /// them into the scrape after its registry insert succeeds — so a
-    /// rejected duplicate never touches the incumbent's metrics, and a
-    /// later [`TenantCounters::uninstall`] removes exactly these
-    /// instances and nothing a re-registration put in their place.
-    pub(crate) fn detached() -> TenantCounters {
-        TenantCounters {
-            predictions: Arc::new(Counter::new()),
-            executions: Arc::new(Counter::new()),
-            reports_enqueued: Arc::new(Counter::new()),
-            reports_applied: Arc::new(Counter::new()),
-            retrains: Arc::new(Counter::new()),
-            rejections: Arc::new(Counter::new()),
-            apply_failures: Arc::new(Counter::new()),
-            stale_predictions: Arc::new(Counter::new()),
-            pending: AtomicUsize::new(0),
-        }
-    }
-
-    /// The `(field name, instance)` pairs this scope scrapes as.
-    fn fields(&self) -> [(&'static str, &Arc<Counter>); 8] {
-        [
-            ("predictions", &self.predictions),
-            ("executions", &self.executions),
-            ("reports_enqueued", &self.reports_enqueued),
-            ("reports_applied", &self.reports_applied),
-            ("retrains", &self.retrains),
-            ("rejections", &self.rejections),
-            ("apply_failures", &self.apply_failures),
-            ("stale_predictions", &self.stale_predictions),
-        ]
-    }
-
-    /// Binds this scope's instances under `<prefix>.<field>`, replacing
-    /// any previous registration of those names.
-    pub(crate) fn install(&self, metrics: &MetricsRegistry, prefix: &str) {
-        for (field, counter) in self.fields() {
-            metrics.install_counter(&format!("{prefix}.{field}"), counter);
-        }
-    }
-
-    /// Unregisters `<prefix>.<field>` names still bound to *these*
-    /// instances (identity-keyed, so a concurrent re-registration's
-    /// fresh counters are never pruned). Returns how many were removed.
-    pub(crate) fn uninstall(&self, metrics: &MetricsRegistry, prefix: &str) -> usize {
-        let mut removed = 0;
-        for (field, counter) in self.fields() {
-            if metrics.remove_counter_exact(&format!("{prefix}.{field}"), counter) {
-                removed += 1;
-            }
-        }
-        removed
     }
 }
 
@@ -198,6 +151,41 @@ pub struct TenantStats {
     /// Whether `snapshot_age` currently exceeds the configured
     /// `max_snapshot_age` bound (always `false` when the bound is unset).
     pub snapshot_stale: bool,
+}
+
+impl TenantStats {
+    /// Rows one resident tenant adds to a scrape: the eight counters
+    /// plus three gauges.
+    pub const SCRAPE_ROWS: usize = 11;
+
+    /// Appends this view as `tenant.<id>.<field>` scrape rows, so the
+    /// scrape and `tenant_stats` are one reading of the same fields. In
+    /// name order: the scrape's final sort then finds tenants it took in
+    /// id order already sorted.
+    pub(crate) fn push_rows(&self, out: &mut Vec<MetricSample>) {
+        use MetricValue::{Counter, Gauge};
+        let age_us = self.snapshot_age.as_micros() as i64;
+        let rows: [_; Self::SCRAPE_ROWS] = [
+            ("apply_failures", Counter(self.apply_failures)),
+            ("executions", Counter(self.executions)),
+            ("pending_reports", Gauge(self.pending_reports as i64)),
+            ("predictions", Counter(self.predictions)),
+            ("rejections", Counter(self.rejections)),
+            ("reports_applied", Counter(self.reports_applied)),
+            ("reports_enqueued", Counter(self.reports_enqueued)),
+            ("retrains", Counter(self.retrains)),
+            ("snapshot_age_us", Gauge(age_us)),
+            (
+                "snapshot_generation",
+                Gauge(self.snapshot_generation as i64),
+            ),
+            ("stale_predictions", Counter(self.stale_predictions)),
+        ];
+        let prefix = format!("tenant.{}.", self.tenant);
+        out.extend(
+            rows.map(|(field, value)| MetricSample::new([prefix.as_str(), field].concat(), value)),
+        );
+    }
 }
 
 /// A point-in-time view of the whole service.

@@ -41,7 +41,7 @@ use smartpick_store::{Snapshot, WalRecord, WalWriter};
 use crate::persist::{StoreMetrics, WorkerPersist};
 use crate::queue::BoundedQueue;
 use crate::registry::TenantState;
-use crate::stats::{ShardCounters, TenantCounters};
+use crate::stats::{ServiceTotals, ShardCounters};
 
 /// One completed run a client (or the service's own `submit`) feeds back
 /// into the training loop.
@@ -139,7 +139,7 @@ pub(crate) struct WorkerCtx {
     /// This shard's registry-backed counters.
     pub(crate) counters: Arc<ShardCounters>,
     /// The service-wide totals, incremented alongside tenant counters.
-    pub(crate) totals: Arc<TenantCounters>,
+    pub(crate) totals: Arc<ServiceTotals>,
     /// The shared observability bundle (events).
     pub(crate) obs: Arc<Observability>,
     /// The service epoch `published_at_us`/progress stamps are relative
@@ -698,6 +698,7 @@ mod tests {
 
     use super::*;
     use crate::persist::{encode_run, TenantFiles};
+    use crate::registry::ColdMeta;
     use crate::{ServiceConfig, SmartpickService};
 
     fn template() -> Smartpick {
@@ -757,8 +758,8 @@ mod tests {
             "acme".into(),
             driver,
             0,
-            Arc::new(TenantCounters::detached()),
-            3,
+            Arc::default(),
+            ColdMeta::fresh(3),
         ));
         store
             .persist_snapshot(&Snapshot {
@@ -775,7 +776,7 @@ mod tests {
             ctx: WorkerCtx {
                 shard: 0,
                 counters: Arc::new(ShardCounters::register(metrics, 0)),
-                totals: Arc::new(TenantCounters::detached()),
+                totals: Arc::new(ServiceTotals::register(metrics)),
                 stages: Arc::new(ReportStages::register(metrics)),
                 obs: Arc::clone(&obs),
                 epoch: Instant::now(),

@@ -16,7 +16,17 @@
 //! their tenant was deregistered), the store directory exists exactly
 //! when the tenant is registered, and a reopen agrees with the final
 //! in-memory registry — no ghost directories, no resurrections.
+//!
+//! `scrape_lists_exactly_the_hot_tenants_and_agrees_with_tenant_stats`:
+//! one thread, three tenant ids, the same op mix against a model. After
+//! every op the scrape is sorted with unique names, lists a tenant's
+//! rows iff the tenant is hot, agrees field for field with
+//! `tenant_stats`, never shows a counter lower than before an evict →
+//! rehydrate cycle, and the per-tenant `predictions` (live tenants plus
+//! deregistered ones) add up to `service.predictions` — while the
+//! metrics registry keeps the size it had before any tenant existed.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,8 +42,9 @@ use smartpick_core::properties::SmartpickProperties;
 use smartpick_core::training::TrainOptions;
 use smartpick_core::wp::PredictionRequest;
 use smartpick_ml::forest::ForestParams;
+use smartpick_obs::{MetricKind, MetricValue};
 use smartpick_service::{
-    CompletedRun, PersistenceConfig, ServiceConfig, ServiceError, SmartpickService,
+    CompletedRun, PersistenceConfig, ServiceConfig, ServiceError, SmartpickService, TenantStats,
 };
 use smartpick_workloads::tpcds;
 
@@ -283,6 +294,136 @@ proptest! {
                 .predict(TENANT, &PredictionRequest::new(query, 5))
                 .unwrap();
             prop_assert!(det.predicted_seconds.is_finite());
+        }
+    }
+
+    #[test]
+    fn scrape_lists_exactly_the_hot_tenants_and_agrees_with_tenant_stats(
+        seed in 0u64..u64::MAX,
+    ) {
+        const IDS: [&str; 3] = ["a", "a-b", "a.b"]; // sort differently as ids and as row names
+        const OPS: usize = 48;
+        /// What the model knows of one registered tenant.
+        #[derive(Default)]
+        struct Model {
+            hot: bool,
+            predictions: u64,
+            reports: u64,
+        }
+
+        let dir = case_root("scrape");
+        let service = SmartpickService::open(&dir, durable_config(&dir)).unwrap();
+        let series = service.observability().metrics().len();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut live: BTreeMap<&str, Model> = BTreeMap::new();
+        let mut retired_predictions = 0u64;
+
+        for step in 0..OPS {
+            let id = IDS[rng.gen_range(0..IDS.len())];
+            let known = live.contains_key(id);
+            match rng.gen_range(0u8..8) {
+                0 | 1 => match service.register_fork(id, template(), rng.gen()) {
+                    Ok(()) => {
+                        prop_assert!(!known);
+                        live.insert(id, Model { hot: true, ..Model::default() });
+                    }
+                    Err(ServiceError::TenantExists(_)) => prop_assert!(known),
+                    Err(other) => panic!("register: {other}"),
+                },
+                2 | 3 => {
+                    let query = tpcds::query(82, 100.0).unwrap();
+                    match service.predict(id, &PredictionRequest::new(query, rng.gen())) {
+                        Ok(_) => {
+                            let m = live.get_mut(id).expect("served an unknown tenant");
+                            m.hot = true;
+                            m.predictions += 1;
+                        }
+                        Err(ServiceError::UnknownTenant(_)) => prop_assert!(!known),
+                        Err(other) => panic!("predict: {other}"),
+                    }
+                }
+                4 => match service.report_run(id, canned_run().clone()) {
+                    Ok(()) => {
+                        let m = live.get_mut(id).expect("accepted for an unknown tenant");
+                        m.hot = true;
+                        m.reports += 1;
+                    }
+                    Err(ServiceError::UnknownTenant(_)) => prop_assert!(!known),
+                    Err(other) => panic!("report: {other}"),
+                },
+                5 | 6 => match service.evict_tenant(id) {
+                    // Flushed below after every op, so nothing pins it.
+                    Ok(evicted) => {
+                        let m = live.get_mut(id).expect("evicted an unknown tenant");
+                        prop_assert_eq!(evicted, m.hot);
+                        m.hot = false;
+                    }
+                    Err(ServiceError::UnknownTenant(_)) => prop_assert!(!known),
+                    Err(other) => panic!("evict: {other}"),
+                },
+                _ => match service.deregister_tenant(id) {
+                    Ok(()) => {
+                        retired_predictions +=
+                            live.remove(id).expect("deregistered an unknown tenant").predictions;
+                    }
+                    Err(ServiceError::UnknownTenant(_)) => prop_assert!(!known),
+                    Err(other) => panic!("deregister: {other}"),
+                },
+            }
+            prop_assert!(service.flush());
+
+            let scrape = service.scrape(0);
+            prop_assert!(
+                scrape.metrics.windows(2).all(|w| w[0].name < w[1].name),
+                "step {step}: scrape not sorted or a name repeats"
+            );
+            prop_assert_eq!(service.observability().metrics().len(), series);
+            let tenant_rows = scrape.metrics.iter().filter(|m| m.name.starts_with("tenant.")).count();
+            let hot = live.values().filter(|m| m.hot).count();
+            prop_assert_eq!(tenant_rows, hot * TenantStats::SCRAPE_ROWS, "step {step}");
+            prop_assert_eq!(scrape.gauge("service.residency.resident_tenants"), hot as i64);
+            for id in IDS {
+                let row = |field: &str| scrape.metric(&format!("tenant.{id}.{field}"));
+                let Some(model) = live.get(id).filter(|m| m.hot) else {
+                    prop_assert!(row("predictions").is_none(), "step {step}: {id} is not hot");
+                    continue;
+                };
+                // Hot already, so this reading moves nothing.
+                let stats = service.tenant_stats(id).unwrap();
+                // The model's tallies span evict → rehydrate cycles: a
+                // counter that restarted with its state would fall short.
+                prop_assert_eq!(stats.predictions, model.predictions);
+                prop_assert_eq!(stats.reports_applied, model.reports);
+                for (field, want) in [
+                    ("predictions", stats.predictions),
+                    ("executions", stats.executions),
+                    ("reports_enqueued", stats.reports_enqueued),
+                    ("reports_applied", stats.reports_applied),
+                    ("retrains", stats.retrains),
+                    ("rejections", stats.rejections),
+                    ("apply_failures", stats.apply_failures),
+                    ("stale_predictions", stats.stale_predictions),
+                ] {
+                    let row = row(field).expect("a hot tenant lists every row");
+                    prop_assert_eq!(row.kind, MetricKind::Counter);
+                    prop_assert_eq!(&row.value, &MetricValue::Counter(want), "{}", field);
+                }
+                prop_assert_eq!(
+                    scrape.gauge(&format!("tenant.{id}.pending_reports")),
+                    stats.pending_reports as i64
+                );
+                prop_assert_eq!(
+                    scrape.gauge(&format!("tenant.{id}.snapshot_generation")),
+                    stats.snapshot_generation as i64
+                );
+                let age_at_scrape = scrape.gauge(&format!("tenant.{id}.snapshot_age_us"));
+                prop_assert!(age_at_scrape <= stats.snapshot_age.as_micros() as i64);
+            }
+            let live_predictions: u64 = live.values().map(|m| m.predictions).sum();
+            prop_assert_eq!(
+                scrape.counter("service.predictions"),
+                live_predictions + retired_predictions
+            );
         }
     }
 }

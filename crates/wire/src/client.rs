@@ -354,8 +354,11 @@ impl WireClient {
     }
 
     /// One versioned telemetry envelope: every metric the server process
-    /// registered (service and wire layers) plus its last `events`
-    /// structured events.
+    /// registered (service and wire layers), `tenant.<id>.*` rows for the
+    /// tenants *resident* right now (a cold tenant is answered by
+    /// [`WireClient::tenant_stats`]), plus its last `events` structured
+    /// events. Its size follows the resident set, not the registered one
+    /// (`docs/WIRE.md`, "`scrape`").
     ///
     /// # Errors
     ///

@@ -173,18 +173,9 @@ fn payload_len(payload: &[u8]) -> io::Result<u32> {
     })
 }
 
-/// Writes one v2 frame: version byte, request id, length prefix, payload.
-///
-/// # Errors
-///
-/// Propagates write failures.
-pub fn write_frame_v2(w: &mut impl Write, id: u64, payload: &[u8]) -> io::Result<()> {
-    let mut scratch = Vec::new();
-    write_frame_v2_buffered(w, id, payload, &mut scratch)
-}
-
-/// Writes one v2 frame via a caller-owned scratch buffer (cleared first,
-/// allocation reused across frames; single `write_all`) — the pipelined
+/// Writes one v2 frame — version byte, request id, length prefix,
+/// payload — via a caller-owned scratch buffer (cleared first,
+/// allocation reused across frames; single `write_all`): the pipelined
 /// twin of [`write_frame_buffered`].
 ///
 /// # Errors
@@ -246,26 +237,8 @@ fn write_frame_tagged_buffered(
 /// truncation mid-frame).
 pub fn read_frame(r: &mut impl Read, max_len: usize) -> Result<Vec<u8>, FrameError> {
     let mut payload = Vec::new();
-    read_frame_into(r, max_len, &mut payload)?;
+    read_frame_core(r, max_len, &mut payload, false)?;
     Ok(payload)
-}
-
-/// Reads one frame's payload into `payload` (cleared first, allocation
-/// reused across frames) — the scratch-buffer twin of [`read_frame`]
-/// for connection loops that must not allocate per frame. On error the
-/// buffer contents are unspecified.
-///
-/// # Errors
-///
-/// See [`read_frame`].
-pub fn read_frame_into(
-    r: &mut impl Read,
-    max_len: usize,
-    payload: &mut Vec<u8>,
-) -> Result<(), FrameError> {
-    let header = read_frame_core(r, max_len, payload, false)?;
-    debug_assert_eq!(header.version, PROTOCOL_VERSION);
-    Ok(())
 }
 
 /// Reads one frame of *any* layout (un-numbered, v2, or binary v3) into
@@ -357,14 +330,14 @@ mod tests {
 
         let mut r = Cursor::new(buffered);
         let mut payload = Vec::new();
-        read_frame_into(&mut r, 1024, &mut payload).unwrap();
+        read_frame_any_into(&mut r, 1024, &mut payload).unwrap();
         assert_eq!(payload, b"abc");
         let cap_before = payload.capacity();
-        read_frame_into(&mut r, 1024, &mut payload).unwrap();
+        read_frame_any_into(&mut r, 1024, &mut payload).unwrap();
         assert_eq!(payload, b"defgh");
         assert!(payload.capacity() >= cap_before);
         assert!(matches!(
-            read_frame_into(&mut r, 1024, &mut payload),
+            read_frame_any_into(&mut r, 1024, &mut payload),
             Err(FrameError::Eof)
         ));
     }
@@ -373,7 +346,7 @@ mod tests {
     fn v2_frames_round_trip_with_ids_mixed_with_v1() {
         let mut buf = Vec::new();
         let mut scratch = Vec::new();
-        write_frame_v2(&mut buf, 7, b"{\"op\":\"ping\"}").unwrap();
+        write_frame_v2_buffered(&mut buf, 7, b"{\"op\":\"ping\"}", &mut scratch).unwrap();
         write_frame(&mut buf, b"legacy").unwrap();
         write_frame_v2_buffered(&mut buf, u64::MAX, b"", &mut scratch).unwrap();
 
@@ -415,7 +388,7 @@ mod tests {
     #[test]
     fn v1_only_reader_rejects_v2_frames() {
         let mut buf = Vec::new();
-        write_frame_v2(&mut buf, 3, b"x").unwrap();
+        write_frame_v2_buffered(&mut buf, 3, b"x", &mut Vec::new()).unwrap();
         assert!(matches!(
             read_frame(&mut Cursor::new(buf), 1024),
             Err(FrameError::VersionMismatch { got: PROTOCOL_V2 })
@@ -426,7 +399,7 @@ mod tests {
     fn v2_truncated_id_is_io_and_oversized_still_trips_before_payload() {
         // Header cut inside the id field: Io, not Eof.
         let mut buf = Vec::new();
-        write_frame_v2(&mut buf, 0x0102_0304_0506_0708, b"abc").unwrap();
+        write_frame_v2_buffered(&mut buf, 0x0102_0304_0506_0708, b"abc", &mut Vec::new()).unwrap();
         buf.truncate(5);
         let mut payload = Vec::new();
         assert!(matches!(

@@ -86,8 +86,9 @@ pub enum Request {
     /// A point-in-time view of the whole service.
     ServiceStats,
     /// One versioned telemetry envelope: every metric the process
-    /// registered (service *and* wire layers) plus the last `events`
-    /// entries of the structured event log.
+    /// registered (service *and* wire layers), the resident tenants'
+    /// `tenant.<id>.*` rows, plus the last `events` entries of the
+    /// structured event log.
     Scrape {
         /// Max events to include (0 = metrics only).
         events: usize,
@@ -131,7 +132,8 @@ pub enum Response {
     /// Answer to [`Request::ServiceStats`].
     ServiceStats(ServiceStats),
     /// Answer to [`Request::Scrape`] (boxed: the envelope carries every
-    /// metric in the process and dwarfs the other variants).
+    /// metric in the process plus eleven rows per resident tenant, and
+    /// dwarfs the other variants).
     Scrape(Box<ScrapeEnvelope>),
     /// Answer to [`Request::Health`].
     Health(HealthReport),

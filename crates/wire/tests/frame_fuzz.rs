@@ -7,7 +7,7 @@ use std::io::Cursor;
 
 use proptest::prelude::*;
 use smartpick_wire::frame::{
-    read_frame_any_into, read_frame_into, write_frame, write_frame_v2, FrameError, PROTOCOL_V2,
+    read_frame, read_frame_any_into, write_frame, write_frame_v2_buffered, FrameError, PROTOCOL_V2,
     PROTOCOL_V3, PROTOCOL_VERSION,
 };
 
@@ -58,8 +58,7 @@ proptest! {
             Err(FrameError::Io(_)) => {} // truncation mid-frame
         }
         // The v1-only reader must be equally total.
-        let mut cursor = Cursor::new(bytes.as_slice());
-        let _ = read_frame_into(&mut cursor, MAX_LEN, &mut payload);
+        let _ = read_frame(&mut Cursor::new(bytes.as_slice()), MAX_LEN);
     }
 
     /// Well-formed v1 and v2 frames round-trip exactly, and the decoder
@@ -73,7 +72,7 @@ proptest! {
     ) {
         let mut buf = Vec::new();
         if v2 == 1 {
-            write_frame_v2(&mut buf, id, &body).unwrap();
+            write_frame_v2_buffered(&mut buf, id, &body, &mut Vec::new()).unwrap();
         } else {
             write_frame(&mut buf, &body).unwrap();
         }
@@ -105,7 +104,7 @@ proptest! {
     ) {
         let mut buf = Vec::new();
         if v2 == 1 {
-            write_frame_v2(&mut buf, id, &body).unwrap();
+            write_frame_v2_buffered(&mut buf, id, &body, &mut Vec::new()).unwrap();
         } else {
             write_frame(&mut buf, &body).unwrap();
         }

@@ -110,12 +110,14 @@ bench-store-record:
     ./target/release/bench_store
 
 # CI job: run the residency harness at a reduced scale into a scratch
-# path to prove it still runs (bounded resident set, cold-hit path),
-# then hold the *committed* full-scale BENCH_residency.json to the
-# guard bars in crates/bench/tests/bench_residency_json.rs.
+# path to prove it still runs (bounded resident set, cold-hit path) and
+# that this run's scrape, as a binary response, fits the default 1 MiB
+# frame; then hold the *committed* full-scale BENCH_residency.json to
+# the guard bars in crates/bench/tests/bench_residency_json.rs.
 residency-bench:
     cargo build --release -p smartpick_bench --bin bench_residency
     ./target/release/bench_residency target/tmp/BENCH_residency.scratch.json --tenants 2000 --max-resident 100
+    awk -F'[:,]' '/"scrape_binary_bytes"/ { seen = 1; fits = $2 + 0 <= 1048576 } END { exit !(seen && fits) }' target/tmp/BENCH_residency.scratch.json
     cargo test -q -p smartpick_bench --test bench_residency_json
 
 # Regenerate the committed BENCH_residency.json at the repo root
