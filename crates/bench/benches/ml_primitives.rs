@@ -1,7 +1,7 @@
-//! Micro-benchmarks of the ML substrate: forest training/inference, the
-//! grid sweep (batch walk vs lattice descent), GP fitting/posterior, and
-//! the acquisition-function ablation (PI — the
-//! paper's choice — vs EI vs UCB).
+//! Micro-benchmarks of the ML substrate: forest training/inference, one
+//! retrain's worth of tree growing (`warm_start_extend`), the grid sweep
+//! (batch walk vs lattice descent), GP fitting/posterior, and the
+//! acquisition-function ablation (PI — the paper's choice — vs EI vs UCB).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -41,6 +41,51 @@ fn bench_forest(c: &mut Criterion) {
     let forest = RandomForest::fit(&data, &ForestParams::default(), 3).expect("fit succeeds");
     let probe: Vec<f64> = (0..10).map(|i| i as f64 * 7.0).collect();
     group.bench_function("predict", |b| b.iter(|| black_box(forest.predict(&probe))));
+    group.finish();
+}
+
+/// What a batch retrain grows: 10 trees on 1 000 rows — 100 Table-3-shaped
+/// samples burst ×10 within ±5 %, so every column is a cloud of near-ties
+/// around a few levels (`BENCH_store.json` `retrain` times the same work
+/// through `apply_report`).
+fn bench_warm_start(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut pending = Dataset::new((0..10).map(|i| format!("f{i}")).collect());
+    for i in 0..100u32 {
+        let (vm, sl) = (f64::from(i % 9), f64::from((i / 9) % 9));
+        let n = vm + sl;
+        let x = vec![
+            f64::from(i % 2),
+            vm,
+            sl,
+            100.0 * 1024.0 * 1024.0 * 1024.0,
+            f64::from(rng.gen_range(0..86_400u32)),
+            n * 2048.0,
+            n * 2048.0 * (1.0 - f64::from(i % 5) * 0.1),
+            2048.0,
+            f64::from(i % 3),
+            n * 2.0,
+        ];
+        pending.push(x, 400.0 / (1.0 + vm + 2.0 * sl) + f64::from(i % 7));
+    }
+    let burst = pending.burst(10, 0.05, &mut rng);
+    let params = ForestParams {
+        n_trees: 10,
+        ..ForestParams::default()
+    };
+    let forest = RandomForest::fit(&burst, &params, 3).expect("fit succeeds");
+    let mut group = c.benchmark_group("warm_start_extend");
+    group.bench_function("1000x10", |b| {
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            let mut grown = forest.clone();
+            grown
+                .warm_start_extend(black_box(&burst), 10, seed)
+                .expect("extend succeeds");
+            black_box(grown.n_trees())
+        })
+    });
     group.finish();
 }
 
@@ -151,6 +196,7 @@ fn bench_acquisitions(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_forest,
+    bench_warm_start,
     bench_lattice,
     bench_gp,
     bench_acquisitions

@@ -2,7 +2,7 @@
 //! tenant costs at rest and what a crash costs at startup, guarded by
 //! `tests/bench_store_json.rs`.
 //!
-//! Three matrices:
+//! Four matrices:
 //!
 //! * **snapshot at rest** — the encoded size of one tenant's full
 //!   driver state (predictor + history + monitor + RNG) as persisted by
@@ -19,8 +19,14 @@
 //!   wire), for 1 and 8 tenants under `PerBatch` and `Never`: reports
 //!   applied per second, WAL fsyncs per report, WAL rewrites and the
 //!   bytes they wrote per report. Each row carries the same measurement
-//!   taken at the commit before the WAL was group-committed
+//!   taken at the commit before the presorted tree builder
 //!   ([`FEEDBACK_BEFORE`]).
+//! * **retrain** — what that feed spends most of its time in: one
+//!   `apply_report` that fires a batch retrain (100 pending samples,
+//!   burst ×10, one configured-size batch of trees grown on the 1 000
+//!   rows), in process, for the 10-tree and the 100-tree template, each
+//!   beside the same measurement at the commit before the presorted
+//!   builder ([`RETRAIN_BEFORE`]).
 //!
 //! Usage: `cargo run --release -p smartpick_bench --bin bench_store
 //! [output-path]` (default `BENCH_store.json` in the working
@@ -40,7 +46,7 @@ use smartpick_service::{
 };
 use smartpick_workloads::tpcds;
 
-fn trained_driver(query_ids: &[u32]) -> Smartpick {
+fn trained_driver(query_ids: &[u32], trees: usize) -> Smartpick {
     let queries: Vec<_> = query_ids
         .iter()
         .map(|&q| tpcds::query(q, 100.0).expect("catalog query"))
@@ -49,7 +55,7 @@ fn trained_driver(query_ids: &[u32]) -> Smartpick {
         configs_per_query: 6,
         burst_factor: 3,
         forest: ForestParams {
-            n_trees: 10,
+            n_trees: trees,
             ..ForestParams::default()
         },
         max_vm: 4,
@@ -117,16 +123,15 @@ impl Feedback {
     }
 }
 
-/// The feedback rows as measured at the parent of the group-commit
-/// change (PR 12, commit 916a708) by this same loop, same box, same day,
-/// with two counters patched into a scratch copy (one per `sync()` call
-/// the worker made, one adding each rewrite's output bytes) — that
-/// commit had neither. Keyed by (tenants, fsync policy).
+/// The feedback rows as measured at the parent of the presorted-builder
+/// change (PR 15, commit 9f883b2) by this same loop, same box, same day,
+/// pinned to one CPU as the recorded run was. Keyed by (tenants, fsync
+/// policy).
 const FEEDBACK_BEFORE: [(u64, &str, Feedback); 4] = [
-    (1, "per_batch", Feedback::at(1991.0, 0.0640, 16, 4137.0)),
-    (1, "never", Feedback::at(1905.0, 0.0, 16, 4137.0)),
-    (8, "per_batch", Feedback::at(1209.0, 0.5542, 16, 24759.0)),
-    (8, "never", Feedback::at(1393.0, 0.0, 16, 24753.0)),
+    (1, "per_batch", Feedback::at(2991.0, 0.0630, 8, 2069.0)),
+    (1, "never", Feedback::at(3183.0, 0.0, 8, 2069.0)),
+    (8, "per_batch", Feedback::at(3591.0, 0.1841, 2, 2074.0)),
+    (8, "never", Feedback::at(3757.0, 0.0, 4, 4148.0)),
 ];
 
 /// Feeds [`FEEDBACK_REPORTS`] reports round-robin over `tenants` forks
@@ -182,6 +187,48 @@ fn feedback_row(
     row
 }
 
+/// Batch retrains timed per retrain row.
+const RETRAIN_REPS: usize = 25;
+
+/// The retrain rows — (template trees, median milliseconds per retrain) —
+/// as measured at the parent of the presorted-builder change (PR 15,
+/// commit 9f883b2) by this same loop, same box, same day, pinned to one
+/// CPU as the recorded run was.
+const RETRAIN_BEFORE: [(usize, f64); 2] = [(10, 17.61), (100, 182.40)];
+
+/// Feeds `run` to a fork of `template` at the default properties
+/// (`max.batch` 100) and times each `apply_report` that returned a batch
+/// retrain — 100 pending rows burst ×10, `trees` trees grown. Returns the
+/// median, in milliseconds.
+fn retrain_ms(template: &Smartpick, trees: usize, run: &CompletedRun) -> f64 {
+    let mut driver = template.fork(3);
+    let mut took_ms = Vec::with_capacity(RETRAIN_REPS);
+    while took_ms.len() < RETRAIN_REPS {
+        let started = Instant::now();
+        let retrain = driver
+            .apply_report(&run.query, &run.determination, &run.report)
+            .expect("apply");
+        let took = started.elapsed();
+        if let Some(report) = retrain {
+            assert_eq!(
+                (report.samples_used, report.trees_added),
+                (1000, trees),
+                "a full batch burst x10, one configured batch of trees"
+            );
+            took_ms.push(took.as_secs_f64() * 1e3);
+        }
+    }
+    took_ms.sort_by(f64::total_cmp);
+    took_ms[RETRAIN_REPS / 2]
+}
+
+fn retrain_json(ms_per_retrain: f64, trees: usize) -> String {
+    format!(
+        "{{\"ms_per_retrain\": {ms_per_retrain:.2}, \"ms_per_tree\": {:.3}}}",
+        ms_per_retrain / trees as f64
+    )
+}
+
 fn feedback_json(row: &Feedback) -> String {
     format!(
         "{{\"reports_per_s\": {:.0}, \"fsyncs_per_report\": {:.4}, \"compactions\": {}, \
@@ -205,7 +252,7 @@ fn main() {
         let dir = bench_root(&format!("snap{}", queries.len()));
         let service = SmartpickService::open(&dir, durable_config(&dir)).expect("open store");
         service
-            .register_tenant("bench", trained_driver(queries))
+            .register_tenant("bench", trained_driver(queries, 10))
             .expect("register");
         let bytes = service.persist_tenant("bench").expect("persist");
         let kib = bytes as f64 / 1024.0;
@@ -241,7 +288,7 @@ fn main() {
             ..ServiceConfig::default()
         });
         minter
-            .register_tenant("bench", trained_driver(&[82]))
+            .register_tenant("bench", trained_driver(&[82], 10))
             .expect("register");
         let query = tpcds::query(82, 100.0).expect("catalog query");
         let outcome = minter.submit("bench", &query, 7).expect("submit");
@@ -257,7 +304,7 @@ fn main() {
         {
             let service = SmartpickService::open(&dir, durable_config(&dir)).expect("open store");
             service
-                .register_tenant("bench", trained_driver(&[82]))
+                .register_tenant("bench", trained_driver(&[82], 10))
                 .expect("register");
             // Feed exactly n reports in small bursts so the tenant
             // pending quota never trips.
@@ -302,7 +349,7 @@ fn main() {
         "tenants", "fsync", "reports/s", "fsyncs/rep", "rewrites", "rewr B/rep"
     );
     smartpick_bench::rule(64);
-    let template = trained_driver(&[82]);
+    let template = trained_driver(&[82], 10);
     let mut feedback_rows = String::new();
     for (i, (tenants, policy, before)) in FEEDBACK_BEFORE.iter().enumerate() {
         let fsync = match *policy {
@@ -330,6 +377,35 @@ fn main() {
     }
     smartpick_bench::rule(64);
 
+    // --- one batch retrain, in process -------------------------------
+    println!("batch retrain (100 pending x burst 10, median of {RETRAIN_REPS})");
+    smartpick_bench::rule(64);
+    println!(
+        "{:<8} {:>14} {:>12} {:>14} {:>12}",
+        "trees", "before ms", "ms/tree", "after ms", "ms/tree"
+    );
+    smartpick_bench::rule(64);
+    let mut retrain_rows = String::new();
+    for (i, &(trees, before)) in RETRAIN_BEFORE.iter().enumerate() {
+        let after = retrain_ms(&trained_driver(&[82, 68], trees), trees, &run);
+        println!(
+            "{trees:<8} {before:>14.2} {:>12.3} {after:>14.2} {:>12.3}",
+            before / trees as f64,
+            after / trees as f64
+        );
+        if i > 0 {
+            retrain_rows.push_str(",\n");
+        }
+        let _ = write!(
+            retrain_rows,
+            "    {{\"trees\": {trees}, \"pending\": 100, \"burst\": 10,\n     \"before\": {},\n     \
+             \"after\": {}}}",
+            retrain_json(before, trees),
+            retrain_json(after, trees)
+        );
+    }
+    smartpick_bench::rule(64);
+
     let json = format!(
         "{{\n  \"bench\": \"store_durability\",\n  \"snapshot_unit\": \"bytes at rest for one \
          tenant's full driver snapshot (persist_tenant)\",\n  \"recovery_unit\": \"milliseconds \
@@ -337,9 +413,13 @@ fn main() {
          WAL of N reports\",\n  \"feedback_unit\": \"{FEEDBACK_REPORTS} reports fed round-robin \
          to N tenants of a durable service at its default knobs, in bursts of {FEEDBACK_BURST} \
          with a flush after each: reports applied per second, WAL fsyncs per report, WAL rewrites \
-         and the bytes they wrote per report; before = PR 12, after = this commit\",\n  \
+         and the bytes they wrote per report; before = PR 15 (per-node sorting tree builder), \
+         after = this commit\",\n  \"retrain_unit\": \"milliseconds, in process, for one \
+         apply_report that fires a batch retrain (100 pending samples burst x10, one configured \
+         batch of trees grown on the 1000 rows), median of {RETRAIN_REPS}, and that over the \
+         trees grown; before = PR 15, after = this commit\",\n  \
          \"snapshot_at_rest\": [\n{snap_rows}\n  ],\n  \"recovery\": [\n{rec_rows}\n  ],\n  \
-         \"feedback\": [\n{feedback_rows}\n  ]\n}}\n"
+         \"feedback\": [\n{feedback_rows}\n  ],\n  \"retrain\": [\n{retrain_rows}\n  ]\n}}\n"
     );
     std::fs::write(&out_path, json).expect("write BENCH_store.json");
     println!("wrote {out_path}");

@@ -104,13 +104,14 @@ fn bench_store_json_holds_the_durability_bars() {
 }
 
 /// The write-path record: sustained feedback for 1 and 8 tenants under
-/// `PerBatch` and `Never`, each row with the same measurement from
-/// before the WAL was group-committed. The bars are the ones that change
-/// claims: a batch's reports share one sync and its commits another, so
-/// fsyncs per report fall well under the two-per-tenant-group of before;
-/// rewrites are amortised, so they write at most twice per report what
-/// the log itself takes (one ~4.4 KB record); and with several tenants
-/// to a shard the feed runs faster for it.
+/// `PerBatch` and `Never`, each row with the same measurement from before
+/// the presorted tree builder. The absolute bars are group commit's — a
+/// batch's reports share one sync and its commits another, so a 32-report
+/// burst syncs a handful of times (two per tenant-group, 0.55 per report
+/// at 8 tenants, before it); rewrites are amortised, so they write at
+/// most twice per report what the log itself takes (one ~4.4 KB record).
+/// The relative bar is the builder's: retraining was most of what a
+/// report cost, so every row runs faster for it.
 #[test]
 fn bench_store_json_holds_the_feedback_bars() {
     let root = load();
@@ -145,22 +146,16 @@ fn bench_store_json_holds_the_feedback_bars() {
                 "group commit: a 32-report burst syncs a handful of times, got {} per report",
                 fsyncs(after)
             );
-            // One tenant is one group a batch either way; several used to
-            // sync twice each.
-            assert!(tenants == 1.0 || fsyncs(after) < 0.5 * fsyncs(before));
         }
         assert!(
             rewritten(after) <= 2.0 * 4608.0,
             "rewrites must stay within twice what is appended, got {} B per report",
             rewritten(after)
         );
-        if tenants > 1.0 {
-            assert!(rewritten(after) < rewritten(before));
-            assert!(
-                num(field(after, "reports_per_s")) >= 1.3 * num(field(before, "reports_per_s")),
-                "{tenants} tenants, {fsync}: the group-committed feed must be at least 1.3x faster"
-            );
-        }
+        assert!(
+            num(field(after, "reports_per_s")) >= 1.3 * num(field(before, "reports_per_s")),
+            "{tenants} tenants, {fsync}: the feed must be at least 1.3x faster for the builder"
+        );
     }
     seen.sort();
     assert_eq!(
@@ -173,4 +168,49 @@ fn bench_store_json_holds_the_feedback_bars() {
         ]
         .map(|(t, f)| (t, f.to_owned()))
     );
+}
+
+/// The retrain record: one `apply_report` that fires a batch retrain (100
+/// pending samples burst ×10), for the 10-tree and the 100-tree template,
+/// beside the per-node sorting builder's time for the same work. The
+/// presorted builder takes at most half of it, and the 10-tree row — the
+/// benchmark's recipe — holds the absolute bars the change quoted.
+#[test]
+fn bench_store_json_holds_the_retrain_bars() {
+    let root = load();
+    let retrain = rows(&root, "retrain");
+    let mut seen = Vec::new();
+    for row in retrain {
+        let trees = num(field(row, "trees"));
+        seen.push(trees as u64);
+        assert_eq!(
+            num(field(row, "pending")) * num(field(row, "burst")),
+            1000.0
+        );
+        let (before, after) = (field(row, "before"), field(row, "after"));
+        for side in [before, after] {
+            let per_retrain = num(field(side, "ms_per_retrain"));
+            let per_tree = num(field(side, "ms_per_tree"));
+            assert!(per_retrain.is_finite() && per_retrain > 0.0);
+            assert!(
+                (per_tree - per_retrain / trees).abs() < 0.002,
+                "recorded ms per tree must match the recorded ms per retrain"
+            );
+        }
+        let ms = |side| num(field(side, "ms_per_retrain"));
+        assert!(
+            ms(after) <= 0.5 * ms(before),
+            "{trees} trees: a retrain must take at most half of what it took, got {} of {} ms",
+            ms(after),
+            ms(before)
+        );
+        if trees == 10.0 {
+            assert!(ms(after) <= 8.0, "one retrain within 8 ms");
+            assert!(
+                num(field(after, "ms_per_tree")) <= 0.7,
+                "one tree within 0.7 ms"
+            );
+        }
+    }
+    assert_eq!(seen, [10, 100]);
 }

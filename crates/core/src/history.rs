@@ -4,6 +4,15 @@
 //! and serves them to other components (the paper exposes it over internal
 //! DNS; here it is a thread-safe in-process store). Records serialise to
 //! JSON, matching the paper's storage format.
+//!
+//! The store is a ring of the last [`HISTORY_CAPACITY`] runs. Nothing on
+//! the serving path reads a record back — training data lives in the
+//! retrain monitor's pending batch and then in the forest — while every
+//! snapshot carries the history and every rehydration reloads it, so an
+//! append-only history made a tenant's disk and memory bill grow with
+//! every report it had ever been sent.
+
+use std::collections::VecDeque;
 
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -32,7 +41,12 @@ impl RunRecord {
     }
 }
 
-/// Thread-safe store of run records.
+/// Runs a [`HistoryServer`] keeps: the most recent this many. A constant,
+/// not a setting — it bounds tenant state (snapshot bytes, rehydration
+/// time, resident memory), which no deployment wants unbounded.
+pub const HISTORY_CAPACITY: usize = 256;
+
+/// Thread-safe store of the last [`HISTORY_CAPACITY`] run records.
 ///
 /// # Example
 ///
@@ -56,7 +70,7 @@ impl RunRecord {
 /// ```
 #[derive(Debug, Default)]
 pub struct HistoryServer {
-    records: RwLock<Vec<RunRecord>>,
+    records: RwLock<VecDeque<RunRecord>>,
 }
 
 impl HistoryServer {
@@ -67,18 +81,26 @@ impl HistoryServer {
 
     /// Rebuilds a history from previously captured
     /// [`HistoryServer::snapshot`] records — the persistence restore path.
+    /// Keeps the last [`HISTORY_CAPACITY`] of them.
     pub fn from_records(records: Vec<RunRecord>) -> Self {
+        let mut records = VecDeque::from(records);
+        records.drain(..records.len().saturating_sub(HISTORY_CAPACITY));
         HistoryServer {
             records: RwLock::new(records),
         }
     }
 
-    /// Appends a record.
+    /// Appends a record, dropping the oldest once [`HISTORY_CAPACITY`] are
+    /// held.
     pub fn record(&self, record: RunRecord) {
-        self.records.write().push(record);
+        let mut records = self.records.write();
+        if records.len() == HISTORY_CAPACITY {
+            records.pop_front();
+        }
+        records.push_back(record);
     }
 
-    /// Number of stored records.
+    /// Number of stored records (at most [`HISTORY_CAPACITY`]).
     pub fn len(&self) -> usize {
         self.records.read().len()
     }
@@ -88,9 +110,9 @@ impl HistoryServer {
         self.records.read().is_empty()
     }
 
-    /// A snapshot of all records.
+    /// A snapshot of all stored records, oldest first.
     pub fn snapshot(&self) -> Vec<RunRecord> {
-        self.records.read().clone()
+        self.records.read().iter().cloned().collect()
     }
 
     /// Records for one query id.
@@ -107,12 +129,12 @@ impl HistoryServer {
     pub fn recent(&self, n: usize) -> Vec<RunRecord> {
         let records = self.records.read();
         let start = records.len().saturating_sub(n);
-        records[start..].to_vec()
+        records.range(start..).cloned().collect()
     }
 
-    /// Serialises the whole history to JSON (the paper's storage format).
+    /// Serialises the stored history to JSON (the paper's storage format).
     pub fn to_json(&self) -> String {
-        serde_json::to_string(&*self.records.read()).expect("records are serialisable")
+        serde_json::to_string(&self.snapshot()).expect("records are serialisable")
     }
 
     /// Restores a history from JSON produced by [`HistoryServer::to_json`].
@@ -122,9 +144,7 @@ impl HistoryServer {
     /// Returns the underlying parse error message on malformed input.
     pub fn from_json(json: &str) -> Result<Self, String> {
         let records: Vec<RunRecord> = serde_json::from_str(json).map_err(|e| e.to_string())?;
-        Ok(HistoryServer {
-            records: RwLock::new(records),
-        })
+        Ok(HistoryServer::from_records(records))
     }
 }
 
@@ -169,6 +189,22 @@ mod tests {
     }
 
     #[test]
+    fn keeps_the_last_capacity_records() {
+        let h = HistoryServer::new();
+        for i in 0..HISTORY_CAPACITY + 10 {
+            h.record(record("q", i as f64, 0.0));
+        }
+        assert_eq!(h.len(), HISTORY_CAPACITY);
+        let kept = h.snapshot();
+        assert_eq!(kept[0].actual_seconds, 10.0);
+        assert_eq!(h.recent(1)[0].actual_seconds, (HISTORY_CAPACITY + 9) as f64);
+        // The restore path applies the same bound to what it is handed.
+        let mut longer = kept.clone();
+        longer.insert(0, record("q", -1.0, 0.0));
+        assert_eq!(HistoryServer::from_records(longer).snapshot(), kept);
+    }
+
+    #[test]
     fn abs_error() {
         assert_eq!(record("q", 10.0, 13.0).abs_error(), 3.0);
     }
@@ -181,7 +217,7 @@ mod tests {
             .map(|i| {
                 let h = Arc::clone(&h);
                 std::thread::spawn(move || {
-                    for j in 0..50 {
+                    for j in 0..30 {
                         h.record(record(&format!("q{i}"), j as f64, j as f64));
                     }
                 })
@@ -190,6 +226,6 @@ mod tests {
         for handle in handles {
             handle.join().unwrap();
         }
-        assert_eq!(h.len(), 400);
+        assert_eq!(h.len(), 240);
     }
 }

@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 use crate::dataset::Dataset;
 use crate::error::MlError;
 use crate::lattice::Lattice;
-use crate::tree::{RegressionTree, TreeParams};
+use crate::tree::{Presorted, RegressionTree, TreeParams};
 
 /// Hyperparameters for a random forest.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,6 +149,9 @@ impl RandomForest {
 
     fn grow(&mut self, data: &Dataset, n_new: usize, seed: u64) -> Result<(), MlError> {
         let tp = self.effective_tree_params();
+        // One sort per column for the whole batch of trees; each tree only
+        // expands it to its own bootstrap multiset.
+        let presorted = Presorted::new(data)?;
         let mut rng = StdRng::seed_from_u64(seed);
         for t in 0..n_new {
             let indices: Vec<usize> = if self.params.bootstrap {
@@ -159,8 +162,8 @@ impl RandomForest {
                 (0..data.len()).collect()
             };
             let tree_seed = rng.gen::<u64>() ^ t as u64;
-            self.trees.push(Arc::new(RegressionTree::fit_indices(
-                data, &indices, &tp, tree_seed,
+            self.trees.push(Arc::new(RegressionTree::fit_presorted(
+                &presorted, &indices, &tp, tree_seed,
             )?));
         }
         Ok(())

@@ -10,7 +10,15 @@
 //!   splits, and the paper's **data-burst** augmentation heuristic (§5:
 //!   jitter every sample by ±5% to inflate a ~100-sample workload set ~10×).
 //! * [`tree::RegressionTree`] — CART regression tree (variance-reduction
-//!   splits).
+//!   splits), grown by a presorted, column-major builder: each column is
+//!   sorted once per forest-growing call and expanded to every tree's
+//!   bootstrap multiset by a stable counting sort, after which a node is a
+//!   range that is only stable-partitioned into its children's — no sort
+//!   and no allocation below a tree's root. A stable sort of a subset is
+//!   the subset of the stable sort, so ties stay in sample-position order
+//!   at every node and the trees are bit-identical to the ones per-node
+//!   sorting grew (the argument is in the `tree` module's builder, with the
+//!   replaced builder kept beside it as the property test's oracle).
 //! * [`forest::RandomForest`] — bagged trees with feature subsampling and
 //!   scikit-learn-style `warm_start` extension used for background
 //!   retraining (§5 "Prediction model updates").

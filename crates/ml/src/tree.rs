@@ -1,10 +1,14 @@
 //! CART regression trees (variance-reduction splits).
 //!
 //! These are the base learners of the paper's "decision-tree based Random
-//! Forest" (§3.1, Equation 1).
+//! Forest" (§3.1, Equation 1). Trees are grown by the presorted builder in
+//! the private `builder` module — each feature sorted once per forest, no sort
+//! and no allocation below a tree's root — whose module docs carry the
+//! argument for why its trees are bit-identical to per-node sorting.
 
-use rand::seq::SliceRandom;
-use rand::Rng;
+mod builder;
+
+pub(crate) use builder::Presorted;
 
 use crate::dataset::Dataset;
 use crate::error::MlError;
@@ -176,141 +180,6 @@ pub struct RegressionTree {
     importance: Vec<f64>,
 }
 
-struct Builder<'a> {
-    xs: &'a [Vec<f64>],
-    ys: &'a [f64],
-    params: &'a TreeParams,
-    nodes: Vec<Node>,
-    importance: Vec<f64>,
-}
-
-/// Candidate split found for a node.
-struct BestSplit {
-    feature: usize,
-    threshold: f64,
-    score: f64,
-}
-
-impl<'a> Builder<'a> {
-    /// Sum of squared errors around the mean for the given sample indices.
-    fn sse(&self, idx: &[usize]) -> f64 {
-        if idx.is_empty() {
-            return 0.0;
-        }
-        let mean = idx.iter().map(|&i| self.ys[i]).sum::<f64>() / idx.len() as f64;
-        idx.iter().map(|&i| (self.ys[i] - mean).powi(2)).sum()
-    }
-
-    fn leaf(&mut self, idx: &[usize]) -> usize {
-        let value = idx.iter().map(|&i| self.ys[i]).sum::<f64>() / idx.len() as f64;
-        self.nodes.push(Node::Leaf { value });
-        self.nodes.len() - 1
-    }
-
-    fn best_split_on(&self, idx: &[usize], feature: usize) -> Option<BestSplit> {
-        let mut order: Vec<usize> = idx.to_vec();
-        order.sort_by(|&a, &b| {
-            self.xs[a][feature]
-                .partial_cmp(&self.xs[b][feature])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let n = order.len();
-        // Prefix sums of y and y² in feature order.
-        let mut sum = 0.0;
-        let mut sum2 = 0.0;
-        let prefix: Vec<(f64, f64)> = order
-            .iter()
-            .map(|&i| {
-                sum += self.ys[i];
-                sum2 += self.ys[i] * self.ys[i];
-                (sum, sum2)
-            })
-            .collect();
-        let (total, total2) = prefix[n - 1];
-        let mut best: Option<BestSplit> = None;
-        let min_leaf = self.params.min_samples_leaf.max(1);
-        for k in min_leaf..=(n - min_leaf) {
-            if k == n {
-                break;
-            }
-            let xa = self.xs[order[k - 1]][feature];
-            let xb = self.xs[order[k]][feature];
-            if xa == xb {
-                continue; // cannot split between identical values
-            }
-            let (ls, ls2) = prefix[k - 1];
-            let rs = total - ls;
-            let rs2 = total2 - ls2;
-            let sse_l = ls2 - ls * ls / k as f64;
-            let sse_r = rs2 - rs * rs / (n - k) as f64;
-            let score = sse_l + sse_r;
-            if best.as_ref().is_none_or(|b| score < b.score) {
-                best = Some(BestSplit {
-                    feature,
-                    threshold: (xa + xb) / 2.0,
-                    score,
-                });
-            }
-        }
-        best
-    }
-
-    fn build(&mut self, idx: &[usize], depth: usize, rng: &mut impl Rng) -> usize {
-        let node_sse = self.sse(idx);
-        if depth >= self.params.max_depth
-            || idx.len() < self.params.min_samples_split
-            || node_sse <= 1e-12
-        {
-            return self.leaf(idx);
-        }
-
-        let n_features = self.xs[0].len();
-        let features: Vec<usize> = match self.params.max_features {
-            None => (0..n_features).collect(),
-            Some(m) => {
-                let mut all: Vec<usize> = (0..n_features).collect();
-                all.shuffle(rng);
-                all.truncate(m.clamp(1, n_features));
-                all
-            }
-        };
-
-        let best = features
-            .iter()
-            .filter_map(|&f| self.best_split_on(idx, f))
-            .min_by(|a, b| {
-                a.score
-                    .partial_cmp(&b.score)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-
-        let Some(best) = best else {
-            return self.leaf(idx);
-        };
-        let gain = node_sse - best.score;
-        if gain <= 1e-12 {
-            return self.leaf(idx);
-        }
-        self.importance[best.feature] += gain;
-
-        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = idx
-            .iter()
-            .partition(|&&i| self.xs[i][best.feature] <= best.threshold);
-        // Reserve the split slot, then build children.
-        let slot = self.nodes.len();
-        self.nodes.push(Node::Leaf { value: 0.0 });
-        let left = self.build(&left_idx, depth + 1, rng);
-        let right = self.build(&right_idx, depth + 1, rng);
-        self.nodes[slot] = Node::Split {
-            feature: best.feature,
-            threshold: best.threshold,
-            left,
-            right,
-        };
-        slot
-    }
-}
-
 impl RegressionTree {
     /// Fits a tree on `data`.
     ///
@@ -329,43 +198,46 @@ impl RegressionTree {
     ///
     /// # Errors
     ///
-    /// Returns [`MlError::EmptyDataset`] when `indices` is empty.
+    /// Returns [`MlError::EmptyDataset`] when `data` or `indices` is empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of bounds.
     pub fn fit_indices(
         data: &Dataset,
         indices: &[usize],
         params: &TreeParams,
         seed: u64,
     ) -> Result<Self, MlError> {
-        if indices.is_empty() || data.is_empty() {
+        Self::fit_presorted(&Presorted::new(data)?, indices, params, seed)
+    }
+
+    /// [`RegressionTree::fit_indices`] on a dataset already laid out for
+    /// growing, so a forest sorts its columns once for all its trees.
+    pub(crate) fn fit_presorted(
+        data: &Presorted<'_>,
+        indices: &[usize],
+        params: &TreeParams,
+        seed: u64,
+    ) -> Result<Self, MlError> {
+        if indices.is_empty() {
             return Err(MlError::EmptyDataset);
         }
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let xs: Vec<Vec<f64>> = indices
-            .iter()
-            .map(|&i| data.features()[i].clone())
-            .collect();
-        let ys: Vec<f64> = indices.iter().map(|&i| data.targets()[i]).collect();
-        let mut builder = Builder {
-            xs: &xs,
-            ys: &ys,
-            params,
-            nodes: Vec::new(),
-            importance: vec![0.0; data.n_features()],
-        };
-        let all: Vec<usize> = (0..xs.len()).collect();
-        let root = builder.build(&all, 0, &mut rng);
-        debug_assert_eq!(root, 0);
         assert!(
             data.n_features() < LEAF as usize,
             "feature count must fit below the u16 leaf sentinel"
         );
-        Ok(RegressionTree {
-            flat: FlatTree::compile(&builder.nodes),
-            nodes: builder.nodes,
-            n_features: data.n_features(),
-            importance: builder.importance,
-        })
+        let (nodes, importance) = builder::grow(data, indices, params, seed);
+        Ok(Self::from_nodes(nodes, data.n_features(), importance))
+    }
+
+    fn from_nodes(nodes: Vec<Node>, n_features: usize, importance: Vec<f64>) -> Self {
+        RegressionTree {
+            flat: FlatTree::compile(&nodes),
+            nodes,
+            n_features,
+            importance,
+        }
     }
 
     /// Predicts the target for one feature vector by walking the flat
@@ -695,6 +567,25 @@ mod tests {
         let t = RegressionTree::fit(&d, &params, 0).unwrap();
         // With 100 samples and 40-sample leaves at most one split fits.
         assert!(t.node_count() <= 3, "nodes: {}", t.node_count());
+    }
+
+    /// A node can pass `min_samples_split` and still hold fewer samples
+    /// than one `min_samples_leaf` child needs (this used to underflow
+    /// `n - min_samples_leaf`): it is a leaf.
+    #[test]
+    fn node_smaller_than_one_min_leaf_is_a_leaf() {
+        let mut d = Dataset::new(vec!["x".into()]);
+        for (x, y) in [(1.0, 10.0), (2.0, 20.0), (3.0, 60.0)] {
+            d.push(vec![x], y);
+        }
+        let params = TreeParams {
+            min_samples_split: 2,
+            min_samples_leaf: 5,
+            ..TreeParams::default()
+        };
+        let t = RegressionTree::fit(&d, &params, 0).unwrap();
+        assert_eq!(t.node_count(), 1);
+        assert_eq!(t.predict(&[2.0]), 30.0);
     }
 
     #[test]

@@ -111,6 +111,9 @@ pub(crate) struct ReportStages {
     wal_sync: Arc<LatencyHistogram>,
     /// Applying one tenant's group and republishing its snapshot.
     apply: Arc<LatencyHistogram>,
+    /// One `apply_report` that fired a retrain (inside `apply`): what
+    /// tells a slow apply from a retrain without the event log.
+    retrain: Arc<LatencyHistogram>,
     /// Encoding and persisting one due snapshot.
     snapshot_persist: Arc<LatencyHistogram>,
     /// One shard-log rewrite.
@@ -124,6 +127,7 @@ impl ReportStages {
             wal_append: stage("wal_append"),
             wal_sync: stage("wal_sync"),
             apply: stage("apply"),
+            retrain: stage("retrain"),
             snapshot_persist: stage("snapshot_persist"),
             compact: stage("compact"),
         }
@@ -366,6 +370,7 @@ fn apply_group(
         let Some((run_id, run)) = rescue.job(i) else {
             continue;
         };
+        let report_started = Instant::now();
         match driver.apply_report(&run.query, &run.determination, &run.report) {
             Ok(retrain) => {
                 applied += 1;
@@ -373,6 +378,7 @@ fn apply_group(
                 ctx.totals.reports_applied.inc();
                 ctx.counters.reports_applied.inc();
                 if retrain.is_some() {
+                    ctx.stages.retrain.record(report_started.elapsed());
                     retrains += 1;
                     tenant.counters.retrains.inc();
                     ctx.totals.retrains.inc();

@@ -13,6 +13,7 @@ use std::time::Duration;
 
 use smartpick_cloudsim::{CloudEnv, Provider};
 use smartpick_core::driver::Smartpick;
+use smartpick_core::history::HISTORY_CAPACITY;
 use smartpick_core::properties::SmartpickProperties;
 use smartpick_core::training::TrainOptions;
 use smartpick_core::{ConstraintMode, PredictionRequest};
@@ -741,12 +742,74 @@ fn the_shard_log_stays_within_twice_its_live_records() {
     println!("widest log / live ratio seen: {widest:.2}");
 }
 
+/// Tenant state is bounded: the history a snapshot carries is a ring of
+/// the last `HISTORY_CAPACITY` runs, the pending batch empties at every
+/// retrain and the ensemble is capped — so what a tenant costs at rest
+/// stops growing with the reports it has been sent. And the ring costs no
+/// fidelity: a reopen (snapshot + a WAL tail replayed onto the restored
+/// ring) still equals the twin that never crashed.
+#[test]
+fn ten_thousand_reports_leave_a_snapshot_no_larger_than_three_hundred() {
+    let dir = test_root("bounded");
+    let runs = mint_runs(4);
+    let mut config = durable_config(&dir, 500);
+    config.persistence.as_mut().unwrap().fsync = FsyncPolicy::Never;
+    let durable = SmartpickService::open(&dir, config.clone()).unwrap();
+    let twin = SmartpickService::new(ServiceConfig {
+        retrain_workers: 1,
+        supervisor_poll: Duration::from_millis(5),
+        ..ServiceConfig::default()
+    });
+    durable.register_tenant("acme", template()).unwrap();
+    twin.register_tenant("acme", template()).unwrap();
+
+    // Sizes are read where the pending batch is empty (`max.batch` 100)
+    // and the ensemble is at its cap, so only the history could differ.
+    let mut sizes = Vec::new();
+    for fed in 1..=10_050usize {
+        let run = &runs[fed % runs.len()];
+        durable.report_run("acme", run.clone()).unwrap();
+        twin.report_run("acme", run.clone()).unwrap();
+        if fed % 50 == 0 {
+            assert!(durable.flush() && twin.flush(), "flush at {fed}");
+        }
+        if [300, 1_000, 10_000].contains(&fed) {
+            sizes.push(durable.persist_tenant("acme").unwrap());
+        }
+    }
+    let history_len = |svc: &SmartpickService| {
+        svc.inspect_tenant("acme", |driver| driver.history().len())
+            .unwrap()
+    };
+    assert_eq!(history_len(&durable), HISTORY_CAPACITY);
+    assert!(
+        sizes[1] <= sizes[0] * 11 / 10 && sizes[2] <= sizes[0] * 11 / 10,
+        "snapshot bytes after 300 / 1000 / 10000 reports: {sizes:?}"
+    );
+
+    // Crash with 50 reports past the last checkpoint, and come back.
+    drop(durable);
+    let recovered = SmartpickService::open(&dir, config).unwrap();
+    assert!(counter(&recovered, "store.wal_records_replayed") >= 50);
+    assert_eq!(history_len(&recovered), HISTORY_CAPACITY);
+    let history = |svc: &SmartpickService| {
+        svc.inspect_tenant("acme", |driver| driver.history().snapshot())
+            .unwrap()
+    };
+    assert_eq!(history(&recovered), history(&twin));
+    for seed in [1, 9, 42, 7777] {
+        assert_same_prediction(&recovered, &twin, "acme", seed);
+    }
+}
+
 /// One durable flush moves every stage histogram and store counter of
 /// the feedback path, all through the scrape envelope; rewrites are
 /// counted apart from appends, whose counter keeps its meaning.
 #[test]
 fn a_durable_flush_moves_every_report_stage_metric() {
-    let runs = mint_runs(2);
+    let mut runs = mint_runs(2);
+    // The second run surprises the model, so applying it retrains.
+    runs[1].determination.predicted_seconds += 1e4;
     let base = template();
     let mut appended = Vec::new();
     for (threshold, tag) in [(1, "stages-compacting"), (u64::MAX, "stages-appending")] {
@@ -768,6 +831,8 @@ fn a_durable_flush_moves_every_report_stage_metric() {
         assert_eq!(samples("service.report.wal_append"), 2);
         assert_eq!(samples("service.report.wal_sync"), 4);
         assert_eq!(samples("service.report.apply"), 2);
+        assert_eq!(samples("service.report.retrain"), 1);
+        assert_eq!(scrape.counter("service.retrains"), 1);
         assert_eq!(samples("service.report.snapshot_persist"), 2);
         assert_eq!(scrape.counter("store.wal_syncs"), 4);
         assert_eq!(scrape.counter("store.wal_reports_unencodable"), 0);
@@ -783,8 +848,8 @@ fn a_durable_flush_moves_every_report_stage_metric() {
         let stages = |m: &&MetricSample| matches!(m.value, MetricValue::Histogram(_));
         assert_eq!(
             scrape.metrics.iter().filter(stages).count(),
-            5 + 2,
-            "five stage histograms beside the two the service had: none per tenant or shard"
+            6 + 2,
+            "six stage histograms beside the two the service had: none per tenant or shard"
         );
         appended.push(scrape.counter("store.wal_bytes_written"));
     }

@@ -94,10 +94,11 @@ bench-determine-record:
 
 # CI job: regenerate the durability record (per-tenant snapshot size at
 # rest, recovery time vs WAL length, sustained feedback: reports/s,
-# fsyncs and rewritten bytes per report) into a scratch path to prove
-# the harness still runs, then hold the *committed* BENCH_store.json to
-# the guard bars in crates/bench/tests/bench_store_json.rs — the
-# durability bars and the feedback bars.
+# fsyncs and rewritten bytes per report, one batch retrain in process)
+# into a scratch path to prove the harness still runs, then hold the
+# *committed* BENCH_store.json to the guard bars in
+# crates/bench/tests/bench_store_json.rs — the durability, feedback and
+# retrain bars.
 store-bench:
     cargo build --release -p smartpick_bench --bin bench_store
     ./target/release/bench_store target/tmp/BENCH_store.scratch.json
