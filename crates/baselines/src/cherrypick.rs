@@ -107,8 +107,9 @@ impl CherryPick {
         if let Some(e) = first_error {
             return Err(e);
         }
+        let best = &candidates[result.best_index];
         Ok(CherryPickOutcome {
-            allocation: Allocation::new(result.best_x[0] as u32, result.best_x[1] as u32),
+            allocation: Allocation::new(best[0] as u32, best[1] as u32),
             best_seconds: -result.best_objective,
             wall_seconds,
             probe_cost,

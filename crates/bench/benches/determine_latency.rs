@@ -3,12 +3,12 @@
 //!
 //! `vectorized` is the shipping [`WorkloadPredictionService::determine`]
 //! — one region descent per tree over the cached candidate lattice, the
-//! search consuming the swept values —
-//! and `reference` is `determine_reference`, the old path: grid rebuilt
-//! per call, a feature `Vec` allocated per probe, `enum`-node tree walks
-//! and the GP surrogate loop. Grid sizes 8×8 / 16×16 / 32×32 crossed
-//! with 10/50/100-tree forests; `src/bin/bench_determine.rs` records the
-//! same matrix into `BENCH_determine.json`.
+//! search consuming the swept values — and `reference` is
+//! `determine_reference`, the paper's search as written: candidate `Vec`s
+//! built per call, a feature `Vec` and a forest walk per probe, and the GP
+//! surrogate loop. Grid sizes 8×8 / 16×16 / 32×32 crossed with
+//! 10/50/100-tree forests; `src/bin/bench_determine.rs` records the same
+//! matrix into `BENCH_determine.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

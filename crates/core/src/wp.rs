@@ -156,9 +156,9 @@ pub trait WorkloadPredictionService {
 
     /// Determines every request in one call, in request order. The
     /// contract is *result-identical to N sequential [`Self::determine`]
-    /// calls* (each request keeps its own seed/knob/constraint);
-    /// implementations may amortise model evaluation across the batch,
-    /// which is exactly what the wire front-end's batched endpoint buys.
+    /// calls* (each request keeps its own seed/knob/constraint); what the
+    /// wire front-end's batched endpoint buys is one frame and one
+    /// all-or-nothing answer for N requests.
     ///
     /// # Errors
     ///
@@ -172,7 +172,7 @@ pub trait WorkloadPredictionService {
     }
 }
 
-/// One constraint mode's precompiled search space: the BO candidate
+/// One constraint mode's precompiled search space: the candidate
 /// coordinates plus the [`Lattice`] of their Table-3 feature rows — what
 /// varies across the grid (`n-vm`, `n-sl`, and the three columns
 /// [`QueryFeatures::for_allocation`] derives from `nVM + nSL`) as value
@@ -182,9 +182,9 @@ pub trait WorkloadPredictionService {
 /// is compiled exactly once per trained predictor.
 #[derive(Debug)]
 struct CandidateGrid {
-    /// `[n_vm, n_sl]` per candidate, in [`grid_coords`] order — the
-    /// lattice's row order.
-    candidates: Vec<Vec<f64>>,
+    /// `(n_vm, n_sl)` per candidate, in [`grid_coords`] order — the
+    /// lattice's row order, and what a search's candidate indices index.
+    coords: Vec<(u32, u32)>,
     lattice: Lattice,
 }
 
@@ -204,7 +204,7 @@ impl CandidateGrid {
     /// here, at assembly, instead of answering wrongly.
     fn compile(coords: &[(u32, u32)], rows: &[f64]) -> Result<CandidateGrid, SmartpickError> {
         Ok(CandidateGrid {
-            candidates: candidate_points(coords),
+            coords: coords.to_vec(),
             lattice: Lattice::compile(coords, rows, N_FEATURES)?,
         })
     }
@@ -276,7 +276,7 @@ pub struct WorkloadPredictor {
     /// training floor so the search never relies on extrapolated
     /// predictions for starving configurations.
     min_total: u32,
-    bo: BoParams,
+    bo: BayesianOptimizer,
     /// σ of the δ observation noise in Equation 2.
     noise_sigma: f64,
 }
@@ -325,10 +325,10 @@ impl WorkloadPredictor {
             max_vm,
             max_sl,
             min_total: min_total.max(1),
-            bo: BoParams {
+            bo: BayesianOptimizer::new(BoParams {
                 acq_subsample: Some(64),
                 ..BoParams::default()
-            },
+            }),
             noise_sigma: 0.25,
         })
     }
@@ -443,20 +443,6 @@ impl WorkloadPredictor {
         Ok((k, matched.similarity, false))
     }
 
-    /// Rebuilds the candidate `{nVM, nSL}` grid for a constraint mode
-    /// from scratch — what every `determine()` call did before the grids
-    /// were precompiled; kept for [`WorkloadPredictor::determine_reference`].
-    /// Enumerates through the same [`grid_coords`] the precompiled grids
-    /// use, so the two paths can never search different candidate sets.
-    fn candidates_rebuilt(&self, constraint: ConstraintMode) -> Vec<Vec<f64>> {
-        candidate_points(&grid_coords(
-            self.max_vm,
-            self.max_sl,
-            self.min_total,
-            constraint,
-        ))
-    }
-
     /// The relay policy the determination should carry.
     fn relay_for(&self, n_vm: u32, n_sl: u32) -> RelayPolicy {
         if self.relay_aware && n_vm > 0 && n_sl > 0 {
@@ -466,25 +452,27 @@ impl WorkloadPredictor {
         }
     }
 
-    /// Turns a finished search into a [`Determination`]: builds `ET_l`
-    /// with planner costs, applies the §3.3 knob, and stamps the match
-    /// metadata. Shared by the shipping and reference paths.
+    /// Turns a finished search over `request`'s constraint grid into a
+    /// [`Determination`]: builds `ET_l` with planner costs, applies the
+    /// §3.3 knob, and stamps the match metadata `resolve` returned.
+    /// Shared by the shipping and reference paths.
     fn finish(
         &self,
         result: BoResult,
-        knob: f64,
-        known_query: bool,
-        matched_query: String,
-        match_similarity: f64,
+        request: &PredictionRequest,
+        (known, match_similarity, known_query): (&KnownQuery, f64, bool),
     ) -> Determination {
+        let coords = &self.grids.get(request.constraint).coords;
+        let allocation_at = |candidate: usize| {
+            let (n_vm, n_sl) = coords[candidate];
+            Allocation::new(n_vm, n_sl).with_relay(self.relay_for(n_vm, n_sl))
+        };
         // Build ET_l from the probes, with planner costs.
         let et_list: Vec<EtEntry> = result
             .probes
             .iter()
             .map(|p| {
-                let n_vm = p.x[0] as u32;
-                let n_sl = p.x[1] as u32;
-                let alloc = Allocation::new(n_vm, n_sl).with_relay(self.relay_for(n_vm, n_sl));
+                let alloc = allocation_at(p.candidate_index);
                 let est_seconds = -p.objective;
                 EtEntry {
                     est_cost: self.planner.expected_cost(&alloc, est_seconds),
@@ -495,16 +483,13 @@ impl WorkloadPredictor {
             .collect();
 
         // Best-performance choice.
-        let best_vm = result.best_x[0] as u32;
-        let best_sl = result.best_x[1] as u32;
-        let best_alloc =
-            Allocation::new(best_vm, best_sl).with_relay(self.relay_for(best_vm, best_sl));
+        let best_alloc = allocation_at(result.best_index);
         let t_best = -result.best_objective;
         let c_best = self.planner.expected_cost(&best_alloc, t_best);
 
         // Knob (§3.3): traverse ET_l for a cheaper in-tolerance entry.
         let (allocation, predicted_seconds, predicted_cost) =
-            match choose_with_knob(&et_list, t_best, c_best, knob) {
+            match choose_with_knob(&et_list, t_best, c_best, request.knob) {
                 Some(i) => {
                     let e = &et_list[i];
                     (e.allocation, e.est_seconds, e.est_cost)
@@ -519,53 +504,60 @@ impl WorkloadPredictor {
             et_list,
             evaluations: result.evaluations,
             known_query,
-            matched_query,
+            matched_query: known.id.clone(),
             match_similarity,
         }
     }
 
-    /// The original scalar `determine()` implementation: the candidate
-    /// grid is rebuilt on every call, each BO probe allocates a feature
-    /// `Vec` and walks the forest's `enum`-node trees, and the GP
-    /// surrogate guides probe selection. Kept verbatim as the
-    /// pre-vectorization baseline the `determine_latency` benchmark and
-    /// the equivalence tests measure [`WorkloadPredictionService::determine`]
-    /// against.
+    /// The paper's §3.1 search as written: the GP surrogate picks each
+    /// probe by Probability of Improvement, and every probe builds its
+    /// feature vector and walks the forest — no precompiled lattice, no
+    /// swept grid. Not the serving path; kept public as the model-level
+    /// cross-check of [`WorkloadPredictionService::determine`] and the
+    /// baseline column of the `determine_latency` benchmark and
+    /// `BENCH_determine.json`.
     ///
     /// # Errors
     ///
     /// Returns [`SmartpickError::UnknownQuery`] when the query cannot be
-    /// matched.
+    /// matched and [`SmartpickError::EmptySearchSpace`] when the
+    /// constraint admits no candidate.
     pub fn determine_reference(
         &self,
         request: &PredictionRequest,
     ) -> Result<Determination, SmartpickError> {
-        let (known, similarity, known_query) = self.resolve(&request.query)?;
-        let code = known.code;
-        let matched_id = known.id.clone();
-
-        let candidates = self.candidates_rebuilt(request.constraint);
+        let matched = self.resolve(&request.query)?;
+        let code = matched.0.code;
+        // The GP fits on coordinates, so this path alone spells them out.
+        let candidates: Vec<Vec<f64>> = self
+            .grids
+            .get(request.constraint)
+            .coords
+            .iter()
+            .map(|&(n_vm, n_sl)| vec![n_vm as f64, n_sl as f64])
+            .collect();
+        if candidates.is_empty() {
+            return Err(SmartpickError::EmptySearchSpace(request.constraint));
+        }
         let mut noise_rng = StdRng::seed_from_u64(request.seed ^ NOISE_SEED_MIX);
-        let bo = BayesianOptimizer::new(self.bo.clone());
 
         // Equation 2: maximise −(RF_t + δ).
-        let result = bo.maximize(&candidates, request.seed, |x| {
+        let result = self.bo.maximize(&candidates, request.seed, |x| {
             let alloc = Allocation::new(x[0] as u32, x[1] as u32);
             let features =
                 QueryFeatures::for_allocation(code, request.query.input_gb, &alloc, &self.env);
-            let rf_t = self.forest.predict_reference(&features.to_vec());
+            let rf_t = self.forest.predict(&features.to_vec());
             let delta = sample_normal(&mut noise_rng, 0.0, self.noise_sigma);
             -(rf_t + delta)
         });
 
-        Ok(self.finish(result, request.knob, known_query, matched_id, similarity))
+        Ok(self.finish(result, request, matched))
     }
 }
 
 /// Enumerates the candidate `{nVM, nSL}` coordinates for one constraint
-/// mode, in the canonical nested-loop order. The single source of truth
-/// for the search space: the precompiled [`CandidateGrids`] and the
-/// reference path's per-call rebuild both go through here.
+/// mode, in the canonical nested-loop order — the single source of truth
+/// for the search space.
 fn grid_coords(
     max_vm: u32,
     max_sl: u32,
@@ -590,14 +582,6 @@ fn grid_coords(
         }
     }
     out
-}
-
-/// The optimizer's view of a grid: `[n_vm, n_sl]` per candidate.
-fn candidate_points(coords: &[(u32, u32)]) -> Vec<Vec<f64>> {
-    coords
-        .iter()
-        .map(|&(n_vm, n_sl)| vec![n_vm as f64, n_sl as f64])
-        .collect()
 }
 
 /// Approximates a query DAG as a uniform workload for the planner's cost
@@ -632,50 +616,33 @@ impl WorkloadPredictionService for WorkloadPredictor {
     /// an array lookup and the model's true grid optimum is guaranteed to
     /// be among them.
     fn determine(&self, request: &PredictionRequest) -> Result<Determination, SmartpickError> {
-        let (known, similarity, known_query) = self.resolve(&request.query)?;
-        let matched_id = known.id.clone();
-        let result = self.search(request, known.code)?;
-        Ok(self.finish(result, request.knob, known_query, matched_id, similarity))
+        let matched = self.resolve(&request.query)?;
+        let result = self.search(request, matched.0.code)?;
+        Ok(self.finish(result, request, matched))
     }
 
-    /// The batched determine. Bit-identical to N sequential
-    /// [`Self::determine`] calls: it *is* those calls, less the repeats —
-    /// a determination is a pure function of the request (the δ-noise
-    /// stream is seeded from it), so identical requests inside one frame
-    /// are computed once and the result fanned out per index — and with
-    /// every query resolved up front, so an unmatchable one fails the
-    /// whole batch before any search work is spent.
+    /// The batched determine: N sequential [`Self::determine`] calls,
+    /// but with every query resolved up front, so an unmatchable one
+    /// fails the whole batch before any search work is spent. A repeated
+    /// request is simply computed again — a determination is a pure
+    /// function of the request (the δ-noise stream is seeded from it), so
+    /// it repeats bit for bit.
     fn determine_batch(
         &self,
         requests: &[PredictionRequest],
     ) -> Result<Vec<Determination>, SmartpickError> {
-        // Keyed on the canonical serialisation; a request that fails to
-        // serialise simply keeps its own slot.
-        let mut first_of: HashMap<String, usize> = HashMap::new();
-        let mut slot_of: Vec<usize> = Vec::with_capacity(requests.len());
-        let mut unique: Vec<&PredictionRequest> = Vec::new();
-        for (i, r) in requests.iter().enumerate() {
-            let key = serde_json::to_string(r).unwrap_or_else(|_| format!("__nodedup_{i}"));
-            let slot = *first_of.entry(key).or_insert_with(|| {
-                unique.push(r);
-                unique.len() - 1
-            });
-            slot_of.push(slot);
-        }
-        let mut resolved = Vec::with_capacity(unique.len());
-        for r in &unique {
-            let (known, similarity, known_query) = self.resolve(&r.query)?;
-            resolved.push((known.code, known.id.clone(), similarity, known_query));
-        }
-        let mut computed = Vec::with_capacity(unique.len());
-        for (request, (code, matched_id, similarity, known_query)) in unique.iter().zip(resolved) {
-            let result = self.search(request, code)?;
-            computed.push(self.finish(result, request.knob, known_query, matched_id, similarity));
-        }
-        if computed.len() == requests.len() {
-            return Ok(computed);
-        }
-        Ok(slot_of.iter().map(|&s| computed[s].clone()).collect())
+        let matched = requests
+            .iter()
+            .map(|r| self.resolve(&r.query))
+            .collect::<Result<Vec<_>, _>>()?;
+        requests
+            .iter()
+            .zip(matched)
+            .map(|(request, matched)| {
+                let result = self.search(request, matched.0.code)?;
+                Ok(self.finish(result, request, matched))
+            })
+            .collect()
     }
 }
 
@@ -685,14 +652,14 @@ impl WorkloadPredictor {
     /// under the request's seeded δ-noise stream.
     fn search(&self, request: &PredictionRequest, code: f64) -> Result<BoResult, SmartpickError> {
         let grid = self.grids.get(request.constraint);
-        if grid.candidates.is_empty() {
+        if grid.coords.is_empty() {
             return Err(SmartpickError::EmptySearchSpace(request.constraint));
         }
         let mut fixed = [0.0; N_FEATURES];
         fixed.copy_from_slice(grid.lattice.base_row());
         fixed[QUERY_CODE_COL] = code;
         fixed[INPUT_BYTES_COL] = QueryFeatures::input_gb_to_bytes(request.query.input_gb);
-        let mut objective = vec![0.0; grid.candidates.len()];
+        let mut objective = vec![0.0; grid.coords.len()];
         self.forest
             .predict_lattice_into(&grid.lattice, &fixed, &mut objective);
         // Equation 2 maximises −(RF_t + δ): negate in place, add δ per
@@ -701,12 +668,9 @@ impl WorkloadPredictor {
             *v = -*v;
         }
         let mut noise_rng = StdRng::seed_from_u64(request.seed ^ NOISE_SEED_MIX);
-        let bo = BayesianOptimizer::new(self.bo.clone());
-        Ok(
-            bo.maximize_precomputed(&grid.candidates, &objective, request.seed, |_| {
-                -sample_normal(&mut noise_rng, 0.0, self.noise_sigma)
-            }),
-        )
+        Ok(self.bo.maximize_precomputed(&objective, request.seed, |_| {
+            -sample_normal(&mut noise_rng, 0.0, self.noise_sigma)
+        }))
     }
 }
 
@@ -731,7 +695,8 @@ mod tests {
             &self,
             request: &PredictionRequest,
         ) -> Result<Determination, SmartpickError> {
-            let (known, similarity, known_query) = self.resolve(&request.query)?;
+            let matched = self.resolve(&request.query)?;
+            let known = matched.0;
             let coords = grid_coords(self.max_vm, self.max_sl, self.min_total, request.constraint);
             if coords.is_empty() {
                 return Err(SmartpickError::EmptySearchSpace(request.constraint));
@@ -753,19 +718,10 @@ mod tests {
                 *v = -*v;
             }
             let mut noise_rng = StdRng::seed_from_u64(request.seed ^ NOISE_SEED_MIX);
-            let result = BayesianOptimizer::new(self.bo.clone()).maximize_precomputed(
-                &self.candidates_rebuilt(request.constraint),
-                &objective,
-                request.seed,
-                |_| -sample_normal(&mut noise_rng, 0.0, self.noise_sigma),
-            );
-            Ok(self.finish(
-                result,
-                request.knob,
-                known_query,
-                known.id.clone(),
-                similarity,
-            ))
+            let result = self.bo.maximize_precomputed(&objective, request.seed, |_| {
+                -sample_normal(&mut noise_rng, 0.0, self.noise_sigma)
+            });
+            Ok(self.finish(result, request, matched))
         }
     }
 

@@ -298,10 +298,10 @@ fn assert_bit_identical(
 }
 
 #[test]
-fn duplicate_requests_in_a_batch_dedup_without_changing_results() {
-    // ROADMAP item 1: identical requests inside one frame are computed
-    // once and fanned out. The fan-out must be invisible — every slot,
-    // duplicate or not, equals its own sequential determine().
+fn repeated_requests_in_a_batch_repeat_their_results() {
+    // A determination is a pure function of the request, so a batch may
+    // hold the same request any number of times — every slot, repeat or
+    // not, equals its own sequential determine().
     let wp = predictor();
     let base = PredictionRequest::new(tpcds::query(11, 100.0).unwrap(), 21);
     let other = PredictionRequest {
@@ -310,7 +310,7 @@ fn duplicate_requests_in_a_batch_dedup_without_changing_results() {
         constraint: ConstraintMode::VmOnly,
         seed: 22,
     };
-    // Same query + seed but different knob must NOT collapse together.
+    // Same query + seed but a different knob is a different request.
     let near_miss = PredictionRequest {
         knob: 0.3,
         ..base.clone()
@@ -330,7 +330,7 @@ fn duplicate_requests_in_a_batch_dedup_without_changing_results() {
         let want = wp.determine(request).unwrap();
         assert_bit_identical(got, &want, &format!("slot {i}"));
     }
-    // Duplicates really did collapse to the same answer object-for-object.
+    // Repeats answer alike, slot for slot.
     assert_eq!(batch[0].et_list, batch[2].et_list);
     assert_eq!(batch[0].et_list, batch[4].et_list);
 }
@@ -463,11 +463,11 @@ fn shared_predictor() -> &'static WorkloadPredictor {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Any multiset of requests drawn from a small pool — so duplicates
-    /// are frequent — answers identically to the undeduped sequential
-    /// path, slot for slot.
+    /// Any multiset of requests drawn from a small pool — so repeats
+    /// are frequent — answers identically to the sequential path, slot
+    /// for slot.
     #[test]
-    fn dedup_batches_match_the_undeduped_path(
+    fn batches_with_repeats_match_the_sequential_path(
         picks in prop::collection::vec(0usize..5, 1..10),
     ) {
         let wp = shared_predictor();

@@ -7,9 +7,10 @@
 //! and widely used); and the search stops when the best (estimated) query
 //! completion time has not improved by 1% for 10 consecutive probes.
 //!
-//! The optimizer also records every probe `(x, objective)` — Smartpick's
-//! estimated-times list `ET_l`, which the cost–performance knob later
-//! traverses (§3.3).
+//! The optimizer also records every probe `(candidate index, objective)` —
+//! Smartpick's estimated-times list `ET_l`, which the cost–performance knob
+//! later traverses (§3.3). Results name candidates by index only: the
+//! caller owns the candidate set and reads coordinates out of it.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -92,13 +93,11 @@ impl Default for BoParams {
     }
 }
 
-/// One probe the optimizer made: candidate index, candidate, objective.
-#[derive(Debug, Clone, PartialEq)]
+/// One probe the optimizer made: candidate index and objective.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Probe {
     /// Index into the candidate set.
     pub candidate_index: usize,
-    /// The candidate coordinates.
-    pub x: Vec<f64>,
     /// The (maximised) objective value observed.
     pub objective: f64,
 }
@@ -106,9 +105,7 @@ pub struct Probe {
 /// Result of a Bayesian-optimisation run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BoResult {
-    /// Best candidate found.
-    pub best_x: Vec<f64>,
-    /// Index of the best candidate in the candidate set.
+    /// Index of the best candidate found in the candidate set.
     pub best_index: usize,
     /// Best objective value (maximised).
     pub best_objective: f64,
@@ -116,6 +113,60 @@ pub struct BoResult {
     pub probes: Vec<Probe>,
     /// Total objective evaluations spent.
     pub evaluations: usize,
+}
+
+/// A run in progress: the probes so far, the incumbent, and how many
+/// probes in a row failed the §3.1 improvement test.
+struct Run {
+    improvement_rel_tol: f64,
+    probes: Vec<Probe>,
+    best_index: usize,
+    best_objective: f64,
+    stale: usize,
+}
+
+impl Run {
+    fn new(improvement_rel_tol: f64) -> Run {
+        Run {
+            improvement_rel_tol,
+            probes: Vec::new(),
+            best_index: 0,
+            best_objective: f64::NEG_INFINITY,
+            stale: 0,
+        }
+    }
+
+    /// Records that candidate `idx` was observed at `y`.
+    fn probe(&mut self, idx: usize, y: f64) {
+        self.probes.push(Probe {
+            candidate_index: idx,
+            objective: y,
+        });
+        let improved = if self.best_objective.is_finite() {
+            let scale = self.best_objective.abs().max(1e-9);
+            (y - self.best_objective) / scale >= self.improvement_rel_tol
+        } else {
+            true
+        };
+        if y > self.best_objective {
+            self.best_objective = y;
+            self.best_index = idx;
+        }
+        if improved {
+            self.stale = 0;
+        } else {
+            self.stale += 1;
+        }
+    }
+
+    fn finish(self) -> BoResult {
+        BoResult {
+            best_index: self.best_index,
+            best_objective: self.best_objective,
+            evaluations: self.probes.len(),
+            probes: self.probes,
+        }
+    }
 }
 
 /// Maximises a black-box objective over a discrete candidate set.
@@ -156,60 +207,23 @@ impl BayesianOptimizer {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut unprobed: Vec<usize> = (0..candidates.len()).collect();
         unprobed.shuffle(&mut rng);
-
-        let mut probes: Vec<Probe> = Vec::new();
-        let mut best_index = 0usize;
-        let mut best_objective = f64::NEG_INFINITY;
-        let mut stale = 0usize;
-
-        let probe = |idx: usize,
-                     probes: &mut Vec<Probe>,
-                     best_index: &mut usize,
-                     best_objective: &mut f64,
-                     stale: &mut usize,
-                     objective: &mut dyn FnMut(&[f64]) -> f64| {
-            let x = candidates[idx].clone();
-            let y = objective(&x);
-            probes.push(Probe {
-                candidate_index: idx,
-                x,
-                objective: y,
-            });
-            let improved = if best_objective.is_finite() {
-                let scale = best_objective.abs().max(1e-9);
-                (y - *best_objective) / scale >= self.params.improvement_rel_tol
-            } else {
-                true
-            };
-            if y > *best_objective {
-                *best_objective = y;
-                *best_index = idx;
-            }
-            if improved {
-                *stale = 0;
-            } else {
-                *stale += 1;
-            }
-        };
+        let mut run = Run::new(p.improvement_rel_tol);
 
         // Phase 1: random initial design.
         let n_init = p.n_init.min(candidates.len()).max(1);
         for _ in 0..n_init {
             let idx = unprobed.pop().expect("n_init bounded by candidate count");
-            probe(
-                idx,
-                &mut probes,
-                &mut best_index,
-                &mut best_objective,
-                &mut stale,
-                &mut objective,
-            );
+            run.probe(idx, objective(&candidates[idx]));
         }
 
         // Phase 2: surrogate-guided probes.
-        while probes.len() < p.max_evals && !unprobed.is_empty() && stale < p.patience {
-            let xs: Vec<Vec<f64>> = probes.iter().map(|pr| pr.x.clone()).collect();
-            let ys: Vec<f64> = probes.iter().map(|pr| pr.objective).collect();
+        while run.probes.len() < p.max_evals && !unprobed.is_empty() && run.stale < p.patience {
+            let xs: Vec<Vec<f64>> = run
+                .probes
+                .iter()
+                .map(|pr| candidates[pr.candidate_index].clone())
+                .collect();
+            let ys: Vec<f64> = run.probes.iter().map(|pr| pr.objective).collect();
             let next = match GaussianProcess::fit(&xs, &ys, &p.gp) {
                 Ok(gp) => {
                     let pool: Vec<usize> = match p.acq_subsample {
@@ -226,7 +240,7 @@ impl BayesianOptimizer {
                     let mut best_score = f64::NEG_INFINITY;
                     for &idx in &pool {
                         let (m, v) = gp.posterior(&candidates[idx]);
-                        let s = p.acquisition.score(m, v, best_objective);
+                        let s = p.acquisition.score(m, v, run.best_objective);
                         if s > best_score {
                             best_score = s;
                             best_cand = idx;
@@ -239,30 +253,16 @@ impl BayesianOptimizer {
                 Err(_) => unprobed[0],
             };
             unprobed.retain(|&i| i != next);
-            probe(
-                next,
-                &mut probes,
-                &mut best_index,
-                &mut best_objective,
-                &mut stale,
-                &mut objective,
-            );
+            run.probe(next, objective(&candidates[next]));
         }
-
-        let evaluations = probes.len();
-        BoResult {
-            best_x: candidates[best_index].clone(),
-            best_index,
-            best_objective,
-            probes,
-            evaluations,
-        }
+        run.finish()
     }
 
     /// Maximises an objective whose *mean* value at every candidate is
     /// already known — the fast path for callers that evaluate their
     /// model over the whole candidate set up front (Smartpick's
-    /// `determine()`).
+    /// `determine()`). Candidate `i` is `values[i]`; the search never
+    /// needs its coordinates.
     ///
     /// The GP surrogate earns its O(n³) keep only while objective
     /// evaluations are scarce; with `values[i]` precomputed there is
@@ -281,72 +281,27 @@ impl BayesianOptimizer {
     ///
     /// # Panics
     ///
-    /// Panics if `candidates` is empty or `values` has a different
-    /// length.
+    /// Panics if `values` is empty.
     pub fn maximize_precomputed(
         &self,
-        candidates: &[Vec<f64>],
         values: &[f64],
         seed: u64,
         mut noise: impl FnMut(usize) -> f64,
     ) -> BoResult {
-        assert!(!candidates.is_empty(), "candidate set must be non-empty");
-        assert_eq!(
-            candidates.len(),
-            values.len(),
-            "one precomputed value per candidate required"
-        );
+        assert!(!values.is_empty(), "candidate set must be non-empty");
         let p = &self.params;
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut unprobed: Vec<usize> = (0..candidates.len()).collect();
+        let mut unprobed: Vec<usize> = (0..values.len()).collect();
         unprobed.shuffle(&mut rng);
-
-        let mut probed = vec![false; candidates.len()];
-        let mut probes: Vec<Probe> = Vec::new();
-        let mut best_index = 0usize;
-        let mut best_objective = f64::NEG_INFINITY;
-        let mut stale = 0usize;
-
-        let mut probe = |idx: usize,
-                         probes: &mut Vec<Probe>,
-                         best_index: &mut usize,
-                         best_objective: &mut f64,
-                         stale: &mut usize| {
-            let y = values[idx] + noise(idx);
-            probes.push(Probe {
-                candidate_index: idx,
-                x: candidates[idx].clone(),
-                objective: y,
-            });
-            let improved = if best_objective.is_finite() {
-                let scale = best_objective.abs().max(1e-9);
-                (y - *best_objective) / scale >= self.params.improvement_rel_tol
-            } else {
-                true
-            };
-            if y > *best_objective {
-                *best_objective = y;
-                *best_index = idx;
-            }
-            if improved {
-                *stale = 0;
-            } else {
-                *stale += 1;
-            }
-        };
+        let mut probed = vec![false; values.len()];
+        let mut run = Run::new(p.improvement_rel_tol);
 
         // Phase 1: the same random initial design as `maximize`.
-        let n_init = p.n_init.min(candidates.len()).max(1);
+        let n_init = p.n_init.min(values.len()).max(1);
         for _ in 0..n_init {
             let idx = unprobed.pop().expect("n_init bounded by candidate count");
             probed[idx] = true;
-            probe(
-                idx,
-                &mut probes,
-                &mut best_index,
-                &mut best_objective,
-                &mut stale,
-            );
+            run.probe(idx, values[idx] + noise(idx));
         }
 
         // Phase 2: consume candidates best-mean-first — the order every
@@ -360,7 +315,7 @@ impl BayesianOptimizer {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.cmp(b))
         };
-        let mut order: Vec<usize> = (0..candidates.len()).collect();
+        let mut order: Vec<usize> = (0..values.len()).collect();
         let head = p.max_evals.min(order.len());
         if (1..order.len()).contains(&head) {
             order.select_nth_unstable_by(head - 1, best_first);
@@ -368,30 +323,16 @@ impl BayesianOptimizer {
         order.truncate(head);
         order.sort_unstable_by(best_first);
         for idx in order {
-            if probes.len() >= p.max_evals || stale >= p.patience {
+            if run.probes.len() >= p.max_evals || run.stale >= p.patience {
                 break;
             }
             if probed[idx] {
                 continue;
             }
             probed[idx] = true;
-            probe(
-                idx,
-                &mut probes,
-                &mut best_index,
-                &mut best_objective,
-                &mut stale,
-            );
+            run.probe(idx, values[idx] + noise(idx));
         }
-
-        let evaluations = probes.len();
-        BoResult {
-            best_x: candidates[best_index].clone(),
-            best_index,
-            best_objective,
-            probes,
-            evaluations,
-        }
+        run.finish()
     }
 }
 
@@ -417,10 +358,10 @@ mod tests {
         let res = bo.maximize(&candidates, 11, |x| {
             -((x[0] - 7.0).powi(2) + (x[1] - 4.0).powi(2))
         });
+        let best = &candidates[res.best_index];
         assert!(
-            (res.best_x[0] - 7.0).abs() + (res.best_x[1] - 4.0).abs() <= 3.0,
-            "best {:?}",
-            res.best_x
+            (best[0] - 7.0).abs() + (best[1] - 4.0).abs() <= 3.0,
+            "best {best:?}"
         );
         // Far fewer evaluations than the 144-point grid.
         assert!(res.evaluations < candidates.len());
@@ -475,7 +416,7 @@ mod tests {
         let bo = BayesianOptimizer::new(BoParams::default());
         let a = bo.maximize(&candidates, 5, |x| -(x[0] - 3.0).powi(2) - x[1]);
         let b = bo.maximize(&candidates, 5, |x| -(x[0] - 3.0).powi(2) - x[1]);
-        assert_eq!(a.best_x, b.best_x);
+        assert_eq!(a.best_index, b.best_index);
         assert_eq!(a.evaluations, b.evaluations);
     }
 
@@ -515,10 +456,10 @@ mod tests {
             .map(|x| -((x[0] - 7.0).powi(2) + (x[1] - 4.0).powi(2)))
             .collect();
         let bo = BayesianOptimizer::new(BoParams::default());
-        let res = bo.maximize_precomputed(&candidates, &values, 11, |_| 0.0);
+        let res = bo.maximize_precomputed(&values, 11, |_| 0.0);
         // With zero noise the first greedy probe is the grid argmax, so
         // the best candidate is exact — no surrogate approximation.
-        assert_eq!(res.best_x, vec![7.0, 4.0]);
+        assert_eq!(candidates[res.best_index], vec![7.0, 4.0]);
         assert!(res.evaluations < candidates.len());
         // The argmax is always among the recorded probes (ET_l).
         assert!(res
@@ -529,15 +470,14 @@ mod tests {
 
     #[test]
     fn precomputed_termination_rule_still_applies() {
-        let candidates = grid_2d(20);
         let params = BoParams {
             n_init: 4,
             max_evals: 400,
             ..BoParams::default()
         };
         let bo = BayesianOptimizer::new(params);
-        let values = vec![1.0; candidates.len()];
-        let res = bo.maximize_precomputed(&candidates, &values, 3, |_| 0.0);
+        let values = vec![1.0; 400];
+        let res = bo.maximize_precomputed(&values, 3, |_| 0.0);
         assert!(res.evaluations <= 4 + 10 + 1, "evals {}", res.evaluations);
     }
 
@@ -551,8 +491,8 @@ mod tests {
             ..BoParams::default()
         });
         let noisy = |i: usize| (i % 3) as f64 * 0.01;
-        let a = bo.maximize_precomputed(&candidates, &values, 9, noisy);
-        let b = bo.maximize_precomputed(&candidates, &values, 9, noisy);
+        let a = bo.maximize_precomputed(&values, 9, noisy);
+        let b = bo.maximize_precomputed(&values, 9, noisy);
         assert_eq!(a.probes, b.probes);
         let mut seen: Vec<usize> = a.probes.iter().map(|p| p.candidate_index).collect();
         seen.sort_unstable();
@@ -566,8 +506,7 @@ mod tests {
 
     #[test]
     fn precomputed_noise_is_sampled_once_per_probe_in_order() {
-        let candidates = grid_2d(4);
-        let values = vec![0.0; candidates.len()];
+        let values = vec![0.0; 16];
         let bo = BayesianOptimizer::new(BoParams {
             n_init: 2,
             max_evals: 5,
@@ -575,7 +514,7 @@ mod tests {
             ..BoParams::default()
         });
         let mut calls = Vec::new();
-        let res = bo.maximize_precomputed(&candidates, &values, 1, |i| {
+        let res = bo.maximize_precomputed(&values, 1, |i| {
             calls.push(i);
             calls.len() as f64
         });
@@ -596,7 +535,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(17);
         for case in 0..200 {
             let n = rng.gen_range(1..300usize);
-            let candidates: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64]).collect();
             let values: Vec<f64> = (0..n).map(|_| rng.gen_range(0..6) as f64).collect();
             let params = BoParams {
                 n_init: rng.gen_range(1..12),
@@ -606,7 +544,7 @@ mod tests {
             };
             let bo = BayesianOptimizer::new(params.clone());
             let got: Vec<usize> = bo
-                .maximize_precomputed(&candidates, &values, case, |_| 0.0)
+                .maximize_precomputed(&values, case, |_| 0.0)
                 .probes
                 .iter()
                 .map(|p| p.candidate_index)
@@ -627,7 +565,7 @@ mod tests {
                 ..params
             });
             let cut: Vec<usize> = patient
-                .maximize_precomputed(&candidates, &values, case, |_| 0.0)
+                .maximize_precomputed(&values, case, |_| 0.0)
                 .probes
                 .iter()
                 .map(|p| p.candidate_index)
@@ -638,9 +576,8 @@ mod tests {
 
     #[test]
     #[should_panic]
-    fn precomputed_length_mismatch_panics() {
-        let candidates = grid_2d(3);
+    fn precomputed_empty_values_panic() {
         let bo = BayesianOptimizer::new(BoParams::default());
-        let _ = bo.maximize_precomputed(&candidates, &[1.0], 0, |_| 0.0);
+        let _ = bo.maximize_precomputed(&[], 0, |_| 0.0);
     }
 }

@@ -206,19 +206,6 @@ impl RandomForest {
         sum / self.trees.len() as f64
     }
 
-    /// Predicts via the original recursive `enum`-node walk — the
-    /// pre-compilation reference path, kept as the equivalence oracle and
-    /// the benchmark baseline for the flat layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` has the wrong width.
-    pub fn predict_reference(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.n_features, "feature width mismatch");
-        let sum: f64 = self.trees.iter().map(|t| t.predict_reference(x)).sum();
-        sum / self.trees.len() as f64
-    }
-
     /// Predicts every row of `xs`.
     pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
         xs.iter().map(|x| self.predict(x)).collect()
@@ -279,24 +266,6 @@ impl RandomForest {
         for o in out {
             *o /= n;
         }
-    }
-
-    /// Allocating convenience over [`RandomForest::predict_batch_into`]
-    /// for a row-major flat candidate matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs` is not a whole number of `n_features`-wide rows.
-    pub fn predict_batch_flat(&self, xs: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            xs.len() % self.n_features.max(1),
-            0,
-            "matrix width mismatch"
-        );
-        let rows = xs.len().checked_div(self.n_features).unwrap_or(0);
-        let mut out = vec![0.0; rows];
-        self.predict_batch_into(xs, &mut out);
-        out
     }
 
     /// Ensemble mean and standard deviation across trees for one input —
@@ -520,15 +489,11 @@ mod tests {
         // 13 rows exercises the 4-wide blocks plus a remainder.
         let rows: Vec<[f64; 2]> = (0..13).map(|i| [i as f64 * 0.83, (i % 4) as f64]).collect();
         let xs: Vec<f64> = rows.iter().flatten().copied().collect();
-        let out = f.predict_batch_flat(&xs);
-        assert_eq!(out.len(), rows.len());
+        // Whatever the caller's buffer held is overwritten, not added to.
+        let mut out = vec![f64::NAN; rows.len()];
+        f.predict_batch_into(&xs, &mut out);
         for (row, got) in rows.iter().zip(&out) {
             assert_eq!(got.to_bits(), f.predict(row).to_bits());
-            assert_eq!(got.to_bits(), f.predict_reference(row).to_bits());
         }
-        // The into-variant reuses a caller buffer without reallocating.
-        let mut buf = vec![f64::NAN; rows.len()];
-        f.predict_batch_into(&xs, &mut buf);
-        assert_eq!(buf, out);
     }
 }

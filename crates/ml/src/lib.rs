@@ -10,7 +10,8 @@
 //!   splits, and the paper's **data-burst** augmentation heuristic (§5:
 //!   jitter every sample by ±5% to inflate a ~100-sample workload set ~10×).
 //! * [`tree::RegressionTree`] — CART regression tree (variance-reduction
-//!   splits), grown by a presorted, column-major builder: each column is
+//!   splits), held as flat parallel arrays (also its on-disk shape) and
+//!   grown by a presorted, column-major builder: each column is
 //!   sorted once per forest-growing call and expanded to every tree's
 //!   bootstrap multiset by a stable counting sort, after which a node is a
 //!   range that is only stable-partitioned into its children's — no sort
@@ -56,7 +57,7 @@
 //!     ..BoParams::default()
 //! });
 //! let result = bo.maximize(&candidates, 42, |x| forest.predict(x));
-//! assert!((result.best_x[0] - 3.0).abs() <= 1.0);
+//! assert!((candidates[result.best_index][0] - 3.0).abs() <= 1.0);
 //! # Ok::<(), smartpick_ml::MlError>(())
 //! ```
 

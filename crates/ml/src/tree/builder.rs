@@ -522,7 +522,7 @@ mod tests {
         let all: Vec<usize> = (0..xs.len()).collect();
         let root = builder.build(&all, 0, &mut StdRng::seed_from_u64(seed));
         assert_eq!(root, 0);
-        RegressionTree::from_nodes(builder.nodes, data.n_features(), builder.importance)
+        RegressionTree::compile(&builder.nodes, data.n_features(), builder.importance)
     }
 
     fn assert_same_tree(got: &RegressionTree, want: &RegressionTree) -> Result<(), TestCaseError> {

@@ -31,7 +31,7 @@
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard};
 
 use parking_lot::{Mutex, RwLock};
@@ -64,6 +64,9 @@ pub(crate) struct TenantState {
     /// evict/rehydrate cycles and are scraped as `tenant.<id>.*` rows
     /// while it is resident.
     pub(crate) counters: Arc<TenantCounters>,
+    /// Reports accepted but not yet applied: the quota level and the
+    /// eviction pin (only a state with none is evicted).
+    pub(crate) pending: AtomicUsize,
     /// Snapshots published so far (0 = registration snapshot).
     pub(crate) generation: AtomicU64,
     /// Publication instant, µs since the service epoch.
@@ -94,11 +97,10 @@ pub(crate) struct TenantState {
     /// tenant the operator deleted.
     pub(crate) defunct: AtomicBool,
     /// Set while the eviction sweep is draining this state. Enqueuers
-    /// bump `counters.pending` *then* check this flag; the evictor sets
-    /// it *then* checks pending (both `SeqCst`), so one side always sees
-    /// the other — a report can never be queued against a state whose
-    /// slot just went cold without the enqueuer noticing and retrying
-    /// against the rehydrated state.
+    /// bump `pending` *then* check this flag; the evictor sets it *then*
+    /// checks `pending` (both `SeqCst`), so one side always sees the other
+    /// — a report can never be queued against a state whose slot just went
+    /// cold without the enqueuer retrying against the rehydrated state.
     pub(crate) retired: AtomicBool,
     /// Last read-path touch, µs since the service epoch — the LRU clock
     /// hand the eviction sweep orders candidates by.
@@ -125,6 +127,7 @@ impl TenantState {
             driver: Mutex::new(driver),
             id,
             counters,
+            pending: AtomicUsize::new(0),
             generation: AtomicU64::new(floors.generation),
             published_at_us: AtomicU64::new(now_us),
             stale_flagged: AtomicBool::new(false),

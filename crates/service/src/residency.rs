@@ -14,15 +14,14 @@
 //! ## Why eviction cannot lose a report
 //!
 //! The evictor and the enqueuer run a Dekker-style handshake over two
-//! `SeqCst` flags: the enqueuer bumps `counters.pending` *then* reads
-//! `retired`; the evictor stores `retired = true` *then* reads `pending`.
-//! One side always observes the other — either the enqueuer backs out
-//! (and retries against the rehydrated state), or the evictor sees
-//! pending work and aborts. A tenant with `pending > 0` is **pinned
-//! hot**: its retrain worker holds queued reports that must commit
-//! against this driver instance. The evictor additionally takes the
-//! driver via `try_lock`, so a worker mid-apply is simply skipped this
-//! sweep, never blocked.
+//! `SeqCst` flags: the enqueuer bumps `pending` *then* reads `retired`;
+//! the evictor stores `retired = true` *then* reads `pending`. One side
+//! always observes the other — either the enqueuer backs out (and retries
+//! against the rehydrated state), or the evictor sees pending work and
+//! aborts. A tenant with `pending > 0` is **pinned hot**: its retrain
+//! worker holds queued reports that must commit against this driver
+//! instance. The evictor additionally takes the driver via `try_lock`, so
+//! a worker mid-apply is simply skipped this sweep, never blocked.
 //!
 //! ## Why eviction cannot resurrect a deregistered tenant
 //!
@@ -90,7 +89,9 @@ impl ResidencyCtl {
             max_resident,
             idle_evict_after_us,
             epoch,
-            last_sweep_us: AtomicU64::new(0),
+            // Throttled from here, not from the epoch: how long recovery
+            // took must not decide whether the first poll sweeps.
+            last_sweep_us: AtomicU64::new(epoch.elapsed().as_micros() as u64),
         }
     }
 
@@ -312,14 +313,14 @@ impl ResidencyCtl {
             return false;
         }
         // Pinned: a retrain worker holds queued reports for this state.
-        if state.counters.pending.load(Ordering::SeqCst) > 0 {
+        if state.pending.load(Ordering::SeqCst) > 0 {
             return false;
         }
         // The Dekker handshake: publish retirement, then re-check pending.
         // An enqueuer that slipped in between bumped pending first and
         // will now observe `retired` (or we observe its bump here).
         state.retired.store(true, Ordering::SeqCst);
-        if state.counters.pending.load(Ordering::SeqCst) > 0 {
+        if state.pending.load(Ordering::SeqCst) > 0 {
             state.retired.store(false, Ordering::SeqCst);
             return false;
         }

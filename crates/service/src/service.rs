@@ -907,13 +907,13 @@ impl SmartpickService {
         // — one side always observes the other, so a report can never
         // land on a state that silently went cold.
         let cap = self.config.tenant_pending_cap;
-        let prior = state.counters.pending.fetch_add(1, Ordering::SeqCst);
+        let prior = state.pending.fetch_add(1, Ordering::SeqCst);
         if state.retired.load(Ordering::SeqCst) {
-            state.counters.pending.fetch_sub(1, Ordering::SeqCst);
+            state.pending.fetch_sub(1, Ordering::SeqCst);
             return Enqueue::Retired(Box::new(run));
         }
         if prior >= cap {
-            state.counters.pending.fetch_sub(1, Ordering::Relaxed);
+            state.pending.fetch_sub(1, Ordering::Relaxed);
             self.note_shed(state, "tenant pending quota exceeded");
             return Enqueue::Done(Err(ServiceError::QuotaExceeded {
                 tenant: state.id.clone(),
@@ -939,7 +939,7 @@ impl SmartpickService {
                 Enqueue::Done(Ok(()))
             }
             Err(rejected) => {
-                state.counters.pending.fetch_sub(1, Ordering::Relaxed);
+                state.pending.fetch_sub(1, Ordering::Relaxed);
                 Enqueue::Done(Err(match rejected {
                     PushRejected::Full => {
                         self.note_shed(state, "update queue full");
@@ -1271,7 +1271,7 @@ impl SmartpickService {
             retrains: state.counters.retrains.get(),
             rejections: state.counters.rejections.get(),
             apply_failures: state.counters.apply_failures.get(),
-            pending_reports: state.counters.pending.load(Ordering::Relaxed),
+            pending_reports: state.pending.load(Ordering::Relaxed),
             snapshot_generation: state.generation.load(Ordering::Relaxed),
             snapshot_age,
         }

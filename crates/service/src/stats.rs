@@ -15,7 +15,7 @@
 //! aggregate with pure atomic loads instead of walking the tenant
 //! registry under its shard locks.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -38,9 +38,6 @@ pub(crate) struct Counters<C> {
     pub(crate) apply_failures: C,
     /// Predictions served from a snapshot past the staleness bound.
     pub(crate) stale_predictions: C,
-    /// Reports accepted but not yet applied (quota accounting; a level,
-    /// not a counter — per tenant only, the totals leave it at zero).
-    pub(crate) pending: AtomicUsize,
 }
 
 /// A tenant's counters: owned by its registry slot, shared with its hot
@@ -64,7 +61,6 @@ impl ServiceTotals {
             rejections: c("rejections"),
             apply_failures: c("apply_failures"),
             stale_predictions: c("stale_predictions"),
-            pending: AtomicUsize::new(0),
         }
     }
 }

@@ -400,7 +400,7 @@ fn apply_group(
             .applied_watermark
             .fetch_max(run_id, Ordering::Relaxed);
         consumed += 1;
-        tenant.counters.pending.fetch_sub(1, Ordering::Relaxed);
+        tenant.pending.fetch_sub(1, Ordering::Relaxed);
         rescue.consume(i);
     }
     if let Some(every) = snapshot_every {
@@ -817,7 +817,7 @@ mod tests {
         fn batch_acking(&mut self, first_id: u64, reports: u64, ack: SyncSender<()>) {
             let mut rescue = BatchRescue::new(&self.queue);
             for run_id in first_id..first_id + reports {
-                self.tenant.counters.pending.fetch_add(1, Ordering::Relaxed);
+                self.tenant.pending.fetch_add(1, Ordering::Relaxed);
                 rescue.admit(WorkerMsg::Job {
                     tenant: Arc::clone(&self.tenant),
                     run_id,

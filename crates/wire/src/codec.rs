@@ -94,14 +94,8 @@ pub fn encode_value_into(v: &Value, out: &mut Vec<u8>) {
         Value::Null => out.push(TAG_NULL),
         Value::Bool(false) => out.push(TAG_FALSE),
         Value::Bool(true) => out.push(TAG_TRUE),
-        Value::Num(n) => {
-            out.push(TAG_NUM);
-            out.extend_from_slice(&n.to_bits().to_be_bytes());
-        }
-        Value::Str(s) => {
-            out.push(TAG_STR);
-            push_bytes(out, s.as_bytes());
-        }
+        Value::Num(n) => w_num(out, *n),
+        Value::Str(s) => w_str(out, s),
         Value::Arr(items) => {
             out.push(TAG_ARR);
             push_count(out, items.len());
@@ -150,41 +144,59 @@ pub fn decode_value(bytes: &[u8]) -> Result<Value, CodecError> {
     Ok(v)
 }
 
+/// The one forward reader over wire-supplied bytes, under both the tree
+/// decoder and the determination fast path. Only `take` slices `bytes`,
+/// bounds-checked (`checked_add`: a length prefix is the peer's claim);
+/// a read that does not fit is `None` and consumes nothing.
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Cursor<'_> {
+impl<'a> Cursor<'a> {
     fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&[u8], CodecError> {
-        match self.bytes.get(self.pos..self.pos.saturating_add(n)) {
-            Some(s) => {
-                self.pos += n;
-                Ok(s)
-            }
-            None => Err(CodecError(format!(
-                "truncated: wanted {n} bytes, {} left",
-                self.remaining()
-            ))),
-        }
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let end = self.pos.checked_add(n)?;
+        let s = self.bytes.get(self.pos..end)?;
+        self.pos = end;
+        Some(s)
     }
 
-    fn take_u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
+    fn u8(&mut self) -> Option<u8> {
+        Some(self.take(1)?[0])
     }
 
-    fn take_u32(&mut self) -> Result<u32, CodecError> {
+    fn u32(&mut self) -> Option<u32> {
         let b = self.take(4)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
+        Some(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    fn take_str(&mut self) -> Result<String, CodecError> {
-        let len = self.take_u32()? as usize;
-        let bytes = self.take(len)?;
+    fn f64(&mut self) -> Option<f64> {
+        let b = self.take(8)?;
+        Some(f64::from_bits(u64::from_be_bytes([
+            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
+        ])))
+    }
+
+    /// `len:u32 bytes[len]`.
+    fn prefixed(&mut self) -> Option<&'a [u8]> {
+        let len = self.u32()? as usize;
+        self.take(len)
+    }
+
+    /// What the generic decoder reports for a read that came back `None`.
+    fn truncated(&self) -> CodecError {
+        CodecError(format!(
+            "truncated: {} bytes left, the value needs more",
+            self.remaining()
+        ))
+    }
+
+    fn string(&mut self) -> Result<String, CodecError> {
+        let bytes = self.prefixed().ok_or_else(|| self.truncated())?;
         String::from_utf8(bytes.to_vec()).map_err(|e| CodecError(format!("non-UTF-8 string: {e}")))
     }
 }
@@ -195,18 +207,14 @@ fn decode_at(c: &mut Cursor<'_>, depth: usize) -> Result<Value, CodecError> {
             "nesting exceeds the {MAX_DECODE_DEPTH}-level cap"
         )));
     }
-    Ok(match c.take_u8()? {
+    Ok(match c.u8().ok_or_else(|| c.truncated())? {
         TAG_NULL => Value::Null,
         TAG_FALSE => Value::Bool(false),
         TAG_TRUE => Value::Bool(true),
-        TAG_NUM => {
-            let b = c.take(8)?;
-            let bits = u64::from_be_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
-            Value::Num(f64::from_bits(bits))
-        }
-        TAG_STR => Value::Str(c.take_str()?),
+        TAG_NUM => Value::Num(c.f64().ok_or_else(|| c.truncated())?),
+        TAG_STR => Value::Str(c.string()?),
         TAG_ARR => {
-            let count = c.take_u32()? as usize;
+            let count = c.u32().ok_or_else(|| c.truncated())? as usize;
             // Every element costs ≥1 byte, so a count beyond the bytes
             // remaining is a lie; checking first bounds the allocation.
             if count > c.remaining() {
@@ -222,7 +230,7 @@ fn decode_at(c: &mut Cursor<'_>, depth: usize) -> Result<Value, CodecError> {
             Value::Arr(items)
         }
         TAG_OBJ => {
-            let count = c.take_u32()? as usize;
+            let count = c.u32().ok_or_else(|| c.truncated())? as usize;
             // Every pair costs ≥5 bytes (key length prefix + value tag).
             if count > c.remaining() / 5 {
                 return Err(CodecError(format!(
@@ -232,7 +240,7 @@ fn decode_at(c: &mut Cursor<'_>, depth: usize) -> Result<Value, CodecError> {
             }
             let mut pairs = Vec::with_capacity(count);
             for _ in 0..count {
-                let key = c.take_str()?;
+                let key = c.string()?;
                 let value = decode_at(c, depth + 1)?;
                 pairs.push((key, value));
             }
@@ -398,36 +406,13 @@ pub fn encode_response_into(response: &Response, out: &mut Vec<u8>) {
     }
 }
 
-/// A non-allocating forward reader for the fast decode path. Every
-/// method returns `None` on any mismatch; the caller then falls back to
-/// the generic tree decoder, so acceptance is unchanged.
-struct Fast<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Fast<'a> {
-    fn u8(&mut self) -> Option<u8> {
-        let b = *self.bytes.get(self.pos)?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let s = self.bytes.get(self.pos..self.pos + n)?;
-        self.pos += n;
-        Some(s)
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        let b = self.take(4)?;
-        Some(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
+/// The fast decode path's readers. Every method returns `None` on any
+/// mismatch; the caller then falls back to the generic tree decoder, so
+/// acceptance is unchanged.
+impl<'a> Cursor<'a> {
     /// Consumes `len:u32 key` only if it matches `key` exactly.
     fn key(&mut self, key: &str) -> Option<()> {
-        let len = self.u32()? as usize;
-        (len == key.len() && self.take(len)? == key.as_bytes()).then_some(())
+        (self.prefixed()? == key.as_bytes()).then_some(())
     }
 
     fn obj(&mut self, fields: usize) -> Option<()> {
@@ -438,18 +423,14 @@ impl<'a> Fast<'a> {
         if self.u8()? != TAG_NUM {
             return None;
         }
-        let b = self.take(8)?;
-        Some(f64::from_bits(u64::from_be_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ])))
+        self.f64()
     }
 
     fn str(&mut self) -> Option<&'a str> {
         if self.u8()? != TAG_STR {
             return None;
         }
-        let len = self.u32()? as usize;
-        std::str::from_utf8(self.take(len)?).ok()
+        std::str::from_utf8(self.prefixed()?).ok()
     }
 
     fn money(&mut self) -> Option<Money> {
@@ -494,7 +475,7 @@ impl<'a> Fast<'a> {
         let count = self.u32()? as usize;
         // Each entry costs well over one byte; a count beyond the bytes
         // remaining is a lie — bound the allocation before trusting it.
-        if count > self.bytes.len() - self.pos {
+        if count > self.remaining() {
             return None;
         }
         let mut et_list = Vec::with_capacity(count);
@@ -538,7 +519,7 @@ impl<'a> Fast<'a> {
 }
 
 fn decode_response_fast(bytes: &[u8]) -> Option<Response> {
-    let mut c = Fast { bytes, pos: 0 };
+    let mut c = Cursor { bytes, pos: 0 };
     if c.u8()? != TAG_OBJ {
         return None;
     }
@@ -555,7 +536,7 @@ fn decode_response_fast(bytes: &[u8]) -> Option<Response> {
                 return None;
             }
             let count = c.u32()? as usize;
-            if count > bytes.len() - c.pos {
+            if count > c.remaining() {
                 return None;
             }
             let mut ds = Vec::with_capacity(count);
@@ -666,6 +647,14 @@ mod tests {
         let mut lie = vec![TAG_ARR];
         lie.extend_from_slice(&u32::MAX.to_be_bytes());
         assert!(decode_value(&lie).is_err());
+        // Nor can a length overflow the read offset: it is a short read,
+        // and consumes nothing.
+        let mut c = Cursor {
+            bytes: &[1, 2, 3],
+            pos: 1,
+        };
+        assert_eq!(c.take(usize::MAX), None);
+        assert_eq!(c.take(2), Some(&[2u8, 3][..]));
     }
 
     #[test]

@@ -215,7 +215,7 @@ fn write_frame_tagged_buffered(
 ) -> io::Result<()> {
     let len = payload_len(payload)?;
     scratch.clear();
-    scratch.reserve(13 + payload.len());
+    scratch.reserve(TAGGED_HEADER_LEN + payload.len());
     scratch.push(version);
     scratch.extend_from_slice(&id.to_be_bytes());
     scratch.extend_from_slice(&len.to_be_bytes());
@@ -266,39 +266,70 @@ fn read_frame_core(
     payload: &mut Vec<u8>,
     accept_v2: bool,
 ) -> Result<FrameHeader, FrameError> {
-    let mut version = [0u8; 1];
+    let mut header = [0u8; TAGGED_HEADER_LEN];
     // A clean EOF is only legitimate before the first header byte.
     // (Constant-stack EINTR retry; `read_exact` below handles its own.)
     loop {
-        match r.read(&mut version) {
+        match r.read(&mut header[..1]) {
             Ok(0) => return Err(FrameError::Eof),
             Ok(_) => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
-    let id = match version[0] {
-        PROTOCOL_VERSION => None,
-        PROTOCOL_V2 | PROTOCOL_V3 if accept_v2 => {
-            let mut id_bytes = [0u8; 8];
-            r.read_exact(&mut id_bytes).map_err(FrameError::Io)?;
-            Some(u64::from_be_bytes(id_bytes))
-        }
-        got => return Err(FrameError::VersionMismatch { got }),
+    let version = header[0];
+    if version != PROTOCOL_VERSION && !accept_v2 {
+        return Err(FrameError::VersionMismatch { got: version });
+    }
+    // The buffer fits every layout and is parsed once full, so neither
+    // `None` below can happen; framing stays total regardless.
+    let short = || FrameError::Io(io::ErrorKind::UnexpectedEof.into());
+    let header = header.get_mut(..header_len(version)?).ok_or_else(short)?;
+    r.read_exact(&mut header[1..]).map_err(FrameError::Io)?;
+    let (frame, body) = parse_header(header, max_len)?.ok_or_else(short)?;
+    payload.clear();
+    payload.resize(body.len(), 0);
+    r.read_exact(payload).map_err(FrameError::Io)?;
+    Ok(frame)
+}
+
+/// The id-tagged header: version byte + `u64` id + `u32` length.
+const TAGGED_HEADER_LEN: usize = 13;
+
+fn header_len(version: u8) -> Result<usize, FrameError> {
+    match version {
+        PROTOCOL_VERSION => Ok(5),
+        PROTOCOL_V2 | PROTOCOL_V3 => Ok(TAGGED_HEADER_LEN),
+        got => Err(FrameError::VersionMismatch { got }),
+    }
+}
+
+/// Decodes the header at the front of `buf`: which frame it starts and
+/// where in `buf` its payload lies (perhaps past what has arrived yet);
+/// `Ok(None)` while the header itself is incomplete. The header layouts
+/// are known here only — the blocking reader above and the reactor's
+/// buffer parser both go through this.
+pub(crate) fn parse_header(
+    buf: &[u8],
+    max_len: usize,
+) -> Result<Option<(FrameHeader, std::ops::Range<usize>)>, FrameError> {
+    let Some(&version) = buf.first() else {
+        return Ok(None);
     };
-    let mut len_bytes = [0u8; 4];
-    r.read_exact(&mut len_bytes).map_err(FrameError::Io)?;
-    let len = u32::from_be_bytes(len_bytes) as usize;
+    let start = header_len(version)?;
+    let Some((id, len)) = buf.get(1..start).and_then(<[u8]>::split_last_chunk) else {
+        return Ok(None);
+    };
+    let len = u32::from_be_bytes(*len) as usize;
     if len > max_len {
         return Err(FrameError::Oversized { len, max: max_len });
     }
-    payload.clear();
-    payload.resize(len, 0);
-    r.read_exact(payload).map_err(FrameError::Io)?;
-    Ok(FrameHeader {
-        version: version[0],
-        id,
-    })
+    // `id` is empty in the un-numbered layout, eight bytes otherwise.
+    let id = <[u8; 8]>::try_from(id).ok().map(u64::from_be_bytes);
+    Ok(Some((
+        FrameHeader { version, id },
+        start..start.saturating_add(len),
+    )))
 }
 
 #[cfg(test)]

@@ -64,7 +64,7 @@ use smartpick_obs::{event, EventKind};
 
 use crate::codec::Codec;
 use crate::error::ErrorKind;
-use crate::frame::{FrameError, PROTOCOL_V2, PROTOCOL_V3, PROTOCOL_VERSION};
+use crate::frame::{self, FrameHeader, PROTOCOL_V2, PROTOCOL_V3, PROTOCOL_VERSION};
 use crate::proto::{Rejection, Request, Response};
 use crate::server::{
     decode_request, execute_multi, send_response, send_response_v2, send_response_v3,
@@ -79,9 +79,6 @@ const TOKEN_WAKER: usize = 1;
 /// counter and never reused, so a stale completion can never be
 /// delivered to the wrong connection.
 const TOKEN_FIRST_CONN: usize = 2;
-
-/// Frame header: version byte + u64 id + u32 length.
-const HDR_LEN: usize = 13;
 
 /// One decoded request on its way to the executor pool.
 struct Job {
@@ -191,46 +188,29 @@ enum Parsed {
 /// mutation, so the caller can act on the outcome after the borrow
 /// ends.
 fn parse_one(buf: &[u8], max_frame_len: usize) -> Parsed {
-    let codec = match buf.first() {
-        None => return Parsed::Incomplete,
-        Some(&PROTOCOL_V2) => Codec::Json,
-        Some(&PROTOCOL_V3) => Codec::Binary,
-        Some(&PROTOCOL_VERSION) => {
-            return Parsed::Fatal {
-                message: format!(
-                    "protocol v1 (un-numbered request frames) is retired; send id-tagged \
-                     v{PROTOCOL_V2} (JSON) or v{PROTOCOL_V3} (binary) frames"
-                ),
-            }
-        }
-        Some(&got) => {
-            return Parsed::Fatal {
-                message: FrameError::VersionMismatch { got }.to_string(),
-            }
-        }
-    };
-    let Some(header) = buf.get(..HDR_LEN) else {
-        return Parsed::Incomplete;
-    };
-    let mut id_bytes = [0u8; 8];
-    id_bytes.copy_from_slice(&header[1..9]);
-    let id = u64::from_be_bytes(id_bytes);
-    let mut len_bytes = [0u8; 4];
-    len_bytes.copy_from_slice(&header[9..13]);
-    let len = u32::from_be_bytes(len_bytes) as usize;
-    if len > max_frame_len {
+    // An un-numbered frame answers no request: condemned on its version
+    // byte, before the rest of its header is waited for.
+    if buf.first() == Some(&PROTOCOL_VERSION) {
         return Parsed::Fatal {
-            message: FrameError::Oversized {
-                len,
-                max: max_frame_len,
-            }
-            .to_string(),
+            message: format!(
+                "protocol v1 (un-numbered request frames) is retired; send id-tagged \
+                 v{PROTOCOL_V2} (JSON) or v{PROTOCOL_V3} (binary) frames"
+            ),
         };
     }
-    let Some(payload) = buf.get(HDR_LEN..HDR_LEN + len) else {
+    let (id, codec, body) = match frame::parse_header(buf, max_frame_len) {
+        Ok(Some((header @ FrameHeader { id: Some(id), .. }, body))) => (id, header.codec(), body),
+        Ok(_) => return Parsed::Incomplete,
+        Err(e) => {
+            return Parsed::Fatal {
+                message: e.to_string(),
+            }
+        }
+    };
+    let consumed = body.end;
+    let Some(payload) = buf.get(body) else {
         return Parsed::Incomplete;
     };
-    let consumed = HDR_LEN + len;
     match decode_request(payload, codec) {
         Ok(request) => Parsed::Job {
             consumed,

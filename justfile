@@ -7,7 +7,7 @@
 verify: build-test lint bench-compile
 
 # Everything CI runs, locally — the pre-push command.
-ci: build-test lint fmt-check bench-compile figures-smoke lint-smartpick docs store-bench residency-bench
+ci: build-test lint fmt-check bench-compile figures-smoke lint-smartpick docs store-bench residency-bench bench-smoke
 
 # CI job: release build + the full test suite.
 build-test:
@@ -87,7 +87,8 @@ bench-determine:
     cargo bench --bench determine_latency
 
 # Regenerate BENCH_determine.json (median in-process determine()
-# latency, both paths; quoted by the README Performance table).
+# latency, both paths, and the batch-vs-sequential rows; guarded by
+# crates/bench/tests/bench_determine_json.rs).
 bench-determine-record:
     cargo build --release -p smartpick_bench --bin bench_determine
     ./target/release/bench_determine
@@ -105,7 +106,7 @@ store-bench:
     cargo test -q -p smartpick_bench --test bench_store_json
 
 # Regenerate the committed BENCH_store.json at the repo root (quoted by
-# the README Performance table and docs/PERSISTENCE.md).
+# docs/PERSISTENCE.md).
 bench-store-record:
     cargo build --release -p smartpick_bench --bin bench_store
     ./target/release/bench_store
@@ -121,6 +122,14 @@ residency-bench:
     awk -F'[:,]' '/"scrape_binary_bytes"/ { seen = 1; fits = $2 + 0 <= 1048576 } END { exit !(seen && fits) }' target/tmp/BENCH_residency.scratch.json
     cargo test -q -p smartpick_bench --test bench_residency_json
 
+# CI job: the end-to-end benchmark (`benchmark/`, a package of its own
+# that no workspace build compiles) still builds against the crates'
+# public API, passes its own tests, and answers every workload correctly
+# in a shortened traced run.
+bench-smoke:
+    cargo test --manifest-path benchmark/Cargo.toml
+    cargo run --release --manifest-path benchmark/Cargo.toml -- --quick --trace
+
 # Regenerate the committed BENCH_residency.json at the repo root
 # (100k registered tenants under a 1k-resident cap; quoted by
 # docs/PERSISTENCE.md and guarded by the residency-bench CI job).
@@ -129,8 +138,8 @@ bench-residency-record:
     ./target/release/bench_residency --tenants 100000 --max-resident 1000
 
 # Regenerate BENCH_wire.json (binary-vs-JSON codec matrix,
-# multi-connection throughput, connection scaling; quoted by the README
-# Performance table and guarded by crates/bench/tests/bench_wire_json.rs).
+# multi-connection throughput, connection scaling; guarded by
+# crates/bench/tests/bench_wire_json.rs).
 # The 1024-connection scaling run needs a raised fd limit.
 bench-wire-record:
     cargo build --release -p smartpick_bench --bin bench_wire
