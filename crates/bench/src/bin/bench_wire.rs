@@ -18,9 +18,12 @@
 //!   requests in flight split over 1, 2 and 8 connections (one
 //!   closed-loop client thread each, nothing pinned): the shape the
 //!   pinned one-connection `BENCHMARK.json` harness cannot see, where
-//!   the single event-loop thread is the shared resource. Recorded,
-//!   not gated; [`MULTI_CONNECTION_RUNS`] holds the alternating-run
-//!   medians against the deleted thread-per-connection core.
+//!   the single event-loop thread is the shared resource.
+//!   [`MULTI_CONNECTION_RUNS`] holds the alternating-run quartiles of
+//!   this commit (the loop runs hot determines itself) beside its parent
+//!   (every request crossed to an executor and back) and beside the
+//!   deleted thread-per-connection core, whose medians the guard test
+//!   holds the 2 × 16 and 8 × 4 rows to.
 //! * **connection scaling** — the event loop holding N concurrent
 //!   connections on one thread: wall time to establish all of them and
 //!   the median ping round trip with every connection parked open.
@@ -146,26 +149,43 @@ fn measure_pipelined(
 /// `(connections, in flight on each)`: 32 in flight however it is split.
 const MULTI_CONNECTION_SHAPES: [(usize, usize); 3] = [(1, 32), (2, 16), (8, 4)];
 
-/// Determines per second as `[q1, median, q3]` over 20 alternating
-/// runs of this binary built at this commit (`single_core`) and at its
-/// parent, whose default core was thread-per-connection
-/// (`parent_threaded`), same box, same day. Row order follows
-/// [`MULTI_CONNECTION_SHAPES`].
-const MULTI_CONNECTION_RUNS: [([f64; 3], [f64; 3]); 3] = [
-    ([22133.0, 27598.0, 30442.0], [22924.0, 26594.0, 28552.0]),
-    ([18283.0, 29125.0, 31748.0], [39151.0, 41036.0, 50260.0]),
-    ([21823.0, 26647.0, 31462.0], [31111.0, 33355.0, 39442.0]),
+/// Determines per second as `[q1, median, q3]`, row order following
+/// [`MULTI_CONNECTION_SHAPES`]: this commit and its parent (0022eaa, the
+/// event loop handing every request to an executor) over 10 alternating
+/// rounds of this binary built at each, same box, same hour; and the
+/// thread-per-connection core PR 12 deleted, as PR 12 recorded it over
+/// 20 alternating runs against its own parent.
+const MULTI_CONNECTION_RUNS: [[[f64; 3]; 3]; 3] = [
+    [
+        [63465.0, 67045.0, 74915.0],
+        [31493.0, 32931.0, 38384.0],
+        [22924.0, 26594.0, 28552.0],
+    ],
+    [
+        [59100.0, 62779.0, 67028.0],
+        [33759.0, 36818.0, 41733.0],
+        [39151.0, 41036.0, 50260.0],
+    ],
+    [
+        [51771.0, 55427.0, 60122.0],
+        [33284.0, 34833.0, 37188.0],
+        [31111.0, 33355.0, 39442.0],
+    ],
 ];
 
-const MULTI_CONNECTION_NOTES: &str = "recorded, not gated: the next perf issue's target. \
-    alternating_runs are [q1, median, q3] over 20 alternating runs of this binary at this commit \
-    (single_core) and at its parent, whose default core was thread-per-connection \
-    (parent_threaded), on a 2-vCPU shared box: one connection is level, but with 32 in flight \
-    split over 2 or 8 connections the single event-loop thread serves about 0.7x (2 x 16) and \
-    0.8x (8 x 4) of what thread-per-connection did. Not executor count: pipeline_workers 1, 2, 4 and 8 read 28-35 \
-    k/s on 2 x 16 with no trend (3 rounds each, this commit). Not codec work on the loop thread \
-    either: when the change was sized, moving decode/encode from the loop into the executors, \
-    and dropping the two speculative EAGAIN reads per round trip, each left 2 x 16 unmoved.";
+const MULTI_CONNECTION_NOTES: &str = "alternating_runs are [q1, median, q3] on a 2-vCPU shared \
+    box. this_commit: the event loop runs a hot determine to completion itself (no run queue, \
+    executor wake-up, completion queue or wake-pipe byte). parent: commit 0022eaa, where every \
+    request crossed to an executor and back; 10 alternating rounds of this binary built at each \
+    commit, same hour, this commit ahead in 10 of 10 rounds on all three shapes. threaded_core: \
+    the thread-per-connection core PR 12 deleted, as recorded then over 20 alternating runs; \
+    PR 12 left the single loop at 0.7x (2 x 16) and 0.8x (8 x 4) of it, recorded and not gated. \
+    The gap is closed from the other side: with the two wake-ups gone one loop thread answers \
+    1.5x (2 x 16) and 1.7x (8 x 4) of what thread-per-connection did, and \
+    crates/bench/tests/bench_wire_json.rs now holds this_commit's medians at or above \
+    threaded_core's (41 036 and 33 355). The unpinned depth-1 codec rows above move by 2-5x \
+    with the state of the box (ping read 11-55 us across those rounds); determine_pipelined32 \
+    is the steady one: binary 27.8 -> 13.1 us by median over the same rounds.";
 
 /// Binary determines per second, summed over `conns` connections that
 /// each keep `depth` requests in flight from their own closed-loop
@@ -333,7 +353,7 @@ fn main() {
     let quartiles = |[q1, median, q3]: [f64; 3]| {
         format!("{{\"q1\": {q1:.0}, \"median\": {median:.0}, \"q3\": {q3:.0}}}")
     };
-    for (i, (&(conns, depth), (single, parent))) in MULTI_CONNECTION_SHAPES
+    for (i, (&(conns, depth), [this_commit, parent, threaded])) in MULTI_CONNECTION_SHAPES
         .iter()
         .zip(MULTI_CONNECTION_RUNS)
         .enumerate()
@@ -346,9 +366,11 @@ fn main() {
         let _ = write!(
             multi_rows,
             "      {{\"connections\": {conns}, \"in_flight_each\": {depth}, \"determines_per_s\": \
-             {per_s:.0}, \"alternating_runs\": {{\"single_core\": {}, \"parent_threaded\": {}}}}}",
-            quartiles(single),
-            quartiles(parent)
+             {per_s:.0}, \"alternating_runs\": {{\"this_commit\": {}, \"parent\": {}, \
+             \"threaded_core\": {}}}}}",
+            quartiles(this_commit),
+            quartiles(parent),
+            quartiles(threaded)
         );
     }
     smartpick_bench::rule(64);

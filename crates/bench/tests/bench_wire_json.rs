@@ -1,7 +1,7 @@
 //! Guard for the committed `BENCH_wire.json` (written by
-//! `src/bin/bench_wire.rs`): the recorded binary-vs-JSON codec matrix
-//! and connection-scaling entries parse, are internally
-//! consistent, and hold the PR's acceptance bars — asserted on the
+//! `src/bin/bench_wire.rs`): the recorded binary-vs-JSON codec matrix,
+//! multi-connection rows and connection-scaling entries parse, are
+//! internally consistent, and hold their acceptance bars — asserted on the
 //! *committed record*, not a re-run, so the test is deterministic.
 
 use serde::Value;
@@ -73,6 +73,53 @@ fn recorded_binary_codec_meets_the_2x_determine_bar() {
         assert!(
             speedup >= 2.0,
             "recorded `{op}` speedup {speedup} regressed below 2x"
+        );
+    }
+}
+
+#[test]
+fn recorded_pipelined_determine_is_no_slower_than_before_the_loop_ran_it() {
+    // The parent's committed row (every request crossed to an executor
+    // and back): 32.4 µs per binary determine at depth 32.
+    let binary_us = num(field(
+        codec_entry(&load(), "determine_pipelined32"),
+        "binary_us",
+    ));
+    assert!(
+        binary_us <= 32.4,
+        "recorded determine_pipelined32 is {binary_us} µs in the binary codec, slower than the \
+         32.4 µs recorded before hot determines ran on the event loop"
+    );
+}
+
+#[test]
+fn recorded_multi_connection_rows_hold_the_threaded_cores_medians() {
+    // 32 in flight split over 2 and 8 connections is where the single
+    // event loop fell behind the thread-per-connection core it replaced
+    // (PR 12: 0.7× and 0.8×, recorded, not gated). Running hot determines
+    // on the loop closed that gap; these are the deleted core's medians,
+    // held both by the recording run and by the alternating-run median.
+    let root = load();
+    let Value::Arr(rows) = field(field(&root, "multi_connection"), "rows") else {
+        panic!("`multi_connection.rows` must be a list");
+    };
+    for (connections, bar) in [(2.0, 41_036.0), (8.0, 33_355.0)] {
+        let row = rows
+            .iter()
+            .find(|r| num(field(r, "connections")) == connections)
+            .unwrap_or_else(|| panic!("a {connections}-connection row is recorded"));
+        let runs = field(row, "alternating_runs");
+        assert_eq!(
+            num(field(field(runs, "threaded_core"), "median")),
+            bar,
+            "the bar is the threaded core's recorded median"
+        );
+        let median = num(field(field(runs, "this_commit"), "median"));
+        let recorded = num(field(row, "determines_per_s"));
+        assert!(
+            median >= bar && recorded >= bar,
+            "{connections} connections: {recorded}/s recorded, alternating-run median \
+             {median}/s, under the {bar}/s the thread-per-connection core answered"
         );
     }
 }

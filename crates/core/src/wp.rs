@@ -452,17 +452,18 @@ impl WorkloadPredictor {
         }
     }
 
-    /// Turns a finished search over `request`'s constraint grid into a
+    /// Turns a finished search over `constraint`'s grid into a
     /// [`Determination`]: builds `ET_l` with planner costs, applies the
-    /// §3.3 knob, and stamps the match metadata `resolve` returned.
+    /// §3.3 `knob`, and stamps the match metadata `resolve` returned.
     /// Shared by the shipping and reference paths.
     fn finish(
         &self,
         result: BoResult,
-        request: &PredictionRequest,
+        constraint: ConstraintMode,
+        knob: f64,
         (known, match_similarity, known_query): (&KnownQuery, f64, bool),
     ) -> Determination {
-        let coords = &self.grids.get(request.constraint).coords;
+        let coords = &self.grids.get(constraint).coords;
         let allocation_at = |candidate: usize| {
             let (n_vm, n_sl) = coords[candidate];
             Allocation::new(n_vm, n_sl).with_relay(self.relay_for(n_vm, n_sl))
@@ -489,7 +490,7 @@ impl WorkloadPredictor {
 
         // Knob (§3.3): traverse ET_l for a cheaper in-tolerance entry.
         let (allocation, predicted_seconds, predicted_cost) =
-            match choose_with_knob(&et_list, t_best, c_best, request.knob) {
+            match choose_with_knob(&et_list, t_best, c_best, knob) {
                 Some(i) => {
                     let e = &et_list[i];
                     (e.allocation, e.est_seconds, e.est_cost)
@@ -551,7 +552,7 @@ impl WorkloadPredictor {
             -(rf_t + delta)
         });
 
-        Ok(self.finish(result, request, matched))
+        Ok(self.finish(result, request.constraint, request.knob, matched))
     }
 }
 
@@ -607,18 +608,14 @@ pub(crate) fn approximate_workload(query: &QueryProfile, env: &CloudEnv) -> Unif
 }
 
 impl WorkloadPredictionService for WorkloadPredictor {
-    /// The shipping `determine()`: Equation 1 is evaluated over the
-    /// *entire* precompiled candidate grid by one region descent per
-    /// tree ([`RandomForest::predict_lattice_into`]) — no feature row is
-    /// built — and the search consumes the precomputed `RF_t` values:
-    /// same seeded initial design, δ observation noise, `ET_l` recording
-    /// and §3.1 termination rule as the GP-guided search, but probes cost
-    /// an array lookup and the model's true grid optimum is guaranteed to
-    /// be among them.
+    /// [`WorkloadPredictor::determine_query`] on the request's parts.
     fn determine(&self, request: &PredictionRequest) -> Result<Determination, SmartpickError> {
-        let matched = self.resolve(&request.query)?;
-        let result = self.search(request, matched.0.code)?;
-        Ok(self.finish(result, request, matched))
+        self.determine_query(
+            &request.query,
+            request.knob,
+            request.constraint,
+            request.seed,
+        )
     }
 
     /// The batched determine: N sequential [`Self::determine`] calls,
@@ -638,27 +635,72 @@ impl WorkloadPredictionService for WorkloadPredictor {
         requests
             .iter()
             .zip(matched)
-            .map(|(request, matched)| {
-                let result = self.search(request, matched.0.code)?;
-                Ok(self.finish(result, request, matched))
+            .map(|(r, matched)| {
+                let result = self.search(r.query.input_gb, r.constraint, r.seed, matched.0.code)?;
+                Ok(self.finish(result, r.constraint, r.knob, matched))
             })
             .collect()
     }
 }
 
 impl WorkloadPredictor {
-    /// Equation 2 for one request: sweeps `−RF_t` over the request's
-    /// constraint grid, then lets the optimizer probe the swept values
-    /// under the request's seeded δ-noise stream.
-    fn search(&self, request: &PredictionRequest, code: f64) -> Result<BoResult, SmartpickError> {
-        let grid = self.grids.get(request.constraint);
+    /// The shipping `determine()`, on a request's parts — for a caller
+    /// that holds the query by reference and should not clone it into a
+    /// [`PredictionRequest`] per call. Equation 1 is evaluated over the
+    /// *entire* precompiled candidate grid by one region descent per
+    /// tree ([`RandomForest::predict_lattice_into`]) — no feature row is
+    /// built — and the search consumes the precomputed `RF_t` values:
+    /// same seeded initial design, δ observation noise, `ET_l` recording
+    /// and §3.1 termination rule as the GP-guided search, but probes cost
+    /// an array lookup and the model's true grid optimum is guaranteed to
+    /// be among them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SmartpickError::UnknownQuery`] when the query cannot be
+    /// matched and [`SmartpickError::EmptySearchSpace`] when the
+    /// constraint admits no candidate.
+    pub fn determine_query(
+        &self,
+        query: &QueryProfile,
+        knob: f64,
+        constraint: ConstraintMode,
+        seed: u64,
+    ) -> Result<Determination, SmartpickError> {
+        let matched = self.resolve(query)?;
+        let result = self.search(query.input_gb, constraint, seed, matched.0.code)?;
+        Ok(self.finish(result, constraint, knob, matched))
+    }
+
+    /// What one determine sweeps: every flat-tree node of the forest plus
+    /// every cell of the hybrid grid (the widest of the four) — the size
+    /// its latency is linear in, fixed for the life of a published
+    /// snapshot. A caller deciding whether a request is cheap enough to
+    /// run where it stands compares this, not the forest's tree count
+    /// (retrained trees are several times larger than kick-start ones).
+    pub fn sweep_cost(&self) -> usize {
+        let nodes: usize = self.forest.trees().iter().map(|t| t.node_count()).sum();
+        nodes + self.grids.hybrid.coords.len()
+    }
+
+    /// Equation 2 for one request: sweeps `−RF_t` over `constraint`'s
+    /// grid, then lets the optimizer probe the swept values under the
+    /// δ-noise stream seeded from `seed`.
+    fn search(
+        &self,
+        input_gb: f64,
+        constraint: ConstraintMode,
+        seed: u64,
+        code: f64,
+    ) -> Result<BoResult, SmartpickError> {
+        let grid = self.grids.get(constraint);
         if grid.coords.is_empty() {
-            return Err(SmartpickError::EmptySearchSpace(request.constraint));
+            return Err(SmartpickError::EmptySearchSpace(constraint));
         }
         let mut fixed = [0.0; N_FEATURES];
         fixed.copy_from_slice(grid.lattice.base_row());
         fixed[QUERY_CODE_COL] = code;
-        fixed[INPUT_BYTES_COL] = QueryFeatures::input_gb_to_bytes(request.query.input_gb);
+        fixed[INPUT_BYTES_COL] = QueryFeatures::input_gb_to_bytes(input_gb);
         let mut objective = vec![0.0; grid.coords.len()];
         self.forest
             .predict_lattice_into(&grid.lattice, &fixed, &mut objective);
@@ -667,8 +709,8 @@ impl WorkloadPredictor {
         for v in &mut objective {
             *v = -*v;
         }
-        let mut noise_rng = StdRng::seed_from_u64(request.seed ^ NOISE_SEED_MIX);
-        Ok(self.bo.maximize_precomputed(&objective, request.seed, |_| {
+        let mut noise_rng = StdRng::seed_from_u64(seed ^ NOISE_SEED_MIX);
+        Ok(self.bo.maximize_precomputed(&objective, seed, |_| {
             -sample_normal(&mut noise_rng, 0.0, self.noise_sigma)
         }))
     }
@@ -721,7 +763,7 @@ mod tests {
             let result = self.bo.maximize_precomputed(&objective, request.seed, |_| {
                 -sample_normal(&mut noise_rng, 0.0, self.noise_sigma)
             });
-            Ok(self.finish(result, request, matched))
+            Ok(self.finish(result, request.constraint, request.knob, matched))
         }
     }
 

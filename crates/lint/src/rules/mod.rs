@@ -7,6 +7,7 @@
 
 mod bounded_channels;
 mod guard_across_blocking;
+mod loop_thread_nonblocking;
 mod panic_free;
 mod poison_recovery;
 mod shim_conformance;
@@ -74,6 +75,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(poison_recovery::PoisonRecovery),
         Box::new(bounded_channels::BoundedChannels),
         Box::new(shim_conformance::ShimConformance),
+        Box::new(loop_thread_nonblocking::LoopThreadNonblocking),
     ]
 }
 

@@ -99,6 +99,24 @@ fn shim_conformance_fixture() {
 }
 
 #[test]
+fn loop_thread_nonblocking_fixture() {
+    // Scoped to one file, so the fixture poses as it — and the same
+    // source anywhere else (an executor's file) is not a finding.
+    let src = include_str!("fixtures/loop_thread_nonblocking.rs");
+    let as_file = |rel: &str| {
+        let file = SourceFile::parse_str(rel, "wire", FileKind::Src, src);
+        run_file(&file, &Context::default())
+    };
+    let findings = as_file("crates/wire/src/reactor.rs");
+    let (unallowed, allowed) = split(&findings, "loop-thread-nonblocking");
+    assert_eq!(unallowed, positive_lines(src), "{findings:#?}");
+    assert_eq!(allowed.len(), 1, "{findings:#?}");
+    let elsewhere = as_file("crates/wire/src/server.rs");
+    let (unallowed, allowed) = split(&elsewhere, "loop-thread-nonblocking");
+    assert!(unallowed.is_empty() && allowed.is_empty(), "{elsewhere:#?}");
+}
+
+#[test]
 fn obs_crate_is_in_scope_for_the_concurrency_rules() {
     // The obs crate serves the same hot paths as service/wire: the
     // panic-safety and concurrency rules must fire there too.

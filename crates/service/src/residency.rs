@@ -130,6 +130,17 @@ impl ResidencyCtl {
         Ok(state)
     }
 
+    /// [`ResidencyCtl::resolve`] for a caller that must not block: the hot
+    /// state (touch clock stamped, as any read does), or `None` for
+    /// anything the blocking resolve would have to claim, wait for or load
+    /// — a cold or rehydrating tenant — and for an unknown one, whose
+    /// typed error is the blocking path's to give.
+    pub(crate) fn resolve_hot(&self, tenant: &str) -> Option<Arc<TenantState>> {
+        let state = self.registry.slot(tenant).ok()?.peek_hot()?;
+        state.last_touch_us.store(self.now_us(), Ordering::Relaxed);
+        Some(state)
+    }
+
     /// Loads the newest snapshot back into a hot state. The caller owns
     /// the slot's `Rehydrating` claim; any early return (or panic) must
     /// restore `Cold` so waiters are never stranded — the `AbortOnDrop`

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use smartpick_core::driver::{QueryOutcome, Smartpick};
 use smartpick_core::wp::{
-    ConstraintMode, Determination, PredictionRequest, WorkloadPredictionService,
+    ConstraintMode, Determination, PredictionRequest, WorkloadPredictionService, WorkloadPredictor,
 };
 use smartpick_engine::QueryProfile;
 use smartpick_obs::{
@@ -653,19 +653,32 @@ impl SmartpickService {
         request: &PredictionRequest,
     ) -> Result<Determination, ServiceError> {
         let state = self.resolve(tenant)?;
-        self.predict_on(&state, request)
+        self.predict_on(
+            &state,
+            &state.read_snapshot(),
+            &request.query,
+            request.knob,
+            request.constraint,
+            request.seed,
+        )
     }
 
-    /// The snapshot read against an already-resolved tenant.
+    /// The snapshot read against an already-resolved tenant: the one
+    /// body behind `predict`, `determine`, `submit` and their hot-only
+    /// twins, so counters, the staleness flag and the latency record
+    /// cannot differ by entry point.
     fn predict_on(
         &self,
         state: &TenantState,
-        request: &PredictionRequest,
+        snapshot: &WorkloadPredictor,
+        query: &QueryProfile,
+        knob: f64,
+        constraint: ConstraintMode,
+        seed: u64,
     ) -> Result<Determination, ServiceError> {
         let start = Instant::now();
-        let snapshot = state.read_snapshot();
         let stale = self.snapshot_is_stale(state);
-        let determination = snapshot.determine(request)?;
+        let determination = snapshot.determine_query(query, knob, constraint, seed)?;
         // Staleness SLO: flag (never delay or shed) predictions served
         // from a snapshot past the configured age bound. Counted only
         // for predictions actually served, so the counter can never
@@ -677,6 +690,77 @@ impl SmartpickService {
         self.totals.predictions.inc();
         self.predict_latency.record(start.elapsed());
         Ok(determination)
+    }
+
+    /// [`SmartpickService::predict_on`] for the convenience determine:
+    /// hybrid search with the tenant's configured knob.
+    fn determine_on(
+        &self,
+        state: &TenantState,
+        snapshot: &WorkloadPredictor,
+        query: &QueryProfile,
+        seed: u64,
+    ) -> Result<Determination, ServiceError> {
+        self.predict_on(
+            state,
+            snapshot,
+            query,
+            state.knob,
+            ConstraintMode::Hybrid,
+            seed,
+        )
+    }
+
+    /// The non-blocking resolve behind the `*_if_hot` read entry points:
+    /// `tenant`'s state and current snapshot if it is hot right now and
+    /// one determine on that snapshot sweeps at most `max_sweep_cost`
+    /// ([`WorkloadPredictor::sweep_cost`]); `None` otherwise — nothing is
+    /// claimed, waited for or loaded.
+    fn resolve_hot_under(
+        &self,
+        tenant: &str,
+        max_sweep_cost: usize,
+    ) -> Option<(Arc<TenantState>, Arc<WorkloadPredictor>)> {
+        let state = self.residency.resolve_hot(tenant)?;
+        let snapshot = state.read_snapshot();
+        (snapshot.sweep_cost() <= max_sweep_cost).then_some((state, snapshot))
+    }
+
+    /// [`SmartpickService::predict`] for a caller that must not block and
+    /// has somewhere cheaper to send expensive work (the wire layer's
+    /// event loop): answers only if `tenant` is hot right now and the
+    /// sweep costs at most `max_sweep_cost`. `None` means "not from here"
+    /// — cold, rehydrating or unknown tenant, or over the cost bound —
+    /// and the caller falls back to [`SmartpickService::predict`]. An
+    /// answer is the one `predict` would have given, counted the same.
+    pub fn predict_if_hot(
+        &self,
+        tenant: &str,
+        request: &PredictionRequest,
+        max_sweep_cost: usize,
+    ) -> Option<Result<Determination, ServiceError>> {
+        let (state, snapshot) = self.resolve_hot_under(tenant, max_sweep_cost)?;
+        Some(self.predict_on(
+            &state,
+            &snapshot,
+            &request.query,
+            request.knob,
+            request.constraint,
+            request.seed,
+        ))
+    }
+
+    /// [`SmartpickService::determine`] on the terms of
+    /// [`SmartpickService::predict_if_hot`].
+    pub fn determine_if_hot(
+        &self,
+        tenant: &str,
+        query: &QueryProfile,
+        seed: u64,
+        max_sweep_cost: usize,
+    ) -> Option<Result<Determination, ServiceError>> {
+        let (state, snapshot) = self.resolve_hot_under(tenant, max_sweep_cost)?;
+        Some(self.determine_on(&state, &snapshot, query, seed))
     }
 
     /// Counts `n` stale serves and emits one `StalenessFlagged` event per
@@ -784,15 +868,7 @@ impl SmartpickService {
         seed: u64,
     ) -> Result<Determination, ServiceError> {
         let state = self.resolve(tenant)?;
-        self.predict_on(
-            &state,
-            &PredictionRequest {
-                query: query.clone(),
-                knob: state.knob,
-                constraint: ConstraintMode::Hybrid,
-                seed,
-            },
-        )
+        self.determine_on(&state, &state.read_snapshot(), query, seed)
     }
 
     /// The full online path: determine against the tenant's snapshot,
@@ -822,15 +898,7 @@ impl SmartpickService {
         // tenant instance) and would cost extra shard hops on the hot
         // path.
         let state = self.resolve(tenant)?;
-        let determination = self.predict_on(
-            &state,
-            &PredictionRequest {
-                query: query.clone(),
-                knob: state.knob,
-                constraint: ConstraintMode::Hybrid,
-                seed,
-            },
-        )?;
+        let determination = self.determine_on(&state, &state.read_snapshot(), query, seed)?;
         let report = state
             .rm
             .execute(query, &determination.allocation, seed ^ EXEC_SEED_MIX)
@@ -842,11 +910,11 @@ impl SmartpickService {
         // eviction race; admission-control rejections still shed.)
         let _ = self.enqueue_with_retry(
             Arc::clone(&state),
-            CompletedRun {
+            Box::new(CompletedRun {
                 query: query.clone(),
                 determination: determination.clone(),
                 report: report.clone(),
-            },
+            }),
         );
         Ok(QueryOutcome {
             determination,
@@ -870,7 +938,33 @@ impl SmartpickService {
     /// [`ServiceError::Stopped`] after shutdown.
     pub fn report_run(&self, tenant: &str, run: CompletedRun) -> Result<(), ServiceError> {
         let state = self.resolve(tenant)?;
-        self.enqueue_with_retry(state, run)
+        self.enqueue_with_retry(state, Box::new(run))
+    }
+
+    /// [`SmartpickService::report_run`] for a caller that must not block
+    /// (the wire layer's event loop): admits the report only if `tenant`
+    /// is hot right now — the quota check and a `try_push`, no I/O. The
+    /// run comes back as `Err` when it was not admitted *and not
+    /// refused*: the tenant is cold, rehydrating or unknown, or the
+    /// report lost the race against its eviction; the caller hands it to
+    /// [`SmartpickService::report_run`], which rehydrates. `Ok` carries
+    /// the answer `report_run` would have given, counted the same.
+    ///
+    /// # Errors
+    ///
+    /// The inner result's are [`SmartpickService::report_run`]'s.
+    pub fn report_run_if_hot(
+        &self,
+        tenant: &str,
+        run: Box<CompletedRun>,
+    ) -> Result<Result<(), ServiceError>, Box<CompletedRun>> {
+        let Some(state) = self.residency.resolve_hot(tenant) else {
+            return Err(run);
+        };
+        match self.enqueue_report(&state, run) {
+            Enqueue::Done(result) => Ok(result),
+            Enqueue::Retired(run) => Err(run),
+        }
     }
 
     /// [`SmartpickService::enqueue_report`] with the residency retry: a
@@ -883,13 +977,13 @@ impl SmartpickService {
     fn enqueue_with_retry(
         &self,
         mut state: Arc<TenantState>,
-        mut run: CompletedRun,
+        mut run: Box<CompletedRun>,
     ) -> Result<(), ServiceError> {
         loop {
             match self.enqueue_report(&state, run) {
                 Enqueue::Done(result) => return result,
                 Enqueue::Retired(returned) => {
-                    run = *returned;
+                    run = returned;
                     std::thread::yield_now();
                     let id = state.id.clone();
                     state = self.resolve(&id)?;
@@ -899,7 +993,7 @@ impl SmartpickService {
     }
 
     /// Quota check + enqueue against an already-resolved tenant.
-    fn enqueue_report(&self, state: &Arc<TenantState>, run: CompletedRun) -> Enqueue {
+    fn enqueue_report(&self, state: &Arc<TenantState>, run: Box<CompletedRun>) -> Enqueue {
         // Reserve quota (compensating add so concurrent reservations
         // cannot sneak past the cap). `SeqCst` pairs with the eviction
         // sweep's Dekker handshake: we bump `pending` *then* read
@@ -910,7 +1004,7 @@ impl SmartpickService {
         let prior = state.pending.fetch_add(1, Ordering::SeqCst);
         if state.retired.load(Ordering::SeqCst) {
             state.pending.fetch_sub(1, Ordering::SeqCst);
-            return Enqueue::Retired(Box::new(run));
+            return Enqueue::Retired(run);
         }
         if prior >= cap {
             state.pending.fetch_sub(1, Ordering::Relaxed);
@@ -929,7 +1023,7 @@ impl SmartpickService {
         let msg = WorkerMsg::Job {
             tenant: Arc::clone(state),
             run_id,
-            run: Box::new(run),
+            run,
         };
         let shard = self.worker_shard_of(&state.id);
         match self.queues.try_push(shard, msg) {
@@ -1451,10 +1545,87 @@ impl Drop for SmartpickService {
 const EXEC_SEED_MIX: u64 = 0x5EED_EC5E;
 
 /// What one enqueue attempt did: a final answer, or "the state went cold
-/// under you — re-resolve and try again" (the report rides back out so
-/// the retry does not clone it; boxed so the common `Done` return stays
-/// small — the box only allocates on the rare lost-race path).
+/// under you — re-resolve and try again" (the report rides back out, in
+/// the box it came in, so the retry does not clone it).
 enum Enqueue {
     Done(Result<(), ServiceError>),
     Retired(Box<CompletedRun>),
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::Acquired;
+    use smartpick_cloudsim::{CloudEnv, Provider};
+    use smartpick_core::properties::SmartpickProperties;
+    use smartpick_core::training::TrainOptions;
+    use smartpick_ml::forest::ForestParams;
+    use smartpick_workloads::tpcds;
+
+    /// While another caller owns a tenant's single-flight rehydration the
+    /// blocking resolve parks on the slot's condvar; the hot-only entry
+    /// points must decline instead — they run on a thread that may not
+    /// wait — and leave the claim to its owner.
+    #[test]
+    fn hot_only_entry_points_decline_a_rehydrating_tenant_without_waiting() {
+        let dir = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/tmp"))
+            .join(format!("service-rehydrating-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let query = tpcds::query(82, 100.0).unwrap();
+        let opts = TrainOptions {
+            configs_per_query: 5,
+            burst_factor: 3,
+            forest: ForestParams {
+                n_trees: 10,
+                ..ForestParams::default()
+            },
+            max_vm: 3,
+            max_sl: 3,
+            ..TrainOptions::default()
+        };
+        let template = Smartpick::train_with_options(
+            CloudEnv::new(Provider::Aws),
+            SmartpickProperties::default(),
+            std::slice::from_ref(&query),
+            &opts,
+            11,
+        )
+        .unwrap()
+        .0;
+        let service = SmartpickService::open(&dir, ServiceConfig::default()).unwrap();
+        service.register_fork("acme", &template, 7).unwrap();
+        let outcome = service.submit("acme", &query, 3).unwrap();
+        assert!(service.flush());
+        assert!(service.evict_tenant("acme").unwrap());
+
+        // Claim the rehydration, as a resolve on another thread would,
+        // and hold it.
+        let slot = service.registry.slot("acme").unwrap();
+        let Acquired::MustRehydrate(meta) = slot.acquire() else {
+            panic!("an evicted tenant must be cold");
+        };
+        assert!(service
+            .determine_if_hot("acme", &query, 1, usize::MAX)
+            .is_none());
+        let run = Box::new(CompletedRun {
+            query: query.clone(),
+            determination: outcome.determination,
+            report: outcome.report,
+        });
+        let run = service
+            .report_run_if_hot("acme", run)
+            .expect_err("nothing is admitted against a state still loading");
+
+        // The owner gives up; the next blocking touch loads and serves.
+        slot.abort_rehydrate(meta);
+        service.determine("acme", &query, 1).unwrap();
+        service
+            .report_run_if_hot("acme", run)
+            .expect("hot again")
+            .unwrap();
+        assert!(service.flush());
+        assert_eq!(service.tenant_stats("acme").unwrap().reports_applied, 2);
+        drop(service);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

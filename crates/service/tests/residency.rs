@@ -522,3 +522,142 @@ fn sweep_under_concurrent_touches_never_panics_and_holds_the_cap() {
         svc.resident_tenants()
     );
 }
+
+/// The hot-only entry points (what the wire's event loop calls) are the
+/// blocking ones minus everything that can block: on a hot tenant under
+/// the cost bound they give the same bits and move the same counters,
+/// the latency record and the staleness flag; over the bound, and on a
+/// cold or unknown tenant, they decline without moving anything — the
+/// tenant stays cold, the report comes back — and the blocking path then
+/// answers as it always did.
+#[test]
+fn hot_only_entry_points_match_the_blocking_ones_and_decline_what_could_block() {
+    let dir = test_root("hot-only");
+    let stale_at_once = |base: ServiceConfig| ServiceConfig {
+        max_snapshot_age: Some(Duration::from_micros(1)),
+        ..base
+    };
+    let hot_only =
+        SmartpickService::open(&dir, stale_at_once(durable_config(&dir, u64::MAX))).unwrap();
+    let blocking = SmartpickService::new(stale_at_once(ServiceConfig {
+        retrain_workers: 1,
+        ..ServiceConfig::default()
+    }));
+    let tpl = template();
+    hot_only.register_fork("acme", &tpl, 7).unwrap();
+    blocking.register_fork("acme", &tpl, 7).unwrap();
+    let query = tpcds::query(82, 100.0).unwrap();
+    // Every snapshot is read over-age: 2 ms after it was published.
+    let age = || std::thread::sleep(Duration::from_millis(2));
+    age();
+    let run = {
+        let outcome = blocking.submit("acme", &query, 3).unwrap();
+        hot_only.submit("acme", &query, 3).unwrap();
+        CompletedRun {
+            query: query.clone(),
+            determination: outcome.determination,
+            report: outcome.report,
+        }
+    };
+    assert!(blocking.flush() && hot_only.flush());
+    age();
+
+    // Same answers, hot and under the bound.
+    for seed in 0..4u64 {
+        let want = blocking.determine("acme", &query, seed).unwrap();
+        let got = hot_only
+            .determine_if_hot("acme", &query, seed, usize::MAX)
+            .expect("hot and under the bound")
+            .unwrap();
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "determine {seed}");
+        let want = blocking.predict("acme", &probe(seed)).unwrap();
+        let got = hot_only
+            .predict_if_hot("acme", &probe(seed), usize::MAX)
+            .expect("hot and under the bound")
+            .unwrap();
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "predict {seed}");
+    }
+    blocking.report_run("acme", run.clone()).unwrap();
+    hot_only
+        .report_run_if_hot("acme", Box::new(run.clone()))
+        .expect("hot: admitted on the spot")
+        .unwrap();
+    assert!(blocking.flush() && hot_only.flush());
+
+    // Same books: (tenant counters, service totals and the latency
+    // record's sample count; the staleness counters and the one
+    // `StalenessFlagged` event per stale episode).
+    let books = |svc: &SmartpickService| {
+        let t = svc.tenant_stats("acme").unwrap();
+        let s = svc.stats();
+        let flagged = svc
+            .observability()
+            .events()
+            .recent(256)
+            .iter()
+            .filter(|e| e.kind == EventKind::StalenessFlagged)
+            .count();
+        (
+            [
+                t.predictions,
+                t.reports_enqueued,
+                t.reports_applied,
+                t.rejections,
+                t.snapshot_generation,
+                s.predictions,
+                s.reports_enqueued,
+                s.predict_latency.count,
+            ],
+            [t.stale_predictions, s.stale_predictions, flagged as u64],
+        )
+    };
+    assert_eq!(books(&hot_only), books(&blocking));
+    assert_eq!(
+        books(&hot_only),
+        ([9, 2, 2, 0, 2, 9, 2, 9], [9, 9, 2]),
+        "submit + 4 determines + 4 predicts, all stale, over two episodes"
+    );
+
+    // Over the bound: declined, nothing counted.
+    let before = books(&hot_only);
+    assert!(hot_only.determine_if_hot("acme", &query, 1, 0).is_none());
+    assert!(hot_only.predict_if_hot("acme", &probe(1), 0).is_none());
+    assert_eq!(books(&hot_only), before);
+
+    // Unknown: declined (the typed error is the blocking path's to give).
+    assert!(hot_only
+        .determine_if_hot("nobody", &query, 1, usize::MAX)
+        .is_none());
+    assert!(hot_only
+        .report_run_if_hot("nobody", Box::new(run.clone()))
+        .is_err());
+    assert!(matches!(
+        hot_only.determine("nobody", &query, 1),
+        Err(ServiceError::UnknownTenant(_))
+    ));
+
+    // Cold: declined without rehydrating, the report handed back intact.
+    assert!(hot_only.evict_tenant("acme").unwrap());
+    assert!(hot_only
+        .determine_if_hot("acme", &query, 1, usize::MAX)
+        .is_none());
+    assert!(hot_only
+        .predict_if_hot("acme", &probe(1), usize::MAX)
+        .is_none());
+    let returned = hot_only
+        .report_run_if_hot("acme", Box::new(run.clone()))
+        .expect_err("a cold tenant admits nothing from here");
+    assert_eq!(format!("{returned:?}"), format!("{run:?}"));
+    assert_eq!(hot_only.resident_tenants(), 0, "declining must not load");
+    let metrics = hot_only.observability().metrics();
+    assert_eq!(metrics.counter("service.residency.rehydrations").get(), 0);
+
+    // The blocking path takes it from there, bit for bit.
+    assert_same_prediction(&hot_only, &blocking, "acme", 11);
+    assert_eq!(metrics.counter("service.residency.rehydrations").get(), 1);
+    hot_only.report_run("acme", *returned).unwrap();
+    blocking.report_run("acme", run).unwrap();
+    assert!(blocking.flush() && hot_only.flush());
+    // (Staleness aside: a rehydrated snapshot's age restarts.)
+    assert_eq!(books(&hot_only).0, books(&blocking).0);
+}

@@ -8,7 +8,11 @@
 //! rehydration). No accepted report may be lost to an eviction
 //! (accept-then-retire is backed out and retried), and the snapshot
 //! generation a thread observes never decreases — rehydration restores
-//! the floor, it never rolls back.
+//! the floor, it never rolls back. Half the reports and predicts go the
+//! way the wire's event loop sends them: the hot-only entry point first,
+//! the blocking one only for what it declines — so the books also
+//! balance over a report admitted without a resolve, and over one that
+//! lost the eviction race there and was handed back.
 //!
 //! `full_lifecycle_interleavings_leave_no_ghosts`: deregister and
 //! re-register join the mix. Whatever the interleaving, the books
@@ -103,6 +107,26 @@ fn canned_run() -> &'static CompletedRun {
     })
 }
 
+/// A report the way the wire's event loop feeds it: admitted on the spot
+/// if the tenant is hot, handed to the blocking path (which rehydrates)
+/// if it is not or the report lost the race against its eviction.
+fn report_as_the_wire_does(service: &SmartpickService) -> Result<(), ServiceError> {
+    match service.report_run_if_hot(TENANT, Box::new(canned_run().clone())) {
+        Ok(answer) => answer,
+        Err(run) => service.report_run(TENANT, *run),
+    }
+}
+
+/// A predict the way the wire's event loop runs it.
+fn predict_as_the_wire_does(
+    service: &SmartpickService,
+    request: &PredictionRequest,
+) -> Result<smartpick_core::wp::Determination, ServiceError> {
+    service
+        .predict_if_hot(TENANT, request, usize::MAX)
+        .unwrap_or_else(|| service.predict(TENANT, request))
+}
+
 /// A fresh store root per proptest case, inside the repo's `target/`.
 fn case_root(tag: &str) -> PathBuf {
     static CASE: AtomicU64 = AtomicU64::new(0);
@@ -152,17 +176,24 @@ proptest! {
                     let mut last_generation = 0u64;
                     for _ in 0..OPS_PER_THREAD {
                         match rng.gen_range(0u8..6) {
-                            0 | 1 => {
+                            op @ (0 | 1) => {
                                 let query = tpcds::query(82, 100.0).unwrap();
-                                let det = service
-                                    .predict(TENANT, &PredictionRequest::new(query, rng.gen()))
-                                    .expect("tenant is never deregistered");
+                                let request = PredictionRequest::new(query, rng.gen());
+                                let det = if op == 0 {
+                                    service.predict(TENANT, &request)
+                                } else {
+                                    predict_as_the_wire_does(&service, &request)
+                                }
+                                .expect("tenant is never deregistered");
                                 assert!(det.predicted_seconds.is_finite());
                             }
-                            2 | 3 => {
-                                service
-                                    .report_run(TENANT, canned_run().clone())
-                                    .expect("report on a live tenant");
+                            op @ (2 | 3) => {
+                                if op == 2 {
+                                    service.report_run(TENANT, canned_run().clone())
+                                } else {
+                                    report_as_the_wire_does(&service)
+                                }
+                                .expect("report on a live tenant");
                                 accepted.fetch_add(1, Ordering::Relaxed);
                             }
                             4 => {
@@ -225,17 +256,24 @@ proptest! {
                                 Ok(()) | Err(ServiceError::TenantExists(_)) => {}
                                 Err(other) => panic!("register: {other}"),
                             },
-                            1 | 2 => {
+                            op @ (1 | 2) => {
                                 let query = tpcds::query(82, 100.0).unwrap();
-                                match service
-                                    .predict(TENANT, &PredictionRequest::new(query, rng.gen()))
-                                {
+                                let request = PredictionRequest::new(query, rng.gen());
+                                match if op == 1 {
+                                    service.predict(TENANT, &request)
+                                } else {
+                                    predict_as_the_wire_does(&service, &request)
+                                } {
                                     Ok(det) => assert!(det.predicted_seconds.is_finite()),
                                     Err(ServiceError::UnknownTenant(_)) => {}
                                     Err(other) => panic!("predict: {other}"),
                                 }
                             }
-                            3..=5 => match service.report_run(TENANT, canned_run().clone()) {
+                            op @ 3..=5 => match if op == 3 {
+                                service.report_run(TENANT, canned_run().clone())
+                            } else {
+                                report_as_the_wire_does(&service)
+                            } {
                                 Ok(()) => {
                                     accepted.fetch_add(1, Ordering::Relaxed);
                                 }

@@ -11,28 +11,46 @@
 //! ```text
 //!            readiness events                jobs (bounded)
 //!  sockets ────────▶ event loop ─────────────▶ executor pool
-//!     ▲                  │  ▲                      │
-//!     │   framed writes  │  │ waker (socketpair)   │
-//!     └──────────────────┘  └──────────────────────┘
-//!                              completions (bounded)
+//!     ▲               │  ▲  ▲                      │
+//!     │ framed writes │  │  │ waker (socketpair)   │
+//!     └───────────────┘  │  └──────────────────────┘
+//!        cheap requests ─┘     completions (bounded)
+//!        run right here
 //! ```
 //!
 //! - The **event loop** accepts, reads, parses frames out of
 //!   per-connection accumulation buffers, and writes framed responses —
-//!   all nonblocking. It never executes a request.
-//! - Decoded requests go to a server-wide **executor pool** over a
-//!   bounded run queue (its depth is the `wire.reactor.run_queue_depth`
-//!   gauge); a full queue answers `busy` rather than blocking the loop.
+//!   all nonblocking.
+//! - A request that cannot block and costs less than a hand-off is **run
+//!   to completion on the loop** (`run_inline`): `ping`, `health`,
+//!   `determine` / `predict` on a tenant that is hot right now and whose
+//!   sweep is under `INLINE_SWEEP_COST_MAX`, and `report_run`
+//!   admission on a hot tenant. Its response joins the connection's
+//!   write buffer, flushed once per parse pass: no run queue, no executor
+//!   wake-up, no completion queue, no wake-pipe byte.
+//! - Every other decoded request — a cold, rehydrating or unknown
+//!   tenant, a sweep over the gate, a report that lost the eviction
+//!   race, `flush`, batches and streams, `scrape`, stats, registration —
+//!   goes to a server-wide **executor pool** over a bounded run queue
+//!   (its depth is the `wire.reactor.run_queue_depth` gauge); a full
+//!   queue answers `busy` rather than blocking the loop.
 //! - Executors hand completed responses back over a bounded completion
 //!   queue and nudge the loop awake through one half of a
 //!   `UnixStream::pair` registered with the poller, so a completion
 //!   arriving while every socket is quiet still gets written promptly.
 //!
+//! The loop never blocks: it calls only the service's non-blocking entry
+//! points (`*_if_hot`, `health`), which claim nothing, wait for nothing
+//! and load nothing — the `loop-thread-nonblocking` lint rule holds this
+//! file to that list.
+//!
 //! ## Semantics
 //!
 //! Only id-tagged frames execute (v2 JSON, v3 binary), and a request's
-//! response uses the generation it arrived in. Payload garbage fails
-//! only its own request id. A framing violation — an unknown version
+//! response uses the generation it arrived in; responses are written in
+//! completion order, so a cheap request pipelined behind an expensive
+//! one is answered first. Payload garbage fails only its own request
+//! id. A framing violation — an unknown version
 //! byte, the retired v1 byte, an oversized length prefix — gets one
 //! best-effort un-numbered `protocol` error frame and a close after a
 //! short drain. Connections over
@@ -40,11 +58,15 @@
 //! retryable `busy` frame and a close; connections idle past the
 //! deadline are dropped.
 //!
-//! Back-pressure is **flow control**, not rejection: at
-//! [`crate::WireServerConfig::max_in_flight`] the loop stops *parsing*
-//! the connection (and deregisters read interest) until completions
-//! drain it below the cap, so a well-behaved client never sees a
-//! cap-induced busy, it just observes TCP push-back. `busy` (retryable,
+//! Back-pressure is **flow control**, not rejection, in both
+//! directions: with [`crate::WireServerConfig::max_in_flight`] requests
+//! in the executor pool, or more than one
+//! [`crate::WireServerConfig::max_frame_len`] of responses the peer has
+//! not read, the loop stops *parsing* the connection (and deregisters
+//! read interest) until a completion frees a slot or a writable event
+//! drains the buffer, so a well-behaved client never sees a cap-induced
+//! busy, it just observes TCP push-back — and one that writes without
+//! reading is stopped instead of buffered for. `busy` (retryable,
 //! carrying the request's id) is reserved for a full run queue and for
 //! blocking operations over the server-wide blocking-op cap.
 
@@ -68,7 +90,7 @@ use crate::frame::{self, FrameHeader, PROTOCOL_V2, PROTOCOL_V3, PROTOCOL_VERSION
 use crate::proto::{Rejection, Request, Response};
 use crate::server::{
     decode_request, execute_multi, send_response, send_response_v2, send_response_v3,
-    EncodeScratch, Shared,
+    service_error, EncodeScratch, Shared,
 };
 
 /// Token of the listener socket in the poller.
@@ -116,7 +138,8 @@ struct Conn {
     scratch: EncodeScratch,
     /// Jobs admitted to the executor pool and not yet completed.
     in_flight: usize,
-    /// Read interest withdrawn because `in_flight` hit the cap.
+    /// Read interest withdrawn: `in_flight` hit the cap, or the peer has
+    /// more than a frame's worth of responses left to read.
     paused: bool,
     /// Fatal framing violation seen: flush, drain briefly, close.
     closing: Option<Instant>,
@@ -145,8 +168,13 @@ impl Conn {
         }
     }
 
+    /// Outbound bytes the socket has not accepted yet.
+    fn pending_write(&self) -> usize {
+        self.write_buf.len().saturating_sub(self.write_pos)
+    }
+
     fn has_pending_write(&self) -> bool {
-        self.write_pos < self.write_buf.len()
+        self.pending_write() > 0
     }
 
     /// The interest this connection's state wants right now. A closing
@@ -241,6 +269,95 @@ fn error_response(kind: ErrorKind, message: String) -> Response {
 /// deadline — the one request that can hold a pool thread indefinitely.
 fn is_blocking(request: &Request) -> bool {
     matches!(request, Request::Flush)
+}
+
+/// The one gate on running a `determine` / `predict` on the loop thread:
+/// the most a snapshot may sweep
+/// ([`smartpick_core::wp::WorkloadPredictor::sweep_cost`]: flat-tree nodes
+/// + grid cells) for its requests to skip the executor hand-off.
+///
+/// Set where the walk costs about what the hand-off does. In process a
+/// determine is linear in its sweep — `BENCH_determine.json`: 285
+/// (8×8 grid, 10 trees) 5.7 µs, 1 141 (8×8/50) 15.5 µs, 2 211 (8×8/100)
+/// 28.7 µs, so about 2 µs + 12 µs per 1 000 — and the two wake-ups a
+/// queued request pays (run queue → executor, completion → loop) read
+/// 7 µs at depth 1 with every thread on one core (`wire.transport_us`
+/// 16.1 → 9.3 µs when the hop was removed) and several times that when a
+/// wake-up crosses cores. Under the gate a request holds the loop for at
+/// most ~14 µs, the order of the hop it saves; over it the walk dwarfs
+/// the hop, queueing costs it nothing, and a heavy request can neither
+/// head-of-line-block its connection's cheap ones nor stall other
+/// connections' I/O.
+///
+/// A constant, not a knob: the benchmark has a workload on each side
+/// (`determine_hot` sweeps 285 and runs here; `determine_heavy` sweeps
+/// 2 397 and `feedback_mixed`'s retrained tenants 7 500–22 000, and both
+/// keep the executor path — when the change was sized without a gate,
+/// those retrained determines ran here at a p50 of 64 µs and cost
+/// `feedback_mixed` 3–11 % of its `report_applied_per_s`), and nothing
+/// between 300 and 2 000 changes which side any of them falls on.
+const INLINE_SWEEP_COST_MAX: usize = 1000;
+
+/// What [`run_inline`] did with a request.
+enum Inline {
+    /// Ran it; here is its response.
+    Answered(Response),
+    /// Not from here: the request, untouched, for [`admit`].
+    Declined(Request),
+}
+
+/// Runs `request` to completion on the loop thread if it cannot block
+/// and costs less than the hand-off it would otherwise pay; otherwise
+/// hands it back for the executors. Only the service's non-blocking
+/// entry points may be named here: a hot-only call answers `None` (or
+/// returns the report) rather than rehydrate, wait or load.
+fn run_inline(request: Request, shared: &Shared) -> Inline {
+    let determined = |result: Result<_, _>| {
+        Inline::Answered(
+            result
+                .map(Response::Determination)
+                .unwrap_or_else(|e| service_error(&e)),
+        )
+    };
+    match request {
+        Request::Ping => Inline::Answered(Response::Pong),
+        Request::Health => Inline::Answered(Response::Health(shared.service.health())),
+        Request::Determine {
+            tenant,
+            query,
+            seed,
+        } => match shared
+            .service
+            .determine_if_hot(&tenant, &query, seed, INLINE_SWEEP_COST_MAX)
+        {
+            Some(result) => determined(result),
+            None => Inline::Declined(Request::Determine {
+                tenant,
+                query,
+                seed,
+            }),
+        },
+        Request::Predict { tenant, request } => {
+            match shared
+                .service
+                .predict_if_hot(&tenant, &request, INLINE_SWEEP_COST_MAX)
+            {
+                Some(result) => determined(result),
+                None => Inline::Declined(Request::Predict { tenant, request }),
+            }
+        }
+        Request::ReportRun { tenant, run } => {
+            match shared.service.report_run_if_hot(&tenant, run) {
+                Ok(result) => Inline::Answered(
+                    result
+                        .map(|()| Response::ReportAccepted)
+                        .unwrap_or_else(|e| service_error(&e)),
+                ),
+                Err(run) => Inline::Declined(Request::ReportRun { tenant, run }),
+            }
+        }
+        other => Inline::Declined(other),
+    }
 }
 
 /// The server-wide executor pool: workers pull jobs off one bounded
@@ -408,15 +525,15 @@ pub(crate) fn reactor_loop(
                 }
                 None => {
                     // Idle means *client* idle. A connection quiet
-                    // because the server paused reads (flow control) or
-                    // is still executing its requests is being serviced,
-                    // not abandoned — reaping it would discard responses
-                    // the client is legitimately waiting for.
+                    // because the server is still executing its requests
+                    // (which covers every pause at the in-flight cap) is
+                    // being serviced, not abandoned — reaping it would
+                    // discard responses the client is legitimately
+                    // waiting for. One paused only because its peer has
+                    // stopped reading is the client's doing: no byte has
+                    // moved either way, and it goes like any idle one.
                     if let Some(idle) = shared.config.idle_timeout {
-                        if conn.in_flight == 0
-                            && !conn.paused
-                            && conn.last_byte_at.elapsed() >= idle
-                        {
+                        if conn.in_flight == 0 && conn.last_byte_at.elapsed() >= idle {
                             closed.push(*token);
                         }
                     }
@@ -552,8 +669,16 @@ fn service_conn(
     if (ev.readable || ev.closed) && !read_ready(conn, shared, job_tx, token) {
         return false;
     }
-    if ev.writable && !flush_writes(conn) {
-        return false;
+    if ev.writable {
+        if !flush_writes(conn) {
+            return false;
+        }
+        // The peer read: if its unread responses had stopped the
+        // parsing, resume on what is already buffered (no readable event
+        // will re-announce it).
+        if conn.paused {
+            parse_and_admit(conn, shared, job_tx, token);
+        }
     }
     update_interest(conn, poller, token);
     true
@@ -563,7 +688,9 @@ fn service_conn(
 /// level-triggered, so a connection with more buffered input is simply
 /// re-announced on the next wait — the cap bounds how long one fast
 /// producer can monopolise the loop (and the shutdown check) before
-/// other connections get their turn.
+/// other connections get their turn. It is also what bounds the work run
+/// on the loop per turn: a `determine` frame is ~1.6 KB, so a quantum is
+/// about 160 requests under [`INLINE_SWEEP_COST_MAX`] — about 1 ms.
 const READ_QUANTUM: usize = 256 * 1024;
 
 /// Reads and parses until the socket would block, the fairness quantum
@@ -612,13 +739,19 @@ fn read_ready(
     true
 }
 
-/// Parses every complete frame buffered on `conn`, stopping for flow
-/// control (in-flight cap) or a fatal framing violation.
+/// Parses every complete frame buffered on `conn` — running what is
+/// cheap, queueing the rest — and flushes the responses once. Stops for
+/// flow control (in-flight cap, unread responses) or a fatal framing
+/// violation.
 fn parse_and_admit(conn: &mut Conn, shared: &Arc<Shared>, job_tx: &SyncSender<Job>, token: usize) {
     while conn.closing.is_none() {
-        // Flow control: at the cap, leave further frames unparsed and
-        // withdraw read interest; completions resume parsing.
-        if conn.in_flight >= shared.config.max_in_flight {
+        // Flow control: at the in-flight cap, or with more than a frame's
+        // worth of responses the peer has not taken, leave further frames
+        // unparsed and withdraw read interest; a completion or a
+        // writable event resumes parsing.
+        if conn.in_flight >= shared.config.max_in_flight
+            || outbound_full(conn, shared.config.max_frame_len)
+        {
             conn.paused = true;
             break;
         }
@@ -657,6 +790,14 @@ fn parse_and_admit(conn: &mut Conn, shared: &Arc<Shared>, job_tx: &SyncSender<Jo
             } => {
                 conn.parse_pos += consumed;
                 count_read(shared, codec);
+                let request = match run_inline(request, shared) {
+                    Inline::Answered(response) => {
+                        shared.wm.requests_inline.inc();
+                        append_tagged(conn, shared, id, codec, &[response]);
+                        continue;
+                    }
+                    Inline::Declined(request) => request,
+                };
                 if let Err(reason) = admit(conn, shared, job_tx, token, id, codec, request) {
                     shared.wm.busy_rejections.inc();
                     shared
@@ -674,6 +815,19 @@ fn parse_and_admit(conn: &mut Conn, shared: &Arc<Shared>, job_tx: &SyncSender<Jo
         conn.parse_pos = 0;
     }
     let _ = flush_writes(conn);
+}
+
+/// Whether `conn` holds more than `bound` bytes of responses its socket
+/// will not take — asked before each frame is parsed, so what a peer that
+/// never reads can make the server buffer is `bound` plus the responses
+/// of the requests already admitted (one, for a request run here).
+/// Responses accumulate unflushed within a parse pass, so the socket is
+/// offered them once more before the answer is yes.
+fn outbound_full(conn: &mut Conn, bound: usize) -> bool {
+    conn.pending_write() > bound && {
+        let _ = flush_writes(conn);
+        conn.pending_write() > bound
+    }
 }
 
 /// Hands one decoded request to the executor pool, or says why it must
@@ -713,6 +867,7 @@ fn admit(
         return Err("server run queue full");
     }
     conn.in_flight += 1;
+    shared.wm.requests_queued.inc();
     shared.wm.in_flight_hwm.set_max(conn.in_flight as i64);
     shared.wm.reactor_run_queue.inc();
     Ok(())
@@ -741,10 +896,11 @@ fn apply_completion(
     if !flush_writes(conn) {
         return false;
     }
-    // Below the cap again: resume parsing bytes that were already
+    // A slot is free again: resume parsing bytes that were already
     // buffered (no readable event will re-announce them) and restore
-    // read interest.
-    if conn.paused && conn.in_flight < shared.config.max_in_flight {
+    // read interest — unless the pause still holds, which the parse
+    // pass re-checks first.
+    if conn.paused {
         parse_and_admit(conn, shared, job_tx, token);
     }
     update_interest(conn, poller, token);
@@ -806,6 +962,12 @@ fn flush_writes(conn: &mut Conn) -> bool {
     }
     if conn.write_pos >= conn.write_buf.len() {
         conn.write_buf.clear();
+        conn.write_pos = 0;
+    } else if conn.write_pos >= conn.write_buf.len() / 2 {
+        // A peer that reads slower than it is answered never empties the
+        // buffer: drop the written half so the buffer holds at most
+        // twice what is pending (moves fewer bytes than were written).
+        conn.write_buf.drain(..conn.write_pos);
         conn.write_pos = 0;
     }
     true

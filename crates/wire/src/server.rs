@@ -6,7 +6,9 @@
 //! envelope in the codec its frame named, execute it against the
 //! service, encode the response in the same codec. Connection handling
 //! itself (accept, nonblocking reads, frame parsing, flow control, the
-//! executor pool, writes) is the event loop in [`crate::reactor`].
+//! executor pool, writes) is the event loop in [`crate::reactor`], which
+//! also answers the requests that are cheaper than a hand-off itself;
+//! `execute` is what an executor runs for all the others.
 //!
 //! Error containment: one connection's bad frame can never take another
 //! connection (or the listener) down. An id-tagged frame's
@@ -49,7 +51,9 @@ const LISTEN_BACKLOG: i32 = 4096;
 pub struct WireServerConfig {
     /// Concurrent connections served; the next one is told `busy`.
     pub max_connections: usize,
-    /// Per-frame payload cap enforced before the payload is read.
+    /// Per-frame payload cap enforced before the payload is read. Also
+    /// the bound on a connection's unflushed responses: past it the
+    /// server stops reading the connection until the peer reads.
     pub max_frame_len: usize,
     /// Longest the event loop parks before re-checking idle deadlines
     /// and drain windows; a fatal close drains for four of these.
@@ -60,16 +64,18 @@ pub struct WireServerConfig {
     /// and goes silent pins a slot forever — the cheapest way to
     /// exhaust the serving boundary.
     pub idle_timeout: Option<Duration>,
-    /// Per-connection cap on requests in flight — queued or executing.
-    /// At the cap the server stops reading the connection (TCP pushes
-    /// back on the client) until a completion frees a slot; admitted
-    /// work is never affected.
+    /// Per-connection cap on requests in flight in the executor pool —
+    /// queued or executing; a request the event loop runs itself is
+    /// finished before the next is parsed and never counts. At the cap
+    /// the server stops reading the connection (TCP pushes back on the
+    /// client) until a completion frees a slot; admitted work is never
+    /// affected.
     pub max_in_flight: usize,
-    /// Executor threads running requests. The pool is **server-wide**:
-    /// every connection's requests share these threads, so at most
-    /// `max(1, pipeline_workers - 1)` blocking operations (`flush`) are
-    /// admitted at once and the rest are told `busy` — reads always
-    /// keep an executor.
+    /// Executor threads running the requests the event loop does not run
+    /// itself. The pool is **server-wide**: every connection's requests
+    /// share these threads, so at most `max(1, pipeline_workers - 1)`
+    /// blocking operations (`flush`) are admitted at once and the rest
+    /// are told `busy` — queued reads always keep an executor.
     pub pipeline_workers: usize,
 }
 
@@ -105,12 +111,19 @@ pub(crate) struct WireMetrics {
     /// Busy rejections issued: over the connection cap, run queue full,
     /// or over the blocking-operation cap.
     pub(crate) busy_rejections: Arc<Counter>,
+    /// Requests the event loop ran to completion itself, and requests it
+    /// handed to the executor pool — every decoded request is one or the
+    /// other (or was told `busy`), so the pair is the split an operator
+    /// reads to see how much traffic still pays the hand-off.
+    pub(crate) requests_inline: Arc<Counter>,
+    pub(crate) requests_queued: Arc<Counter>,
     /// Connections currently being served.
     pub(crate) connections: Arc<Gauge>,
-    /// High-water mark of requests in flight on any single connection
-    /// since the server started.
+    /// High-water mark of *queued* requests in flight (admitted to the
+    /// executor pool, not yet completed) on any single connection since
+    /// the server started. Requests run on the loop never count.
     pub(crate) in_flight_hwm: Arc<Gauge>,
-    /// Requests decoded but not yet picked up by an executor.
+    /// Queued requests not yet picked up by an executor.
     pub(crate) reactor_run_queue: Arc<Gauge>,
     /// Connection lifetimes, accept to teardown.
     pub(crate) connection_lifetime: Arc<LatencyHistogram>,
@@ -126,6 +139,8 @@ impl WireMetrics {
             frames_written_v2: m.counter("wire.frames_written.v2"),
             frames_written_v3: m.counter("wire.frames_written.v3"),
             busy_rejections: m.counter("wire.busy_rejections"),
+            requests_inline: m.counter("wire.requests_inline"),
+            requests_queued: m.counter("wire.requests_queued"),
             connections: m.gauge("wire.connections"),
             in_flight_hwm: m.gauge("wire.in_flight_hwm"),
             reactor_run_queue: m.gauge("wire.reactor.run_queue_depth"),

@@ -107,9 +107,10 @@ fn worker_crash_recovery_is_visible_over_the_wire() {
     client.flush().unwrap();
 }
 
-/// `wire.in_flight_hwm` records the deepest pipeline any connection has
-/// driven. Sixteen pings land in ONE socket write, so the event loop
-/// admits all of them before it applies a single completion.
+/// `wire.in_flight_hwm` records the deepest pipeline of *queued* requests
+/// any connection has driven (a ping would run on the loop and never be
+/// in flight). Sixteen `service_stats` land in ONE socket write, so the
+/// event loop admits all of them before it applies a single completion.
 #[test]
 fn in_flight_high_water_mark_tracks_pipeline_depth() {
     const DEPTH: u64 = 16;
@@ -127,7 +128,8 @@ fn in_flight_high_water_mark_tracks_pipeline_depth() {
         .unwrap();
     let (mut burst, mut scratch) = (Vec::new(), Vec::new());
     for id in 0..DEPTH {
-        write_frame_v2_buffered(&mut burst, id, b"{\"op\":\"ping\"}", &mut scratch).unwrap();
+        write_frame_v2_buffered(&mut burst, id, b"{\"op\":\"service_stats\"}", &mut scratch)
+            .unwrap();
     }
     stream.write_all(&burst).unwrap();
     let mut payload = Vec::new();

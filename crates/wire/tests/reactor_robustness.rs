@@ -197,7 +197,10 @@ fn in_flight_request_outlasting_idle_timeout_is_still_answered() {
 fn framing_violator_that_never_reads_is_reaped_at_the_drain_deadline() {
     let server = server_with(WireServerConfig {
         poll_interval: Duration::from_millis(20),
-        max_frame_len: 8 << 20,
+        // Also the bound on unread responses past which the server stops
+        // reading: kept above everything queued below, so the violation
+        // is always read.
+        max_frame_len: 64 << 20,
         ..WireServerConfig::default()
     });
     let addr = server.local_addr();
@@ -206,11 +209,11 @@ fn framing_violator_that_never_reads_is_reaped_at_the_drain_deadline() {
     let mut registrar = WireClient::connect(addr).unwrap();
     registrar.register_tenant("acme", 7).unwrap();
 
-    // Raw v2 frames: queue enough batch work that the responses
-    // (megabytes of JSON) overrun the socket buffers of a peer that
+    // Raw v2 frames: queue enough batch work that the responses (four
+    // times ~7 MB of JSON) overrun the socket buffers of a peer that
     // never reads, leaving the connection's write buffer pending.
     let mut stream = TcpStream::connect(addr).unwrap();
-    for id in 0..30u64 {
+    for id in 0..4u64 {
         let request = Request::DetermineBatch {
             tenant: "acme".to_owned(),
             requests: batch(&query, 3000),
@@ -242,4 +245,150 @@ fn framing_violator_that_never_reads_is_reaped_at_the_drain_deadline() {
         std::thread::sleep(Duration::from_millis(20));
     }
     drop(stream);
+}
+
+/// The largest value in a `/proc/sys/net/ipv4/tcp_{w,r}mem` triple: how
+/// many bytes the kernel will buffer on one side of a connection.
+fn kernel_buffer_max(name: &str) -> usize {
+    std::fs::read_to_string(format!("/proc/sys/net/ipv4/{name}"))
+        .ok()
+        .and_then(|triple| triple.split_whitespace().last()?.parse().ok())
+        .unwrap_or(16 << 20)
+}
+
+/// Outbound back-pressure: a peer that pipelines requests and never reads
+/// is pushed back — the server stops reading it once more than one
+/// `max_frame_len` of its answers is waiting, TCP does the rest — instead
+/// of being buffered for without bound; and when it does read, every
+/// answer is there in full. (Without the bound a completion frees its
+/// slot whether or not its bytes left: all 100 000 frames below are
+/// accepted and ~260 MB of answers pile up in the connection's buffer.)
+#[test]
+fn a_peer_that_writes_and_never_reads_is_pushed_back_then_answered_in_full() {
+    const OFFERED: u64 = 100_000;
+    const MAX_FRAME_LEN: usize = 256 * 1024;
+    let server = server_with(WireServerConfig {
+        max_frame_len: MAX_FRAME_LEN,
+        ..WireServerConfig::default()
+    });
+    let addr = server.local_addr();
+    let mut registrar = WireClient::connect(addr).unwrap();
+    registrar.register_tenant("acme", 7).unwrap();
+    let query = tpcds::query(82, 100.0).unwrap();
+
+    // One binary determine, replayed under a fresh id each time; every
+    // answer is therefore the same bytes, known in advance.
+    let mut request = Vec::new();
+    smartpick_wire::codec::encode_envelope_into(
+        &Request::Determine {
+            tenant: "acme".to_owned(),
+            query: query.clone(),
+            seed: 5,
+        },
+        &mut request,
+    );
+    let mut answer = Vec::new();
+    smartpick_wire::codec::encode_response_into(
+        &Response::Determination(server.service().determine("acme", &query, 5).unwrap()),
+        &mut answer,
+    );
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    writer
+        .set_write_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    // The writer offers frames until one write makes no progress for 2 s
+    // — pushed back — says which frame that was, and finishes that frame
+    // (it can only once the reader below starts draining).
+    let (stalled_tx, stalled_rx) = mpsc::channel();
+    let writing = std::thread::spawn(move || {
+        let mut frame = Vec::new();
+        for id in 0..OFFERED {
+            frame.clear();
+            frame.push(PROTOCOL_V3);
+            frame.extend_from_slice(&id.to_be_bytes());
+            frame.extend_from_slice(&(request.len() as u32).to_be_bytes());
+            frame.extend_from_slice(&request);
+            let mut sent = 0;
+            let mut stalled = false;
+            while sent < frame.len() {
+                match writer.write(&frame[sent..]) {
+                    Ok(n) => sent += n,
+                    Err(e)
+                        if matches!(
+                            e.kind(),
+                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                        ) =>
+                    {
+                        stalled = true;
+                        stalled_tx.send(id).unwrap();
+                        writer.set_write_timeout(None).unwrap();
+                    }
+                    Err(e) => panic!("frame {id}: {e}"),
+                }
+            }
+            if stalled {
+                return;
+            }
+        }
+    });
+    let last = stalled_rx
+        .recv_timeout(Duration::from_secs(300))
+        .expect("never pushed back: the server took every frame of a peer that reads nothing");
+
+    // Pushed back, with nothing read yet: every answer produced so far is
+    // in the connection's write buffer or in the kernel's socket buffers,
+    // and the first holds at most the bound plus one answer.
+    let produced = server
+        .service()
+        .observability()
+        .metrics()
+        .counter("wire.frames_written.v3")
+        .get() as usize;
+    let kernel = kernel_buffer_max("tcp_wmem") + kernel_buffer_max("tcp_rmem");
+    let answer_frame = 13 + answer.len();
+    assert!(
+        produced * answer_frame <= MAX_FRAME_LEN + answer_frame + kernel,
+        "{produced} answers of {answer_frame} B produced for a peer that read none \
+         (bound {MAX_FRAME_LEN} B + what the kernel holds, at most {kernel} B)"
+    );
+
+    // Now read: frames 0..=last were sent in full, and each is answered.
+    let mut answered = vec![false; last as usize + 1];
+    let mut payload = Vec::new();
+    for _ in 0..=last {
+        let header = smartpick_wire::frame::read_frame_any_into(
+            &mut stream,
+            smartpick_wire::DEFAULT_MAX_FRAME_LEN,
+            &mut payload,
+        )
+        .expect("an answer was lost");
+        let id = header.id.expect("answers are id-tagged") as usize;
+        assert!(!std::mem::replace(&mut answered[id], true), "id {id} twice");
+        assert!(
+            payload == answer,
+            "id {id}: not the determination asked for"
+        );
+    }
+    writing.join().unwrap();
+
+    // And the connection is as usable as ever.
+    let ping = b"{\"op\":\"ping\"}";
+    stream.write_all(&[PROTOCOL_V2]).unwrap();
+    stream.write_all(&u64::MAX.to_be_bytes()).unwrap();
+    stream
+        .write_all(&(ping.len() as u32).to_be_bytes())
+        .unwrap();
+    stream.write_all(ping).unwrap();
+    let header = smartpick_wire::frame::read_frame_any_into(
+        &mut stream,
+        smartpick_wire::DEFAULT_MAX_FRAME_LEN,
+        &mut payload,
+    )
+    .unwrap();
+    assert_eq!(header.id, Some(u64::MAX));
 }
