@@ -6,13 +6,19 @@
 //!
 //! * **snapshot at rest** — the encoded size of one tenant's full
 //!   driver state (predictor + history + monitor + RNG) as persisted by
-//!   `persist_tenant`, for models trained on 1 and 2 catalog queries.
-//!   This is the per-tenant disk bill for the keep-2 retention policy.
+//!   `persist_tenant`, for models trained on 1 and 2 catalog queries,
+//!   and for the 2-query model after 256 reports (history ring full, two
+//!   batch retrains in). This is the per-tenant disk bill for the keep-2
+//!   retention policy.
 //! * **recovery** — wall time for `SmartpickService::open` to come back
 //!   from a generation-0 snapshot plus a WAL of N accepted reports:
-//!   scan, replay through `apply_report`, republish, re-persist. The
+//!   scan, replay through `apply_sample`, republish, re-persist. The
 //!   row family shows how replay cost scales with WAL length — the
-//!   knob `snapshot_every` trades against.
+//!   knob `snapshot_every` trades against — and one row spreads 2 048
+//!   records over 512 tenants, where anything recovery does per tenant
+//!   *per record of the whole log* would show. Each row carries the same
+//!   measurement at the commit before the binary report record
+//!   ([`RECOVERY_BEFORE`]).
 //! * **feedback** — the write path under sustained load: a durable
 //!   service at its default knobs fed 32-report bursts with a flush
 //!   after each (the end-to-end benchmark's write window, without the
@@ -20,7 +26,10 @@
 //!   applied per second, WAL fsyncs per report, WAL rewrites and the
 //!   bytes they wrote per report. Each row carries the same measurement
 //!   taken at the commit before the presorted tree builder
-//!   ([`FEEDBACK_BEFORE`]).
+//!   ([`FEEDBACK_BEFORE`]), and — from the server's own books — what the
+//!   log cost a report, in bytes and in microseconds of the
+//!   `service.report.wal_append` stage, beside the JSON record's
+//!   ([`WAL_APPEND_BEFORE`]).
 //! * **retrain** — what that feed spends most of its time in: one
 //!   `apply_report` that fires a batch retrain (100 pending samples,
 //!   burst ×10, one configured-size batch of trees grown on the 1 000
@@ -44,6 +53,8 @@ use smartpick_ml::forest::ForestParams;
 use smartpick_service::{
     CompletedRun, FsyncPolicy, PersistenceConfig, ServiceConfig, SmartpickService,
 };
+use smartpick_store::wal::scan_wal;
+use smartpick_store::WalPayload;
 use smartpick_workloads::tpcds;
 
 fn trained_driver(query_ids: &[u32], trees: usize) -> Smartpick {
@@ -95,6 +106,160 @@ fn durable_config(dir: &Path) -> ServiceConfig {
     }
 }
 
+/// Times each recovery row is built, crashed and reopened; the row
+/// records the median open.
+const RECOVERY_REPS: usize = 5;
+
+/// The many-tenants recovery row: this many tenants, this many reports
+/// each.
+const MANY_TENANTS: usize = 512;
+const MANY_TENANTS_REPORTS_EACH: usize = 4;
+
+/// One recovery row's measurement.
+#[derive(Clone, Copy)]
+struct Recovery {
+    wal_bytes: u64,
+    recover_ms: f64,
+}
+
+impl Recovery {
+    const fn at(wal_bytes: u64, recover_ms: f64) -> Self {
+        Recovery {
+            wal_bytes,
+            recover_ms,
+        }
+    }
+}
+
+/// The recovery rows — (WAL records, measurement) — at the parent of the
+/// binary report record (PR 20, commit a343d3a: a `Report` was the run
+/// as JSON, recovery handed every tenant the whole log), by this same
+/// loop built against that commit, same box, same hour, pinned to one
+/// CPU: the median of five runs alternated with this commit's (whose
+/// five read 2.1 / 2.2 / 11.8 / 41.4 ms and, for the many-tenants row,
+/// 722 ms, ahead in every pair).
+const RECOVERY_BEFORE: [(usize, Recovery); 4] = [
+    (0, Recovery::at(8, 2.4)),
+    (32, Recovery::at(132_492, 4.4)),
+    (128, Recovery::at(529_900, 17.9)),
+    (512, Recovery::at(2_119_576, 53.8)),
+];
+
+/// The many-tenants row at that commit (its opens read 621–1 067 ms over
+/// the five runs: 512 snapshot persists, each with its fsync, are most of
+/// either side).
+const MANY_TENANTS_BEFORE: Recovery = Recovery::at(8_567_960, 871.7);
+
+/// Snapshot bytes at rest at that commit — (trained queries, bytes) —
+/// and after 256 reports.
+const SNAPSHOT_BEFORE: [(usize, u64); 2] = [(1, 2769), (2, 4511)];
+const SNAPSHOT_AFTER_256_BEFORE: u64 = 275_473;
+
+fn recovery_json(row: &Recovery) -> String {
+    format!(
+        "{{\"wal_bytes\": {}, \"recover_ms\": {:.1}}}",
+        row.wal_bytes, row.recover_ms
+    )
+}
+
+fn snapshot_json(bytes: u64) -> String {
+    format!(
+        "{{\"bytes\": {bytes}, \"kilobytes\": {:.1}}}",
+        bytes as f64 / 1024.0
+    )
+}
+
+/// Every byte under the store's `wal/`.
+fn wal_bytes(dir: &Path) -> u64 {
+    std::fs::read_dir(dir.join("wal"))
+        .expect("wal dir")
+        .filter_map(|e| e.ok())
+        .filter_map(|e| e.metadata().ok())
+        .map(|m| m.len())
+        .sum()
+}
+
+/// The largest report record in the store's shard-0 log, frame included.
+fn report_record_bytes(dir: &Path) -> usize {
+    let log = std::fs::read(dir.join("wal").join("shard-0.wal")).expect("shard log");
+    scan_wal(&log)
+        .expect("a WAL")
+        .records
+        .iter()
+        .filter(|r| matches!(r.payload, WalPayload::Sample { .. }))
+        .map(|r| 8 + r.encode_payload().len())
+        .max()
+        .unwrap_or(0)
+}
+
+/// Builds a store of `tenants` forks of `template` with `reports_each`
+/// accepted reports apiece in the log and nothing but their generation-0
+/// snapshots beside it, crashes it, and times the reopen —
+/// [`RECOVERY_REPS`] times over; returns the median open, the log's
+/// bytes and its largest report record.
+fn recovery_row(
+    tag: &str,
+    tenants: usize,
+    reports_each: usize,
+    template: &Smartpick,
+    run: &CompletedRun,
+) -> (Recovery, usize) {
+    let ids: Vec<String> = (0..tenants).map(|t| format!("bench-{t}")).collect();
+    let mut opens_ms = Vec::with_capacity(RECOVERY_REPS);
+    let mut bytes = 0;
+    let mut record_bytes = 0;
+    for _ in 0..RECOVERY_REPS {
+        let dir = bench_root(tag);
+        {
+            let service = SmartpickService::open(&dir, durable_config(&dir)).expect("open store");
+            for (t, id) in ids.iter().enumerate() {
+                service
+                    .register_fork(id.clone(), template, t as u64)
+                    .expect("register");
+            }
+            // One report per tenant per round, a flush every 16 reports,
+            // so neither the tenant quota nor the queue ever trips.
+            let mut fed = 0usize;
+            for _ in 0..reports_each {
+                for id in &ids {
+                    service.report_run(id, run.clone()).expect("report");
+                    fed += 1;
+                    if fed.is_multiple_of(16) {
+                        assert!(service.flush(), "drain between bursts");
+                    }
+                }
+            }
+            assert!(service.flush(), "drain the tail");
+        }
+        bytes = wal_bytes(&dir);
+        if reports_each > 0 {
+            record_bytes = report_record_bytes(&dir);
+        }
+        let started = Instant::now();
+        let recovered = SmartpickService::open(&dir, durable_config(&dir)).expect("reopen store");
+        opens_ms.push(started.elapsed().as_secs_f64() * 1e3);
+        assert_eq!(recovered.tenants().len(), tenants, "every tenant back");
+        let replayed = recovered
+            .observability()
+            .metrics()
+            .counter("store.wal_records_replayed")
+            .get();
+        assert_eq!(
+            replayed as usize,
+            tenants * reports_each,
+            "every report replayed"
+        );
+        drop(recovered);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    opens_ms.sort_by(f64::total_cmp);
+    let row = Recovery {
+        wal_bytes: bytes,
+        recover_ms: opens_ms[RECOVERY_REPS / 2],
+    };
+    (row, record_bytes)
+}
+
 /// Reports fed per feedback row, in bursts of [`FEEDBACK_BURST`].
 const FEEDBACK_REPORTS: u64 = 4096;
 const FEEDBACK_BURST: u64 = 32;
@@ -134,6 +299,44 @@ const FEEDBACK_BEFORE: [(u64, &str, Feedback); 4] = [
     (8, "never", Feedback::at(3757.0, 0.0, 4, 4148.0)),
 ];
 
+/// What the log costs a report in a feedback row, read off the server's
+/// own books: `store.wal_bytes_written` and the
+/// `service.report.wal_append` stage (encode + append, one sample per
+/// batch; samples × mean), each over the reports applied.
+#[derive(Clone, Copy)]
+struct WalAppend {
+    bytes_per_report: f64,
+    us_per_report: f64,
+}
+
+/// [`WalAppend`] per feedback row at the parent of the binary report
+/// record (PR 20, commit a343d3a), by this same loop, same box, pinned:
+/// the median of five runs alternated with this commit's (whose five
+/// read 105–127 bytes and 0.98–2.91 µs). In [`FEEDBACK_BEFORE`]'s
+/// order.
+const WAL_APPEND_BEFORE: [WalAppend; 4] = [
+    WalAppend::at(4137.0, 54.99),
+    WalAppend::at(4137.0, 54.43),
+    WalAppend::at(4149.0, 65.44),
+    WalAppend::at(4147.0, 53.49),
+];
+
+impl WalAppend {
+    const fn at(bytes_per_report: f64, us_per_report: f64) -> Self {
+        WalAppend {
+            bytes_per_report,
+            us_per_report,
+        }
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{\"wal_bytes_per_report\": {:.0}, \"wal_append_us_per_report\": {:.2}}}",
+            self.bytes_per_report, self.us_per_report
+        )
+    }
+}
+
 /// Feeds [`FEEDBACK_REPORTS`] reports round-robin over `tenants` forks
 /// of `template` into a durable service at its default knobs, a flush
 /// after every burst, and reads the write path's own counters.
@@ -142,7 +345,7 @@ fn feedback_row(
     fsync: FsyncPolicy,
     template: &Smartpick,
     run: &CompletedRun,
-) -> Feedback {
+) -> (Feedback, WalAppend) {
     let dir = bench_root(&format!("feedback{tenants}"));
     let service = SmartpickService::open(
         &dir,
@@ -182,9 +385,18 @@ fn feedback_row(
         rewritten_bytes_per_report: counter("store.compaction_bytes_written") as f64
             / FEEDBACK_REPORTS as f64,
     };
+    let stage = service
+        .observability()
+        .metrics()
+        .histogram("service.report.wal_append")
+        .summary();
+    let wal = WalAppend {
+        bytes_per_report: counter("store.wal_bytes_written") as f64 / FEEDBACK_REPORTS as f64,
+        us_per_report: stage.count as f64 * stage.mean_us / FEEDBACK_REPORTS as f64,
+    };
     drop(service);
     let _ = std::fs::remove_dir_all(&dir);
-    row
+    (row, wal)
 }
 
 /// Batch retrains timed per retrain row.
@@ -242,44 +454,6 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "BENCH_store.json".to_owned());
 
-    // --- snapshot size at rest, by model scale -----------------------
-    println!("snapshot at rest (persist_tenant, full driver state)");
-    smartpick_bench::rule(64);
-    println!("{:<16} {:>12} {:>10}", "trained queries", "bytes", "KiB");
-    smartpick_bench::rule(64);
-    let mut snap_rows = String::new();
-    for (i, queries) in [&[82u32][..], &[82, 68][..]].iter().enumerate() {
-        let dir = bench_root(&format!("snap{}", queries.len()));
-        let service = SmartpickService::open(&dir, durable_config(&dir)).expect("open store");
-        service
-            .register_tenant("bench", trained_driver(queries, 10))
-            .expect("register");
-        let bytes = service.persist_tenant("bench").expect("persist");
-        let kib = bytes as f64 / 1024.0;
-        println!("{:<16} {bytes:>12} {kib:>10.1}", queries.len());
-        if i > 0 {
-            snap_rows.push_str(",\n");
-        }
-        let _ = write!(
-            snap_rows,
-            "    {{\"trained_queries\": {}, \"bytes\": {bytes}, \"kilobytes\": {kib:.1}}}",
-            queries.len()
-        );
-        drop(service);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    smartpick_bench::rule(64);
-
-    // --- recovery time vs WAL length ---------------------------------
-    // One report template re-fed N times (fresh run ids each time), so
-    // the WAL length is the only variable across rows.
-    println!("crash recovery (SmartpickService::open) vs WAL length");
-    smartpick_bench::rule(64);
-    println!(
-        "{:<12} {:>12} {:>12}",
-        "wal records", "wal bytes", "recover ms"
-    );
-    smartpick_bench::rule(64);
     // One accepted report, minted by a throwaway in-memory service, is
     // the template every row re-feeds with fresh run ids.
     let run = {
@@ -298,75 +472,145 @@ fn main() {
             report: outcome.report,
         }
     };
-    let mut rec_rows = String::new();
-    for (i, &n) in [0usize, 32, 128, 512].iter().enumerate() {
-        let dir = bench_root(&format!("rec{n}"));
-        {
-            let service = SmartpickService::open(&dir, durable_config(&dir)).expect("open store");
-            service
-                .register_tenant("bench", trained_driver(&[82], 10))
-                .expect("register");
-            // Feed exactly n reports in small bursts so the tenant
-            // pending quota never trips.
-            let mut fed = 0usize;
-            while fed < n {
-                for _ in 0..16.min(n - fed) {
-                    service.report_run("bench", run.clone()).expect("report");
-                    fed += 1;
-                }
-                assert!(service.flush(), "drain between bursts");
-            }
+
+    // --- snapshot size at rest, by model scale -----------------------
+    println!("snapshot at rest (persist_tenant, full driver state)");
+    smartpick_bench::rule(64);
+    println!(
+        "{:<20} {:>14} {:>14}",
+        "trained queries", "before bytes", "after bytes"
+    );
+    smartpick_bench::rule(64);
+    let mut snap_rows = String::new();
+    let mut snap_256 = 0;
+    for (i, &(queries, before)) in SNAPSHOT_BEFORE.iter().enumerate() {
+        let dir = bench_root(&format!("snap{queries}"));
+        let service = SmartpickService::open(&dir, durable_config(&dir)).expect("open store");
+        service
+            .register_tenant("bench", trained_driver(&[82, 68][..queries], 10))
+            .expect("register");
+        let bytes = service.persist_tenant("bench").expect("persist");
+        println!("{queries:<20} {before:>14} {bytes:>14}");
+        if i > 0 {
+            snap_rows.push_str(",\n");
         }
-        let wal_bytes: u64 = std::fs::read_dir(dir.join("wal"))
-            .expect("wal dir")
-            .filter_map(|e| e.ok())
-            .filter_map(|e| e.metadata().ok())
-            .map(|m| m.len())
-            .sum();
-        let t = Instant::now();
-        let recovered = SmartpickService::open(&dir, durable_config(&dir)).expect("reopen store");
-        let recover_ms = t.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(recovered.tenants(), vec!["bench".to_owned()], "tenant back");
-        println!("{n:<12} {wal_bytes:>12} {recover_ms:>12.1}");
+        let _ = write!(
+            snap_rows,
+            "    {{\"trained_queries\": {queries},\n     \"before\": {},\n     \"after\": {}}}",
+            snapshot_json(before),
+            snapshot_json(bytes)
+        );
+        if queries == 2 {
+            // The same tenant 256 reports later: the history ring is
+            // full and `max.batch` has fired twice.
+            for fed in 1..=256u32 {
+                service.report_run("bench", run.clone()).expect("report");
+                if fed.is_multiple_of(16) {
+                    assert!(service.flush(), "drain between bursts");
+                }
+            }
+            snap_256 = service.persist_tenant("bench").expect("persist");
+            println!(
+                "{:<20} {SNAPSHOT_AFTER_256_BEFORE:>14} {snap_256:>14}",
+                "2, +256 reports"
+            );
+        }
+        drop(service);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    smartpick_bench::rule(64);
+
+    // --- recovery time vs WAL length ---------------------------------
+    // One report template re-fed N times (fresh run ids each time), so
+    // the WAL length is the only variable across rows.
+    println!("crash recovery (SmartpickService::open) vs WAL length, median of {RECOVERY_REPS}");
+    smartpick_bench::rule(64);
+    println!(
+        "{:<12} {:>12} {:>10} {:>12} {:>10}",
+        "wal records", "before B", "ms", "after B", "ms"
+    );
+    smartpick_bench::rule(64);
+    let template = trained_driver(&[82], 10);
+    let mut rec_rows = String::new();
+    let mut record_bytes = 0;
+    for (i, (n, before)) in RECOVERY_BEFORE.iter().enumerate() {
+        let (after, largest) = recovery_row(&format!("rec{n}"), 1, *n, &template, &run);
+        record_bytes = record_bytes.max(largest);
+        println!(
+            "{n:<12} {:>12} {:>10.1} {:>12} {:>10.1}",
+            before.wal_bytes, before.recover_ms, after.wal_bytes, after.recover_ms
+        );
         if i > 0 {
             rec_rows.push_str(",\n");
         }
         let _ = write!(
             rec_rows,
-            "    {{\"wal_records\": {n}, \"wal_bytes\": {wal_bytes}, \"recover_ms\": \
-             {recover_ms:.1}}}"
+            "    {{\"wal_records\": {n},\n     \"before\": {},\n     \"after\": {}}}",
+            recovery_json(before),
+            recovery_json(&after)
         );
-        drop(recovered);
-        let _ = std::fs::remove_dir_all(&dir);
     }
+    let (many, _) = recovery_row(
+        "recmany",
+        MANY_TENANTS,
+        MANY_TENANTS_REPORTS_EACH,
+        &template,
+        &run,
+    );
+    println!(
+        "{:<12} {:>12} {:>10.1} {:>12} {:>10.1}",
+        format!("{MANY_TENANTS} x {MANY_TENANTS_REPORTS_EACH}"),
+        MANY_TENANTS_BEFORE.wal_bytes,
+        MANY_TENANTS_BEFORE.recover_ms,
+        many.wal_bytes,
+        many.recover_ms
+    );
     smartpick_bench::rule(64);
+    println!("largest known-query report record: {record_bytes} bytes");
 
     // --- sustained feedback: the write path's own throughput ----------
     println!("sustained feedback ({FEEDBACK_REPORTS} reports, bursts of {FEEDBACK_BURST} + flush)");
     smartpick_bench::rule(64);
     println!(
-        "{:<8} {:<10} {:>10} {:>12} {:>9} {:>12}",
-        "tenants", "fsync", "reports/s", "fsyncs/rep", "rewrites", "rewr B/rep"
+        "{:<8} {:<10} {:>10} {:>11} {:>9} {:>11} {:>9} {:>10}",
+        "tenants",
+        "fsync",
+        "reports/s",
+        "fsyncs/rep",
+        "rewrites",
+        "rewr B/rep",
+        "WAL B/rep",
+        "append us"
     );
     smartpick_bench::rule(64);
-    let template = trained_driver(&[82], 10);
     let mut feedback_rows = String::new();
+    let mut wal_rows = String::new();
     for (i, (tenants, policy, before)) in FEEDBACK_BEFORE.iter().enumerate() {
         let fsync = match *policy {
             "never" => FsyncPolicy::Never,
             _ => FsyncPolicy::PerBatch,
         };
-        let after = feedback_row(*tenants, fsync, &template, &run);
+        let (after, wal) = feedback_row(*tenants, fsync, &template, &run);
         println!(
-            "{tenants:<8} {policy:<10} {:>10.0} {:>12.4} {:>9} {:>12.0}",
+            "{tenants:<8} {policy:<10} {:>10.0} {:>11.4} {:>9} {:>11.0} {:>9.0} {:>10.2}",
             after.reports_per_s,
             after.fsyncs_per_report,
             after.compactions,
-            after.rewritten_bytes_per_report
+            after.rewritten_bytes_per_report,
+            wal.bytes_per_report,
+            wal.us_per_report
         );
         if i > 0 {
             feedback_rows.push_str(",\n");
+            wal_rows.push_str(",\n");
         }
+        let _ = write!(
+            wal_rows,
+            "    {{\"tenants\": {tenants}, \"fsync\": \"{policy}\",\n     \"before\": {},\n     \
+             \"after\": {}}}",
+            WAL_APPEND_BEFORE[i].json(),
+            wal.json()
+        );
         let _ = write!(
             feedback_rows,
             "    {{\"tenants\": {tenants}, \"fsync\": \"{policy}\",\n     \"before\": {},\n     \
@@ -408,18 +652,35 @@ fn main() {
 
     let json = format!(
         "{{\n  \"bench\": \"store_durability\",\n  \"snapshot_unit\": \"bytes at rest for one \
-         tenant's full driver snapshot (persist_tenant)\",\n  \"recovery_unit\": \"milliseconds \
-         for SmartpickService::open to recover one tenant from a generation-0 snapshot plus a \
-         WAL of N reports\",\n  \"feedback_unit\": \"{FEEDBACK_REPORTS} reports fed round-robin \
+         tenant's full driver snapshot (persist_tenant), fresh and after 256 reports; before = \
+         PR 20 (properties and history as JSON inside the envelope), after = this commit\",\n  \
+         \"recovery_unit\": \"bytes of WAL, and milliseconds (median of {RECOVERY_REPS}) for \
+         SmartpickService::open to recover from generation-0 snapshots plus that WAL: one tenant \
+         and N reports, then {MANY_TENANTS} tenants with {MANY_TENANTS_REPORTS_EACH} each; \
+         before = PR 20 (a report record is the run as JSON; recovery hands every tenant the \
+         whole log), after = this commit\",\n  \"feedback_unit\": \"{FEEDBACK_REPORTS} reports fed round-robin \
          to N tenants of a durable service at its default knobs, in bursts of {FEEDBACK_BURST} \
          with a flush after each: reports applied per second, WAL fsyncs per report, WAL rewrites \
          and the bytes they wrote per report; before = PR 15 (per-node sorting tree builder), \
-         after = this commit\",\n  \"retrain_unit\": \"milliseconds, in process, for one \
+         after = this commit\",\n  \"wal_append_unit\": \"the same feed, read off the server's \
+         own books: store.wal_bytes_written per applied report, and the service.report.wal_append \
+         stage (encode + append; samples x mean) in microseconds per applied report; before = \
+         PR 20 (JSON report record), after = this commit\",\n  \"retrain_unit\": \"milliseconds, in process, for one \
          apply_report that fires a batch retrain (100 pending samples burst x10, one configured \
          batch of trees grown on the 1000 rows), median of {RETRAIN_REPS}, and that over the \
          trees grown; before = PR 15, after = this commit\",\n  \
-         \"snapshot_at_rest\": [\n{snap_rows}\n  ],\n  \"recovery\": [\n{rec_rows}\n  ],\n  \
-         \"feedback\": [\n{feedback_rows}\n  ],\n  \"retrain\": [\n{retrain_rows}\n  ]\n}}\n"
+         \"snapshot_at_rest\": [\n{snap_rows}\n  ],\n  \
+         \"snapshot_after_256_reports\": {{\"trained_queries\": 2,\n     \"before\": {},\n     \
+         \"after\": {}}},\n  \
+         \"report_record_bytes\": {record_bytes},\n  \"recovery\": [\n{rec_rows}\n  ],\n  \
+         \"recovery_many_tenants\": {{\"tenants\": {MANY_TENANTS}, \"reports_each\": \
+         {MANY_TENANTS_REPORTS_EACH},\n     \"before\": {},\n     \"after\": {}}},\n  \
+         \"feedback\": [\n{feedback_rows}\n  ],\n  \"wal_append\": [\n{wal_rows}\n  ],\n  \
+         \"retrain\": [\n{retrain_rows}\n  ]\n}}\n",
+        snapshot_json(SNAPSHOT_AFTER_256_BEFORE),
+        snapshot_json(snap_256),
+        recovery_json(&MANY_TENANTS_BEFORE),
+        recovery_json(&many),
     );
     std::fs::write(&out_path, json).expect("write BENCH_store.json");
     println!("wrote {out_path}");

@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use smartpick_cloudsim::CloudEnv;
-use smartpick_engine::{QueryProfile, RunReport};
+use smartpick_engine::{Allocation, QueryProfile, RunReport};
 
 use crate::error::SmartpickError;
 use crate::history::{HistoryServer, RunRecord};
@@ -24,6 +24,7 @@ use crate::persist;
 use crate::properties::SmartpickProperties;
 use crate::retrain::RetrainReport;
 use crate::rm::ResourceManager;
+use crate::sample::RunSample;
 use crate::training::{train_predictor, TrainOptions, TrainReport};
 use crate::wp::{
     ConstraintMode, Determination, PredictionRequest, WorkloadPredictionService, WorkloadPredictor,
@@ -199,16 +200,7 @@ impl Smartpick {
 
     /// Applies one completed run to the training state — Figure 3's step 9
     /// (record, monitor, maybe retrain) decoupled from prediction and
-    /// execution.
-    ///
-    /// This is the *write half* of the split read/write API: a service
-    /// front-end predicts against [`Smartpick::snapshot`] and executes via
-    /// [`Smartpick::shared_resource_manager`] without touching the driver,
-    /// then feeds the `(determination, report)` pair back through here
-    /// (possibly batched, from a background worker). Retraining mutates
-    /// the predictor copy-on-write, so snapshots taken earlier are
-    /// unaffected; republish a fresh snapshot afterwards to pick up the
-    /// new model.
+    /// execution: [`Smartpick::apply_sample`] on the run's projection.
     ///
     /// # Errors
     ///
@@ -219,8 +211,30 @@ impl Smartpick {
         determination: &Determination,
         report: &RunReport,
     ) -> Result<Option<RetrainReport>, SmartpickError> {
+        self.apply_sample(&RunSample::project(query, determination, report))
+    }
+
+    /// Applies one run's [`RunSample`] to the training state.
+    ///
+    /// This is the *write half* of the split read/write API: a service
+    /// front-end predicts against [`Smartpick::snapshot`] and executes via
+    /// [`Smartpick::shared_resource_manager`] without touching the driver,
+    /// then feeds each run's sample back through here (possibly batched,
+    /// from a background worker, or replayed from a log — the sample is
+    /// everything this reads, so all three are the same call). Retraining
+    /// mutates the predictor copy-on-write, so snapshots taken earlier are
+    /// unaffected; republish a fresh snapshot afterwards to pick up the
+    /// new model.
+    ///
+    /// # Errors
+    ///
+    /// Propagates retraining failures.
+    pub fn apply_sample(
+        &mut self,
+        sample: &RunSample,
+    ) -> Result<Option<RetrainReport>, SmartpickError> {
         let ctx = self.mfe.next_context();
-        let error = (report.seconds() - determination.predicted_seconds).abs();
+        let error = (sample.actual_seconds - sample.predicted_seconds).abs();
         let will_trigger = error > self.props.error_difference_trigger_secs;
 
         // An alien query that surprised us becomes a known query with its
@@ -228,22 +242,27 @@ impl Smartpick {
         // otherwise the sample would teach the model wrong things about
         // the similarity-matched query. A well-predicted alien's sample
         // stays under the matched code — it behaved like that query.
-        let code = if will_trigger && !determination.known_query {
-            Arc::make_mut(&mut self.predictor).register_query(query)
-        } else {
-            self.predictor
-                .code_of(&determination.matched_query)
-                .unwrap_or(-1.0)
+        let code = match &sample.profile {
+            Some(profile) if will_trigger => {
+                Arc::make_mut(&mut self.predictor).register_query(profile)
+            }
+            _ => self
+                .predictor
+                .code_of(&sample.matched_query)
+                .unwrap_or(-1.0),
         };
-        let features = self
-            .mfe
-            .features_for(code, query.input_gb, &determination.allocation, &ctx);
+        let features = self.mfe.features_for(
+            code,
+            sample.input_gb,
+            &Allocation::new(sample.n_vm, sample.n_sl),
+            &ctx,
+        );
         let record = RunRecord {
-            query_id: query.id.clone(),
+            query_id: sample.query_id.clone(),
             features,
-            actual_seconds: report.seconds(),
-            predicted_seconds: determination.predicted_seconds,
-            cost_dollars: report.total_cost().dollars(),
+            actual_seconds: sample.actual_seconds,
+            predicted_seconds: sample.predicted_seconds,
+            cost_dollars: sample.cost_dollars,
         };
         let trigger = self.mfe.after_run(&self.history, record);
 
@@ -428,6 +447,37 @@ mod tests {
         let outcome = sp.submit(&q).unwrap();
         assert!(!outcome.determination.known_query);
         assert_eq!(outcome.determination.matched_query, "tpcds-q68");
+    }
+
+    #[test]
+    fn a_sample_carries_the_profile_only_for_an_alien_and_registers_it_on_surprise() {
+        let mut sp = system();
+        let known = tpcds::query(82, 100.0).unwrap();
+        let outcome = sp.submit(&known).unwrap();
+        let sample = RunSample::project(&known, &outcome.determination, &outcome.report);
+        assert!(sample.profile.is_none());
+        assert_eq!(sample.actual_seconds, outcome.report.seconds());
+        assert_eq!(sample.cost_dollars, outcome.report.total_cost().dollars());
+
+        let alien = tpcds::query(62, 100.0).unwrap();
+        let snap = sp.snapshot();
+        let determination = snap
+            .determine(&PredictionRequest::new(alien.clone(), 3))
+            .unwrap();
+        let report = sp
+            .shared_resource_manager()
+            .execute(&alien, &determination.allocation, 4)
+            .unwrap();
+        let mut sample = RunSample::project(&alien, &determination, &report);
+        assert_eq!(sample.profile.as_ref(), Some(&alien));
+        assert_eq!(sample.matched_query, "tpcds-q68");
+        // A surprising alien run becomes a known query through the sample
+        // alone — the profile it carries is all `register_query` needs.
+        assert!(sp.predictor().code_of(&alien.id).is_none());
+        sample.predicted_seconds = sample.actual_seconds + 500.0;
+        assert!(sp.apply_sample(&sample).unwrap().is_some());
+        assert_eq!(sp.predictor().code_of(&alien.id), Some(2.0));
+        assert_eq!(sp.history().recent(1)[0].features.query_code, 2.0);
     }
 
     #[test]

@@ -29,6 +29,8 @@
 //! * [`properties`] — the Table 4 `smartpick.*` property set.
 //! * [`driver`] — the [`driver::Smartpick`] facade wiring it all together
 //!   (Figure 3's steps 0–9).
+//! * [`sample`] — [`RunSample`], the projection of a completed run onto
+//!   what step 9 reads: the one value the feedback path carries and logs.
 //! * [`persist`] — plain-data driver checkpoints for durable tenant state
 //!   (the export/restore surface `smartpick-store` serialises).
 //!
@@ -70,6 +72,7 @@ pub mod planner;
 pub mod properties;
 pub mod retrain;
 pub mod rm;
+pub mod sample;
 pub mod similarity;
 pub mod tradeoff;
 pub mod training;
@@ -80,6 +83,7 @@ pub use error::SmartpickError;
 pub use features::QueryFeatures;
 pub use history::HistoryServer;
 pub use properties::SmartpickProperties;
+pub use sample::RunSample;
 pub use similarity::SimilarityChecker;
 pub use wp::{
     ConstraintMode, Determination, PredictionRequest, WorkloadPredictionService, WorkloadPredictor,

@@ -12,13 +12,15 @@
 //! hammer concurrently:
 //!
 //! * [`service`] — the [`SmartpickService`] façade and its
-//!   [`ServiceConfig`].
+//!   [`ServiceConfig`]; [`CompletedRun`] is the unit of feedback a
+//!   caller hands it.
 //! * `registry` *(private)* — the sharded tenant registry: N shards of
 //!   `parking_lot::RwLock<HashMap<TenantId, slot>>`, hash-routed, so
 //!   tenant lookup scales without a global lock.
 //! * [`worker`] — the batched update queues and background retrain
 //!   workers (the §4.2 monitor thread, made real and sharded by tenant
-//!   hash); [`CompletedRun`] is the unit of feedback.
+//!   hash), which carry each run as the `RunSample` admission projected
+//!   it onto.
 //! * `queue` *(private)* — the bounded MPSC queues providing
 //!   service-wide backpressure, one shard per retrain worker.
 //! * `residency` *(private)* — tiered tenant residency: with
@@ -79,10 +81,9 @@ pub mod worker;
 
 pub use error::ServiceError;
 pub use persist::PersistenceConfig;
-pub use service::{FlushOutcome, ServiceConfig, SmartpickService};
+pub use service::{CompletedRun, FlushOutcome, ServiceConfig, SmartpickService};
 // The store's fsync knob is part of `PersistenceConfig`'s surface.
 pub use smartpick_store::FsyncPolicy;
 pub use stats::{LatencyHistogram, LatencySummary, ServiceStats, TenantStats, WorkerShardStats};
-pub use worker::CompletedRun;
 #[doc(hidden)]
 pub use worker::CrashPoint;

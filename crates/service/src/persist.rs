@@ -21,12 +21,12 @@ use std::time::{Instant, SystemTime};
 
 use parking_lot::Mutex;
 use smartpick_core::driver::Smartpick;
+use smartpick_core::RunSample;
 use smartpick_obs::{event, Counter, EventKind, Gauge, MetricsRegistry, Observability};
 use smartpick_store::wal::WalPayload;
 use smartpick_store::{FsyncPolicy, Snapshot, Store, StoreError, WalRecord, WalWriter};
 
 use crate::registry::{ColdMeta, ShardedRegistry, TenantState};
-use crate::worker::CompletedRun;
 
 /// Durability tunables for a [`crate::SmartpickService`] opened over a
 /// store directory.
@@ -77,9 +77,6 @@ pub(crate) struct StoreMetrics {
     /// Bytes WAL rewrites wrote — kept out of `wal_bytes_written`, which
     /// counts appended records only.
     pub(crate) compaction_bytes_written: Arc<Counter>,
-    /// Accepted reports applied without a WAL record because they could
-    /// not be rendered.
-    pub(crate) wal_reports_unencodable: Arc<Counter>,
 }
 
 impl StoreMetrics {
@@ -96,7 +93,6 @@ impl StoreMetrics {
             recovery_duration_us: metrics.gauge("store.recovery_duration_us"),
             wal_syncs: metrics.counter("store.wal_syncs"),
             compaction_bytes_written: metrics.counter("store.compaction_bytes_written"),
-            wal_reports_unencodable: metrics.counter("store.wal_reports_unencodable"),
         }
     }
 }
@@ -229,14 +225,6 @@ pub(crate) struct WorkerPersist {
     /// has made one, so a restarted worker — which cannot know how much
     /// of the log it inherited is live — rewrites at the first chance.
     pub(crate) compacted_len: u64,
-    /// Renders a run for its `Report` record (`encode_run`, except in
-    /// the test that makes it fail).
-    pub(crate) encode_run: fn(&CompletedRun) -> Result<String, serde_json::Error>,
-}
-
-/// A `CompletedRun` as the canonical JSON a `Report` record carries.
-pub(crate) fn encode_run(run: &CompletedRun) -> Result<String, serde_json::Error> {
-    serde_json::to_string(run)
 }
 
 /// A fresh durability epoch for a registration: wall-clock nanoseconds,
@@ -264,7 +252,8 @@ pub(crate) struct RecoveryOutcome {
 /// store), restore the driver bit-exactly, then replay this tenant's WAL
 /// records from *every* shard file — sorted by run id, deduplicated
 /// (at-least-once appends can duplicate), filtered to the snapshot's
-/// epoch and past its watermark — through the ordinary `apply_report`.
+/// epoch and past its watermark — through the same `apply_sample` the
+/// live worker calls, on the same value it logged.
 /// Commits past the snapshot's generation reconstruct the published
 /// generation count; trailing applied-but-uncommitted reports count as
 /// one more publish. A fresh snapshot is persisted at the recovered
@@ -280,29 +269,43 @@ pub(crate) fn recover(
     let mut outcome = RecoveryOutcome::default();
 
     // Gather every WAL record, tolerating torn tails per shard.
-    let mut records: Vec<WalRecord> = Vec::new();
-    match store.scan_wals() {
-        Ok(scans) => {
-            for shard in scans {
-                if let Some(reason) = &shard.scan.torn {
-                    metrics.torn_tails_dropped.inc();
-                    obs.events().publish(
-                        event(EventKind::TornTailDropped)
-                            .shard(shard.shard)
-                            .detail(format!(
-                                "kept {} bytes, {} records; dropped tail: {reason}",
-                                shard.scan.valid_len,
-                                shard.scan.records.len()
-                            )),
-                    );
-                }
-                records.extend(shard.scan.records);
+    let scans = store.scan_wals().unwrap_or_else(|e| {
+        obs.events()
+            .publish(event(EventKind::StoreDegraded).detail(format!("WAL scan failed: {e}")));
+        Vec::new()
+    });
+    // One pass groups them by tenant (shard order, then file order), so
+    // each tenant's recovery walks its own records, not the whole log.
+    let mut by_tenant: HashMap<&str, Vec<&WalRecord>> = HashMap::new();
+    let mut legacy_reports = 0u64;
+    for shard in &scans {
+        if let Some(reason) = &shard.scan.torn {
+            metrics.torn_tails_dropped.inc();
+            obs.events()
+                .publish(
+                    event(EventKind::TornTailDropped)
+                        .shard(shard.shard)
+                        .detail(format!(
+                            "kept {} bytes, {} records; dropped tail: {reason}",
+                            shard.scan.valid_len,
+                            shard.scan.records.len()
+                        )),
+                );
+        }
+        for record in &shard.scan.records {
+            if matches!(record.payload, WalPayload::Report { .. }) {
+                legacy_reports += 1;
+            } else {
+                by_tenant.entry(&record.tenant).or_default().push(record);
             }
         }
-        Err(e) => {
-            obs.events()
-                .publish(event(EventKind::StoreDegraded).detail(format!("WAL scan failed: {e}")));
-        }
+    }
+    if legacy_reports > 0 {
+        obs.events()
+            .publish(event(EventKind::StoreDegraded).detail(format!(
+                "{legacy_reports} legacy JSON report records (WAL kind 0x01) not replayed: \
+                 this build replays kind 0x03 only"
+            )));
     }
 
     let tenant_ids = match store.tenant_ids() {
@@ -316,7 +319,8 @@ pub(crate) fn recover(
     };
 
     for id in tenant_ids {
-        match recover_tenant(store, registry, obs, metrics, now_us, &id, &records) {
+        let records = by_tenant.get(id.as_str()).map_or(&[][..], Vec::as_slice);
+        match recover_tenant(store, registry, obs, metrics, now_us, &id, records) {
             Ok(()) => outcome.tenants += 1,
             Err(why) => {
                 outcome.unrecoverable += 1;
@@ -379,7 +383,7 @@ fn recover_tenant(
     metrics: &Arc<StoreMetrics>,
     now_us: u64,
     id: &str,
-    records: &[WalRecord],
+    records: &[&WalRecord],
 ) -> Result<(), String> {
     let (snap, mut driver) = load_tenant(store, metrics, obs, id)?;
     obs.events()
@@ -388,47 +392,38 @@ fn recover_tenant(
             snap.generation, snap.watermark
         )));
 
-    // This tenant's records, current epoch only, canonical replay order:
-    // reports sorted by run id and deduplicated (a worker that panicked
-    // mid-batch appends its rescued batch again on restart — at-least-
-    // once on disk, exactly-once through the model).
+    // This tenant's records (`records` holds no one else's), current
+    // epoch only, canonical replay order: samples sorted by run id and
+    // deduplicated (a worker that panicked mid-batch appends its rescued
+    // batch again on restart — at-least-once on disk, exactly-once
+    // through the model).
     let replay_start = Instant::now();
-    let mut reports: Vec<(u64, &str)> = Vec::new();
+    let mut samples: Vec<(u64, &RunSample)> = Vec::new();
     let mut commits: Vec<(u64, u64)> = Vec::new();
-    for record in records {
-        if record.tenant != id || record.epoch != snap.epoch {
-            continue;
-        }
+    for record in records.iter().filter(|r| r.epoch == snap.epoch) {
         match &record.payload {
-            WalPayload::Report { run_id, run_json } => {
+            WalPayload::Sample { run_id, sample } => {
                 if *run_id > snap.watermark {
-                    reports.push((*run_id, run_json));
+                    samples.push((*run_id, sample));
                 }
             }
             WalPayload::Commit {
                 generation,
                 watermark,
             } => commits.push((*generation, *watermark)),
+            // Counted and reported by `recover`, which hands none on.
+            WalPayload::Report { .. } => {}
         }
     }
-    reports.sort_by_key(|(run_id, _)| *run_id);
-    reports.dedup_by_key(|(run_id, _)| *run_id);
+    samples.sort_by_key(|(run_id, _)| *run_id);
+    samples.dedup_by_key(|(run_id, _)| *run_id);
 
     let mut watermark = snap.watermark;
-    let mut replayed = 0u64;
+    let replayed = samples.len() as u64;
     let mut failed = 0u64;
-    for (run_id, run_json) in reports {
-        match serde_json::from_str::<CompletedRun>(run_json) {
-            Ok(run) => {
-                if driver
-                    .apply_report(&run.query, &run.determination, &run.report)
-                    .is_err()
-                {
-                    failed += 1;
-                }
-                replayed += 1;
-            }
-            Err(_) => failed += 1,
+    for (run_id, sample) in samples {
+        if driver.apply_sample(sample).is_err() {
+            failed += 1;
         }
         // The record was consumed either way; the watermark tracks
         // consumption, exactly as the live path's does.

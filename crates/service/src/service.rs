@@ -11,7 +11,8 @@ use smartpick_core::driver::{QueryOutcome, Smartpick};
 use smartpick_core::wp::{
     ConstraintMode, Determination, PredictionRequest, WorkloadPredictionService, WorkloadPredictor,
 };
-use smartpick_engine::QueryProfile;
+use smartpick_core::RunSample;
+use smartpick_engine::{QueryProfile, RunReport};
 use smartpick_obs::{
     event, EventKind, Gauge, HealthReport, LatencyHistogram, Observability, PollFn, RestartPolicy,
     ScrapeEnvelope, SpawnFn, Supervisor, SupervisorConfig, WorkerHealth, WorkerState, WorkerStatus,
@@ -26,7 +27,33 @@ use crate::queue::{PushRejected, ShardedQueue};
 use crate::registry::{tenant_hash, ColdMeta, ShardedRegistry, TenantState};
 use crate::residency::ResidencyCtl;
 use crate::stats::{ServiceStats, ServiceTotals, ShardCounters, TenantStats, WorkerShardStats};
-use crate::worker::{run_worker, CompletedRun, CrashPoint, ReportStages, WorkerCtx, WorkerMsg};
+use crate::worker::{run_worker, CrashPoint, ReportStages, WorkerCtx, WorkerMsg};
+
+/// One completed run a client (or the service's own `submit`) feeds back
+/// into the training loop.
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+pub struct CompletedRun {
+    /// The query that ran.
+    pub query: QueryProfile,
+    /// The determination it ran under.
+    pub determination: Determination,
+    /// What actually happened.
+    pub report: RunReport,
+}
+
+impl CompletedRun {
+    /// The run projected onto what the driver will read of it. Admission
+    /// does this once; the queue, the log and replay carry the sample,
+    /// and the rest of the run — `ET_l`, the itemised bill, the stage
+    /// DAG of a known query — stops at the door.
+    fn sample(&self) -> Box<RunSample> {
+        Box::new(RunSample::project(
+            &self.query,
+            &self.determination,
+            &self.report,
+        ))
+    }
+}
 
 /// Tunables for a [`SmartpickService`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -363,7 +390,6 @@ impl SmartpickService {
                         metrics: Arc::clone(&sp.metrics),
                         files: Arc::clone(&sp.files),
                         compacted_len: 0,
-                        encode_run: persist::encode_run,
                     }
                 });
                 let ctx = WorkerCtx {
@@ -910,11 +936,7 @@ impl SmartpickService {
         // eviction race; admission-control rejections still shed.)
         let _ = self.enqueue_with_retry(
             Arc::clone(&state),
-            Box::new(CompletedRun {
-                query: query.clone(),
-                determination: determination.clone(),
-                report: report.clone(),
-            }),
+            Box::new(RunSample::project(query, &determination, &report)),
         );
         Ok(QueryOutcome {
             determination,
@@ -938,7 +960,7 @@ impl SmartpickService {
     /// [`ServiceError::Stopped`] after shutdown.
     pub fn report_run(&self, tenant: &str, run: CompletedRun) -> Result<(), ServiceError> {
         let state = self.resolve(tenant)?;
-        self.enqueue_with_retry(state, Box::new(run))
+        self.enqueue_with_retry(state, run.sample())
     }
 
     /// [`SmartpickService::report_run`] for a caller that must not block
@@ -961,9 +983,9 @@ impl SmartpickService {
         let Some(state) = self.residency.resolve_hot(tenant) else {
             return Err(run);
         };
-        match self.enqueue_report(&state, run) {
+        match self.enqueue_report(&state, run.sample()) {
             Enqueue::Done(result) => Ok(result),
-            Enqueue::Retired(run) => Err(run),
+            Enqueue::Retired(_) => Err(run),
         }
     }
 
@@ -977,13 +999,13 @@ impl SmartpickService {
     fn enqueue_with_retry(
         &self,
         mut state: Arc<TenantState>,
-        mut run: Box<CompletedRun>,
+        mut sample: Box<RunSample>,
     ) -> Result<(), ServiceError> {
         loop {
-            match self.enqueue_report(&state, run) {
+            match self.enqueue_report(&state, sample) {
                 Enqueue::Done(result) => return result,
                 Enqueue::Retired(returned) => {
-                    run = returned;
+                    sample = returned;
                     std::thread::yield_now();
                     let id = state.id.clone();
                     state = self.resolve(&id)?;
@@ -993,7 +1015,7 @@ impl SmartpickService {
     }
 
     /// Quota check + enqueue against an already-resolved tenant.
-    fn enqueue_report(&self, state: &Arc<TenantState>, run: Box<CompletedRun>) -> Enqueue {
+    fn enqueue_report(&self, state: &Arc<TenantState>, sample: Box<RunSample>) -> Enqueue {
         // Reserve quota (compensating add so concurrent reservations
         // cannot sneak past the cap). `SeqCst` pairs with the eviction
         // sweep's Dekker handshake: we bump `pending` *then* read
@@ -1004,7 +1026,7 @@ impl SmartpickService {
         let prior = state.pending.fetch_add(1, Ordering::SeqCst);
         if state.retired.load(Ordering::SeqCst) {
             state.pending.fetch_sub(1, Ordering::SeqCst);
-            return Enqueue::Retired(run);
+            return Enqueue::Retired(sample);
         }
         if prior >= cap {
             state.pending.fetch_sub(1, Ordering::Relaxed);
@@ -1023,7 +1045,7 @@ impl SmartpickService {
         let msg = WorkerMsg::Job {
             tenant: Arc::clone(state),
             run_id,
-            run,
+            sample,
         };
         let shard = self.worker_shard_of(&state.id);
         match self.queues.try_push(shard, msg) {
@@ -1545,11 +1567,11 @@ impl Drop for SmartpickService {
 const EXEC_SEED_MIX: u64 = 0x5EED_EC5E;
 
 /// What one enqueue attempt did: a final answer, or "the state went cold
-/// under you — re-resolve and try again" (the report rides back out, in
+/// under you — re-resolve and try again" (the sample rides back out, in
 /// the box it came in, so the retry does not clone it).
 enum Enqueue {
     Done(Result<(), ServiceError>),
-    Retired(Box<CompletedRun>),
+    Retired(Box<RunSample>),
 }
 
 #[cfg(test)]

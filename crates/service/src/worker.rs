@@ -32,8 +32,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use smartpick_core::persist::DriverState;
-use smartpick_core::wp::Determination;
-use smartpick_engine::{QueryProfile, RunReport};
+use smartpick_core::RunSample;
 use smartpick_obs::{event, EventKind, LatencyHistogram, MetricsRegistry, Observability};
 use smartpick_store::wal::WalPayload;
 use smartpick_store::{Snapshot, WalRecord, WalWriter};
@@ -42,18 +41,6 @@ use crate::persist::{StoreMetrics, WorkerPersist};
 use crate::queue::BoundedQueue;
 use crate::registry::TenantState;
 use crate::stats::{ServiceTotals, ShardCounters};
-
-/// One completed run a client (or the service's own `submit`) feeds back
-/// into the training loop.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct CompletedRun {
-    /// The query that ran.
-    pub query: QueryProfile,
-    /// The determination it ran under.
-    pub determination: Determination,
-    /// What actually happened.
-    pub report: RunReport,
-}
 
 /// A queued unit of worker work.
 #[derive(Debug)]
@@ -68,8 +55,9 @@ pub(crate) enum WorkerMsg {
         /// across a `BatchRescue` re-queue, so a report that is WAL-
         /// appended twice around a worker panic deduplicates at replay.
         run_id: u64,
-        /// The run to apply.
-        run: Box<CompletedRun>,
+        /// What the run teaches the driver, projected at admission: the
+        /// queue, the rescue guard and the log carry this, not the run.
+        sample: Box<RunSample>,
     },
     /// Ack once every message enqueued before this one has been applied.
     Flush(SyncSender<()>),
@@ -204,9 +192,9 @@ impl<'q> BatchRescue<'q> {
     }
 
     /// The job in slot `i`, if it still holds one.
-    fn job(&self, i: usize) -> Option<(u64, &CompletedRun)> {
+    fn job(&self, i: usize) -> Option<(u64, &RunSample)> {
         match self.slots.get(i) {
-            Some(Some(WorkerMsg::Job { run_id, run, .. })) => Some((*run_id, run)),
+            Some(Some(WorkerMsg::Job { run_id, sample, .. })) => Some((*run_id, sample)),
             _ => None,
         }
     }
@@ -252,7 +240,7 @@ fn crash_if(armed: Option<CrashPoint>, here: CrashPoint) {
 /// Applies one drained batch as a group commit. With persistence
 /// configured the phases are:
 ///
-/// 1. append every group's `Report` records, then one sync — every
+/// 1. append every group's `Sample` records, then one sync — every
 ///    accepted report of the batch is durable before any driver in it is
 ///    mutated, so a crash from here on replays them;
 /// 2. apply each group under its driver lock and republish its snapshot
@@ -367,11 +355,11 @@ fn apply_group(
     let mut due = None;
     let mut driver = tenant.driver.lock();
     for &i in idxs {
-        let Some((run_id, run)) = rescue.job(i) else {
+        let Some((run_id, sample)) = rescue.job(i) else {
             continue;
         };
         let report_started = Instant::now();
-        match driver.apply_report(&run.query, &run.determination, &run.report) {
+        match driver.apply_sample(sample) {
             Ok(retrain) => {
                 applied += 1;
                 tenant.counters.reports_applied.inc();
@@ -459,7 +447,6 @@ impl WorkerPersist {
     /// Phase 1: appends every group's reports to the shard WAL.
     fn append_reports(&mut self, groups: &[Group], rescue: &BatchRescue<'_>, ctx: &WorkerCtx) {
         let started = Instant::now();
-        let encode_run = self.encode_run;
         let metrics = &*self.metrics;
         with_wal(&mut self.wal, metrics, |writer| {
             for (tenant, idxs) in groups {
@@ -470,25 +457,12 @@ impl WorkerPersist {
                     continue;
                 }
                 for &i in idxs {
-                    let Some((run_id, run)) = rescue.job(i) else {
+                    let Some((run_id, sample)) = rescue.job(i) else {
                         continue;
                     };
-                    // A record replay cannot parse is a report lost in
-                    // silence: log none, and say so.
-                    let run_json = match encode_run(run) {
-                        Ok(json) => json,
-                        Err(e) => {
-                            metrics.wal_reports_unencodable.inc();
-                            degraded(ctx, Some(tenant), format!("run {run_id} not logged: {e}"));
-                            continue;
-                        }
-                    };
-                    let record = WalRecord {
-                        tenant: tenant.id.clone(),
-                        epoch: tenant.epoch,
-                        payload: WalPayload::Report { run_id, run_json },
-                    };
-                    match writer.append(&record.encode_payload()) {
+                    let payload =
+                        WalRecord::sample_payload(&tenant.id, tenant.epoch, run_id, sample);
+                    match writer.append(&payload) {
                         Ok(()) => metrics.wal_records_appended.inc(),
                         Err(e) => {
                             degraded(ctx, Some(tenant), format!("WAL append failed: {e}"));
@@ -703,7 +677,7 @@ mod tests {
     use smartpick_workloads::tpcds;
 
     use super::*;
-    use crate::persist::{encode_run, TenantFiles};
+    use crate::persist::TenantFiles;
     use crate::registry::ColdMeta;
     use crate::{ServiceConfig, SmartpickService};
 
@@ -738,7 +712,7 @@ mod tests {
         ctx: WorkerCtx,
         persist: WorkerPersist,
         tenant: Arc<TenantState>,
-        run: CompletedRun,
+        sample: RunSample,
         dir: PathBuf,
     }
 
@@ -749,16 +723,12 @@ mod tests {
         let store = Store::open(&dir).unwrap();
         let obs = Arc::new(Observability::new(256));
         let driver = template();
-        let run = {
+        let sample = {
             let minter = SmartpickService::new(ServiceConfig::default());
             minter.register_tenant("mint", driver.fork(1)).unwrap();
             let query = tpcds::query(82, 100.0).unwrap();
             let outcome = minter.submit("mint", &query, 7).unwrap();
-            CompletedRun {
-                query,
-                determination: outcome.determination,
-                report: outcome.report,
-            }
+            RunSample::project(&query, &outcome.determination, &outcome.report)
         };
         let tenant = Arc::new(TenantState::new(
             "acme".into(),
@@ -796,10 +766,9 @@ mod tests {
                 metrics: Arc::new(StoreMetrics::register(metrics)),
                 files: Arc::new(TenantFiles::default()),
                 compacted_len: 0,
-                encode_run,
             },
             tenant,
-            run,
+            sample,
             dir,
         }
     }
@@ -821,7 +790,7 @@ mod tests {
                 rescue.admit(WorkerMsg::Job {
                     tenant: Arc::clone(&self.tenant),
                     run_id,
-                    run: Box::new(self.run.clone()),
+                    sample: Box::new(self.sample.clone()),
                 });
             }
             rescue.admit(WorkerMsg::Flush(ack));
@@ -835,8 +804,8 @@ mod tests {
                 .records
                 .iter()
                 .filter_map(|r| match r.payload {
-                    WalPayload::Report { run_id, .. } => Some(run_id),
-                    WalPayload::Commit { .. } => None,
+                    WalPayload::Sample { run_id, .. } => Some(run_id),
+                    _ => None,
                 })
                 .collect()
         }
@@ -882,40 +851,6 @@ mod tests {
         // renamed file: the next batch lands in it.
         assert!(rig.batch(3, 1).try_recv().is_ok());
         assert_eq!(rig.logged_run_ids(), vec![1, 2, 3]);
-        let _ = std::fs::remove_dir_all(&rig.dir);
-    }
-
-    /// A report that cannot be rendered gets no WAL record — not an empty
-    /// one for replay to count and skip — and the loss of durability is
-    /// said out loud: a `StoreDegraded` event naming the run, and a
-    /// counter. The report itself is still applied.
-    #[test]
-    fn an_unencodable_report_is_skipped_loudly_not_logged_blank() {
-        let mut rig = rig("unencodable", u64::MAX, u64::MAX);
-        fn refuse(_: &CompletedRun) -> Result<String, serde_json::Error> {
-            serde_json::from_str::<CompletedRun>("not a run").map(|_| String::new())
-        }
-        assert!(rig.batch(1, 1).try_recv().is_ok());
-        rig.persist.encode_run = refuse;
-        assert!(rig.batch(2, 1).try_recv().is_ok());
-        rig.persist.encode_run = encode_run;
-        assert!(rig.batch(3, 1).try_recv().is_ok());
-
-        assert_eq!(rig.logged_run_ids(), vec![1, 3]);
-        assert_eq!(rig.persist.metrics.wal_reports_unencodable.get(), 1);
-        assert_eq!(rig.tenant.counters.reports_applied.get(), 3);
-        assert_eq!(rig.tenant.applied_watermark.load(Ordering::Relaxed), 3);
-        let degraded: Vec<_> = rig
-            .ctx
-            .obs
-            .events()
-            .recent(256)
-            .into_iter()
-            .filter(|e| e.kind == EventKind::StoreDegraded)
-            .collect();
-        assert_eq!(degraded.len(), 1);
-        assert_eq!(degraded[0].tenant.as_deref(), Some("acme"));
-        assert!(degraded[0].detail.as_deref().unwrap().contains("run 2 "));
         let _ = std::fs::remove_dir_all(&rig.dir);
     }
 }

@@ -18,6 +18,11 @@ pub fn put_u8(out: &mut Vec<u8>, v: u8) {
     out.push(v);
 }
 
+/// Appends a `bool` as one byte, `0` or `1`.
+pub fn put_bool(out: &mut Vec<u8>, v: bool) {
+    out.push(v as u8);
+}
+
 /// Appends a big-endian `u16`.
 pub fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_be_bytes());
@@ -114,6 +119,20 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
+    /// Reads a `bool` written by [`put_bool`]; `what` names the field in
+    /// the error.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] on truncation or a byte other than `0`/`1`.
+    pub fn bool(&mut self, what: &str) -> Result<bool, StoreError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(StoreError::Corrupt(format!("bad {what} flag {other}"))),
+        }
+    }
+
     /// Reads a big-endian `u16`.
     ///
     /// # Errors
@@ -144,6 +163,19 @@ impl<'a> Reader<'a> {
         Ok(u64::from_be_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
+    }
+
+    /// Reads a `usize` stored as a big-endian `u64` (sizes and indices
+    /// are 64-bit on disk whatever the host); `what` names the field in
+    /// the error.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] on truncation or a value this host's
+    /// `usize` cannot hold.
+    pub fn usize(&mut self, what: &str) -> Result<usize, StoreError> {
+        let v = self.u64()?;
+        usize::try_from(v).map_err(|_| StoreError::Corrupt(format!("{what} {v} exceeds usize")))
     }
 
     /// Reads an `f64` from its raw bits.

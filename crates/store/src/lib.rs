@@ -3,7 +3,9 @@
 //! Durable tenant state for smartpickd: the on-disk layer behind
 //! `SmartpickService::open` — compact binary **snapshots** of each
 //! tenant's full driver checkpoint, an append-only per-shard **WAL** of
-//! accepted completed-run reports, and the **crash-recovery** primitives
+//! accepted completed-run reports (each as the
+//! [`smartpick_core::RunSample`] the driver applies), and the
+//! **crash-recovery** primitives
 //! (torn-tail-tolerant scans, corrupt-snapshot quarantine, WAL
 //! compaction) the service's startup path composes.
 //!
@@ -14,7 +16,9 @@
 //! replay, and reports both through `smartpick-obs`; this crate only
 //! makes bytes durable and turns them back into data, totally and
 //! without panicking — every decode path is bounds-checked and
-//! CRC-verified in the style of `smartpick_wire::codec`.
+//! CRC-verified in the style of `smartpick_wire::codec`. Both file
+//! formats are this crate's own binary end to end; it links no
+//! serialisation library.
 //!
 //! On-disk layout under a store root (see `docs/PERSISTENCE.md` for the
 //! byte-level formats):

@@ -5,19 +5,24 @@
 //!
 //! ```text
 //! magic   8 bytes  "SPSNAP1\0"
-//! version u32 BE   currently 1
+//! version u32 BE   currently 2
 //! length  u32 BE   payload byte count
 //! payload length bytes
 //! crc     u32 BE   CRC-32 (IEEE) of the payload bytes
 //! ```
 //!
 //! The payload carries the snapshot identity (tenant, epoch, generation,
-//! WAL watermark) followed by [`DriverState`]: the forest reuses its flat
+//! WAL watermark) followed by [`DriverState`], all of it in the crate's
+//! own binary: the eight `smartpick.*` properties, the forest in its flat
 //! struct-of-arrays inference layout verbatim (per tree: the `u16`
-//! feature, `f64` threshold and `u32` children arrays), floats travel as
-//! raw bits so restore is bit-exact, and the two shapes that already have
-//! canonical JSON forms elsewhere in the system (`smartpick.*` properties
-//! and the history records) are embedded as JSON strings.
+//! feature, `f64` threshold and `u32` children arrays), the history ring
+//! (per record: the query id, the ten Table 3 features, three `f64`),
+//! the monitor and the RNG streams. Floats travel as raw bits so restore
+//! is bit-exact.
+//!
+//! Version 1 embedded the properties and the history as JSON strings. It
+//! is not read: a v1 file fails the version check like any other file
+//! this build cannot trust, and the directory layer quarantines it.
 //!
 //! Decoding is **total** in the `smartpick_wire::codec` style: arbitrary
 //! bytes can never panic or over-read, every count is checked against the
@@ -25,22 +30,28 @@
 //! truncated or bit-flipped file fails the CRC before any field is
 //! trusted.
 
-use serde::Serialize;
 use smartpick_cloudsim::Provider;
+use smartpick_core::features::QueryFeatures;
+use smartpick_core::history::RunRecord;
 use smartpick_core::persist::{
     DriverState, ForestState, KnownQueryState, MfeState, MonitorState, PredictorState, TreeState,
 };
 use smartpick_core::properties::SmartpickProperties;
 
-use crate::codec::{put_f64, put_f64s, put_str, put_u16, put_u32, put_u64, put_u8, Reader};
+use crate::codec::{
+    put_bool, put_f64, put_f64s, put_str, put_u16, put_u32, put_u64, put_u8, Reader,
+};
 use crate::crc::crc32;
 use crate::error::StoreError;
 
 /// The 8-byte file magic.
 pub const MAGIC: &[u8; 8] = b"SPSNAP1\0";
 
-/// The current (and only) format version.
-pub const VERSION: u32 = 1;
+/// The one format version this build writes and reads.
+pub const VERSION: u32 = 2;
+
+/// Bytes before the payload: magic, version, payload length.
+const HEADER_LEN: usize = 16;
 
 /// One tenant's durable checkpoint: identity plus the full driver state.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,23 +86,20 @@ pub struct SnapshotMeta {
     pub watermark: u64,
 }
 
-/// JSON for a shape whose canonical form is already JSON elsewhere in
-/// the system (the shim's `to_string` is infallible).
-fn json<T: Serialize>(t: &T) -> String {
-    serde_json::to_string(t).unwrap_or_default()
-}
-
 impl Snapshot {
     /// Encodes the whole snapshot file (magic, version, payload, CRC).
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(4096);
-        self.encode_payload(&mut payload);
-        let mut out = Vec::with_capacity(payload.len() + 20);
+        let mut out = Vec::with_capacity(4096);
         out.extend_from_slice(MAGIC);
         put_u32(&mut out, VERSION);
-        put_u32(&mut out, payload.len() as u32);
-        let crc = crc32(&payload);
-        out.extend_from_slice(&payload);
+        // The length is patched in once the payload, encoded in place
+        // behind it, says what it is (bytes 12..16, the header's last
+        // four; the payload starts at `HEADER_LEN`, 16).
+        put_u32(&mut out, 0);
+        self.encode_payload(&mut out);
+        let len = (out.len() - HEADER_LEN) as u32;
+        out[12..16].copy_from_slice(&len.to_be_bytes());
+        let crc = crc32(&out[16..]);
         put_u32(&mut out, crc);
         out
     }
@@ -101,9 +109,9 @@ impl Snapshot {
         put_u64(out, self.epoch);
         put_u64(out, self.generation);
         put_u64(out, self.watermark);
-        put_str(out, &json(&self.state.props));
+        encode_props(&self.state.props, out);
         encode_predictor(&self.state.predictor, out);
-        put_str(out, &json(&self.state.history));
+        encode_history(&self.state.history, out);
         encode_mfe(&self.state.mfe, out);
         for &w in &self.state.rng_state {
             put_u64(out, w);
@@ -124,9 +132,9 @@ impl Snapshot {
         let epoch = r.u64()?;
         let generation = r.u64()?;
         let watermark = r.u64()?;
-        let props: SmartpickProperties = from_json(&r.str()?, "properties")?;
+        let props = decode_props(&mut r)?;
         let predictor = decode_predictor(&mut r)?;
-        let history = from_json(&r.str()?, "history")?;
+        let history = decode_history(&mut r)?;
         let mfe = decode_mfe(&mut r)?;
         let mut rng_state = [0u64; 4];
         for w in &mut rng_state {
@@ -187,7 +195,7 @@ fn checked_payload(bytes: &[u8]) -> Result<&[u8], StoreError> {
         )));
     }
     let len = r.u32()? as usize;
-    let payload_start = 16usize;
+    let payload_start = HEADER_LEN;
     let crc_start = payload_start.saturating_add(len);
     let payload = bytes
         .get(payload_start..crc_start)
@@ -211,19 +219,102 @@ fn checked_payload(bytes: &[u8]) -> Result<&[u8], StoreError> {
     Ok(payload)
 }
 
-fn from_json<T: serde::Deserialize>(s: &str, what: &str) -> Result<T, StoreError> {
-    serde_json::from_str(s).map_err(|e| StoreError::Corrupt(format!("bad {what} JSON: {e:?}")))
-}
-
-fn encode_predictor(p: &PredictorState, out: &mut Vec<u8>) {
+fn encode_provider(p: Provider, out: &mut Vec<u8>) {
     put_u8(
         out,
-        match p.provider {
+        match p {
             Provider::Aws => 0,
             Provider::Gcp => 1,
         },
     );
-    put_u8(out, p.compute_optimised as u8);
+}
+
+fn decode_provider(r: &mut Reader<'_>) -> Result<Provider, StoreError> {
+    match r.u8()? {
+        0 => Ok(Provider::Aws),
+        1 => Ok(Provider::Gcp),
+        other => Err(StoreError::Corrupt(format!("unknown provider tag {other}"))),
+    }
+}
+
+/// The eight `smartpick.*` properties, in declaration order.
+fn encode_props(p: &SmartpickProperties, out: &mut Vec<u8>) {
+    encode_provider(p.provider, out);
+    put_str(out, &p.instance_family);
+    put_bool(out, p.relay);
+    put_f64(out, p.knob);
+    put_u64(out, p.max_batch as u64);
+    put_bool(out, p.same_instance_retrain);
+    put_u32(out, p.min_ram_gb);
+    put_f64(out, p.error_difference_trigger_secs);
+}
+
+fn decode_props(r: &mut Reader<'_>) -> Result<SmartpickProperties, StoreError> {
+    Ok(SmartpickProperties {
+        provider: decode_provider(r)?,
+        instance_family: r.str()?,
+        relay: r.bool("relay")?,
+        knob: r.f64()?,
+        max_batch: r.usize("max_batch")?,
+        same_instance_retrain: r.bool("same_instance_retrain")?,
+        min_ram_gb: r.u32()?,
+        error_difference_trigger_secs: r.f64()?,
+    })
+}
+
+/// The history ring, oldest first: per record the query id, the Table 3
+/// feature row field by field, and the run's three outcomes.
+fn encode_history(history: &[RunRecord], out: &mut Vec<u8>) {
+    put_u32(out, history.len() as u32);
+    for record in history {
+        put_str(out, &record.query_id);
+        let f = &record.features;
+        put_f64(out, f.query_code);
+        put_u32(out, f.n_vm);
+        put_u32(out, f.n_sl);
+        put_f64(out, f.input_bytes);
+        put_f64(out, f.start_epoch);
+        put_f64(out, f.total_memory_mib);
+        put_f64(out, f.available_memory_mib);
+        put_f64(out, f.memory_per_executor_mib);
+        put_f64(out, f.num_waiting_apps);
+        put_f64(out, f.total_available_cores);
+        put_f64(out, record.actual_seconds);
+        put_f64(out, record.predicted_seconds);
+        put_f64(out, record.cost_dollars);
+    }
+}
+
+fn decode_history(r: &mut Reader<'_>) -> Result<Vec<RunRecord>, StoreError> {
+    // Every record costs ≥ 4 (id length) + 8*8 + 4*2 (features) + 8*3.
+    let n = r.count(100)?;
+    let mut history = Vec::with_capacity(n);
+    for _ in 0..n {
+        history.push(RunRecord {
+            query_id: r.str()?,
+            features: QueryFeatures {
+                query_code: r.f64()?,
+                n_vm: r.u32()?,
+                n_sl: r.u32()?,
+                input_bytes: r.f64()?,
+                start_epoch: r.f64()?,
+                total_memory_mib: r.f64()?,
+                available_memory_mib: r.f64()?,
+                memory_per_executor_mib: r.f64()?,
+                num_waiting_apps: r.f64()?,
+                total_available_cores: r.f64()?,
+            },
+            actual_seconds: r.f64()?,
+            predicted_seconds: r.f64()?,
+            cost_dollars: r.f64()?,
+        });
+    }
+    Ok(history)
+}
+
+fn encode_predictor(p: &PredictorState, out: &mut Vec<u8>) {
+    encode_provider(p.provider, out);
+    put_bool(out, p.compute_optimised);
     let f = &p.forest;
     put_u32(out, f.n_trees);
     put_u32(out, f.max_depth);
@@ -236,7 +327,7 @@ fn encode_predictor(p: &PredictorState, out: &mut Vec<u8>) {
         }
         None => put_u8(out, 0),
     }
-    put_u8(out, f.bootstrap as u8);
+    put_bool(out, f.bootstrap);
     put_u32(out, f.n_features);
     put_u32(out, f.trees.len() as u32);
     for t in &f.trees {
@@ -267,7 +358,7 @@ fn encode_predictor(p: &PredictorState, out: &mut Vec<u8>) {
             put_f64(out, v);
         }
     }
-    put_u8(out, p.relay_aware as u8);
+    put_bool(out, p.relay_aware);
     put_f64(out, p.stderr);
     put_u32(out, p.max_vm);
     put_u32(out, p.max_sl);
@@ -275,12 +366,8 @@ fn encode_predictor(p: &PredictorState, out: &mut Vec<u8>) {
 }
 
 fn decode_predictor(r: &mut Reader<'_>) -> Result<PredictorState, StoreError> {
-    let provider = match r.u8()? {
-        0 => Provider::Aws,
-        1 => Provider::Gcp,
-        other => return Err(StoreError::Corrupt(format!("unknown provider tag {other}"))),
-    };
-    let compute_optimised = bool_of(r.u8()?, "compute_optimised")?;
+    let provider = decode_provider(r)?;
+    let compute_optimised = r.bool("compute_optimised")?;
     let n_trees = r.u32()?;
     let max_depth = r.u32()?;
     let min_samples_split = r.u32()?;
@@ -294,7 +381,7 @@ fn decode_predictor(r: &mut Reader<'_>) -> Result<PredictorState, StoreError> {
             )))
         }
     };
-    let bootstrap = bool_of(r.u8()?, "bootstrap")?;
+    let bootstrap = r.bool("bootstrap")?;
     let n_features = r.u32()?;
     // Every tree costs ≥ one slot (2 + 8 + 4 bytes) plus the importance
     // count prefix.
@@ -361,7 +448,7 @@ fn decode_predictor(r: &mut Reader<'_>) -> Result<PredictorState, StoreError> {
         },
         known,
         signatures,
-        relay_aware: bool_of(r.u8()?, "relay_aware")?,
+        relay_aware: r.bool("relay_aware")?,
         stderr: r.f64()?,
         max_vm: r.u32()?,
         max_sl: r.u32()?,
@@ -430,14 +517,6 @@ fn decode_mfe(r: &mut Reader<'_>) -> Result<MfeState, StoreError> {
     })
 }
 
-fn bool_of(b: u8, what: &str) -> Result<bool, StoreError> {
-    match b {
-        0 => Ok(false),
-        1 => Ok(true),
-        other => Err(StoreError::Corrupt(format!("bad {what} flag {other}"))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -493,7 +572,10 @@ mod tests {
                     max_sl: 40,
                     min_total: 4,
                 },
-                history: Vec::new(),
+                history: vec![
+                    history_record("tpcds-q11", 2, 80.5),
+                    history_record("", 0, -0.0),
+                ],
                 mfe: MfeState {
                     clock_state: [1, 2, 3, u64::MAX],
                     epoch: 1234.5,
@@ -506,6 +588,27 @@ mod tests {
                 },
                 rng_state: [5, 6, 7, 8],
             },
+        }
+    }
+
+    fn history_record(query_id: &str, n_vm: u32, actual_seconds: f64) -> RunRecord {
+        RunRecord {
+            query_id: query_id.into(),
+            features: QueryFeatures {
+                query_code: 11.0,
+                n_vm,
+                n_sl: u32::MAX,
+                input_bytes: 1.0e11,
+                start_epoch: 1234.5,
+                total_memory_mib: 4096.0,
+                available_memory_mib: 1024.25,
+                memory_per_executor_mib: 2048.0,
+                num_waiting_apps: 3.0,
+                total_available_cores: f64::MIN_POSITIVE,
+            },
+            actual_seconds,
+            predicted_seconds: 78.0,
+            cost_dollars: 0.04,
         }
     }
 
@@ -544,6 +647,51 @@ mod tests {
             bad[i] ^= 0x10;
             let err = Snapshot::decode(&bad).unwrap_err();
             assert!(err.is_corrupt(), "byte {i}");
+        }
+    }
+
+    /// Damage inside the history section: as the file stands it fails the
+    /// CRC; with the CRC re-sealed over it — so the section's decoder is
+    /// the one that meets it — it is refused or decodes to exactly what
+    /// the damaged bytes say, and never panics.
+    #[test]
+    fn a_bit_flip_sweep_over_the_history_section_never_panics() {
+        let snap = sample();
+        let bytes = snap.encode();
+        let mut section = Vec::new();
+        encode_history(&snap.state.history, &mut section);
+        let start = bytes
+            .windows(section.len())
+            .position(|w| w == section)
+            .expect("the history section is in the file");
+        for i in start..start + section.len() {
+            for bit in 0..8 {
+                let mut bad = bytes.clone();
+                bad[i] ^= 1 << bit;
+                assert!(Snapshot::decode(&bad).unwrap_err().is_corrupt(), "byte {i}");
+                let end = bad.len() - 4;
+                let crc = crc32(&bad[HEADER_LEN..end]);
+                bad[end..].copy_from_slice(&crc.to_be_bytes());
+                match Snapshot::decode(&bad) {
+                    Ok(decoded) => assert_eq!(decoded.encode(), bad, "byte {i} bit {bit}"),
+                    Err(e) => assert!(e.is_corrupt(), "byte {i} bit {bit}"),
+                }
+            }
+        }
+    }
+
+    /// A version-1 file, written by the last build that embedded the
+    /// properties and history as JSON: refused at the version check.
+    #[test]
+    fn a_version_1_file_is_refused_by_version() {
+        let v1 = include_bytes!("../tests/fixtures/snap-v1-legacy.snap");
+        for decoded in [
+            Snapshot::decode(v1).map(|_| ()),
+            Snapshot::decode_meta(v1).map(|_| ()),
+        ] {
+            let err = decoded.unwrap_err();
+            assert!(err.is_corrupt());
+            assert!(err.to_string().contains("version 1"), "{err}");
         }
     }
 

@@ -442,7 +442,9 @@ impl Floors {
     fn keeps(&self, record: &WalRecord) -> bool {
         match self.0.get(&record.tenant) {
             Some(floor) if record.epoch == floor.epoch => match &record.payload {
-                WalPayload::Report { run_id, .. } => *run_id > floor.watermark,
+                WalPayload::Report { run_id, .. } | WalPayload::Sample { run_id, .. } => {
+                    *run_id > floor.watermark
+                }
                 WalPayload::Commit { generation, .. } => *generation > floor.generation,
             },
             // Wrong epoch or no snapshot at all: stale, drop.
@@ -554,6 +556,7 @@ mod tests {
         DriverState, ForestState, MfeState, MonitorState, PredictorState, TreeState,
     };
     use smartpick_core::properties::SmartpickProperties;
+    use smartpick_core::RunSample;
 
     fn test_root(tag: &str) -> PathBuf {
         let dir = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/tmp"))
@@ -612,13 +615,27 @@ mod tests {
         }
     }
 
+    fn sample(query_id: &str) -> RunSample {
+        RunSample {
+            query_id: query_id.into(),
+            input_gb: 100.0,
+            n_vm: 2,
+            n_sl: 3,
+            predicted_seconds: 80.0,
+            actual_seconds: 82.5,
+            cost_dollars: 0.04,
+            matched_query: query_id.into(),
+            profile: None,
+        }
+    }
+
     fn report(tenant: &str, epoch: u64, run_id: u64) -> WalRecord {
         WalRecord {
             tenant: tenant.into(),
             epoch,
-            payload: WalPayload::Report {
+            payload: WalPayload::Sample {
                 run_id,
-                run_json: "{}".into(),
+                sample: sample("q"),
             },
         }
     }
@@ -741,6 +758,19 @@ mod tests {
             for run_id in 1..=12 {
                 w.append(&report("t", 7, run_id).encode_payload()).unwrap();
             }
+            // The legacy JSON kind meets the same floor: one covered, one
+            // not.
+            for run_id in [5, 13] {
+                let legacy = WalRecord {
+                    tenant: "t".into(),
+                    epoch: 7,
+                    payload: WalPayload::Report {
+                        run_id,
+                        run_json: "{}".into(),
+                    },
+                };
+                w.append(&legacy.encode_payload()).unwrap();
+            }
             // A stale-epoch record and a deregistered tenant's record.
             w.append(&report("t", 6, 99).encode_payload()).unwrap();
             w.append(&report("gone", 1, 1).encode_payload()).unwrap();
@@ -772,16 +802,17 @@ mod tests {
             w.sync().unwrap();
         }
         let stats = store.compact_wal(0).unwrap();
-        // Kept: reports 6..=12 (7 of them) + the generation-2 commit.
-        assert_eq!(stats.kept, 8);
-        assert_eq!(stats.dropped, 8);
+        // Kept: reports 6..=12 (7 of them), the legacy report 13 and the
+        // generation-2 commit.
+        assert_eq!(stats.kept, 9);
+        assert_eq!(stats.dropped, 9);
         assert!(stats.bytes_after < stats.bytes_before);
         let scans = store.scan_wals().unwrap();
         let records = &scans[0].scan.records;
-        assert_eq!(records.len(), 8);
+        assert_eq!(records.len(), 9);
         assert!(records.iter().all(|r| r.tenant == "t" && r.epoch == 7));
         assert!(records.iter().all(|r| match &r.payload {
-            WalPayload::Report { run_id, .. } => *run_id > 5,
+            WalPayload::Report { run_id, .. } | WalPayload::Sample { run_id, .. } => *run_id > 5,
             WalPayload::Commit { generation, .. } => *generation > 1,
         }));
     }
@@ -809,7 +840,9 @@ mod tests {
                 let wm_floor = same_epoch.map(|s| s.2).min().unwrap();
                 record.epoch == epoch
                     && match &record.payload {
-                        WalPayload::Report { run_id, .. } => *run_id > wm_floor,
+                        WalPayload::Report { run_id, .. } | WalPayload::Sample { run_id, .. } => {
+                            *run_id > wm_floor
+                        }
                         WalPayload::Commit { generation, .. } => *generation > gen_floor,
                     }
             })
@@ -824,7 +857,7 @@ mod tests {
         #[test]
         fn streamed_compaction_equals_the_floor_filter_of_the_valid_prefix(
             specs in proptest::prop::collection::vec(
-                (0u8..3, 1u64..3, 0u8..2, 0u64..12, ".{0,24}"),
+                (0u8..3, 1u64..3, 0u8..3, 0u64..12, ".{0,24}"),
                 0..24,
             ),
             snaps_a in proptest::prop::collection::vec((1u64..3, 0u64..10), 1..4),
@@ -849,15 +882,15 @@ mod tests {
                 }
             }
             let mut log = MAGIC.to_vec();
-            for (tenant, epoch, kind, n, json) in &specs {
+            for (tenant, epoch, kind, n, text) in &specs {
                 let tenant = ["a", "b", "c"][*tenant as usize];
                 let record = WalRecord {
                     tenant: tenant.into(),
                     epoch: *epoch,
-                    payload: if *kind == 0 {
-                        WalPayload::Report { run_id: *n, run_json: json.clone() }
-                    } else {
-                        WalPayload::Commit { generation: *n, watermark: *n }
+                    payload: match *kind {
+                        0 => WalPayload::Sample { run_id: *n, sample: sample(text) },
+                        1 => WalPayload::Commit { generation: *n, watermark: *n },
+                        _ => WalPayload::Report { run_id: *n, run_json: text.clone() },
                     },
                 };
                 log.extend_from_slice(&WalRecord::frame(&record.encode_payload()));

@@ -15,19 +15,30 @@
 //!   payload length bytes
 //! ```
 //!
-//! Two payload kinds:
+//! Three payload kinds, each `kind u8 | tenant str | epoch u64 | body`:
 //!
 //! ```text
-//! 0x01 Report: tenant str | epoch u64 | run_id u64 | run_json str
-//! 0x02 Commit: tenant str | epoch u64 | generation u64 | watermark u64
+//! 0x01 Report: run_id u64 | run_json str            (legacy, opaque)
+//! 0x02 Commit: generation u64 | watermark u64
+//! 0x03 Sample: run_id u64 | query_id str | input_gb f64
+//!              | n_vm u32 | n_sl u32
+//!              | predicted_seconds f64 | actual_seconds f64 | cost_dollars f64
+//!              | matched_query str | has_profile u8 (0 | 1) | [profile]
+//!     profile: id str | sql str | input_gb f64 | n_stages u32 | stage*
+//!     stage:   name str | tasks u64 | cpu_ms f64 | input_mib f64
+//!              | shuffle_mib f64 | n_deps u32 | dep u64*
 //! ```
 //!
-//! A **Report** is appended (and fsynced per [`FsyncPolicy`]) *before*
-//! its run is applied to the driver; a **Commit** is appended after the
-//! batch's snapshot publish, recording exactly which generation the
-//! publish produced — replay uses Commits to republish at the same
-//! points the original run did, so a recovered tenant lands on the same
-//! generation number, not merely the same model.
+//! A **Sample** — the [`RunSample`] `apply_sample` reads, floats as raw
+//! bits — is appended (and fsynced per [`FsyncPolicy`]) *before* its run
+//! is applied to the driver; a **Commit** is appended after the batch's
+//! snapshot publish, recording exactly which generation the publish
+//! produced — replay uses Commits to republish at the same points the
+//! original run did, so a recovered tenant lands on the same generation
+//! number, not merely the same model. A **Report** is what the service
+//! logged before kind `0x03` existed: a `CompletedRun` as JSON, which
+//! this crate frames and scans but never looks inside; nothing replays
+//! it.
 //!
 //! The scanner ([`scan_wal`]) is torn-tolerant by construction: it walks
 //! records forward and stops at the first length prefix, CRC, or payload
@@ -38,7 +49,10 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::Path;
 
-use crate::codec::{put_str, put_u64, put_u8, Reader};
+use smartpick_core::RunSample;
+use smartpick_engine::{QueryProfile, StageProfile};
+
+use crate::codec::{put_bool, put_f64, put_str, put_u32, put_u64, put_u8, Reader};
 use crate::crc::crc32;
 use crate::error::StoreError;
 
@@ -47,6 +61,7 @@ pub const MAGIC: &[u8; 8] = b"SPWAL1\0\0";
 
 const KIND_REPORT: u8 = 0x01;
 const KIND_COMMIT: u8 = 0x02;
+const KIND_SAMPLE: u8 = 0x03;
 
 /// When appended records are flushed to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,16 +88,24 @@ pub struct WalRecord {
     pub payload: WalPayload,
 }
 
-/// The two record kinds.
+/// The record kinds.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalPayload {
-    /// An accepted completed-run report, logged before its apply.
+    /// An accepted completed-run report in the form the service logged
+    /// before [`WalPayload::Sample`]: still framed, scanned and compacted
+    /// like one, never replayed.
     Report {
+        /// The run id assigned at enqueue.
+        run_id: u64,
+        /// The `CompletedRun` as JSON, opaque to this crate.
+        run_json: String,
+    },
+    /// An accepted completed-run report, logged before its apply.
+    Sample {
         /// The run id assigned at enqueue (idempotency key for replay).
         run_id: u64,
-        /// The `CompletedRun` as canonical JSON (the service owns that
-        /// type; the store does not depend on it).
-        run_json: String,
+        /// What `apply_sample` reads of the run.
+        sample: RunSample,
     },
     /// A snapshot publish that covered every report up to `watermark`.
     Commit {
@@ -115,7 +138,23 @@ impl WalRecord {
                 put_u64(&mut out, *generation);
                 put_u64(&mut out, *watermark);
             }
+            WalPayload::Sample { run_id, sample } => {
+                return WalRecord::sample_payload(&self.tenant, self.epoch, *run_id, sample);
+            }
         }
+        out
+    }
+
+    /// The payload of a [`WalPayload::Sample`] record from borrowed
+    /// parts: what [`WalRecord::encode_payload`] yields for that record,
+    /// for an appender that has no use for an owned one.
+    pub fn sample_payload(tenant: &str, epoch: u64, run_id: u64, sample: &RunSample) -> Vec<u8> {
+        let mut out = Vec::with_capacity(128);
+        put_u8(&mut out, KIND_SAMPLE);
+        put_str(&mut out, tenant);
+        put_u64(&mut out, epoch);
+        put_u64(&mut out, run_id);
+        encode_sample(sample, &mut out);
         out
     }
 
@@ -147,6 +186,14 @@ impl WalRecord {
                     watermark: r.u64()?,
                 },
             },
+            KIND_SAMPLE => WalRecord {
+                tenant,
+                epoch,
+                payload: WalPayload::Sample {
+                    run_id: r.u64()?,
+                    sample: decode_sample(&mut r)?,
+                },
+            },
             other => {
                 return Err(StoreError::Corrupt(format!(
                     "unknown WAL record kind {other:#04x}"
@@ -165,6 +212,88 @@ impl WalRecord {
         out.extend_from_slice(payload);
         out
     }
+}
+
+fn encode_sample(s: &RunSample, out: &mut Vec<u8>) {
+    put_str(out, &s.query_id);
+    put_f64(out, s.input_gb);
+    put_u32(out, s.n_vm);
+    put_u32(out, s.n_sl);
+    put_f64(out, s.predicted_seconds);
+    put_f64(out, s.actual_seconds);
+    put_f64(out, s.cost_dollars);
+    put_str(out, &s.matched_query);
+    put_bool(out, s.profile.is_some());
+    if let Some(profile) = &s.profile {
+        put_str(out, &profile.id);
+        put_str(out, &profile.sql);
+        put_f64(out, profile.input_gb);
+        put_u32(out, profile.stages.len() as u32);
+        for stage in &profile.stages {
+            put_str(out, &stage.name);
+            put_u64(out, stage.tasks as u64);
+            put_f64(out, stage.cpu_ms_per_task);
+            put_f64(out, stage.input_mib_per_task);
+            put_f64(out, stage.shuffle_mib_per_task);
+            put_u32(out, stage.deps.len() as u32);
+            for &dep in &stage.deps {
+                put_u64(out, dep as u64);
+            }
+        }
+    }
+}
+
+fn decode_sample(r: &mut Reader<'_>) -> Result<RunSample, StoreError> {
+    Ok(RunSample {
+        query_id: r.str()?,
+        input_gb: r.f64()?,
+        n_vm: r.u32()?,
+        n_sl: r.u32()?,
+        predicted_seconds: r.f64()?,
+        actual_seconds: r.f64()?,
+        cost_dollars: r.f64()?,
+        matched_query: r.str()?,
+        profile: if r.bool("has_profile")? {
+            Some(decode_profile(r)?)
+        } else {
+            None
+        },
+    })
+}
+
+fn decode_profile(r: &mut Reader<'_>) -> Result<QueryProfile, StoreError> {
+    let id = r.str()?;
+    let sql = r.str()?;
+    let input_gb = r.f64()?;
+    // Every stage costs ≥ 4 (name length) + 8*4 (numbers) + 4 (dep count).
+    let n_stages = r.count(40)?;
+    let mut stages = Vec::with_capacity(n_stages);
+    for _ in 0..n_stages {
+        let name = r.str()?;
+        let tasks = r.usize("task count")?;
+        let cpu_ms_per_task = r.f64()?;
+        let input_mib_per_task = r.f64()?;
+        let shuffle_mib_per_task = r.f64()?;
+        let n_deps = r.count(8)?;
+        let mut deps = Vec::with_capacity(n_deps);
+        for _ in 0..n_deps {
+            deps.push(r.usize("stage dependency")?);
+        }
+        stages.push(StageProfile {
+            name,
+            tasks,
+            cpu_ms_per_task,
+            input_mib_per_task,
+            shuffle_mib_per_task,
+            deps,
+        });
+    }
+    Ok(QueryProfile {
+        id,
+        sql,
+        input_gb,
+        stages,
+    })
 }
 
 /// What a torn-tolerant scan found.
@@ -461,9 +590,30 @@ mod tests {
         bytes
     }
 
+    fn sample(tenant: &str, run_id: u64) -> WalRecord {
+        WalRecord {
+            tenant: tenant.into(),
+            epoch: 3,
+            payload: WalPayload::Sample {
+                run_id,
+                sample: RunSample {
+                    query_id: "tpcds-q62".into(),
+                    input_gb: 100.0,
+                    n_vm: 2,
+                    n_sl: 3,
+                    predicted_seconds: 80.0,
+                    actual_seconds: 131.5,
+                    cost_dollars: -0.0,
+                    matched_query: "tpcds-q68".into(),
+                    profile: Some(QueryProfile::uniform("tpcds-q62", 2, 8, 120.0, 64.0, 16.0)),
+                },
+            },
+        }
+    }
+
     #[test]
     fn records_round_trip() {
-        for r in [report("acme", 7), commit("acme", 2, 7)] {
+        for r in [report("acme", 7), commit("acme", 2, 7), sample("acme", 8)] {
             let payload = r.encode_payload();
             assert_eq!(WalRecord::decode_payload(&payload).unwrap(), r);
         }

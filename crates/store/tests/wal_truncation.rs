@@ -7,6 +7,8 @@
 //! never a panic.
 
 use proptest::prelude::*;
+use smartpick_core::RunSample;
+use smartpick_engine::QueryProfile;
 use smartpick_store::wal::{scan_wal, MAGIC};
 use smartpick_store::{WalPayload, WalRecord};
 
@@ -22,7 +24,40 @@ fn build_wal(records: &[WalRecord]) -> (Vec<u8>, Vec<usize>) {
     (bytes, boundaries)
 }
 
-fn report(tenant: &str, run_id: u64, run_json: &str) -> WalRecord {
+/// A kind-`0x03` record for a known query: what the service logs.
+fn report(tenant: &str, run_id: u64, query_id: &str) -> WalRecord {
+    WalRecord {
+        tenant: tenant.into(),
+        epoch: 7,
+        payload: WalPayload::Sample {
+            run_id,
+            sample: RunSample {
+                query_id: query_id.into(),
+                input_gb: 100.0,
+                n_vm: 2,
+                n_sl: 3,
+                predicted_seconds: 80.0,
+                actual_seconds: 82.5 + run_id as f64,
+                cost_dollars: 0.04,
+                matched_query: query_id.into(),
+                profile: None,
+            },
+        },
+    }
+}
+
+/// The same for a similarity-matched query, whose profile rides along.
+fn alien_report(tenant: &str, run_id: u64) -> WalRecord {
+    let mut record = report(tenant, run_id, "alien-q");
+    if let WalPayload::Sample { sample, .. } = &mut record.payload {
+        sample.matched_query = "known-q".into();
+        sample.profile = Some(QueryProfile::uniform("alien-q", 2, 8, 120.0, 64.0, 16.0));
+    }
+    record
+}
+
+/// The opaque JSON kind the service used to log.
+fn legacy_report(tenant: &str, run_id: u64, run_json: &str) -> WalRecord {
     WalRecord {
         tenant: tenant.into(),
         epoch: 7,
@@ -53,12 +88,13 @@ fn expected_records(boundaries: &[usize], cut: usize) -> usize {
 #[test]
 fn truncation_at_every_byte_offset_recovers_exactly_the_longest_valid_prefix() {
     let records = vec![
-        report("acme", 1, "{\"q\":1}"),
-        report("acme", 2, "{\"q\":2}"),
+        report("acme", 1, "tpcds-q82"),
+        report("acme", 2, "tpcds-q68"),
         commit("acme", 1, 2),
-        report("globex", 1, "{}"),
+        alien_report("globex", 1),
         commit("globex", 1, 1),
-        report("acme", 3, "{\"q\":3,\"pad\":\"xxxxxxxxxxxxxxxx\"}"),
+        legacy_report("acme", 3, "{\"q\":3,\"pad\":\"xxxxxxxxxxxxxxxx\"}"),
+        report("acme", 4, ""),
     ];
     let (bytes, boundaries) = build_wal(&records);
 
@@ -106,9 +142,10 @@ fn truncation_at_every_byte_offset_recovers_exactly_the_longest_valid_prefix() {
 #[test]
 fn a_flipped_bit_inside_any_record_keeps_only_the_records_before_it() {
     let records = vec![
-        report("t", 1, "{\"a\":1}"),
+        report("t", 1, "tpcds-q82"),
         commit("t", 1, 1),
-        report("t", 2, "{\"b\":2}"),
+        alien_report("t", 2),
+        legacy_report("t", 3, "{\"b\":2}"),
     ];
     let (bytes, boundaries) = build_wal(&records);
     for i in MAGIC.len()..bytes.len() {
@@ -140,15 +177,16 @@ proptest! {
     /// records before the cut.
     #[test]
     fn any_wal_any_cut_recovers_the_prefix(
-        specs in prop::collection::vec((0u8..2, 1u64..100, ".{0,40}"), 0..8),
+        specs in prop::collection::vec((0u8..4, 1u64..100, "\\PC{0,40}"), 0..8),
         cut_frac in 0.0f64..1.0,
     ) {
         let records: Vec<WalRecord> = specs
             .iter()
-            .map(|(kind, n, s)| if *kind == 0 {
-                report("p", *n, s)
-            } else {
-                commit("p", *n, n * 2)
+            .map(|(kind, n, s)| match *kind {
+                0 => report("p", *n, s),
+                1 => commit("p", *n, n * 2),
+                2 => alien_report("p", *n),
+                _ => legacy_report("p", *n, s),
             })
             .collect();
         let (bytes, boundaries) = build_wal(&records);
