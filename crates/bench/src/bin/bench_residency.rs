@@ -84,26 +84,6 @@ fn probe(seed: u64) -> PredictionRequest {
     }
 }
 
-/// Resident-set size of this process in MiB (`VmRSS` from
-/// `/proc/self/status`; 0.0 where that interface does not exist).
-fn rss_mb() -> f64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0.0;
-    };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmRSS:") {
-            let kb: f64 = rest
-                .trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse()
-                .unwrap_or(0.0);
-            return kb / 1024.0;
-        }
-    }
-    0.0
-}
-
 fn median_us(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.total_cmp(b));
     samples[samples.len() / 2]
@@ -174,7 +154,7 @@ fn main() {
             service.residency_sweep();
             let registered = i + 1;
             let resident = service.resident_tenants();
-            let rss = rss_mb();
+            let rss = smartpick_bench::rss_mb();
             let elapsed = started.elapsed().as_secs_f64();
             println!("{registered:<12} {resident:>10} {rss:>10.0} {elapsed:>10.1}");
             if checkpoints > 0 {

@@ -2,7 +2,7 @@
 //! tenant costs at rest and what a crash costs at startup, guarded by
 //! `tests/bench_store_json.rs`.
 //!
-//! Four matrices:
+//! Five matrices:
 //!
 //! * **snapshot at rest** — the encoded size of one tenant's full
 //!   driver state (predictor + history + monitor + RNG) as persisted by
@@ -12,13 +12,21 @@
 //!   retention policy.
 //! * **recovery** — wall time for `SmartpickService::open` to come back
 //!   from a generation-0 snapshot plus a WAL of N accepted reports:
-//!   scan, replay through `apply_sample`, republish, re-persist. The
-//!   row family shows how replay cost scales with WAL length — the
-//!   knob `snapshot_every` trades against — and one row spreads 2 048
-//!   records over 512 tenants, where anything recovery does per tenant
-//!   *per record of the whole log* would show. Each row carries the same
-//!   measurement at the commit before the binary report record
-//!   ([`RECOVERY_BEFORE`]).
+//!   scan, load, replay through `apply_sample`, republish. The row
+//!   family shows how replay cost scales with WAL length — the knob
+//!   `snapshot_every` trades against — and one row spreads 2 048 records
+//!   over 512 tenants, where anything recovery does per tenant (a
+//!   snapshot persist with its fsync, before recovery stopped writing)
+//!   would show. Each row carries the same measurement at the commit
+//!   before the read-only recovery ([`RECOVERY_BEFORE`]) and, for the
+//!   log's size, at the commit before the binary report record
+//!   ([`JSON_RECORD`]).
+//! * **idle fleet** — the open that restarts a large, mostly idle
+//!   service: [`IDLE_FLEET`] tenants of which one in a hundred has
+//!   records in the log, under a resident cap of that same hundredth. A
+//!   child process opens the store, so the resident-set size is the
+//!   open's alone: milliseconds, tenants resident when `open` returns,
+//!   MiB ([`IDLE_FLEET_BEFORE`] beside it).
 //! * **feedback** — the write path under sustained load: a durable
 //!   service at its default knobs fed 32-report bursts with a flush
 //!   after each (the end-to-end benchmark's write window, without the
@@ -38,8 +46,10 @@
 //!   builder ([`RETRAIN_BEFORE`]).
 //!
 //! Usage: `cargo run --release -p smartpick_bench --bin bench_store
-//! [output-path]` (default `BENCH_store.json` in the working
-//! directory). Store roots live under the repo's own `target/tmp`.
+//! [output-path] [--idle-fleet N]` (default `BENCH_store.json` in the
+//! working directory, and the recorded fleet of [`IDLE_FLEET`]; CI's
+//! scratch run passes a smaller one). Store roots live under the repo's
+//! own `target/tmp`.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -132,26 +142,37 @@ impl Recovery {
 }
 
 /// The recovery rows — (WAL records, measurement) — at the parent of the
-/// binary report record (PR 20, commit a343d3a: a `Report` was the run
-/// as JSON, recovery handed every tenant the whole log), by this same
-/// loop built against that commit, same box, same hour, pinned to one
-/// CPU: the median of five runs alternated with this commit's (whose
-/// five read 2.1 / 2.2 / 11.8 / 41.4 ms and, for the many-tenants row,
-/// 722 ms, ahead in every pair).
-const RECOVERY_BEFORE: [(usize, Recovery); 4] = [
+/// binary report record (PR 20, commit a343d3a: a `Report` was the run as
+/// JSON), kept for the size of its log.
+const JSON_RECORD: [(usize, Recovery); 4] = [
     (0, Recovery::at(8, 2.4)),
     (32, Recovery::at(132_492, 4.4)),
     (128, Recovery::at(529_900, 17.9)),
     (512, Recovery::at(2_119_576, 53.8)),
 ];
+const MANY_TENANTS_JSON_RECORD: Recovery = Recovery::at(8_567_960, 871.7);
 
-/// The many-tenants row at that commit (its opens read 621–1 067 ms over
-/// the five runs: 512 snapshot persists, each with its fsync, are most of
-/// either side).
-const MANY_TENANTS_BEFORE: Recovery = Recovery::at(8_567_960, 871.7);
+/// The recovery rows at the parent of the read-only recovery (PR 21,
+/// commit 03d79af: every recovered tenant got a fresh snapshot, fsynced,
+/// and the logs were deleted), by this same loop built against that
+/// commit, same box, same hour, pinned to one CPU: the median of five
+/// runs alternated with this commit's (whose five read 0.1 / 0.2 / 6.9 /
+/// 32.3 ms and, for the many-tenants row, 33.8 ms, ahead in every pair
+/// but one of the 512-record row's, a tie at 38.8).
+const RECOVERY_BEFORE: [(usize, Recovery); 4] = [
+    (0, Recovery::at(8, 2.6)),
+    (32, Recovery::at(3_480, 2.2)),
+    (128, Recovery::at(13_808, 13.3)),
+    (512, Recovery::at(55_208, 37.3)),
+];
 
-/// Snapshot bytes at rest at that commit — (trained queries, bytes) —
-/// and after 256 reports.
+/// The many-tenants row at that commit (its opens read 622–884 ms over
+/// the five runs): 512 snapshot persists, each with its fsync, are most
+/// of it.
+const MANY_TENANTS_BEFORE: Recovery = Recovery::at(308_376, 814.2);
+
+/// Snapshot bytes at rest at PR 20 — (trained queries, bytes) — and after
+/// 256 reports.
 const SNAPSHOT_BEFORE: [(usize, u64); 2] = [(1, 2769), (2, 4511)];
 const SNAPSHOT_AFTER_256_BEFORE: u64 = 275_473;
 
@@ -258,6 +279,118 @@ fn recovery_row(
         recover_ms: opens_ms[RECOVERY_REPS / 2],
     };
     (row, record_bytes)
+}
+
+/// The idle-fleet row's recorded size: this many tenants, one in
+/// [`IDLE_FLEET_PER_BUSY`] of them with records in the log, and a
+/// resident cap of as many.
+const IDLE_FLEET: usize = 10_000;
+const IDLE_FLEET_PER_BUSY: usize = 100;
+const IDLE_FLEET_REPS: usize = 3;
+
+/// What one open of the idle fleet cost.
+#[derive(Clone, Copy)]
+struct FleetOpen {
+    open_ms: f64,
+    resident_after_open: usize,
+    rss_mb: f64,
+}
+
+impl FleetOpen {
+    fn json(&self) -> String {
+        format!(
+            "{{\"open_ms\": {:.1}, \"resident_after_open\": {}, \"rss_mb\": {:.1}}}",
+            self.open_ms, self.resident_after_open, self.rss_mb
+        )
+    }
+}
+
+/// The [`IDLE_FLEET`] row at the parent of the read-only recovery (PR 21,
+/// commit 03d79af), by this same loop built against that commit, same
+/// box, same hour: every tenant loaded, persisted and inserted hot, cap or
+/// no cap. The median of five runs alternated with this commit's (12.2–
+/// 17.9 s against 180–215 ms; the resident count and the RSS repeat to
+/// the tenant and the tenth of a MiB).
+const IDLE_FLEET_BEFORE: FleetOpen = FleetOpen {
+    open_ms: 13_542.2,
+    resident_after_open: 10_000,
+    rss_mb: 106.8,
+};
+
+/// The child half of [`idle_fleet_row`]: opens the store at `dir` under a
+/// resident cap and prints what that cost this process. An hour between
+/// supervisor polls, so no sweep runs before the count is read.
+fn open_fleet(dir: &Path, max_resident: usize) {
+    let config = ServiceConfig {
+        max_resident_tenants: Some(max_resident),
+        supervisor_poll: Duration::from_secs(3600),
+        ..durable_config(dir)
+    };
+    let started = Instant::now();
+    let service = SmartpickService::open(dir, config).expect("reopen the fleet");
+    let open_ms = started.elapsed().as_secs_f64() * 1e3;
+    println!(
+        "{open_ms} {} {} {}",
+        service.resident_tenants(),
+        smartpick_bench::rss_mb(),
+        service.tenants().len()
+    );
+}
+
+/// Builds a store of `tenants` forks of `template`, two reports in the
+/// log for each of the first `tenants / IDLE_FLEET_PER_BUSY` and nothing
+/// but a generation-0 snapshot for the rest, crashes it, and has a child
+/// process reopen it under a cap of that many — [`IDLE_FLEET_REPS`] times
+/// over; returns the open of median duration.
+fn idle_fleet_row(tenants: usize, template: &Smartpick, run: &CompletedRun) -> FleetOpen {
+    let busy = tenants / IDLE_FLEET_PER_BUSY;
+    let mut opens = Vec::with_capacity(IDLE_FLEET_REPS);
+    for _ in 0..IDLE_FLEET_REPS {
+        let dir = bench_root("fleet");
+        {
+            let service = SmartpickService::open(&dir, durable_config(&dir)).expect("open store");
+            for t in 0..tenants {
+                service
+                    .register_fork(format!("bench-{t}"), template, t as u64)
+                    .expect("register");
+            }
+            for round in 0..2 {
+                for t in 0..busy {
+                    service
+                        .report_run(&format!("bench-{t}"), run.clone())
+                        .expect("report");
+                    if t % 16 == 15 {
+                        assert!(service.flush(), "drain between bursts");
+                    }
+                }
+                assert!(service.flush(), "drain round {round}");
+            }
+        }
+        let child = std::process::Command::new(std::env::current_exe().expect("own path"))
+            .arg("--open-fleet")
+            .arg(&dir)
+            .arg(busy.to_string())
+            .output()
+            .expect("run the opening child");
+        assert!(child.status.success(), "the opening child failed");
+        let out = String::from_utf8_lossy(&child.stdout);
+        let fields: Vec<f64> = out
+            .split_whitespace()
+            .map(|f| f.parse().expect("a number from the child"))
+            .collect();
+        let [open_ms, resident, rss_mb, listed] = fields[..] else {
+            panic!("the opening child printed {out:?}");
+        };
+        assert_eq!(listed as usize, tenants, "every tenant back");
+        opens.push(FleetOpen {
+            open_ms,
+            resident_after_open: resident as usize,
+            rss_mb,
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    opens.sort_by(|a, b| a.open_ms.total_cmp(&b.open_ms));
+    opens[IDLE_FLEET_REPS / 2]
 }
 
 /// Reports fed per feedback row, in bursts of [`FEEDBACK_BURST`].
@@ -450,9 +583,30 @@ fn feedback_json(row: &Feedback) -> String {
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_store.json".to_owned());
+    let mut out_path = "BENCH_store.json".to_owned();
+    let mut idle_fleet = IDLE_FLEET;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--idle-fleet" => {
+                idle_fleet = args
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .expect("--idle-fleet takes a tenant count");
+            }
+            // What `idle_fleet_row` runs this binary as.
+            "--open-fleet" => {
+                let dir = PathBuf::from(args.next().expect("--open-fleet takes a store root"));
+                let cap = args.next().and_then(|v| v.parse().ok());
+                return open_fleet(&dir, cap.expect("and a resident cap"));
+            }
+            other => out_path = other.to_owned(),
+        }
+    }
+    assert!(
+        idle_fleet >= IDLE_FLEET_PER_BUSY,
+        "a fleet with a busy tenant"
+    );
 
     // One accepted report, minted by a throwaway in-memory service, is
     // the template every row re-feeds with fresh run ids.
@@ -533,7 +687,8 @@ fn main() {
     let template = trained_driver(&[82], 10);
     let mut rec_rows = String::new();
     let mut record_bytes = 0;
-    for (i, (n, before)) in RECOVERY_BEFORE.iter().enumerate() {
+    for (i, ((n, before), (_, json_record))) in RECOVERY_BEFORE.iter().zip(&JSON_RECORD).enumerate()
+    {
         let (after, largest) = recovery_row(&format!("rec{n}"), 1, *n, &template, &run);
         record_bytes = record_bytes.max(largest);
         println!(
@@ -545,7 +700,9 @@ fn main() {
         }
         let _ = write!(
             rec_rows,
-            "    {{\"wal_records\": {n},\n     \"before\": {},\n     \"after\": {}}}",
+            "    {{\"wal_records\": {n},\n     \"json_record\": {},\n     \"before\": {},\n     \
+             \"after\": {}}}",
+            recovery_json(json_record),
             recovery_json(before),
             recovery_json(&after)
         );
@@ -567,6 +724,26 @@ fn main() {
     );
     smartpick_bench::rule(64);
     println!("largest known-query report record: {record_bytes} bytes");
+
+    // --- the open that restarts a large, mostly idle fleet -------------
+    let busy = idle_fleet / IDLE_FLEET_PER_BUSY;
+    println!("idle fleet: {idle_fleet} tenants, {busy} with records, cap {busy}");
+    smartpick_bench::rule(64);
+    let fleet = idle_fleet_row(idle_fleet, &template, &run);
+    println!(
+        "{:<10} {:>12} {:>12} {:>12}",
+        "", "open ms", "resident", "rss MiB"
+    );
+    // The recorded `before` is the full-size fleet's.
+    let fleet_before = (idle_fleet == IDLE_FLEET).then_some(&IDLE_FLEET_BEFORE);
+    let sides = fleet_before.map(|row| ("before", row));
+    for (side, row) in sides.into_iter().chain([("after", &fleet)]) {
+        println!(
+            "{side:<10} {:>12.1} {:>12} {:>12.1}",
+            row.open_ms, row.resident_after_open, row.rss_mb
+        );
+    }
+    smartpick_bench::rule(64);
 
     // --- sustained feedback: the write path's own throughput ----------
     println!("sustained feedback ({FEEDBACK_REPORTS} reports, bursts of {FEEDBACK_BURST} + flush)");
@@ -650,6 +827,9 @@ fn main() {
     }
     smartpick_bench::rule(64);
 
+    let fleet_before = fleet_before
+        .map(|row| format!("\n     \"before\": {},", row.json()))
+        .unwrap_or_default();
     let json = format!(
         "{{\n  \"bench\": \"store_durability\",\n  \"snapshot_unit\": \"bytes at rest for one \
          tenant's full driver snapshot (persist_tenant), fresh and after 256 reports; before = \
@@ -657,8 +837,15 @@ fn main() {
          \"recovery_unit\": \"bytes of WAL, and milliseconds (median of {RECOVERY_REPS}) for \
          SmartpickService::open to recover from generation-0 snapshots plus that WAL: one tenant \
          and N reports, then {MANY_TENANTS} tenants with {MANY_TENANTS_REPORTS_EACH} each; \
-         before = PR 20 (a report record is the run as JSON; recovery hands every tenant the \
-         whole log), after = this commit\",\n  \"feedback_unit\": \"{FEEDBACK_REPORTS} reports fed round-robin \
+         json_record = PR 20 (a report record is the run as JSON), before = PR 21 (recovery \
+         persists a fresh snapshot per tenant and deletes the logs; median of five runs \
+         alternated with this commit's), after = this commit\",\n  \
+         \"idle_fleet_unit\": \"SmartpickService::open, in a process of its own, on a crashed \
+         store of N tenants of which N/{IDLE_FLEET_PER_BUSY} have two reports each in the log, \
+         under max_resident_tenants = N/{IDLE_FLEET_PER_BUSY} and no sweep: milliseconds \
+         (median of {IDLE_FLEET_REPS} stores), tenants resident when open returns, process RSS \
+         in MiB then; before = PR 21 (recorded at N = {IDLE_FLEET} only; median of five \
+         runs alternated with this commit's), after = this commit\",\n  \"feedback_unit\": \"{FEEDBACK_REPORTS} reports fed round-robin \
          to N tenants of a durable service at its default knobs, in bursts of {FEEDBACK_BURST} \
          with a flush after each: reports applied per second, WAL fsyncs per report, WAL rewrites \
          and the bytes they wrote per report; before = PR 15 (per-node sorting tree builder), \
@@ -674,13 +861,18 @@ fn main() {
          \"after\": {}}},\n  \
          \"report_record_bytes\": {record_bytes},\n  \"recovery\": [\n{rec_rows}\n  ],\n  \
          \"recovery_many_tenants\": {{\"tenants\": {MANY_TENANTS}, \"reports_each\": \
-         {MANY_TENANTS_REPORTS_EACH},\n     \"before\": {},\n     \"after\": {}}},\n  \
+         {MANY_TENANTS_REPORTS_EACH},\n     \"json_record\": {},\n     \"before\": {},\n     \
+         \"after\": {}}},\n  \
+         \"idle_fleet\": {{\"tenants\": {idle_fleet}, \"with_records\": {busy}, \
+         \"max_resident\": {busy},{fleet_before}\n     \"after\": {}}},\n  \
          \"feedback\": [\n{feedback_rows}\n  ],\n  \"wal_append\": [\n{wal_rows}\n  ],\n  \
          \"retrain\": [\n{retrain_rows}\n  ]\n}}\n",
         snapshot_json(SNAPSHOT_AFTER_256_BEFORE),
         snapshot_json(snap_256),
+        recovery_json(&MANY_TENANTS_JSON_RECORD),
         recovery_json(&MANY_TENANTS_BEFORE),
         recovery_json(&many),
+        fleet.json(),
     );
     std::fs::write(&out_path, json).expect("write BENCH_store.json");
     println!("wrote {out_path}");

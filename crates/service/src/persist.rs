@@ -6,8 +6,9 @@
 //! store handles the service façade and each retrain worker hold — the
 //! worker's carries the shard's WAL append handle. And `recover` is the
 //! crash-recovery pass `SmartpickService::open` runs **before any worker
-//! spawns**: newest valid snapshot per tenant, WAL replay past its
-//! generation, fresh snapshots persisted, WALs reset.
+//! spawns**: one scan of the logs, a cold slot for every tenant nothing
+//! in them is past, newest valid snapshot + WAL replay for the rest —
+//! and, on a healthy store, no write.
 //!
 //! The one rule every piece obeys: the read path
 //! (`predict`/`determine`) never touches any of this. Durability costs
@@ -23,7 +24,7 @@ use parking_lot::Mutex;
 use smartpick_core::driver::Smartpick;
 use smartpick_core::RunSample;
 use smartpick_obs::{event, Counter, EventKind, Gauge, MetricsRegistry, Observability};
-use smartpick_store::wal::WalPayload;
+use smartpick_store::wal::{WalPayload, MAGIC as WAL_MAGIC};
 use smartpick_store::{FsyncPolicy, Snapshot, Store, StoreError, WalRecord, WalWriter};
 
 use crate::registry::{ColdMeta, ShardedRegistry, TenantState};
@@ -72,6 +73,14 @@ pub(crate) struct StoreMetrics {
     pub(crate) torn_tails_dropped: Arc<Counter>,
     pub(crate) compactions: Arc<Counter>,
     pub(crate) recovery_duration_us: Arc<Gauge>,
+    /// Tenants the last open loaded and replayed log records into.
+    pub(crate) recovery_tenants_replayed: Arc<Counter>,
+    /// Tenants the last open left on disk behind a cold slot.
+    pub(crate) recovery_tenants_cold: Arc<Counter>,
+    /// Scans of a shard log: one per file in recovery's pass, and one per
+    /// worker that opened its append handle with no scanned length to go
+    /// by (`Store::open_wal`, which scans whatever file is there).
+    pub(crate) wal_shard_scans: Arc<Counter>,
     /// `fdatasync` calls on shard WALs.
     pub(crate) wal_syncs: Arc<Counter>,
     /// Bytes WAL rewrites wrote — kept out of `wal_bytes_written`, which
@@ -91,6 +100,9 @@ impl StoreMetrics {
             torn_tails_dropped: metrics.counter("store.torn_tails_dropped"),
             compactions: metrics.counter("store.compactions"),
             recovery_duration_us: metrics.gauge("store.recovery_duration_us"),
+            recovery_tenants_replayed: metrics.counter("store.recovery_tenants_replayed"),
+            recovery_tenants_cold: metrics.counter("store.recovery_tenants_cold"),
+            wal_shard_scans: metrics.counter("store.wal_shard_scans"),
             wal_syncs: metrics.counter("store.wal_syncs"),
             compaction_bytes_written: metrics.counter("store.compaction_bytes_written"),
         }
@@ -237,33 +249,56 @@ pub(crate) fn tenant_epoch() -> u64 {
         .unwrap_or(0)
 }
 
-/// What [`recover`] did, for the caller's log line.
+/// What [`recover`] hands the service it ran for.
 #[derive(Debug, Default)]
 pub(crate) struct RecoveryOutcome {
+    /// Tenants registered, hot or cold.
     pub(crate) tenants: usize,
-    pub(crate) unrecoverable: usize,
+    /// The valid length of every shard log the scan read, by shard: the
+    /// shard's first worker opens its append handle there instead of
+    /// reading the file a second time.
+    pub(crate) wal_valid_len: HashMap<usize, u64>,
 }
 
-/// Crash recovery: rebuild every on-disk tenant into `registry`.
+/// One tenant's records across every shard log, in shard then file order.
+#[derive(Debug, Default)]
+struct TenantLog<'a> {
+    records: Vec<&'a WalRecord>,
+    /// Some of them sit in a log no worker of this service will own.
+    orphaned: bool,
+}
+
+/// Crash recovery: rebuild every on-disk tenant into `registry`, reading
+/// the store and — on a healthy one — writing nothing.
 ///
-/// Runs strictly before the retrain workers spawn (they open WAL append
-/// handles; this pass rewrites the WAL files). Per tenant: load the
-/// newest snapshot that validates (corrupt ones were quarantined by the
-/// store), restore the driver bit-exactly, then replay this tenant's WAL
-/// records from *every* shard file — sorted by run id, deduplicated
-/// (at-least-once appends can duplicate), filtered to the snapshot's
-/// epoch and past its watermark — through the same `apply_sample` the
-/// live worker calls, on the same value it logged.
+/// Runs strictly before the retrain workers spawn. Every shard log is
+/// scanned once (torn tails tolerated) and its records grouped by tenant.
+/// A tenant no record is past (see [`WalRecord::is_past`]) is idle: it
+/// gets a cold slot from its newest snapshot's identity and is not
+/// loaded. Any other is loaded from its newest snapshot that validates
+/// (corrupt ones are quarantined by the store), restored bit-exactly, and
+/// has its records from *every* shard replayed — sorted by run id,
+/// deduplicated (at-least-once appends can duplicate) — through the same
+/// `apply_sample` the live worker calls, on the same value it logged.
 /// Commits past the snapshot's generation reconstruct the published
 /// generation count; trailing applied-but-uncommitted reports count as
-/// one more publish. A fresh snapshot is persisted at the recovered
-/// generation and the WALs are reset once every tenant is through.
+/// one more publish.
+///
+/// The log stays as it is: a replayed tenant is registered ahead of its
+/// disk, so the snapshot cadence, an eviction or a compaction folds its
+/// records later, and a second crash before that replays the same
+/// records to the same state. Two cases fold here, by persisting the
+/// replayed tenant: a publish reconstructed without its commit (the log
+/// alone could not tell it from the next one), and records in a log of
+/// shard index >= `workers`, which no worker would ever compact — that
+/// file is then removed.
 pub(crate) fn recover(
     store: &Store,
     registry: &ShardedRegistry,
     obs: &Observability,
     metrics: &Arc<StoreMetrics>,
     now_us: u64,
+    workers: usize,
 ) -> RecoveryOutcome {
     let started = Instant::now();
     let mut outcome = RecoveryOutcome::default();
@@ -274,9 +309,11 @@ pub(crate) fn recover(
             .publish(event(EventKind::StoreDegraded).detail(format!("WAL scan failed: {e}")));
         Vec::new()
     });
+    metrics.wal_shard_scans.add(scans.len() as u64);
     // One pass groups them by tenant (shard order, then file order), so
     // each tenant's recovery walks its own records, not the whole log.
-    let mut by_tenant: HashMap<&str, Vec<&WalRecord>> = HashMap::new();
+    let mut by_tenant: HashMap<&str, TenantLog<'_>> = HashMap::new();
+    let mut orphans = Vec::new();
     let mut legacy_reports = 0u64;
     for shard in &scans {
         if let Some(reason) = &shard.scan.torn {
@@ -292,11 +329,23 @@ pub(crate) fn recover(
                         )),
                 );
         }
+        let orphan = shard.shard >= workers;
+        if orphan {
+            orphans.push(shard.shard);
+        } else if shard.scan.valid_len >= WAL_MAGIC.len() as u64 {
+            // The magic checked out, so the length is that of a real
+            // prefix; anything less is left to `Store::open_wal`.
+            outcome
+                .wal_valid_len
+                .insert(shard.shard, shard.scan.valid_len);
+        }
         for record in &shard.scan.records {
             if matches!(record.payload, WalPayload::Report { .. }) {
                 legacy_reports += 1;
             } else {
-                by_tenant.entry(&record.tenant).or_default().push(record);
+                let log = by_tenant.entry(&record.tenant).or_default();
+                log.records.push(record);
+                log.orphaned |= orphan;
             }
         }
     }
@@ -318,12 +367,16 @@ pub(crate) fn recover(
         }
     };
 
+    let empty = TenantLog::default();
+    let mut all_folded = true;
     for id in tenant_ids {
-        let records = by_tenant.get(id.as_str()).map_or(&[][..], Vec::as_slice);
-        match recover_tenant(store, registry, obs, metrics, now_us, &id, records) {
-            Ok(()) => outcome.tenants += 1,
+        let log = by_tenant.get(id.as_str()).unwrap_or(&empty);
+        match recover_tenant(store, registry, obs, metrics, now_us, &id, log) {
+            Ok(folded) => {
+                outcome.tenants += 1;
+                all_folded &= folded;
+            }
             Err(why) => {
-                outcome.unrecoverable += 1;
                 obs.events().publish(
                     event(EventKind::TenantUnrecoverable)
                         .tenant(&id)
@@ -333,11 +386,18 @@ pub(crate) fn recover(
         }
     }
 
-    // Everything recoverable is now folded into fresh snapshots; the
-    // WALs start over.
-    if let Err(e) = store.reset_wals() {
-        obs.events()
-            .publish(event(EventKind::StoreDegraded).detail(format!("WAL reset failed: {e}")));
+    // Every live record of the orphaned logs is in a snapshot now; left
+    // in place they would be scanned at every open and compacted at none.
+    if all_folded {
+        for shard in orphans {
+            if let Err(e) = store.remove_wal(shard) {
+                obs.events().publish(
+                    event(EventKind::StoreDegraded)
+                        .shard(shard)
+                        .detail(format!("orphaned WAL removal failed: {e}")),
+                );
+            }
+        }
     }
     metrics
         .recovery_duration_us
@@ -374,8 +434,11 @@ pub(crate) fn load_tenant(
     Ok((snap, driver))
 }
 
-/// One tenant's recovery. `Err(reason)` means unrecoverable (the caller
-/// emits the event); the service still starts.
+/// One tenant's recovery: a cold slot if `log` holds nothing past its
+/// newest snapshot, else load + replay into a hot one. `Ok(false)` means a
+/// fold that was due did not land (the tenant serves, ahead of its disk);
+/// `Err(reason)` means unrecoverable (the caller emits the event); the
+/// service still starts.
 fn recover_tenant(
     store: &Store,
     registry: &ShardedRegistry,
@@ -383,8 +446,26 @@ fn recover_tenant(
     metrics: &Arc<StoreMetrics>,
     now_us: u64,
     id: &str,
-    records: &[&WalRecord],
-) -> Result<(), String> {
+    log: &TenantLog<'_>,
+) -> Result<bool, String> {
+    // A meta that cannot be read leaves the verdict — and the quarantine
+    // — to the load below.
+    if let Ok(Some(meta)) = store.snapshot_meta(id) {
+        if !log.records.iter().any(|r| r.is_past(&meta)) {
+            let floors = ColdMeta {
+                generation: meta.generation,
+                epoch: meta.epoch,
+                watermark: meta.watermark,
+                next_run_id: meta.watermark,
+            };
+            registry
+                .insert_cold(id.to_owned(), floors)
+                .map_err(|e| format!("registry insert failed: {e}"))?;
+            metrics.recovery_tenants_cold.inc();
+            return Ok(true);
+        }
+    }
+
     let (snap, mut driver) = load_tenant(store, metrics, obs, id)?;
     obs.events()
         .publish(event(EventKind::SnapshotLoaded).tenant(id).detail(format!(
@@ -392,21 +473,18 @@ fn recover_tenant(
             snap.generation, snap.watermark
         )));
 
-    // This tenant's records (`records` holds no one else's), current
-    // epoch only, canonical replay order: samples sorted by run id and
-    // deduplicated (a worker that panicked mid-batch appends its rescued
-    // batch again on restart — at-least-once on disk, exactly-once
-    // through the model).
+    // This tenant's records (`log` holds no one else's) past the snapshot
+    // that loaded, in canonical replay order: samples sorted by run id
+    // and deduplicated (a worker that panicked mid-batch appends its
+    // rescued batch again on restart — at-least-once on disk,
+    // exactly-once through the model).
     let replay_start = Instant::now();
+    let loaded = snap.meta();
     let mut samples: Vec<(u64, &RunSample)> = Vec::new();
     let mut commits: Vec<(u64, u64)> = Vec::new();
-    for record in records.iter().filter(|r| r.epoch == snap.epoch) {
+    for record in log.records.iter().filter(|r| r.is_past(&loaded)) {
         match &record.payload {
-            WalPayload::Sample { run_id, sample } => {
-                if *run_id > snap.watermark {
-                    samples.push((*run_id, sample));
-                }
-            }
+            WalPayload::Sample { run_id, sample } => samples.push((*run_id, sample)),
             WalPayload::Commit {
                 generation,
                 watermark,
@@ -430,6 +508,7 @@ fn recover_tenant(
         watermark = watermark.max(run_id);
     }
     metrics.wal_records_replayed.add(replayed);
+    metrics.recovery_tenants_replayed.inc();
 
     // Reconstruct the published generation: commits the replayed
     // watermark actually covers, plus one publish for any trailing
@@ -442,7 +521,8 @@ fn recover_tenant(
             committed_wm = committed_wm.max(commit_wm);
         }
     }
-    if watermark > committed_wm {
+    let uncommitted = watermark > committed_wm;
+    if uncommitted {
         generation += 1;
     }
     obs.events().publish(
@@ -454,15 +534,15 @@ fn recover_tenant(
             )),
     );
 
-    // Fold the replay into a fresh snapshot before the driver moves into
-    // the registry.
-    let fresh = Snapshot {
+    // Exported before the driver moves into the registry, and only for a
+    // fold (see `recover`).
+    let fold = (uncommitted || log.orphaned).then(|| Snapshot {
         tenant: id.to_owned(),
         epoch: snap.epoch,
         generation,
         watermark,
         state: driver.export_state(),
-    };
+    });
     let floors = ColdMeta {
         generation,
         epoch: snap.epoch,
@@ -478,9 +558,16 @@ fn recover_tenant(
             floors,
         ))
         .map_err(|e| format!("registry insert failed: {e}"))?;
+    // Ahead of its disk by what was replayed: the cadence counts it, and
+    // an eviction persists before it lets the state go.
+    state
+        .applied_since_persist
+        .store(replayed.max(1), Ordering::Relaxed);
 
+    let Some(fresh) = fold else { return Ok(true) };
     match store.persist_snapshot(&fresh) {
         Ok(bytes) => {
+            state.applied_since_persist.store(0, Ordering::Relaxed);
             metrics.snapshots_persisted.inc();
             metrics.snapshot_bytes_written.add(bytes);
             obs.events().publish(
@@ -488,18 +575,15 @@ fn recover_tenant(
                     .tenant(id)
                     .detail(format!("generation {generation}, {bytes} bytes (recovery)")),
             );
+            Ok(true)
         }
         Err(e) => {
-            // The disk still holds the pre-replay snapshot: mark the
-            // in-memory state ahead of it so an eviction later cannot
-            // skip its persist believing the disk is current.
-            state.applied_since_persist.store(1, Ordering::Relaxed);
             obs.events().publish(
                 event(EventKind::StoreDegraded)
                     .tenant(id)
                     .detail(format!("post-recovery snapshot persist failed: {e}")),
             );
+            Ok(false)
         }
     }
-    Ok(())
 }

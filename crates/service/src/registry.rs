@@ -233,12 +233,12 @@ pub(crate) struct TenantSlot {
 }
 
 impl TenantSlot {
-    fn new_hot(state: Arc<TenantState>) -> Self {
+    fn new(id: String, counters: Arc<TenantCounters>, residency: Residency) -> Self {
         TenantSlot {
-            id: state.id.clone(),
-            counters: Arc::clone(&state.counters),
+            id,
+            counters,
             defunct: AtomicBool::new(false),
-            residency: StdMutex::new(Residency::Hot(state)),
+            residency: StdMutex::new(residency),
             rehydrated: Condvar::new(),
         }
     }
@@ -376,11 +376,27 @@ impl ShardedRegistry {
     /// registration snapshot) against exactly it.
     pub(crate) fn insert(&self, state: TenantState) -> Result<Arc<TenantState>, ServiceError> {
         let state = Arc::new(state);
-        match self.shard(&state.id).write().entry(state.id.clone()) {
-            Entry::Occupied(_) => Err(ServiceError::TenantExists(state.id.clone())),
+        self.insert_slot(TenantSlot::new(
+            state.id.clone(),
+            Arc::clone(&state.counters),
+            Residency::Hot(Arc::clone(&state)),
+        ))?;
+        Ok(state)
+    }
+
+    /// Inserts a tenant whose state stays on disk — recovery's slot for a
+    /// tenant no log record is past: `meta` is its newest snapshot's
+    /// identity, and its first touch rehydrates as after an eviction.
+    pub(crate) fn insert_cold(&self, id: String, meta: ColdMeta) -> Result<(), ServiceError> {
+        self.insert_slot(TenantSlot::new(id, Arc::default(), Residency::Cold(meta)))
+    }
+
+    fn insert_slot(&self, slot: TenantSlot) -> Result<(), ServiceError> {
+        match self.shard(&slot.id).write().entry(slot.id.clone()) {
+            Entry::Occupied(_) => Err(ServiceError::TenantExists(slot.id)),
             Entry::Vacant(entry) => {
-                entry.insert(Arc::new(TenantSlot::new_hot(Arc::clone(&state))));
-                Ok(state)
+                entry.insert(Arc::new(slot));
+                Ok(())
             }
         }
     }

@@ -299,10 +299,11 @@ impl SmartpickService {
         let registry = Arc::new(ShardedRegistry::new(config.shards));
 
         // Durable store + crash recovery, strictly before any worker
-        // spawns: recovery rewrites the WAL files the workers are about
-        // to hold append handles on. A store that cannot open degrades
-        // (event + in-memory operation) — startup never fails for the
-        // disk.
+        // spawns: recovery scans the WAL files the workers are about to
+        // hold append handles on, and says where each one's valid prefix
+        // ends. A store that cannot open degrades (event + in-memory
+        // operation) — startup never fails for the disk.
+        let mut recovered = persist::RecoveryOutcome::default();
         let persist: Option<Arc<ServicePersist>> =
             config
                 .persistence
@@ -310,14 +311,15 @@ impl SmartpickService {
                 .and_then(|cfg| match Store::open(&cfg.dir) {
                     Ok(store) => {
                         let store_metrics = Arc::new(StoreMetrics::register(metrics));
-                        let outcome = persist::recover(
+                        recovered = persist::recover(
                             &store,
                             &registry,
                             &obs,
                             &store_metrics,
                             epoch.elapsed().as_micros() as u64,
+                            config.retrain_workers,
                         );
-                        tenants_gauge.add(outcome.tenants as i64);
+                        tenants_gauge.add(recovered.tenants as i64);
                         Some(Arc::new(ServicePersist {
                             store,
                             cfg: cfg.clone(),
@@ -363,14 +365,26 @@ impl SmartpickService {
             let obs = Arc::clone(&obs);
             let batch_max = config.retrain_batch_max;
             let persist = persist.clone();
+            let wal_valid_len = recovered.wal_valid_len;
             let stages = Arc::new(ReportStages::register(metrics));
             Box::new(move |shard, attempt| {
                 let queue = Arc::clone(shard_queues.get(shard)?);
                 let worker_persist = persist.as_ref().map(|sp| {
                     // Each spawn attempt opens its own append handle (the
                     // predecessor's died with its thread); open failure
-                    // degrades this worker to non-durable applies.
-                    let wal = match sp.store.open_wal(shard, sp.cfg.fsync) {
+                    // degrades this worker to non-durable applies. The
+                    // first opens where recovery's scan of the shard
+                    // ended; a restart, or a shard that scan did not
+                    // vouch for, scans the file itself.
+                    let scanned = wal_valid_len.get(&shard).filter(|_| attempt == 0);
+                    let opened = match scanned {
+                        Some(&valid_len) => sp.store.open_wal_at(shard, valid_len, sp.cfg.fsync),
+                        None => {
+                            sp.metrics.wal_shard_scans.inc();
+                            sp.store.open_wal(shard, sp.cfg.fsync)
+                        }
+                    };
+                    let wal = match opened {
                         Ok(writer) => Some(writer),
                         Err(e) => {
                             obs.events().publish(
@@ -443,9 +457,12 @@ impl SmartpickService {
     }
 
     /// Opens a **durable** service rooted at `dir`: recovers every tenant
-    /// persisted there (newest valid snapshot + WAL replay, tolerating
-    /// torn tails and quarantining corrupt files), then starts the
-    /// workers with per-shard WALs and periodic snapshot persistence.
+    /// persisted there — newest valid snapshot + WAL replay (tolerating
+    /// torn tails and quarantining corrupt files) for a tenant the log
+    /// holds something for, a cold slot for every other, loaded at its
+    /// first touch — then starts the workers with per-shard WALs and
+    /// periodic snapshot persistence. Recovery reads; it leaves the log
+    /// and the snapshots as it found them.
     ///
     /// `config.persistence` supplies the durability knobs if set (its
     /// `dir` is overridden by `dir`); otherwise the defaults of

@@ -623,18 +623,7 @@ fn a_crash_at_either_commit_boundary_reopens_equal_to_the_twin() {
             }
         }
         if cut_commits {
-            let last_report = frames
-                .iter()
-                .filter(|(r, _)| matches!(r.payload, WalPayload::Sample { .. }))
-                .map(|&(_, end)| end)
-                .max()
-                .unwrap();
-            assert!(last_report < frames.last().unwrap().1, "commits follow");
-            let log = fs::OpenOptions::new()
-                .write(true)
-                .open(dir.join("wal").join("shard-0.wal"))
-                .unwrap();
-            log.set_len(last_report as u64).unwrap();
+            cut_the_trailing_commits(&dir);
         }
 
         let recovered = SmartpickService::open(&dir, durable_config(&dir, u64::MAX)).unwrap();
@@ -1077,4 +1066,324 @@ fn a_durable_flush_moves_every_report_stage_metric() {
         appended[0], appended[1],
         "wal_bytes_written counts appended records, with or without rewrites"
     );
+}
+
+// -------------------------------------------------------------------
+// Crash loops: recovery leaves the log in place, so the next crash finds
+// it again
+// -------------------------------------------------------------------
+
+/// Every file under the store root with its length, sorted.
+fn files_on_disk(root: &Path) -> Vec<(PathBuf, u64)> {
+    fn walk(dir: &Path, out: &mut Vec<(PathBuf, u64)>) {
+        for entry in fs::read_dir(dir).unwrap() {
+            let entry = entry.unwrap();
+            if entry.file_type().unwrap().is_dir() {
+                walk(&entry.path(), out);
+            } else {
+                out.push((entry.path(), entry.metadata().unwrap().len()));
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(root, &mut out);
+    out.sort();
+    out
+}
+
+/// The acceptance check of a read-only recovery: an open of a healthy
+/// store whose shard count did not change persisted no snapshot, read
+/// each shard log once — recovery's scan, which the workers' append
+/// handles then went by — and left every file as the crash left it.
+fn assert_the_open_only_read(svc: &SmartpickService, dir: &Path, crashed: &[(PathBuf, u64)]) {
+    // An acked flush: every worker is up and holds its append handle.
+    assert!(svc.flush());
+    assert_eq!(counter(svc, "store.snapshots_persisted"), 0);
+    let logs = crashed
+        .iter()
+        .filter(|(p, _)| p.extension().is_some_and(|x| x == "wal"))
+        .count();
+    assert_eq!(counter(svc, "store.wal_shard_scans"), logs as u64);
+    assert_eq!(files_on_disk(dir), crashed);
+}
+
+/// Serves as the twin does: the same generation, bitwise the same answers.
+fn assert_serves_as_the_twin(svc: &SmartpickService, twin: &SmartpickService, id: &str) {
+    assert_eq!(
+        svc.tenant_stats(id).unwrap().snapshot_generation,
+        twin.tenant_stats(id).unwrap().snapshot_generation,
+        "{id}"
+    );
+    for seed in [1, 9, 42, 7777] {
+        assert_same_prediction(svc, twin, id, seed);
+    }
+}
+
+/// Bitwise-equal to the twin: generation, answers, and — through a
+/// checkpoint, which is how a watermark shows — the watermark, which on
+/// the twin's side is the number of reports it applied (run ids count up
+/// from 1 and nothing was rejected).
+fn assert_equals_the_twin(svc: &SmartpickService, twin: &SmartpickService, dir: &Path, id: &str) {
+    assert_serves_as_the_twin(svc, twin, id);
+    let want = twin.tenant_stats(id).unwrap();
+    svc.persist_tenant(id).unwrap();
+    let newest = &retained_metas(dir, id)[0];
+    assert_eq!(
+        (newest.generation, newest.watermark),
+        (want.snapshot_generation, want.reports_applied),
+        "{id}"
+    );
+}
+
+/// Crash, open, crash, open — with nothing in between, and with reports
+/// and a flush in between: the first open replays the log and leaves it
+/// where it is, so the second finds the same records (and whatever was
+/// appended after them) and lands where a twin that never crashed is.
+/// Neither open writes a snapshot.
+#[test]
+fn a_crash_loop_replays_the_same_log_to_the_same_state_and_writes_nothing() {
+    let runs = mint_runs(4);
+    let base = template();
+    let tenants = ["t0", "t1", "t2"];
+    for (traffic_between, tag) in [(false, "loop-quiet"), (true, "loop-traffic")] {
+        let dir = test_root(tag);
+        let twin = SmartpickService::new(ServiceConfig {
+            retrain_workers: 1,
+            ..ServiceConfig::default()
+        });
+        let feed = |svc: &SmartpickService, run: &CompletedRun| {
+            for id in tenants {
+                svc.report_run(id, run.clone()).unwrap();
+            }
+            assert!(svc.flush());
+        };
+        {
+            let durable = SmartpickService::open(&dir, durable_config(&dir, u64::MAX)).unwrap();
+            // One tenant the log never hears of.
+            durable.register_fork("idle", &base, 9).unwrap();
+            for (t, id) in tenants.iter().enumerate() {
+                durable.register_fork(*id, &base, t as u64).unwrap();
+                twin.register_fork(*id, &base, t as u64).unwrap();
+            }
+            for run in &runs[..2] {
+                feed(&durable, run);
+                feed(&twin, run);
+            }
+        }
+
+        let crashed = files_on_disk(&dir);
+        let mut logged = 2 * tenants.len() as u64;
+        {
+            let first = SmartpickService::open(&dir, durable_config(&dir, u64::MAX)).unwrap();
+            assert_the_open_only_read(&first, &dir, &crashed);
+            assert_eq!(counter(&first, "store.wal_records_replayed"), logged);
+            assert_eq!(counter(&first, "store.recovery_tenants_replayed"), 3);
+            assert_eq!(counter(&first, "store.recovery_tenants_cold"), 1);
+            if traffic_between {
+                feed(&first, &runs[2]);
+                feed(&twin, &runs[2]);
+                logged += tenants.len() as u64;
+            }
+        }
+
+        let crashed = files_on_disk(&dir);
+        let second = SmartpickService::open(&dir, durable_config(&dir, u64::MAX)).unwrap();
+        assert_the_open_only_read(&second, &dir, &crashed);
+        assert_eq!(counter(&second, "store.wal_records_replayed"), logged);
+        // Still live: both take one more report, then compare.
+        feed(&second, &runs[3]);
+        feed(&twin, &runs[3]);
+        for id in tenants {
+            assert_equals_the_twin(&second, &twin, &dir, id);
+        }
+        assert_eq!(second.tenant_stats("idle").unwrap().snapshot_generation, 0);
+    }
+}
+
+/// Cuts shard 0's log after its last report record: what losing power
+/// between a batch's report sync and its commit sync leaves.
+fn cut_the_trailing_commits(dir: &Path) {
+    let frames = wal_frames(dir);
+    let last_report = frames
+        .iter()
+        .filter(|(r, _)| matches!(r.payload, WalPayload::Sample { .. }))
+        .map(|&(_, end)| end)
+        .max()
+        .unwrap();
+    assert!(last_report < frames.last().unwrap().1, "commits follow");
+    let log = fs::OpenOptions::new()
+        .write(true)
+        .open(dir.join("wal").join("shard-0.wal"))
+        .unwrap();
+    log.set_len(last_report as u64).unwrap();
+}
+
+/// The crash loop at every `CrashPoint`, twice over: a worker killed
+/// inside a batch, the process killed after it, two opens with nothing
+/// between them — then the same again on the store that came back, and a
+/// third open. With the batch's commits cut off the log both times, each
+/// recovery reconstructs a publish no commit names; it has to fold that
+/// one into a snapshot, or the second loss would be counted as the first.
+/// Nothing else makes an open write.
+#[test]
+fn a_crash_loop_at_every_crash_point_reopens_equal_to_the_twin() {
+    const TENANTS: u64 = 3;
+    let runs = mint_runs(3);
+    let base = template();
+    for (at, cut, tag) in [
+        (CrashPoint::BatchStart, false, "loop-start"),
+        (CrashPoint::AfterReportSync, false, "loop-reports"),
+        (CrashPoint::BeforeCommitSync, false, "loop-commits"),
+        (CrashPoint::BeforeCommitSync, true, "loop-commits-cut"),
+    ] {
+        let dir = test_root(tag);
+        let twin = SmartpickService::new(ServiceConfig {
+            retrain_workers: 1,
+            ..ServiceConfig::default()
+        });
+        let tenants: Vec<String> = (0..TENANTS).map(|t| format!("t{t}")).collect();
+        let mut durable =
+            Arc::new(SmartpickService::open(&dir, durable_config(&dir, u64::MAX)).unwrap());
+        durable.register_fork("gate", &base, 0).unwrap();
+        for (t, id) in tenants.iter().enumerate() {
+            durable.register_fork(id.clone(), &base, t as u64).unwrap();
+            twin.register_fork(id.clone(), &base, t as u64).unwrap();
+        }
+        for id in &tenants {
+            durable.report_run(id, runs[0].clone()).unwrap();
+            twin.report_run(id, runs[0].clone()).unwrap();
+        }
+        assert!(durable.flush() && twin.flush());
+
+        for run in &runs[1..] {
+            // One batch for every tenant, its worker killed at `at`.
+            as_one_batch(&durable, &runs[0], || {
+                durable.poison_worker_at(0, at).unwrap();
+                for id in &tenants {
+                    durable.report_run(id, run.clone()).unwrap();
+                }
+            });
+            for id in &tenants {
+                twin.report_run(id, run.clone()).unwrap();
+            }
+            assert!(durable.flush() && twin.flush());
+            drop(durable);
+            if cut {
+                cut_the_trailing_commits(&dir);
+            }
+
+            let crashed = files_on_disk(&dir);
+            let first = SmartpickService::open(&dir, durable_config(&dir, u64::MAX)).unwrap();
+            if cut {
+                assert_eq!(counter(&first, "store.snapshots_persisted"), TENANTS);
+            } else {
+                assert_the_open_only_read(&first, &dir, &crashed);
+            }
+            drop(first);
+
+            let crashed = files_on_disk(&dir);
+            let second = SmartpickService::open(&dir, durable_config(&dir, u64::MAX)).unwrap();
+            assert_the_open_only_read(&second, &dir, &crashed);
+            for id in &tenants {
+                assert_serves_as_the_twin(&second, &twin, id);
+            }
+            durable = Arc::new(second);
+        }
+        for id in &tenants {
+            assert_equals_the_twin(&durable, &twin, &dir, id);
+        }
+    }
+}
+
+/// A store written by four workers, reopened by two: the logs of shards 2
+/// and 3 have no worker to append to or compact them, so the open folds
+/// the tenants with records there into snapshots and removes the files;
+/// shards 0 and 1 stay as they are. From then on the store is a healthy
+/// two-shard one — and growing back to four leaves a tenant's older
+/// records in the log of the shard it used to route to, which replay does
+/// not mind.
+#[test]
+fn a_store_reopened_with_fewer_workers_folds_the_orphaned_logs_and_removes_them() {
+    const TENANTS: usize = 12;
+    let dir = test_root("fewer-workers");
+    let runs = mint_runs(5);
+    let base = template();
+    let config = |workers: usize| ServiceConfig {
+        retrain_workers: workers,
+        ..durable_config(&dir, u64::MAX)
+    };
+    let twin = SmartpickService::new(ServiceConfig {
+        retrain_workers: 1,
+        ..ServiceConfig::default()
+    });
+    let tenants: Vec<String> = (0..TENANTS).map(|t| format!("t{t:02}")).collect();
+    let feed = |svc: &SmartpickService, run: &CompletedRun| {
+        for id in &tenants {
+            svc.report_run(id, run.clone()).unwrap();
+            twin.report_run(id, run.clone()).unwrap();
+        }
+        assert!(svc.flush() && twin.flush());
+    };
+    let wal_names = || -> Vec<String> {
+        files_on_disk(&dir.join("wal"))
+            .iter()
+            .map(|(p, _)| p.file_name().unwrap().to_str().unwrap().to_owned())
+            .collect()
+    };
+
+    let orphaned = {
+        let four = SmartpickService::open(&dir, config(4)).unwrap();
+        for (t, id) in tenants.iter().enumerate() {
+            four.register_fork(id.clone(), &base, t as u64).unwrap();
+            twin.register_fork(id.clone(), &base, t as u64).unwrap();
+        }
+        feed(&four, &runs[0]);
+        feed(&four, &runs[1]);
+        tenants
+            .iter()
+            .filter(|id| four.tenant_stats(id).unwrap().worker_shard >= 2)
+            .count()
+    };
+    assert!(
+        orphaned > 0 && orphaned < TENANTS,
+        "{orphaned} of {TENANTS}"
+    );
+    assert_eq!(
+        wal_names(),
+        ["shard-0.wal", "shard-1.wal", "shard-2.wal", "shard-3.wal"]
+    );
+
+    {
+        let two = SmartpickService::open(&dir, config(2)).unwrap();
+        assert_eq!(
+            counter(&two, "store.snapshots_persisted"),
+            orphaned as u64,
+            "one fold per tenant with records in an orphaned log"
+        );
+        assert_eq!(wal_names(), ["shard-0.wal", "shard-1.wal"]);
+        assert_eq!(
+            counter(&two, "store.wal_records_replayed"),
+            2 * TENANTS as u64
+        );
+        feed(&two, &runs[2]);
+    }
+    {
+        // A healthy two-shard store now.
+        let crashed = files_on_disk(&dir);
+        let two = SmartpickService::open(&dir, config(2)).unwrap();
+        assert_the_open_only_read(&two, &dir, &crashed);
+        feed(&two, &runs[3]);
+    }
+    {
+        // Growing back orphans nothing.
+        let four = SmartpickService::open(&dir, config(4)).unwrap();
+        assert_eq!(counter(&four, "store.snapshots_persisted"), 0);
+        feed(&four, &runs[4]);
+    }
+    let crashed = files_on_disk(&dir);
+    let four = SmartpickService::open(&dir, config(4)).unwrap();
+    assert_the_open_only_read(&four, &dir, &crashed);
+    for id in &tenants {
+        assert_equals_the_twin(&four, &twin, &dir, id);
+    }
 }

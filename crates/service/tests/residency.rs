@@ -80,6 +80,17 @@ fn probe(seed: u64) -> PredictionRequest {
     }
 }
 
+/// The newest snapshot file in a tenant's store directory (generations
+/// are zero-padded, so the greatest name is the newest).
+fn newest_snapshot(tenant_dir: &Path) -> PathBuf {
+    fs::read_dir(tenant_dir)
+        .unwrap()
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "snap"))
+        .max()
+        .expect("a snapshot on disk")
+}
+
 /// Bit-faithful comparison via `Debug`: f64s render as their shortest
 /// round-trip form, so any bit of drift in the rehydrated model shows.
 fn assert_same_prediction(a: &SmartpickService, b: &SmartpickService, tenant: &str, seed: u64) {
@@ -425,13 +436,7 @@ fn torn_evict_snapshot_recovers_from_previous_generation_plus_wal() {
         };
 
         // Tear the evict-time snapshot (the newest on disk) at `cut`.
-        let tenant_dir = dir.join("tenants").join("t");
-        let newest = fs::read_dir(&tenant_dir)
-            .unwrap()
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|x| x == "snap"))
-            .max()
-            .expect("evict must have persisted a snapshot");
+        let newest = newest_snapshot(&dir.join("tenants").join("t"));
         let bytes = fs::read(&newest).unwrap();
         let keep = ((bytes.len() as f64) * cut) as usize;
         fs::write(&newest, &bytes[..keep]).unwrap();
@@ -660,4 +665,124 @@ fn hot_only_entry_points_match_the_blocking_ones_and_decline_what_could_block() 
     assert!(blocking.flush() && hot_only.flush());
     // (Staleness aside: a rehydrated snapshot's age restarts.)
     assert_eq!(books(&hot_only).0, books(&blocking).0);
+}
+
+/// A restart honours the resident cap: `open` loads the tenants the log
+/// holds something for and leaves every idle one on disk behind a cold
+/// slot — listed, counted, and answering at first touch exactly as before
+/// the crash — without persisting a snapshot. An idle tenant's snapshot
+/// is therefore not read at startup: one that rots on disk is found,
+/// quarantined and fallen back from by its first touch.
+#[test]
+fn a_reopen_loads_only_tenants_with_live_records_and_leaves_the_idle_ones_cold() {
+    const TENANTS: usize = 64;
+    const CAP: usize = 8;
+    const BUSY: usize = 4;
+    let dir = test_root("cold-open");
+    let id = |i: usize| format!("t-{i:02}");
+    let answers = |svc: &SmartpickService, i: usize| -> Vec<String> {
+        [1u64, 9, 42]
+            .iter()
+            .map(|&seed| format!("{:?}", svc.predict(&id(i), &probe(seed)).unwrap()))
+            .collect()
+    };
+    // Rots once the reopened service is up: two generations on disk, the
+    // newer one covering its only report.
+    let rotting = TENANTS - 1;
+
+    // No cap while the store is filled, so no sweep persists anything:
+    // the four busy tenants' reports are in the log alone.
+    let (want, older, generation) = {
+        let svc = SmartpickService::open(&dir, durable_config(&dir, u64::MAX)).unwrap();
+        let tpl = template();
+        for i in 0..TENANTS {
+            svc.register_fork(id(i), &tpl, 100 + i as u64).unwrap();
+        }
+        let older = answers(&svc, rotting);
+        let query = tpcds::query(82, 100.0).unwrap();
+        for i in (0..BUSY).chain([rotting]) {
+            let outcome = svc.submit(&id(i), &query, 500).unwrap();
+            // And a run the model got badly wrong, so applying it retrains.
+            let mut surprise = CompletedRun {
+                query: query.clone(),
+                determination: outcome.determination,
+                report: outcome.report,
+            };
+            surprise.determination.predicted_seconds += 1e4;
+            svc.report_run(&id(i), surprise).unwrap();
+        }
+        assert!(svc.flush());
+        svc.persist_tenant(&id(rotting)).unwrap();
+        let want: Vec<Vec<String>> = (0..TENANTS).map(|i| answers(&svc, i)).collect();
+        assert!(want[rotting] != older, "the reports moved the model");
+        let generation = svc.tenant_stats(&id(rotting)).unwrap().snapshot_generation;
+        (want, older, generation)
+        // Killed here: drop without any further checkpoint.
+    };
+
+    // An hour between polls: no sweep runs unless this thread runs it.
+    let svc = SmartpickService::open(
+        &dir,
+        ServiceConfig {
+            max_resident_tenants: Some(CAP),
+            supervisor_poll: Duration::from_secs(3600),
+            ..durable_config(&dir, u64::MAX)
+        },
+    )
+    .unwrap();
+    assert_eq!(svc.resident_tenants(), BUSY, "idle tenants stay on disk");
+    assert_eq!(svc.tenants().len(), TENANTS);
+    let scrape = svc.scrape(0);
+    assert_eq!(scrape.gauge("service.tenants"), TENANTS as i64);
+    assert_eq!(
+        scrape.counter("store.recovery_tenants_replayed"),
+        BUSY as u64
+    );
+    assert_eq!(
+        scrape.counter("store.recovery_tenants_cold"),
+        (TENANTS - BUSY) as u64
+    );
+    assert_eq!(
+        scrape.counter("store.wal_records_replayed"),
+        2 * BUSY as u64
+    );
+    assert_eq!(scrape.counter("store.snapshots_persisted"), 0);
+    assert_eq!(scrape.counter("store.snapshots_quarantined"), 0);
+
+    // The newest snapshot of a tenant nobody has touched yet goes bad.
+    let tenant_dir = dir.join("tenants").join(id(rotting));
+    let newest = newest_snapshot(&tenant_dir);
+    let mut bytes = fs::read(&newest).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    fs::write(&newest, &bytes).unwrap();
+
+    // Hot or cold, every other tenant answers as it did before the crash.
+    for (i, want) in want.iter().enumerate().filter(|(i, _)| *i != rotting) {
+        assert_eq!(&answers(&svc, i), want, "{}", id(i));
+    }
+    let metrics = svc.observability().metrics();
+    assert_eq!(
+        metrics.counter("service.residency.rehydrations").get(),
+        (TENANTS - BUSY - 1) as u64
+    );
+    svc.residency_sweep();
+    assert!(svc.resident_tenants() <= CAP);
+
+    // First touch of the rotten one: quarantined there, and served from
+    // the generation before, under the generation number it had reached.
+    assert_eq!(answers(&svc, rotting), older);
+    assert_eq!(metrics.counter("store.snapshots_quarantined").get(), 1);
+    assert!(tenant_dir.join("quarantine").is_dir());
+    assert!(svc
+        .observability()
+        .events()
+        .recent(256)
+        .iter()
+        .any(|e| e.kind == EventKind::SnapshotQuarantined
+            && e.tenant.as_deref() == Some(id(rotting).as_str())));
+    assert_eq!(
+        svc.tenant_stats(&id(rotting)).unwrap().snapshot_generation,
+        generation
+    );
 }

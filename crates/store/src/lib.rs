@@ -37,7 +37,7 @@
 //!   [`wal::FsyncPolicy`] knob, and the torn-tolerant scanner that
 //!   recovers exactly the longest valid prefix of any damaged file.
 //! * [`store`] — the directory layer: atomic tmp+rename snapshot writes,
-//!   keep-2 retention, quarantine moves, WAL open/scan/compact/reset.
+//!   keep-2 retention, quarantine moves, WAL open/scan/compact.
 //! * [`codec`] — the shared little write/read primitives (big-endian
 //!   integers, f64 raw bits, length-prefixed strings).
 //! * [`crc`] — CRC-32 (IEEE), the checksum both file formats use.

@@ -87,6 +87,16 @@ pub struct SnapshotMeta {
 }
 
 impl Snapshot {
+    /// This snapshot's identity prefix.
+    pub fn meta(&self) -> SnapshotMeta {
+        SnapshotMeta {
+            tenant: self.tenant.clone(),
+            epoch: self.epoch,
+            generation: self.generation,
+            watermark: self.watermark,
+        }
+    }
+
     /// Encodes the whole snapshot file (magic, version, payload, CRC).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(4096);

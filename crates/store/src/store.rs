@@ -25,9 +25,7 @@ use std::path::{Path, PathBuf};
 
 use crate::error::StoreError;
 use crate::snapshot::{Snapshot, SnapshotMeta};
-use crate::wal::{
-    scan_wal, FsyncPolicy, WalFrames, WalPayload, WalRecord, WalScan, WalWriter, MAGIC,
-};
+use crate::wal::{scan_wal, FsyncPolicy, WalFrames, WalScan, WalWriter, MAGIC};
 
 /// How many snapshot generations are retained per tenant.
 pub const RETAINED_SNAPSHOTS: usize = 2;
@@ -136,19 +134,22 @@ impl Store {
     }
 
     /// Deletes snapshots beyond the newest [`RETAINED_SNAPSHOTS`], plus
-    /// any stale `.tmp` leftovers from crashed writes.
+    /// any stale `.tmp` leftovers from crashed writes — one listing of the
+    /// directory serves both.
     fn prune_snapshots(&self, dir: &Path) -> Result<(), StoreError> {
-        let mut snaps = snapshot_files(dir)?;
+        let mut snaps = Vec::new();
+        for entry in fs::read_dir(dir).map_err(StoreError::from)? {
+            let path = entry.map_err(StoreError::from)?.path();
+            if let Some(generation) = snapshot_generation(&path) {
+                snaps.push((generation, path));
+            } else if path.extension().is_some_and(|e| e == "tmp") {
+                let _ = fs::remove_file(path);
+            }
+        }
         // Newest first.
         snaps.sort_by_key(|s| std::cmp::Reverse(s.0));
         for (_, path) in snaps.into_iter().skip(RETAINED_SNAPSHOTS) {
             fs::remove_file(path).map_err(StoreError::from)?;
-        }
-        for entry in fs::read_dir(dir).map_err(StoreError::from)? {
-            let path = entry.map_err(StoreError::from)?.path();
-            if path.extension().is_some_and(|e| e == "tmp") {
-                let _ = fs::remove_file(path);
-            }
         }
         Ok(())
     }
@@ -213,20 +214,32 @@ impl Store {
         })
     }
 
-    /// Reads `tenant`'s retained snapshot *metas* (CRC-checked identity
-    /// prefixes), newest first, skipping unreadable files.
-    fn snapshot_metas(&self, tenant_dir: &Path) -> Result<Vec<SnapshotMeta>, StoreError> {
+    /// `tenant_dir`'s retained snapshot *metas* (CRC-checked identity
+    /// prefixes), newest first, skipping unreadable files. Lazy: a file
+    /// is read when the iterator reaches it.
+    fn snapshot_metas(
+        &self,
+        tenant_dir: &Path,
+    ) -> Result<impl Iterator<Item = SnapshotMeta>, StoreError> {
         let mut snaps = snapshot_files(tenant_dir)?;
         snaps.sort_by_key(|s| std::cmp::Reverse(s.0));
-        let mut metas = Vec::new();
-        for (_, path) in snaps {
-            if let Ok(bytes) = fs::read(&path) {
-                if let Ok(meta) = Snapshot::decode_meta(&bytes) {
-                    metas.push(meta);
-                }
-            }
-        }
-        Ok(metas)
+        Ok(snaps
+            .into_iter()
+            .filter_map(|(_, path)| Snapshot::decode_meta(&fs::read(path).ok()?).ok()))
+    }
+
+    /// The identity of `tenant`'s newest snapshot that passes its CRC —
+    /// what [`Store::load_snapshot`] would most likely load, without
+    /// decoding a driver or quarantining anything. Recovery places a tenant
+    /// against the log with this and leaves an idle one on disk.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] if the tenant's directory cannot be listed.
+    pub fn snapshot_meta(&self, tenant: &str) -> Result<Option<SnapshotMeta>, StoreError> {
+        Ok(self
+            .snapshot_metas(&self.tenant_dir(tenant))?
+            .find(|meta| meta.tenant == tenant))
     }
 
     /// Removes every trace of `tenant` (snapshots and quarantine). Used
@@ -257,17 +270,36 @@ impl Store {
     /// if the file exists but is not a WAL at all.
     pub fn open_wal(&self, shard: usize, policy: FsyncPolicy) -> Result<WalWriter, StoreError> {
         let path = self.wal_path(shard);
-        if path.is_file() {
-            let bytes = fs::read(&path).map_err(StoreError::from)?;
-            let scan = scan_wal(&bytes)?;
-            if scan.torn.is_some() {
-                let f = OpenOptions::new()
-                    .write(true)
-                    .open(&path)
-                    .map_err(StoreError::from)?;
-                f.set_len(scan.valid_len).map_err(StoreError::from)?;
-                f.sync_data().map_err(StoreError::from)?;
-            }
+        let valid_len = if path.is_file() {
+            scan_wal(&fs::read(&path).map_err(StoreError::from)?)?.valid_len
+        } else {
+            0
+        };
+        self.open_wal_at(shard, valid_len, policy)
+    }
+
+    /// [`Store::open_wal`] for a caller that has scanned the shard already
+    /// ([`Store::scan_wals`]) and knows its valid prefix is `valid_len`
+    /// bytes: whatever lies past it is cut, and the file is not read
+    /// again.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] on filesystem failures.
+    pub fn open_wal_at(
+        &self,
+        shard: usize,
+        valid_len: u64,
+        policy: FsyncPolicy,
+    ) -> Result<WalWriter, StoreError> {
+        let path = self.wal_path(shard);
+        if fs::metadata(&path).is_ok_and(|m| m.len() > valid_len) {
+            let f = OpenOptions::new()
+                .write(true)
+                .open(&path)
+                .map_err(StoreError::from)?;
+            f.set_len(valid_len).map_err(StoreError::from)?;
+            f.sync_data().map_err(StoreError::from)?;
         }
         WalWriter::open(&path, policy)
     }
@@ -303,19 +335,15 @@ impl Store {
         Ok(scans)
     }
 
-    /// Deletes every shard WAL — called once recovery has folded their
-    /// records into freshly persisted snapshots.
+    /// Deletes shard `shard`'s WAL: recovery's way out of a log no worker
+    /// will own (the worker count shrank), once every record in it that
+    /// was still live is folded into a persisted snapshot.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] if a file cannot be removed.
-    pub fn reset_wals(&self) -> Result<(), StoreError> {
-        for entry in fs::read_dir(self.root.join("wal")).map_err(StoreError::from)? {
-            let path = entry.map_err(StoreError::from)?.path();
-            if shard_of(&path).is_some() {
-                fs::remove_file(path).map_err(StoreError::from)?;
-            }
-        }
+    /// [`StoreError::Io`] if the file cannot be removed.
+    pub fn remove_wal(&self, shard: usize) -> Result<(), StoreError> {
+        fs::remove_file(self.wal_path(shard)).map_err(StoreError::from)?;
         sync_dir(&self.root.join("wal"));
         Ok(())
     }
@@ -369,7 +397,14 @@ impl Store {
             match WalFrames::open(BufReader::with_capacity(COPY_BUF, log), stats.bytes_before) {
                 Ok(mut frames) => {
                     while let Some(frame) = frames.next_frame()? {
-                        if floors.keeps(&frame.record) {
+                        // Recovery could still need it: its tenant is on
+                        // disk and no retained snapshot covers it. Wrong
+                        // epoch or no snapshot at all: stale, drop.
+                        let record = &frame.record;
+                        if floors
+                            .get(&record.tenant)
+                            .is_some_and(|f| record.is_past(f))
+                        {
                             out.write_all(&frame.header).map_err(StoreError::from)?;
                             out.write_all(frame.payload).map_err(StoreError::from)?;
                             stats.kept += 1;
@@ -395,61 +430,21 @@ impl Store {
     }
 
     /// Per-tenant compaction floors from the retained snapshot metas: the
-    /// floor is the *minimum* (oldest retained) watermark/generation,
-    /// keyed by the current epoch on disk.
-    fn compaction_floors(&self) -> Result<Floors, StoreError> {
+    /// newest one's identity with the *minimum* (oldest retained)
+    /// watermark and generation of its epoch.
+    fn compaction_floors(&self) -> Result<HashMap<String, SnapshotMeta>, StoreError> {
         let mut floors = HashMap::new();
         for tenant in self.tenant_ids()? {
-            let metas = self.snapshot_metas(&self.tenant_dir(&tenant))?;
-            if let Some(newest) = metas.first() {
-                let epoch = newest.epoch;
-                let (watermark, generation) = metas
-                    .iter()
-                    .filter(|m| m.epoch == epoch)
-                    .map(|m| (m.watermark, m.generation))
-                    .fold((u64::MAX, u64::MAX), |acc, v| {
-                        (acc.0.min(v.0), acc.1.min(v.1))
-                    });
-                floors.insert(
-                    tenant,
-                    Floor {
-                        epoch,
-                        watermark,
-                        generation,
-                    },
-                );
+            let mut metas = self.snapshot_metas(&self.tenant_dir(&tenant))?;
+            if let Some(mut floor) = metas.next() {
+                for older in metas.filter(|m| m.epoch == floor.epoch) {
+                    floor.watermark = floor.watermark.min(older.watermark);
+                    floor.generation = floor.generation.min(older.generation);
+                }
+                floors.insert(tenant, floor);
             }
         }
-        Ok(Floors(floors))
-    }
-}
-
-/// What the retained snapshots of one tenant already cover.
-#[derive(Debug)]
-struct Floor {
-    epoch: u64,
-    watermark: u64,
-    generation: u64,
-}
-
-/// Every on-disk tenant's [`Floor`]: the keep/drop rule of a compaction.
-#[derive(Debug)]
-struct Floors(HashMap<String, Floor>);
-
-impl Floors {
-    /// Whether recovery could still need `record`: its tenant is on disk
-    /// at this epoch and no retained snapshot covers it.
-    fn keeps(&self, record: &WalRecord) -> bool {
-        match self.0.get(&record.tenant) {
-            Some(floor) if record.epoch == floor.epoch => match &record.payload {
-                WalPayload::Report { run_id, .. } | WalPayload::Sample { run_id, .. } => {
-                    *run_id > floor.watermark
-                }
-                WalPayload::Commit { generation, .. } => *generation > floor.generation,
-            },
-            // Wrong epoch or no snapshot at all: stale, drop.
-            _ => false,
-        }
+        Ok(floors)
     }
 }
 
@@ -458,18 +453,21 @@ fn snapshot_files(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StoreError> {
     let mut snaps = Vec::new();
     for entry in fs::read_dir(dir).map_err(StoreError::from)? {
         let path = entry.map_err(StoreError::from)?.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if let Some(generation) = name
-            .strip_prefix("snap-")
-            .and_then(|r| r.strip_suffix(".snap"))
-            .and_then(|g| g.parse::<u64>().ok())
-        {
+        if let Some(generation) = snapshot_generation(&path) {
             snaps.push((generation, path));
         }
     }
     Ok(snaps)
+}
+
+/// Parses `snap-<generation>.snap` back into the generation.
+fn snapshot_generation(path: &Path) -> Option<u64> {
+    path.file_name()?
+        .to_str()?
+        .strip_prefix("snap-")?
+        .strip_suffix(".snap")?
+        .parse()
+        .ok()
 }
 
 /// Moves `path` into `dir/quarantine/`, returning the name it landed
@@ -550,7 +548,7 @@ pub fn decode_tenant(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::WalPayload;
+    use crate::wal::{WalPayload, WalRecord};
     use smartpick_cloudsim::Provider;
     use smartpick_core::persist::{
         DriverState, ForestState, MfeState, MonitorState, PredictorState, TreeState,
@@ -660,6 +658,11 @@ mod tests {
             store
                 .persist_snapshot(&snapshot("acme", 1, generation, generation * 10))
                 .unwrap();
+            // What a write that crashed before its rename leaves behind:
+            // the next persist's one listing clears it.
+            let stale = store.tenant_dir("acme").join("snap-stale.tmp");
+            assert!(!stale.exists());
+            fs::write(stale, b"half a snapshot").unwrap();
         }
         // Keep-2: only generations 2 and 3 remain.
         let loaded = store.load_snapshot("acme").unwrap();
@@ -688,6 +691,11 @@ mod tests {
         bytes[mid] ^= 0xFF;
         fs::write(&newest, &bytes).unwrap();
 
+        // The meta read passes over the bad file and moves nothing.
+        let meta = store.snapshot_meta("t").unwrap().unwrap();
+        assert_eq!((meta.generation, meta.watermark), (1, 5));
+        assert!(!dir.join("quarantine").exists());
+
         let loaded = store.load_snapshot("t").unwrap();
         assert_eq!(loaded.snapshot.as_ref().unwrap().generation, 1);
         assert_eq!(loaded.quarantined.len(), 1);
@@ -699,6 +707,7 @@ mod tests {
         // Both corrupt → no snapshot, two quarantined.
         let older = snaps[1].1.clone();
         fs::write(&older, b"garbage").unwrap();
+        assert!(store.snapshot_meta("t").unwrap().is_none());
         let loaded = store.load_snapshot("t").unwrap();
         assert!(loaded.snapshot.is_none());
         assert_eq!(loaded.quarantined.len(), 1);
@@ -742,8 +751,20 @@ mod tests {
         let scans = store.scan_wals().unwrap();
         assert!(scans[0].scan.torn.is_none());
         assert_eq!(scans[0].scan.records.len(), 2);
-        store.reset_wals().unwrap();
-        assert!(store.scan_wals().unwrap().is_empty());
+        // A caller that knows the valid prefix cuts there without a scan.
+        let len = fs::metadata(&p0).unwrap().len();
+        fs::write(&p0, [&fs::read(&p0).unwrap()[..], b"torn"].concat()).unwrap();
+        {
+            let mut w = store.open_wal_at(0, len, FsyncPolicy::PerBatch).unwrap();
+            assert_eq!(w.file_len(), len);
+            w.append(&report("a", 1, 4).encode_payload()).unwrap();
+            w.sync().unwrap();
+        }
+        let scans = store.scan_wals().unwrap();
+        assert!(scans[0].scan.torn.is_none());
+        assert_eq!(scans[0].scan.records.len(), 3);
+        store.remove_wal(0).unwrap();
+        assert_eq!(store.scan_wals().unwrap().len(), 1);
     }
 
     #[test]

@@ -55,6 +55,7 @@ use smartpick_engine::{QueryProfile, StageProfile};
 use crate::codec::{put_bool, put_f64, put_str, put_u32, put_u64, put_u8, Reader};
 use crate::crc::crc32;
 use crate::error::StoreError;
+use crate::snapshot::SnapshotMeta;
 
 /// The 8-byte WAL file magic.
 pub const MAGIC: &[u8; 8] = b"SPWAL1\0\0";
@@ -202,6 +203,22 @@ impl WalRecord {
         };
         r.finish()?;
         Ok(record)
+    }
+
+    /// Whether this record lies past `snapshot`: written under the same
+    /// registration epoch, and a run the snapshot has not consumed or the
+    /// commit of a generation it has not reached. The tenant is the
+    /// caller's to match. The one rule for "still needed": recovery
+    /// replays exactly these onto the snapshot it loaded, and a rewrite
+    /// of the log keeps exactly these against the oldest retained one.
+    pub fn is_past(&self, snapshot: &SnapshotMeta) -> bool {
+        self.epoch == snapshot.epoch
+            && match &self.payload {
+                WalPayload::Report { run_id, .. } | WalPayload::Sample { run_id, .. } => {
+                    *run_id > snapshot.watermark
+                }
+                WalPayload::Commit { generation, .. } => *generation > snapshot.generation,
+            }
     }
 
     /// Frames `payload` as it appears on disk (`len | crc | payload`).

@@ -94,15 +94,16 @@ bench-determine-record:
     ./target/release/bench_determine
 
 # CI job: regenerate the durability record (per-tenant snapshot size at
-# rest, recovery time vs WAL length, sustained feedback: reports/s,
-# fsyncs and rewritten bytes per report, one batch retrain in process)
-# into a scratch path to prove the harness still runs, then hold the
+# rest, recovery time vs WAL length, the open of a mostly idle fleet — a
+# tenth of the recorded one — sustained feedback: reports/s, fsyncs and
+# rewritten bytes per report, one batch retrain in process) into a
+# scratch path to prove the harness still runs, then hold the
 # *committed* BENCH_store.json to the guard bars in
-# crates/bench/tests/bench_store_json.rs — the durability, feedback and
-# retrain bars.
+# crates/bench/tests/bench_store_json.rs — the durability, recovery,
+# feedback and retrain bars.
 store-bench:
     cargo build --release -p smartpick_bench --bin bench_store
-    ./target/release/bench_store target/tmp/BENCH_store.scratch.json
+    ./target/release/bench_store target/tmp/BENCH_store.scratch.json --idle-fleet 1000
     cargo test -q -p smartpick_bench --test bench_store_json
 
 # Regenerate the committed BENCH_store.json at the repo root (quoted by
