@@ -14,30 +14,21 @@
 //! tax the Cloudflow-style prediction-serving argument is about; `ping`
 //! shows how much of it is protocol rather than payload.
 //!
-//! Two further groups quantify the v2 serving upgrades, each timing the
-//! *same* logical work — N determines of one query with advancing
-//! seeds — three ways:
-//!
-//! * `wire_pipelined` — N strictly blocking round trips
-//!   (`determine_xN_sequential`) vs N requests submitted before the
-//!   first response is read (`determine_xN_pipelined`): what request-id
-//!   multiplexing buys by overlapping client framing, server compute,
-//!   and socket latency.
-//! * `wire_batch_determine` — the same N shipped as **one**
-//!   `determine_batch` frame (`determine_xN_batched`): framing, JSON,
-//!   snapshot acquisition, and the forest pass amortised batch-wide.
+//! `wire_pipelined` times the *same* logical work — N determines of one
+//! query with advancing seeds — two ways: N strictly blocking round trips
+//! (`determine_xN_sequential`) vs N requests submitted before the first
+//! response is read (`determine_xN_pipelined`): what request-id
+//! multiplexing buys by overlapping client framing, server compute, and
+//! socket latency.
 //!
 //! `scrape_under_load` guards the observability tax: `scrape_idle` and
 //! `health` price the telemetry surface itself, and
 //! `determine_while_scraping` re-times the over-wire determine with a
 //! background thread scraping continuously — compare it against
 //! `wire_rtt/determine_over_wire` to read off the instrumentation cost
-//! (the PR's budget: under 5%).
-//!
-//! `wire_codec` compares the payload codecs on the same blocking
-//! determine: `determine_json` (v2 JSON frames) vs `determine_binary`
-//! (negotiated v3 binary frames) — the criterion twin of the recorded
-//! `BENCH_wire.json` matrix written by `src/bin/bench_wire.rs`.
+//! (the PR's budget: under 5%). `wire_rtt/determine_over_wire` is also
+//! the criterion twin of the blocking `determine` row of the recorded
+//! `BENCH_wire.json` written by `src/bin/bench_wire.rs`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -47,7 +38,6 @@ use smartpick_cloudsim::{CloudEnv, Provider};
 use smartpick_core::driver::Smartpick;
 use smartpick_core::properties::SmartpickProperties;
 use smartpick_core::training::TrainOptions;
-use smartpick_core::wp::{ConstraintMode, PredictionRequest};
 use smartpick_ml::forest::ForestParams;
 use smartpick_service::{ServiceConfig, SmartpickService};
 use smartpick_wire::{Response, WireClient, WireServer, WireServerConfig};
@@ -127,7 +117,7 @@ fn bench_wire_rtt(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_wire_pipelined_and_batch(c: &mut Criterion) {
+fn bench_wire_pipelined(c: &mut Criterion) {
     let service = Arc::new(SmartpickService::new(ServiceConfig {
         retrain_workers: 2,
         ..ServiceConfig::default()
@@ -178,31 +168,6 @@ fn bench_wire_pipelined_and_batch(c: &mut Criterion) {
                         other => panic!("unexpected response {other:?}"),
                     }
                 }
-            });
-        });
-    }
-    group.finish();
-
-    let mut group = c.benchmark_group("wire_batch_determine");
-    for n in [8u64, 32] {
-        group.bench_function(format!("determine_x{n}_batched"), |b| {
-            b.iter(|| {
-                let requests: Vec<PredictionRequest> = (0..n)
-                    .map(|_| {
-                        seed += 1;
-                        PredictionRequest {
-                            query: query.clone(),
-                            knob: 0.0,
-                            constraint: ConstraintMode::Hybrid,
-                            seed,
-                        }
-                    })
-                    .collect();
-                black_box(
-                    client
-                        .determine_many("bench", requests)
-                        .expect("batched determine"),
-                )
             });
         });
     }
@@ -266,61 +231,10 @@ fn bench_scrape_under_load(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_wire_codec(c: &mut Criterion) {
-    let mut group = c.benchmark_group("wire_codec");
-    let service = Arc::new(SmartpickService::new(ServiceConfig {
-        retrain_workers: 2,
-        ..ServiceConfig::default()
-    }));
-    let template = trained_driver();
-    service
-        .register_fork("bench", &template, 7)
-        .expect("register tenant");
-    let server = WireServer::bind(
-        "127.0.0.1:0",
-        Arc::clone(&service),
-        template,
-        WireServerConfig::default(),
-    )
-    .expect("bind loopback server");
-    let query = tpcds::query(82, 100.0).expect("catalog query");
-    let mut seed = 0u64;
-
-    let mut json_client = WireClient::connect(server.local_addr()).expect("connect");
-    group.bench_function("determine_json", |b| {
-        b.iter(|| {
-            seed += 1;
-            black_box(
-                json_client
-                    .determine("bench", &query, seed)
-                    .expect("json determine"),
-            )
-        });
-    });
-
-    let mut bin_client = WireClient::connect(server.local_addr()).expect("connect");
-    assert!(
-        bin_client.negotiate_binary().expect("negotiate"),
-        "server speaks binary"
-    );
-    group.bench_function("determine_binary", |b| {
-        b.iter(|| {
-            seed += 1;
-            black_box(
-                bin_client
-                    .determine("bench", &query, seed)
-                    .expect("binary determine"),
-            )
-        });
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_wire_rtt,
-    bench_wire_pipelined_and_batch,
-    bench_scrape_under_load,
-    bench_wire_codec
+    bench_wire_pipelined,
+    bench_scrape_under_load
 );
 criterion_main!(benches);

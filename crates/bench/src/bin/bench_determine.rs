@@ -9,8 +9,7 @@
 //! region descent per tree over the cached candidate lattice), then
 //! writes both numbers and their ratio beside `before_us`: what the
 //! vectorized path cost while it still walked every tree once per
-//! candidate ([`BEFORE_US`]). A `batch` section follows: what one request
-//! of a 16-request `determine_batch` costs beside 16 `determine` calls.
+//! candidate ([`BEFORE_US`]).
 //!
 //! Usage: `cargo run --release -p smartpick_bench --bin bench_determine
 //! [output-path]` (default `BENCH_determine.json` in the working
@@ -62,68 +61,6 @@ fn measure(
         samples.push(t.elapsed().as_secs_f64() * 1e6);
     }
     median_us(&mut samples)
-}
-
-/// The batch section's rows, `(grid, forest size, before_us)`: the
-/// cheapest configuration, where any per-request overhead shows, and the
-/// one `determine_heavy` serves. `before_us` is what one request of the
-/// batch cost before the batch became its sequential calls (it keyed
-/// every request on its rendered JSON to fold repeats no caller sends),
-/// measured by this same section on the parent commit.
-const BATCH_CONFIGS: [(u32, usize, f64); 2] = [(8, 10, 14.1), (16, 100, 60.7)];
-
-/// Requests per measured batch.
-const BATCH_LEN: usize = 16;
-
-/// Median per-request µs of one `determine_batch` call and of the
-/// sequential `determine` calls it stands for, over `iters` batches of
-/// [`BATCH_LEN`] distinct fresh-seed requests built outside the timers.
-/// Each batch is timed both ways back to back, in alternating order, so
-/// a slow spell of the host lands on both columns.
-fn measure_batch(
-    predictor: &WorkloadPredictor,
-    query: &smartpick_engine::QueryProfile,
-    iters: usize,
-) -> (f64, f64) {
-    let batched = |requests: &[PredictionRequest]| {
-        let t = Instant::now();
-        let batch = predictor
-            .determine_batch(requests)
-            .expect("batch determination succeeds");
-        let us = t.elapsed().as_secs_f64() * 1e6;
-        std::hint::black_box(batch);
-        us
-    };
-    let sequential = |requests: &[PredictionRequest]| {
-        let t = Instant::now();
-        for request in requests {
-            let det = predictor
-                .determine(request)
-                .expect("determination succeeds");
-            std::hint::black_box(det);
-        }
-        t.elapsed().as_secs_f64() * 1e6
-    };
-    let (mut batch_us, mut sequential_us) = (Vec::new(), Vec::new());
-    for iter in 0..10 + iters {
-        let first_seed = (iter * BATCH_LEN) as u64;
-        let requests: Vec<PredictionRequest> = (first_seed..first_seed + BATCH_LEN as u64)
-            .map(|seed| PredictionRequest::new(query.clone(), seed))
-            .collect();
-        let (b, s) = if iter % 2 == 0 {
-            let b = batched(&requests);
-            (b, sequential(&requests))
-        } else {
-            let s = sequential(&requests);
-            (batched(&requests), s)
-        };
-        // The first ten batches are warm-up.
-        if iter >= 10 {
-            batch_us.push(b / BATCH_LEN as f64);
-            sequential_us.push(s / BATCH_LEN as f64);
-        }
-    }
-    (median_us(&mut batch_us), median_us(&mut sequential_us))
 }
 
 fn main() {
@@ -188,32 +125,6 @@ fn main() {
     }
     smartpick_bench::rule(87);
 
-    println!(
-        "determine_batch of {BATCH_LEN} distinct requests vs {BATCH_LEN} determine calls \
-         (µs per request)"
-    );
-    let mut batch_rows = String::new();
-    for (i, (grid, trees, before_us)) in BATCH_CONFIGS.iter().copied().enumerate() {
-        let predictor = determine_lab(grid, trees, 5).expect("training succeeds");
-        let (batch_us, sequential_us) = measure_batch(&predictor, &query, iters);
-        let ratio = batch_us / sequential_us;
-        println!(
-            "{:<10} {trees:>6} trees: before {before_us:.1}, batch {batch_us:.1}, \
-             sequential {sequential_us:.1} ({ratio:.2}x)",
-            format!("{grid}x{grid}")
-        );
-        if i > 0 {
-            batch_rows.push_str(",\n");
-        }
-        let _ = write!(
-            batch_rows,
-            "      {{\"grid\": \"{grid}x{grid}\", \"trees\": {trees}, \
-             \"before_us\": {before_us:.1}, \"batch_us\": {batch_us:.1}, \
-             \"sequential_us\": {sequential_us:.1}, \"ratio\": {ratio:.2}}}"
-        );
-    }
-    smartpick_bench::rule(87);
-
     let json = format!(
         "{{\n  \"bench\": \"determine_latency\",\n  \"unit\": \"microseconds (median per \
          in-process determine() call)\",\n  \"baseline\": \"determine_reference: per-call \
@@ -223,11 +134,7 @@ fn main() {
          flat-forest batch walk (8x8, 16x16) or the priced lazy GP search (32x32)\",\n  \
          \"vectorized\": \"cached candidate lattice, one region descent per tree, swept values \
          consumed by the BO loop\",\n  \
-         \"iterations\": {iters},\n  \"configs\": [\n{rows}\n  ],\n  \"batch\": {{\n    \
-         \"unit\": \"microseconds per request (median over batches of {BATCH_LEN} distinct \
-         fresh-seed requests)\",\n    \"before\": \"batch_us while determine_batch keyed every \
-         request on its rendered JSON to fold in-frame repeats\",\n    \"rows\": \
-         [\n{batch_rows}\n    ]\n  }}\n}}\n"
+         \"iterations\": {iters},\n  \"configs\": [\n{rows}\n  ]\n}}\n"
     );
     std::fs::write(&out_path, json).expect("write BENCH_determine.json");
     println!("wrote {out_path}");

@@ -1,20 +1,17 @@
-//! Records the wire-codec and connection-scaling numbers into
-//! `BENCH_wire.json` — the binary-vs-JSON speedup the README quotes and
-//! CI guards with `tests/bench_wire_json.rs`.
+//! Records the over-wire and connection-scaling numbers into
+//! `BENCH_wire.json`, which CI guards with `tests/bench_wire_json.rs`.
 //!
 //! Three sections:
 //!
-//! * **codec** — the same logical request framed as JSON (v2) vs
-//!   negotiated binary (v3). Blocking rows (`ping`, `determine`) give
-//!   honest single round trips, which on loopback are dominated by the
-//!   syscall floor plus determine compute. The headline row,
-//!   `determine_pipelined32`, keeps 32 requests in flight on one
-//!   connection so the per-request syscall floor amortises away and the
-//!   codec — the JSON number formatting/parsing of the `ET_l` latency
-//!   vector that the binary codec exists to eliminate — becomes the
-//!   measured cost. That row is the per-determine median the guard test
-//!   holds at ≥2×.
-//! * **multi-connection** — binary determines per second with 32
+//! * **codec** — median round trips of v3 frames in the binary codec.
+//!   Blocking rows (`ping`, `determine`) give honest single round trips,
+//!   which on loopback are dominated by the syscall floor plus determine
+//!   compute. The headline row, `determine_pipelined32`, keeps 32
+//!   requests in flight on one connection so the per-request syscall
+//!   floor amortises away and framing, codec and the server core become
+//!   the measured cost; the guard test holds it at or under the 32.4 µs
+//!   recorded before the event loop ran hot determines itself.
+//! * **multi-connection** — determines per second with 32
 //!   requests in flight split over 1, 2 and 8 connections (one
 //!   closed-loop client thread each, nothing pinned): the shape the
 //!   pinned one-connection `BENCHMARK.json` harness cannot see, where
@@ -42,10 +39,9 @@ use smartpick_cloudsim::{CloudEnv, Provider};
 use smartpick_core::driver::Smartpick;
 use smartpick_core::properties::SmartpickProperties;
 use smartpick_core::training::TrainOptions;
-use smartpick_core::wp::{ConstraintMode, PredictionRequest};
 use smartpick_ml::forest::ForestParams;
 use smartpick_service::{ServiceConfig, SmartpickService};
-use smartpick_wire::{Codec, Request, Response, WireClient, WireServer, WireServerConfig};
+use smartpick_wire::{Request, Response, WireClient, WireServer, WireServerConfig};
 use smartpick_workloads::tpcds;
 
 fn trained_driver() -> Smartpick {
@@ -90,8 +86,7 @@ fn median_us(samples: &mut [f64]) -> f64 {
 }
 
 /// Median round-trip time of `request` issued one-at-a-time over the
-/// client's pipelined surface (v2 when the codec is JSON, v3 when
-/// binary — the same code path, only the codec differs).
+/// client's pipelined surface.
 fn measure_rtt(client: &mut WireClient, request: &Request, iters: usize) -> f64 {
     for _ in 0..20 {
         let id = client.submit(request).expect("submit");
@@ -150,9 +145,10 @@ fn measure_pipelined(
 const MULTI_CONNECTION_SHAPES: [(usize, usize); 3] = [(1, 32), (2, 16), (8, 4)];
 
 /// Determines per second as `[q1, median, q3]`, row order following
-/// [`MULTI_CONNECTION_SHAPES`]: this commit and its parent (0022eaa, the
-/// event loop handing every request to an executor) over 10 alternating
-/// rounds of this binary built at each, same box, same hour; and the
+/// [`MULTI_CONNECTION_SHAPES`]: the commit that made the event loop run
+/// hot determines itself and its parent (0022eaa, the event loop handing
+/// every request to an executor) over 10 alternating rounds of this
+/// binary built at each, same box, same hour; and the
 /// thread-per-connection core PR 12 deleted, as PR 12 recorded it over
 /// 20 alternating runs against its own parent.
 const MULTI_CONNECTION_RUNS: [[[f64; 3]; 3]; 3] = [
@@ -174,8 +170,9 @@ const MULTI_CONNECTION_RUNS: [[[f64; 3]; 3]; 3] = [
 ];
 
 const MULTI_CONNECTION_NOTES: &str = "alternating_runs are [q1, median, q3] on a 2-vCPU shared \
-    box. this_commit: the event loop runs a hot determine to completion itself (no run queue, \
-    executor wake-up, completion queue or wake-pipe byte). parent: commit 0022eaa, where every \
+    box, recorded when the event loop began to run hot determines itself. this_commit: that \
+    commit, where the loop runs a hot determine to completion itself (no run queue, executor \
+    wake-up, completion queue or wake-pipe byte). parent: commit 0022eaa, where every \
     request crossed to an executor and back; 10 alternating rounds of this binary built at each \
     commit, same hour, this commit ahead in 10 of 10 rounds on all three shapes. threaded_core: \
     the thread-per-connection core PR 12 deleted, as recorded then over 20 alternating runs; \
@@ -187,10 +184,10 @@ const MULTI_CONNECTION_NOTES: &str = "alternating_runs are [q1, median, q3] on a
     with the state of the box (ping read 11-55 us across those rounds); determine_pipelined32 \
     is the steady one: binary 27.8 -> 13.1 us by median over the same rounds.";
 
-/// Binary determines per second, summed over `conns` connections that
-/// each keep `depth` requests in flight from their own closed-loop
-/// client thread; completions are counted in a 2 s window that opens
-/// after a 0.5 s warm-up covering connect + negotiation.
+/// Determines per second, summed over `conns` connections that each
+/// keep `depth` requests in flight from their own closed-loop client
+/// thread; completions are counted in a 2 s window that opens after a
+/// 0.5 s warm-up covering connect.
 fn measure_multi(addr: SocketAddr, request: &Request, conns: usize, depth: usize) -> f64 {
     let window = Duration::from_secs(2);
     let open = Instant::now() + Duration::from_millis(500);
@@ -200,7 +197,6 @@ fn measure_multi(addr: SocketAddr, request: &Request, conns: usize, depth: usize
             .map(|_| {
                 scope.spawn(move || {
                     let mut client = WireClient::connect(addr).expect("connect");
-                    assert!(client.negotiate_binary().expect("negotiate"));
                     for _ in 0..depth {
                         client.submit(request).expect("submit");
                     }
@@ -248,106 +244,58 @@ fn main() {
     .expect("bind ephemeral port");
     let addr = server.local_addr();
 
-    let mut json_client = WireClient::connect(addr).expect("connect");
-    json_client.register_tenant("bench", 7).expect("register");
-    let mut bin_client = WireClient::connect(addr).expect("connect");
-    assert!(
-        bin_client.negotiate_binary().expect("negotiate"),
-        "server must speak the binary codec"
-    );
-    assert_eq!(bin_client.codec(), Codec::Binary);
+    let mut client = WireClient::connect(addr).expect("connect");
+    client.register_tenant("bench", 7).expect("register");
 
     let query = tpcds::query(82, 100.0).expect("catalog query");
-    let batch: Vec<PredictionRequest> = (0..8)
-        .map(|seed| PredictionRequest {
-            query: query.clone(),
-            knob: 0.5,
-            constraint: ConstraintMode::Hybrid,
-            seed,
-        })
-        .collect();
-    let ops: Vec<(&str, Request)> = vec![
-        ("ping", Request::Ping),
+    let determine = Request::Determine {
+        tenant: "bench".to_owned(),
+        query,
+        seed: 99,
+    };
+
+    println!("over-wire round trip, v3 binary frames, {iters} iterations, median");
+    smartpick_bench::rule(40);
+    println!("{:<24} {:>12}", "op", "µs");
+    smartpick_bench::rule(40);
+    let rows = [
+        ("ping", measure_rtt(&mut client, &Request::Ping, iters)),
+        ("determine", measure_rtt(&mut client, &determine, iters)),
+        // The headline: pipelined determine, where the syscall floor
+        // amortises across the 32 in-flight requests.
         (
-            "determine",
-            Request::Determine {
-                tenant: "bench".to_owned(),
-                query: query.clone(),
-                seed: 99,
-            },
-        ),
-        (
-            "determine_batch8",
-            Request::DetermineBatch {
-                tenant: "bench".to_owned(),
-                requests: batch,
-            },
+            "determine_pipelined32",
+            measure_pipelined(&mut client, &determine, 32, iters),
         ),
     ];
-
-    println!(
-        "over-wire round trip: pipelined JSON (v2) vs binary (v3), {iters} iterations, median"
-    );
-    smartpick_bench::rule(64);
-    println!(
-        "{:<18} {:>12} {:>12} {:>9}",
-        "op", "json µs", "binary µs", "speedup"
-    );
-    smartpick_bench::rule(64);
     let mut codec_rows = String::new();
-    for (i, (name, request)) in ops.iter().enumerate() {
-        let json_us = measure_rtt(&mut json_client, request, iters);
-        let binary_us = measure_rtt(&mut bin_client, request, iters);
-        let speedup = json_us / binary_us;
-        println!("{name:<18} {json_us:>12.1} {binary_us:>12.1} {speedup:>8.2}x");
+    for (i, (name, us)) in rows.iter().enumerate() {
+        println!("{name:<24} {us:>12.1}");
         if i > 0 {
             codec_rows.push_str(",\n");
         }
-        let _ = write!(
-            codec_rows,
-            "    {{\"op\": \"{name}\", \"json_us\": {json_us:.1}, \"binary_us\": {binary_us:.1}, \
-             \"speedup\": {speedup:.2}}}"
-        );
+        let _ = write!(codec_rows, "    {{\"op\": \"{name}\", \"us\": {us:.1}}}");
     }
-    // The headline: pipelined determine, where the syscall floor
-    // amortises across the 32 in-flight requests and the codec is the
-    // per-request cost that remains.
-    let determine = &ops[1].1;
-    let json_us = measure_pipelined(&mut json_client, determine, 32, iters);
-    let binary_us = measure_pipelined(&mut bin_client, determine, 32, iters);
-    let speedup = json_us / binary_us;
-    println!(
-        "{:<18} {json_us:>12.1} {binary_us:>12.1} {speedup:>8.2}x",
-        "determine_pipe32"
-    );
-    codec_rows.push_str(",\n");
-    let _ = write!(
-        codec_rows,
-        "    {{\"op\": \"determine_pipelined32\", \"json_us\": {json_us:.1}, \"binary_us\": \
-         {binary_us:.1}, \"speedup\": {speedup:.2}}}"
-    );
-    smartpick_bench::rule(64);
+    smartpick_bench::rule(40);
 
-    // Payload sizes for the determine response, so the record says what
-    // was actually on the wire.
-    let (det_json_bytes, det_bin_bytes) = {
-        let id = bin_client.submit(determine).expect("submit");
-        let (got, response) = bin_client.recv().expect("recv");
+    // The determine response's payload size, so the record says what was
+    // actually on the wire.
+    let response_bytes = {
+        let id = client.submit(&determine).expect("submit");
+        let (got, response) = client.recv().expect("recv");
         assert_eq!(id, got);
         assert!(
             matches!(response, Response::Determination(_)),
             "{response:?}"
         );
         let mut bin = Vec::new();
-        smartpick_wire::codec::encode_envelope_into(&response, &mut bin);
-        let json = serde_json::to_string(&response).expect("encodes");
-        (json.len(), bin.len())
+        smartpick_wire::codec::encode_response_into(&response, &mut bin);
+        bin.len()
     };
-    println!("determine response payload: {det_json_bytes} B as JSON, {det_bin_bytes} B as binary");
-    drop(json_client);
-    drop(bin_client);
+    println!("determine response payload: {response_bytes} B");
+    drop(client);
 
-    println!("binary determines/s, 32 in flight split over N connections (unpinned)");
+    println!("determines/s, 32 in flight split over N connections (unpinned)");
     smartpick_bench::rule(64);
     let mut multi_rows = String::new();
     let quartiles = |[q1, median, q3]: [f64; 3]| {
@@ -358,7 +306,7 @@ fn main() {
         .zip(MULTI_CONNECTION_RUNS)
         .enumerate()
     {
-        let per_s = measure_multi(addr, determine, conns, depth);
+        let per_s = measure_multi(addr, &determine, conns, depth);
         println!("{conns} x {depth:<14} {per_s:>12.0}");
         if i > 0 {
             multi_rows.push_str(",\n");
@@ -435,12 +383,10 @@ fn main() {
 
     let json = format!(
         "{{\n  \"bench\": \"wire_codec\",\n  \"unit\": \"microseconds (median over-wire round \
-         trip, loopback TCP)\",\n  \"json\": \"pipelined v2 frames, JSON payloads\",\n  \
-         \"binary\": \"negotiated v3 frames, length-tagged binary payloads (same Value tree, no \
-         number formatting/parsing)\",\n  \"iterations\": {iters},\n  \
-         \"determine_response_bytes\": {{\"json\": {det_json_bytes}, \"binary\": \
-         {det_bin_bytes}}},\n  \"codec\": [\n{codec_rows}\n  \
-         ],\n  \"multi_connection\": {{\n    \"unit\": \"binary determines per second, 32 in flight \
+         trip, loopback TCP)\",\n  \"frames\": \"v3 frames, length-tagged binary payloads\",\n  \
+         \"iterations\": {iters},\n  \"determine_response_bytes\": {response_bytes},\n  \
+         \"codec\": [\n{codec_rows}\n  \
+         ],\n  \"multi_connection\": {{\n    \"unit\": \"determines per second, 32 in flight \
          split over N connections, one closed-loop client thread each, unpinned, 2 s \
          window\",\n    \"rows\": [\n{multi_rows}\n    ],\n    \"notes\": \
          \"{MULTI_CONNECTION_NOTES}\"\n  }},\n  \"connection_scaling\": [\n{scale_rows}\n  ]\n}}\n"

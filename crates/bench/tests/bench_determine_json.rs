@@ -120,37 +120,3 @@ fn recorded_lattice_rows_hold_their_bars_against_the_batch_walk() {
         }
     }
 }
-
-#[test]
-fn recorded_batch_rows_cost_what_their_sequential_calls_cost() {
-    // `determine_batch` is its sequential calls with the resolves up
-    // front, so a request must not cost more inside a batch than outside
-    // one (it cost 2x while every request was keyed on its rendered
-    // JSON). 15% is the room the record's own timer noise needs.
-    let root = load();
-    let Value::Arr(rows) = field(field(&root, "batch"), "rows") else {
-        panic!("`batch.rows` must be a list");
-    };
-    // The cheapest configuration and the heavy one.
-    let configs = [("8x8", 10), ("16x16", 100)];
-    assert_eq!(rows.len(), configs.len());
-    for (row, (grid, trees)) in rows.iter().zip(configs) {
-        assert_eq!(field(row, "grid"), &Value::Str(grid.to_owned()));
-        assert_eq!(num(field(row, "trees")) as usize, trees);
-        let batch = num(field(row, "batch_us"));
-        let sequential = num(field(row, "sequential_us"));
-        let before = num(field(row, "before_us"));
-        assert!(
-            batch > 0.0 && sequential > 0.0 && before > 0.0,
-            "{grid}/{trees}"
-        );
-        assert!(
-            batch <= 1.15 * sequential,
-            "{grid}/{trees}: {batch} us per request in a batch, {sequential} us alone"
-        );
-        assert!(
-            (num(field(row, "ratio")) - batch / sequential).abs() < 0.01,
-            "{grid}/{trees}: recorded ratio must match the recorded medians"
-        );
-    }
-}

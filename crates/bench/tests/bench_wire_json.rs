@@ -1,5 +1,5 @@
 //! Guard for the committed `BENCH_wire.json` (written by
-//! `src/bin/bench_wire.rs`): the recorded binary-vs-JSON codec matrix,
+//! `src/bin/bench_wire.rs`): the recorded round-trip rows,
 //! multi-connection rows and connection-scaling entries parse, are
 //! internally consistent, and hold their acceptance bars — asserted on the
 //! *committed record*, not a re-run, so the test is deterministic.
@@ -47,48 +47,23 @@ fn bench_wire_json_parses_and_is_internally_consistent() {
     let Value::Arr(entries) = field(&root, "codec") else {
         panic!("`codec` must be a list");
     };
-    assert!(entries.len() >= 3, "ping, determine, and pipelined rows");
-    for entry in entries {
-        let json_us = num(field(entry, "json_us"));
-        let binary_us = num(field(entry, "binary_us"));
-        let speedup = num(field(entry, "speedup"));
-        assert!(json_us > 0.0 && json_us.is_finite());
-        assert!(binary_us > 0.0 && binary_us.is_finite());
-        assert!(
-            (speedup - json_us / binary_us).abs() < 0.1,
-            "recorded speedup must match the recorded medians"
-        );
+    assert_eq!(entries.len(), 3, "ping, determine, and pipelined rows");
+    for op in ["ping", "determine", "determine_pipelined32"] {
+        let us = num(field(codec_entry(&root, op), "us"));
+        assert!(us > 0.0 && us.is_finite(), "{op}: {us}");
     }
-}
-
-#[test]
-fn recorded_binary_codec_meets_the_2x_determine_bar() {
-    // The PR's acceptance bar: the binary codec beats JSON by ≥2× on
-    // the median over-wire determine — already on a plain blocking
-    // round trip, and on the pipelined path where the codec is the
-    // dominant per-request cost.
-    let root = load();
-    for op in ["determine", "determine_pipelined32"] {
-        let speedup = num(field(codec_entry(&root, op), "speedup"));
-        assert!(
-            speedup >= 2.0,
-            "recorded `{op}` speedup {speedup} regressed below 2x"
-        );
-    }
+    assert!(num(field(&root, "determine_response_bytes")) > 0.0);
 }
 
 #[test]
 fn recorded_pipelined_determine_is_no_slower_than_before_the_loop_ran_it() {
     // The parent's committed row (every request crossed to an executor
     // and back): 32.4 µs per binary determine at depth 32.
-    let binary_us = num(field(
-        codec_entry(&load(), "determine_pipelined32"),
-        "binary_us",
-    ));
+    let us = num(field(codec_entry(&load(), "determine_pipelined32"), "us"));
     assert!(
-        binary_us <= 32.4,
-        "recorded determine_pipelined32 is {binary_us} µs in the binary codec, slower than the \
-         32.4 µs recorded before hot determines ran on the event loop"
+        us <= 32.4,
+        "recorded determine_pipelined32 is {us} µs, slower than the 32.4 µs recorded before hot \
+         determines ran on the event loop"
     );
 }
 

@@ -279,23 +279,6 @@ impl Smartpick {
         }
     }
 
-    /// Determines every request in one batched read-path call against
-    /// the current model (no execution, no training feedback): one
-    /// tree-outer forest pass prices all sweep-eligible requests, with
-    /// results identical to issuing each request through
-    /// [`WorkloadPredictionService::determine`] individually. This is
-    /// the in-process form of the wire front-end's batched endpoint.
-    ///
-    /// # Errors
-    ///
-    /// Fails the whole batch on the first unmatchable query.
-    pub fn determine_batch(
-        &self,
-        requests: &[PredictionRequest],
-    ) -> Result<Vec<Determination>, SmartpickError> {
-        self.predictor.determine_batch(requests)
-    }
-
     /// The trained predictor (read access).
     pub fn predictor(&self) -> &WorkloadPredictor {
         &self.predictor

@@ -153,23 +153,6 @@ pub trait WorkloadPredictionService {
     /// Implementations return [`SmartpickError::UnknownQuery`] when the
     /// query cannot be matched to any known workload.
     fn determine(&self, request: &PredictionRequest) -> Result<Determination, SmartpickError>;
-
-    /// Determines every request in one call, in request order. The
-    /// contract is *result-identical to N sequential [`Self::determine`]
-    /// calls* (each request keeps its own seed/knob/constraint); what the
-    /// wire front-end's batched endpoint buys is one frame and one
-    /// all-or-nothing answer for N requests.
-    ///
-    /// # Errors
-    ///
-    /// Fails the whole batch on the first unmatchable query, before any
-    /// partial results are produced.
-    fn determine_batch(
-        &self,
-        requests: &[PredictionRequest],
-    ) -> Result<Vec<Determination>, SmartpickError> {
-        requests.iter().map(|r| self.determine(r)).collect()
-    }
 }
 
 /// One constraint mode's precompiled search space: the candidate
@@ -617,30 +600,6 @@ impl WorkloadPredictionService for WorkloadPredictor {
             request.seed,
         )
     }
-
-    /// The batched determine: N sequential [`Self::determine`] calls,
-    /// but with every query resolved up front, so an unmatchable one
-    /// fails the whole batch before any search work is spent. A repeated
-    /// request is simply computed again — a determination is a pure
-    /// function of the request (the δ-noise stream is seeded from it), so
-    /// it repeats bit for bit.
-    fn determine_batch(
-        &self,
-        requests: &[PredictionRequest],
-    ) -> Result<Vec<Determination>, SmartpickError> {
-        let matched = requests
-            .iter()
-            .map(|r| self.resolve(&r.query))
-            .collect::<Result<Vec<_>, _>>()?;
-        requests
-            .iter()
-            .zip(matched)
-            .map(|(r, matched)| {
-                let result = self.search(r.query.input_gb, r.constraint, r.seed, matched.0.code)?;
-                Ok(self.finish(result, r.constraint, r.knob, matched))
-            })
-            .collect()
-    }
 }
 
 impl WorkloadPredictor {
@@ -854,31 +813,16 @@ mod tests {
                     });
                 }
             }
-            let mut answerable = Vec::new();
             for request in &requests {
                 let context = format!(
                     "{max_vm}x{max_sl} floor {min_total} {:?} {}",
                     request.constraint, request.query.id
                 );
-                let want = wp.determine_materialised(request);
-                if want.is_ok() {
-                    answerable.push(request.clone());
-                }
-                assert_same(wp.determine(request), want, &context);
-            }
-            // The batch fails whole on an empty grid; over the rest it is
-            // the oracle slot for slot.
-            if answerable.len() < requests.len() {
-                assert!(matches!(
-                    wp.determine_batch(&requests),
-                    Err(SmartpickError::EmptySearchSpace(_))
-                ));
-            }
-            let batch = wp.determine_batch(&answerable).unwrap();
-            assert_eq!(batch.len(), answerable.len());
-            for (request, got) in answerable.iter().zip(batch) {
-                let context = format!("batch {max_vm}x{max_sl} {:?}", request.constraint);
-                assert_same(Ok(got), wp.determine_materialised(request), &context);
+                assert_same(
+                    wp.determine(request),
+                    wp.determine_materialised(request),
+                    &context,
+                );
             }
         }
     }

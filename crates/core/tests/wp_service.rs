@@ -1,9 +1,6 @@
 //! Integration tests of the Workload Prediction service boundary — the
 //! trait other SEDA systems consume (§5, §6.3.2).
 
-use std::sync::OnceLock;
-
-use proptest::prelude::*;
 use smartpick_cloudsim::{CloudEnv, Provider};
 use smartpick_core::training::{train_predictor, TrainOptions};
 use smartpick_core::wp::{ConstraintMode, PredictionRequest, WorkloadPredictionService};
@@ -224,117 +221,6 @@ fn relay_aware_predictor_emits_relay_allocations() {
     }
 }
 
-#[test]
-fn determine_batch_is_bit_identical_to_sequential_determines() {
-    let wp = predictor();
-    // Mixed queries (known + alien), constraint modes, knobs, and seeds:
-    // every request must come back exactly as its own sequential
-    // determine() would have answered it.
-    let mut requests = Vec::new();
-    let mut k = 0u64;
-    for qnum in [11u32, 49, 82, 62] {
-        for constraint in [
-            ConstraintMode::Hybrid,
-            ConstraintMode::VmOnly,
-            ConstraintMode::SlOnly,
-            ConstraintMode::EqualSlVm,
-        ] {
-            k += 1;
-            requests.push(PredictionRequest {
-                query: tpcds::query(qnum, 100.0).unwrap(),
-                knob: (k % 4) as f64 * 0.1,
-                constraint,
-                seed: 1000 + k,
-            });
-        }
-    }
-    let batch = wp.determine_batch(&requests).unwrap();
-    assert_eq!(batch.len(), requests.len());
-    for (request, got) in requests.iter().zip(&batch) {
-        let want = wp.determine(request).unwrap();
-        assert_eq!(got.allocation, want.allocation);
-        assert_eq!(
-            got.predicted_seconds.to_bits(),
-            want.predicted_seconds.to_bits(),
-            "{:?}",
-            request.constraint
-        );
-        assert_eq!(got.predicted_cost, want.predicted_cost);
-        assert_eq!(got.et_list, want.et_list);
-        assert_eq!(got.evaluations, want.evaluations);
-        assert_eq!(got.known_query, want.known_query);
-        assert_eq!(got.matched_query, want.matched_query);
-        assert_eq!(
-            got.match_similarity.to_bits(),
-            want.match_similarity.to_bits()
-        );
-    }
-    // The empty batch is a no-op, not an error.
-    assert!(wp.determine_batch(&[]).unwrap().is_empty());
-}
-
-/// Asserts two determinations are bitwise equal, field by field.
-fn assert_bit_identical(
-    got: &smartpick_core::Determination,
-    want: &smartpick_core::Determination,
-    context: &str,
-) {
-    assert_eq!(got.allocation, want.allocation, "{context}");
-    assert_eq!(
-        got.predicted_seconds.to_bits(),
-        want.predicted_seconds.to_bits(),
-        "{context}"
-    );
-    assert_eq!(got.predicted_cost, want.predicted_cost, "{context}");
-    assert_eq!(got.et_list, want.et_list, "{context}");
-    assert_eq!(got.evaluations, want.evaluations, "{context}");
-    assert_eq!(got.known_query, want.known_query, "{context}");
-    assert_eq!(got.matched_query, want.matched_query, "{context}");
-    assert_eq!(
-        got.match_similarity.to_bits(),
-        want.match_similarity.to_bits(),
-        "{context}"
-    );
-}
-
-#[test]
-fn repeated_requests_in_a_batch_repeat_their_results() {
-    // A determination is a pure function of the request, so a batch may
-    // hold the same request any number of times — every slot, repeat or
-    // not, equals its own sequential determine().
-    let wp = predictor();
-    let base = PredictionRequest::new(tpcds::query(11, 100.0).unwrap(), 21);
-    let other = PredictionRequest {
-        query: tpcds::query(49, 100.0).unwrap(),
-        knob: 0.2,
-        constraint: ConstraintMode::VmOnly,
-        seed: 22,
-    };
-    // Same query + seed but a different knob is a different request.
-    let near_miss = PredictionRequest {
-        knob: 0.3,
-        ..base.clone()
-    };
-    let requests = vec![
-        base.clone(),
-        other.clone(),
-        base.clone(),
-        near_miss.clone(),
-        base,
-        other,
-        near_miss,
-    ];
-    let batch = wp.determine_batch(&requests).unwrap();
-    assert_eq!(batch.len(), requests.len());
-    for (i, (request, got)) in requests.iter().zip(&batch).enumerate() {
-        let want = wp.determine(request).unwrap();
-        assert_bit_identical(got, &want, &format!("slot {i}"));
-    }
-    // Repeats answer alike, slot for slot.
-    assert_eq!(batch[0].et_list, batch[2].et_list);
-    assert_eq!(batch[0].et_list, batch[4].et_list);
-}
-
 /// The four constraint modes' candidate sets, from the definition.
 fn grid(max_vm: u32, max_sl: u32, min_total: u32, mode: ConstraintMode) -> Vec<(u32, u32)> {
     let mut out = Vec::new();
@@ -412,10 +298,8 @@ fn every_mode_and_bound_sweeps_the_scalar_model_or_refuses_an_empty_grid() {
                 })
                 .collect();
             if candidates.is_empty() {
-                for result in [
-                    wp.determine(&requests[0]).map(|_| ()),
-                    wp.determine_batch(&requests).map(|_| ()),
-                ] {
+                for request in &requests {
+                    let result = wp.determine(request).map(|_| ());
                     assert!(
                         matches!(result, Err(SmartpickError::EmptySearchSpace(m)) if m == mode),
                         "{context}: {result:?}"
@@ -423,10 +307,8 @@ fn every_mode_and_bound_sweeps_the_scalar_model_or_refuses_an_empty_grid() {
                 }
                 continue;
             }
-            let batch = wp.determine_batch(&requests).unwrap();
-            for (request, got) in requests.iter().zip(&batch) {
+            for request in &requests {
                 let det = wp.determine(request).unwrap();
-                assert_bit_identical(got, &det, &context);
                 assert_eq!(det.evaluations, det.et_list.len().min(candidates.len()));
                 let mut best = f64::INFINITY;
                 for &(n_vm, n_sl) in &candidates {
@@ -450,51 +332,6 @@ fn every_mode_and_bound_sweeps_the_scalar_model_or_refuses_an_empty_grid() {
                 // The sweep knows the whole grid: its optimum is probed.
                 assert_eq!(probed_best.to_bits(), best.to_bits(), "{context}");
             }
-        }
-    }
-}
-
-/// Trains the shared predictor once for the property test below.
-fn shared_predictor() -> &'static WorkloadPredictor {
-    static WP: OnceLock<WorkloadPredictor> = OnceLock::new();
-    WP.get_or_init(predictor)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Any multiset of requests drawn from a small pool — so repeats
-    /// are frequent — answers identically to the sequential path, slot
-    /// for slot.
-    #[test]
-    fn batches_with_repeats_match_the_sequential_path(
-        picks in prop::collection::vec(0usize..5, 1..10),
-    ) {
-        let wp = shared_predictor();
-        let pool = [
-            PredictionRequest::new(tpcds::query(11, 100.0).unwrap(), 101),
-            PredictionRequest::new(tpcds::query(49, 100.0).unwrap(), 102),
-            PredictionRequest {
-                query: tpcds::query(82, 100.0).unwrap(),
-                knob: 0.1,
-                constraint: ConstraintMode::SlOnly,
-                seed: 103,
-            },
-            PredictionRequest::new(tpcds::query(11, 100.0).unwrap(), 104),
-            PredictionRequest {
-                query: tpcds::query(49, 100.0).unwrap(),
-                knob: 0.0,
-                constraint: ConstraintMode::EqualSlVm,
-                seed: 102,
-            },
-        ];
-        let requests: Vec<PredictionRequest> =
-            picks.iter().map(|&i| pool[i].clone()).collect();
-        let batch = wp.determine_batch(&requests).unwrap();
-        prop_assert_eq!(batch.len(), requests.len());
-        for (i, (request, got)) in requests.iter().zip(&batch).enumerate() {
-            let want = wp.determine(request).unwrap();
-            assert_bit_identical(got, &want, &format!("slot {i} of {picks:?}"));
         }
     }
 }

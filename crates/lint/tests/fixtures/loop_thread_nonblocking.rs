@@ -30,8 +30,8 @@ fn negative_not_a_call_on_the_service(shared: &Shared) -> Arc<SmartpickService> 
     Arc::clone(&shared.service) // negative: no method is called on it
 }
 
-fn negative_through_execute(request: Request, shared: &Shared) -> Vec<Response> {
-    execute_multi(request, shared) // negative: runs on an executor thread
+fn negative_through_execute(request: Request, shared: &Shared) -> Response {
+    execute(request, shared) // negative: runs on an executor thread
 }
 
 fn allowlisted(shared: &Shared) -> usize {

@@ -8,9 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use smartpick_core::driver::{QueryOutcome, Smartpick};
-use smartpick_core::wp::{
-    ConstraintMode, Determination, PredictionRequest, WorkloadPredictionService, WorkloadPredictor,
-};
+use smartpick_core::wp::{ConstraintMode, Determination, PredictionRequest, WorkloadPredictor};
 use smartpick_core::RunSample;
 use smartpick_engine::{QueryProfile, RunReport};
 use smartpick_obs::{
@@ -727,7 +725,7 @@ impl SmartpickService {
         // for predictions actually served, so the counter can never
         // exceed `predictions`.
         if stale {
-            self.note_stale_serve(state, 1);
+            self.note_stale_serve(state);
         }
         state.counters.predictions.inc();
         self.totals.predictions.inc();
@@ -806,12 +804,12 @@ impl SmartpickService {
         Some(self.determine_on(&state, &snapshot, query, seed))
     }
 
-    /// Counts `n` stale serves and emits one `StalenessFlagged` event per
+    /// Counts one stale serve and emits one `StalenessFlagged` event per
     /// stale episode (not per prediction — the ring is for incidents, not
     /// samples).
-    fn note_stale_serve(&self, state: &TenantState, n: u64) {
-        state.counters.stale_predictions.add(n);
-        self.totals.stale_predictions.add(n);
+    fn note_stale_serve(&self, state: &TenantState) {
+        state.counters.stale_predictions.inc();
+        self.totals.stale_predictions.inc();
         if !state.stale_flagged.swap(true, Ordering::Relaxed) {
             self.obs.events().publish(
                 event(EventKind::StalenessFlagged)
@@ -830,45 +828,6 @@ impl SmartpickService {
         let published = state.published_at_us.load(Ordering::Relaxed);
         let age_us = self.now_us().saturating_sub(published);
         age_us > max_age.as_micros() as u64
-    }
-
-    /// Answers every request in one batched snapshot read: the tenant is
-    /// resolved once, **one** snapshot `Arc` is cloned out, and the
-    /// whole batch is searched against it
-    /// (`WorkloadPredictor::determine_batch`, which computes repeated
-    /// requests once), so N queries cost one registry hop + one snapshot
-    /// acquisition instead of N of each.
-    /// Results are identical to N sequential [`SmartpickService::predict`]
-    /// calls with the same requests against an unchanged snapshot, and
-    /// the tenant's prediction counter advances by N.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownTenant`], or a core prediction failure —
-    /// the batch fails whole, before any partial results.
-    pub fn determine_batch(
-        &self,
-        tenant: &str,
-        requests: &[PredictionRequest],
-    ) -> Result<Vec<Determination>, ServiceError> {
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
-        let state = self.resolve(tenant)?;
-        let start = Instant::now();
-        let snapshot = state.read_snapshot();
-        let stale = self.snapshot_is_stale(&state);
-        let determinations = snapshot.determine_batch(requests)?;
-        let n = requests.len() as u64;
-        if stale {
-            self.note_stale_serve(&state, n);
-        }
-        state.counters.predictions.add(n);
-        self.totals.predictions.add(n);
-        // One latency sample for the whole batch: the histogram tracks
-        // serving operations, and the batch is served as one.
-        self.predict_latency.record(start.elapsed());
-        Ok(determinations)
     }
 
     /// Convenience [`SmartpickService::predict`]: hybrid search with the

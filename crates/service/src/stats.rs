@@ -1,5 +1,5 @@
 //! Service observability: who owns each number, plus the public stats
-//! shapes the wire protocol carries.
+//! shapes (`TenantStats` is also what the wire's `tenant_stats` carries).
 //!
 //! Everything here is updated with relaxed atomics on the hot path —
 //! stats must never serialise the readers they are measuring. Each
@@ -99,7 +99,7 @@ impl ShardCounters {
 }
 
 /// A point-in-time view of one retrain worker's queue shard.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerShardStats {
     /// The shard index (= worker index; tenants route here by hash).
     pub shard: usize,
@@ -189,8 +189,10 @@ impl TenantStats {
 /// Aggregates are read from the service-wide total counters the hot path
 /// increments alongside the per-tenant ones, so building this view is a
 /// handful of atomic loads — it never walks the tenant registry, and the
-/// totals are monotonic across tenant churn by construction.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+/// totals are monotonic across tenant churn by construction. The same
+/// `service.*` totals ride every `scrape`; this struct is their
+/// in-process reading.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceStats {
     /// Registered tenants.
     pub tenants: usize,

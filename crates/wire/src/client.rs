@@ -1,10 +1,9 @@
 //! The typed client: blocking one-method-per-request calls plus the
 //! pipelined surface they ride on — a non-blocking
-//! [`WireClient::submit`]/[`WireClient::recv`] pair, the batched
-//! [`WireClient::determine_many`], and [`WireClient::split`] into
-//! independently-owned send/receive halves for cross-thread pipelining.
-//! Every request travels in an id-tagged frame: v2 (JSON) until
-//! [`WireClient::negotiate_binary`] upgrades the connection to v3.
+//! [`WireClient::submit`]/[`WireClient::recv`] pair and
+//! [`WireClient::split`] into independently-owned send/receive halves
+//! for cross-thread pipelining. Every request travels in an id-tagged
+//! v3 frame, from the first one a connection sends.
 
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -13,13 +12,12 @@ use std::time::Duration;
 use smartpick_core::wp::{Determination, PredictionRequest};
 use smartpick_engine::QueryProfile;
 use smartpick_obs::{HealthReport, ScrapeEnvelope};
-use smartpick_service::{CompletedRun, ServiceStats, TenantStats};
+use smartpick_service::{CompletedRun, TenantStats};
 
-use crate::codec::{self, Codec};
-use crate::error::{ErrorKind, WireError};
+use crate::codec;
+use crate::error::WireError;
 use crate::frame::{
-    read_frame_any_into, write_frame_v2_buffered, write_frame_v3_buffered, FrameError,
-    DEFAULT_MAX_FRAME_LEN,
+    read_frame_any_into, write_frame_v3_buffered, FrameError, DEFAULT_MAX_FRAME_LEN,
 };
 use crate::proto::{Rejection, Request, Response};
 
@@ -36,31 +34,16 @@ use crate::proto::{Rejection, Request, Response};
 /// first.
 ///
 /// The client keeps reusable encode/decode scratch buffers, so a
-/// steady-state call allocates nothing for framing: the request JSON is
-/// rendered into a held `String`, framed through a held `Vec<u8>`, and
-/// the response payload lands in a third held buffer.
+/// steady-state call allocates nothing for framing: the request payload
+/// is encoded into a held `Vec<u8>`, framed through a second, and the
+/// response payload lands in a third.
 #[derive(Debug)]
 pub struct WireClient {
     stream: TcpStream,
     max_frame_len: usize,
-    /// The codec this client frames requests in. Starts as JSON (every
-    /// server generation understands it); [`WireClient::negotiate_binary`]
-    /// upgrades it when the server echoes binary back.
-    codec: Codec,
-    /// Request-JSON scratch, reused across calls.
-    encode_buf: String,
-    /// Request binary-payload scratch, reused across calls.
-    bin_buf: Vec<u8>,
-    /// Outbound frame assembly scratch, reused across calls.
-    frame_buf: Vec<u8>,
+    encoder: Encoder,
     /// Inbound payload scratch, reused across calls.
     read_buf: Vec<u8>,
-    /// The next pipelined request id.
-    next_id: u64,
-    /// The deadline configured via [`WireClient::set_io_timeout`],
-    /// remembered so the fallback reconnect after a failed binary probe
-    /// keeps the same read/write bounds.
-    io_timeout: Option<Duration>,
 }
 
 impl WireClient {
@@ -93,94 +76,32 @@ impl WireClient {
         WireClient {
             stream,
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
-            codec: Codec::Json,
-            encode_buf: String::new(),
-            bin_buf: Vec::new(),
-            frame_buf: Vec::new(),
+            encoder: Encoder::default(),
             read_buf: Vec::new(),
-            next_id: 0,
-            io_timeout: None,
         }
     }
 
-    /// The codec this client currently frames requests in.
-    pub fn codec(&self) -> Codec {
-        self.codec
-    }
-
-    /// Tries to upgrade this connection to the binary codec (v3
-    /// frames), returning whether the upgrade took.
-    ///
-    /// The negotiation is one probe: a binary `ping`. A server that
-    /// speaks v3 answers it in kind (the version byte of each frame *is*
-    /// the negotiation — there is no separate handshake message), and
-    /// every later request from this client is framed as binary. A
-    /// pre-v3 server treats the unknown version byte as a framing
-    /// violation: it answers with an un-numbered `protocol` error and
-    /// closes the connection — in that case this client reconnects to
-    /// the same address and stays on JSON, so the call is safe against
-    /// servers of any generation. Don't call it while pipelined requests
-    /// are outstanding.
+    /// Always `Ok(true)`, and touches no socket: every connection speaks
+    /// the binary codec (v3 frames) from its first frame, so there is
+    /// nothing left to negotiate. Kept for callers written against the
+    /// probe it used to be.
     ///
     /// # Examples
     ///
     /// ```no_run
-    /// use smartpick_wire::{Codec, WireClient};
+    /// use smartpick_wire::WireClient;
     ///
     /// let mut client = WireClient::connect("127.0.0.1:7171")?;
-    /// if client.negotiate_binary()? {
-    ///     assert_eq!(client.codec(), Codec::Binary);
-    /// }
-    /// // Either way every call keeps working; only the codec differs.
+    /// assert!(client.negotiate_binary()?);
     /// client.ping()?;
     /// # Ok::<(), smartpick_wire::WireError>(())
     /// ```
     ///
     /// # Errors
     ///
-    /// A server at its connection cap answers the probe with a
-    /// retryable `busy` rejection, returned as such (the connection is
-    /// gone; reconnect later). Otherwise socket failures during the
-    /// fallback reconnect.
+    /// None; the `Result` is the shape callers already handle.
     pub fn negotiate_binary(&mut self) -> Result<bool, WireError> {
-        let peer = self.stream.peer_addr().map_err(WireError::Io)?;
-        let sent = submit_on(
-            &mut self.stream,
-            Codec::Binary,
-            &mut self.encode_buf,
-            &mut self.bin_buf,
-            &mut self.frame_buf,
-            &mut self.next_id,
-            &Request::Ping,
-        );
-        match sent.and_then(|id| Ok((id, self.recv()?))) {
-            Ok((id, (got, Response::Pong))) if got == id => {
-                self.codec = Codec::Binary;
-                Ok(true)
-            }
-            Err(
-                busy @ WireError::Rejected {
-                    kind: ErrorKind::Busy,
-                    ..
-                },
-            ) => Err(busy),
-            // Old server: an un-numbered `protocol` error frame (then
-            // close), or the close alone surfacing as an I/O error.
-            // Either way the stream is gone — reconnect and stay on JSON.
-            Ok(_) | Err(_) => self.reconnect_json(&peer),
-        }
-    }
-
-    /// Falls back to a fresh JSON connection after a failed binary
-    /// probe (the old server closed our stream).
-    fn reconnect_json(&mut self, peer: &SocketAddr) -> Result<bool, WireError> {
-        let stream = TcpStream::connect(peer)?;
-        let _ = stream.set_nodelay(true);
-        stream.set_read_timeout(self.io_timeout)?;
-        stream.set_write_timeout(self.io_timeout)?;
-        self.stream = stream;
-        self.codec = Codec::Json;
-        Ok(false)
+        Ok(true)
     }
 
     /// Bounds every subsequent read and write (`None` = block forever).
@@ -194,7 +115,6 @@ impl WireClient {
     pub fn set_io_timeout(&mut self, timeout: Option<Duration>) -> Result<(), WireError> {
         self.stream.set_read_timeout(timeout)?;
         self.stream.set_write_timeout(timeout)?;
-        self.io_timeout = timeout;
         Ok(())
     }
 
@@ -341,18 +261,6 @@ impl WireClient {
         }
     }
 
-    /// A point-in-time view of the whole service.
-    ///
-    /// # Errors
-    ///
-    /// See [`WireError`].
-    pub fn service_stats(&mut self) -> Result<ServiceStats, WireError> {
-        match self.call(&Request::ServiceStats)? {
-            Response::ServiceStats(s) => Ok(s),
-            other => Err(unexpected("service_stats", &other)),
-        }
-    }
-
     /// One versioned telemetry envelope: every metric the server process
     /// registered (service and wire layers), `tenant.<id>.*` rows for the
     /// tenants *resident* right now (a cold tenant is answered by
@@ -384,53 +292,6 @@ impl WireClient {
         }
     }
 
-    /// Runs N full [`PredictionRequest`]s against `tenant` in **one**
-    /// wire round trip, answered from one server-side snapshot read —
-    /// results are identical to issuing each request through
-    /// [`WireClient::predict`] individually (each keeps its own
-    /// knob/constraint/seed), but framing, payload encoding, and
-    /// snapshot acquisition are paid once for the whole batch.
-    ///
-    /// # Examples
-    ///
-    /// ```no_run
-    /// use smartpick_core::wp::{ConstraintMode, PredictionRequest};
-    /// use smartpick_wire::WireClient;
-    /// use smartpick_workloads::tpcds;
-    ///
-    /// let mut client = WireClient::connect("127.0.0.1:7171")?;
-    /// let query = tpcds::query(11, 100.0).expect("catalog query");
-    /// let requests: Vec<_> = (0..8)
-    ///     .map(|seed| PredictionRequest {
-    ///         query: query.clone(),
-    ///         knob: 0.5,
-    ///         constraint: ConstraintMode::Hybrid,
-    ///         seed,
-    ///     })
-    ///     .collect();
-    /// let determinations = client.determine_many("acme", requests)?;
-    /// assert_eq!(determinations.len(), 8);
-    /// # Ok::<(), smartpick_wire::WireError>(())
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// See [`WireError`]; the batch fails whole (no partial results).
-    pub fn determine_many(
-        &mut self,
-        tenant: impl Into<String>,
-        requests: Vec<PredictionRequest>,
-    ) -> Result<Vec<Determination>, WireError> {
-        let request = Request::DetermineBatch {
-            tenant: tenant.into(),
-            requests,
-        };
-        match self.call(&request)? {
-            Response::Determinations(ds) => Ok(ds),
-            other => Err(unexpected("determinations", &other)),
-        }
-    }
-
     // ---------------------------------------------------------------
     // Pipelining
     // ---------------------------------------------------------------
@@ -447,15 +308,7 @@ impl WireClient {
     ///
     /// Propagates encode and socket write failures.
     pub fn submit(&mut self, request: &Request) -> Result<u64, WireError> {
-        submit_on(
-            &mut self.stream,
-            self.codec,
-            &mut self.encode_buf,
-            &mut self.bin_buf,
-            &mut self.frame_buf,
-            &mut self.next_id,
-            request,
-        )
+        self.encoder.submit(&mut self.stream, request)
     }
 
     /// [`WireClient::submit`] for the common determine: hybrid search
@@ -507,11 +360,7 @@ impl WireClient {
         Ok((
             WireSender {
                 stream: self.stream,
-                codec: self.codec,
-                encode_buf: self.encode_buf,
-                bin_buf: self.bin_buf,
-                frame_buf: self.frame_buf,
-                next_id: self.next_id,
+                encoder: self.encoder,
             },
             WireReceiver {
                 stream: read_stream,
@@ -519,75 +368,6 @@ impl WireClient {
                 read_buf: self.read_buf,
             },
         ))
-    }
-
-    /// Runs N full [`PredictionRequest`]s against `tenant` with the
-    /// results **streamed** back one frame per determination
-    /// (`batch_item`, then a closing `batch_end`), instead of one giant
-    /// response frame like [`WireClient::determine_many`]. Same answers,
-    /// same single server-side snapshot read — but the first result is
-    /// decodable before the last is computed, and no frame has to hold
-    /// the whole batch. Don't interleave with outstanding pipelined
-    /// submissions: this call drains responses until its own
-    /// `batch_end`.
-    ///
-    /// # Errors
-    ///
-    /// See [`WireError`]; the batch fails whole (no partial results).
-    pub fn determine_streamed(
-        &mut self,
-        tenant: impl Into<String>,
-        requests: Vec<PredictionRequest>,
-    ) -> Result<Vec<Determination>, WireError> {
-        let expected = requests.len();
-        let id = self.submit(&Request::DetermineStream {
-            tenant: tenant.into(),
-            requests,
-        })?;
-        let mut out: Vec<Option<Determination>> = Vec::new();
-        out.resize_with(expected, || None);
-        loop {
-            let (got, response) = self.recv()?;
-            if got != id {
-                return Err(WireError::Protocol(format!(
-                    "streamed batch {id} interleaved with response for {got}"
-                )));
-            }
-            match response {
-                Response::BatchItem {
-                    index,
-                    determination,
-                } => {
-                    let slot = out.get_mut(index as usize).ok_or_else(|| {
-                        WireError::Protocol(format!(
-                            "batch_item index {index} out of range for a {expected}-request batch"
-                        ))
-                    })?;
-                    *slot = Some(*determination);
-                }
-                Response::BatchEnd { count } => {
-                    if count as usize != expected {
-                        return Err(WireError::Protocol(format!(
-                            "batch_end reported {count} items, expected {expected}"
-                        )));
-                    }
-                    let mut result = Vec::with_capacity(expected);
-                    for (i, slot) in out.into_iter().enumerate() {
-                        match slot {
-                            Some(d) => result.push(d),
-                            None => {
-                                return Err(WireError::Protocol(format!(
-                                    "batch_end arrived before item {i}"
-                                )))
-                            }
-                        }
-                    }
-                    return Ok(result);
-                }
-                Response::Error(r) => return Err(rejected(r)),
-                other => return Err(unexpected("batch_item or batch_end", &other)),
-            }
-        }
     }
 
     /// One request/response exchange; server-side rejections become
@@ -608,15 +388,11 @@ impl WireClient {
 }
 
 /// The send half of a [`WireClient::split`] connection: owns the write
-/// side, the codec, and the id sequence.
+/// side and the id sequence.
 #[derive(Debug)]
 pub struct WireSender {
     stream: TcpStream,
-    codec: Codec,
-    encode_buf: String,
-    bin_buf: Vec<u8>,
-    frame_buf: Vec<u8>,
-    next_id: u64,
+    encoder: Encoder,
 }
 
 impl WireSender {
@@ -626,15 +402,7 @@ impl WireSender {
     ///
     /// Propagates encode and socket write failures.
     pub fn submit(&mut self, request: &Request) -> Result<u64, WireError> {
-        submit_on(
-            &mut self.stream,
-            self.codec,
-            &mut self.encode_buf,
-            &mut self.bin_buf,
-            &mut self.frame_buf,
-            &mut self.next_id,
-            request,
-        )
+        self.encoder.submit(&mut self.stream, request)
     }
 
     /// See [`WireClient::submit_determine`].
@@ -675,40 +443,30 @@ impl WireReceiver {
     }
 }
 
-/// Encodes and writes one pipelined request frame — v2 (JSON) or v3
-/// (binary) as `codec` dictates — assigning the next id (shared by
-/// [`WireClient::submit`] and [`WireSender::submit`]). Both payload
-/// encodings land in a caller-held scratch buffer, so steady-state
-/// submission allocates nothing.
-fn submit_on(
-    stream: &mut TcpStream,
-    codec: Codec,
-    encode_buf: &mut String,
-    bin_buf: &mut Vec<u8>,
-    frame_buf: &mut Vec<u8>,
-    next_id: &mut u64,
-    request: &Request,
-) -> Result<u64, WireError> {
-    let id = *next_id;
-    *next_id += 1;
-    match codec {
-        Codec::Json => {
-            serde_json::to_string_into(request, encode_buf)
-                .map_err(|e| WireError::Protocol(format!("encoding request: {e}")))?;
-            write_frame_v2_buffered(stream, id, encode_buf.as_bytes(), frame_buf)?;
-        }
-        Codec::Binary => {
-            codec::encode_envelope_into(request, bin_buf);
-            write_frame_v3_buffered(stream, id, bin_buf, frame_buf)?;
-        }
-    }
-    Ok(id)
+/// The write side's state, shared by [`WireClient`] and [`WireSender`]:
+/// the id sequence and the payload and frame scratch buffers, so
+/// steady-state submission allocates nothing.
+#[derive(Debug, Default)]
+struct Encoder {
+    payload: Vec<u8>,
+    frame: Vec<u8>,
+    next_id: u64,
 }
 
-/// Reads one response frame and decodes its envelope in whatever codec
-/// the frame's version byte names (shared by [`WireClient::recv`] and
-/// [`WireReceiver::recv`]) — so one receiver handles a server mixing v2
-/// and v3 answers, and un-numbered connection-level error frames.
+impl Encoder {
+    /// Encodes and writes one v3 request frame under the next id.
+    fn submit(&mut self, stream: &mut TcpStream, request: &Request) -> Result<u64, WireError> {
+        let id = self.next_id;
+        self.next_id += 1;
+        codec::encode_envelope_into(request, &mut self.payload);
+        write_frame_v3_buffered(stream, id, &self.payload, &mut self.frame)?;
+        Ok(id)
+    }
+}
+
+/// Reads one response frame (shared by [`WireClient::recv`] and
+/// [`WireReceiver::recv`]): a v3 answer in the binary codec, or an
+/// un-numbered connection-level error frame in JSON.
 fn recv_on(
     stream: &mut TcpStream,
     max_frame_len: usize,
@@ -722,20 +480,17 @@ fn recv_on(
         FrameError::Io(e) => WireError::Io(e),
         other => WireError::Protocol(other.to_string()),
     })?;
-    let response = match header.codec() {
-        Codec::Json => {
-            let text = std::str::from_utf8(read_buf)
-                .map_err(|e| WireError::Protocol(format!("response is not UTF-8: {e}")))?;
-            serde_json::from_str(text)
-                .map_err(|e| WireError::Protocol(format!("decoding response: {e}")))?
-        }
-        Codec::Binary => codec::decode_response(read_buf)
-            .map_err(|e| WireError::Protocol(format!("decoding binary response: {e}")))?,
-    };
-    match (header.id, response) {
-        (Some(id), response) => Ok((id, response)),
-        (None, Response::Error(r)) => Err(rejected(r)),
-        (None, other) => Err(unexpected("un-numbered error frame", &other)),
+    if let Some(id) = header.id {
+        let response = codec::decode_response(read_buf)
+            .map_err(|e| WireError::Protocol(format!("decoding binary response: {e}")))?;
+        return Ok((id, response));
+    }
+    let text = std::str::from_utf8(read_buf)
+        .map_err(|e| WireError::Protocol(format!("error frame is not UTF-8: {e}")))?;
+    match serde_json::from_str(text) {
+        Ok(Response::Error(r)) => Err(rejected(r)),
+        Ok(other) => Err(unexpected("un-numbered error frame", &other)),
+        Err(e) => Err(WireError::Protocol(format!("decoding error frame: {e}"))),
     }
 }
 

@@ -1,21 +1,12 @@
-//! The payload codecs: how an envelope becomes bytes inside a frame.
+//! The payload codec: how an envelope becomes bytes inside a v3 frame.
 //!
-//! Two codecs share the same [`serde::Value`] data model, so they are
-//! interchangeable representations of the same envelope — anything
-//! expressible in one is expressible in the other, byte cost aside:
-//!
-//! * **JSON** (frame versions 1 and 2): UTF-8 text, human-readable,
-//!   what every pre-binary peer speaks. Its encoding and decoding —
-//!   almost all `f64` text formatting and parsing — dominate the
-//!   over-wire determine cost: the recorded `BENCH_wire.json` matrix
-//!   has the binary codec 2.35× faster on a blocking determine and
-//!   4.08× at pipelining depth 32, where the codec is nearly the whole
-//!   per-request cost.
-//! * **Binary** (frame version 3): a length-tagged tree encoding of the
-//!   same `Value`. Numbers travel as raw IEEE-754 bits (8 bytes,
-//!   big-endian), strings and containers carry `u32` big-endian
-//!   counts — nothing is ever scanned for a delimiter, so decoding is a
-//!   single forward pass with no text parsing at all.
+//! A length-tagged tree encoding of the vendored shim's [`serde::Value`]
+//! data model. Numbers travel as raw IEEE-754 bits (8 bytes,
+//! big-endian), strings and containers carry `u32` big-endian counts —
+//! nothing is ever scanned for a delimiter, so decoding is a single
+//! forward pass with no text parsing at all. (JSON text, the other
+//! rendering of the same `Value`, is left for humans and for the
+//! un-numbered connection-level error frame.)
 //!
 //! Binary value grammar (one tag byte, then the payload):
 //!
@@ -29,11 +20,9 @@
 //! 0x06  count:u32 BE (len:u32 BE key value)*count   object
 //! ```
 //!
-//! Because both codecs round-trip through the *same* `Value` tree,
-//! binary⇄JSON conversion is the identity on every envelope — proven
-//! variant-by-variant in `tests/codec_roundtrip.rs`. The shim's number
-//! model (every number is an `f64`) is shared too, so the two codecs
-//! agree bit-for-bit on what any number means.
+//! Every envelope is a fixed point of encode → decode → encode, and the
+//! determination fast paths below are byte-identical to the generic tree
+//! path — proven variant by variant in `tests/codec_roundtrip.rs`.
 //!
 //! Decoding is **total**: arbitrary bytes can never panic, over-read,
 //! or allocate unboundedly (container counts are sanity-checked against
@@ -41,25 +30,6 @@
 //! [`MAX_DECODE_DEPTH`]).
 
 use serde::Value;
-
-/// Which payload representation a connection (or frame) uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Codec {
-    /// UTF-8 JSON text (frame versions 1 and 2).
-    Json,
-    /// The length-tagged binary `Value` encoding (frame version 3).
-    Binary,
-}
-
-impl Codec {
-    /// The stable display name (`"json"` / `"binary"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Codec::Json => "json",
-            Codec::Binary => "binary",
-        }
-    }
-}
 
 /// Nesting cap for binary decoding: deeper trees are rejected rather
 /// than risking decoder stack exhaustion on adversarial input. Real
@@ -251,8 +221,7 @@ fn decode_at(c: &mut Cursor<'_>, depth: usize) -> Result<Value, CodecError> {
 }
 
 /// Renders `t` as a binary payload into `out` (cleared first, allocation
-/// reused across frames) — the binary twin of
-/// `serde_json::to_string_into`.
+/// reused across frames).
 pub fn encode_envelope_into<T: serde::Serialize>(t: &T, out: &mut Vec<u8>) {
     out.clear();
     encode_value_into(&t.to_value(), out);
@@ -273,11 +242,10 @@ pub fn decode_envelope<T: serde::Deserialize>(bytes: &[u8]) -> Result<T, CodecEr
 //
 // The generic path above routes every envelope through the `Value`
 // tree, which costs one heap allocation per field — on both sides. For
-// the serving hot path (a `Response` carrying one or many
-// `Determination`s, whose `ET_l` list is the bulk of every determine
-// answer) that tree is most of the remaining binary-codec cost, so the
-// functions below encode and decode those variants **directly**,
-// without building the tree at all.
+// the serving hot path (a `Response::Determination`, whose `ET_l` list
+// is the bulk of every determine answer) that tree is most of the
+// remaining codec cost, so the functions below encode and decode that
+// variant **directly**, without building the tree at all.
 //
 // Invariants, enforced by `tests/codec_roundtrip.rs`:
 //
@@ -365,45 +333,18 @@ fn w_determination(out: &mut Vec<u8>, d: &Determination) {
 
 /// Renders a [`Response`] as a binary payload into `out` (cleared
 /// first), byte-identical to [`encode_envelope_into`] but skipping the
-/// intermediate `Value` tree for the determination-carrying variants
-/// that dominate serving traffic.
+/// intermediate `Value` tree for the determination that dominates
+/// serving traffic.
 pub fn encode_response_into(response: &Response, out: &mut Vec<u8>) {
-    match response {
-        Response::Determination(d) => {
-            out.clear();
-            w_obj(out, 2);
-            w_key(out, "kind");
-            w_str(out, "determination");
-            w_key(out, "determination");
-            w_determination(out, d);
-        }
-        Response::Determinations(ds) => {
-            out.clear();
-            w_obj(out, 2);
-            w_key(out, "kind");
-            w_str(out, "determinations");
-            w_key(out, "determinations");
-            out.push(TAG_ARR);
-            push_count(out, ds.len());
-            for d in ds {
-                w_determination(out, d);
-            }
-        }
-        Response::BatchItem {
-            index,
-            determination,
-        } => {
-            out.clear();
-            w_obj(out, 3);
-            w_key(out, "kind");
-            w_str(out, "batch_item");
-            w_key(out, "index");
-            w_num(out, *index as f64);
-            w_key(out, "determination");
-            w_determination(out, determination);
-        }
-        _ => encode_envelope_into(response, out),
-    }
+    let Response::Determination(d) = response else {
+        return encode_envelope_into(response, out);
+    };
+    out.clear();
+    w_obj(out, 2);
+    w_key(out, "kind");
+    w_str(out, "determination");
+    w_key(out, "determination");
+    w_determination(out, d);
 }
 
 /// The fast decode path's readers. Every method returns `None` on any
@@ -520,50 +461,19 @@ impl<'a> Cursor<'a> {
 
 fn decode_response_fast(bytes: &[u8]) -> Option<Response> {
     let mut c = Cursor { bytes, pos: 0 };
-    if c.u8()? != TAG_OBJ {
-        return None;
-    }
-    let fields = c.u32()? as usize;
+    c.obj(2)?;
     c.key("kind")?;
-    let response = match (c.str()?, fields) {
-        ("determination", 2) => {
-            c.key("determination")?;
-            Response::Determination(c.determination()?)
-        }
-        ("determinations", 2) => {
-            c.key("determinations")?;
-            if c.u8()? != TAG_ARR {
-                return None;
-            }
-            let count = c.u32()? as usize;
-            if count > c.remaining() {
-                return None;
-            }
-            let mut ds = Vec::with_capacity(count);
-            for _ in 0..count {
-                ds.push(c.determination()?);
-            }
-            Response::Determinations(ds)
-        }
-        ("batch_item", 3) => {
-            c.key("index")?;
-            let index = c.num()? as u64;
-            c.key("determination")?;
-            Response::BatchItem {
-                index,
-                determination: Box::new(c.determination()?),
-            }
-        }
-        _ => return None,
-    };
+    (c.str()? == "determination").then_some(())?;
+    c.key("determination")?;
+    let response = Response::Determination(c.determination()?);
     // The generic decoder requires exact consumption; so does this one.
     (c.pos == bytes.len()).then_some(response)
 }
 
 /// Decodes a binary payload into a [`Response`]: the canonical layout
-/// of the determination-carrying variants takes a direct, tree-free
-/// path; everything else — including any non-canonical but valid
-/// encoding — falls back to [`decode_envelope`].
+/// of a determination takes a direct, tree-free path; everything else —
+/// including any non-canonical but valid encoding — falls back to
+/// [`decode_envelope`].
 ///
 /// # Errors
 ///

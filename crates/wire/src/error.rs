@@ -25,10 +25,10 @@ pub enum ErrorKind {
     Stopped,
     /// A core prediction / execution / retraining failure.
     Core,
-    /// The request envelope parsed as JSON but not as a known request.
+    /// The payload did not decode, or decoded to no known request.
     BadRequest,
-    /// The frame itself was unusable (bad version byte, oversized
-    /// payload, or non-JSON bytes).
+    /// The frame itself was unusable (a version byte other than 3, or an
+    /// oversized payload).
     Protocol,
     /// The server is at its connection cap; retry later.
     Busy,
@@ -92,7 +92,7 @@ pub enum WireError {
     /// A socket-level failure (connect, read, write, timeout).
     Io(io::Error),
     /// The peer violated the protocol: bad version byte, oversized or
-    /// truncated frame, non-JSON payload, or a response of the wrong
+    /// truncated frame, undecodable payload, or a response of the wrong
     /// shape for the request.
     Protocol(String),
     /// The server answered with an error response.

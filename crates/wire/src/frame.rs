@@ -1,20 +1,20 @@
 //! The frame layer: how request/response payloads travel over TCP.
 //!
-//! Requests and their responses travel in **id-tagged** frames: a
+//! Requests and their responses travel in **id-tagged** v3 frames: a
 //! version byte, a big-endian `u64` request id, a big-endian `u32`
-//! payload length, and that many payload bytes — UTF-8 JSON when the
-//! version byte is 2, the binary codec of [`crate::codec`] when it is 3.
-//! The id lets many requests be in flight on one connection with every
-//! response naming the request it answers. The **un-numbered** layout
-//! (version byte 1, no id) was generation v1's request/response frame;
-//! v1 is retired, and the layout now carries only the server's
-//! connection-level error frames, which answer no particular request:
+//! payload length, and that many payload bytes of the binary codec of
+//! [`crate::codec`]. The id lets many requests be in flight on one
+//! connection with every response naming the request it answers. The
+//! **un-numbered** layout (version byte 1, no id) was generation v1's
+//! request/response frame; v1 and v2 (id-tagged JSON) are retired, and
+//! the un-numbered layout now carries only the server's connection-level
+//! error frames, which answer no particular request:
 //!
 //! ```text
-//! id-tagged:    +------------+---------------------+-------------------------+-----------+
-//!               | u8 = 2 | 3 | u64 request id (BE) | u32 payload length (BE) | payload   |
-//!               +------------+---------------------+-------------------------+-----------+
-//!                  1 byte          8 bytes                  4 bytes           `length` bytes
+//! id-tagged:    +---------+---------------------+-------------------------+-----------+
+//!               | u8 = 3  | u64 request id (BE) | u32 payload length (BE) | payload   |
+//!               +---------+---------------------+-------------------------+-----------+
+//!                 1 byte          8 bytes                  4 bytes          `length` bytes
 //!
 //! un-numbered:  +---------+-------------------------+------------------------+
 //!               | u8 = 1  | u32 payload length (BE) | payload (JSON, UTF-8)  |
@@ -38,18 +38,11 @@ use std::io::{self, Read, Write};
 /// frame (connection cap `busy`, framing violations).
 pub const PROTOCOL_VERSION: u8 = 1;
 
-/// The pipelined protocol generation: every frame carries a `u64`
+/// The one generation that executes: every frame carries a `u64`
 /// request id, so responses can arrive out of order and a single
-/// connection can keep many requests in flight.
-pub const PROTOCOL_V2: u8 = 2;
-
-/// The binary protocol generation: the frame layout of
-/// [`PROTOCOL_V2`] (version byte, `u64` request id, `u32` length), but
-/// the payload is the length-tagged binary envelope encoding of
-/// [`crate::codec`] instead of JSON text. Negotiation happens at this
-/// version byte: a server answers each frame in the generation (and
-/// codec) it arrived with, so a client switches codecs simply by
-/// sending its next frame as v3.
+/// connection can keep many requests in flight, and the payload is the
+/// length-tagged binary envelope encoding of [`crate::codec`]. (Byte 2,
+/// the same layout with JSON payloads, is retired like byte 1.)
 pub const PROTOCOL_V3: u8 = 3;
 
 /// Default cap on a frame's payload length (1 MiB) — far above any
@@ -57,27 +50,14 @@ pub const PROTOCOL_V3: u8 = 3;
 /// few tens of KiB) while bounding what a bad peer can make us buffer.
 pub const DEFAULT_MAX_FRAME_LEN: usize = 1 << 20;
 
-/// The decoded header of one inbound frame: which protocol generation it
-/// used and, for v2 frames, the request id it carries.
+/// The decoded header of one inbound frame: which layout it used and,
+/// for a v3 frame, the request id it carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
-    /// The version byte ([`PROTOCOL_VERSION`], [`PROTOCOL_V2`], or
-    /// [`PROTOCOL_V3`]).
+    /// The version byte ([`PROTOCOL_VERSION`] or [`PROTOCOL_V3`]).
     pub version: u8,
-    /// The request id (`Some` iff the frame is v2 or v3).
+    /// The request id (`Some` iff the frame is v3).
     pub id: Option<u64>,
-}
-
-impl FrameHeader {
-    /// The payload codec this frame generation carries: binary for v3,
-    /// JSON for v1/v2.
-    pub fn codec(&self) -> crate::codec::Codec {
-        if self.version == PROTOCOL_V3 {
-            crate::codec::Codec::Binary
-        } else {
-            crate::codec::Codec::Json
-        }
-    }
 }
 
 /// Why a frame could not be read.
@@ -109,7 +89,7 @@ impl std::fmt::Display for FrameError {
             FrameError::Io(e) => write!(f, "frame i/o error: {e}"),
             FrameError::VersionMismatch { got } => write!(
                 f,
-                "protocol version mismatch: got {got}, want {PROTOCOL_V2} or {PROTOCOL_V3}"
+                "protocol version mismatch: got {got}, want {PROTOCOL_V3}"
             ),
             FrameError::Oversized { len, max } => {
                 write!(f, "frame payload of {len} bytes exceeds the {max}-byte cap")
@@ -173,26 +153,11 @@ fn payload_len(payload: &[u8]) -> io::Result<u32> {
     })
 }
 
-/// Writes one v2 frame — version byte, request id, length prefix,
+/// Writes one v3 frame — version byte, request id, length prefix,
 /// payload — via a caller-owned scratch buffer (cleared first,
-/// allocation reused across frames; single `write_all`): the pipelined
-/// twin of [`write_frame_buffered`].
-///
-/// # Errors
-///
-/// Propagates write failures.
-pub fn write_frame_v2_buffered(
-    w: &mut impl Write,
-    id: u64,
-    payload: &[u8],
-    scratch: &mut Vec<u8>,
-) -> io::Result<()> {
-    write_frame_tagged_buffered(w, PROTOCOL_V2, id, payload, scratch)
-}
-
-/// Writes one v3 (binary-codec) frame via a caller-owned scratch buffer
-/// (cleared first, allocation reused; single `write_all`). The payload
-/// must be a [`crate::codec`] binary envelope, not JSON.
+/// allocation reused across frames; single `write_all`): the id-tagged
+/// twin of [`write_frame_buffered`]. The payload must be a
+/// [`crate::codec`] binary envelope.
 ///
 /// # Errors
 ///
@@ -203,20 +168,10 @@ pub fn write_frame_v3_buffered(
     payload: &[u8],
     scratch: &mut Vec<u8>,
 ) -> io::Result<()> {
-    write_frame_tagged_buffered(w, PROTOCOL_V3, id, payload, scratch)
-}
-
-fn write_frame_tagged_buffered(
-    w: &mut impl Write,
-    version: u8,
-    id: u64,
-    payload: &[u8],
-    scratch: &mut Vec<u8>,
-) -> io::Result<()> {
     let len = payload_len(payload)?;
     scratch.clear();
     scratch.reserve(TAGGED_HEADER_LEN + payload.len());
-    scratch.push(version);
+    scratch.push(PROTOCOL_V3);
     scratch.extend_from_slice(&id.to_be_bytes());
     scratch.extend_from_slice(&len.to_be_bytes());
     scratch.extend_from_slice(payload);
@@ -241,16 +196,16 @@ pub fn read_frame(r: &mut impl Read, max_len: usize) -> Result<Vec<u8>, FrameErr
     Ok(payload)
 }
 
-/// Reads one frame of *any* layout (un-numbered, v2, or binary v3) into
+/// Reads one frame of *either* layout (un-numbered or v3) into
 /// `payload` (cleared first, allocation reused) and reports which kind
-/// arrived — what the client reads with, since a server answers in v2
-/// or v3 and reports connection-level errors un-numbered. On error the
-/// buffer contents are unspecified.
+/// arrived — what the client reads with, since a server answers in v3
+/// and reports connection-level errors un-numbered. On error the buffer
+/// contents are unspecified.
 ///
 /// # Errors
 ///
-/// See [`read_frame`]; a version byte that is none of
-/// [`PROTOCOL_VERSION`], [`PROTOCOL_V2`], [`PROTOCOL_V3`] is a
+/// See [`read_frame`]; a version byte that is neither
+/// [`PROTOCOL_VERSION`] nor [`PROTOCOL_V3`] is a
 /// [`FrameError::VersionMismatch`].
 pub fn read_frame_any_into(
     r: &mut impl Read,
@@ -264,7 +219,7 @@ fn read_frame_core(
     r: &mut impl Read,
     max_len: usize,
     payload: &mut Vec<u8>,
-    accept_v2: bool,
+    accept_v3: bool,
 ) -> Result<FrameHeader, FrameError> {
     let mut header = [0u8; TAGGED_HEADER_LEN];
     // A clean EOF is only legitimate before the first header byte.
@@ -278,7 +233,7 @@ fn read_frame_core(
         }
     }
     let version = header[0];
-    if version != PROTOCOL_VERSION && !accept_v2 {
+    if version != PROTOCOL_VERSION && !accept_v3 {
         return Err(FrameError::VersionMismatch { got: version });
     }
     // The buffer fits every layout and is parsed once full, so neither
@@ -299,7 +254,7 @@ const TAGGED_HEADER_LEN: usize = 13;
 fn header_len(version: u8) -> Result<usize, FrameError> {
     match version {
         PROTOCOL_VERSION => Ok(5),
-        PROTOCOL_V2 | PROTOCOL_V3 => Ok(TAGGED_HEADER_LEN),
+        PROTOCOL_V3 => Ok(TAGGED_HEADER_LEN),
         got => Err(FrameError::VersionMismatch { got }),
     }
 }
@@ -374,23 +329,24 @@ mod tests {
     }
 
     #[test]
-    fn v2_frames_round_trip_with_ids_mixed_with_v1() {
+    fn v3_frames_round_trip_with_ids_mixed_with_v1() {
         let mut buf = Vec::new();
         let mut scratch = Vec::new();
-        write_frame_v2_buffered(&mut buf, 7, b"{\"op\":\"ping\"}", &mut scratch).unwrap();
+        write_frame_v3_buffered(&mut buf, 11, &[0x03, 0, 0, 0, 0, 0, 0, 0, 0], &mut scratch)
+            .unwrap();
         write_frame(&mut buf, b"legacy").unwrap();
-        write_frame_v2_buffered(&mut buf, u64::MAX, b"", &mut scratch).unwrap();
+        write_frame_v3_buffered(&mut buf, u64::MAX, b"", &mut scratch).unwrap();
 
         let mut r = Cursor::new(buf);
         let mut payload = Vec::new();
         let h = read_frame_any_into(&mut r, 1024, &mut payload).unwrap();
-        assert_eq!((h.version, h.id), (PROTOCOL_V2, Some(7)));
-        assert_eq!(payload, b"{\"op\":\"ping\"}");
+        assert_eq!((h.version, h.id), (PROTOCOL_V3, Some(11)));
+        assert_eq!(payload, [0x03, 0, 0, 0, 0, 0, 0, 0, 0]);
         let h = read_frame_any_into(&mut r, 1024, &mut payload).unwrap();
         assert_eq!((h.version, h.id), (PROTOCOL_VERSION, None));
         assert_eq!(payload, b"legacy");
         let h = read_frame_any_into(&mut r, 1024, &mut payload).unwrap();
-        assert_eq!((h.version, h.id), (PROTOCOL_V2, Some(u64::MAX)));
+        assert_eq!((h.version, h.id), (PROTOCOL_V3, Some(u64::MAX)));
         assert_eq!(payload, b"");
         assert!(matches!(
             read_frame_any_into(&mut r, 1024, &mut payload),
@@ -399,46 +355,70 @@ mod tests {
     }
 
     #[test]
-    fn v3_frames_round_trip_and_report_the_binary_codec() {
+    fn v3_headers_report_version_id_and_payload_range() {
         let mut buf = Vec::new();
-        let mut scratch = Vec::new();
-        write_frame_v3_buffered(&mut buf, 11, &[0x03, 0, 0, 0, 0, 0, 0, 0, 0], &mut scratch)
-            .unwrap();
-        write_frame(&mut buf, b"legacy").unwrap();
-
-        let mut r = Cursor::new(buf);
-        let mut payload = Vec::new();
-        let h = read_frame_any_into(&mut r, 1024, &mut payload).unwrap();
-        assert_eq!((h.version, h.id), (PROTOCOL_V3, Some(11)));
-        assert_eq!(h.codec(), crate::codec::Codec::Binary);
-        assert_eq!(payload, [0x03, 0, 0, 0, 0, 0, 0, 0, 0]);
-        let h = read_frame_any_into(&mut r, 1024, &mut payload).unwrap();
-        assert_eq!(h.codec(), crate::codec::Codec::Json);
+        write_frame_v3_buffered(&mut buf, 0x0102_0304_0506_0708, b"abc", &mut Vec::new()).unwrap();
+        assert_eq!(
+            buf,
+            [3, 1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 0, 3, b'a', b'b', b'c'],
+            "version byte, BE id, BE length, payload"
+        );
+        // Every proper prefix of the header is incomplete, not an error.
+        for cut in 0..TAGGED_HEADER_LEN {
+            assert!(
+                matches!(parse_header(&buf[..cut], 1024), Ok(None)),
+                "cut {cut}"
+            );
+        }
+        // A full header reports the frame and where its payload lies, even
+        // before the payload has arrived.
+        let expected = FrameHeader {
+            version: PROTOCOL_V3,
+            id: Some(0x0102_0304_0506_0708),
+        };
+        for cut in TAGGED_HEADER_LEN..=buf.len() {
+            let (header, body) = parse_header(&buf[..cut], 1024).unwrap().unwrap();
+            assert_eq!((header, body), (expected, TAGGED_HEADER_LEN..buf.len()));
+        }
     }
 
     #[test]
     fn v1_only_reader_rejects_v2_frames() {
-        let mut buf = Vec::new();
-        write_frame_v2_buffered(&mut buf, 3, b"x", &mut Vec::new()).unwrap();
+        // The retired v2 layout: v3's header under byte 2. Neither reader
+        // takes it any more; the v1-only one takes no v3 frame either.
+        let mut v2 = vec![2];
+        v2.extend_from_slice(&3u64.to_be_bytes());
+        v2.extend_from_slice(&1u32.to_be_bytes());
+        v2.push(b'x');
         assert!(matches!(
-            read_frame(&mut Cursor::new(buf), 1024),
-            Err(FrameError::VersionMismatch { got: PROTOCOL_V2 })
+            read_frame(&mut Cursor::new(&v2), 1024),
+            Err(FrameError::VersionMismatch { got: 2 })
+        ));
+        assert!(matches!(
+            read_frame_any_into(&mut Cursor::new(&v2), 1024, &mut Vec::new()),
+            Err(FrameError::VersionMismatch { got: 2 })
+        ));
+        let mut v3 = Vec::new();
+        write_frame_v3_buffered(&mut v3, 3, b"x", &mut Vec::new()).unwrap();
+        assert!(matches!(
+            read_frame(&mut Cursor::new(v3), 1024),
+            Err(FrameError::VersionMismatch { got: PROTOCOL_V3 })
         ));
     }
 
     #[test]
-    fn v2_truncated_id_is_io_and_oversized_still_trips_before_payload() {
+    fn v3_truncated_id_is_io_and_oversized_still_trips_before_payload() {
         // Header cut inside the id field: Io, not Eof.
         let mut buf = Vec::new();
-        write_frame_v2_buffered(&mut buf, 0x0102_0304_0506_0708, b"abc", &mut Vec::new()).unwrap();
+        write_frame_v3_buffered(&mut buf, 0x0102_0304_0506_0708, b"abc", &mut Vec::new()).unwrap();
         buf.truncate(5);
         let mut payload = Vec::new();
         assert!(matches!(
             read_frame_any_into(&mut Cursor::new(buf), 1024, &mut payload),
             Err(FrameError::Io(_))
         ));
-        // Oversized v2 claim with no payload bytes present: cap trips first.
-        let mut buf = vec![PROTOCOL_V2];
+        // Oversized v3 claim with no payload bytes present: cap trips first.
+        let mut buf = vec![PROTOCOL_V3];
         buf.extend_from_slice(&9u64.to_be_bytes());
         buf.extend_from_slice(&u32::MAX.to_be_bytes());
         assert!(matches!(

@@ -4,26 +4,21 @@
 //! Prediction as a standalone server other serverless data-analytics
 //! systems call over Thrift RPC (§5); this crate is that serving
 //! boundary for [`smartpick_service::SmartpickService`] — a framed
-//! TCP protocol (id-tagged v2 JSON and v3 binary frames), one server
-//! core (the readiness-driven [`reactor`] event loop multiplexing
-//! thousands of nonblocking connections), and a typed [`WireClient`]
-//! with blocking calls, a non-blocking `submit`/`recv` pipelining
-//! surface, and per-connection codec negotiation
-//! ([`WireClient::negotiate_binary`]).
+//! TCP protocol (id-tagged v3 frames carrying the binary codec of
+//! [`codec`]), one server core (the readiness-driven [`reactor`] event
+//! loop multiplexing thousands of nonblocking connections), and a typed
+//! [`WireClient`] with blocking calls and a non-blocking
+//! `submit`/`recv` pipelining surface.
 //!
-//! The normative protocol specification — negotiation, back-pressure,
-//! error taxonomy, versioning policy — is `docs/WIRE.md` at the repo
-//! root.
+//! The normative protocol specification — framing, back-pressure, error
+//! taxonomy, versioning policy — is `docs/WIRE.md` at the repo root.
 //!
 //! ## Frame format
 //!
 //! ```text
-//! v2:  +---------+---------------------+-------------------------+-----------+
-//!      | u8 = 2  | u64 request id (BE) | u32 payload length (BE) | payload   |
-//!      +---------+---------------------+-------------------------+-----------+
-//!
-//! v3:  as v2, but the version byte is 3 and the payload is the
-//!      length-tagged binary codec of [`codec`] instead of JSON.
+//! v3:  +---------+---------------------+-------------------------+----------------+
+//!      | u8 = 3  | u64 request id (BE) | u32 payload length (BE) | binary payload |
+//!      +---------+---------------------+-------------------------+----------------+
 //!
 //! un-numbered (connection-level errors only, server to client):
 //!      +---------+-------------------------+------------------------+
@@ -34,16 +29,14 @@
 //! One connection keeps many requests in flight: responses come back in
 //! completion order, each naming the request id it answers, and at the
 //! per-connection in-flight cap the server stops reading the socket
-//! until responses drain (flow control, not rejection). **The version
-//! byte is the codec negotiation**: the server answers each frame in
-//! the generation (and codec) it arrived with. `determine_batch`
-//! additionally ships N prediction requests in *one* frame, answered
-//! from one server-side snapshot read, and `determine_stream` streams
-//! the batch back one `BatchItem` frame per result. Generation v1
-//! (un-numbered *request* frames, answered in order) is retired: its
-//! version byte now gets a `protocol` error and a close, and its layout
-//! survives only as the error frame for conditions that answer no
-//! particular request (connection cap, framing violations).
+//! until responses drain (flow control, not rejection). Every request
+//! gets exactly one response; a determination is asked for one query
+//! at a time (`determine` or `predict`), and pipelining is how a caller
+//! keeps many of them in flight. Generations v1 (un-numbered request
+//! frames) and v2 (id-tagged JSON) are retired: their version bytes get
+//! a `protocol` error and a close, and v1's layout survives only as the
+//! error frame for conditions that answer no particular request
+//! (connection cap, framing violations).
 //!
 //! See [`frame`] for the version byte and the max-frame-size guard,
 //! [`proto`] for the request/response envelopes, and [`error`] for the
@@ -53,10 +46,10 @@
 //! oversized length) gets an error frame and a close of that one
 //! connection.
 //!
-//! One number-model caveat: the vendored serde shim stores every JSON
-//! number as `f64`, so integers above 2⁵³ (seeds, very large counters)
-//! lose precision on the wire. Keep wire seeds below 2⁵³ when exact
-//! wire/in-process reproducibility matters.
+//! One number-model caveat: the codec carries every number as an `f64`
+//! (the vendored serde shim's number model), so integers above 2⁵³
+//! (seeds, very large counters) lose precision on the wire. Keep wire
+//! seeds below 2⁵³ when exact wire/in-process reproducibility matters.
 //!
 //! ## Example
 //!
@@ -114,8 +107,7 @@ pub mod reactor;
 pub mod server;
 
 pub use client::{WireClient, WireReceiver, WireSender};
-pub use codec::Codec;
 pub use error::{ErrorKind, WireError};
-pub use frame::{FrameHeader, DEFAULT_MAX_FRAME_LEN, PROTOCOL_V2, PROTOCOL_V3, PROTOCOL_VERSION};
+pub use frame::{FrameHeader, DEFAULT_MAX_FRAME_LEN, PROTOCOL_V3, PROTOCOL_VERSION};
 pub use proto::{Rejection, Request, Response};
 pub use server::{WireServer, WireServerConfig};

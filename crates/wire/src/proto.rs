@@ -1,9 +1,10 @@
 //! The request/response envelopes that ride inside frames.
 //!
-//! Both enums serialise as JSON objects tagged by an `"op"` (requests)
-//! or `"kind"` (responses) field, e.g.
+//! Both enums serialise as objects tagged by an `"op"` (requests) or
+//! `"kind"` (responses) field — rendered as JSON,
 //! `{"op":"determine","tenant":"acme","query":{...},"seed":7}` and
-//! `{"kind":"determination","determination":{...}}`. The impls are
+//! `{"kind":"determination","determination":{...}}`; on the wire, the
+//! same objects in the binary codec of [`crate::codec`]. The impls are
 //! hand-written because the vendored serde shim's derive covers plain
 //! structs only — enums carry their tag explicitly.
 
@@ -11,7 +12,7 @@ use serde::{DeError, Value};
 use smartpick_core::wp::{Determination, PredictionRequest};
 use smartpick_engine::QueryProfile;
 use smartpick_obs::{HealthReport, ScrapeEnvelope};
-use smartpick_service::{CompletedRun, ServiceStats, TenantStats};
+use smartpick_service::{CompletedRun, TenantStats};
 
 use crate::error::ErrorKind;
 
@@ -45,29 +46,6 @@ pub enum Request {
         /// Seed for the stochastic parts of the search.
         seed: u64,
     },
-    /// N full [`PredictionRequest`]s against `tenant`, answered from one
-    /// snapshot read in one frame — the batched form that amortises
-    /// framing, JSON, and snapshot acquisition across the whole batch.
-    DetermineBatch {
-        /// The tenant to predict for.
-        tenant: String,
-        /// The prediction requests (each with its own knob/constraint/seed).
-        requests: Vec<PredictionRequest>,
-    },
-    /// Like [`Request::DetermineBatch`], but the server **streams** the
-    /// results: one [`Response::BatchItem`] frame per request (in
-    /// request order, each tagged with this request's id) followed by a
-    /// terminal [`Response::BatchEnd`] — so a client can start consuming
-    /// result 0 while result N is still being framed, and no single
-    /// response frame has to carry the whole batch. Requires an
-    /// id-carrying frame generation (v2/v3) to be useful pipelined,
-    /// though v1 peers get the same frame sequence strictly in order.
-    DetermineStream {
-        /// The tenant to predict for.
-        tenant: String,
-        /// The prediction requests (each with its own knob/constraint/seed).
-        requests: Vec<PredictionRequest>,
-    },
     /// Feeds one completed run back into `tenant`'s training loop.
     ReportRun {
         /// The tenant the run belongs to.
@@ -83,8 +61,6 @@ pub enum Request {
         /// The tenant to inspect.
         tenant: String,
     },
-    /// A point-in-time view of the whole service.
-    ServiceStats,
     /// One versioned telemetry envelope: every metric the process
     /// registered (service *and* wire layers), the resident tenants'
     /// `tenant.<id>.*` rows, plus the last `events` entries of the
@@ -107,30 +83,12 @@ pub enum Response {
     Registered,
     /// A prediction result (answers `Predict` and `Determine`).
     Determination(Determination),
-    /// One prediction result per batched request, in request order
-    /// (answers `DetermineBatch`).
-    Determinations(Vec<Determination>),
-    /// One element of a streamed batch (answers `DetermineStream`):
-    /// the position of this result within the batch, and the result.
-    BatchItem {
-        /// Zero-based index of this result within the batch.
-        index: u64,
-        /// The prediction result for `requests[index]`.
-        determination: Box<Determination>,
-    },
-    /// Terminal frame of a streamed batch: all `count` items were sent.
-    BatchEnd {
-        /// Number of `BatchItem` frames that preceded this one.
-        count: u64,
-    },
     /// The run report was accepted into the update queue.
     ReportAccepted,
     /// All pending reports were applied.
     Flushed,
     /// Answer to [`Request::TenantStats`].
     TenantStats(TenantStats),
-    /// Answer to [`Request::ServiceStats`].
-    ServiceStats(ServiceStats),
     /// Answer to [`Request::Scrape`] (boxed: the envelope carries every
     /// metric in the process plus eleven rows per resident tenant, and
     /// dwarfs the other variants).
@@ -197,16 +155,6 @@ impl serde::Serialize for Request {
                 push(&mut m, "query", query.to_value());
                 push(&mut m, "seed", seed.to_value());
             }
-            Request::DetermineBatch { tenant, requests } => {
-                m = tagged("op", "determine_batch");
-                push(&mut m, "tenant", tenant.to_value());
-                push(&mut m, "requests", requests.to_value());
-            }
-            Request::DetermineStream { tenant, requests } => {
-                m = tagged("op", "determine_stream");
-                push(&mut m, "tenant", tenant.to_value());
-                push(&mut m, "requests", requests.to_value());
-            }
             Request::ReportRun { tenant, run } => {
                 m = tagged("op", "report_run");
                 push(&mut m, "tenant", tenant.to_value());
@@ -217,7 +165,6 @@ impl serde::Serialize for Request {
                 m = tagged("op", "tenant_stats");
                 push(&mut m, "tenant", tenant.to_value());
             }
-            Request::ServiceStats => m = tagged("op", "service_stats"),
             Request::Scrape { events } => {
                 m = tagged("op", "scrape");
                 push(&mut m, "events", events.to_value());
@@ -249,14 +196,6 @@ impl serde::Deserialize for Request {
                 query: field(pairs, "query")?,
                 seed: field(pairs, "seed")?,
             },
-            "determine_batch" => Request::DetermineBatch {
-                tenant: field(pairs, "tenant")?,
-                requests: field(pairs, "requests")?,
-            },
-            "determine_stream" => Request::DetermineStream {
-                tenant: field(pairs, "tenant")?,
-                requests: field(pairs, "requests")?,
-            },
             "report_run" => Request::ReportRun {
                 tenant: field(pairs, "tenant")?,
                 run: field(pairs, "run")?,
@@ -265,7 +204,6 @@ impl serde::Deserialize for Request {
             "tenant_stats" => Request::TenantStats {
                 tenant: field(pairs, "tenant")?,
             },
-            "service_stats" => Request::ServiceStats,
             "scrape" => Request::Scrape {
                 events: field(pairs, "events")?,
             },
@@ -285,30 +223,10 @@ impl serde::Serialize for Response {
                 m = tagged("kind", "determination");
                 push(&mut m, "determination", d.to_value());
             }
-            Response::Determinations(ds) => {
-                m = tagged("kind", "determinations");
-                push(&mut m, "determinations", ds.to_value());
-            }
-            Response::BatchItem {
-                index,
-                determination,
-            } => {
-                m = tagged("kind", "batch_item");
-                push(&mut m, "index", index.to_value());
-                push(&mut m, "determination", determination.to_value());
-            }
-            Response::BatchEnd { count } => {
-                m = tagged("kind", "batch_end");
-                push(&mut m, "count", count.to_value());
-            }
             Response::ReportAccepted => m = tagged("kind", "report_accepted"),
             Response::Flushed => m = tagged("kind", "flushed"),
             Response::TenantStats(s) => {
                 m = tagged("kind", "tenant_stats");
-                push(&mut m, "stats", s.to_value());
-            }
-            Response::ServiceStats(s) => {
-                m = tagged("kind", "service_stats");
                 push(&mut m, "stats", s.to_value());
             }
             Response::Scrape(envelope) => {
@@ -340,18 +258,9 @@ impl serde::Deserialize for Response {
             "pong" => Response::Pong,
             "registered" => Response::Registered,
             "determination" => Response::Determination(field(pairs, "determination")?),
-            "determinations" => Response::Determinations(field(pairs, "determinations")?),
-            "batch_item" => Response::BatchItem {
-                index: field(pairs, "index")?,
-                determination: field(pairs, "determination")?,
-            },
-            "batch_end" => Response::BatchEnd {
-                count: field(pairs, "count")?,
-            },
             "report_accepted" => Response::ReportAccepted,
             "flushed" => Response::Flushed,
             "tenant_stats" => Response::TenantStats(field(pairs, "stats")?),
-            "service_stats" => Response::ServiceStats(field(pairs, "stats")?),
             "scrape" => Response::Scrape(Box::new(field(pairs, "envelope")?)),
             "health" => Response::Health(field(pairs, "report")?),
             "error" => {
@@ -374,7 +283,9 @@ mod tests {
     use smartpick_core::wp::ConstraintMode;
 
     fn reserialize<T: serde::Serialize + serde::Deserialize>(v: &T) -> T {
-        serde_json::from_str(&serde_json::to_string(v).unwrap()).unwrap()
+        let mut bytes = Vec::new();
+        crate::codec::encode_envelope_into(v, &mut bytes);
+        crate::codec::decode_envelope(&bytes).unwrap()
     }
 
     #[test]
@@ -401,10 +312,6 @@ mod tests {
         }
         assert!(matches!(reserialize(&Request::Ping), Request::Ping));
         assert!(matches!(reserialize(&Request::Flush), Request::Flush));
-        assert!(matches!(
-            reserialize(&Request::ServiceStats),
-            Request::ServiceStats
-        ));
         match reserialize(&Request::Determine {
             tenant: "t".into(),
             query,
@@ -427,14 +334,14 @@ mod tests {
         assert!(matches!(reserialize(&Request::Health), Request::Health));
 
         let obs = smartpick_obs::Observability::new(8);
-        obs.metrics().counter("wire.frames_read.v2").add(17);
+        obs.metrics().counter("wire.frames_read.v3").add(17);
         obs.events().publish(smartpick_obs::event(
             smartpick_obs::EventKind::BusyRejection,
         ));
         match reserialize(&Response::Scrape(Box::new(obs.scrape(8)))) {
             Response::Scrape(envelope) => {
                 assert_eq!(envelope.version, smartpick_obs::SCRAPE_VERSION);
-                assert_eq!(envelope.counter("wire.frames_read.v2"), 17);
+                assert_eq!(envelope.counter("wire.frames_read.v3"), 17);
                 assert_eq!(envelope.events.len(), 1);
             }
             other => panic!("wrong variant: {other:?}"),

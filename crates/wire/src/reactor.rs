@@ -30,7 +30,7 @@
 //!   wake-up, no completion queue, no wake-pipe byte.
 //! - Every other decoded request — a cold, rehydrating or unknown
 //!   tenant, a sweep over the gate, a report that lost the eviction
-//!   race, `flush`, batches and streams, `scrape`, stats, registration —
+//!   race, `flush`, `scrape`, `tenant_stats`, registration —
 //!   goes to a server-wide **executor pool** over a bounded run queue
 //!   (its depth is the `wire.reactor.run_queue_depth` gauge); a full
 //!   queue answers `busy` rather than blocking the loop.
@@ -46,14 +46,13 @@
 //!
 //! ## Semantics
 //!
-//! Only id-tagged frames execute (v2 JSON, v3 binary), and a request's
-//! response uses the generation it arrived in; responses are written in
-//! completion order, so a cheap request pipelined behind an expensive
-//! one is answered first. Payload garbage fails only its own request
-//! id. A framing violation — an unknown version
-//! byte, the retired v1 byte, an oversized length prefix — gets one
-//! best-effort un-numbered `protocol` error frame and a close after a
-//! short drain. Connections over
+//! Only v3 frames execute, each answered by exactly one v3 frame under
+//! its id; responses are written in completion order, so a cheap request
+//! pipelined behind an expensive one is answered first. Payload garbage
+//! fails only its own request id. A framing violation — any version
+//! byte but 3 (the retired v1 and v2 bytes included), an oversized
+//! length prefix — gets one best-effort un-numbered `protocol` error
+//! frame and a close after a short drain. Connections over
 //! [`crate::WireServerConfig::max_connections`] get an un-numbered
 //! retryable `busy` frame and a close; connections idle past the
 //! deadline are dropped.
@@ -84,13 +83,11 @@ use std::time::Instant;
 use polling::{Event, Events, Interest, Poller};
 use smartpick_obs::{event, EventKind};
 
-use crate::codec::Codec;
 use crate::error::ErrorKind;
-use crate::frame::{self, FrameHeader, PROTOCOL_V2, PROTOCOL_V3, PROTOCOL_VERSION};
+use crate::frame::{self, FrameHeader, PROTOCOL_V3};
 use crate::proto::{Rejection, Request, Response};
 use crate::server::{
-    decode_request, execute_multi, send_response, send_response_v2, send_response_v3,
-    service_error, EncodeScratch, Shared,
+    decode_request, execute, send_response, send_response_v3, service_error, EncodeScratch, Shared,
 };
 
 /// Token of the listener socket in the poller.
@@ -106,7 +103,6 @@ const TOKEN_FIRST_CONN: usize = 2;
 struct Job {
     token: usize,
     id: u64,
-    codec: Codec,
     request: Request,
 }
 
@@ -114,8 +110,7 @@ struct Job {
 struct Completion {
     token: usize,
     id: u64,
-    codec: Codec,
-    responses: Vec<Response>,
+    response: Response,
 }
 
 /// Per-connection state owned by the event loop.
@@ -197,14 +192,12 @@ enum Parsed {
     Job {
         consumed: usize,
         id: u64,
-        codec: Codec,
         request: Request,
     },
     /// The payload did not decode: a `bad_request` for this id only.
     BadRequest {
         consumed: usize,
         id: u64,
-        codec: Codec,
         message: String,
     },
     /// Framing itself is untrustworthy: un-numbered `protocol` error
@@ -216,18 +209,18 @@ enum Parsed {
 /// mutation, so the caller can act on the outcome after the borrow
 /// ends.
 fn parse_one(buf: &[u8], max_frame_len: usize) -> Parsed {
-    // An un-numbered frame answers no request: condemned on its version
-    // byte, before the rest of its header is waited for.
-    if buf.first() == Some(&PROTOCOL_VERSION) {
+    // Only v3 executes: any other byte is condemned on its own, before
+    // the rest of its header is waited for.
+    if let Some(&got) = buf.first().filter(|&&version| version != PROTOCOL_V3) {
         return Parsed::Fatal {
             message: format!(
-                "protocol v1 (un-numbered request frames) is retired; send id-tagged \
-                 v{PROTOCOL_V2} (JSON) or v{PROTOCOL_V3} (binary) frames"
+                "protocol version {got} does not execute: send id-tagged v{PROTOCOL_V3} (binary) \
+                 frames; v1 and v2 are retired"
             ),
         };
     }
-    let (id, codec, body) = match frame::parse_header(buf, max_frame_len) {
-        Ok(Some((header @ FrameHeader { id: Some(id), .. }, body))) => (id, header.codec(), body),
+    let (id, body) = match frame::parse_header(buf, max_frame_len) {
+        Ok(Some((FrameHeader { id: Some(id), .. }, body))) => (id, body),
         Ok(_) => return Parsed::Incomplete,
         Err(e) => {
             return Parsed::Fatal {
@@ -239,17 +232,15 @@ fn parse_one(buf: &[u8], max_frame_len: usize) -> Parsed {
     let Some(payload) = buf.get(body) else {
         return Parsed::Incomplete;
     };
-    match decode_request(payload, codec) {
+    match decode_request(payload) {
         Ok(request) => Parsed::Job {
             consumed,
             id,
-            codec,
             request,
         },
         Err(message) => Parsed::BadRequest {
             consumed,
             id,
-            codec,
             message,
         },
     }
@@ -395,15 +386,14 @@ impl Executors {
                     let Ok(job) = msg else { return };
                     shared.wm.reactor_run_queue.dec();
                     let blocking = is_blocking(&job.request);
-                    let responses = execute_multi(job.request, &shared);
+                    let response = execute(job.request, &shared);
                     if blocking {
                         shared.blocking_ops.fetch_sub(1, Ordering::SeqCst);
                     }
                     let done = Completion {
                         token: job.token,
                         id: job.id,
-                        codec: job.codec,
-                        responses,
+                        response,
                     };
                     if comp_tx.send(done).is_err() {
                         return;
@@ -774,38 +764,36 @@ fn parse_and_admit(conn: &mut Conn, shared: &Arc<Shared>, job_tx: &SyncSender<Jo
             Parsed::BadRequest {
                 consumed,
                 id,
-                codec,
                 message,
             } => {
                 conn.parse_pos += consumed;
-                count_read(shared, codec);
+                shared.wm.frames_read_v3.inc();
                 let error = error_response(ErrorKind::BadRequest, message);
-                append_tagged(conn, shared, id, codec, &[error]);
+                append_tagged(conn, shared, id, &error);
             }
             Parsed::Job {
                 consumed,
                 id,
-                codec,
                 request,
             } => {
                 conn.parse_pos += consumed;
-                count_read(shared, codec);
+                shared.wm.frames_read_v3.inc();
                 let request = match run_inline(request, shared) {
                     Inline::Answered(response) => {
                         shared.wm.requests_inline.inc();
-                        append_tagged(conn, shared, id, codec, &[response]);
+                        append_tagged(conn, shared, id, &response);
                         continue;
                     }
                     Inline::Declined(request) => request,
                 };
-                if let Err(reason) = admit(conn, shared, job_tx, token, id, codec, request) {
+                if let Err(reason) = admit(conn, shared, job_tx, token, id, request) {
                     shared.wm.busy_rejections.inc();
                     shared
                         .obs
                         .events()
                         .publish(event(EventKind::BusyRejection).detail(reason));
                     let busy = error_response(ErrorKind::Busy, format!("{reason}; retry later"));
-                    append_tagged(conn, shared, id, codec, &[busy]);
+                    append_tagged(conn, shared, id, &busy);
                 }
             }
         }
@@ -841,7 +829,6 @@ fn admit(
     job_tx: &SyncSender<Job>,
     token: usize,
     id: u64,
-    codec: Codec,
     request: Request,
 ) -> Result<(), &'static str> {
     let blocking = is_blocking(&request);
@@ -854,12 +841,7 @@ fn admit(
         }
         shared.blocking_ops.fetch_add(1, Ordering::SeqCst);
     }
-    let job = Job {
-        token,
-        id,
-        codec,
-        request,
-    };
+    let job = Job { token, id, request };
     if job_tx.try_send(job).is_err() {
         if blocking {
             shared.blocking_ops.fetch_sub(1, Ordering::SeqCst);
@@ -873,14 +855,7 @@ fn admit(
     Ok(())
 }
 
-fn count_read(shared: &Shared, codec: Codec) {
-    match codec {
-        Codec::Json => shared.wm.frames_read_v2.inc(),
-        Codec::Binary => shared.wm.frames_read_v3.inc(),
-    }
-}
-
-/// Routes one executed request's responses back onto its connection,
+/// Routes one executed request's response back onto its connection,
 /// then resumes parsing if the connection was flow-controlled. Returns
 /// `false` when the connection must close.
 fn apply_completion(
@@ -892,7 +867,7 @@ fn apply_completion(
     token: usize,
 ) -> bool {
     conn.in_flight = conn.in_flight.saturating_sub(1);
-    append_tagged(conn, shared, done.id, done.codec, &done.responses);
+    append_tagged(conn, shared, done.id, &done.response);
     if !flush_writes(conn) {
         return false;
     }
@@ -907,26 +882,10 @@ fn apply_completion(
     true
 }
 
-/// Appends id-tagged (v2/v3) responses to the outbound buffer in the
-/// codec the request arrived with.
-fn append_tagged(
-    conn: &mut Conn,
-    shared: &Arc<Shared>,
-    id: u64,
-    codec: Codec,
-    responses: &[Response],
-) {
-    for response in responses {
-        let sent = match codec {
-            Codec::Json => send_response_v2(&mut conn.write_buf, id, response, &mut conn.scratch),
-            Codec::Binary => send_response_v3(&mut conn.write_buf, id, response, &mut conn.scratch),
-        };
-        if sent.is_ok() {
-            match codec {
-                Codec::Json => shared.wm.frames_written_v2.inc(),
-                Codec::Binary => shared.wm.frames_written_v3.inc(),
-            }
-        }
+/// Appends a v3 response under `id` to the outbound buffer.
+fn append_tagged(conn: &mut Conn, shared: &Arc<Shared>, id: u64, response: &Response) {
+    if send_response_v3(&mut conn.write_buf, id, response, &mut conn.scratch).is_ok() {
+        shared.wm.frames_written_v3.inc();
     }
 }
 

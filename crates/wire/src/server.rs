@@ -3,10 +3,10 @@
 //! This module owns what is independent of how sockets are driven: the
 //! tunables ([`WireServerConfig`]), the `wire.*` telemetry, bind and
 //! shutdown, and the request path every frame ends up on — decode the
-//! envelope in the codec its frame named, execute it against the
-//! service, encode the response in the same codec. Connection handling
-//! itself (accept, nonblocking reads, frame parsing, flow control, the
-//! executor pool, writes) is the event loop in [`crate::reactor`], which
+//! binary envelope, execute it against the service, encode the one
+//! response. Connection handling itself (accept, nonblocking reads, frame
+//! parsing, flow control, the executor pool, writes) is the event loop in
+//! [`crate::reactor`], which
 //! also answers the requests that are cheaper than a hand-off itself;
 //! `execute` is what an executor runs for all the others.
 //!
@@ -14,8 +14,8 @@
 //! connection (or the listener) down. An id-tagged frame's
 //! length-delimited framing stays trustworthy even when its payload is
 //! garbage, and its id lets the error name exactly the request it
-//! answers — so any payload problem (non-UTF-8, non-JSON, unknown op)
-//! is a per-request `bad_request` on a still-usable connection. Only a
+//! answers — so any payload problem (undecodable bytes, unknown op) is
+//! a per-request `bad_request` on a still-usable connection. Only a
 //! frame whose *framing* is untrustworthy (unknown or retired version
 //! byte, oversized length prefix) gets one un-numbered `protocol` error
 //! frame and a close, because resynchronising a byte stream after a
@@ -34,11 +34,9 @@ use smartpick_core::driver::Smartpick;
 use smartpick_obs::{Counter, Gauge, LatencyHistogram, Observability};
 use smartpick_service::{ServiceError, SmartpickService};
 
-use crate::codec::{self, Codec};
+use crate::codec;
 use crate::error::ErrorKind;
-use crate::frame::{
-    write_frame_buffered, write_frame_v2_buffered, write_frame_v3_buffered, DEFAULT_MAX_FRAME_LEN,
-};
+use crate::frame::{write_frame_buffered, write_frame_v3_buffered, DEFAULT_MAX_FRAME_LEN};
 use crate::proto::{Rejection, Request, Response};
 
 /// Accept-queue depth requested from the kernel (clamped to
@@ -97,16 +95,12 @@ impl Default for WireServerConfig {
 /// layers.
 #[derive(Debug)]
 pub(crate) struct WireMetrics {
-    /// Request frames decoded off sockets, by frame generation (v3 =
-    /// binary codec) — the per-codec split an operator reads to see
-    /// which generation their fleet actually speaks.
-    pub(crate) frames_read_v2: Arc<Counter>,
+    /// Request frames decoded off sockets (v3, the one generation that
+    /// executes).
     pub(crate) frames_read_v3: Arc<Counter>,
-    /// Frames put on sockets, by generation; `v1` counts the
-    /// un-numbered connection-level error frames (cap `busy`, framing
-    /// violations).
+    /// Frames put on sockets, by layout; `v1` counts the un-numbered
+    /// connection-level error frames (cap `busy`, framing violations).
     pub(crate) frames_written_v1: Arc<Counter>,
-    pub(crate) frames_written_v2: Arc<Counter>,
     pub(crate) frames_written_v3: Arc<Counter>,
     /// Busy rejections issued: over the connection cap, run queue full,
     /// or over the blocking-operation cap.
@@ -133,10 +127,8 @@ impl WireMetrics {
     fn register(obs: &Observability) -> WireMetrics {
         let m = obs.metrics();
         WireMetrics {
-            frames_read_v2: m.counter("wire.frames_read.v2"),
             frames_read_v3: m.counter("wire.frames_read.v3"),
             frames_written_v1: m.counter("wire.frames_written.v1"),
-            frames_written_v2: m.counter("wire.frames_written.v2"),
             frames_written_v3: m.counter("wire.frames_written.v3"),
             busy_rejections: m.counter("wire.busy_rejections"),
             requests_inline: m.counter("wire.requests_inline"),
@@ -275,50 +267,10 @@ impl Drop for WireServer {
     }
 }
 
-/// Decodes one pipelined (v2/v3) payload in the codec its frame named;
-/// the error string becomes the `bad_request` message for that request
-/// id.
-pub(crate) fn decode_request(payload: &[u8], codec: Codec) -> Result<Request, String> {
-    match codec {
-        Codec::Json => {
-            let text = std::str::from_utf8(payload)
-                .map_err(|e| format!("frame payload is not UTF-8: {e}"))?;
-            let value: serde::Value = serde_json::from_str(text)
-                .map_err(|e| format!("frame payload is not JSON: {e}"))?;
-            <Request as serde::Deserialize>::from_value(&value)
-                .map_err(|e| format!("unrecognised request: {e}"))
-        }
-        Codec::Binary => codec::decode_envelope::<Request>(payload)
-            .map_err(|e| format!("binary payload rejected: {e}")),
-    }
-}
-
-/// Executes one request, expanding `determine_stream` into its streamed
-/// response sequence (`batch_item` per determination, then `batch_end`;
-/// a whole-batch failure collapses to one error response). Every other
-/// request yields exactly one response.
-pub(crate) fn execute_multi(request: Request, shared: &Shared) -> Vec<Response> {
-    match request {
-        Request::DetermineStream { tenant, requests } => {
-            match shared.service.determine_batch(&tenant, &requests) {
-                Ok(determinations) => {
-                    let count = determinations.len() as u64;
-                    let mut out: Vec<Response> = determinations
-                        .into_iter()
-                        .enumerate()
-                        .map(|(index, determination)| Response::BatchItem {
-                            index: index as u64,
-                            determination: Box::new(determination),
-                        })
-                        .collect();
-                    out.push(Response::BatchEnd { count });
-                    out
-                }
-                Err(e) => vec![service_error(&e)],
-            }
-        }
-        other => vec![execute(other, shared)],
-    }
+/// Decodes one v3 payload; the error string becomes the `bad_request`
+/// message for that request id.
+pub(crate) fn decode_request(payload: &[u8]) -> Result<Request, String> {
+    codec::decode_envelope::<Request>(payload).map_err(|e| format!("binary payload rejected: {e}"))
 }
 
 pub(crate) fn execute(request: Request, shared: &Shared) -> Response {
@@ -345,20 +297,10 @@ pub(crate) fn execute(request: Request, shared: &Shared) -> Response {
         } => service
             .determine(&tenant, &query, seed)
             .map(Response::Determination),
-        Request::DetermineBatch { tenant, requests } => service
-            .determine_batch(&tenant, &requests)
-            .map(Response::Determinations),
-        // Normally intercepted by `execute_multi` and streamed; if it
-        // reaches the single-response path, degrade gracefully to the
-        // one-frame batch answer rather than erroring or panicking.
-        Request::DetermineStream { tenant, requests } => service
-            .determine_batch(&tenant, &requests)
-            .map(Response::Determinations),
         Request::ReportRun { tenant, run } => service
             .report_run(&tenant, *run)
             .map(|()| Response::ReportAccepted),
         Request::TenantStats { tenant } => service.tenant_stats(&tenant).map(Response::TenantStats),
-        Request::ServiceStats => Ok(Response::ServiceStats(service.stats())),
         Request::Scrape { events } => Ok(Response::Scrape(Box::new(service.scrape(events)))),
         Request::Health => Ok(Response::Health(service.health())),
     };
@@ -373,9 +315,8 @@ pub(crate) fn service_error(e: &ServiceError) -> Response {
     })
 }
 
-/// Reusable response-encode state: the rendered JSON (or binary
-/// payload) and the assembled frame each live in a buffer that survives
-/// across frames.
+/// Reusable response-encode state: the rendered payload and the
+/// assembled frame each live in a buffer that survives across frames.
 #[derive(Debug, Default)]
 pub(crate) struct EncodeScratch {
     json: String,
@@ -383,6 +324,8 @@ pub(crate) struct EncodeScratch {
     frame: Vec<u8>,
 }
 
+/// Frames `response` un-numbered, as JSON: the connection-level error
+/// frame, which answers no particular request.
 pub(crate) fn send_response(
     w: &mut impl Write,
     response: &Response,
@@ -393,21 +336,8 @@ pub(crate) fn send_response(
     write_frame_buffered(w, scratch.json.as_bytes(), &mut scratch.frame)
 }
 
-/// The v2 twin of [`send_response`]: frames the response with the
-/// request id it answers.
-pub(crate) fn send_response_v2(
-    w: &mut impl Write,
-    id: u64,
-    response: &Response,
-    scratch: &mut EncodeScratch,
-) -> io::Result<()> {
-    serde_json::to_string_into(response, &mut scratch.json)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    write_frame_v2_buffered(w, id, scratch.json.as_bytes(), &mut scratch.frame)
-}
-
-/// The binary-codec twin of [`send_response_v2`]: same id-tagged frame
-/// shape, payload encoded with [`crate::codec`] instead of JSON.
+/// Frames `response` as v3 under the request id it answers, its payload
+/// encoded with [`crate::codec`].
 pub(crate) fn send_response_v3(
     w: &mut impl Write,
     id: u64,

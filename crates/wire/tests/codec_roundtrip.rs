@@ -1,81 +1,116 @@
-//! Property tests for the binary codec: every request/response variant
-//! — including the streamed-batch ones — is **identity** between the
-//! binary and JSON codecs (encode binary → decode → re-encode as JSON
-//! reproduces the JSON rendering of the original exactly, and the
-//! binary bytes themselves are a fixed point), and the binary decoder
-//! is total: arbitrary bytes never panic, never over-read, and always
-//! yield a clean [`CodecError`] or a valid envelope.
+//! Property tests for the binary codec over every variant of both
+//! envelope enums: each envelope is a **fixed point** (encode → decode →
+//! encode reproduces the bytes exactly) and decodes to the very value
+//! tree it was encoded from, the response fast paths are byte-identical
+//! to the generic tree encoder and decode what it decodes, and an
+//! unknown tag decodes to a clean error (the server turns that into a
+//! `bad_request`). The decoder is total: arbitrary bytes never panic,
+//! never over-read, and always yield a clean [`CodecError`] or a valid
+//! envelope.
+//!
+//! [`CodecError`]: smartpick_wire::codec::CodecError
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
+use std::time::Duration;
 
 use proptest::prelude::*;
-use smartpick_cloudsim::{CloudEnv, Provider};
-use smartpick_core::driver::Smartpick;
-use smartpick_core::properties::SmartpickProperties;
-use smartpick_core::training::TrainOptions;
+use serde::{Serialize, Value};
 use smartpick_core::wp::{ConstraintMode, Determination, PredictionRequest};
 use smartpick_engine::QueryProfile;
-use smartpick_ml::forest::ForestParams;
-use smartpick_service::{CompletedRun, ServiceConfig, SmartpickService};
+use smartpick_obs::{event, EventKind, HealthReport, Observability, ScrapeEnvelope, WorkerHealth};
+use smartpick_service::{CompletedRun, ServiceConfig, SmartpickService, TenantStats};
 use smartpick_wire::codec::{
     decode_envelope, decode_response, decode_value, encode_envelope_into, encode_response_into,
+    encode_value_into,
 };
 use smartpick_wire::{ErrorKind, Rejection, Request, Response};
 
-/// Heavyweight payloads (a real determination and run report), built
-/// once and cloned into generated variants.
+mod common;
+
+/// Heavyweight payloads (a real determination, run report and stats
+/// views), built once and cloned into generated variants.
 struct Fixture {
     query: QueryProfile,
     determination: Determination,
     run: CompletedRun,
+    tenant_stats: TenantStats,
+    scrape: ScrapeEnvelope,
+    health: HealthReport,
 }
 
 fn fixture() -> &'static Fixture {
     static FIXTURE: OnceLock<Fixture> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let queries: Vec<_> = [82u32, 68]
-            .iter()
-            .map(|&q| smartpick_workloads::tpcds::query(q, 100.0).unwrap())
-            .collect();
-        let opts = TrainOptions {
-            configs_per_query: 5,
-            burst_factor: 3,
-            forest: ForestParams {
-                n_trees: 10,
-                ..ForestParams::default()
-            },
-            max_vm: 3,
-            max_sl: 3,
-            ..TrainOptions::default()
-        };
-        let template = Smartpick::train_with_options(
-            CloudEnv::new(Provider::Aws),
-            SmartpickProperties::default(),
-            &queries,
-            &opts,
-            11,
-        )
-        .unwrap()
-        .0;
-        let service = Arc::new(SmartpickService::new(ServiceConfig {
+        let template = common::template();
+        let service = SmartpickService::new(ServiceConfig {
             retrain_workers: 2,
             ..ServiceConfig::default()
-        }));
+        });
         service.register_fork("fixture", &template, 7).unwrap();
-        let query = queries[0].clone();
+        let query = smartpick_workloads::tpcds::query(82, 100.0).unwrap();
         let determination = service.determine("fixture", &query, 99).unwrap();
         let report = template
             .shared_resource_manager()
             .execute(&query, &determination.allocation, 23)
             .unwrap();
-        Fixture {
+        let run = CompletedRun {
             query: query.clone(),
             determination: determination.clone(),
-            run: CompletedRun {
-                query,
-                determination,
-                report,
-            },
+            report,
+        };
+        service.report_run("fixture", run.clone()).unwrap();
+        assert!(service.flush());
+        let mut tenant_stats = service.tenant_stats("fixture").unwrap();
+        // Durations travel as f64 seconds: pin the age to one that is
+        // exact, so the fixed point is about the envelope, not rounding.
+        tenant_stats.snapshot_age = Duration::from_millis(250);
+        // A scrape with every metric kind and richly populated events,
+        // built from whole µs that the f64 number model carries exactly.
+        let obs = Observability::new(16);
+        obs.metrics().counter("wire.frames_read.v3").add(41);
+        obs.metrics().gauge("service.queue_depth").set(-3);
+        let hist = obs.metrics().histogram("service.predict_latency");
+        hist.record(Duration::from_micros(100));
+        hist.record(Duration::from_micros(300));
+        obs.events().publish(
+            event(EventKind::FeedbackShed)
+                .tenant("fixture")
+                .detail("update queue full"),
+        );
+        obs.events().publish(
+            event(EventKind::RetrainFinished)
+                .tenant("fixture")
+                .shard(1)
+                .duration(Duration::from_millis(5)),
+        );
+        let health = HealthReport {
+            live: true,
+            ready: false,
+            reasons: vec!["worker shard 0 failed permanently (poisoned)".to_owned()],
+            workers: vec![
+                WorkerHealth {
+                    shard: 0,
+                    state: "failed".to_owned(),
+                    restarts: 3,
+                    stalled: false,
+                    queue_depth: 12,
+                },
+                WorkerHealth {
+                    shard: 1,
+                    state: "alive".to_owned(),
+                    restarts: 0,
+                    stalled: true,
+                    queue_depth: 1,
+                },
+            ],
+        };
+        Fixture {
+            query,
+            determination,
+            run,
+            tenant_stats,
+            scrape: obs.scrape(16),
+            health,
         }
     })
 }
@@ -87,6 +122,18 @@ const CONSTRAINTS: [ConstraintMode; 4] = [
     ConstraintMode::EqualSlVm,
 ];
 
+const KINDS: [ErrorKind; 9] = [
+    ErrorKind::UnknownTenant,
+    ErrorKind::TenantExists,
+    ErrorKind::QueueFull,
+    ErrorKind::QuotaExceeded,
+    ErrorKind::Stopped,
+    ErrorKind::Core,
+    ErrorKind::BadRequest,
+    ErrorKind::Protocol,
+    ErrorKind::Busy,
+];
+
 fn prediction_request(knob: f64, constraint: usize, seed: u64) -> PredictionRequest {
     PredictionRequest {
         query: fixture().query.clone(),
@@ -96,109 +143,168 @@ fn prediction_request(knob: f64, constraint: usize, seed: u64) -> PredictionRequ
     }
 }
 
-/// The cross-codec identity: both codecs serialize through the same
-/// `Value` tree, so binary-encoding a value, decoding it, and rendering
-/// the result as JSON must reproduce the JSON rendering of the original
-/// byte for byte — and re-encoding the decoded value as binary must
-/// reproduce the binary bytes (the codec is a fixed point).
-fn assert_cross_codec_identity<T: serde::Serialize + serde::Deserialize>(value: &T) {
-    let json_before = serde_json::to_string(value).expect("JSON encodes");
-    let mut bin = Vec::new();
-    encode_envelope_into(value, &mut bin);
-    let decoded: T = decode_envelope(&bin).expect("binary decodes");
-    let json_after = serde_json::to_string(&decoded).expect("JSON re-encodes");
-    assert_eq!(
-        json_before, json_after,
-        "binary round trip must preserve the JSON rendering"
-    );
-    let mut bin_again = Vec::new();
-    encode_envelope_into(&decoded, &mut bin_again);
-    assert_eq!(bin, bin_again, "binary re-encode must be byte-identical");
+fn encoded<T: serde::Serialize>(value: &T) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    encode_envelope_into(value, &mut bytes);
+    bytes
 }
+
+/// Encode → decode → encode must reproduce the first bytes exactly.
+fn assert_fixed_point<T: serde::Serialize + serde::Deserialize>(value: &T) {
+    let bytes = encoded(value);
+    let decoded: T = decode_envelope(&bytes).expect("binary decodes");
+    assert_eq!(
+        encoded(&decoded),
+        bytes,
+        "binary re-encode must be identical"
+    );
+}
+
+/// Every request variant, chosen by `variant` (mod 9), filled from the
+/// generated fields.
+fn request_variant(
+    variant: usize,
+    tenant: String,
+    seed: u64,
+    knob: f64,
+    constraint: usize,
+    events: usize,
+) -> Request {
+    let fix = fixture();
+    match variant % 9 {
+        0 => Request::Ping,
+        1 => Request::RegisterTenant { tenant, seed },
+        2 => Request::Predict {
+            tenant,
+            request: prediction_request(knob, constraint, seed),
+        },
+        3 => Request::Determine {
+            tenant,
+            query: fix.query.clone(),
+            seed,
+        },
+        4 => Request::ReportRun {
+            tenant,
+            run: Box::new(fix.run.clone()),
+        },
+        5 => Request::Flush,
+        6 => Request::TenantStats { tenant },
+        7 => Request::Scrape { events },
+        _ => Request::Health,
+    }
+}
+
+/// Every response variant, chosen by `variant` (mod 9); the error
+/// variant takes its kind, message and retryability from the rest.
+fn response_variant(variant: usize, kind: usize, message: String, retryable: bool) -> Response {
+    let fix = fixture();
+    match variant % 9 {
+        0 => Response::Pong,
+        1 => Response::Registered,
+        2 => Response::Determination(fix.determination.clone()),
+        3 => Response::ReportAccepted,
+        4 => Response::Flushed,
+        5 => Response::TenantStats(fix.tenant_stats.clone()),
+        6 => Response::Scrape(Box::new(fix.scrape.clone())),
+        7 => Response::Health(fix.health.clone()),
+        _ => Response::Error(Rejection {
+            kind: KINDS[kind % KINDS.len()],
+            message,
+            retryable,
+        }),
+    }
+}
+
+/// The binary encoding of `{tag_key: tag}` and nothing else.
+fn tag_only(tag_key: &str, tag: &str) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    encode_value_into(
+        &Value::Obj(vec![(tag_key.to_owned(), Value::Str(tag.to_owned()))]),
+        &mut bytes,
+    );
+    bytes
+}
+
+const REQUEST_OPS: [&str; 9] = [
+    "ping",
+    "register_tenant",
+    "predict",
+    "determine",
+    "report_run",
+    "flush",
+    "tenant_stats",
+    "scrape",
+    "health",
+];
+
+const RESPONSE_KINDS: [&str; 9] = [
+    "pong",
+    "registered",
+    "determination",
+    "report_accepted",
+    "flushed",
+    "tenant_stats",
+    "scrape",
+    "health",
+    "error",
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every request variant is identity across the codec boundary.
+    /// Every request variant is a binary fixed point.
     #[test]
-    fn request_envelopes_cross_codecs_unchanged(
-        variant in 0usize..12,
+    fn request_envelopes_are_binary_fixed_points(
+        variant in 0usize..9,
         tenant in "[a-z][a-z0-9_]{0,11}",
         seed in 0u64..(1u64 << 53),
         knob in 0.0f64..1.0,
         constraint in 0usize..4,
-        batch in 1usize..5,
+        events in 0usize..64,
     ) {
-        let fix = fixture();
-        let request = match variant {
-            0 => Request::Ping,
-            1 => Request::RegisterTenant { tenant, seed },
-            2 => Request::Predict {
-                tenant,
-                request: prediction_request(knob, constraint, seed),
-            },
-            3 => Request::Determine {
-                tenant,
-                query: fix.query.clone(),
-                seed,
-            },
-            4 => Request::DetermineBatch {
-                tenant,
-                requests: (0..batch)
-                    .map(|i| prediction_request(knob, constraint + i, seed + i as u64))
-                    .collect(),
-            },
-            5 => Request::DetermineStream {
-                tenant,
-                requests: (0..batch)
-                    .map(|i| prediction_request(knob, constraint + i, seed + i as u64))
-                    .collect(),
-            },
-            6 => Request::ReportRun {
-                tenant,
-                run: Box::new(fix.run.clone()),
-            },
-            7 => Request::Flush,
-            8 => Request::TenantStats { tenant },
-            9 => Request::Scrape { events: batch },
-            10 => Request::Health,
-            _ => Request::ServiceStats,
-        };
-        assert_cross_codec_identity(&request);
+        assert_fixed_point(&request_variant(variant, tenant, seed, knob, constraint, events));
     }
 
-    /// Every response variant is identity across the codec boundary.
+    /// The first encode loses nothing: every request variant decodes to
+    /// the very value tree it was encoded from (a fixed point alone would
+    /// also pass an encoder that dropped a field every time).
     #[test]
-    fn response_envelopes_cross_codecs_unchanged(
-        variant in 0usize..8,
+    fn request_envelopes_decode_to_the_value_they_encode(
+        variant in 0usize..9,
+        tenant in "[a-z][a-z0-9_]{0,11}",
+        seed in 0u64..(1u64 << 53),
+        knob in 0.0f64..1.0,
+        constraint in 0usize..4,
+        events in 0usize..64,
+    ) {
+        let request = request_variant(variant, tenant, seed, knob, constraint, events);
+        let decoded: Request = decode_envelope(&encoded(&request)).expect("binary decodes");
+        prop_assert_eq!(decoded.to_value(), request.to_value());
+    }
+
+    /// Every response variant is a binary fixed point.
+    #[test]
+    fn response_envelopes_are_binary_fixed_points(
+        variant in 0usize..9,
+        kind in 0usize..9,
         message in "\\PC{0,40}",
         flip in 0u32..2,
-        batch in 0usize..4,
     ) {
-        let fix = fixture();
-        let response = match variant {
-            0 => Response::Pong,
-            1 => Response::Registered,
-            2 => Response::Determination(fix.determination.clone()),
-            3 => Response::Determinations(vec![fix.determination.clone(); batch]),
-            4 => Response::BatchItem {
-                index: batch as u64,
-                determination: Box::new(fix.determination.clone()),
-            },
-            5 => Response::BatchEnd { count: batch as u64 },
-            6 => Response::Flushed,
-            _ => Response::Error(Rejection {
-                kind: ErrorKind::Busy,
-                message,
-                retryable: flip == 1,
-            }),
-        };
-        assert_cross_codec_identity(&response);
-        // The response fast paths must be indistinguishable from the
-        // generic tree path: byte-identical encoding, and a decode that
-        // reproduces the same envelope (compared via JSON rendering).
-        let mut generic = Vec::new();
-        encode_envelope_into(&response, &mut generic);
+        assert_fixed_point(&response_variant(variant, kind, message, flip == 1));
+    }
+
+    /// The response fast paths are indistinguishable from the generic
+    /// tree path: byte-identical encoding, and both decoders return the
+    /// value tree the response was encoded from.
+    #[test]
+    fn response_fast_paths_match_the_generic_codec(
+        variant in 0usize..9,
+        kind in 0usize..9,
+        message in "\\PC{0,40}",
+        flip in 0u32..2,
+    ) {
+        let response = response_variant(variant, kind, message, flip == 1);
+        let generic = encoded(&response);
         let mut fast = Vec::new();
         encode_response_into(&response, &mut fast);
         prop_assert_eq!(
@@ -206,11 +312,36 @@ proptest! {
             &fast,
             "fast response encode must be byte-identical to the tree path"
         );
+        let original = response.to_value();
         let decoded = decode_response(&generic).expect("fast-path decode succeeds");
         prop_assert_eq!(
-            serde_json::to_string(&response).expect("encodes"),
-            serde_json::to_string(&decoded).expect("encodes"),
-            "fast response decode must reproduce the envelope"
+            decoded.to_value(),
+            original.clone(),
+            "fast decode must reproduce the envelope"
+        );
+        let decoded: Response = decode_envelope(&generic).expect("generic decode succeeds");
+        prop_assert_eq!(
+            decoded.to_value(),
+            original,
+            "generic decode must reproduce the envelope"
+        );
+    }
+
+    /// An unknown tag decodes to a clean error — the server answers
+    /// `bad_request` and the connection survives; it never panics.
+    #[test]
+    fn unknown_tags_decode_to_errors(op in "[a-z_]{1,16}") {
+        prop_assume!(!REQUEST_OPS.contains(&op.as_str()));
+        prop_assert!(
+            decode_envelope::<Request>(&tag_only("op", &op)).is_err(),
+            "op `{}` must not decode",
+            op
+        );
+        prop_assume!(!RESPONSE_KINDS.contains(&op.as_str()));
+        prop_assert!(
+            decode_response(&tag_only("kind", &op)).is_err(),
+            "kind `{}` must not decode",
+            op
         );
     }
 
@@ -223,17 +354,15 @@ proptest! {
     ) {
         if let Ok(value) = decode_value(&bytes) {
             let mut re = Vec::new();
-            smartpick_wire::codec::encode_value_into(&value, &mut re);
+            encode_value_into(&value, &mut re);
             prop_assert_eq!(re, bytes.clone(), "successful decode must re-encode identically");
         }
         // The fast response decoder must agree with the generic one on
         // every input: same acceptance, same envelope.
-        let fast = decode_response(&bytes);
-        let generic = decode_envelope::<Response>(&bytes);
-        match (&fast, &generic) {
+        match (decode_response(&bytes), decode_envelope::<Response>(&bytes)) {
             (Ok(f), Ok(g)) => prop_assert_eq!(
-                serde_json::to_string(f).expect("encodes"),
-                serde_json::to_string(g).expect("encodes"),
+                encoded(&f),
+                encoded(&g),
                 "fast and generic decodes must agree"
             ),
             (Err(_), Err(_)) => {}
@@ -248,12 +377,10 @@ proptest! {
         seed in 0u64..(1u64 << 53),
         knob in 0.0f64..1.0,
     ) {
-        let request = Request::Predict {
+        let bin = encoded(&Request::Predict {
             tenant: "acme".to_owned(),
             request: prediction_request(knob, 0, seed),
-        };
-        let mut bin = Vec::new();
-        encode_envelope_into(&request, &mut bin);
+        });
         for cut in 0..bin.len() {
             prop_assert!(
                 decode_envelope::<Request>(&bin[..cut]).is_err(),

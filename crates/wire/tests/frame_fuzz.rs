@@ -1,14 +1,15 @@
 //! Fuzz/property tests for the frame decoder: arbitrary byte streams and
-//! truncated/oversized/bad-version v1+v2 frames never panic, never read
-//! past the declared frame end, and always yield either a clean
-//! [`FrameError`] or a faithfully decoded frame.
+//! truncated/oversized/bad-version frames of both layouts (un-numbered,
+//! and v3 — the one request generation; byte 2 is as unknown as any
+//! other) never panic, never read past the declared frame end, and always
+//! yield either a clean [`FrameError`] or a faithfully decoded frame.
 
 use std::io::Cursor;
 
 use proptest::prelude::*;
 use smartpick_wire::frame::{
-    read_frame, read_frame_any_into, write_frame, write_frame_v2_buffered, FrameError, PROTOCOL_V2,
-    PROTOCOL_V3, PROTOCOL_VERSION,
+    read_frame, read_frame_any_into, write_frame, write_frame_v3_buffered, FrameError, PROTOCOL_V3,
+    PROTOCOL_VERSION,
 };
 
 const MAX_LEN: usize = 256;
@@ -17,7 +18,7 @@ const MAX_LEN: usize = 256;
 fn header_len(version: u8) -> u64 {
     match version {
         PROTOCOL_VERSION => 5,
-        PROTOCOL_V2 | PROTOCOL_V3 => 13,
+        PROTOCOL_V3 => 13,
         other => panic!("decoder returned unknown version {other}"),
     }
 }
@@ -44,9 +45,7 @@ proptest! {
             Err(FrameError::Eof) => prop_assert!(bytes.is_empty()),
             Err(FrameError::VersionMismatch { got }) => {
                 prop_assert_eq!(got, bytes[0]);
-                prop_assert!(
-                    got != PROTOCOL_VERSION && got != PROTOCOL_V2 && got != PROTOCOL_V3
-                );
+                prop_assert!(got != PROTOCOL_VERSION && got != PROTOCOL_V3);
             }
             Err(FrameError::Oversized { len, max }) => {
                 prop_assert_eq!(max, MAX_LEN);
@@ -61,18 +60,18 @@ proptest! {
         let _ = read_frame(&mut Cursor::new(bytes.as_slice()), MAX_LEN);
     }
 
-    /// Well-formed v1 and v2 frames round-trip exactly, and the decoder
+    /// Well-formed un-numbered and v3 frames round-trip exactly, and the decoder
     /// stops at the frame boundary even with trailing garbage.
     #[test]
     fn valid_frames_round_trip_and_stop_at_the_boundary(
         body in prop::collection::vec(0u8..=255, 0..48),
         id in 0u64..=u64::MAX,
-        v2 in 0u32..2,
+        v3 in 0u32..2,
         trailer in prop::collection::vec(0u8..=255, 0..16),
     ) {
         let mut buf = Vec::new();
-        if v2 == 1 {
-            write_frame_v2_buffered(&mut buf, id, &body, &mut Vec::new()).unwrap();
+        if v3 == 1 {
+            write_frame_v3_buffered(&mut buf, id, &body, &mut Vec::new()).unwrap();
         } else {
             write_frame(&mut buf, &body).unwrap();
         }
@@ -83,8 +82,8 @@ proptest! {
         let mut payload = Vec::new();
         let header = read_frame_any_into(&mut cursor, MAX_LEN, &mut payload).unwrap();
         prop_assert_eq!(&payload, &body);
-        if v2 == 1 {
-            prop_assert_eq!(header.version, PROTOCOL_V2);
+        if v3 == 1 {
+            prop_assert_eq!(header.version, PROTOCOL_V3);
             prop_assert_eq!(header.id, Some(id));
         } else {
             prop_assert_eq!(header.version, PROTOCOL_VERSION);
@@ -99,12 +98,12 @@ proptest! {
     fn truncations_error_cleanly(
         body in prop::collection::vec(0u8..=255, 1..48),
         id in 0u64..=u64::MAX,
-        v2 in 0u32..2,
+        v3 in 0u32..2,
         cut_fraction in 0.0f64..1.0,
     ) {
         let mut buf = Vec::new();
-        if v2 == 1 {
-            write_frame_v2_buffered(&mut buf, id, &body, &mut Vec::new()).unwrap();
+        if v3 == 1 {
+            write_frame_v3_buffered(&mut buf, id, &body, &mut Vec::new()).unwrap();
         } else {
             write_frame(&mut buf, &body).unwrap();
         }
@@ -118,16 +117,14 @@ proptest! {
         }
     }
 
-    /// A version byte from neither generation is always a
-    /// `VersionMismatch`, with nothing consumed past it.
+    /// A version byte of neither layout — the retired v2 byte included —
+    /// is always a `VersionMismatch`, with nothing consumed past it.
     #[test]
     fn unknown_versions_are_rejected(
         version in 0u8..=255,
         rest in prop::collection::vec(0u8..=255, 0..32),
     ) {
-        prop_assume!(
-            version != PROTOCOL_VERSION && version != PROTOCOL_V2 && version != PROTOCOL_V3
-        );
+        prop_assume!(version != PROTOCOL_VERSION && version != PROTOCOL_V3);
         let mut buf = vec![version];
         buf.extend_from_slice(&rest);
         let mut cursor = Cursor::new(buf.as_slice());
@@ -141,17 +138,17 @@ proptest! {
         }
     }
 
-    /// A length prefix over the cap is rejected in both generations
-    /// before a single payload byte is read.
+    /// A length prefix over the cap is rejected in both layouts before a
+    /// single payload byte is read.
     #[test]
     fn oversized_claims_trip_before_any_payload(
         claim in (MAX_LEN as u32 + 1)..=u32::MAX,
         id in 0u64..=u64::MAX,
-        v2 in 0u32..2,
+        v3 in 0u32..2,
     ) {
         let mut buf = Vec::new();
-        if v2 == 1 {
-            buf.push(PROTOCOL_V2);
+        if v3 == 1 {
+            buf.push(PROTOCOL_V3);
             buf.extend_from_slice(&id.to_be_bytes());
         } else {
             buf.push(PROTOCOL_VERSION);

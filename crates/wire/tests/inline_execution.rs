@@ -21,7 +21,8 @@ use std::time::{Duration, Instant};
 use smartpick_service::{
     CompletedRun, PersistenceConfig, ServiceConfig, ServiceError, SmartpickService,
 };
-use smartpick_wire::frame::{read_frame_any_into, write_frame_v2_buffered};
+use smartpick_wire::codec::{decode_response, encode_envelope_into};
+use smartpick_wire::frame::{read_frame_any_into, write_frame_v3_buffered};
 use smartpick_wire::{
     ErrorKind, Request, Response, WireClient, WireServer, WireServerConfig, DEFAULT_MAX_FRAME_LEN,
 };
@@ -326,19 +327,17 @@ fn a_cheap_determine_pipelined_behind_a_heavy_one_is_answered_first() {
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
-    let (mut burst, mut scratch) = (Vec::new(), Vec::new());
+    let (mut burst, mut scratch, mut payload) = (Vec::new(), Vec::new(), Vec::new());
     for (id, tenant) in [(1, "heavy"), (2, "cheap")] {
-        let payload = serde_json::to_string(&determine(tenant, 5)).unwrap();
-        write_frame_v2_buffered(&mut burst, id, payload.as_bytes(), &mut scratch).unwrap();
+        encode_envelope_into(&determine(tenant, 5), &mut payload);
+        write_frame_v3_buffered(&mut burst, id, &payload, &mut scratch).unwrap();
     }
     stream.write_all(&burst).unwrap();
 
-    let mut payload = Vec::new();
     let mut order = Vec::new();
     for _ in 0..2 {
         let header = read_frame_any_into(&mut stream, DEFAULT_MAX_FRAME_LEN, &mut payload).unwrap();
-        let response: Response =
-            serde_json::from_str(std::str::from_utf8(&payload).unwrap()).unwrap();
+        let response = decode_response(&payload).unwrap();
         assert!(
             matches!(response, Response::Determination(_)),
             "{response:?}"

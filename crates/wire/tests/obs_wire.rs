@@ -10,8 +10,9 @@ use std::time::{Duration, Instant};
 
 use smartpick_obs::RestartPolicy;
 use smartpick_service::{CompletedRun, ServiceConfig, SmartpickService};
-use smartpick_wire::frame::{read_frame_any_into, write_frame_v2_buffered};
-use smartpick_wire::{WireClient, WireServer, WireServerConfig, DEFAULT_MAX_FRAME_LEN};
+use smartpick_wire::codec::encode_envelope_into;
+use smartpick_wire::frame::{read_frame_any_into, write_frame_v3_buffered};
+use smartpick_wire::{Request, WireClient, WireServer, WireServerConfig, DEFAULT_MAX_FRAME_LEN};
 use smartpick_workloads::tpcds;
 
 mod common;
@@ -90,9 +91,9 @@ fn worker_crash_recovery_is_visible_over_the_wire() {
     assert!(kinds.contains(&"worker_restarted"), "events: {kinds:?}");
 
     // The wire layer's own telemetry rides in the same envelope: this
-    // client has been speaking JSON (v2) frames the whole time.
-    assert!(envelope.counter("wire.frames_read.v2") >= 10);
-    assert!(envelope.counter("wire.frames_written.v2") >= 10);
+    // client has been speaking v3 frames the whole time.
+    assert!(envelope.counter("wire.frames_read.v3") >= 10);
+    assert!(envelope.counter("wire.frames_written.v3") >= 10);
     assert_eq!(envelope.gauge("wire.connections"), 1);
 
     // Health over the wire: recovered and ready, restart on the record.
@@ -109,8 +110,8 @@ fn worker_crash_recovery_is_visible_over_the_wire() {
 
 /// `wire.in_flight_hwm` records the deepest pipeline of *queued* requests
 /// any connection has driven (a ping would run on the loop and never be
-/// in flight). Sixteen `service_stats` land in ONE socket write, so the
-/// event loop admits all of them before it applies a single completion.
+/// in flight). Sixteen `scrape`s land in ONE socket write, so the event
+/// loop admits all of them before it applies a single completion.
 #[test]
 fn in_flight_high_water_mark_tracks_pipeline_depth() {
     const DEPTH: u64 = 16;
@@ -126,10 +127,10 @@ fn in_flight_high_water_mark_tracks_pipeline_depth() {
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
-    let (mut burst, mut scratch) = (Vec::new(), Vec::new());
+    let (mut burst, mut scratch, mut scrape) = (Vec::new(), Vec::new(), Vec::new());
+    encode_envelope_into(&Request::Scrape { events: 0 }, &mut scrape);
     for id in 0..DEPTH {
-        write_frame_v2_buffered(&mut burst, id, b"{\"op\":\"service_stats\"}", &mut scratch)
-            .unwrap();
+        write_frame_v3_buffered(&mut burst, id, &scrape, &mut scratch).unwrap();
     }
     stream.write_all(&burst).unwrap();
     let mut payload = Vec::new();

@@ -1,9 +1,11 @@
 //! Multiplexing correctness for the pipelined protocol: many
 //! interleaved in-flight requests on one connection, every response
-//! matched to its request id; fault injection (a malformed mid-stream
-//! frame errors only its own id); the in-flight cap's flow control; the
-//! blocking-operation cap that keeps `flush` from starving reads; and
-//! the retirement of un-numbered (v1) request frames.
+//! matched to its request id — the oracle one determine per frame is
+//! held to; fault injection (an unknown op or garbage bytes mid-stream
+//! error only their own id); the in-flight cap's flow control; the
+//! blocking-operation cap
+//! that keeps `flush` from starving reads; and the retirement of the v1
+//! and v2 request generations.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -12,10 +14,11 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use smartpick_service::{CompletedRun, ServiceConfig, SmartpickService};
-use smartpick_wire::frame::read_frame_any_into;
+use smartpick_wire::codec::{decode_response, encode_envelope_into, encode_value_into};
+use smartpick_wire::frame::{read_frame_any_into, write_frame_v3_buffered};
 use smartpick_wire::{
-    ErrorKind, Request, Response, WireClient, WireServer, WireServerConfig, PROTOCOL_V2,
-    PROTOCOL_VERSION,
+    ErrorKind, Request, Response, WireClient, WireServer, WireServerConfig, DEFAULT_MAX_FRAME_LEN,
+    PROTOCOL_V3, PROTOCOL_VERSION,
 };
 use smartpick_workloads::tpcds;
 
@@ -98,83 +101,86 @@ fn sixty_four_interleaved_in_flight_determines_match_sequential() {
     }
 }
 
-/// Writes one raw v2 frame.
-fn write_v2_frame(stream: &mut TcpStream, id: u64, payload: &[u8]) {
-    stream.write_all(&[PROTOCOL_V2]).unwrap();
-    stream.write_all(&id.to_be_bytes()).unwrap();
-    stream
-        .write_all(&(payload.len() as u32).to_be_bytes())
-        .unwrap();
-    stream.write_all(payload).unwrap();
-}
-
-/// Reads one raw v2 frame, returning (id, payload-as-text).
-fn read_v2_frame(stream: &mut TcpStream) -> (u64, String) {
-    let mut header = [0u8; 13];
-    stream.read_exact(&mut header).unwrap();
-    assert_eq!(header[0], PROTOCOL_V2, "response must be a v2 frame");
-    let id = u64::from_be_bytes(header[1..9].try_into().unwrap());
-    let len = u32::from_be_bytes(header[9..13].try_into().unwrap()) as usize;
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload).unwrap();
-    (id, String::from_utf8(payload).unwrap())
-}
-
-/// Fault injection: a malformed v2 frame mid-stream (unknown op, and
-/// even non-JSON bytes) errors only its own id — the requests around it
-/// answer normally and the connection stays usable.
-#[test]
-fn malformed_mid_stream_frame_errors_only_its_own_id() {
+/// Fault injection: sends a determine, then `fault` as the payload of a
+/// well-framed v3 frame, then the same determine, all on one raw
+/// connection. The fault must error only its own id — a non-retryable
+/// `bad_request` — while both determines answer in v3 frames exactly as
+/// a blocking client is answered, and the connection stays usable.
+fn assert_fault_errors_only_its_own_id(fault: &[u8]) {
     let server = server_with(WireServerConfig::default());
-    WireClient::connect(server.local_addr())
-        .unwrap()
-        .register_tenant("acme", 7)
-        .unwrap();
+    let query = tpcds::query(82, 100.0).unwrap();
+    let mut setup = WireClient::connect(server.local_addr()).unwrap();
+    setup.register_tenant("acme", 7).unwrap();
+    let expected = det_json(&setup.determine("acme", &query, 5).unwrap());
 
     let mut raw = TcpStream::connect(server.local_addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-    let determine = serde_json::to_string(&Request::Determine {
-        tenant: "acme".into(),
-        query: tpcds::query(82, 100.0).unwrap(),
-        seed: 5,
-    })
-    .unwrap();
-
-    write_v2_frame(&mut raw, 1, determine.as_bytes());
-    write_v2_frame(&mut raw, 2, b"{\"op\":\"self_destruct\"}");
-    write_v2_frame(&mut raw, 3, b"\x01\x02 not json at all");
-    write_v2_frame(&mut raw, 4, determine.as_bytes());
+    let mut determine = Vec::new();
+    encode_envelope_into(
+        &Request::Determine {
+            tenant: "acme".into(),
+            query,
+            seed: 5,
+        },
+        &mut determine,
+    );
+    let mut scratch = Vec::new();
+    for (id, payload) in [(1, &determine[..]), (2, fault), (3, &determine[..])] {
+        write_frame_v3_buffered(&mut raw, id, payload, &mut scratch).unwrap();
+    }
 
     let mut replies = HashMap::new();
-    for _ in 0..4 {
-        let (id, text) = read_v2_frame(&mut raw);
-        assert!(replies.insert(id, text).is_none(), "duplicate id {id}");
+    let mut payload = Vec::new();
+    for _ in 0..3 {
+        let header = read_frame_any_into(&mut raw, DEFAULT_MAX_FRAME_LEN, &mut payload).unwrap();
+        assert_eq!(header.version, PROTOCOL_V3, "answers are v3 frames");
+        let id = header.id.expect("answers are id-tagged");
+        let response = decode_response(&payload).unwrap();
+        assert!(replies.insert(id, response).is_none(), "duplicate id {id}");
     }
-    assert!(
-        replies[&1].contains("\"kind\":\"determination\""),
-        "id 1: {}",
-        replies[&1]
-    );
-    assert!(
-        replies[&2].contains("bad_request"),
-        "id 2 must fail alone: {}",
-        replies[&2]
-    );
-    assert!(
-        replies[&3].contains("bad_request"),
-        "id 3 must fail alone: {}",
-        replies[&3]
-    );
-    assert_eq!(
-        replies[&1], replies[&4],
-        "same determine around the fault must answer identically"
-    );
+    for id in [1, 3] {
+        match &replies[&id] {
+            Response::Determination(d) => assert_eq!(det_json(d), expected, "id {id}"),
+            other => panic!("id {id} got {other:?}"),
+        }
+    }
+    match &replies[&2] {
+        Response::Error(r) => {
+            assert_eq!(r.kind, ErrorKind::BadRequest, "the fault must fail alone");
+            assert!(!r.retryable);
+        }
+        other => panic!("id 2 got {other:?}"),
+    }
 
-    // The connection survived all of it.
-    write_v2_frame(&mut raw, 9, b"{\"op\":\"ping\"}");
-    let (id, text) = read_v2_frame(&mut raw);
-    assert_eq!(id, 9);
-    assert!(text.contains("pong"), "reply: {text}");
+    // The connection survived it.
+    let mut ping = Vec::new();
+    encode_envelope_into(&Request::Ping, &mut ping);
+    write_frame_v3_buffered(&mut raw, 9, &ping, &mut scratch).unwrap();
+    let header = read_frame_any_into(&mut raw, DEFAULT_MAX_FRAME_LEN, &mut payload).unwrap();
+    assert_eq!(header.id, Some(9));
+    assert!(matches!(decode_response(&payload), Ok(Response::Pong)));
+}
+
+/// A mid-stream frame that decodes as a binary value but names an
+/// unknown op errors only its own id.
+#[test]
+fn malformed_mid_stream_frame_errors_only_its_own_id() {
+    let mut unknown_op = Vec::new();
+    encode_value_into(
+        &serde::Value::Obj(vec![(
+            "op".to_owned(),
+            serde::Value::Str("self_destruct".to_owned()),
+        )]),
+        &mut unknown_op,
+    );
+    assert_fault_errors_only_its_own_id(&unknown_op);
+}
+
+/// A mid-stream frame with valid v3 framing but payload bytes that are
+/// no binary value at all errors only its own id.
+#[test]
+fn garbage_binary_frame_errors_only_its_own_id() {
+    assert_fault_errors_only_its_own_id(&[0x07, 0xff, 0x13, 0x37]);
 }
 
 /// The in-flight cap is flow control, not rejection: a client that
@@ -328,36 +334,48 @@ fn blocked_flushes_leave_an_executor_for_reads() {
     );
 }
 
-/// Generation v1 is retired: an un-numbered *request* frame is a
-/// framing violation — exactly one un-numbered `protocol` error naming
-/// the retirement, then EOF — and the listener keeps serving.
+/// Generations v1 and v2 are retired: an un-numbered (v1) or id-tagged
+/// JSON (v2) *request* frame is a framing violation — exactly one
+/// un-numbered `protocol` error naming the retirement and v3, then EOF —
+/// and the listener keeps serving v3.
 #[test]
 fn v1_request_frame_gets_one_retirement_error_then_eof() {
     let server = server_with(WireServerConfig::default());
-    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
-    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     let ping = b"{\"op\":\"ping\"}";
-    raw.write_all(&[PROTOCOL_VERSION]).unwrap();
-    raw.write_all(&(ping.len() as u32).to_be_bytes()).unwrap();
-    raw.write_all(ping).unwrap();
+    let len = (ping.len() as u32).to_be_bytes();
+    let v1 = [&[PROTOCOL_VERSION][..], &len, ping].concat();
+    let v2 = [&[2u8][..], &7u64.to_be_bytes(), &len, ping].concat();
+    for (generation, frame) in [("v1", v1), ("v2", v2)] {
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        raw.write_all(&frame).unwrap();
 
-    let mut payload = Vec::new();
-    let header = read_frame_any_into(&mut raw, 1 << 20, &mut payload).unwrap();
-    assert_eq!(header.id, None, "the error frame is un-numbered");
-    let response: Response = serde_json::from_str(std::str::from_utf8(&payload).unwrap()).unwrap();
-    match response {
-        Response::Error(r) => {
-            assert_eq!(r.kind, ErrorKind::Protocol);
-            assert!(!r.retryable);
-            assert!(r.message.contains("retired"), "message: {}", r.message);
+        let mut payload = Vec::new();
+        let header = read_frame_any_into(&mut raw, 1 << 20, &mut payload).unwrap();
+        assert_eq!(
+            header.id, None,
+            "{generation}: the error frame is un-numbered"
+        );
+        let response: Response =
+            serde_json::from_str(std::str::from_utf8(&payload).unwrap()).unwrap();
+        match response {
+            Response::Error(r) => {
+                assert_eq!(r.kind, ErrorKind::Protocol, "{generation}");
+                assert!(!r.retryable, "{generation}");
+                assert!(
+                    r.message.contains("retired") && r.message.contains("v3"),
+                    "{generation}: {}",
+                    r.message
+                );
+            }
+            other => panic!("{generation}: expected a protocol error, got {other:?}"),
         }
-        other => panic!("expected a protocol error, got {other:?}"),
+        assert_eq!(
+            raw.read(&mut [0u8; 1]).unwrap(),
+            0,
+            "{generation}: then the server closes"
+        );
     }
-    assert_eq!(
-        raw.read(&mut [0u8; 1]).unwrap(),
-        0,
-        "then the server closes"
-    );
 
     let mut client = WireClient::connect(server.local_addr()).unwrap();
     client.ping().unwrap();

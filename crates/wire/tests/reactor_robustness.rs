@@ -5,28 +5,35 @@
 //! server is still working on its requests, and a framing violator that
 //! neither reads nor closes must not pin a connection slot forever.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use smartpick_core::wp::{ConstraintMode, PredictionRequest};
-use smartpick_wire::{Request, Response, WireClient, WireServerConfig, PROTOCOL_V2, PROTOCOL_V3};
+use smartpick_service::CompletedRun;
+use smartpick_wire::codec::{encode_envelope_into, encode_response_into};
+use smartpick_wire::frame::{read_frame_any_into, write_frame_v3_buffered};
+use smartpick_wire::{
+    Request, Response, WireClient, WireServerConfig, DEFAULT_MAX_FRAME_LEN, PROTOCOL_V3,
+};
 use smartpick_workloads::tpcds;
 
 mod common;
 use common::{server_on, server_with, template_with};
 
-fn batch(query: &smartpick_engine::QueryProfile, n: u64) -> Vec<PredictionRequest> {
-    (0..n)
-        .map(|seed| PredictionRequest {
-            query: query.clone(),
-            knob: 0.5,
-            constraint: ConstraintMode::Hybrid,
-            seed,
-        })
-        .collect()
+/// The binary encoding of a determine of TPC-DS q82 for `acme`.
+fn determine_payload() -> Vec<u8> {
+    let mut payload = Vec::new();
+    encode_envelope_into(
+        &Request::Determine {
+            tenant: "acme".to_owned(),
+            query: tpcds::query(82, 100.0).unwrap(),
+            seed: 5,
+        },
+        &mut payload,
+    );
+    payload
 }
 
 /// Shutdown must terminate while the run queue is saturated. At
@@ -37,12 +44,13 @@ fn batch(query: &smartpick_engine::QueryProfile, n: u64) -> Vec<PredictionReques
 #[test]
 fn shutdown_terminates_with_a_saturated_run_queue() {
     // max_in_flight 16 → run queue (and completion channel) capacity 64.
-    // The template's 1000-tree forest makes a 400-determine batch take
-    // ~10× longer to *execute* (one forest pass per job on a worker)
-    // than to *decode* (on the loop thread) — in release and debug
-    // builds alike — so the single loop thread admits jobs several
-    // times faster than two workers can drain them and the queue fills
-    // structurally, not by a timing accident.
+    // The template's 1000-tree forest puts one determine far over the
+    // loop's sweep-cost gate, so every one is queued, and makes it take
+    // tens of times longer to *execute* (on a worker) than to *decode*
+    // (on the loop thread) — in release and debug builds alike — so the
+    // single loop thread admits jobs far faster than two workers can
+    // drain them and the queue fills structurally, not by a timing
+    // accident.
     let mut server = server_on(
         WireServerConfig {
             max_in_flight: 16,
@@ -53,31 +61,19 @@ fn shutdown_terminates_with_a_saturated_run_queue() {
         template_with(1000),
     );
     let addr = server.local_addr();
-    let query = tpcds::query(82, 100.0).unwrap();
 
     let mut registrar = WireClient::connect(addr).unwrap();
     registrar.register_tenant("acme", 7).unwrap();
 
-    // Five connections pumping batch jobs and never reading responses.
-    // The per-connection cap of 16 makes up to 80 jobs admissible
-    // against the 64-slot queue, and each job is slow enough that the
-    // executors cannot meaningfully drain the queue between the
-    // shutdown flag being raised and the loop breaking — so at break
-    // the queued + executing jobs yield more completions than the
-    // completion channel holds. The payload is encoded ONCE and
-    // replayed as raw v3 frames, so the producers are bounded by
-    // socket writes, not by re-serialization.
-    let payload = {
-        let mut buf = Vec::new();
-        smartpick_wire::codec::encode_envelope_into(
-            &Request::DetermineBatch {
-                tenant: "acme".to_owned(),
-                requests: batch(&query, 400),
-            },
-            &mut buf,
-        );
-        Arc::new(buf)
-    };
+    // Five connections pumping heavy determines and never reading
+    // responses. The per-connection cap of 16 makes up to 80 jobs
+    // admissible against the 64-slot queue; past it the loop answers
+    // `busy` and the producers keep the queue topped up as jobs finish,
+    // so it stays full until shutdown — when the queued + executing jobs
+    // yield more completions than the completion channel holds. The
+    // payload is encoded ONCE and replayed as raw v3 frames, so the
+    // producers are bounded by socket writes, not by re-serialization.
+    let payload = Arc::new(determine_payload());
     let submitters: Vec<_> = (0..5)
         .map(|_| {
             let payload = Arc::clone(&payload);
@@ -85,7 +81,7 @@ fn shutdown_terminates_with_a_saturated_run_queue() {
                 let Ok(mut stream) = TcpStream::connect(addr) else {
                     return;
                 };
-                for id in 0..40u64 {
+                for id in 0..2_000u64 {
                     // Errors mean the server tore the socket down
                     // (shutdown landed) — exactly when to stop.
                     let frame = stream
@@ -131,63 +127,65 @@ fn shutdown_terminates_with_a_saturated_run_queue() {
 
 /// A connection that is quiet because the *server* is still executing
 /// its request must survive the idle sweep: reaping it would discard a
-/// response the client is legitimately blocked on.
+/// response the client is legitimately blocked on. The request is a
+/// `flush` held for far longer than the idle deadline by a retrain
+/// worker parked on the tenant's driver lock.
 #[test]
 fn in_flight_request_outlasting_idle_timeout_is_still_answered() {
     let server = server_with(WireServerConfig {
-        // Far shorter than the batch below takes to execute.
+        // Far shorter than the flush below is held for.
         idle_timeout: Some(Duration::from_millis(100)),
         poll_interval: Duration::from_millis(20),
-        max_frame_len: 32 << 20,
         ..WireServerConfig::default()
     });
-    let addr = server.local_addr();
-    let mut registrar = WireClient::connect(addr).unwrap();
-    registrar.register_tenant("acme", 7).unwrap();
-
-    // Pre-encode a 10k-determine batch (so client-side serialization
-    // adds no quiet time on the wire), send it as one raw v2 frame, and
-    // wait: execution takes hundreds of milliseconds of server-side
-    // work during which this connection is byte-quiet and many idle
-    // sweeps fire.
+    let service = Arc::clone(server.service());
+    let mut client = WireClient::connect(server.local_addr()).unwrap();
+    client
+        .set_io_timeout(Some(Duration::from_secs(120)))
+        .unwrap();
+    client.register_tenant("acme", 7).unwrap();
     let query = tpcds::query(82, 100.0).unwrap();
-    let payload = serde_json::to_string(&Request::DetermineBatch {
-        tenant: "acme".to_owned(),
-        requests: batch(&query, 10_000),
-    })
-    .unwrap();
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .unwrap();
-    stream.write_all(&[PROTOCOL_V2]).unwrap();
-    stream.write_all(&7u64.to_be_bytes()).unwrap();
-    stream
-        .write_all(&(payload.len() as u32).to_be_bytes())
-        .unwrap();
-    stream.write_all(payload.as_bytes()).unwrap();
+    let outcome = service.submit("acme", &query, 3).unwrap();
 
-    let mut header = [0u8; 13];
-    stream
-        .read_exact(&mut header)
+    // Hold the tenant's driver lock, so the worker parks on the report
+    // below and the flush cannot finish until `release` fires.
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let holder = {
+        let service = Arc::clone(&service);
+        std::thread::spawn(move || {
+            service
+                .inspect_tenant("acme", |_| {
+                    entered_tx.send(()).unwrap();
+                    let _ = release_rx.recv();
+                })
+                .unwrap();
+        })
+    };
+    entered_rx.recv().unwrap();
+    client
+        .report_run(
+            "acme",
+            CompletedRun {
+                query,
+                determination: outcome.determination,
+                report: outcome.report,
+            },
+        )
+        .unwrap();
+
+    // The flush is in flight and the connection byte-quiet through many
+    // idle sweeps; then the worker is let go.
+    let id = client.submit(&Request::Flush).unwrap();
+    std::thread::sleep(Duration::from_millis(500));
+    release_tx.send(()).unwrap();
+    holder.join().unwrap();
+
+    let (got, response) = client
+        .recv()
         .expect("the idle sweep reaped a connection with work in flight");
-    assert_eq!(
-        header[0], PROTOCOL_V2,
-        "response must mirror the request's generation"
-    );
-    assert_eq!(
-        header[1..9],
-        7u64.to_be_bytes(),
-        "response must carry the request's id"
-    );
-    let len = u32::from_be_bytes(header[9..13].try_into().unwrap()) as usize;
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body).unwrap();
-    let response: Response = serde_json::from_str(std::str::from_utf8(&body).unwrap()).unwrap();
-    match response {
-        Response::Determinations(ds) => assert_eq!(ds.len(), 10_000),
-        other => panic!("expected determinations, got {other:?}"),
-    }
+    assert_eq!(got, id, "response must carry the request's id");
+    assert!(matches!(response, Response::Flushed), "{response:?}");
 }
 
 /// A peer that commits a framing violation and then neither reads its
@@ -204,31 +202,41 @@ fn framing_violator_that_never_reads_is_reaped_at_the_drain_deadline() {
         ..WireServerConfig::default()
     });
     let addr = server.local_addr();
-    let query = tpcds::query(82, 100.0).unwrap();
-
     let mut registrar = WireClient::connect(addr).unwrap();
     registrar.register_tenant("acme", 7).unwrap();
 
-    // Raw v2 frames: queue enough batch work that the responses (four
-    // times ~7 MB of JSON) overrun the socket buffers of a peer that
-    // never reads, leaving the connection's write buffer pending.
+    // Raw v3 determines: enough that their answers (more than the kernel
+    // buffers on both sides of a connection) overrun the socket buffers
+    // of a peer that never reads, leaving the connection's write buffer
+    // pending.
+    let request = determine_payload();
+    let mut answer = Vec::new();
+    encode_response_into(
+        &Response::Determination(
+            server
+                .service()
+                .determine("acme", &tpcds::query(82, 100.0).unwrap(), 5)
+                .unwrap(),
+        ),
+        &mut answer,
+    );
+    let kernel = kernel_buffer_max("tcp_wmem") + kernel_buffer_max("tcp_rmem");
+    // Clamped well under the 64 MiB bound, past which the server would
+    // stop reading before the violation arrives.
+    let frames = (kernel + kernel / 4).min(40 << 20) / (13 + answer.len()) + 1;
     let mut stream = TcpStream::connect(addr).unwrap();
-    for id in 0..4u64 {
-        let request = Request::DetermineBatch {
-            tenant: "acme".to_owned(),
-            requests: batch(&query, 3000),
-        };
-        let payload = serde_json::to_string(&request).unwrap();
-        stream.write_all(&[PROTOCOL_V2]).unwrap();
-        stream.write_all(&id.to_be_bytes()).unwrap();
-        stream
-            .write_all(&(payload.len() as u32).to_be_bytes())
-            .unwrap();
-        stream.write_all(payload.as_bytes()).unwrap();
+    let (mut burst, mut scratch) = (Vec::new(), Vec::new());
+    for id in 0..frames as u64 {
+        write_frame_v3_buffered(&mut burst, id, &request, &mut scratch).unwrap();
+        if burst.len() >= 1 << 20 {
+            stream.write_all(&burst).unwrap();
+            burst.clear();
+        }
     }
     // The violation: an unknown version byte. The server starts its
     // drain-then-close; this client reads nothing and stays connected.
-    stream.write_all(&[0x7F]).unwrap();
+    burst.push(0x7F);
+    stream.write_all(&burst).unwrap();
 
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
@@ -278,17 +286,9 @@ fn a_peer_that_writes_and_never_reads_is_pushed_back_then_answered_in_full() {
 
     // One binary determine, replayed under a fresh id each time; every
     // answer is therefore the same bytes, known in advance.
-    let mut request = Vec::new();
-    smartpick_wire::codec::encode_envelope_into(
-        &Request::Determine {
-            tenant: "acme".to_owned(),
-            query: query.clone(),
-            seed: 5,
-        },
-        &mut request,
-    );
+    let request = determine_payload();
     let mut answer = Vec::new();
-    smartpick_wire::codec::encode_response_into(
+    encode_response_into(
         &Response::Determination(server.service().determine("acme", &query, 5).unwrap()),
         &mut answer,
     );
@@ -361,12 +361,8 @@ fn a_peer_that_writes_and_never_reads_is_pushed_back_then_answered_in_full() {
     let mut answered = vec![false; last as usize + 1];
     let mut payload = Vec::new();
     for _ in 0..=last {
-        let header = smartpick_wire::frame::read_frame_any_into(
-            &mut stream,
-            smartpick_wire::DEFAULT_MAX_FRAME_LEN,
-            &mut payload,
-        )
-        .expect("an answer was lost");
+        let header = read_frame_any_into(&mut stream, DEFAULT_MAX_FRAME_LEN, &mut payload)
+            .expect("an answer was lost");
         let id = header.id.expect("answers are id-tagged") as usize;
         assert!(!std::mem::replace(&mut answered[id], true), "id {id} twice");
         assert!(
@@ -377,18 +373,9 @@ fn a_peer_that_writes_and_never_reads_is_pushed_back_then_answered_in_full() {
     writing.join().unwrap();
 
     // And the connection is as usable as ever.
-    let ping = b"{\"op\":\"ping\"}";
-    stream.write_all(&[PROTOCOL_V2]).unwrap();
-    stream.write_all(&u64::MAX.to_be_bytes()).unwrap();
-    stream
-        .write_all(&(ping.len() as u32).to_be_bytes())
-        .unwrap();
-    stream.write_all(ping).unwrap();
-    let header = smartpick_wire::frame::read_frame_any_into(
-        &mut stream,
-        smartpick_wire::DEFAULT_MAX_FRAME_LEN,
-        &mut payload,
-    )
-    .unwrap();
+    let mut ping = Vec::new();
+    encode_envelope_into(&Request::Ping, &mut ping);
+    write_frame_v3_buffered(&mut stream, u64::MAX, &ping, &mut Vec::new()).unwrap();
+    let header = read_frame_any_into(&mut stream, DEFAULT_MAX_FRAME_LEN, &mut payload).unwrap();
     assert_eq!(header.id, Some(u64::MAX));
 }

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use smartpick_obs::MetricValue;
 use smartpick_service::{ServiceConfig, SmartpickService};
-use smartpick_wire::{Codec, WireClient, WireServer, WireServerConfig};
+use smartpick_wire::{WireClient, WireServer, WireServerConfig};
 
 mod common;
 use common::template;
@@ -38,9 +38,7 @@ fn one_core_sustains_a_thousand_live_connections() {
     .expect("bind ephemeral port");
     let addr = server.local_addr();
 
-    // Open every connection and keep all of them alive at once. A mix
-    // of codecs: every fourth connection negotiates binary, the rest
-    // stay JSON — the reactor multiplexes both on the same loop.
+    // Open every connection and keep all of them alive at once.
     let mut clients: Vec<WireClient> = Vec::with_capacity(CONNECTIONS);
     for i in 0..CONNECTIONS {
         let mut client =
@@ -48,13 +46,6 @@ fn one_core_sustains_a_thousand_live_connections() {
         client
             .set_io_timeout(Some(Duration::from_secs(60)))
             .unwrap();
-        if i % 4 == 0 {
-            assert!(
-                client.negotiate_binary().unwrap(),
-                "connection {i} failed the binary upgrade"
-            );
-            assert_eq!(client.codec(), Codec::Binary);
-        }
         clients.push(client);
     }
 

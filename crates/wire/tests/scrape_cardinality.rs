@@ -1,7 +1,7 @@
 //! The scrape's size follows the resident set, not the registered one:
 //! 2 000 tenants under a 200-resident cap scrape through a *default*
-//! client — default frame cap — over JSON and over the negotiated
-//! binary codec, and registering them never grows the metrics registry.
+//! client — default frame cap — and registering them never grows the
+//! metrics registry.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -64,39 +64,32 @@ fn a_default_client_scrapes_two_thousand_tenants_under_a_two_hundred_cap() {
     client
         .set_io_timeout(Some(Duration::from_secs(60)))
         .unwrap();
-    let over_json = client.scrape(0).unwrap();
-    assert!(client.negotiate_binary().unwrap());
-    let over_binary = client.scrape(0).unwrap();
-
-    for (codec, envelope) in [("json", &over_json), ("binary", &over_binary)] {
-        // The wire layer may have registered a series of its own since
-        // (per-generation frame counters appear with their first frame).
-        let bound = registry.len() + TenantStats::SCRAPE_ROWS * MAX_RESIDENT;
-        assert!(
-            envelope.metrics.len() <= bound,
-            "{codec}: {} samples for {resident} resident tenants (bound {bound})",
-            envelope.metrics.len()
-        );
-        let tenant_rows = envelope
-            .metrics
-            .iter()
-            .filter(|m| m.name.starts_with("tenant."))
-            .count();
-        assert_eq!(
-            tenant_rows % TenantStats::SCRAPE_ROWS,
-            0,
-            "{codec}: a tenant is listed whole or not at all"
-        );
-        assert!(tenant_rows > 0 && tenant_rows <= TenantStats::SCRAPE_ROWS * MAX_RESIDENT);
-        assert!(envelope.metrics.windows(2).all(|w| w[0].name < w[1].name));
-        assert_eq!(envelope.gauge("service.tenants"), TENANTS as i64);
-    }
+    let envelope = client.scrape(0).unwrap();
+    let bound = registry.len() + TenantStats::SCRAPE_ROWS * MAX_RESIDENT;
+    assert!(
+        envelope.metrics.len() <= bound,
+        "{} samples for {resident} resident tenants (bound {bound})",
+        envelope.metrics.len()
+    );
+    let tenant_rows = envelope
+        .metrics
+        .iter()
+        .filter(|m| m.name.starts_with("tenant."))
+        .count();
+    assert_eq!(
+        tenant_rows % TenantStats::SCRAPE_ROWS,
+        0,
+        "a tenant is listed whole or not at all"
+    );
+    assert!(tenant_rows > 0 && tenant_rows <= TenantStats::SCRAPE_ROWS * MAX_RESIDENT);
+    assert!(envelope.metrics.windows(2).all(|w| w[0].name < w[1].name));
+    assert_eq!(envelope.gauge("service.tenants"), TENANTS as i64);
 
     // A cold tenant is not in the scrape, and is still answerable.
     let cold = (0..TENANTS)
         .map(|t| format!("tenant-{t:04}"))
         .find(|id| {
-            over_binary
+            envelope
                 .metric(&format!("tenant.{id}.predictions"))
                 .is_none()
         })

@@ -8,9 +8,11 @@ use std::time::Duration;
 
 use smartpick_core::wp::PredictionRequest;
 use smartpick_service::{CompletedRun, ServiceConfig, SmartpickService};
+use smartpick_wire::codec::{decode_response, encode_value_into};
 use smartpick_wire::frame::read_frame_any_into;
 use smartpick_wire::{
-    ErrorKind, WireClient, WireError, WireServer, WireServerConfig, PROTOCOL_V2, PROTOCOL_VERSION,
+    ErrorKind, Response, WireClient, WireError, WireServer, WireServerConfig, PROTOCOL_V3,
+    PROTOCOL_VERSION,
 };
 use smartpick_workloads::tpcds;
 
@@ -84,19 +86,19 @@ fn full_round_trip_advances_snapshot_generation() {
         "worker must republish the snapshot: {after:?}"
     );
 
-    let stats = client.service_stats().unwrap();
-    assert_eq!(stats.tenants, 1);
-    assert_eq!(stats.reports_applied, 1);
-    assert_eq!(stats.queue_depth, 0);
-    assert_eq!(stats.worker_shards.len(), 4);
-    assert_eq!(
-        stats
-            .worker_shards
-            .iter()
-            .map(|s| s.reports_applied)
-            .sum::<u64>(),
-        1
-    );
+    // The service-wide totals ride the scrape.
+    let scrape = client.scrape(0).unwrap();
+    assert_eq!(scrape.gauge("service.tenants"), 1);
+    assert_eq!(scrape.counter("service.reports_applied"), 1);
+    assert_eq!(scrape.gauge("service.queue_depth"), 0);
+    let per_shard: Vec<u64> = scrape
+        .metrics
+        .iter()
+        .filter(|m| m.name.starts_with("service.worker.") && m.name.ends_with(".reports_applied"))
+        .map(|m| scrape.counter(&m.name))
+        .collect();
+    assert_eq!(per_shard.len(), 4, "one row per retrain worker");
+    assert_eq!(per_shard.iter().sum::<u64>(), 1);
 }
 
 #[test]
@@ -144,41 +146,62 @@ fn write_raw_frame(stream: &mut TcpStream, version: u8, id: u64, len: u32, paylo
     stream.write_all(payload).unwrap();
 }
 
+/// The binary encoding of `{"op": op}`.
+fn op_only(op: &str) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    encode_value_into(
+        &serde::Value::Obj(vec![("op".to_owned(), serde::Value::Str(op.to_owned()))]),
+        &mut bytes,
+    );
+    bytes
+}
+
 #[test]
 fn malformed_and_oversized_frames_do_not_kill_the_server() {
     let server = server();
     let addr = server.local_addr();
-    let ping = b"{\"op\":\"ping\"}";
+    let ping = op_only("ping");
 
-    // 1. A frame that parses as JSON but not as a request: error
+    // 1. A frame that decodes as a value but not as a request: error
     //    response under its own id, connection stays usable.
     let mut raw = TcpStream::connect(addr).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    let bogus = b"{\"op\":\"self_destruct\"}";
-    write_raw_frame(&mut raw, PROTOCOL_V2, 1, bogus.len() as u32, bogus);
-    write_raw_frame(&mut raw, PROTOCOL_V2, 2, ping.len() as u32, ping);
-    let mut replies = [String::new(), String::new()];
+    let bogus = op_only("self_destruct");
+    write_raw_frame(&mut raw, PROTOCOL_V3, 1, bogus.len() as u32, &bogus);
+    write_raw_frame(&mut raw, PROTOCOL_V3, 2, ping.len() as u32, &ping);
+    let mut replies = [None, None];
     let mut payload = Vec::new();
     for _ in 0..2 {
         let header = read_frame_any_into(&mut raw, 1 << 20, &mut payload).unwrap();
-        assert_eq!(header.version, PROTOCOL_V2);
-        replies[header.id.unwrap() as usize - 1] = String::from_utf8(payload.clone()).unwrap();
+        assert_eq!(header.version, PROTOCOL_V3);
+        replies[header.id.unwrap() as usize - 1] = Some(decode_response(&payload).unwrap());
     }
-    assert!(replies[0].contains("bad_request"), "reply: {}", replies[0]);
-    assert!(replies[1].contains("pong"), "reply: {}", replies[1]);
+    assert!(
+        matches!(&replies[0], Some(Response::Error(r)) if r.kind == ErrorKind::BadRequest),
+        "reply: {:?}",
+        replies[0]
+    );
+    assert!(
+        matches!(replies[1], Some(Response::Pong)),
+        "reply: {:?}",
+        replies[1]
+    );
 
     // 2. Wrong version byte: protocol error response, then close.
     let mut raw = TcpStream::connect(addr).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    write_raw_frame(&mut raw, 0x7f, 1, ping.len() as u32, ping);
+    write_raw_frame(&mut raw, 0x7f, 1, ping.len() as u32, &ping);
     let reply = String::from_utf8(read_raw_frame(&mut raw)).unwrap();
-    assert!(reply.contains("version mismatch"), "reply: {reply}");
+    assert!(
+        reply.contains("protocol") && reply.contains("v3"),
+        "reply: {reply}"
+    );
     assert_eq!(raw.read(&mut [0u8; 1]).unwrap(), 0, "server closes conn");
 
     // 3. Oversized length prefix: rejected before any payload is read.
     let mut raw = TcpStream::connect(addr).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    write_raw_frame(&mut raw, PROTOCOL_V2, 1, u32::MAX, b"");
+    write_raw_frame(&mut raw, PROTOCOL_V3, 1, u32::MAX, b"");
     let reply = String::from_utf8(read_raw_frame(&mut raw)).unwrap();
     assert!(reply.contains("exceeds"), "reply: {reply}");
     assert_eq!(raw.read(&mut [0u8; 1]).unwrap(), 0, "server closes conn");
@@ -210,14 +233,28 @@ fn connection_cap_turns_away_with_busy() {
     first.ping().unwrap(); // the connection is registered → cap reached
 
     // The second connection must be turned away with an unsolicited
-    // un-numbered retryable busy frame, readable without writing first.
+    // un-numbered retryable busy frame, readable without writing first —
+    // the only JSON left on the wire, pinned here byte for byte — and
+    // then a close.
     let mut second = TcpStream::connect(server.local_addr()).unwrap();
     second
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
-    let reply = String::from_utf8(read_raw_frame(&mut second)).unwrap();
-    assert!(reply.contains("busy"), "reply: {reply}");
-    assert!(reply.contains("\"retryable\":true"), "reply: {reply}");
+    let payload: &[u8] = b"{\"kind\":\"error\",\"error_kind\":\"busy\",\
+        \"message\":\"server at its 1-connection cap; retry later\",\"retryable\":true}";
+    let expected = [
+        &[PROTOCOL_VERSION][..],
+        &(payload.len() as u32).to_be_bytes(),
+        payload,
+    ]
+    .concat();
+    let mut frame = vec![0u8; expected.len()];
+    second.read_exact(&mut frame).unwrap();
+    assert_eq!(
+        String::from_utf8_lossy(&frame),
+        String::from_utf8_lossy(&expected)
+    );
+    assert_eq!(second.read(&mut [0u8; 1]).unwrap(), 0, "then a close");
 
     // The admitted connection is unaffected, and capacity frees on drop.
     first.ping().unwrap();
@@ -233,6 +270,49 @@ fn connection_cap_turns_away_with_busy() {
         std::thread::sleep(Duration::from_millis(20));
     }
     assert!(served, "slot must free after the first client disconnects");
+}
+
+/// Typed clients over the cap surface the `busy` frame as the retryable
+/// rejection it carries: a blocking call (the no-I/O negotiation shim
+/// before it must not hide the frame), and a pipelined `recv` that has
+/// submitted nothing.
+#[test]
+fn reactor_rejects_over_cap_connections_with_busy() {
+    let service = Arc::new(SmartpickService::with_defaults());
+    let server = WireServer::bind(
+        "127.0.0.1:0",
+        service,
+        template(),
+        WireServerConfig {
+            max_connections: 1,
+            ..WireServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut first = WireClient::connect(server.local_addr()).unwrap();
+    first.set_io_timeout(Some(Duration::from_secs(30))).unwrap();
+    first.ping().unwrap(); // the slot-holder is fully established
+
+    let assert_busy = |what: &str, outcome: Result<(), WireError>| match outcome {
+        Err(WireError::Rejected {
+            kind, retryable, ..
+        }) => {
+            assert_eq!(kind, ErrorKind::Busy, "{what}");
+            assert!(retryable, "{what}");
+        }
+        other => panic!("{what}: expected busy rejection, got {other:?}"),
+    };
+    let mut second = WireClient::connect(server.local_addr()).unwrap();
+    second
+        .set_io_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    assert!(second.negotiate_binary().unwrap());
+    assert_busy("ping over the cap", second.ping());
+    let mut third = WireClient::connect(server.local_addr()).unwrap();
+    third.set_io_timeout(Some(Duration::from_secs(30))).unwrap();
+    assert_busy("recv over the cap", third.recv().map(|_| ()));
+
+    first.ping().unwrap(); // the admitted connection is unaffected
 }
 
 #[test]
@@ -308,7 +388,7 @@ fn concurrent_wire_clients_share_one_server() {
     }
 
     let mut client = WireClient::connect(server.local_addr()).unwrap();
-    let stats = client.service_stats().unwrap();
-    assert_eq!(stats.tenants, CLIENTS as usize);
-    assert_eq!(stats.predictions, CLIENTS * OPS);
+    let scrape = client.scrape(0).unwrap();
+    assert_eq!(scrape.gauge("service.tenants"), CLIENTS as i64);
+    assert_eq!(scrape.counter("service.predictions"), CLIENTS * OPS);
 }

@@ -12,7 +12,6 @@ use std::sync::Arc;
 use smartpick::cloudsim::{CloudEnv, Provider};
 use smartpick::core::driver::Smartpick;
 use smartpick::core::properties::SmartpickProperties;
-use smartpick::core::wp::{ConstraintMode, PredictionRequest};
 use smartpick::service::{CompletedRun, ServiceConfig, SmartpickService};
 use smartpick::wire::{Response, WireClient, WireServer, WireServerConfig};
 use smartpick::workloads::tpcds;
@@ -61,8 +60,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         query.id, det.allocation, det.predicted_seconds, det.predicted_cost,
     );
 
-    // Pipelining (protocol v2): four determinations in flight on this
-    // one connection; responses come back tagged with their request id.
+    // Pipelining: four determinations in flight on this one connection;
+    // responses come back tagged with their request id.
     let ids: Vec<u64> = (0..4)
         .map(|i| client.submit_determine("acme", &query, 100 + i))
         .collect::<Result<_, _>>()?;
@@ -75,22 +74,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
     }
-
-    // Batched determine: one frame carries all requests, answered from a
-    // single server-side snapshot read.
-    let batch: Vec<PredictionRequest> = (0..3u64)
-        .map(|i| PredictionRequest {
-            query: query.clone(),
-            knob: 0.0,
-            constraint: ConstraintMode::Hybrid,
-            seed: 200 + i,
-        })
-        .collect();
-    let determinations = client.determine_many("acme", batch)?;
-    println!(
-        "determine_many answered {} requests in one round trip",
-        determinations.len()
-    );
 
     // The demo stands in for the data-analytics engine: execute locally,
     // then feed the completed run back over the wire.
@@ -123,15 +106,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.worker_shard,
     );
 
-    let service_stats = client.service_stats()?;
+    // Service-wide totals ride the same scrape an operator reads.
+    let scrape = client.scrape(0)?;
     println!(
         "service: {} tenants, queue depth {}, per-shard applied {:?}",
-        service_stats.tenants,
-        service_stats.queue_depth,
-        service_stats
-            .worker_shards
-            .iter()
-            .map(|s| s.reports_applied)
+        scrape.gauge("service.tenants"),
+        scrape.gauge("service.queue_depth"),
+        (0..4)
+            .map(|shard| scrape.counter(&format!("service.worker.{shard}.reports_applied")))
             .collect::<Vec<_>>(),
     );
     Ok(())

@@ -68,10 +68,9 @@ service-bench:
 
 # Wire serving-boundary cost: the `wire_rtt` group (ping vs in-process
 # vs over-wire determine) plus `wire_pipelined` (N blocking round trips
-# vs N requests in flight on one connection), `wire_batch_determine`
-# (the same N shipped as one determine_batch frame), and
-# `scrape_under_load` (the telemetry surface's price, idle and while a
-# background scraper hammers the registry).
+# vs N requests in flight on one connection) and `scrape_under_load`
+# (the telemetry surface's price, idle and while a background scraper
+# hammers the registry).
 wire-bench:
     cargo bench --bench wire_rtt
 
@@ -87,7 +86,7 @@ bench-determine:
     cargo bench --bench determine_latency
 
 # Regenerate BENCH_determine.json (median in-process determine()
-# latency, both paths, and the batch-vs-sequential rows; guarded by
+# latency, both paths; guarded by
 # crates/bench/tests/bench_determine_json.rs).
 bench-determine-record:
     cargo build --release -p smartpick_bench --bin bench_determine
@@ -138,8 +137,8 @@ bench-residency-record:
     cargo build --release -p smartpick_bench --bin bench_residency
     ./target/release/bench_residency --tenants 100000 --max-resident 1000
 
-# Regenerate BENCH_wire.json (binary-vs-JSON codec matrix,
-# multi-connection throughput, connection scaling; guarded by
+# Regenerate BENCH_wire.json (over-wire round trips, multi-connection
+# throughput, connection scaling; guarded by
 # crates/bench/tests/bench_wire_json.rs).
 # The 1024-connection scaling run needs a raised fd limit.
 bench-wire-record:
