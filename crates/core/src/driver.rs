@@ -22,7 +22,7 @@ use crate::history::{HistoryServer, RunRecord};
 use crate::mfe::Mfe;
 use crate::persist;
 use crate::properties::SmartpickProperties;
-use crate::retrain::RetrainReport;
+use crate::retrain::{RetrainMonitor, RetrainReport};
 use crate::rm::ResourceManager;
 use crate::sample::RunSample;
 use crate::training::{train_predictor, TrainOptions, TrainReport};
@@ -321,46 +321,63 @@ impl Smartpick {
         self.mfe.monitor().retrain_count()
     }
 
-    /// Captures a complete checkpoint of this driver as plain data — the
-    /// export half of the persistence surface (see [`crate::persist`]).
+    /// Captures a complete checkpoint of this driver — the export half of
+    /// the persistence surface (see [`crate::persist`]).
     ///
     /// The checkpoint covers the trained predictor, the MFE monitor and
     /// its simulated clock stream, the history records and the driver's
     /// own RNG state, so a [`Smartpick::from_state`] restore continues
     /// *exactly* where this driver stood: the same reports applied in the
-    /// same order produce bit-identical models on both sides.
+    /// same order produce bit-identical models on both sides. The
+    /// predictor is the published [`Smartpick::snapshot`] itself, so no
+    /// tree is copied.
     pub fn export_state(&self) -> persist::DriverState {
+        let monitor = self.mfe.monitor();
         persist::DriverState {
             props: self.props.clone(),
-            predictor: persist::export_predictor(&self.predictor),
+            predictor: self.snapshot(),
             history: self.history.snapshot(),
-            mfe: persist::export_mfe(&self.mfe),
+            mfe: persist::MfeState {
+                clock_state: self.mfe.clock_state(),
+                epoch: self.mfe.sim_epoch(),
+                pending: monitor.pending().clone(),
+                free_ram_gb: monitor.free_ram_gb,
+                retrain_count: monitor.retrain_count(),
+            },
             rng_state: self.rng.state(),
         }
     }
 
     /// Rebuilds a driver from an [`Smartpick::export_state`] checkpoint —
-    /// the restore half of the persistence surface.
+    /// the restore half of the persistence surface. Its parts are already
+    /// valid (a decoded one went through the predictor's validating
+    /// constructor), so they are taken as they are.
     ///
     /// Exactness caveat: only environments built via `CloudEnv::new` /
     /// `CloudEnv::with_family` round-trip (see [`crate::persist`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SmartpickError::InvalidState`] (or a forwarded model
-    /// error) when the checkpoint fails validation.
-    pub fn from_state(state: &persist::DriverState) -> Result<Self, SmartpickError> {
-        let predictor = persist::restore_predictor(&state.predictor)?;
-        let env = predictor.env().clone();
-        let mfe = persist::restore_mfe(env.clone(), state.props.clone(), &state.mfe)?;
-        Ok(Smartpick {
+    pub fn from_state(state: persist::DriverState) -> Smartpick {
+        let persist::DriverState {
+            props,
+            predictor,
+            history,
             mfe,
+            rng_state,
+        } = state;
+        let env = predictor.env().clone();
+        let monitor = RetrainMonitor::restore(
+            props.clone(),
+            mfe.pending,
+            mfe.free_ram_gb,
+            mfe.retrain_count,
+        );
+        Smartpick {
+            mfe: Mfe::restore(env.clone(), monitor, mfe.clock_state, mfe.epoch),
             rm: Arc::new(ResourceManager::new(env)),
-            props: state.props.clone(),
-            predictor: Arc::new(predictor),
-            history: HistoryServer::from_records(state.history.clone()),
-            rng: StdRng::from_state(state.rng_state),
-        })
+            props,
+            predictor,
+            history: HistoryServer::from_records(history),
+            rng: StdRng::from_state(rng_state),
+        }
     }
 }
 
@@ -539,7 +556,9 @@ mod tests {
         // the same workload: every stochastic draw must line up, so
         // outcomes stay bit-identical indefinitely.
         let state = sp.export_state();
-        let mut twin = Smartpick::from_state(&state).unwrap();
+        // The checkpoint holds the published model, not a copy of it.
+        assert!(Arc::ptr_eq(&state.predictor, &sp.snapshot()));
+        let mut twin = Smartpick::from_state(state);
         assert_eq!(twin.history().len(), sp.history().len());
 
         for round in 0..3 {

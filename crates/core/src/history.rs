@@ -2,8 +2,8 @@
 //!
 //! "History Server captures and stores the metrics outlined in Table 3"
 //! and serves them to other components (the paper exposes it over internal
-//! DNS; here it is a thread-safe in-process store). Records serialise to
-//! JSON, matching the paper's storage format.
+//! DNS; here it is a thread-safe in-process store). A tenant's snapshot
+//! carries the records in `smartpick-store`'s binary.
 //!
 //! The store is a ring of the last [`HISTORY_CAPACITY`] runs. Nothing on
 //! the serving path reads a record back — training data lives in the
@@ -15,12 +15,11 @@
 use std::collections::VecDeque;
 
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 
 use crate::features::QueryFeatures;
 
 /// One completed run's record: features, outcome and the prediction made.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunRecord {
     /// Query identifier (e.g. `tpcds-q11`).
     pub query_id: String,
@@ -131,21 +130,6 @@ impl HistoryServer {
         let start = records.len().saturating_sub(n);
         records.range(start..).cloned().collect()
     }
-
-    /// Serialises the stored history to JSON (the paper's storage format).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(&self.snapshot()).expect("records are serialisable")
-    }
-
-    /// Restores a history from JSON produced by [`HistoryServer::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying parse error message on malformed input.
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        let records: Vec<RunRecord> = serde_json::from_str(json).map_err(|e| e.to_string())?;
-        Ok(HistoryServer::from_records(records))
-    }
 }
 
 #[cfg(test)]
@@ -175,17 +159,6 @@ mod tests {
         assert_eq!(h.for_query("a").len(), 2);
         assert_eq!(h.recent(2).len(), 2);
         assert_eq!(h.recent(2)[0].query_id, "b");
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let h = HistoryServer::new();
-        h.record(record("x", 30.0, 28.0));
-        let json = h.to_json();
-        let back = HistoryServer::from_json(&json).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(back.snapshot()[0].query_id, "x");
-        assert!(HistoryServer::from_json("not json").is_err());
     }
 
     #[test]

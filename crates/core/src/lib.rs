@@ -8,7 +8,7 @@
 //! Architecture (the paper's Figure 3), one module per component:
 //!
 //! * [`features`] — the Table 3 feature schema the predictor consumes.
-//! * [`history`] — the **History Server** storing per-run metrics as JSON.
+//! * [`history`] — the **History Server** keeping the last runs' metrics.
 //! * [`mfe`] — **Monitor & Feature Extraction**: assembles prediction
 //!   inputs from history and watches prediction error.
 //! * [`similarity`] — the **Similarity Checker** for alien queries
@@ -31,8 +31,10 @@
 //!   (Figure 3's steps 0–9).
 //! * [`sample`] — [`RunSample`], the projection of a completed run onto
 //!   what step 9 reads: the one value the feedback path carries and logs.
-//! * [`persist`] — plain-data driver checkpoints for durable tenant state
-//!   (the export/restore surface `smartpick-store` serialises).
+//! * [`persist`] — the driver checkpoint for durable tenant state: the
+//!   driver's own parts (the published predictor, the MFE's pending batch
+//!   and clock, history, RNG), which `smartpick-store` encodes and decodes
+//!   straight back into.
 //!
 //! ## Quickstart
 //!

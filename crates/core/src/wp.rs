@@ -266,15 +266,17 @@ pub struct WorkloadPredictor {
 
 impl WorkloadPredictor {
     /// Assembles a predictor from its parts (the training pipeline and
-    /// every rehydration from a stored snapshot), compiling the four
-    /// constraint modes' candidate grids.
+    /// every decode of a stored snapshot), compiling the four constraint
+    /// modes' candidate grids.
     ///
     /// # Errors
     ///
-    /// Forwards [`smartpick_ml::MlError::NonAxisColumn`] when a Table-3 column varies
-    /// across a grid in a way the lattice descent cannot follow.
+    /// [`SmartpickError::InvalidState`] when the forest's feature width is
+    /// not the Table 3 schema's; forwards
+    /// [`smartpick_ml::MlError::NonAxisColumn`] when a Table-3 column
+    /// varies across a grid in a way the lattice descent cannot follow.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assemble(
+    pub fn assemble(
         env: CloudEnv,
         forest: RandomForest,
         known: Vec<KnownQuery>,
@@ -285,6 +287,12 @@ impl WorkloadPredictor {
         max_sl: u32,
         min_total: u32,
     ) -> Result<Self, SmartpickError> {
+        if forest.n_features() != N_FEATURES {
+            return Err(SmartpickError::InvalidState(format!(
+                "forest feature width {} does not match the Table 3 schema",
+                forest.n_features()
+            )));
+        }
         let index = known
             .iter()
             .enumerate()

@@ -1,7 +1,10 @@
 //! Integration tests of the Workload Prediction service boundary — the
 //! trait other SEDA systems consume (§5, §6.3.2).
 
+use std::sync::Arc;
+
 use smartpick_cloudsim::{CloudEnv, Provider};
+use smartpick_core::persist::DriverState;
 use smartpick_core::training::{train_predictor, TrainOptions};
 use smartpick_core::wp::{ConstraintMode, PredictionRequest, WorkloadPredictionService};
 use smartpick_core::{Smartpick, SmartpickError, SmartpickProperties, WorkloadPredictor};
@@ -242,8 +245,9 @@ fn grid(max_vm: u32, max_sl: u32, min_total: u32, mode: ConstraintMode) -> Vec<(
 
 #[test]
 fn every_mode_and_bound_sweeps_the_scalar_model_or_refuses_an_empty_grid() {
-    // One trained model rehydrated under each pair of bounds — the path
-    // every stored tenant takes, and the one that compiles the lattices.
+    // One trained model rebuilt under each pair of bounds through the
+    // public constructor every snapshot decode calls — the one that
+    // compiles the lattices — and restored into a driver.
     // (The bitwise comparison against the materialised batch walk needs
     // the crate's private search pieces and lives beside them, in
     // `wp.rs`; here the lattice sweep is held to the *scalar* model
@@ -265,7 +269,8 @@ fn every_mode_and_bound_sweeps_the_scalar_model_or_refuses_an_empty_grid() {
     let (driver, _) =
         Smartpick::train_with_options(env, SmartpickProperties::default(), &queries, &opts, 9)
             .unwrap();
-    let mut state = driver.export_state();
+    let state = driver.export_state();
+    let trained = &state.predictor;
     for (max_vm, max_sl, min_total) in [
         (0, 10, 1),
         (10, 0, 4),
@@ -275,10 +280,22 @@ fn every_mode_and_bound_sweeps_the_scalar_model_or_refuses_an_empty_grid() {
         (16, 16, 4),
         (32, 32, 4),
     ] {
-        state.predictor.max_vm = max_vm;
-        state.predictor.max_sl = max_sl;
-        state.predictor.min_total = min_total;
-        let restored = Smartpick::from_state(&state).unwrap();
+        let rebuilt = WorkloadPredictor::assemble(
+            trained.env().clone(),
+            trained.forest().clone(),
+            trained.known_queries().to_vec(),
+            trained.similarity().clone(),
+            trained.relay_aware(),
+            trained.stderr(),
+            max_vm,
+            max_sl,
+            min_total,
+        )
+        .unwrap();
+        let restored = Smartpick::from_state(DriverState {
+            predictor: Arc::new(rebuilt),
+            ..state.clone()
+        });
         let wp = restored.predictor();
         for mode in [
             ConstraintMode::Hybrid,

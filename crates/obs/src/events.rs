@@ -1,5 +1,5 @@
 //! The structured event log: a bounded ring of typed, timestamped
-//! events, with subscriber hooks and an optional JSON-line sink.
+//! events, with subscriber hooks.
 //!
 //! Events are the "what happened" channel metrics cannot carry: a
 //! counter says *how many* workers panicked, the event says *which shard,
@@ -8,7 +8,6 @@
 //! evicted oldest-first and counted in [`EventLog::evicted`].
 
 use std::collections::VecDeque;
-use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -361,10 +360,6 @@ impl EventDraft {
     }
 }
 
-/// An attached subscriber's handle (see [`EventLog::subscribe`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SubscriberId(u64);
-
 type SubscriberFn = Box<dyn Fn(&Event) + Send + Sync>;
 
 /// The bounded, subscribable event ring.
@@ -374,9 +369,7 @@ pub struct EventLog {
     seq: AtomicU64,
     evicted: AtomicU64,
     epoch: Instant,
-    subscribers: RwLock<Vec<(u64, SubscriberFn)>>,
-    next_subscriber: AtomicU64,
-    json_sink: Mutex<Option<Box<dyn Write + Send>>>,
+    subscribers: RwLock<Vec<SubscriberFn>>,
 }
 
 impl std::fmt::Debug for EventLog {
@@ -405,14 +398,12 @@ impl EventLog {
             evicted: AtomicU64::new(0),
             epoch: Instant::now(),
             subscribers: RwLock::new(Vec::new()),
-            next_subscriber: AtomicU64::new(1),
-            json_sink: Mutex::new(None),
         }
     }
 
-    /// Stamps and publishes `draft`: into the ring, to every subscriber
-    /// (synchronously — keep callbacks cheap), and to the JSON sink if
-    /// one is attached. Returns the event's sequence number.
+    /// Stamps and publishes `draft`: into the ring and to every subscriber
+    /// (synchronously — keep callbacks cheap). Returns the event's
+    /// sequence number.
     pub fn publish(&self, draft: EventDraft) -> u64 {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
         let e = Event {
@@ -433,22 +424,8 @@ impl EventLog {
             }
             ring.push_back(e.clone());
         }
-        for (_, f) in self.subscribers.read().iter() {
+        for f in self.subscribers.read().iter() {
             f(&e);
-        }
-        {
-            let mut sink = self.json_sink.lock();
-            if let Some(w) = sink.as_mut() {
-                if let Ok(mut line) = serde_json::to_string(&e) {
-                    line.push('\n');
-                    // Sink errors are swallowed: observability must never
-                    // take the observed path down. The mutex exists to
-                    // keep lines whole; the sink is expected to be a
-                    // local file or buffer, not a socket.
-                    // lint:allow(guard-across-blocking, reason = "the sink guard exists to serialise whole lines; sinks are local files/buffers by contract, documented on attach_json_sink")
-                    let _ = w.write_all(line.as_bytes());
-                }
-            }
         }
         seq
     }
@@ -458,17 +435,6 @@ impl EventLog {
         let ring = self.ring.lock();
         let skip = ring.len().saturating_sub(max);
         ring.iter().skip(skip).cloned().collect()
-    }
-
-    /// Every retained event with a sequence number greater than `seq`,
-    /// oldest first (cursor-style polling).
-    pub fn since(&self, seq: u64) -> Vec<Event> {
-        self.ring
-            .lock()
-            .iter()
-            .filter(|e| e.seq > seq)
-            .cloned()
-            .collect()
     }
 
     /// Microseconds since the log's creation — the clock every event's
@@ -487,32 +453,13 @@ impl EventLog {
         self.evicted.load(Ordering::Relaxed)
     }
 
-    /// Attaches `f`, called synchronously on every subsequent publish.
-    /// Tests hang assertions here; production subscribers must be cheap
-    /// and must not publish events themselves (the ring lock is not held
-    /// during callbacks, but the subscriber list's read lock is).
-    pub fn subscribe(&self, f: impl Fn(&Event) + Send + Sync + 'static) -> SubscriberId {
-        let id = self.next_subscriber.fetch_add(1, Ordering::Relaxed);
-        self.subscribers.write().push((id, Box::new(f)));
-        SubscriberId(id)
-    }
-
-    /// Detaches a subscriber. Unknown ids are ignored.
-    pub fn unsubscribe(&self, id: SubscriberId) {
-        self.subscribers.write().retain(|(sid, _)| *sid != id.0);
-    }
-
-    /// Attaches a JSON-line sink: every subsequent event is written as
-    /// one `serde_json` line. The sink should be a local file or buffer —
-    /// writes happen inline on the publishing thread and errors are
-    /// swallowed. Replaces any previous sink.
-    pub fn attach_json_sink(&self, sink: Box<dyn Write + Send>) {
-        *self.json_sink.lock() = Some(sink);
-    }
-
-    /// Detaches the JSON sink, returning it (so callers can flush/close).
-    pub fn detach_json_sink(&self) -> Option<Box<dyn Write + Send>> {
-        self.json_sink.lock().take()
+    /// Attaches `f`, called synchronously on every subsequent publish
+    /// for the rest of the log's life. Tests hang assertions here;
+    /// production subscribers must be cheap and must not publish events
+    /// themselves (the ring lock is not held during callbacks, but the
+    /// subscriber list's read lock is).
+    pub fn subscribe(&self, f: impl Fn(&Event) + Send + Sync + 'static) {
+        self.subscribers.write().push(Box::new(f));
     }
 }
 
@@ -536,54 +483,22 @@ mod tests {
             vec![3, 4, 5]
         );
         assert_eq!(log.recent(2).len(), 2);
-        assert_eq!(log.since(4).len(), 1);
     }
 
     #[test]
-    fn subscribers_see_every_publish_until_detached() {
+    fn subscribers_see_every_publish() {
         let log = EventLog::new(8);
         let seen = Arc::new(AtomicUsize::new(0));
-        let id = {
+        {
             let seen = Arc::clone(&seen);
             log.subscribe(move |e| {
                 assert_eq!(e.kind, EventKind::FeedbackShed);
                 seen.fetch_add(1, Ordering::Relaxed);
-            })
-        };
+            });
+        }
         log.publish(event(EventKind::FeedbackShed));
-        log.publish(event(EventKind::FeedbackShed));
-        log.unsubscribe(id);
         log.publish(event(EventKind::FeedbackShed));
         assert_eq!(seen.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn json_sink_gets_one_parseable_line_per_event() {
-        struct VecSink(Arc<parking_lot::Mutex<Vec<u8>>>);
-        impl Write for VecSink {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let buf = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let log = EventLog::new(8);
-        log.attach_json_sink(Box::new(VecSink(Arc::clone(&buf))));
-        log.publish(event(EventKind::WorkerPanic).shard(1).detail("boom"));
-        log.publish(event(EventKind::WorkerRestarted).shard(1));
-        let text = String::from_utf8(buf.lock().clone()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        let first: Event = serde_json::from_str(lines[0]).unwrap();
-        assert_eq!(first.kind, EventKind::WorkerPanic);
-        assert_eq!(first.severity, Severity::Error);
-        assert_eq!(first.shard, Some(1));
-        assert_eq!(first.detail.as_deref(), Some("boom"));
-        assert!(log.detach_json_sink().is_some());
-        assert!(log.detach_json_sink().is_none());
     }
 
     #[test]

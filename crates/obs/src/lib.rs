@@ -15,8 +15,7 @@
 //!   service's tenants) renders those as extra [`MetricSample`] rows
 //!   into the envelope instead.
 //! * [`events`] — a bounded ring of typed, timestamped [`Event`]s
-//!   ([`EventLog`]) with severities, subscriber hooks for tests, and an
-//!   optional JSON-line sink.
+//!   ([`EventLog`]) with severities and subscriber hooks for tests.
 //! * [`supervise`] — a generic [`Supervisor`] that watches worker
 //!   threads and applies a [`RestartPolicy`] when one panics, recording
 //!   every transition as events + counters.
@@ -24,7 +23,7 @@
 //!   `Request::Scrape` and `Request::Health` answer with.
 //!
 //! Everything is built on the vendored shims only (`parking_lot`,
-//! `serde`, `serde_json`); counter values ride the shim's f64 JSON
+//! `serde`); counter values ride the shim's f64 JSON
 //! number model, so totals above 2⁵³ lose precision on the wire — the
 //! same caveat the rest of the protocol carries.
 
@@ -42,7 +41,7 @@ pub mod events;
 pub mod metrics;
 pub mod supervise;
 
-pub use events::{event, Event, EventDraft, EventKind, EventLog, Severity, SubscriberId};
+pub use events::{event, Event, EventDraft, EventKind, EventLog, Severity};
 pub use metrics::{
     Counter, Gauge, LatencyHistogram, LatencySummary, Metric, MetricKind, MetricSample,
     MetricValue, MetricsRegistry,

@@ -24,6 +24,7 @@ use parking_lot::Mutex;
 use smartpick_core::driver::Smartpick;
 use smartpick_core::RunSample;
 use smartpick_obs::{event, Counter, EventKind, Gauge, MetricsRegistry, Observability};
+use smartpick_store::snapshot::SnapshotMeta;
 use smartpick_store::wal::{WalPayload, MAGIC as WAL_MAGIC};
 use smartpick_store::{FsyncPolicy, Snapshot, Store, StoreError, WalRecord, WalWriter};
 
@@ -405,16 +406,17 @@ pub(crate) fn recover(
     outcome
 }
 
-/// Loads `id`'s newest snapshot that validates and rebuilds its driver
-/// bit-exactly — the front half of both crash recovery and rehydration.
-/// Files the store quarantined on the way are counted and reported;
-/// `Err(reason)` means nothing on disk yields a driver.
+/// Loads `id`'s newest snapshot that validates — model included — and
+/// rebuilds its driver bit-exactly: the front half of both crash
+/// recovery and rehydration. Files the store quarantined on the way are
+/// counted and reported; `Err(reason)` means nothing on disk yields a
+/// driver.
 pub(crate) fn load_tenant(
     store: &Store,
     metrics: &StoreMetrics,
     obs: &Observability,
     id: &str,
-) -> Result<(Snapshot, Smartpick), String> {
+) -> Result<(SnapshotMeta, Smartpick), String> {
     let loaded = store
         .load_snapshot(id)
         .map_err(|e| format!("snapshot load failed: {e}"))?;
@@ -429,9 +431,7 @@ pub(crate) fn load_tenant(
     let snap = loaded
         .snapshot
         .ok_or_else(|| "no snapshot validated at any generation".to_owned())?;
-    let driver =
-        Smartpick::from_state(&snap.state).map_err(|e| format!("snapshot state invalid: {e}"))?;
-    Ok((snap, driver))
+    Ok((snap.meta(), Smartpick::from_state(snap.state)))
 }
 
 /// One tenant's recovery: a cold slot if `log` holds nothing past its
@@ -466,11 +466,11 @@ fn recover_tenant(
         }
     }
 
-    let (snap, mut driver) = load_tenant(store, metrics, obs, id)?;
+    let (loaded, mut driver) = load_tenant(store, metrics, obs, id)?;
     obs.events()
         .publish(event(EventKind::SnapshotLoaded).tenant(id).detail(format!(
             "generation {}, watermark {}",
-            snap.generation, snap.watermark
+            loaded.generation, loaded.watermark
         )));
 
     // This tenant's records (`log` holds no one else's) past the snapshot
@@ -479,7 +479,6 @@ fn recover_tenant(
     // rescued batch again on restart — at-least-once on disk,
     // exactly-once through the model).
     let replay_start = Instant::now();
-    let loaded = snap.meta();
     let mut samples: Vec<(u64, &RunSample)> = Vec::new();
     let mut commits: Vec<(u64, u64)> = Vec::new();
     for record in log.records.iter().filter(|r| r.is_past(&loaded)) {
@@ -496,7 +495,7 @@ fn recover_tenant(
     samples.sort_by_key(|(run_id, _)| *run_id);
     samples.dedup_by_key(|(run_id, _)| *run_id);
 
-    let mut watermark = snap.watermark;
+    let mut watermark = loaded.watermark;
     let replayed = samples.len() as u64;
     let mut failed = 0u64;
     for (run_id, sample) in samples {
@@ -513,8 +512,8 @@ fn recover_tenant(
     // Reconstruct the published generation: commits the replayed
     // watermark actually covers, plus one publish for any trailing
     // applied-but-uncommitted reports.
-    let mut generation = snap.generation;
-    let mut committed_wm = snap.watermark;
+    let mut generation = loaded.generation;
+    let mut committed_wm = loaded.watermark;
     for (commit_gen, commit_wm) in commits {
         if commit_wm <= watermark && commit_gen > generation {
             generation = commit_gen;
@@ -538,14 +537,14 @@ fn recover_tenant(
     // fold (see `recover`).
     let fold = (uncommitted || log.orphaned).then(|| Snapshot {
         tenant: id.to_owned(),
-        epoch: snap.epoch,
+        epoch: loaded.epoch,
         generation,
         watermark,
         state: driver.export_state(),
     });
     let floors = ColdMeta {
         generation,
-        epoch: snap.epoch,
+        epoch: loaded.epoch,
         watermark,
         next_run_id: watermark,
     };

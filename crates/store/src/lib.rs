@@ -10,13 +10,15 @@
 //! compaction) the service's startup path composes.
 //!
 //! Layering: this crate sits *below* the service and *beside* the core —
-//! it serialises [`smartpick_core::persist::DriverState`] (the plain-data
-//! checkpoint the core exports) and knows nothing about threads, queues,
-//! events, or metrics. The service decides *when* to persist, *what* to
-//! replay, and reports both through `smartpick-obs`; this crate only
-//! makes bytes durable and turns them back into data, totally and
-//! without panicking — every decode path is bounds-checked and
-//! CRC-verified in the style of `smartpick_wire::codec`. Both file
+//! it encodes [`smartpick_core::persist::DriverState`] (the driver's own
+//! parts, the published predictor among them) and decodes straight back
+//! into them through the core's validating constructors, and knows
+//! nothing about threads, queues, events, or metrics. The service decides
+//! *when* to persist, *what* to replay, and reports both through
+//! `smartpick-obs`; this crate only makes bytes durable and turns them
+//! back into the driver's parts, totally and without panicking — every
+//! decode path is bounds-checked and CRC-verified in the style of
+//! `smartpick_wire::codec`, and a model the core refuses is corrupt. Both file
 //! formats are this crate's own binary end to end; it links no
 //! serialisation library.
 //!

@@ -12,13 +12,22 @@
 //! ```
 //!
 //! The payload carries the snapshot identity (tenant, epoch, generation,
-//! WAL watermark) followed by [`DriverState`], all of it in the crate's
-//! own binary: the eight `smartpick.*` properties, the forest in its flat
-//! struct-of-arrays inference layout verbatim (per tree: the `u16`
-//! feature, `f64` threshold and `u32` children arrays), the history ring
-//! (per record: the query id, the ten Table 3 features, three `f64`),
-//! the monitor and the RNG streams. Floats travel as raw bits so restore
-//! is bit-exact.
+//! WAL watermark) followed by the [`DriverState`], all of it in the
+//! crate's own binary, written from the driver's own parts: the eight
+//! `smartpick.*` properties, the published predictor read through its
+//! public accessors — the forest in its flat struct-of-arrays inference
+//! layout verbatim (per tree: the `u16` feature, `f64` threshold and
+//! `u32` children arrays) — the history ring (per record: the query id,
+//! the ten Table 3 features, three `f64`), the MFE's pending batch and
+//! counters, and the RNG streams. Floats travel as raw bits so restore is
+//! bit-exact.
+//!
+//! Decoding builds those parts directly: each tree's decoded arrays move
+//! into [`RegressionTree::from_flat_parts`], the forest into
+//! [`RandomForest::from_parts`], and the predictor comes out of
+//! [`WorkloadPredictor::assemble`]. Their validation is the model's own,
+//! so a file that passes its CRC but describes an invalid model is
+//! [`StoreError::Corrupt`] like any other file this build cannot trust.
 //!
 //! Version 1 embedded the properties and the history as JSON strings. It
 //! is not read: a v1 file fails the version check like any other file
@@ -30,13 +39,20 @@
 //! truncated or bit-flipped file fails the CRC before any field is
 //! trusted.
 
-use smartpick_cloudsim::Provider;
+use std::sync::Arc;
+
+use smartpick_cloudsim::{CloudEnv, Provider};
 use smartpick_core::features::QueryFeatures;
 use smartpick_core::history::RunRecord;
-use smartpick_core::persist::{
-    DriverState, ForestState, KnownQueryState, MfeState, MonitorState, PredictorState, TreeState,
-};
+use smartpick_core::persist::{DriverState, MfeState};
+use smartpick_core::planner::UniformWorkload;
 use smartpick_core::properties::SmartpickProperties;
+use smartpick_core::similarity::{KnownSignature, SimilarityChecker};
+use smartpick_core::wp::KnownQuery;
+use smartpick_core::WorkloadPredictor;
+use smartpick_ml::dataset::Dataset;
+use smartpick_ml::forest::{ForestParams, RandomForest};
+use smartpick_ml::tree::{RegressionTree, TreeParams};
 
 use crate::codec::{
     put_bool, put_f64, put_f64s, put_str, put_u16, put_u32, put_u64, put_u8, Reader,
@@ -54,7 +70,7 @@ pub const VERSION: u32 = 2;
 const HEADER_LEN: usize = 16;
 
 /// One tenant's durable checkpoint: identity plus the full driver state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Snapshot {
     /// The tenant this checkpoint belongs to.
     pub tenant: String,
@@ -128,13 +144,14 @@ impl Snapshot {
         }
     }
 
-    /// Decodes a complete snapshot file.
+    /// Decodes a complete snapshot file into the driver's parts.
     ///
     /// # Errors
     ///
     /// [`StoreError::Corrupt`] on bad magic, unknown version, length
-    /// mismatch, CRC failure, or any structural defect in the payload.
-    /// Never panics on any input.
+    /// mismatch, CRC failure, any structural defect in the payload, or a
+    /// model the predictor's constructors refuse. Never panics on any
+    /// input.
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, StoreError> {
         let payload = checked_payload(bytes)?;
         let mut r = Reader::new(payload);
@@ -143,7 +160,7 @@ impl Snapshot {
         let generation = r.u64()?;
         let watermark = r.u64()?;
         let props = decode_props(&mut r)?;
-        let predictor = decode_predictor(&mut r)?;
+        let predictor = Arc::new(decode_predictor(&mut r)?);
         let history = decode_history(&mut r)?;
         let mfe = decode_mfe(&mut r)?;
         let mut rng_state = [0u64; 4];
@@ -322,77 +339,101 @@ fn decode_history(r: &mut Reader<'_>) -> Result<Vec<RunRecord>, StoreError> {
     Ok(history)
 }
 
-fn encode_predictor(p: &PredictorState, out: &mut Vec<u8>) {
-    encode_provider(p.provider, out);
-    put_bool(out, p.compute_optimised);
-    let f = &p.forest;
-    put_u32(out, f.n_trees);
-    put_u32(out, f.max_depth);
-    put_u32(out, f.min_samples_split);
-    put_u32(out, f.min_samples_leaf);
-    match f.max_features {
+/// The published predictor, through its public accessors: environment,
+/// forest hyperparameters and trees, known queries, similarity signatures,
+/// training stderr and search bounds.
+fn encode_predictor(p: &WorkloadPredictor, out: &mut Vec<u8>) {
+    encode_provider(p.env().provider(), out);
+    put_bool(out, p.env().catalog().is_compute_optimised());
+    let forest = p.forest();
+    let params = forest.params();
+    put_u32(out, params.n_trees as u32);
+    put_u32(out, params.tree.max_depth as u32);
+    put_u32(out, params.tree.min_samples_split as u32);
+    put_u32(out, params.tree.min_samples_leaf as u32);
+    match params.tree.max_features {
         Some(m) => {
             put_u8(out, 1);
-            put_u32(out, m);
+            put_u32(out, m as u32);
         }
         None => put_u8(out, 0),
     }
-    put_bool(out, f.bootstrap);
-    put_u32(out, f.n_features);
-    put_u32(out, f.trees.len() as u32);
-    for t in &f.trees {
-        put_u32(out, t.feature.len() as u32);
-        for &v in &t.feature {
+    put_bool(out, params.bootstrap);
+    put_u32(out, forest.n_features() as u32);
+    put_u32(out, forest.trees().len() as u32);
+    for t in forest.trees() {
+        let (feature, threshold, children) = t.flat_parts();
+        put_u32(out, feature.len() as u32);
+        for &v in feature {
             put_u16(out, v);
         }
-        for &v in &t.threshold {
+        for &v in threshold {
             put_f64(out, v);
         }
-        for &v in &t.children {
+        for &v in children {
             put_u32(out, v);
         }
-        put_f64s(out, &t.importance);
+        put_f64s(out, t.importance());
     }
-    put_u32(out, p.known.len() as u32);
-    for k in &p.known {
+    let known = p.known_queries();
+    put_u32(out, known.len() as u32);
+    for k in known {
         put_str(out, &k.id);
         put_f64(out, k.code);
         put_f64(out, k.input_gb);
-        put_u64(out, k.tasks);
-        put_f64(out, k.task_secs_on_vm);
+        put_u64(out, k.workload.tasks as u64);
+        put_f64(out, k.workload.task_secs_on_vm);
     }
-    put_u32(out, p.signatures.len() as u32);
-    for (id, vector) in &p.signatures {
-        put_str(out, id);
-        for &v in vector {
+    let signatures = p.similarity().signatures();
+    put_u32(out, signatures.len() as u32);
+    for s in signatures {
+        put_str(out, &s.query_id);
+        for &v in &s.vector {
             put_f64(out, v);
         }
     }
-    put_bool(out, p.relay_aware);
-    put_f64(out, p.stderr);
-    put_u32(out, p.max_vm);
-    put_u32(out, p.max_sl);
-    put_u32(out, p.min_total);
+    put_bool(out, p.relay_aware());
+    put_f64(out, p.stderr());
+    let (max_vm, max_sl) = p.search_bounds();
+    put_u32(out, max_vm);
+    put_u32(out, max_sl);
+    put_u32(out, p.min_total());
 }
 
-fn decode_predictor(r: &mut Reader<'_>) -> Result<PredictorState, StoreError> {
+/// A model the core's constructors refuse, as a decode error.
+fn invalid_model(e: impl std::fmt::Display) -> StoreError {
+    StoreError::Corrupt(format!("snapshot model invalid: {e}"))
+}
+
+fn decode_predictor(r: &mut Reader<'_>) -> Result<WorkloadPredictor, StoreError> {
     let provider = decode_provider(r)?;
-    let compute_optimised = r.bool("compute_optimised")?;
-    let n_trees = r.u32()?;
-    let max_depth = r.u32()?;
-    let min_samples_split = r.u32()?;
-    let min_samples_leaf = r.u32()?;
-    let max_features = match r.u8()? {
-        0 => None,
-        1 => Some(r.u32()?),
-        other => {
-            return Err(StoreError::Corrupt(format!(
-                "bad max_features presence tag {other}"
-            )))
-        }
+    let env = if r.bool("compute_optimised")? {
+        // Any compute-optimised family name selects the same catalog.
+        CloudEnv::with_family(provider, "compute")
+    } else {
+        CloudEnv::new(provider)
     };
-    let bootstrap = r.bool("bootstrap")?;
-    let n_features = r.u32()?;
+    let n_trees = r.u32()? as usize;
+    let tree = TreeParams {
+        max_depth: r.u32()? as usize,
+        min_samples_split: r.u32()? as usize,
+        min_samples_leaf: r.u32()? as usize,
+        max_features: match r.u8()? {
+            0 => None,
+            1 => Some(r.u32()? as usize),
+            other => {
+                return Err(StoreError::Corrupt(format!(
+                    "bad max_features presence tag {other}"
+                )))
+            }
+        },
+    };
+    let params = ForestParams {
+        n_trees,
+        tree,
+        bootstrap: r.bool("bootstrap")?,
+    };
+    let n_features = r.u32()? as usize;
     // Every tree costs ≥ one slot (2 + 8 + 4 bytes) plus the importance
     // count prefix.
     let tree_count = r.count(18)?;
@@ -413,57 +454,50 @@ fn decode_predictor(r: &mut Reader<'_>) -> Result<PredictorState, StoreError> {
             children.push(r.u32()?);
         }
         let importance = r.f64s()?;
-        trees.push(TreeState {
-            feature,
-            threshold,
-            children,
-            importance,
-        });
+        let tree =
+            RegressionTree::from_flat_parts(feature, threshold, children, n_features, importance)
+                .map_err(invalid_model)?;
+        trees.push(Arc::new(tree));
     }
+    let forest = RandomForest::from_parts(trees, params, n_features).map_err(invalid_model)?;
     // Every known query costs ≥ 4 (id length) + 8*4 (numbers).
     let known_count = r.count(36)?;
     let mut known = Vec::with_capacity(known_count);
     for _ in 0..known_count {
-        known.push(KnownQueryState {
+        known.push(KnownQuery {
             id: r.str()?,
             code: r.f64()?,
             input_gb: r.f64()?,
-            tasks: r.u64()?,
-            task_secs_on_vm: r.f64()?,
+            workload: UniformWorkload {
+                tasks: r.usize("tasks")?,
+                task_secs_on_vm: r.f64()?,
+            },
         });
     }
     // Every signature costs ≥ 4 (id length) + 8*4 (vector).
     let sig_count = r.count(36)?;
     let mut signatures = Vec::with_capacity(sig_count);
     for _ in 0..sig_count {
-        let id = r.str()?;
+        let query_id = r.str()?;
         let mut vector = [0f64; 4];
         for v in &mut vector {
             *v = r.f64()?;
         }
-        signatures.push((id, vector));
+        signatures.push(KnownSignature { query_id, vector });
     }
-    Ok(PredictorState {
-        provider,
-        compute_optimised,
-        forest: ForestState {
-            n_trees,
-            max_depth,
-            min_samples_split,
-            min_samples_leaf,
-            max_features,
-            bootstrap,
-            n_features,
-            trees,
-        },
+    // Arguments evaluate left to right, which is the file's order.
+    WorkloadPredictor::assemble(
+        env,
+        forest,
         known,
-        signatures,
-        relay_aware: r.bool("relay_aware")?,
-        stderr: r.f64()?,
-        max_vm: r.u32()?,
-        max_sl: r.u32()?,
-        min_total: r.u32()?,
-    })
+        SimilarityChecker::from_signatures(signatures),
+        r.bool("relay_aware")?,
+        r.f64()?,
+        r.u32()?,
+        r.u32()?,
+        r.u32()?,
+    )
+    .map_err(invalid_model)
 }
 
 fn encode_mfe(m: &MfeState, out: &mut Vec<u8>) {
@@ -471,20 +505,19 @@ fn encode_mfe(m: &MfeState, out: &mut Vec<u8>) {
         put_u64(out, w);
     }
     put_f64(out, m.epoch);
-    let mon = &m.monitor;
-    put_u32(out, mon.pending_features.len() as u32);
-    let width = mon.pending_features.first().map(|r| r.len()).unwrap_or(0);
-    put_u32(out, width as u32);
-    for row in &mon.pending_features {
+    let rows = m.pending.features();
+    put_u32(out, rows.len() as u32);
+    put_u32(out, rows.first().map_or(0, Vec::len) as u32);
+    for row in rows {
         for &v in row {
             put_f64(out, v);
         }
     }
-    for &t in &mon.pending_targets {
+    for &t in m.pending.targets() {
         put_f64(out, t);
     }
-    put_u32(out, mon.free_ram_gb);
-    put_u64(out, mon.retrain_count);
+    put_u32(out, m.free_ram_gb);
+    put_u64(out, m.retrain_count as u64);
 }
 
 fn decode_mfe(r: &mut Reader<'_>) -> Result<MfeState, StoreError> {
@@ -503,136 +536,116 @@ fn decode_mfe(r: &mut Reader<'_>) -> Result<MfeState, StoreError> {
             r.remaining()
         )));
     }
-    let mut pending_features = Vec::with_capacity(rows);
+    let mut pending = Dataset::new(QueryFeatures::names());
+    if rows > 0 && width != pending.n_features() {
+        return Err(StoreError::Corrupt(format!(
+            "pending sample width {width} does not match the Table 3 schema"
+        )));
+    }
+    let mut features = Vec::with_capacity(rows);
     for _ in 0..rows {
         let mut row = Vec::with_capacity(width);
         for _ in 0..width {
             row.push(r.f64()?);
         }
-        pending_features.push(row);
+        features.push(row);
     }
-    let mut pending_targets = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        pending_targets.push(r.f64()?);
+    for row in features {
+        pending.push(row, r.f64()?);
     }
     Ok(MfeState {
         clock_state,
         epoch,
-        monitor: MonitorState {
-            pending_features,
-            pending_targets,
-            free_ram_gb: r.u32()?,
-            retrain_count: r.u64()?,
-        },
+        pending,
+        free_ram_gb: r.u32()?,
+        retrain_count: r.usize("retrain_count")?,
     })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use std::sync::OnceLock;
+
+    use smartpick_core::training::TrainOptions;
+    use smartpick_core::wp::{PredictionRequest, WorkloadPredictionService};
+    use smartpick_core::Smartpick;
+    use smartpick_workloads::tpcds;
+
     use super::*;
 
-    /// A small synthetic checkpoint exercising every payload branch
-    /// (leaf-only tree, pending rows, optional max_features).
+    /// The checkpoint of one small trained driver, built once per test
+    /// binary: tpcds-q82 in a compute-optimised GCP environment, two trees
+    /// with `max_features` set, a 4×4 grid, and two submitted runs in the
+    /// history and the pending batch.
+    pub(crate) fn template() -> &'static DriverState {
+        static TEMPLATE: OnceLock<DriverState> = OnceLock::new();
+        TEMPLATE.get_or_init(|| {
+            let query = tpcds::query(82, 100.0).unwrap();
+            let opts = TrainOptions {
+                configs_per_query: 6,
+                burst_factor: 3,
+                forest: ForestParams {
+                    n_trees: 2,
+                    tree: TreeParams {
+                        max_features: Some(5),
+                        ..TreeParams::default()
+                    },
+                    ..ForestParams::default()
+                },
+                max_vm: 4,
+                max_sl: 4,
+                ..TrainOptions::default()
+            };
+            let (mut driver, _) = Smartpick::train_with_options(
+                CloudEnv::with_family(Provider::Gcp, "compute"),
+                SmartpickProperties::default(),
+                std::slice::from_ref(&query),
+                &opts,
+                7,
+            )
+            .unwrap();
+            for _ in 0..2 {
+                driver.submit(&query).unwrap();
+            }
+            driver.export_state()
+        })
+    }
+
     fn sample() -> Snapshot {
-        const LEAF: u16 = u16::MAX;
         Snapshot {
             tenant: "acme-α".into(),
             epoch: 7,
             generation: 3,
             watermark: 41,
-            state: DriverState {
-                props: SmartpickProperties::default(),
-                predictor: PredictorState {
-                    provider: Provider::Gcp,
-                    compute_optimised: true,
-                    forest: ForestState {
-                        n_trees: 2,
-                        max_depth: 16,
-                        min_samples_split: 4,
-                        min_samples_leaf: 2,
-                        max_features: Some(5),
-                        bootstrap: true,
-                        n_features: 3,
-                        trees: vec![
-                            TreeState {
-                                feature: vec![LEAF],
-                                threshold: vec![12.5],
-                                children: vec![0],
-                                importance: vec![0.0, 0.0, 0.0],
-                            },
-                            TreeState {
-                                feature: vec![1, LEAF, LEAF],
-                                threshold: vec![0.5, 1.0, 2.0],
-                                children: vec![1, 0, 0],
-                                importance: vec![0.0, 1.25, 0.0],
-                            },
-                        ],
-                    },
-                    known: vec![KnownQueryState {
-                        id: "tpcds-q11".into(),
-                        code: 11.0,
-                        input_gb: 100.0,
-                        tasks: 64,
-                        task_secs_on_vm: 2.5,
-                    }],
-                    signatures: vec![("tpcds-q11".into(), [1.0, 2.0, 3.0, 4.0])],
-                    relay_aware: false,
-                    stderr: 0.75,
-                    max_vm: 20,
-                    max_sl: 40,
-                    min_total: 4,
-                },
-                history: vec![
-                    history_record("tpcds-q11", 2, 80.5),
-                    history_record("", 0, -0.0),
-                ],
-                mfe: MfeState {
-                    clock_state: [1, 2, 3, u64::MAX],
-                    epoch: 1234.5,
-                    monitor: MonitorState {
-                        pending_features: vec![vec![1.0, -0.0, f64::MAX]],
-                        pending_targets: vec![9.5],
-                        free_ram_gb: 8,
-                        retrain_count: 2,
-                    },
-                },
-                rng_state: [5, 6, 7, 8],
-            },
+            state: template().clone(),
         }
     }
 
-    fn history_record(query_id: &str, n_vm: u32, actual_seconds: f64) -> RunRecord {
-        RunRecord {
-            query_id: query_id.into(),
-            features: QueryFeatures {
-                query_code: 11.0,
-                n_vm,
-                n_sl: u32::MAX,
-                input_bytes: 1.0e11,
-                start_epoch: 1234.5,
-                total_memory_mib: 4096.0,
-                available_memory_mib: 1024.25,
-                memory_per_executor_mib: 2048.0,
-                num_waiting_apps: 3.0,
-                total_available_cores: f64::MIN_POSITIVE,
-            },
-            actual_seconds,
-            predicted_seconds: 78.0,
-            cost_dollars: 0.04,
-        }
-    }
-
+    /// Encode → decode → encode is a fixed point, and the decoded model
+    /// answers bit for bit as the one that was encoded.
     #[test]
     fn round_trip_is_exact() {
         let snap = sample();
+        assert!(snap.state.predictor.env().catalog().is_compute_optimised());
+        assert_eq!(snap.state.history.len(), 2);
+        assert_eq!(snap.state.mfe.pending.len(), 2);
         let bytes = snap.encode();
         let back = Snapshot::decode(&bytes).unwrap();
-        assert_eq!(back, snap);
-        let meta = Snapshot::decode_meta(&bytes).unwrap();
-        assert_eq!(meta.tenant, "acme-α");
-        assert_eq!(meta.epoch, 7);
-        assert_eq!(meta.generation, 3);
-        assert_eq!(meta.watermark, 41);
+        assert!(back.encode() == bytes, "re-encoding changed the bytes");
+        assert_eq!(back.meta(), snap.meta());
+        assert_eq!(Snapshot::decode_meta(&bytes).unwrap(), snap.meta());
+        assert_eq!(back.state.history, snap.state.history);
+        assert_eq!(back.state.mfe.pending, snap.state.mfe.pending);
+        let probe = PredictionRequest::new(tpcds::query(82, 100.0).unwrap(), 5);
+        let predicted = |state: &DriverState| {
+            state
+                .predictor
+                .determine(&probe)
+                .unwrap()
+                .predicted_seconds
+                .to_bits()
+        };
+        assert_eq!(predicted(&back.state), predicted(&snap.state));
     }
 
     #[test]

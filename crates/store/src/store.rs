@@ -548,12 +548,9 @@ pub fn decode_tenant(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crc::crc32;
+    use crate::snapshot::tests::template;
     use crate::wal::{WalPayload, WalRecord};
-    use smartpick_cloudsim::Provider;
-    use smartpick_core::persist::{
-        DriverState, ForestState, MfeState, MonitorState, PredictorState, TreeState,
-    };
-    use smartpick_core::properties::SmartpickProperties;
     use smartpick_core::RunSample;
 
     fn test_root(tag: &str) -> PathBuf {
@@ -569,47 +566,7 @@ mod tests {
             epoch,
             generation,
             watermark,
-            state: DriverState {
-                props: SmartpickProperties::default(),
-                predictor: PredictorState {
-                    provider: Provider::Aws,
-                    compute_optimised: false,
-                    forest: ForestState {
-                        n_trees: 1,
-                        max_depth: 4,
-                        min_samples_split: 2,
-                        min_samples_leaf: 1,
-                        max_features: None,
-                        bootstrap: false,
-                        n_features: 2,
-                        trees: vec![TreeState {
-                            feature: vec![u16::MAX],
-                            threshold: vec![1.0],
-                            children: vec![0],
-                            importance: vec![0.0, 0.0],
-                        }],
-                    },
-                    known: Vec::new(),
-                    signatures: Vec::new(),
-                    relay_aware: false,
-                    stderr: 1.0,
-                    max_vm: 4,
-                    max_sl: 4,
-                    min_total: 1,
-                },
-                history: Vec::new(),
-                mfe: MfeState {
-                    clock_state: [1, 2, 3, 4],
-                    epoch: 0.0,
-                    monitor: MonitorState {
-                        pending_features: Vec::new(),
-                        pending_targets: Vec::new(),
-                        free_ram_gb: 8,
-                        retrain_count: 0,
-                    },
-                },
-                rng_state: [9, 9, 9, 9],
-            },
+            state: template().clone(),
         }
     }
 
@@ -711,6 +668,44 @@ mod tests {
         let loaded = store.load_snapshot("t").unwrap();
         assert!(loaded.snapshot.is_none());
         assert_eq!(loaded.quarantined.len(), 1);
+    }
+
+    /// A file whose CRC checks out but whose model the core refuses — here
+    /// a tree whose root points past the end of its arrays — is as
+    /// untrusted as a torn one: quarantined, and the older generation
+    /// loads.
+    #[test]
+    fn a_snapshot_that_fails_model_validation_is_quarantined_and_falls_back() {
+        let store = Store::open(test_root("invalid")).unwrap();
+        store.persist_snapshot(&snapshot("t", 1, 1, 5)).unwrap();
+        let newest = snapshot("t", 1, 2, 9);
+        store.persist_snapshot(&newest).unwrap();
+        let dir = store.tenant_dir("t");
+        let path = dir.join(format!("snap-{:020}.snap", 2));
+        let mut bytes = fs::read(&path).unwrap();
+
+        let tree = &newest.state.predictor.forest().trees()[0];
+        let (feature, _, children) = tree.flat_parts();
+        assert_ne!(feature[0], u16::MAX, "the root is a split");
+        let encoded: Vec<u8> = children.iter().flat_map(|c| c.to_be_bytes()).collect();
+        let at = bytes
+            .windows(encoded.len())
+            .position(|w| w == encoded)
+            .expect("the first tree's children are in the file");
+        bytes[at..at + 4].copy_from_slice(&(children.len() as u32).to_be_bytes());
+        let end = bytes.len() - 4;
+        let crc = crc32(&bytes[16..end]);
+        bytes[end..].copy_from_slice(&crc.to_be_bytes());
+        fs::write(&path, &bytes).unwrap();
+        assert_eq!(Snapshot::decode_meta(&bytes).unwrap().generation, 2);
+        assert!(Snapshot::decode(&bytes).unwrap_err().is_corrupt());
+
+        let loaded = store.load_snapshot("t").unwrap();
+        assert_eq!(loaded.snapshot.as_ref().unwrap().generation, 1);
+        let name = format!("snap-{:020}.snap", 2);
+        assert_eq!(loaded.quarantined, vec![name.clone()]);
+        assert!(dir.join("quarantine").join(name).is_file());
+        assert!(!path.exists());
     }
 
     #[test]

@@ -127,14 +127,3 @@ fn data_growth_is_handled_by_retraining() {
         "prediction should converge: spike {spike_error}, final {final_error}"
     );
 }
-
-#[test]
-fn history_survives_json_round_trip() {
-    let mut sp = system(Provider::Aws, 1e9);
-    sp.submit(&tpcds::query(82, 100.0).unwrap()).unwrap();
-    sp.submit(&tpcds::query(68, 100.0).unwrap()).unwrap();
-    let json = sp.history().to_json();
-    let restored = smartpick::core::HistoryServer::from_json(&json).expect("parse back");
-    assert_eq!(restored.len(), 2);
-    assert_eq!(restored.for_query("tpcds-q82").len(), 1);
-}
