@@ -36,6 +36,13 @@
 //! * [`metrics`] — RMSE, MAE, R², the regression standard error, and the
 //!   paper's "within 2× standard error" accuracy criterion (§6.2).
 //!
+//! [`gp`], [`linalg`] and the acquisition functions serve only the paper's
+//! reference search: `WorkloadPredictor::determine_reference` in
+//! `smartpick_core`, the CherryPick baseline in `smartpick_baselines`, and
+//! the ablation benches. The serving `determine` already holds every
+//! candidate's forest prediction and searches it through
+//! [`bayesopt::BayesianOptimizer::maximize_precomputed`], which fits no GP.
+//!
 //! ## Example: fit a forest and search it with BO
 //!
 //! ```

@@ -1,14 +1,19 @@
 //! Durability wiring: how the service layers over `smartpick_store`.
 //!
-//! Three pieces live here. [`PersistenceConfig`] is the public knob
+//! Four pieces live here. [`PersistenceConfig`] is the public knob
 //! surface (directory, fsync policy, snapshot cadence, compaction
-//! threshold). `ServicePersist`/`WorkerPersist` (crate-private) are the
-//! store handles the service façade and each retrain worker hold — the
-//! worker's carries the shard's WAL append handle. And `recover` is the
-//! crash-recovery pass `SmartpickService::open` runs **before any worker
-//! spawns**: one scan of the logs, a cold slot for every tenant nothing
-//! in them is past, newest valid snapshot + WAL replay for the rest —
-//! and, on a healthy store, no write.
+//! threshold). `ServicePersist` (crate-private) is the service's one
+//! store handle, and its `checkpoint` is the one door every snapshot
+//! write goes through — registration, the admin `persist_tenant`, the
+//! worker cadence, eviction and recovery's fold each take a `Cut` and
+//! name their `Cause`; the door checks the defunct stamp under the
+//! tenant's file lock, writes, takes what the cut covered off the
+//! tenant's unpersisted count and publishes one event. `WorkerPersist`
+//! is a retrain worker's view of it plus the shard's WAL append handle.
+//! And `recover` is the crash-recovery pass `SmartpickService::open`
+//! runs **before any worker spawns**: one scan of the logs, a cold slot
+//! for every tenant nothing in them is past, newest valid snapshot + WAL
+//! replay for the rest — and, on a healthy store, no write.
 //!
 //! The one rule every piece obeys: the read path
 //! (`predict`/`determine`) never touches any of this. Durability costs
@@ -16,12 +21,13 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Instant, SystemTime};
 
 use parking_lot::Mutex;
 use smartpick_core::driver::Smartpick;
+use smartpick_core::persist::DriverState;
 use smartpick_core::RunSample;
 use smartpick_obs::{event, Counter, EventKind, Gauge, MetricsRegistry, Observability};
 use smartpick_store::snapshot::SnapshotMeta;
@@ -111,17 +117,16 @@ impl StoreMetrics {
 }
 
 /// Per-tenant serialization of snapshot writes against directory
-/// removal, shared by the façade, the evictor, and every retrain worker
-/// (the [`Store`] itself is only paths; this is the one place their file
-/// operations for the same id meet).
+/// removal (the [`Store`] itself is only paths; this is the one place
+/// file operations for the same id meet).
 ///
 /// The protocol that makes tenant teardown race-free: deregistration
 /// stamps the tenant `defunct` *before* calling [`TenantFiles::remove`],
-/// and every snapshot persist re-checks that stamp **inside** the
-/// tenant's file lock. So any persist is either ordered before the
-/// removal (and its output is deleted with the directory) or observes
-/// the stamp and skips — a write can never land *after* the removal and
-/// resurrect a deregistered tenant, and a removal can never land after a
+/// and [`ServicePersist::checkpoint`] checks that stamp **inside** the
+/// tenant's file lock. So any write is either ordered before the removal
+/// (and its output is deleted with the directory) or observes the stamp
+/// and skips — a write can never land *after* the removal and resurrect
+/// a deregistered tenant, and a removal can never land after a
 /// re-registration's fresh write and delete a live tenant's files.
 #[derive(Debug, Default)]
 pub(crate) struct TenantFiles {
@@ -129,111 +134,208 @@ pub(crate) struct TenantFiles {
 }
 
 impl TenantFiles {
-    fn lock_for(&self, id: &str) -> Arc<Mutex<()>> {
-        let mut map = self.locks.lock();
-        Arc::clone(map.entry(id.to_owned()).or_default())
-    }
-
-    /// Drops `id`'s lock entry if no other thread holds a handle on it —
-    /// safe because handles are only cloned under the map lock held
-    /// here, so `strong_count == 2` (map + ours) proves exclusivity.
-    fn release(&self, id: &str, ours: Arc<Mutex<()>>) {
+    /// Runs `f` under `id`'s file lock, then drops the lock's entry if no
+    /// other thread holds a handle on it — safe because handles are only
+    /// cloned under the map lock, so `strong_count == 2` (map + ours)
+    /// proves exclusivity.
+    fn locked<T>(&self, id: &str, f: impl FnOnce() -> T) -> T {
+        let lock = Arc::clone(self.locks.lock().entry(id.to_owned()).or_default());
+        let out = {
+            let _guard = lock.lock();
+            f()
+        };
         let mut map = self.locks.lock();
         if map
             .get(id)
-            .is_some_and(|l| Arc::strong_count(l) == 2 && Arc::ptr_eq(l, &ours))
+            .is_some_and(|l| Arc::strong_count(l) == 2 && Arc::ptr_eq(l, &lock))
         {
             map.remove(id);
         }
-    }
-
-    /// Persists `snap` unless `defunct` is set, checked under the
-    /// tenant's file lock. `Ok(None)` means the tenant was deregistered
-    /// and nothing was written.
-    pub(crate) fn persist_unless_defunct(
-        &self,
-        store: &Store,
-        snap: &Snapshot,
-        defunct: &AtomicBool,
-    ) -> Result<Option<u64>, StoreError> {
-        let lock = self.lock_for(&snap.tenant);
-        let result = {
-            let _guard = lock.lock();
-            if defunct.load(Ordering::SeqCst) {
-                Ok(None)
-            } else {
-                store.persist_snapshot(snap).map(Some)
-            }
-        };
-        self.release(&snap.tenant, lock);
-        result
-    }
-
-    /// Registration's variant: clear whatever files an earlier
-    /// registration of this id left, then persist the fresh generation-0
-    /// snapshot — one atomic step under the tenant's file lock, skipped
-    /// entirely (`Ok(None)`) if this registration was already
-    /// deregistered.
-    pub(crate) fn fresh_start(
-        &self,
-        store: &Store,
-        snap: &Snapshot,
-        defunct: &AtomicBool,
-    ) -> Result<Option<u64>, StoreError> {
-        let lock = self.lock_for(&snap.tenant);
-        let result = {
-            let _guard = lock.lock();
-            if defunct.load(Ordering::SeqCst) {
-                Ok(None)
-            } else {
-                store
-                    .remove_tenant(&snap.tenant)
-                    .and_then(|()| store.persist_snapshot(snap).map(Some))
-            }
-        };
-        self.release(&snap.tenant, lock);
-        result
+        out
     }
 
     /// Removes `id`'s store directory under its file lock. The caller
     /// must have stamped the tenant defunct *before* calling, so every
-    /// concurrent persist either already lost the lock race (its file is
+    /// concurrent write either already lost the lock race (its file is
     /// deleted here) or will observe the stamp and skip.
     pub(crate) fn remove(&self, store: &Store, id: &str) -> Result<(), StoreError> {
-        let lock = self.lock_for(id);
-        let result = {
-            let _guard = lock.lock();
-            store.remove_tenant(id)
-        };
-        self.release(id, lock);
-        result
+        self.locked(id, || store.remove_tenant(id))
+    }
+
+    /// A handle on `id`'s file lock, so a test can hold it and park a
+    /// writer at the door.
+    #[cfg(test)]
+    pub(crate) fn handle(&self, id: &str) -> Arc<Mutex<()>> {
+        Arc::clone(self.locks.lock().entry(id.to_owned()).or_default())
     }
 }
 
-/// The façade's store handle: registration/deregistration snapshots and
-/// the `persist_*` admin API.
+/// Why a snapshot is written; named in the event the write publishes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Cause {
+    /// Generation 0, over whatever files an earlier registration left.
+    Registration,
+    /// `SmartpickService::persist_tenant`.
+    Admin,
+    /// The worker of this shard crossed `snapshot_every`.
+    Cadence(usize),
+    /// A final snapshot before the tenant goes cold.
+    Eviction,
+    /// Recovery's fold of what the log alone could not carry.
+    Recovery,
+}
+
+impl Cause {
+    fn name(self) -> &'static str {
+        match self {
+            Cause::Registration => "registration",
+            Cause::Admin => "admin",
+            Cause::Cadence(_) => "cadence",
+            Cause::Eviction => "eviction",
+            Cause::Recovery => "recovery",
+        }
+    }
+}
+
+/// One consistent cut of a tenant: taken under its driver lock, or
+/// before the driver is shared.
+#[derive(Debug)]
+pub(crate) struct Cut {
+    pub(crate) state: DriverState,
+    pub(crate) generation: u64,
+    pub(crate) watermark: u64,
+    /// The applied reports the cut holds that the disk does not: what a
+    /// landed write takes off `applied_since_persist`.
+    pub(crate) covered: u64,
+}
+
+impl Cut {
+    /// The cut of a hot tenant whose driver lock the caller holds (the
+    /// worker moves generation, watermark and unpersisted count under it).
+    pub(crate) fn locked(tenant: &TenantState, driver: &Smartpick) -> Cut {
+        Cut {
+            state: driver.export_state(),
+            generation: tenant.generation.load(Ordering::Relaxed),
+            watermark: tenant.applied_watermark.load(Ordering::Relaxed),
+            covered: tenant.applied_since_persist.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// The service's store handle, shared by the façade, the evictor and
+/// every retrain worker.
 #[derive(Debug)]
 pub(crate) struct ServicePersist {
     pub(crate) store: Store,
     pub(crate) cfg: PersistenceConfig,
-    pub(crate) metrics: Arc<StoreMetrics>,
-    pub(crate) files: Arc<TenantFiles>,
+    pub(crate) metrics: StoreMetrics,
+    pub(crate) files: TenantFiles,
+    obs: Arc<Observability>,
 }
 
-/// One retrain worker's store handle: the shard WAL plus the knobs the
-/// apply loop needs. Rebuilt per spawn attempt (a restarted worker opens
-/// a fresh append handle) and owned by that worker's thread alone.
+impl ServicePersist {
+    pub(crate) fn new(store: Store, cfg: PersistenceConfig, obs: Arc<Observability>) -> Self {
+        ServicePersist {
+            store,
+            cfg,
+            metrics: StoreMetrics::register(obs.metrics()),
+            files: TenantFiles::default(),
+            obs,
+        }
+    }
+
+    /// Writes `cut` as `tenant`'s newest snapshot — the one door every
+    /// snapshot write goes through. Under the tenant's file lock it
+    /// checks the defunct stamp (`Ok(None)`: deregistered, nothing
+    /// written) and, for a registration, clears the id's directory
+    /// first. After a write it takes `cut.covered` off the tenant's
+    /// `applied_since_persist` — reports applied since the cut stay
+    /// counted, so the next eviction still persists them — books the
+    /// bytes and publishes one `snapshot_persisted` event; a failure
+    /// publishes one `store_degraded`. Both name `cause`.
+    pub(crate) fn checkpoint(
+        &self,
+        tenant: &TenantState,
+        cut: Cut,
+        cause: Cause,
+    ) -> Result<Option<u64>, StoreError> {
+        let (generation, covered) = (cut.generation, cut.covered);
+        let snap = Snapshot {
+            tenant: tenant.id.clone(),
+            epoch: tenant.epoch,
+            generation,
+            watermark: cut.watermark,
+            state: cut.state,
+        };
+        let written = self.files.locked(&tenant.id, || {
+            if tenant.defunct.load(Ordering::SeqCst) {
+                return Ok(None);
+            }
+            if cause == Cause::Registration {
+                self.store.remove_tenant(&tenant.id)?;
+            }
+            self.store.persist_snapshot(&snap).map(Some)
+        });
+        let draft = match &written {
+            Ok(None) => return written,
+            Ok(Some(bytes)) => {
+                let _ = tenant.applied_since_persist.fetch_update(
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                    |since| Some(since.saturating_sub(covered)),
+                );
+                self.metrics.snapshots_persisted.inc();
+                self.metrics.snapshot_bytes_written.add(*bytes);
+                event(EventKind::SnapshotPersisted).detail(format!(
+                    "generation {generation}, {bytes} bytes ({})",
+                    cause.name()
+                ))
+            }
+            Err(e) => event(EventKind::StoreDegraded)
+                .detail(format!("{} snapshot persist failed: {e}", cause.name())),
+        };
+        let draft = draft.tenant(&tenant.id);
+        self.obs.events().publish(match cause {
+            Cause::Cadence(shard) => draft.shard(shard),
+            _ => draft,
+        });
+        written
+    }
+
+    /// Loads `id`'s newest snapshot that validates — model included — and
+    /// rebuilds its driver bit-exactly: the front half of both crash
+    /// recovery and rehydration. Files the store quarantined on the way
+    /// are counted and reported; `Err(reason)` means nothing on disk
+    /// yields a driver.
+    pub(crate) fn load(&self, id: &str) -> Result<(SnapshotMeta, Smartpick), String> {
+        let loaded = self
+            .store
+            .load_snapshot(id)
+            .map_err(|e| format!("snapshot load failed: {e}"))?;
+        for name in &loaded.quarantined {
+            self.metrics.snapshots_quarantined.inc();
+            self.obs.events().publish(
+                event(EventKind::SnapshotQuarantined)
+                    .tenant(id)
+                    .detail(format!("{name} failed validation; moved to quarantine/")),
+            );
+        }
+        let snap = loaded
+            .snapshot
+            .ok_or_else(|| "no snapshot validated at any generation".to_owned())?;
+        Ok((snap.meta(), Smartpick::from_state(snap.state)))
+    }
+}
+
+/// One retrain worker's store handle: the shared one plus the shard's
+/// WAL. Rebuilt per spawn attempt (a restarted worker opens a fresh
+/// append handle) and owned by that worker's thread alone.
 #[derive(Debug)]
 pub(crate) struct WorkerPersist {
-    pub(crate) store: Store,
+    pub(crate) sp: Arc<ServicePersist>,
     /// `None` when the WAL could not be opened — the worker then runs
     /// non-durable (a `StoreDegraded` event was emitted at spawn).
     pub(crate) wal: Option<WalWriter>,
-    pub(crate) snapshot_every: u64,
-    pub(crate) compact_threshold_bytes: u64,
-    pub(crate) fsync: FsyncPolicy,
-    pub(crate) metrics: Arc<StoreMetrics>,
-    pub(crate) files: Arc<TenantFiles>,
     /// Bytes the last rewrite of the shard log kept; 0 until this worker
     /// has made one, so a restarted worker — which cannot know how much
     /// of the log it inherited is live — rewrites at the first chance.
@@ -294,13 +396,12 @@ struct TenantLog<'a> {
 /// shard index >= `workers`, which no worker would ever compact — that
 /// file is then removed.
 pub(crate) fn recover(
-    store: &Store,
+    sp: &ServicePersist,
     registry: &ShardedRegistry,
-    obs: &Observability,
-    metrics: &Arc<StoreMetrics>,
     now_us: u64,
     workers: usize,
 ) -> RecoveryOutcome {
+    let (store, metrics, obs) = (&sp.store, &sp.metrics, &sp.obs);
     let started = Instant::now();
     let mut outcome = RecoveryOutcome::default();
 
@@ -372,7 +473,7 @@ pub(crate) fn recover(
     let mut all_folded = true;
     for id in tenant_ids {
         let log = by_tenant.get(id.as_str()).unwrap_or(&empty);
-        match recover_tenant(store, registry, obs, metrics, now_us, &id, log) {
+        match recover_tenant(sp, registry, now_us, &id, log) {
             Ok(folded) => {
                 outcome.tenants += 1;
                 all_folded &= folded;
@@ -406,51 +507,22 @@ pub(crate) fn recover(
     outcome
 }
 
-/// Loads `id`'s newest snapshot that validates — model included — and
-/// rebuilds its driver bit-exactly: the front half of both crash
-/// recovery and rehydration. Files the store quarantined on the way are
-/// counted and reported; `Err(reason)` means nothing on disk yields a
-/// driver.
-pub(crate) fn load_tenant(
-    store: &Store,
-    metrics: &StoreMetrics,
-    obs: &Observability,
-    id: &str,
-) -> Result<(SnapshotMeta, Smartpick), String> {
-    let loaded = store
-        .load_snapshot(id)
-        .map_err(|e| format!("snapshot load failed: {e}"))?;
-    for name in &loaded.quarantined {
-        metrics.snapshots_quarantined.inc();
-        obs.events().publish(
-            event(EventKind::SnapshotQuarantined)
-                .tenant(id)
-                .detail(format!("{name} failed validation; moved to quarantine/")),
-        );
-    }
-    let snap = loaded
-        .snapshot
-        .ok_or_else(|| "no snapshot validated at any generation".to_owned())?;
-    Ok((snap.meta(), Smartpick::from_state(snap.state)))
-}
-
 /// One tenant's recovery: a cold slot if `log` holds nothing past its
 /// newest snapshot, else load + replay into a hot one. `Ok(false)` means a
 /// fold that was due did not land (the tenant serves, ahead of its disk);
 /// `Err(reason)` means unrecoverable (the caller emits the event); the
 /// service still starts.
 fn recover_tenant(
-    store: &Store,
+    sp: &ServicePersist,
     registry: &ShardedRegistry,
-    obs: &Observability,
-    metrics: &Arc<StoreMetrics>,
     now_us: u64,
     id: &str,
     log: &TenantLog<'_>,
 ) -> Result<bool, String> {
+    let (metrics, obs) = (&sp.metrics, &sp.obs);
     // A meta that cannot be read leaves the verdict — and the quarantine
     // — to the load below.
-    if let Ok(Some(meta)) = store.snapshot_meta(id) {
+    if let Ok(Some(meta)) = sp.store.snapshot_meta(id) {
         if !log.records.iter().any(|r| r.is_past(&meta)) {
             let floors = ColdMeta {
                 generation: meta.generation,
@@ -466,7 +538,7 @@ fn recover_tenant(
         }
     }
 
-    let (loaded, mut driver) = load_tenant(store, metrics, obs, id)?;
+    let (loaded, mut driver) = sp.load(id)?;
     obs.events()
         .publish(event(EventKind::SnapshotLoaded).tenant(id).detail(format!(
             "generation {}, watermark {}",
@@ -535,13 +607,7 @@ fn recover_tenant(
 
     // Exported before the driver moves into the registry, and only for a
     // fold (see `recover`).
-    let fold = (uncommitted || log.orphaned).then(|| Snapshot {
-        tenant: id.to_owned(),
-        epoch: loaded.epoch,
-        generation,
-        watermark,
-        state: driver.export_state(),
-    });
+    let fold = (uncommitted || log.orphaned).then(|| driver.export_state());
     let floors = ColdMeta {
         generation,
         epoch: loaded.epoch,
@@ -559,30 +625,18 @@ fn recover_tenant(
         .map_err(|e| format!("registry insert failed: {e}"))?;
     // Ahead of its disk by what was replayed: the cadence counts it, and
     // an eviction persists before it lets the state go.
-    state
-        .applied_since_persist
-        .store(replayed.max(1), Ordering::Relaxed);
+    let ahead = replayed.max(1);
+    state.applied_since_persist.store(ahead, Ordering::Relaxed);
 
     let Some(fresh) = fold else { return Ok(true) };
-    match store.persist_snapshot(&fresh) {
-        Ok(bytes) => {
-            state.applied_since_persist.store(0, Ordering::Relaxed);
-            metrics.snapshots_persisted.inc();
-            metrics.snapshot_bytes_written.add(bytes);
-            obs.events().publish(
-                event(EventKind::SnapshotPersisted)
-                    .tenant(id)
-                    .detail(format!("generation {generation}, {bytes} bytes (recovery)")),
-            );
-            Ok(true)
-        }
-        Err(e) => {
-            obs.events().publish(
-                event(EventKind::StoreDegraded)
-                    .tenant(id)
-                    .detail(format!("post-recovery snapshot persist failed: {e}")),
-            );
-            Ok(false)
-        }
-    }
+    let cut = Cut {
+        state: fresh,
+        generation,
+        watermark,
+        covered: ahead,
+    };
+    Ok(matches!(
+        sp.checkpoint(&state, cut, Cause::Recovery),
+        Ok(Some(_))
+    ))
 }

@@ -87,12 +87,14 @@ pub(crate) struct TenantState {
     /// the watermark stamped into WAL commits and persisted snapshots.
     pub(crate) applied_watermark: AtomicU64,
     /// Reports applied since the last persisted snapshot; drives the
-    /// `snapshot_every` persistence cadence.
+    /// `snapshot_every` persistence cadence, and an eviction persists
+    /// first while it is above 0. A snapshot write takes off only what
+    /// its cut covered.
     pub(crate) applied_since_persist: AtomicU64,
     /// Set by `deregister_tenant` **before** the store directory is
-    /// removed. Every persistence site (worker commit/snapshot tail,
-    /// evict-time snapshot, registration snapshot) checks it — and
-    /// re-checks after writing, compensating with a directory remove —
+    /// removed. The worker's WAL appends skip a defunct tenant, and every
+    /// snapshot write (`ServicePersist::checkpoint`) checks the stamp
+    /// once, inside the tenant's file lock that the removal also takes —
     /// so a worker mid-batch can never resurrect `tenants/<id>/` for a
     /// tenant the operator deleted.
     pub(crate) defunct: AtomicBool,

@@ -25,20 +25,20 @@
 //!
 //! ## Why eviction cannot resurrect a deregistered tenant
 //!
-//! Every evict-time persist checks the `defunct` stamp before *and after*
-//! writing; a deregistration that lands mid-write is compensated by
-//! removing the tenant directory again. See `docs/PERSISTENCE.md`
-//! ("Residency").
+//! The evict-time snapshot goes through `ServicePersist::checkpoint`,
+//! which checks the `defunct` stamp once, inside the tenant's file lock
+//! that deregistration's directory removal also takes: the write either
+//! lands before the removal (and is deleted with the directory) or is
+//! skipped. See `docs/PERSISTENCE.md` ("Residency").
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use smartpick_obs::{event, Counter, EventKind, LatencyHistogram, Observability};
-use smartpick_store::Snapshot;
 
 use crate::error::ServiceError;
-use crate::persist::{self, ServicePersist};
+use crate::persist::{Cause, Cut, ServicePersist};
 use crate::registry::{Acquired, ColdMeta, ShardedRegistry, TenantSlot, TenantState};
 
 /// Sweeps are throttled to this interval regardless of the supervisor
@@ -166,7 +166,8 @@ impl ResidencyCtl {
             return Err(ServiceError::Store("persistence not configured".into()));
         };
         let started = Instant::now();
-        let (snap, driver) = persist::load_tenant(&sp.store, &sp.metrics, &self.obs, &slot.id)
+        let (snap, driver) = sp
+            .load(&slot.id)
             .map_err(|why| self.note_rehydrate_failure(slot, why))?;
         // The floors: generation stays monotone across the
         // evict/rehydrate cycle (a worker may have persisted past the
@@ -346,54 +347,23 @@ impl ResidencyCtl {
         // A final snapshot is only due if something was applied since
         // the last persist; otherwise the disk already holds exactly
         // this state and eviction is free (the common case for the idle
-        // long tail a residency cap exists for).
-        if state.applied_since_persist.load(Ordering::Relaxed) > 0 {
-            let exported = driver.export_state();
-            let snap = Snapshot {
-                tenant: state.id.clone(),
-                epoch: state.epoch,
-                generation,
-                watermark,
-                state: exported,
-            };
-            // The defunct stamp is re-checked inside the tenant's file
-            // lock: a racing deregistration's removal either runs after
-            // this write (deleting it) or the write is skipped.
-            match sp
-                .files
-                .persist_unless_defunct(&sp.store, &snap, &state.defunct)
-            {
-                Ok(Some(bytes)) => {
-                    sp.metrics.snapshots_persisted.inc();
-                    sp.metrics.snapshot_bytes_written.add(bytes);
-                }
-                Ok(None) => {
-                    // Deregistration owns the teardown; stay out of it.
-                    drop(driver);
-                    state.retired.store(false, Ordering::SeqCst);
-                    return false;
-                }
-                Err(e) => {
-                    // Can't evict what we can't rehydrate: stay hot.
-                    drop(driver);
-                    state.retired.store(false, Ordering::SeqCst);
-                    self.obs.events().publish(
-                        event(EventKind::StoreDegraded)
-                            .tenant(&state.id)
-                            .detail(format!("evict-time snapshot persist failed: {e}")),
-                    );
-                    return false;
-                }
-            }
-            state.applied_since_persist.store(0, Ordering::Relaxed);
-        } else if state.defunct.load(Ordering::SeqCst) {
-            // Deregistration landed since the first check; its teardown
-            // owns this tenant.
-            drop(driver);
+        // long tail a residency cap exists for). The write finishes under
+        // the driver lock, so no apply can slip past it. A deregistration
+        // that got in first (`Ok(None)`) owns the teardown, and what
+        // cannot be written cannot be rehydrated (`Err`): either way the
+        // tenant stays hot.
+        let stays_hot = if state.applied_since_persist.load(Ordering::Relaxed) > 0 {
+            let cut = Cut::locked(state, &driver);
+            !matches!(sp.checkpoint(state, cut, Cause::Eviction), Ok(Some(_)))
+        } else {
+            // Deregistration may have landed since the first check.
+            state.defunct.load(Ordering::SeqCst)
+        };
+        drop(driver);
+        if stays_hot {
             state.retired.store(false, Ordering::SeqCst);
             return false;
         }
-        drop(driver);
         let meta = ColdMeta {
             generation,
             epoch: state.epoch,

@@ -15,12 +15,10 @@ use smartpick_obs::{
     event, EventKind, Gauge, HealthReport, LatencyHistogram, Observability, PollFn, RestartPolicy,
     ScrapeEnvelope, SpawnFn, Supervisor, SupervisorConfig, WorkerHealth, WorkerState, WorkerStatus,
 };
-use smartpick_store::{Snapshot, Store};
+use smartpick_store::Store;
 
 use crate::error::ServiceError;
-use crate::persist::{
-    self, PersistenceConfig, ServicePersist, StoreMetrics, TenantFiles, WorkerPersist,
-};
+use crate::persist::{self, Cause, Cut, PersistenceConfig, ServicePersist, WorkerPersist};
 use crate::queue::{PushRejected, ShardedQueue};
 use crate::registry::{tenant_hash, ColdMeta, ShardedRegistry, TenantState};
 use crate::residency::ResidencyCtl;
@@ -308,22 +306,15 @@ impl SmartpickService {
                 .as_ref()
                 .and_then(|cfg| match Store::open(&cfg.dir) {
                     Ok(store) => {
-                        let store_metrics = Arc::new(StoreMetrics::register(metrics));
+                        let sp = ServicePersist::new(store, cfg.clone(), Arc::clone(&obs));
                         recovered = persist::recover(
-                            &store,
+                            &sp,
                             &registry,
-                            &obs,
-                            &store_metrics,
                             epoch.elapsed().as_micros() as u64,
                             config.retrain_workers,
                         );
                         tenants_gauge.add(recovered.tenants as i64);
-                        Some(Arc::new(ServicePersist {
-                            store,
-                            cfg: cfg.clone(),
-                            metrics: store_metrics,
-                            files: Arc::new(TenantFiles::default()),
-                        }))
+                        Some(Arc::new(sp))
                     }
                     Err(e) => {
                         obs.events().publish(
@@ -394,13 +385,8 @@ impl SmartpickService {
                         }
                     };
                     WorkerPersist {
-                        store: sp.store.clone(),
+                        sp: Arc::clone(sp),
                         wal,
-                        snapshot_every: sp.cfg.snapshot_every,
-                        compact_threshold_bytes: sp.cfg.compact_threshold_bytes,
-                        fsync: sp.cfg.fsync,
-                        metrics: Arc::clone(&sp.metrics),
-                        files: Arc::clone(&sp.files),
                         compacted_len: 0,
                     }
                 });
@@ -524,10 +510,15 @@ impl SmartpickService {
         }
         let id = id.into();
         let epoch = persist::tenant_epoch();
-        // Export before the driver moves into the registry; persisted
-        // only after the insert succeeds, so a duplicate-id rejection
-        // cannot touch the existing tenant's files.
-        let exported = self.persist.as_ref().map(|_| driver.export_state());
+        // The cut is taken before the driver moves into the registry and
+        // written only after the insert succeeds, so a duplicate-id
+        // rejection cannot touch the existing tenant's files.
+        let cut = self.persist.as_ref().map(|_| Cut {
+            state: driver.export_state(),
+            generation: 0,
+            watermark: 0,
+            covered: 1,
+        });
         let fresh = TenantState::new(
             id.clone(),
             driver,
@@ -537,62 +528,22 @@ impl SmartpickService {
         );
         // The insert below makes the tenant evictable before its
         // generation-0 snapshot is written: start it marked ahead of the
-        // disk, so an eviction that wins that race persists the state
-        // instead of going cold over files that do not exist yet.
+        // disk by the one mark the cut covers, so an eviction that wins
+        // that race persists the state instead of going cold over files
+        // that do not exist yet — and a write that fails leaves it marked.
         fresh
             .applied_since_persist
-            .store(u64::from(self.persist.is_some()), Ordering::Relaxed);
+            .store(u64::from(cut.is_some()), Ordering::Relaxed);
         let state = self.registry.insert(fresh)?;
         self.tenants_gauge.inc();
         self.obs
             .events()
             .publish(event(EventKind::TenantRegistered).tenant(&id));
-        if let (Some(sp), Some(exported)) = (&self.persist, exported) {
-            let snap = Snapshot {
-                tenant: id.clone(),
-                epoch,
-                generation: 0,
-                watermark: 0,
-                state: exported,
-            };
-            // Clear any files an earlier registration of this id left
-            // (they must never shadow the new epoch) and write the fresh
-            // generation-0 snapshot — one step under the tenant's file
-            // lock, with the defunct stamp checked inside it: a
-            // deregistration landing after the insert above either runs
-            // its removal after this write (deleting it) or has already
-            // stamped the state, in which case nothing is written.
-            match sp.files.fresh_start(&sp.store, &snap, &state.defunct) {
-                Ok(Some(bytes)) => {
-                    // The disk is current again unless a worker applied
-                    // a report meanwhile (then its own count stands).
-                    let _ = state.applied_since_persist.compare_exchange(
-                        1,
-                        0,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    );
-                    sp.metrics.snapshots_persisted.inc();
-                    sp.metrics.snapshot_bytes_written.add(bytes);
-                    self.obs.events().publish(
-                        event(EventKind::SnapshotPersisted)
-                            .tenant(&id)
-                            .detail(format!("generation 0, {bytes} bytes (registration)")),
-                    );
-                }
-                Ok(None) => {} // Already deregistered; its teardown owns the files.
-                Err(e) => {
-                    // The base state never reached the disk: mark the
-                    // in-memory state ahead of it so an eviction cannot
-                    // skip its persist believing the disk is current.
-                    state.applied_since_persist.store(1, Ordering::Relaxed);
-                    self.obs.events().publish(
-                        event(EventKind::StoreDegraded)
-                            .tenant(&id)
-                            .detail(format!("registration snapshot persist failed: {e}")),
-                    );
-                }
-            }
+        if let (Some(sp), Some(cut)) = (&self.persist, cut) {
+            // Clears whatever files an earlier registration of this id
+            // left (they must never shadow the new epoch) in the same
+            // step; a deregistration that got in first owns the files.
+            let _ = sp.checkpoint(&state, cut, Cause::Registration);
         }
         Ok(())
     }
@@ -1151,45 +1102,17 @@ impl SmartpickService {
         let Some(state) = self.registry.slot(tenant)?.peek_hot() else {
             return Ok(0);
         };
-        // Export under the driver lock so state/generation/watermark are
-        // one consistent cut (the worker updates all three under or
-        // before the same lock).
-        let (exported, generation, watermark) = {
-            let driver = state.driver.lock();
-            (
-                driver.export_state(),
-                state.generation.load(Ordering::Relaxed),
-                state.applied_watermark.load(Ordering::Relaxed),
-            )
-        };
-        let snap = Snapshot {
-            tenant: state.id.clone(),
-            epoch: state.epoch,
-            generation,
-            watermark,
-            state: exported,
-        };
-        // A deregistration landing after the lookup above must win: the
-        // defunct stamp is checked inside the tenant's file lock, so
-        // this write either precedes the teardown's removal (and is
-        // deleted by it) or is skipped.
-        let bytes = match sp
-            .files
-            .persist_unless_defunct(&sp.store, &snap, &state.defunct)
-        {
-            Ok(Some(bytes)) => bytes,
-            Ok(None) => return Err(ServiceError::UnknownTenant(tenant.to_owned())),
-            Err(e) => return Err(ServiceError::Store(e.to_string())),
-        };
-        sp.metrics.snapshots_persisted.inc();
-        sp.metrics.snapshot_bytes_written.add(bytes);
-        state.applied_since_persist.store(0, Ordering::Relaxed);
-        self.obs.events().publish(
-            event(EventKind::SnapshotPersisted)
-                .tenant(tenant)
-                .detail(format!("generation {generation}, {bytes} bytes (admin)")),
-        );
-        Ok(bytes)
+        // The cut is one consistent state under the driver lock; the
+        // lock is released before the write, so applies that land
+        // meanwhile stay counted as ahead of the disk.
+        let cut = Cut::locked(&state, &state.driver.lock());
+        // A deregistration landing after the lookup above wins: nothing
+        // is written and the tenant reads as unknown.
+        match sp.checkpoint(&state, cut, Cause::Admin) {
+            Ok(Some(bytes)) => Ok(bytes),
+            Ok(None) => Err(ServiceError::UnknownTenant(tenant.to_owned())),
+            Err(e) => Err(ServiceError::Store(e.to_string())),
+        }
     }
 
     /// [`SmartpickService::persist_tenant`] for every registered tenant.
@@ -1560,16 +1483,8 @@ mod tests {
     use smartpick_ml::forest::ForestParams;
     use smartpick_workloads::tpcds;
 
-    /// While another caller owns a tenant's single-flight rehydration the
-    /// blocking resolve parks on the slot's condvar; the hot-only entry
-    /// points must decline instead — they run on a thread that may not
-    /// wait — and leave the claim to its owner.
-    #[test]
-    fn hot_only_entry_points_decline_a_rehydrating_tenant_without_waiting() {
-        let dir = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/tmp"))
-            .join(format!("service-rehydrating-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let query = tpcds::query(82, 100.0).unwrap();
+    /// A small trained driver over TPC-DS q82.
+    fn template() -> Smartpick {
         let opts = TrainOptions {
             configs_per_query: 5,
             burst_factor: 3,
@@ -1581,17 +1496,72 @@ mod tests {
             max_sl: 3,
             ..TrainOptions::default()
         };
-        let template = Smartpick::train_with_options(
+        Smartpick::train_with_options(
             CloudEnv::new(Provider::Aws),
             SmartpickProperties::default(),
-            std::slice::from_ref(&query),
+            &[tpcds::query(82, 100.0).unwrap()],
             &opts,
             11,
         )
         .unwrap()
-        .0;
+        .0
+    }
+
+    /// A fresh store root inside the repo's `target/`.
+    fn store_root(tag: &str) -> PathBuf {
+        let dir = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/tmp"))
+            .join(format!("service-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// An admin persist takes its cut under the driver lock and writes
+    /// after releasing it. Reports a worker applies in between are not
+    /// in the file, so they must stay counted as ahead of the disk: the
+    /// next eviction has to persist them, or the rehydrated tenant comes
+    /// back without them.
+    #[test]
+    fn an_admin_persist_keeps_reports_applied_after_its_cut_for_the_eviction() {
+        let dir = store_root("admin-race");
+        let query = tpcds::query(82, 100.0).unwrap();
         let service = SmartpickService::open(&dir, ServiceConfig::default()).unwrap();
-        service.register_fork("acme", &template, 7).unwrap();
+        service.register_fork("acme", &template(), 7).unwrap();
+
+        // Park the admin persist at the door: its cut taken, the tenant's
+        // file lock held here (map + ours + its = 3 handles).
+        let handle = service.persist.as_ref().unwrap().files.handle("acme");
+        let held = handle.lock();
+        std::thread::scope(|s| {
+            let admin = s.spawn(|| service.persist_tenant("acme"));
+            while Arc::strong_count(&handle) < 3 {
+                std::thread::yield_now();
+            }
+            for seed in 1..=3 {
+                service.submit("acme", &query, seed).unwrap();
+            }
+            assert!(service.flush());
+            drop(held);
+            admin.join().unwrap().unwrap();
+        });
+
+        let history = || service.inspect_tenant("acme", |d| d.history().len());
+        let applied = history().unwrap();
+        assert!(service.evict_tenant("acme").unwrap());
+        assert_eq!(history().unwrap(), applied, "lost on rehydration");
+        drop(service);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// While another caller owns a tenant's single-flight rehydration the
+    /// blocking resolve parks on the slot's condvar; the hot-only entry
+    /// points must decline instead — they run on a thread that may not
+    /// wait — and leave the claim to its owner.
+    #[test]
+    fn hot_only_entry_points_decline_a_rehydrating_tenant_without_waiting() {
+        let dir = store_root("rehydrating");
+        let query = tpcds::query(82, 100.0).unwrap();
+        let service = SmartpickService::open(&dir, ServiceConfig::default()).unwrap();
+        service.register_fork("acme", &template(), 7).unwrap();
         let outcome = service.submit("acme", &query, 3).unwrap();
         assert!(service.flush());
         assert!(service.evict_tenant("acme").unwrap());

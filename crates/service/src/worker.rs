@@ -31,13 +31,12 @@ use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::time::Instant;
 
-use smartpick_core::persist::DriverState;
 use smartpick_core::RunSample;
 use smartpick_obs::{event, EventKind, LatencyHistogram, MetricsRegistry, Observability};
 use smartpick_store::wal::WalPayload;
-use smartpick_store::{Snapshot, WalRecord, WalWriter};
+use smartpick_store::{WalRecord, WalWriter};
 
-use crate::persist::{StoreMetrics, WorkerPersist};
+use crate::persist::{Cause, Cut, StoreMetrics, WorkerPersist};
 use crate::queue::BoundedQueue;
 use crate::registry::TenantState;
 use crate::stats::{ServiceTotals, ShardCounters};
@@ -220,10 +219,10 @@ struct Published {
     generation: u64,
     /// The tenant's consumption watermark at that publish.
     watermark: u64,
-    /// The state to persist, when the group crossed the `snapshot_every`
-    /// cadence — exported under the driver lock, so it is the published
-    /// model — with the applied-report count it covers.
-    due: Option<(DriverState, u64)>,
+    /// The cut to persist, when the group crossed the `snapshot_every`
+    /// cadence — taken under the driver lock right after the publish, so
+    /// it is the published model at its generation.
+    due: Option<Cut>,
 }
 
 /// Panics the worker if the batch carries a poison aimed at `here`.
@@ -301,7 +300,7 @@ fn process_batch(
     }
     crash_if(armed, CrashPoint::AfterReportSync);
 
-    let snapshot_every = persist.as_deref().map(|p| p.snapshot_every);
+    let snapshot_every = persist.as_deref().map(|p| p.sp.cfg.snapshot_every);
     let published: Vec<Published> = groups
         .iter()
         .map(|(tenant, idxs)| apply_group(tenant, idxs, rescue, ctx, snapshot_every))
@@ -352,7 +351,6 @@ fn apply_group(
     let mut applied = 0u64;
     let mut retrains = 0u64;
     let mut consumed = 0u64;
-    let mut due = None;
     let mut driver = tenant.driver.lock();
     for &i in idxs {
         let Some((run_id, sample)) = rescue.job(i) else {
@@ -391,23 +389,22 @@ fn apply_group(
         tenant.pending.fetch_sub(1, Ordering::Relaxed);
         rescue.consume(i);
     }
+    let mut due = false;
     if let Some(every) = snapshot_every {
         let since = tenant
             .applied_since_persist
-            .fetch_add(consumed, Ordering::Relaxed)
-            + consumed;
-        if since >= every {
-            // Export under the lock so the persisted state and the
-            // about-to-publish snapshot are the same model. The count
-            // stays up until the file lands: an eviction in between
-            // must see a tenant that is ahead of its disk.
-            due = Some((driver.export_state(), since));
-        }
+            .fetch_add(consumed, Ordering::Relaxed);
+        due = since + consumed >= every;
     }
-    let snapshot = driver.snapshot();
-    drop(driver);
+    // Published before the lock goes: pending already reads 0, so an
+    // eviction could otherwise take the lock in between, go cold at the
+    // old generation and leave this publish to a retired state.
     let now_us = ctx.epoch.elapsed().as_micros() as u64;
-    tenant.publish_snapshot(snapshot, now_us);
+    tenant.publish_snapshot(driver.snapshot(), now_us);
+    // The count stays up until the file lands: an eviction in between
+    // must see a tenant that is ahead of its disk.
+    let due = due.then(|| Cut::locked(tenant, &driver));
+    drop(driver);
     let generation = tenant.generation.load(Ordering::Relaxed);
     let watermark = tenant.applied_watermark.load(Ordering::Relaxed);
     // An actively-reporting tenant counts as touched: the residency
@@ -447,7 +444,7 @@ impl WorkerPersist {
     /// Phase 1: appends every group's reports to the shard WAL.
     fn append_reports(&mut self, groups: &[Group], rescue: &BatchRescue<'_>, ctx: &WorkerCtx) {
         let started = Instant::now();
-        let metrics = &*self.metrics;
+        let metrics = &self.sp.metrics;
         with_wal(&mut self.wal, metrics, |writer| {
             for (tenant, idxs) in groups {
                 // A deregistered tenant's records would be dead on arrival
@@ -483,7 +480,7 @@ impl WorkerPersist {
     /// `deregister_tenant` has *already* removed; its records would be
     /// dead on arrival.
     fn append_commits(&mut self, published: &[Published], ctx: &WorkerCtx) {
-        let metrics = &*self.metrics;
+        let metrics = &self.sp.metrics;
         with_wal(&mut self.wal, metrics, |writer| {
             for group in published {
                 if group.tenant.defunct.load(Ordering::SeqCst) {
@@ -513,81 +510,31 @@ impl WorkerPersist {
     /// this finds nothing left to do).
     fn sync(&mut self, ctx: &WorkerCtx) {
         let started = Instant::now();
-        if let Some(Err(e)) = with_wal(&mut self.wal, &self.metrics, WalWriter::sync) {
+        if let Some(Err(e)) = with_wal(&mut self.wal, &self.sp.metrics, WalWriter::sync) {
             degraded(ctx, None, format!("WAL sync failed: {e}"));
         }
         ctx.stages.wal_sync.record(started.elapsed());
     }
 
-    /// Phase 4: persists `group`'s snapshot if it came due. Returns
-    /// whether a file landed — which is when this tenant's compaction
-    /// floor moved.
-    ///
-    /// A snapshot write recreates `tenants/<id>/`, which would resurrect
-    /// a tenant deregistered since the apply. Deregistration stamps
-    /// `defunct` before removing the store directory; the write goes
-    /// through [`TenantFiles::persist_unless_defunct`], which re-checks
-    /// the stamp inside the tenant's file lock — the write either
-    /// precedes the teardown's removal (and is deleted with the
-    /// directory) or is skipped, so it can never land after the removal.
+    /// Phase 4: persists `group`'s snapshot if it came due, through
+    /// [`ServicePersist::checkpoint`] — which skips a tenant deregistered
+    /// since the apply, so the write cannot resurrect its directory.
     /// Persisting for a merely *evicted* (retired, non-defunct) tenant
     /// stays allowed: generation is monotone and the bytes equal what
-    /// eviction wrote.
+    /// eviction wrote. Returns whether a file landed — which is when
+    /// this tenant's compaction floor moved.
     ///
-    /// [`TenantFiles::persist_unless_defunct`]: crate::persist::TenantFiles::persist_unless_defunct
+    /// [`ServicePersist::checkpoint`]: crate::persist::ServicePersist::checkpoint
     fn persist_due_snapshot(&mut self, group: Published, ctx: &WorkerCtx) -> bool {
-        let Published {
-            tenant,
-            generation,
-            watermark,
-            due,
-        } = group;
-        let Some((state, covered)) = due else {
+        let Some(cut) = group.due else {
             return false;
         };
-        if tenant.defunct.load(Ordering::SeqCst) {
-            return false;
-        }
         let started = Instant::now();
-        let snap = Snapshot {
-            tenant: tenant.id.clone(),
-            epoch: tenant.epoch,
-            generation,
-            watermark,
-            state,
-        };
         let persisted = self
-            .files
-            .persist_unless_defunct(&self.store, &snap, &tenant.defunct);
+            .sp
+            .checkpoint(&group.tenant, cut, Cause::Cadence(ctx.shard));
         ctx.stages.snapshot_persist.record(started.elapsed());
-        match persisted {
-            // Deregistration landed since the check above; its removal
-            // owns the directory and the write was skipped under the file
-            // lock.
-            Ok(None) => false,
-            Ok(Some(bytes)) => {
-                // The disk now covers what was counted at the export
-                // (an eviction may have persisted and zeroed it first).
-                let _ = tenant.applied_since_persist.fetch_update(
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                    |since| Some(since.saturating_sub(covered)),
-                );
-                self.metrics.snapshots_persisted.inc();
-                self.metrics.snapshot_bytes_written.add(bytes);
-                ctx.obs.events().publish(
-                    event(EventKind::SnapshotPersisted)
-                        .tenant(&tenant.id)
-                        .shard(ctx.shard)
-                        .detail(format!("generation {generation}, {bytes} bytes")),
-                );
-                true
-            }
-            Err(e) => {
-                degraded(ctx, Some(&tenant), format!("snapshot persist failed: {e}"));
-                false
-            }
-        }
+        matches!(persisted, Ok(Some(_)))
     }
 
     /// Phase 6: rewrites the shard log once it is past the configured
@@ -597,19 +544,20 @@ impl WorkerPersist {
     /// append handle is closed across the rewrite (the file is replaced)
     /// and reopened on the renamed path.
     fn compact_if_due(&mut self, ctx: &WorkerCtx) {
+        let sp = &self.sp;
         let len = self.wal.as_ref().map_or(0, WalWriter::file_len);
-        if len <= self.compact_threshold_bytes
+        if len <= sp.cfg.compact_threshold_bytes
             || len < COMPACT_GROWTH_FACTOR.saturating_mul(self.compacted_len)
         {
             return;
         }
         let started = Instant::now();
         self.wal = None;
-        match self.store.compact_wal(ctx.shard) {
+        match sp.store.compact_wal(ctx.shard) {
             Ok(stats) => {
                 self.compacted_len = stats.bytes_after;
-                self.metrics.compactions.inc();
-                self.metrics.compaction_bytes_written.add(stats.bytes_after);
+                sp.metrics.compactions.inc();
+                sp.metrics.compaction_bytes_written.add(stats.bytes_after);
                 let took = started.elapsed();
                 ctx.stages.compact.record(took);
                 ctx.obs.events().publish(
@@ -624,7 +572,7 @@ impl WorkerPersist {
             }
             Err(e) => degraded(ctx, None, format!("WAL compaction failed: {e}")),
         }
-        match WalWriter::open(&self.store.wal_path(ctx.shard), self.fsync) {
+        match WalWriter::open(&sp.store.wal_path(ctx.shard), sp.cfg.fsync) {
             Ok(writer) => self.wal = Some(writer),
             Err(e) => degraded(
                 ctx,
@@ -677,7 +625,7 @@ mod tests {
     use smartpick_workloads::tpcds;
 
     use super::*;
-    use crate::persist::TenantFiles;
+    use crate::persist::{PersistenceConfig, ServicePersist};
     use crate::registry::ColdMeta;
     use crate::{ServiceConfig, SmartpickService};
 
@@ -737,15 +685,15 @@ mod tests {
             Arc::default(),
             ColdMeta::fresh(3),
         ));
-        store
-            .persist_snapshot(&Snapshot {
-                tenant: "acme".into(),
-                epoch: 3,
-                generation: 0,
-                watermark: 0,
-                state: tenant.driver.lock().export_state(),
-            })
-            .unwrap();
+        let wal = Some(store.open_wal(0, FsyncPolicy::PerBatch).unwrap());
+        let cfg = PersistenceConfig {
+            snapshot_every,
+            compact_threshold_bytes,
+            ..PersistenceConfig::at(&dir)
+        };
+        let sp = Arc::new(ServicePersist::new(store, cfg, Arc::clone(&obs)));
+        let cut = Cut::locked(&tenant, &tenant.driver.lock());
+        sp.checkpoint(&tenant, cut, Cause::Registration).unwrap();
         let metrics = obs.metrics();
         Rig {
             queue: BoundedQueue::new(64),
@@ -758,13 +706,8 @@ mod tests {
                 epoch: Instant::now(),
             },
             persist: WorkerPersist {
-                wal: Some(store.open_wal(0, FsyncPolicy::PerBatch).unwrap()),
-                store,
-                snapshot_every,
-                compact_threshold_bytes,
-                fsync: FsyncPolicy::PerBatch,
-                metrics: Arc::new(StoreMetrics::register(metrics)),
-                files: Arc::new(TenantFiles::default()),
+                sp,
+                wal,
                 compacted_len: 0,
             },
             tenant,
@@ -798,7 +741,7 @@ mod tests {
         }
 
         fn logged_run_ids(&self) -> Vec<u64> {
-            let bytes = std::fs::read(self.persist.store.wal_path(0)).unwrap();
+            let bytes = std::fs::read(self.persist.sp.store.wal_path(0)).unwrap();
             scan_wal(&bytes)
                 .unwrap()
                 .records

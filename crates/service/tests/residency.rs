@@ -406,8 +406,21 @@ fn pending_reports_pin_tenant_hot() {
     assert_eq!(svc.tenant_stats("busy").unwrap().reports_applied, 2);
 
     // Batch committed: now the tenant is evictable, and the cold state
-    // includes the report that pinned it.
+    // includes the report that pinned it. The final snapshot that
+    // eviction writes is on the event record once, under its cause.
+    let events = svc.observability().events();
+    let mark = events.recent(1).last().map_or(0, |e| e.seq);
     assert!(svc.evict_tenant("busy").unwrap());
+    let persisted: Vec<_> = events
+        .recent(64)
+        .into_iter()
+        .filter(|e| e.seq > mark && e.kind == EventKind::SnapshotPersisted)
+        .collect();
+    assert_eq!(persisted.len(), 1, "{persisted:?}");
+    assert!(persisted[0]
+        .detail
+        .as_deref()
+        .is_some_and(|d| d.contains("eviction")));
     assert_eq!(svc.tenant_stats("busy").unwrap().reports_applied, 2);
 }
 

@@ -4,15 +4,17 @@
 //!
 //! `evict_rehydrate_interleavings_keep_generation_monotone`: with the
 //! tenant permanently registered, threads race predicts, reports,
-//! flushes and evictions (every resolve of a cold tenant is an implicit
-//! rehydration). No accepted report may be lost to an eviction
-//! (accept-then-retire is backed out and retried), and the snapshot
+//! flushes, admin persists and evictions (every resolve of a cold tenant
+//! is an implicit rehydration). No accepted report may be lost to an
+//! eviction (accept-then-retire is backed out and retried), the snapshot
 //! generation a thread observes never decreases — rehydration restores
-//! the floor, it never rolls back. Half the reports and predicts go the
-//! way the wire's event loop sends them: the hot-only entry point first,
-//! the blocking one only for what it declines — so the books also
-//! balance over a report admitted without a resolve, and over one that
-//! lost the eviction race there and was handed back.
+//! the floor, it never rolls back — and a final evict → rehydrate cycle
+//! brings back the history, retrain count and answers it took away. Half
+//! the reports and predicts go the way the wire's event loop sends them:
+//! the hot-only entry point first, the blocking one only for what it
+//! declines — so the books also balance over a report admitted without a
+//! resolve, and over one that lost the eviction race there and was
+//! handed back.
 //!
 //! `full_lifecycle_interleavings_leave_no_ghosts`: deregister and
 //! re-register join the mix. Whatever the interleaving, the books
@@ -175,7 +177,7 @@ proptest! {
                     let mut rng = StdRng::seed_from_u64(seed);
                     let mut last_generation = 0u64;
                     for _ in 0..OPS_PER_THREAD {
-                        match rng.gen_range(0u8..6) {
+                        match rng.gen_range(0u8..7) {
                             op @ (0 | 1) => {
                                 let query = tpcds::query(82, 100.0).unwrap();
                                 let request = PredictionRequest::new(query, rng.gen());
@@ -200,6 +202,11 @@ proptest! {
                                 // May refuse (pending reports pin it hot)
                                 // or miss (already cold): both are fine.
                                 let _ = service.evict_tenant(TENANT).unwrap();
+                            }
+                            5 => {
+                                // Writes without holding the driver while
+                                // reports keep applying (0 if cold).
+                                service.persist_tenant(TENANT).unwrap();
                             }
                             _ => {
                                 assert!(service.flush());
@@ -232,6 +239,21 @@ proptest! {
         prop_assert_eq!(stats.rejections, 0);
         prop_assert_eq!(stats.queue_depth, 0);
         prop_assert_eq!(service.tenant_stats(TENANT).unwrap().pending_reports, 0);
+
+        // Whatever the interleaving left on disk, one more eviction must
+        // bring back exactly the model in memory: an admin persist that
+        // raced a report must not have let it skip its write.
+        let state_of = |service: &SmartpickService| {
+            let (runs, retrains) = service
+                .inspect_tenant(TENANT, |d| (d.history().len(), d.retrain_count()))
+                .unwrap();
+            let query = tpcds::query(82, 100.0).unwrap();
+            let det = service.determine(TENANT, &query, 99).unwrap();
+            (runs, retrains, det.predicted_seconds.to_bits())
+        };
+        let before = state_of(&service);
+        prop_assert!(service.evict_tenant(TENANT).unwrap());
+        prop_assert_eq!(state_of(&service), before);
     }
 
     #[test]
