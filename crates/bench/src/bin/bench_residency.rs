@@ -4,7 +4,7 @@
 //!
 //! The scenario is the paper's multi-tenant long tail: far more
 //! registered tenants than the box should keep hot. With
-//! `max_resident_tenants` set, the supervisor's sweep takes idle
+//! `max_resident_tenants` set, the residency sweep takes idle
 //! tenants cold (their snapshot is the state of record; eviction is
 //! free when nothing was applied since the last persist) and the first
 //! touch of a cold tenant transparently rehydrates it.

@@ -318,8 +318,8 @@ const IDLE_FLEET_BEFORE: FleetOpen = FleetOpen {
 };
 
 /// The child half of [`idle_fleet_row`]: opens the store at `dir` under a
-/// resident cap and prints what that cost this process. An hour between
-/// supervisor polls, so no sweep runs before the count is read.
+/// resident cap and prints what that cost this process. An hour-long
+/// sweep tick, so no sweep runs before the count is read.
 fn open_fleet(dir: &Path, max_resident: usize) {
     let config = ServiceConfig {
         max_resident_tenants: Some(max_resident),

@@ -78,10 +78,10 @@ pub enum EventKind {
     BusyRejection,
     /// A retrain worker thread panicked.
     WorkerPanic,
-    /// The supervisor restarted a panicked worker.
+    /// A panicked worker restarted itself after its backoff.
     WorkerRestarted,
-    /// The supervisor gave up on a worker shard (policy `Strict`, retries
-    /// exhausted, or respawn failure).
+    /// A worker shard is down for good (policy `Strict`, retries
+    /// exhausted, or spawn failure).
     WorkerFailed,
     /// A tenant snapshot was persisted to the store.
     SnapshotPersisted,

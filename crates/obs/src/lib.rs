@@ -16,9 +16,9 @@
 //!   into the envelope instead.
 //! * [`events`] — a bounded ring of typed, timestamped [`Event`]s
 //!   ([`EventLog`]) with severities and subscriber hooks for tests.
-//! * [`supervise`] — a generic [`Supervisor`] that watches worker
-//!   threads and applies a [`RestartPolicy`] when one panics, recording
-//!   every transition as events + counters.
+//! * [`supervise`] — the [`RestartPolicy`] a worker owner applies when
+//!   one of its threads panics, and the per-shard [`WorkerStatus`]
+//!   health reads.
 //! * [`ScrapeEnvelope`] / [`HealthReport`] — the versioned wire shapes
 //!   `Request::Scrape` and `Request::Health` answer with.
 //!
@@ -46,9 +46,7 @@ pub use metrics::{
     Counter, Gauge, LatencyHistogram, LatencySummary, Metric, MetricKind, MetricSample,
     MetricValue, MetricsRegistry,
 };
-pub use supervise::{
-    PollFn, RestartPolicy, SpawnFn, Supervisor, SupervisorConfig, WorkerState, WorkerStatus,
-};
+pub use supervise::{RestartPolicy, WorkerState, WorkerStatus};
 
 use std::sync::Arc;
 
@@ -56,7 +54,7 @@ use std::sync::Arc;
 pub const SCRAPE_VERSION: u64 = 1;
 
 /// One metrics registry + one event log, bundled so every layer of a
-/// process (service, wire server, supervisor) feeds the same scrape.
+/// process (service, wire server, retrain workers) feeds the same scrape.
 #[derive(Debug)]
 pub struct Observability {
     metrics: MetricsRegistry,

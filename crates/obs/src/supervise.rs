@@ -1,42 +1,25 @@
-//! Worker supervision: detect dead threads, restart per policy.
+//! Worker supervision's vocabulary: the restart policy and the per-shard
+//! status health reports.
 //!
 //! A panic on a background worker thread is otherwise silent — the
 //! process stays up while its capacity shrinks one shard at a time. The
-//! [`Supervisor`] owns one slot per worker, polls for finished handles
-//! from a monitor thread, and on a panic applies the configured
-//! [`RestartPolicy`]: respawn with linear backoff up to a retry budget,
-//! or fail the shard fast (`Strict`). Every transition is recorded as an
-//! event and a counter, so an incident is visible in a scrape and in
-//! health long after the thread is gone.
-//!
-//! The supervisor is deliberately generic: it knows nothing about
-//! queues or tenants. The owner supplies a spawn closure `(shard,
-//! attempt) -> Option<JoinHandle>`; making restarted workers resume the
-//! right work (and not lose any) is the owner's contract — smartpickd
-//! does it by re-queueing a panicked worker's unapplied batch before the
-//! panic unwinds the worker loop.
+//! owner of the workers (smartpickd's retrain workers restart themselves)
+//! applies a [`RestartPolicy`] when one panics and keeps a
+//! [`WorkerStatus`] per shard, so an incident is visible in a scrape and
+//! in health long after the panic.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
-
-use parking_lot::Mutex;
-
-use crate::events::{event, EventKind};
-use crate::metrics::Counter;
-use crate::Observability;
 
 /// What to do when a supervised worker panics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RestartPolicy {
-    /// Respawn the worker, waiting `backoff × attempt` between tries, up
-    /// to `max_retries` restarts per shard over the supervisor's
-    /// lifetime; after that the shard is marked failed.
+    /// Restart the worker, waiting `backoff × attempt` between tries, up
+    /// to `max_retries` restarts per shard over the worker's lifetime;
+    /// after that the shard is marked failed.
     Restart {
         /// Restarts allowed per shard before giving up.
         max_retries: u32,
-        /// Base delay before a respawn (scaled linearly by attempt).
+        /// Base delay before a restart (scaled linearly by attempt).
         backoff: Duration,
     },
     /// Never restart: the first panic marks the shard failed (and the
@@ -48,12 +31,12 @@ pub enum RestartPolicy {
 /// How a supervised worker slot is doing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerState {
-    /// Running (or being respawned right now).
+    /// Running (or backing off before a restart).
     Alive,
     /// Exited normally (queue closed — shutdown).
     Done,
     /// Dead and not coming back: `Strict` panic, retries exhausted, or a
-    /// respawn failure.
+    /// spawn failure.
     Failed,
 }
 
@@ -79,347 +62,4 @@ pub struct WorkerStatus {
     pub restarts: u64,
     /// The last panic message seen on this shard, if any.
     pub last_panic: Option<String>,
-}
-
-/// Supervisor tunables.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SupervisorConfig {
-    /// The per-shard restart policy.
-    pub policy: RestartPolicy,
-    /// How often the monitor thread checks for finished workers.
-    pub poll: Duration,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig {
-            policy: RestartPolicy::Restart {
-                max_retries: 3,
-                backoff: Duration::from_millis(50),
-            },
-            poll: Duration::from_millis(20),
-        }
-    }
-}
-
-/// Spawns (or respawns) worker `shard`; `attempt` is 0 for the initial
-/// spawn and counts up per restart. `None` means the spawn failed.
-pub type SpawnFn = Box<dyn Fn(usize, u64) -> Option<JoinHandle<()>> + Send + Sync>;
-
-/// A periodic chore the supervisor's monitor thread runs once per poll
-/// iteration (see [`Supervisor::start_with_poll_hook`]). Must be cheap
-/// relative to the poll interval and must never panic — it runs on the
-/// same thread that detects worker panics.
-pub type PollFn = Box<dyn Fn() + Send + Sync>;
-
-#[derive(Debug)]
-struct Slot {
-    handle: Option<JoinHandle<()>>,
-    state: WorkerState,
-    restarts: u64,
-    last_panic: Option<String>,
-}
-
-struct Inner {
-    slots: Mutex<Vec<Slot>>,
-    stop: AtomicBool,
-    config: SupervisorConfig,
-    spawn: SpawnFn,
-    poll_hook: Option<PollFn>,
-    obs: Arc<Observability>,
-    restarts_total: Arc<Counter>,
-    panics_total: Arc<Counter>,
-}
-
-/// Supervises a fixed set of worker threads per a [`RestartPolicy`].
-pub struct Supervisor {
-    inner: Arc<Inner>,
-    monitor: Option<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for Supervisor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Supervisor")
-            .field("status", &self.status())
-            .field("config", &self.inner.config)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Supervisor {
-    /// Spawns `workers` workers via `spawn` and a monitor thread watching
-    /// them. Restart/panic counters register under
-    /// `<metric_prefix>.restarts` / `<metric_prefix>.panics`; slot
-    /// transitions publish [`EventKind::WorkerPanic`] /
-    /// [`EventKind::WorkerRestarted`] / [`EventKind::WorkerFailed`]
-    /// events. A `spawn` that fails (returns `None`, including at initial
-    /// spawn) marks its shard [`WorkerState::Failed`] instead of
-    /// panicking the caller.
-    pub fn start(
-        workers: usize,
-        config: SupervisorConfig,
-        spawn: SpawnFn,
-        obs: Arc<Observability>,
-        metric_prefix: &str,
-    ) -> Supervisor {
-        Supervisor::start_with_poll_hook(workers, config, spawn, None, obs, metric_prefix)
-    }
-
-    /// [`Supervisor::start`], plus an optional [`PollFn`] the monitor
-    /// thread calls once per poll iteration — how owners piggy-back
-    /// periodic housekeeping (e.g. smartpickd's tenant-residency sweep)
-    /// on the supervisor thread without spawning another one.
-    pub fn start_with_poll_hook(
-        workers: usize,
-        config: SupervisorConfig,
-        spawn: SpawnFn,
-        poll_hook: Option<PollFn>,
-        obs: Arc<Observability>,
-        metric_prefix: &str,
-    ) -> Supervisor {
-        assert!(workers > 0, "at least one supervised worker required");
-        let restarts_total = obs.metrics().counter(&format!("{metric_prefix}.restarts"));
-        let panics_total = obs.metrics().counter(&format!("{metric_prefix}.panics"));
-        let mut slots = Vec::with_capacity(workers);
-        for shard in 0..workers {
-            match spawn(shard, 0) {
-                Some(handle) => slots.push(Slot {
-                    handle: Some(handle),
-                    state: WorkerState::Alive,
-                    restarts: 0,
-                    last_panic: None,
-                }),
-                None => {
-                    obs.events()
-                        .publish(event(EventKind::WorkerFailed).shard(shard).detail(
-                            "initial spawn failed; shard has no worker and the service is unready",
-                        ));
-                    slots.push(Slot {
-                        handle: None,
-                        state: WorkerState::Failed,
-                        restarts: 0,
-                        last_panic: None,
-                    });
-                }
-            }
-        }
-        let inner = Arc::new(Inner {
-            slots: Mutex::new(slots),
-            stop: AtomicBool::new(false),
-            config,
-            spawn,
-            poll_hook,
-            obs,
-            restarts_total,
-            panics_total,
-        });
-        let monitor = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("smartpickd-supervisor".to_owned())
-                .spawn(move || monitor_loop(&inner))
-                .ok()
-        };
-        if monitor.is_none() {
-            // No monitor means panics go undetected; say so loudly once.
-            inner
-                .obs
-                .events()
-                .publish(event(EventKind::WorkerFailed).detail(
-                    "supervisor monitor thread failed to spawn; worker panics will go undetected",
-                ));
-        }
-        Supervisor { inner, monitor }
-    }
-
-    /// A point-in-time view of every slot.
-    pub fn status(&self) -> Vec<WorkerStatus> {
-        self.inner
-            .slots
-            .lock()
-            .iter()
-            .enumerate()
-            .map(|(shard, s)| WorkerStatus {
-                shard,
-                state: s.state,
-                restarts: s.restarts,
-                last_panic: s.last_panic.clone(),
-            })
-            .collect()
-    }
-
-    /// Whether no shard has been marked [`WorkerState::Failed`].
-    pub fn healthy(&self) -> bool {
-        self.inner
-            .slots
-            .lock()
-            .iter()
-            .all(|s| s.state != WorkerState::Failed)
-    }
-
-    /// Total restarts applied across all shards.
-    pub fn restarts(&self) -> u64 {
-        self.inner.restarts_total.get()
-    }
-
-    /// Stops the monitor thread and joins every remaining worker handle.
-    ///
-    /// The owner must have arranged for workers to exit (smartpickd
-    /// closes their queues first) or this blocks until they do.
-    /// Idempotent; also runs on drop.
-    pub fn shutdown(&mut self) {
-        self.inner.stop.store(true, Ordering::Release);
-        if let Some(monitor) = self.monitor.take() {
-            let _ = monitor.join();
-        }
-        let handles: Vec<JoinHandle<()>> = {
-            let mut slots = self.inner.slots.lock();
-            slots.iter_mut().filter_map(|s| s.handle.take()).collect()
-        };
-        for handle in handles {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Supervisor {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn monitor_loop(inner: &Inner) {
-    loop {
-        if inner.stop.load(Ordering::Acquire) {
-            return;
-        }
-        if let Some(hook) = &inner.poll_hook {
-            hook();
-        }
-        match take_finished(inner) {
-            None => sleep_unless_stopped(inner, inner.config.poll),
-            Some((shard, handle, restarts)) => match handle.join() {
-                Ok(()) => set_state(inner, shard, WorkerState::Done, None),
-                Err(payload) => {
-                    let msg = panic_message(payload.as_ref());
-                    inner.panics_total.inc();
-                    inner
-                        .obs
-                        .events()
-                        .publish(event(EventKind::WorkerPanic).shard(shard).detail(&msg));
-                    apply_policy(inner, shard, restarts, msg);
-                }
-            },
-        }
-    }
-}
-
-/// Takes the first finished-but-unjoined alive slot's handle out (so the
-/// join below happens without the slots lock held).
-fn take_finished(inner: &Inner) -> Option<(usize, JoinHandle<()>, u64)> {
-    let mut slots = inner.slots.lock();
-    for (shard, slot) in slots.iter_mut().enumerate() {
-        if slot.state == WorkerState::Alive && slot.handle.as_ref().is_some_and(|h| h.is_finished())
-        {
-            let handle = slot.handle.take()?;
-            return Some((shard, handle, slot.restarts));
-        }
-    }
-    None
-}
-
-fn apply_policy(inner: &Inner, shard: usize, restarts: u64, msg: String) {
-    match inner.config.policy {
-        RestartPolicy::Strict => {
-            set_state(inner, shard, WorkerState::Failed, Some(msg));
-            inner.obs.events().publish(
-                event(EventKind::WorkerFailed)
-                    .shard(shard)
-                    .detail("restart policy is strict; shard stays down"),
-            );
-        }
-        RestartPolicy::Restart {
-            max_retries,
-            backoff,
-        } => {
-            if restarts >= u64::from(max_retries) {
-                set_state(inner, shard, WorkerState::Failed, Some(msg));
-                inner.obs.events().publish(
-                    event(EventKind::WorkerFailed)
-                        .shard(shard)
-                        .detail(format!("restart budget exhausted ({max_retries} retries)")),
-                );
-                return;
-            }
-            let attempt = restarts + 1;
-            sleep_unless_stopped(inner, backoff.saturating_mul(attempt.min(64) as u32));
-            if inner.stop.load(Ordering::Acquire) {
-                // Shutting down mid-backoff: the worker is gone and that
-                // is fine — the queues are closing anyway.
-                set_state(inner, shard, WorkerState::Done, Some(msg));
-                return;
-            }
-            match (inner.spawn)(shard, attempt) {
-                Some(handle) => {
-                    {
-                        let mut slots = inner.slots.lock();
-                        if let Some(slot) = slots.get_mut(shard) {
-                            slot.handle = Some(handle);
-                            slot.restarts = attempt;
-                            slot.last_panic = Some(msg);
-                            slot.state = WorkerState::Alive;
-                        }
-                    }
-                    inner.restarts_total.inc();
-                    inner.obs.events().publish(
-                        event(EventKind::WorkerRestarted)
-                            .shard(shard)
-                            .detail(format!("restart {attempt} of {max_retries}")),
-                    );
-                }
-                None => {
-                    set_state(inner, shard, WorkerState::Failed, Some(msg));
-                    inner.obs.events().publish(
-                        event(EventKind::WorkerFailed)
-                            .shard(shard)
-                            .detail("respawn failed"),
-                    );
-                }
-            }
-        }
-    }
-}
-
-fn set_state(inner: &Inner, shard: usize, state: WorkerState, last_panic: Option<String>) {
-    let mut slots = inner.slots.lock();
-    if let Some(slot) = slots.get_mut(shard) {
-        slot.state = state;
-        if last_panic.is_some() {
-            slot.last_panic = last_panic;
-        }
-    }
-}
-
-/// Sleeps `total` in small slices so shutdown stays responsive.
-fn sleep_unless_stopped(inner: &Inner, total: Duration) {
-    let slice = Duration::from_millis(5);
-    let mut remaining = total;
-    while !remaining.is_zero() {
-        if inner.stop.load(Ordering::Acquire) {
-            return;
-        }
-        let step = remaining.min(slice);
-        std::thread::sleep(step);
-        remaining = remaining.saturating_sub(step);
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
 }

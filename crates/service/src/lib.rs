@@ -24,9 +24,8 @@
 //! * `queue` *(private)* — the bounded MPSC queues providing
 //!   service-wide backpressure, one shard per retrain worker.
 //! * `residency` *(private)* — tiered tenant residency: with
-//!   [`ServiceConfig::max_resident_tenants`] /
-//!   [`ServiceConfig::idle_evict_after`] set, a background sweep evicts
-//!   idle / excess tenants to their durable snapshots and the first
+//!   [`ServiceConfig::max_resident_tenants`] set, a sweep thread evicts
+//!   the least-recently-touched excess to their durable snapshots and the first
 //!   subsequent touch rehydrates them transparently (single-flight per
 //!   tenant), so total registered tenants can far exceed resident ones.
 //! * [`stats`] — the public stats shapes ([`ServiceStats`],
@@ -45,11 +44,10 @@
 //! [`smartpick_obs::Observability`] bundle, structured events go to its
 //! bounded ring, [`SmartpickService::scrape`] returns the lot (plus the
 //! resident tenants' rows) as one versioned envelope, and
-//! [`SmartpickService::health`] answers liveness/readiness. Retrain
-//! workers run under a
-//! [`smartpick_obs::Supervisor`] with a configurable restart policy —
-//! a panicked worker's in-flight batch is re-queued before the restart,
-//! so accepted feedback survives worker crashes.
+//! [`SmartpickService::health`] answers liveness/readiness. A retrain
+//! worker restarts itself under a configurable
+//! [`smartpick_obs::RestartPolicy`] — its in-flight batch is re-queued
+//! before the restart, so accepted feedback survives worker crashes.
 //!
 //! Reads are **snapshot-based**: each tenant publishes an immutable
 //! `Arc<WorkloadPredictor>`; `predict`/`determine` clone the `Arc` and

@@ -205,10 +205,10 @@ impl<T> ShardedQueue<T> {
         (tenant_hash as usize) % self.shards.len()
     }
 
-    /// A cloneable handle to one shard (for its worker thread).
-    pub(crate) fn shard(&self, idx: usize) -> Arc<BoundedQueue<T>> {
-        // lint:allow(panic-free-server-paths, reason = "idx comes from shard_of(), which is modulo shards.len()")
-        Arc::clone(&self.shards[idx])
+    /// Every shard in index order (each worker thread holds a clone of
+    /// its own).
+    pub(crate) fn shards(&self) -> &[Arc<BoundedQueue<T>>] {
+        &self.shards
     }
 
     /// Non-blocking push onto a specific shard.
@@ -314,7 +314,7 @@ mod tests {
         assert!(q.is_closed());
         assert_eq!(q.try_push(3, 13), Err(PushRejected::Closed));
         // Consumers drain what was admitted before the close.
-        assert_eq!(q.shard(1).pop(), Some(7));
+        assert_eq!(q.shards()[1].pop(), Some(7));
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! Tiered tenant residency: the eviction sweep and the rehydration path.
 //!
-//! With [`crate::ServiceConfig::max_resident_tenants`] /
-//! [`crate::ServiceConfig::idle_evict_after`] set (both require
-//! persistence), the supervisor's poll loop runs [`ResidencyCtl::sweep`]:
-//! an idle pass that evicts tenants untouched past the idle bound, then a
-//! capacity pass that orders resident tenants by last touch (LRU) and
+//! With [`crate::ServiceConfig::max_resident_tenants`] set (it requires
+//! persistence), the service's sweep thread runs [`ResidencyCtl::sweep`]
+//! once per tick: it orders resident tenants by last touch (LRU) and
 //! evicts the least-recently-used excess over the cap. Eviction persists
 //! a final snapshot and drops the tenant's forest + driver, leaving only
 //! [`ColdMeta`] in the registry slot; the first subsequent touch
@@ -31,7 +29,7 @@
 //! lands before the removal (and is deleted with the directory) or is
 //! skipped. See `docs/PERSISTENCE.md` ("Residency").
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -41,28 +39,21 @@ use crate::error::ServiceError;
 use crate::persist::{Cause, Cut, ServicePersist};
 use crate::registry::{Acquired, ColdMeta, ShardedRegistry, TenantSlot, TenantState};
 
-/// Sweeps are throttled to this interval regardless of the supervisor
-/// poll cadence — residency decisions are capacity management, not a hot
-/// path.
-const SWEEP_INTERVAL_US: u64 = 100_000;
-
-/// The residency controller: owns the eviction policy knobs, the
+/// The residency controller: owns the eviction cap, the
 /// `service.residency.*` metrics, and the rehydration path. One per
-/// service, shared with the supervisor's poll hook.
+/// service, shared with its sweep thread.
 #[derive(Debug)]
 pub(crate) struct ResidencyCtl {
     registry: Arc<ShardedRegistry>,
     persist: Option<Arc<ServicePersist>>,
     obs: Arc<Observability>,
     max_resident: Option<usize>,
-    idle_evict_after_us: Option<u64>,
     /// The service epoch `last_touch_us` stamps are measured against.
     epoch: Instant,
     evictions: Arc<Counter>,
     rehydrations: Arc<Counter>,
     rehydrate_failures: Arc<Counter>,
     rehydrate_latency: Arc<LatencyHistogram>,
-    last_sweep_us: AtomicU64,
 }
 
 impl ResidencyCtl {
@@ -74,7 +65,6 @@ impl ResidencyCtl {
         persist: Option<Arc<ServicePersist>>,
         obs: Arc<Observability>,
         max_resident: Option<usize>,
-        idle_evict_after_us: Option<u64>,
         epoch: Instant,
     ) -> Self {
         let metrics = obs.metrics();
@@ -87,18 +77,14 @@ impl ResidencyCtl {
             persist,
             obs,
             max_resident,
-            idle_evict_after_us,
             epoch,
-            // Throttled from here, not from the epoch: how long recovery
-            // took must not decide whether the first poll sweeps.
-            last_sweep_us: AtomicU64::new(epoch.elapsed().as_micros() as u64),
         }
     }
 
-    /// Whether any eviction policy is configured (drives supervisor hook
-    /// installation).
+    /// Whether a residency cap is configured (the service runs a sweep
+    /// thread only then).
     pub(crate) fn sweeps_enabled(&self) -> bool {
-        self.max_resident.is_some() || self.idle_evict_after_us.is_some()
+        self.max_resident.is_some()
     }
 
     /// Limits configured but no working store: eviction cannot run
@@ -232,65 +218,31 @@ impl ResidencyCtl {
     // Eviction (the sweep side)
     // ---------------------------------------------------------------
 
-    /// One residency sweep: the idle pass, then the capacity (LRU) pass.
-    /// Called from the supervisor's poll loop; throttled internally, so
-    /// the poll cadence does not set the sweep cadence. Never blocks on
-    /// a driver lock and never panics.
+    /// One residency sweep: evicts the least-recently-touched excess over
+    /// the cap. Run by the sweep thread once per tick, and by
+    /// `residency_sweep` on the caller's thread. Never blocks on a driver
+    /// lock and never panics.
     pub(crate) fn sweep(&self) {
-        let now = self.now_us();
-        let last = self.last_sweep_us.load(Ordering::Relaxed);
-        if now.saturating_sub(last) < SWEEP_INTERVAL_US {
+        let (Some(sp), Some(max)) = (&self.persist, self.max_resident) else {
+            return;
+        };
+        let mut resident = self.registry.resident();
+        if resident.len() <= max {
             return;
         }
-        if self
-            .last_sweep_us
-            .compare_exchange(last, now, Ordering::Relaxed, Ordering::Relaxed)
-            .is_err()
-        {
-            // Another sweeper (e.g. a test driving the sweep directly)
-            // won this interval.
-            return;
-        }
-        self.sweep_now();
-    }
-
-    /// The sweep body, unthrottled — tests and benches drive this
-    /// directly for deterministic scheduling.
-    pub(crate) fn sweep_now(&self) {
-        let Some(sp) = &self.persist else { return };
-        if !self.sweeps_enabled() {
-            return;
-        }
-        let now = self.now_us();
-
-        if let Some(idle_us) = self.idle_evict_after_us {
-            for (slot, state) in self.registry.resident() {
-                let idle = now.saturating_sub(state.last_touch_us.load(Ordering::Relaxed));
-                if idle > idle_us {
-                    self.try_evict(sp, &slot, &state, "idle");
-                }
+        // LRU: oldest touch first; evict only the excess. Each stamp is
+        // read once — concurrent touches move them, and a key that
+        // changes between comparisons is not a total order (the sort may
+        // panic on one).
+        resident.sort_by_cached_key(|(_, state)| state.last_touch_us.load(Ordering::Relaxed));
+        let excess = resident.len() - max;
+        let mut evicted = 0usize;
+        for (slot, state) in resident {
+            if evicted >= excess {
+                break;
             }
-        }
-
-        if let Some(max) = self.max_resident {
-            let mut resident = self.registry.resident();
-            if resident.len() > max {
-                // LRU: oldest touch first; evict only the excess. Each
-                // stamp is read once — concurrent touches move them, and
-                // a key that changes between comparisons is not a total
-                // order (the sort may panic on one).
-                resident
-                    .sort_by_cached_key(|(_, state)| state.last_touch_us.load(Ordering::Relaxed));
-                let excess = resident.len() - max;
-                let mut evicted = 0usize;
-                for (slot, state) in resident {
-                    if evicted >= excess {
-                        break;
-                    }
-                    if self.try_evict(sp, &slot, &state, "capacity") {
-                        evicted += 1;
-                    }
-                }
+            if self.try_evict(sp, &slot, &state, "capacity") {
+                evicted += 1;
             }
         }
     }

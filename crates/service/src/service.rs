@@ -3,8 +3,9 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{sync_channel, RecvTimeoutError};
+use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use smartpick_core::driver::{QueryOutcome, Smartpick};
@@ -12,18 +13,18 @@ use smartpick_core::wp::{ConstraintMode, Determination, PredictionRequest, Workl
 use smartpick_core::RunSample;
 use smartpick_engine::{QueryProfile, RunReport};
 use smartpick_obs::{
-    event, EventKind, Gauge, HealthReport, LatencyHistogram, Observability, PollFn, RestartPolicy,
-    ScrapeEnvelope, SpawnFn, Supervisor, SupervisorConfig, WorkerHealth, WorkerState, WorkerStatus,
+    event, EventKind, Gauge, HealthReport, LatencyHistogram, Observability, RestartPolicy,
+    ScrapeEnvelope, WorkerHealth, WorkerState, WorkerStatus,
 };
 use smartpick_store::Store;
 
 use crate::error::ServiceError;
-use crate::persist::{self, Cause, Cut, PersistenceConfig, ServicePersist, WorkerPersist};
+use crate::persist::{self, Cause, Cut, PersistenceConfig, ServicePersist};
 use crate::queue::{PushRejected, ShardedQueue};
 use crate::registry::{tenant_hash, ColdMeta, ShardedRegistry, TenantState};
 use crate::residency::ResidencyCtl;
 use crate::stats::{ServiceStats, ServiceTotals, ShardCounters, TenantStats, WorkerShardStats};
-use crate::worker::{run_worker, CrashPoint, ReportStages, WorkerCtx, WorkerMsg};
+use crate::worker::{CrashPoint, ReportStages, Worker, WorkerCtx, WorkerMsg};
 
 /// One completed run a client (or the service's own `submit`) feeds back
 /// into the training loop.
@@ -73,9 +74,12 @@ pub struct ServiceConfig {
     /// [`TenantStats::stale_predictions`] and trips
     /// [`TenantStats::snapshot_stale`]. `None` disables the check.
     pub max_snapshot_age: Option<Duration>,
-    /// What the supervisor does when a retrain worker panics.
+    /// What a retrain worker does when it panics.
     pub restart_policy: RestartPolicy,
-    /// How often the supervisor checks for dead workers.
+    /// The residency sweep's tick: with
+    /// [`ServiceConfig::max_resident_tenants`] set, a sweep thread evicts
+    /// the excess once per `supervisor_poll`, and never more often than
+    /// every 100 ms.
     pub supervisor_poll: Duration,
     /// A worker shard with queued reports and no batch completed within
     /// this deadline is reported *stalled* by
@@ -98,10 +102,6 @@ pub struct ServiceConfig {
     /// (single-flight per tenant). Requires [`ServiceConfig::persistence`].
     /// `None` (the default) keeps every tenant hot.
     pub max_resident_tenants: Option<usize>,
-    /// Evict a tenant untouched by the read path for this long, on the
-    /// same terms as `max_resident_tenants` (requires persistence).
-    /// `None` (the default) disables idle eviction.
-    pub idle_evict_after: Option<Duration>,
 }
 
 impl Default for ServiceConfig {
@@ -122,7 +122,6 @@ impl Default for ServiceConfig {
             event_capacity: 256,
             persistence: None,
             max_resident_tenants: None,
-            idle_evict_after: None,
         }
     }
 }
@@ -179,10 +178,10 @@ impl FlushOutcome {
 /// `service.*` names, each tenant's counters in its registry slot;
 /// [`SmartpickService::scrape`] returns the registry plus
 /// `tenant.<id>.*` rows for the resident tenants as one envelope and
-/// [`SmartpickService::health`] answers liveness/readiness. Retrain
-/// workers run under a [`Supervisor`] applying the configured
-/// [`RestartPolicy`] when one panics — with the panicked worker's
-/// unapplied batch re-queued first, so no accepted report is lost.
+/// [`SmartpickService::health`] answers liveness/readiness. A retrain
+/// worker that panics applies the configured [`RestartPolicy`] to itself
+/// — with its unapplied batch re-queued first, so no accepted report is
+/// lost.
 ///
 /// # Example
 ///
@@ -212,11 +211,14 @@ impl FlushOutcome {
 #[derive(Debug)]
 pub struct SmartpickService {
     registry: Arc<ShardedRegistry>,
-    /// Residency policy + rehydration path; shared with the supervisor's
-    /// poll hook, which runs the eviction sweep.
+    /// Residency policy + rehydration path; shared with the sweep thread.
     residency: Arc<ResidencyCtl>,
     queues: ShardedQueue<WorkerMsg>,
-    supervisor: Supervisor,
+    /// One retrain worker thread per queue shard, joined at shutdown.
+    workers: Vec<JoinHandle<()>>,
+    /// The residency sweep thread (only with a residency cap) and the
+    /// sender whose drop stops it.
+    sweeper: Option<(SyncSender<()>, JoinHandle<()>)>,
     shard_counters: Box<[Arc<ShardCounters>]>,
     config: ServiceConfig,
     epoch: Instant,
@@ -274,8 +276,7 @@ impl SmartpickService {
             "max_resident_tenants must be positive when set"
         );
         assert!(
-            (config.max_resident_tenants.is_none() && config.idle_evict_after.is_none())
-                || config.persistence.is_some(),
+            config.max_resident_tenants.is_none() || config.persistence.is_some(),
             "residency limits require persistence (evicted tenants rehydrate from the store)"
         );
         let queues = ShardedQueue::new(config.retrain_workers, config.queue_capacity);
@@ -325,102 +326,80 @@ impl SmartpickService {
                     }
                 });
 
-        // The residency controller's sweep rides the supervisor's poll
-        // loop (throttled internally).
         let residency = Arc::new(ResidencyCtl::new(
             Arc::clone(&registry),
             persist.clone(),
             Arc::clone(&obs),
             config.max_resident_tenants,
-            config.idle_evict_after.map(|d| d.as_micros() as u64),
             epoch,
         ));
-        let poll_hook: Option<PollFn> = if residency.sweeps_enabled() {
-            let ctl = Arc::clone(&residency);
-            Some(Box::new(move || ctl.sweep()))
-        } else {
-            None
-        };
+        // The sweep ticks on its own thread; dropping the sender ends it.
+        let sweeper = residency
+            .sweeps_enabled()
+            .then(|| {
+                let (stop, stopped) = sync_channel::<()>(0);
+                let ctl = Arc::clone(&residency);
+                let tick = config.supervisor_poll.max(MIN_SWEEP_TICK);
+                std::thread::Builder::new()
+                    .name("smartpickd-residency".to_owned())
+                    .spawn(move || {
+                        while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(tick) {
+                            ctl.sweep();
+                        }
+                    })
+                    .ok()
+                    .map(|handle| (stop, handle))
+            })
+            .flatten();
 
-        // Workers are spawned (and respawned after panics) through the
-        // supervisor; a spawn failure marks its shard failed — visible in
-        // health() — instead of panicking the caller.
-        let spawn: SpawnFn = {
-            let shard_queues: Vec<_> = (0..config.retrain_workers)
-                .map(|i| queues.shard(i))
-                .collect();
-            let shard_counters = shard_counters.clone();
-            let totals = Arc::clone(&totals);
-            let obs = Arc::clone(&obs);
-            let batch_max = config.retrain_batch_max;
-            let persist = persist.clone();
-            let wal_valid_len = recovered.wal_valid_len;
-            let stages = Arc::new(ReportStages::register(metrics));
-            Box::new(move |shard, attempt| {
-                let queue = Arc::clone(shard_queues.get(shard)?);
-                let worker_persist = persist.as_ref().map(|sp| {
-                    // Each spawn attempt opens its own append handle (the
-                    // predecessor's died with its thread); open failure
-                    // degrades this worker to non-durable applies. The
-                    // first opens where recovery's scan of the shard
-                    // ended; a restart, or a shard that scan did not
-                    // vouch for, scans the file itself.
-                    let scanned = wal_valid_len.get(&shard).filter(|_| attempt == 0);
-                    let opened = match scanned {
-                        Some(&valid_len) => sp.store.open_wal_at(shard, valid_len, sp.cfg.fsync),
-                        None => {
-                            sp.metrics.wal_shard_scans.inc();
-                            sp.store.open_wal(shard, sp.cfg.fsync)
-                        }
-                    };
-                    let wal = match opened {
-                        Ok(writer) => Some(writer),
-                        Err(e) => {
-                            obs.events().publish(
-                                event(EventKind::StoreDegraded)
-                                    .shard(shard)
-                                    .detail(format!("WAL open failed, applying non-durably: {e}")),
-                            );
-                            None
-                        }
-                    };
-                    WorkerPersist {
-                        sp: Arc::clone(sp),
-                        wal,
-                        compacted_len: 0,
-                    }
-                });
-                let ctx = WorkerCtx {
+        // One thread per shard, each its own restarter; a spawn failure
+        // marks its shard failed — visible in health() — instead of
+        // panicking the caller.
+        let stages = Arc::new(ReportStages::register(metrics));
+        let restarts = metrics.counter("service.worker.restarts");
+        let panics = metrics.counter("service.worker.panics");
+        let mut workers = Vec::with_capacity(config.retrain_workers);
+        for (shard, (queue, counters)) in queues
+            .shards()
+            .iter()
+            .zip(shard_counters.iter())
+            .enumerate()
+        {
+            let worker = Worker {
+                queue: Arc::clone(queue),
+                batch_max: config.retrain_batch_max,
+                ctx: WorkerCtx {
                     shard,
-                    counters: Arc::clone(shard_counters.get(shard)?),
+                    counters: Arc::clone(counters),
                     totals: Arc::clone(&totals),
                     obs: Arc::clone(&obs),
                     epoch,
                     stages: Arc::clone(&stages),
-                };
-                std::thread::Builder::new()
-                    .name(format!("smartpickd-retrain-{shard}.{attempt}"))
-                    .spawn(move || run_worker(queue, batch_max, ctx, worker_persist))
-                    .ok()
-            })
-        };
-        let supervisor = Supervisor::start_with_poll_hook(
-            config.retrain_workers,
-            SupervisorConfig {
+                },
+                persist: persist.clone(),
+                wal_valid_len: recovered.wal_valid_len.get(&shard).copied(),
                 policy: config.restart_policy,
-                poll: config.supervisor_poll,
-            },
-            spawn,
-            poll_hook,
-            Arc::clone(&obs),
-            "service.worker",
-        );
+                restarts: Arc::clone(&restarts),
+                panics: Arc::clone(&panics),
+            };
+            match std::thread::Builder::new()
+                .name(format!("smartpickd-retrain-{shard}"))
+                .spawn(move || worker.run())
+            {
+                Ok(handle) => workers.push(handle),
+                Err(_) => counters.mark_failed(
+                    &obs,
+                    "initial spawn failed; shard has no worker and the service is unready",
+                ),
+            }
+        }
 
         SmartpickService {
             registry,
             residency,
             queues,
-            supervisor,
+            workers,
+            sweeper,
             shard_counters,
             config,
             epoch,
@@ -1159,27 +1138,22 @@ impl SmartpickService {
     }
 
     /// Runs one residency sweep on the caller's thread — deterministic
-    /// scheduling for tests and benches; production sweeps ride the
-    /// supervisor poll loop. Not part of the public API contract.
+    /// scheduling for tests and benches; production sweeps run on the
+    /// sweep thread. Not part of the public API contract.
     #[doc(hidden)]
     pub fn residency_sweep(&self) {
-        self.residency.sweep_now();
+        self.residency.sweep();
     }
 
-    /// Shards the supervisor has given up on.
-    fn failed_shards(&self) -> impl Iterator<Item = usize> {
-        self.supervisor
-            .status()
-            .into_iter()
-            .filter(|s| s.state == WorkerState::Failed)
-            .map(|s| s.shard)
+    /// Shards whose worker is down for good.
+    fn failed_shards(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.shard_counters.len()).filter(|&shard| self.shard_has_failed(shard))
     }
 
     fn shard_has_failed(&self, shard: usize) -> bool {
-        self.supervisor
-            .status()
+        self.shard_counters
             .get(shard)
-            .is_some_and(|s| s.state == WorkerState::Failed)
+            .is_some_and(|c| c.status.lock().state == WorkerState::Failed)
     }
 
     // ---------------------------------------------------------------
@@ -1337,7 +1311,7 @@ impl SmartpickService {
     /// restarts, stall flag, depth) and one human-readable reason per
     /// failure.
     pub fn health(&self) -> HealthReport {
-        let statuses = self.supervisor.status();
+        let statuses = self.worker_status();
         let depths = self.queues.depths();
         let now = self.now_us();
         let deadline_us = self.config.stall_deadline.as_micros() as u64;
@@ -1392,17 +1366,21 @@ impl SmartpickService {
         }
     }
 
-    /// The supervisor's per-shard view (state, restarts, last panic).
+    /// Each retrain worker's view of itself (state, restarts, last
+    /// panic), indexed by shard.
     pub fn worker_status(&self) -> Vec<WorkerStatus> {
-        self.supervisor.status()
+        self.shard_counters
+            .iter()
+            .map(|c| c.status.lock().clone())
+            .collect()
     }
 
     /// Fault injection for supervision tests: panics the retrain worker
     /// owning `shard` by feeding it a poison message through its own
     /// queue (so the panic happens mid-stream, exactly where a real bug
-    /// would). The supervisor then applies the configured restart policy;
-    /// any batch the worker had in flight is re-queued first, so no
-    /// accepted report is lost. Not part of the public API contract.
+    /// would). The worker then applies the configured restart policy;
+    /// any batch it had in flight is re-queued first, so no accepted
+    /// report is lost. Not part of the public API contract.
     ///
     /// # Errors
     ///
@@ -1442,12 +1420,18 @@ impl SmartpickService {
     // Lifecycle
     // ---------------------------------------------------------------
 
-    /// Shuts the service down: stops admitting work, lets every worker
-    /// drain its queue shard, and joins them all (plus the supervisor).
-    /// Idempotent; also runs on drop.
+    /// Shuts the service down: stops admitting work, stops the sweep
+    /// thread, lets every worker drain its queue shard, and joins them
+    /// all. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
         self.queues.close();
-        self.supervisor.shutdown();
+        if let Some((stop, sweeper)) = self.sweeper.take() {
+            drop(stop);
+            let _ = sweeper.join();
+        }
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
+        }
     }
 
     fn now_us(&self) -> u64 {
@@ -1464,6 +1448,10 @@ impl Drop for SmartpickService {
 /// Mixed into the caller's seed so the execution RNG stream differs from
 /// the search's.
 const EXEC_SEED_MIX: u64 = 0x5EED_EC5E;
+
+/// The sweep thread's shortest tick, whatever `supervisor_poll` says:
+/// residency decisions are capacity management, not a hot path.
+const MIN_SWEEP_TICK: Duration = Duration::from_millis(100);
 
 /// What one enqueue attempt did: a final answer, or "the state went cold
 /// under you — re-resolve and try again" (the sample rides back out, in

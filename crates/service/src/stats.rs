@@ -19,7 +19,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use smartpick_obs::{Counter, MetricSample, MetricValue, MetricsRegistry};
+use parking_lot::Mutex;
+use smartpick_obs::{
+    event, Counter, EventKind, MetricSample, MetricValue, MetricsRegistry, Observability,
+    WorkerState, WorkerStatus,
+};
 
 pub use smartpick_obs::{LatencyHistogram, LatencySummary};
 
@@ -67,7 +71,8 @@ impl ServiceTotals {
 
 /// Per-worker-shard counters: how much retrain work each worker has
 /// applied (registry-backed, written by exactly one worker thread each),
-/// plus the progress stamp the health check's stall detector reads.
+/// plus the progress stamp the health check's stall detector reads and
+/// the worker's own account of its state.
 #[derive(Debug)]
 pub(crate) struct ShardCounters {
     pub(crate) reports_applied: Arc<Counter>,
@@ -78,6 +83,9 @@ pub(crate) struct ShardCounters {
     /// configured stall deadline is reported stalled by
     /// [`crate::SmartpickService::health`].
     pub(crate) last_progress_us: AtomicU64,
+    /// Alive, done or failed, restarts and the last panic — written by
+    /// the shard's worker as it panics, restarts or exits.
+    pub(crate) status: Mutex<WorkerStatus>,
 }
 
 impl ShardCounters {
@@ -90,11 +98,28 @@ impl ShardCounters {
             retrains: c("retrains"),
             batches: c("batches"),
             last_progress_us: AtomicU64::new(0),
+            status: Mutex::new(WorkerStatus {
+                shard,
+                state: WorkerState::Alive,
+                restarts: 0,
+                last_panic: None,
+            }),
         }
     }
 
     pub(crate) fn mark_progress(&self, now_us: u64) {
         self.last_progress_us.store(now_us, Ordering::Relaxed);
+    }
+
+    /// Marks the shard down for good and puts `why` on the event record.
+    pub(crate) fn mark_failed(&self, obs: &Observability, why: impl Into<String>) {
+        let shard = {
+            let mut status = self.status.lock();
+            status.state = WorkerState::Failed;
+            status.shard
+        };
+        obs.events()
+            .publish(event(EventKind::WorkerFailed).shard(shard).detail(why));
     }
 }
 

@@ -1,5 +1,5 @@
 //! The background retrain workers — the paper's §4.2 "independent monitor
-//! thread", made real, sharded, and supervised.
+//! thread", made real, sharded, and self-restarting.
 //!
 //! The service runs N worker threads ([`crate::ServiceConfig`]'s
 //! `retrain_workers`); each owns one tenant-hash-sharded slice of the
@@ -14,29 +14,33 @@
 //!
 //! ## Crash safety
 //!
-//! Workers run under the obs [`Supervisor`]: if one panics, the
-//! supervisor restarts it per the configured restart policy. The worker's
+//! A worker restarts itself: its thread body (`Worker::run`, private)
+//! catches a panic out of the batch loop, records it, and applies the
+//! configured [`RestartPolicy`] — back off and re-enter the loop, or mark
+//! the shard failed. Nothing has to poll for dead threads. The loop's
 //! side of that contract is *zero lost reports*: every drained message
 //! sits in a `BatchRescue` guard (private) and is only marked consumed after its
 //! apply (or ack) completes, so a panic mid-batch re-queues the unapplied
 //! tail at the *front* of the shard queue, in order — the restarted
-//! worker resumes exactly where its predecessor died. Semantics are
+//! loop resumes exactly where the panicked one died. Semantics are
 //! at-least-once: a report whose apply had already mutated the driver
 //! when the panic hit may be applied again after restart.
-//!
-//! [`Supervisor`]: smartpick_obs::Supervisor
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::time::Instant;
 
 use smartpick_core::RunSample;
-use smartpick_obs::{event, EventKind, LatencyHistogram, MetricsRegistry, Observability};
+use smartpick_obs::{
+    event, Counter, EventKind, LatencyHistogram, MetricsRegistry, Observability, RestartPolicy,
+    WorkerState,
+};
 use smartpick_store::wal::WalPayload;
 use smartpick_store::{WalRecord, WalWriter};
 
-use crate::persist::{Cause, Cut, StoreMetrics, WorkerPersist};
+use crate::persist::{Cause, Cut, ServicePersist, StoreMetrics, WorkerPersist};
 use crate::queue::BoundedQueue;
 use crate::registry::TenantState;
 use crate::stats::{ServiceTotals, ShardCounters};
@@ -140,26 +144,132 @@ pub(crate) struct WorkerCtx {
     pub(crate) stages: Arc<ReportStages>,
 }
 
-/// The worker loop: runs until its queue shard is closed and drained.
-/// `persist` is this spawn attempt's own store handle (`None` runs the
-/// classic in-memory-only worker); nothing else touches it, so the WAL
-/// append handle needs no lock.
-pub(crate) fn run_worker(
-    queue: Arc<BoundedQueue<WorkerMsg>>,
-    batch_max: usize,
-    ctx: WorkerCtx,
-    mut persist: Option<WorkerPersist>,
-) {
-    while let Some(first) = queue.pop() {
-        let mut rescue = BatchRescue::new(&queue);
-        rescue.admit(first);
-        for msg in queue.drain_up_to(batch_max.saturating_sub(1)) {
-            rescue.admit(msg);
+/// One retrain worker thread: its queue shard, its context, and what it
+/// needs to restart itself.
+#[derive(Debug)]
+pub(crate) struct Worker {
+    pub(crate) queue: Arc<BoundedQueue<WorkerMsg>>,
+    pub(crate) batch_max: usize,
+    pub(crate) ctx: WorkerCtx,
+    /// The store, when durable: every attempt opens its own WAL append
+    /// handle on it.
+    pub(crate) persist: Option<Arc<ServicePersist>>,
+    /// Where recovery's scan of this shard's log ended, if it vouched for
+    /// the shard.
+    pub(crate) wal_valid_len: Option<u64>,
+    pub(crate) policy: RestartPolicy,
+    /// `service.worker.restarts` and `service.worker.panics`, shared by
+    /// every shard.
+    pub(crate) restarts: Arc<Counter>,
+    pub(crate) panics: Arc<Counter>,
+}
+
+impl Worker {
+    /// The thread body: the batch loop until the queue shard is closed
+    /// and drained. A panic out of the loop — whose rescue guard has
+    /// already re-queued the batch's unapplied tail — lands in the
+    /// `worker_panic` event, `service.worker.panics` and the shard's
+    /// status; then the policy either backs off `backoff × attempt` and
+    /// re-enters the loop with a freshly opened WAL handle, or marks the
+    /// shard failed and ends the thread.
+    pub(crate) fn run(self) {
+        let shard = self.ctx.shard;
+        let mut attempt = 0u64;
+        loop {
+            let persist = self.open_persist(attempt);
+            let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| self.drain(persist))) else {
+                self.ctx.counters.status.lock().state = WorkerState::Done;
+                return;
+            };
+            let msg = panic_message(payload.as_ref());
+            self.panics.inc();
+            self.ctx
+                .obs
+                .events()
+                .publish(event(EventKind::WorkerPanic).shard(shard).detail(&msg));
+            self.ctx.counters.status.lock().last_panic = Some(msg);
+            let (max_retries, backoff) = match self.policy {
+                RestartPolicy::Restart {
+                    max_retries,
+                    backoff,
+                } if attempt < u64::from(max_retries) => (max_retries, backoff),
+                RestartPolicy::Restart { max_retries, .. } => {
+                    let why = format!("restart budget exhausted ({max_retries} retries)");
+                    self.ctx.counters.mark_failed(&self.ctx.obs, why);
+                    return;
+                }
+                RestartPolicy::Strict => {
+                    let why = "restart policy is strict; shard stays down";
+                    self.ctx.counters.mark_failed(&self.ctx.obs, why);
+                    return;
+                }
+            };
+            attempt += 1;
+            std::thread::sleep(backoff.saturating_mul(attempt.min(64) as u32));
+            self.ctx.counters.status.lock().restarts = attempt;
+            self.restarts.inc();
+            self.ctx.obs.events().publish(
+                event(EventKind::WorkerRestarted)
+                    .shard(shard)
+                    .detail(format!("restart {attempt} of {max_retries}")),
+            );
         }
-        ctx.counters.batches.inc();
-        process_batch(&mut rescue, &ctx, persist.as_mut());
-        ctx.counters
-            .mark_progress(ctx.epoch.elapsed().as_micros() as u64);
+    }
+
+    /// This attempt's store handle, with a WAL append handle of its own
+    /// (the last attempt's was dropped by the unwind). The first attempt
+    /// opens where recovery's scan of the shard ended; a restart, or a
+    /// shard that scan did not vouch for, scans the file itself. An open
+    /// that fails degrades the attempt to non-durable applies.
+    fn open_persist(&self, attempt: u64) -> Option<WorkerPersist> {
+        let sp = self.persist.as_ref()?;
+        let shard = self.ctx.shard;
+        let opened = match self.wal_valid_len.filter(|_| attempt == 0) {
+            Some(valid_len) => sp.store.open_wal_at(shard, valid_len, sp.cfg.fsync),
+            None => {
+                sp.metrics.wal_shard_scans.inc();
+                sp.store.open_wal(shard, sp.cfg.fsync)
+            }
+        };
+        let wal = opened
+            .map_err(|e| {
+                let detail = format!("WAL open failed, applying non-durably: {e}");
+                degraded(&self.ctx, None, detail);
+            })
+            .ok();
+        Some(WorkerPersist {
+            sp: Arc::clone(sp),
+            wal,
+            compacted_len: 0,
+        })
+    }
+
+    /// The batch loop. `persist` is this attempt's own store handle
+    /// (`None` runs the in-memory-only worker); nothing else touches it,
+    /// so the WAL append handle needs no lock.
+    fn drain(&self, mut persist: Option<WorkerPersist>) {
+        let ctx = &self.ctx;
+        while let Some(first) = self.queue.pop() {
+            let mut rescue = BatchRescue::new(&self.queue);
+            rescue.admit(first);
+            for msg in self.queue.drain_up_to(self.batch_max.saturating_sub(1)) {
+                rescue.admit(msg);
+            }
+            ctx.counters.batches.inc();
+            process_batch(&mut rescue, ctx, persist.as_mut());
+            ctx.counters
+                .mark_progress(ctx.epoch.elapsed().as_micros() as u64);
+        }
+    }
+}
+
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_owned()
     }
 }
 
@@ -230,7 +340,7 @@ fn crash_if(armed: Option<CrashPoint>, here: CrashPoint) {
     if armed == Some(here) {
         #[allow(clippy::panic)] // mirrored by the lint:allow below
         {
-            // lint:allow(panic-free-server-paths, reason = "deliberate fault injection: WorkerMsg::Poison exists only for poison_worker() supervision tests and the supervisor is built to catch exactly this panic")
+            // lint:allow(panic-free-server-paths, reason = "deliberate fault injection: WorkerMsg::Poison exists only for the crash-point tests in tests/supervisor.rs, tests/supervision.rs and tests/durability.rs, and Worker::run catches exactly this panic")
             panic!("retrain worker poisoned via poison_worker() at {here:?}");
         }
     }

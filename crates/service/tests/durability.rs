@@ -266,8 +266,8 @@ fn corrupt_newest_snapshot_quarantines_and_rebuilds_from_wal() {
 }
 
 /// [`FlushOutcome`] separates the three non-success shapes: a deadline
-/// that fired while a (restarting) shard was still draining, a shard the
-/// supervisor gave up on, and a service already shut down.
+/// that fired while a (restarting) shard was still draining, a shard
+/// whose worker is down for good, and a service already shut down.
 #[test]
 fn flush_outcomes_distinguish_timeout_failure_and_stop() {
     // Timed out: a poisoned worker under a long restart backoff leaves

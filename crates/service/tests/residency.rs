@@ -799,3 +799,52 @@ fn a_reopen_loads_only_tenants_with_live_records_and_leaves_the_idle_ones_cold()
         generation
     );
 }
+
+/// Nobody calls `residency_sweep` here: the sweep thread alone brings the
+/// resident set down to the cap. With an hour-long tick the thread spends
+/// its life in one wait, and shutdown still ends it at once — dropping
+/// the stop sender wakes the wait.
+#[test]
+fn the_sweep_thread_holds_the_cap_and_stops_at_shutdown() {
+    let dir = test_root("sweep-thread");
+    let svc = SmartpickService::open(
+        &dir,
+        ServiceConfig {
+            max_resident_tenants: Some(2),
+            ..durable_config(&dir, u64::MAX)
+        },
+    )
+    .unwrap();
+    let tpl = template();
+    for i in 0..5 {
+        svc.register_fork(format!("t-{i}"), &tpl, 100 + i).unwrap();
+    }
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while svc.resident_tenants() > 2 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the sweep thread left {} tenants resident",
+            svc.resident_tenants()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    drop(svc);
+
+    let svc = SmartpickService::open(
+        &dir,
+        ServiceConfig {
+            max_resident_tenants: Some(2),
+            supervisor_poll: Duration::from_secs(3600),
+            ..durable_config(&dir, u64::MAX)
+        },
+    )
+    .unwrap();
+    let started = std::time::Instant::now();
+    drop(svc);
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "shutdown took {:?}",
+        started.elapsed()
+    );
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -11,7 +11,7 @@ use smartpick_core::properties::SmartpickProperties;
 use smartpick_core::training::TrainOptions;
 use smartpick_ml::forest::ForestParams;
 use smartpick_obs::{EventKind, RestartPolicy, WorkerState};
-use smartpick_service::{CompletedRun, ServiceConfig, SmartpickService};
+use smartpick_service::{CompletedRun, FlushOutcome, ServiceConfig, SmartpickService};
 use smartpick_workloads::tpcds;
 
 fn template() -> Smartpick {
@@ -204,4 +204,30 @@ fn retry_budget_exhaustion_fails_the_shard() {
     assert_eq!(envelope.counter("service.worker.restarts"), 2);
     assert_eq!(envelope.counter("service.worker.panics"), 3);
     assert!(!service.health().ready);
+}
+
+/// A restart is the panicked worker's own business: an hour-long
+/// residency tick — what a bench sets to keep background sweeps out of
+/// its numbers — must not keep the shard down.
+#[test]
+fn a_restart_does_not_wait_for_the_residency_tick() {
+    let service = SmartpickService::new(ServiceConfig {
+        retrain_workers: 1,
+        restart_policy: RestartPolicy::Restart {
+            max_retries: 3,
+            backoff: Duration::from_millis(10),
+        },
+        supervisor_poll: Duration::from_secs(3600),
+        ..ServiceConfig::default()
+    });
+    service.register_tenant("acme", template()).unwrap();
+    let run = completed_run(&service, "acme");
+
+    service.poison_worker(0).unwrap();
+    service.report_run("acme", run).unwrap();
+    assert_eq!(
+        service.try_flush(Duration::from_secs(5)),
+        FlushOutcome::Flushed
+    );
+    assert_eq!(service.worker_status()[0].restarts, 1);
 }

@@ -73,6 +73,11 @@ fn shutdown_terminates_with_a_saturated_run_queue() {
     // yield more completions than the completion channel holds. The
     // payload is encoded ONCE and replayed as raw v3 frames, so the
     // producers are bounded by socket writes, not by re-serialization.
+    // They never stop on their own: loopback buffers can swallow
+    // thousands of frames at once, and a producer that finished early
+    // would close a socket holding unread responses — a reset that makes
+    // the server drop that connection's jobs before the queue is seen
+    // full.
     let payload = Arc::new(determine_payload());
     let submitters: Vec<_> = (0..5)
         .map(|_| {
@@ -81,7 +86,7 @@ fn shutdown_terminates_with_a_saturated_run_queue() {
                 let Ok(mut stream) = TcpStream::connect(addr) else {
                     return;
                 };
-                for id in 0..2_000u64 {
+                for id in 0u64.. {
                     // Errors mean the server tore the socket down
                     // (shutdown landed) — exactly when to stop.
                     let frame = stream

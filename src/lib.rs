@@ -13,8 +13,8 @@
 //! * [`engine`] — the Spark-like DAG execution engine.
 //! * [`ml`] — Random Forest / Gaussian Process / Bayesian Optimizer.
 //! * [`obs`] — observability: lock-light metrics registry, structured
-//!   event log, scrape/health envelopes, and the retrain-worker
-//!   supervisor.
+//!   event log, scrape/health envelopes, and the retrain workers'
+//!   restart policy.
 //! * [`service`] — "smartpickd": the concurrent multi-tenant prediction
 //!   service (sharded tenant registry, snapshot reads, sharded retrain
 //!   workers).
