@@ -34,9 +34,9 @@ fn negative_through_execute(request: Request, shared: &Shared) -> Response {
     execute(request, shared) // negative: runs on an executor thread
 }
 
-fn allowlisted(shared: &Shared) -> usize {
+fn allowlisted(shared: &Shared, tenant: &str) -> Result<TenantStats, ServiceError> {
     // lint:allow(loop-thread-nonblocking, reason = "fixture: demonstrates suppression")
-    shared.service.queue_depth()
+    shared.service.tenant_stats(tenant)
 }
 
 #[cfg(test)]

@@ -16,11 +16,9 @@
 //!   into the envelope instead.
 //! * [`events`] — a bounded ring of typed, timestamped [`Event`]s
 //!   ([`EventLog`]) with severities and subscriber hooks for tests.
-//! * [`supervise`] — the [`RestartPolicy`] a worker owner applies when
-//!   one of its threads panics, and the per-shard [`WorkerStatus`]
-//!   health reads.
 //! * [`ScrapeEnvelope`] / [`HealthReport`] — the versioned wire shapes
-//!   `Request::Scrape` and `Request::Health` answer with.
+//!   `Request::Scrape` and `Request::Health` answer with: together the
+//!   one way to read a running service, in process or over the wire.
 //!
 //! Everything is built on the vendored shims only (`parking_lot`,
 //! `serde`); counter values ride the shim's f64 JSON
@@ -39,14 +37,12 @@
 
 pub mod events;
 pub mod metrics;
-pub mod supervise;
 
 pub use events::{event, Event, EventDraft, EventKind, EventLog, Severity};
 pub use metrics::{
     Counter, Gauge, LatencyHistogram, LatencySummary, Metric, MetricKind, MetricSample,
     MetricValue, MetricsRegistry,
 };
-pub use supervise::{RestartPolicy, WorkerState, WorkerStatus};
 
 use std::sync::Arc;
 
@@ -145,6 +141,14 @@ impl ScrapeEnvelope {
             _ => 0,
         }
     }
+
+    /// The histogram named `name`, if scraped as one.
+    pub fn histogram(&self, name: &str) -> Option<&LatencySummary> {
+        match self.metric(name).map(|m| &m.value) {
+            Some(MetricValue::Histogram(s)) => Some(s),
+            _ => None,
+        }
+    }
 }
 
 /// A point-in-time view of one supervised worker shard, as health
@@ -153,7 +157,8 @@ impl ScrapeEnvelope {
 pub struct WorkerHealth {
     /// The worker/queue shard index.
     pub shard: usize,
-    /// `"alive"`, `"done"`, or `"failed"` (see [`WorkerState::name`]).
+    /// `"alive"` (running, or backing off before a restart), `"done"`
+    /// (exited at shutdown) or `"failed"` (down for good).
     pub state: String,
     /// Restarts applied to this shard.
     pub restarts: u64,
@@ -162,6 +167,8 @@ pub struct WorkerHealth {
     pub stalled: bool,
     /// Reports waiting in this shard's queue right now.
     pub queue_depth: usize,
+    /// The last panic message seen on this shard, if any.
+    pub last_panic: Option<String>,
 }
 
 /// What `Request::Health` answers with: liveness (the process is
@@ -219,6 +226,7 @@ mod tests {
                     restarts: 0,
                     stalled: false,
                     queue_depth: 0,
+                    last_panic: None,
                 },
                 WorkerHealth {
                     shard: 1,
@@ -226,6 +234,7 @@ mod tests {
                     restarts: 3,
                     stalled: false,
                     queue_depth: 5,
+                    last_panic: Some("boom".to_owned()),
                 },
             ],
         };

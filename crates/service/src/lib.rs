@@ -20,7 +20,7 @@
 //! * [`worker`] — the batched update queues and background retrain
 //!   workers (the §4.2 monitor thread, made real and sharded by tenant
 //!   hash), which carry each run as the `RunSample` admission projected
-//!   it onto.
+//!   it onto, and the [`RestartPolicy`] each applies to itself.
 //! * `queue` *(private)* — the bounded MPSC queues providing
 //!   service-wide backpressure, one shard per retrain worker.
 //! * `residency` *(private)* — tiered tenant residency: with
@@ -28,11 +28,10 @@
 //!   the least-recently-touched excess to their durable snapshots and the first
 //!   subsequent touch rehydrates them transparently (single-flight per
 //!   tenant), so total registered tenants can far exceed resident ones.
-//! * [`stats`] — the public stats shapes ([`ServiceStats`],
-//!   [`TenantStats`], [`WorkerShardStats`]); service totals live under
-//!   `service.*` in the shared metrics registry, a tenant's counters in
-//!   its registry slot, rendered as `tenant.<id>.*` scrape rows while
-//!   the tenant is resident.
+//! * [`stats`] — who owns each number, and [`TenantStats`]: service
+//!   totals live under `service.*` in the shared metrics registry, a
+//!   tenant's counters in its registry slot, rendered as `tenant.<id>.*`
+//!   scrape rows while the tenant is resident.
 //! * [`error`] — typed [`ServiceError`] rejections (admission control
 //!   rejections are marked retryable).
 //! * [`persist`] — the durability wiring over `smartpick_store`:
@@ -44,10 +43,12 @@
 //! [`smartpick_obs::Observability`] bundle, structured events go to its
 //! bounded ring, [`SmartpickService::scrape`] returns the lot (plus the
 //! resident tenants' rows) as one versioned envelope, and
-//! [`SmartpickService::health`] answers liveness/readiness. A retrain
-//! worker restarts itself under a configurable
-//! [`smartpick_obs::RestartPolicy`] — its in-flight batch is re-queued
-//! before the restart, so accepted feedback survives worker crashes.
+//! [`SmartpickService::health`] answers liveness/readiness with each
+//! worker shard's state, restarts and last panic. Those two are the only
+//! way to read a running service, in process as over the wire. A retrain
+//! worker restarts itself under a configurable [`RestartPolicy`] — its
+//! in-flight batch is re-queued before the restart, so accepted feedback
+//! survives worker crashes.
 //!
 //! Reads are **snapshot-based**: each tenant publishes an immutable
 //! `Arc<WorkloadPredictor>`; `predict`/`determine` clone the `Arc` and
@@ -82,6 +83,7 @@ pub use persist::PersistenceConfig;
 pub use service::{CompletedRun, FlushOutcome, ServiceConfig, SmartpickService};
 // The store's fsync knob is part of `PersistenceConfig`'s surface.
 pub use smartpick_store::FsyncPolicy;
-pub use stats::{LatencyHistogram, LatencySummary, ServiceStats, TenantStats, WorkerShardStats};
+pub use stats::TenantStats;
 #[doc(hidden)]
 pub use worker::CrashPoint;
+pub use worker::RestartPolicy;

@@ -138,7 +138,7 @@ impl TenantFiles {
     /// other thread holds a handle on it — safe because handles are only
     /// cloned under the map lock, so `strong_count == 2` (map + ours)
     /// proves exclusivity.
-    fn locked<T>(&self, id: &str, f: impl FnOnce() -> T) -> T {
+    pub(crate) fn locked<T>(&self, id: &str, f: impl FnOnce() -> T) -> T {
         let lock = Arc::clone(self.locks.lock().entry(id.to_owned()).or_default());
         let out = {
             let _guard = lock.lock();
@@ -245,14 +245,15 @@ impl ServicePersist {
     }
 
     /// Writes `cut` as `tenant`'s newest snapshot — the one door every
-    /// snapshot write goes through. Under the tenant's file lock it
-    /// checks the defunct stamp (`Ok(None)`: deregistered, nothing
-    /// written) and, for a registration, clears the id's directory
-    /// first. After a write it takes `cut.covered` off the tenant's
-    /// `applied_since_persist` — reports applied since the cut stay
-    /// counted, so the next eviction still persists them — books the
-    /// bytes and publishes one `snapshot_persisted` event; a failure
-    /// publishes one `store_degraded`. Both name `cause`.
+    /// snapshot write goes through. Under the tenant's file lock (a
+    /// registration's caller holds it already) it checks the defunct
+    /// stamp (`Ok(None)`: deregistered, nothing written) and, for a
+    /// registration, clears the id's directory first. After a write it
+    /// takes `cut.covered` off the tenant's `applied_since_persist` —
+    /// reports applied since the cut stay counted, so the next eviction
+    /// still persists them — books the bytes and publishes one
+    /// `snapshot_persisted` event; a failure publishes one
+    /// `store_degraded`. Both name `cause`.
     pub(crate) fn checkpoint(
         &self,
         tenant: &TenantState,
@@ -267,7 +268,7 @@ impl ServicePersist {
             watermark: cut.watermark,
             state: cut.state,
         };
-        let written = self.files.locked(&tenant.id, || {
+        let write = || {
             if tenant.defunct.load(Ordering::SeqCst) {
                 return Ok(None);
             }
@@ -275,7 +276,12 @@ impl ServicePersist {
                 self.store.remove_tenant(&tenant.id)?;
             }
             self.store.persist_snapshot(&snap).map(Some)
-        });
+        };
+        // A registration's caller holds the lock across its insert.
+        let written = match cause {
+            Cause::Registration => write(),
+            _ => self.files.locked(&tenant.id, write),
+        };
         let draft = match &written {
             Ok(None) => return written,
             Ok(Some(bytes)) => {

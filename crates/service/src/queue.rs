@@ -228,11 +228,6 @@ impl<T> ShardedQueue<T> {
         self.shards.iter().map(|s| s.len()).collect()
     }
 
-    /// Total reports waiting across all shards.
-    pub(crate) fn total_len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
-    }
-
     /// Whether [`ShardedQueue::close`] has been called.
     pub(crate) fn is_closed(&self) -> bool {
         // Shards are only ever closed together, so one speaks for all.
@@ -304,7 +299,7 @@ mod tests {
         q.try_push(1, 8).unwrap();
         q.try_push(2, 9).unwrap();
         assert_eq!(q.depths(), vec![0, 2, 1, 0]);
-        assert_eq!(q.total_len(), 3);
+        assert_eq!(q.depths().iter().sum::<usize>(), 3);
         q.try_push(1, 10).unwrap();
         assert_eq!(q.try_push(1, 11), Err(PushRejected::Full));
         // Shard 1 is full, but other shards still admit.

@@ -13,8 +13,8 @@ use smartpick_core::wp::{ConstraintMode, Determination, PredictionRequest, Workl
 use smartpick_core::RunSample;
 use smartpick_engine::{QueryProfile, RunReport};
 use smartpick_obs::{
-    event, EventKind, Gauge, HealthReport, LatencyHistogram, Observability, RestartPolicy,
-    ScrapeEnvelope, WorkerHealth, WorkerState, WorkerStatus,
+    event, EventKind, Gauge, HealthReport, LatencyHistogram, Observability, ScrapeEnvelope,
+    WorkerHealth,
 };
 use smartpick_store::Store;
 
@@ -23,8 +23,10 @@ use crate::persist::{self, Cause, Cut, PersistenceConfig, ServicePersist};
 use crate::queue::{PushRejected, ShardedQueue};
 use crate::registry::{tenant_hash, ColdMeta, ShardedRegistry, TenantState};
 use crate::residency::ResidencyCtl;
-use crate::stats::{ServiceStats, ServiceTotals, ShardCounters, TenantStats, WorkerShardStats};
-use crate::worker::{CrashPoint, ReportStages, Worker, WorkerCtx, WorkerMsg};
+use crate::stats::{ServiceTotals, ShardCounters, TenantStats};
+use crate::worker::{
+    CrashPoint, ReportStages, RestartPolicy, Worker, WorkerCtx, WorkerMsg, WorkerState,
+};
 
 /// One completed run a client (or the service's own `submit`) feeds back
 /// into the training loop.
@@ -85,9 +87,7 @@ pub struct ServiceConfig {
     /// this deadline is reported *stalled* by
     /// [`SmartpickService::health`] (and makes the service unready).
     pub stall_deadline: Duration,
-    /// How many events the in-memory event ring retains (ignored when
-    /// the service is built over an existing [`Observability`] via
-    /// [`SmartpickService::with_observability`]).
+    /// How many events the in-memory event ring retains.
     pub event_capacity: usize,
     /// Durable tenant state, when set: snapshots + per-shard WALs under
     /// the configured directory, with crash recovery at startup. `None`
@@ -224,8 +224,8 @@ pub struct SmartpickService {
     epoch: Instant,
     obs: Arc<Observability>,
     /// Service-wide totals, incremented on the hot path alongside the
-    /// per-tenant counters so [`SmartpickService::stats`] never walks the
-    /// registry.
+    /// per-tenant counters so the scrape never walks the registry for
+    /// them.
     totals: Arc<ServiceTotals>,
     predict_latency: Arc<LatencyHistogram>,
     tenants_gauge: Arc<Gauge>,
@@ -245,18 +245,6 @@ impl SmartpickService {
     ///
     /// Panics if any `config` count/capacity field is zero.
     pub fn new(config: ServiceConfig) -> Self {
-        let obs = Arc::new(Observability::new(config.event_capacity));
-        SmartpickService::with_observability(config, obs)
-    }
-
-    /// Starts a service over an existing [`Observability`] bundle, so
-    /// other layers of the process (e.g. the wire server) feed the same
-    /// scrape. See [`SmartpickService::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any `config` count/capacity field is zero.
-    pub fn with_observability(config: ServiceConfig, obs: Arc<Observability>) -> Self {
         assert!(config.shards > 0, "shards must be positive");
         assert!(config.queue_capacity > 0, "queue_capacity must be positive");
         assert!(
@@ -279,6 +267,7 @@ impl SmartpickService {
             config.max_resident_tenants.is_none() || config.persistence.is_some(),
             "residency limits require persistence (evicted tenants rehydrate from the store)"
         );
+        let obs = Arc::new(Observability::new(config.event_capacity));
         let queues = ShardedQueue::new(config.retrain_workers, config.queue_capacity);
         let metrics = obs.metrics();
         let shard_counters: Box<[Arc<ShardCounters>]> = (0..config.retrain_workers)
@@ -388,6 +377,7 @@ impl SmartpickService {
             {
                 Ok(handle) => workers.push(handle),
                 Err(_) => counters.mark_failed(
+                    shard,
                     &obs,
                     "initial spawn failed; shard has no worker and the service is unready",
                 ),
@@ -507,24 +497,34 @@ impl SmartpickService {
         );
         // The insert below makes the tenant evictable before its
         // generation-0 snapshot is written: start it marked ahead of the
-        // disk by the one mark the cut covers, so an eviction that wins
-        // that race persists the state instead of going cold over files
-        // that do not exist yet — and a write that fails leaves it marked.
+        // disk by the one mark the cut covers, so an eviction deciding in
+        // between persists the state (its write waits for the file lock
+        // held here) instead of going cold over files that do not exist
+        // yet — and a write that fails leaves it marked.
         fresh
             .applied_since_persist
             .store(u64::from(cut.is_some()), Ordering::Relaxed);
-        let state = self.registry.insert(fresh)?;
-        self.tenants_gauge.inc();
-        self.obs
-            .events()
-            .publish(event(EventKind::TenantRegistered).tenant(&id));
-        if let (Some(sp), Some(cut)) = (&self.persist, cut) {
-            // Clears whatever files an earlier registration of this id
-            // left (they must never shadow the new epoch) in the same
-            // step; a deregistration that got in first owns the files.
-            let _ = sp.checkpoint(&state, cut, Cause::Registration);
+        let register = || -> Result<(), ServiceError> {
+            let state = self.registry.insert(fresh)?;
+            self.tenants_gauge.inc();
+            self.obs
+                .events()
+                .publish(event(EventKind::TenantRegistered).tenant(&id));
+            if let (Some(sp), Some(cut)) = (&self.persist, cut) {
+                // Clears whatever files an earlier registration of this
+                // id left (they must never shadow the new epoch); a
+                // deregistration that got in first owns the files.
+                let _ = sp.checkpoint(&state, cut, Cause::Registration);
+            }
+            Ok(())
+        };
+        // The file lock is held from before the insert through the clear
+        // and the write, so no eviction or admin checkpoint lands in
+        // between to be wiped. Lock order: file lock, then registry shard.
+        match &self.persist {
+            Some(sp) => sp.files.locked(&id, register),
+            None => register(),
         }
-        Ok(())
     }
 
     /// Registers a tenant forked from `template` (shares the trained
@@ -1011,15 +1011,16 @@ impl SmartpickService {
     }
 
     fn flush_inner(&self, deadline: Option<Instant>) -> FlushOutcome {
-        if let Some(shard) = self.failed_shards().next() {
+        let shards = self.queues.shard_count();
+        if let Some(shard) = (0..shards).find(|&shard| self.shard_has_failed(shard)) {
             return FlushOutcome::ShardFailed { shard };
         }
         // One flush token per shard; the blocking pushes park on each
         // queue's not-full condvar, so a flush against a saturated queue
         // sleeps instead of spinning against the very workers it is
         // waiting on.
-        let mut pending = Vec::with_capacity(self.queues.shard_count());
-        for shard in 0..self.queues.shard_count() {
+        let mut pending = Vec::with_capacity(shards);
+        for shard in 0..shards {
             let (ack, done) = sync_channel(1);
             if self
                 .queues
@@ -1145,11 +1146,6 @@ impl SmartpickService {
         self.residency.sweep();
     }
 
-    /// Shards whose worker is down for good.
-    fn failed_shards(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.shard_counters.len()).filter(|&shard| self.shard_has_failed(shard))
-    }
-
     fn shard_has_failed(&self, shard: usize) -> bool {
         self.shard_counters
             .get(shard)
@@ -1159,16 +1155,6 @@ impl SmartpickService {
     // ---------------------------------------------------------------
     // Observability
     // ---------------------------------------------------------------
-
-    /// Reports currently waiting across all update-queue shards.
-    pub fn queue_depth(&self) -> usize {
-        self.queues.total_len()
-    }
-
-    /// Per-worker-shard queue depths, indexed by shard.
-    pub fn queue_depths(&self) -> Vec<usize> {
-        self.queues.depths()
-    }
 
     /// Runs `f` against a tenant's driver under its per-tenant lock — an
     /// admin/debug window into training-side state (history, billing,
@@ -1197,45 +1183,6 @@ impl SmartpickService {
     pub fn tenant_stats(&self, tenant: &str) -> Result<TenantStats, ServiceError> {
         let state = self.resolve(tenant)?;
         Ok(self.stats_of(&state))
-    }
-
-    /// A point-in-time aggregate view of the whole service.
-    ///
-    /// Aggregates are read from the service-wide total counters the hot
-    /// path increments alongside the per-tenant ones — a handful of
-    /// relaxed atomic loads. This call never takes a registry shard lock,
-    /// so it cannot contend with `predict`/`determine`, and the totals
-    /// include the full history of deregistered tenants by construction.
-    pub fn stats(&self) -> ServiceStats {
-        let depths = self.queues.depths();
-        let worker_shards: Vec<WorkerShardStats> = self
-            .shard_counters
-            .iter()
-            .zip(&depths)
-            .enumerate()
-            .map(|(shard, (c, &depth))| WorkerShardStats {
-                shard,
-                depth,
-                reports_applied: c.reports_applied.get(),
-                retrains: c.retrains.get(),
-                batches: c.batches.get(),
-            })
-            .collect();
-        let t = &self.totals;
-        ServiceStats {
-            tenants: self.tenants_gauge.get().max(0) as usize,
-            queue_depth: depths.iter().sum(),
-            worker_shards,
-            predictions: t.predictions.get(),
-            executions: t.executions.get(),
-            reports_enqueued: t.reports_enqueued.get(),
-            reports_applied: t.reports_applied.get(),
-            retrains: t.retrains.get(),
-            rejections: t.rejections.get(),
-            apply_failures: t.apply_failures.get(),
-            stale_predictions: t.stale_predictions.get(),
-            predict_latency: self.predict_latency.summary(),
-        }
     }
 
     /// The one reading of a hot tenant: `tenant_stats` returns it and
@@ -1308,10 +1255,9 @@ impl SmartpickService {
     /// cleanly done), no shard has queued work without progress past the
     /// configured [`ServiceConfig::stall_deadline`], and the service has
     /// not been shut down. The report carries per-shard detail (state,
-    /// restarts, stall flag, depth) and one human-readable reason per
-    /// failure.
+    /// restarts, last panic, stall flag, depth) and one human-readable
+    /// reason per failure.
     pub fn health(&self) -> HealthReport {
-        let statuses = self.worker_status();
         let depths = self.queues.depths();
         let now = self.now_us();
         let deadline_us = self.config.stall_deadline.as_micros() as u64;
@@ -1325,36 +1271,35 @@ impl SmartpickService {
                 "residency limits configured but store unavailable; eviction paused".to_owned(),
             );
         }
-        let workers: Vec<WorkerHealth> = statuses
+        let workers: Vec<WorkerHealth> = self
+            .shard_counters
             .iter()
-            .map(|s| {
-                let depth = depths.get(s.shard).copied().unwrap_or(0);
-                let last = self
-                    .shard_counters
-                    .get(s.shard)
-                    .map(|c| c.last_progress_us.load(Ordering::Relaxed))
-                    .unwrap_or(0);
-                let stalled = s.state == WorkerState::Alive
+            .zip(&depths)
+            .enumerate()
+            .map(|(shard, (c, &depth))| {
+                let status = c.status.lock();
+                let last = c.last_progress_us.load(Ordering::Relaxed);
+                let stalled = status.state == WorkerState::Alive
                     && depth > 0
                     && now.saturating_sub(last) > deadline_us;
-                match s.state {
+                match status.state {
                     WorkerState::Failed => reasons.push(format!(
-                        "worker shard {} failed permanently ({})",
-                        s.shard,
-                        s.last_panic.as_deref().unwrap_or("spawn failure")
+                        "worker shard {shard} failed permanently ({})",
+                        status.last_panic.as_deref().unwrap_or("spawn failure")
                     )),
                     WorkerState::Alive if stalled => reasons.push(format!(
-                        "worker shard {} stalled: {} queued, no progress in {:?}",
-                        s.shard, depth, self.config.stall_deadline
+                        "worker shard {shard} stalled: {depth} queued, no progress in {:?}",
+                        self.config.stall_deadline
                     )),
                     _ => {}
                 }
                 WorkerHealth {
-                    shard: s.shard,
-                    state: s.state.name().to_owned(),
-                    restarts: s.restarts,
+                    shard,
+                    state: status.state.name().to_owned(),
+                    restarts: status.restarts,
                     stalled,
                     queue_depth: depth,
+                    last_panic: status.last_panic.clone(),
                 }
             })
             .collect();
@@ -1364,15 +1309,6 @@ impl SmartpickService {
             reasons,
             workers,
         }
-    }
-
-    /// Each retrain worker's view of itself (state, restarts, last
-    /// panic), indexed by shard.
-    pub fn worker_status(&self) -> Vec<WorkerStatus> {
-        self.shard_counters
-            .iter()
-            .map(|c| c.status.lock().clone())
-            .collect()
     }
 
     /// Fault injection for supervision tests: panics the retrain worker
@@ -1536,6 +1472,35 @@ mod tests {
         let applied = history().unwrap();
         assert!(service.evict_tenant("acme").unwrap());
         assert_eq!(history().unwrap(), applied, "lost on rehydration");
+        drop(service);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A registration holds the tenant's file lock from its registry
+    /// insert until generation 0 has landed: were the tenant visible
+    /// sooner, the registration's clear could wipe a write made between.
+    #[test]
+    fn a_registration_is_invisible_until_its_first_snapshot_lands() {
+        let dir = store_root("register-race");
+        let service = SmartpickService::open(&dir, ServiceConfig::default()).unwrap();
+        let driver = template();
+        let sp = service.persist.as_ref().unwrap();
+        let handle = sp.files.handle("t");
+        std::thread::scope(|s| {
+            // Inside the scope: a failed assertion releases it first.
+            let held = handle.lock();
+            let register = s.spawn(|| service.register_tenant("t", driver));
+            std::thread::sleep(Duration::from_millis(200));
+            assert!(
+                !service.tenants().contains(&"t".to_owned()),
+                "registered before its files"
+            );
+            drop(held);
+            register.join().unwrap().unwrap();
+        });
+        assert_eq!(service.tenants(), ["t"]);
+        let (meta, _) = sp.load("t").unwrap();
+        assert_eq!(meta.generation, 0);
         drop(service);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,5 +1,5 @@
-//! Service observability: who owns each number, plus the public stats
-//! shapes (`TenantStats` is also what the wire's `tenant_stats` carries).
+//! Service observability: who owns each number, plus [`TenantStats`],
+//! the one tenant view (also what the wire's `tenant_stats` carries).
 //!
 //! Everything here is updated with relaxed atomics on the hot path —
 //! stats must never serialise the readers they are measuring. Each
@@ -11,9 +11,8 @@
 //! rows (one [`TenantStats`] each) for the tenants resident at that
 //! moment, so the registry's size does not depend on how many tenants
 //! exist. The hot path increments *both* its tenant counter and the
-//! service total, which is what lets [`crate::SmartpickService::stats`]
-//! aggregate with pure atomic loads instead of walking the tenant
-//! registry under its shard locks.
+//! service total, so the `service.*` totals stay monotonic across
+//! tenant churn without the scrape walking the registry for them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -22,10 +21,9 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use smartpick_obs::{
     event, Counter, EventKind, MetricSample, MetricValue, MetricsRegistry, Observability,
-    WorkerState, WorkerStatus,
 };
 
-pub use smartpick_obs::{LatencyHistogram, LatencySummary};
+use crate::worker::WorkerState;
 
 /// One scope's worth of hot-path counters (relaxed atomics). `C` is
 /// where a counter lives: a plain [`Counter`] inside a tenant's slot
@@ -83,9 +81,19 @@ pub(crate) struct ShardCounters {
     /// configured stall deadline is reported stalled by
     /// [`crate::SmartpickService::health`].
     pub(crate) last_progress_us: AtomicU64,
-    /// Alive, done or failed, restarts and the last panic — written by
-    /// the shard's worker as it panics, restarts or exits.
-    pub(crate) status: Mutex<WorkerStatus>,
+    /// Written by the shard's worker as it panics, restarts or exits;
+    /// read by health.
+    pub(crate) status: Mutex<ShardStatus>,
+}
+
+/// How one retrain worker's shard is doing.
+#[derive(Debug)]
+pub(crate) struct ShardStatus {
+    pub(crate) state: WorkerState,
+    /// Restarts applied to this shard so far.
+    pub(crate) restarts: u64,
+    /// The last panic message seen on this shard, if any.
+    pub(crate) last_panic: Option<String>,
 }
 
 impl ShardCounters {
@@ -98,8 +106,7 @@ impl ShardCounters {
             retrains: c("retrains"),
             batches: c("batches"),
             last_progress_us: AtomicU64::new(0),
-            status: Mutex::new(WorkerStatus {
-                shard,
+            status: Mutex::new(ShardStatus {
                 state: WorkerState::Alive,
                 restarts: 0,
                 last_panic: None,
@@ -111,31 +118,12 @@ impl ShardCounters {
         self.last_progress_us.store(now_us, Ordering::Relaxed);
     }
 
-    /// Marks the shard down for good and puts `why` on the event record.
-    pub(crate) fn mark_failed(&self, obs: &Observability, why: impl Into<String>) {
-        let shard = {
-            let mut status = self.status.lock();
-            status.state = WorkerState::Failed;
-            status.shard
-        };
+    /// Marks `shard` down for good and puts `why` on the event record.
+    pub(crate) fn mark_failed(&self, shard: usize, obs: &Observability, why: impl Into<String>) {
+        self.status.lock().state = WorkerState::Failed;
         obs.events()
             .publish(event(EventKind::WorkerFailed).shard(shard).detail(why));
     }
-}
-
-/// A point-in-time view of one retrain worker's queue shard.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerShardStats {
-    /// The shard index (= worker index; tenants route here by hash).
-    pub shard: usize,
-    /// Reports waiting in this shard's queue right now.
-    pub depth: usize,
-    /// Reports this worker has applied.
-    pub reports_applied: u64,
-    /// Retrains this worker's applies fired.
-    pub retrains: u64,
-    /// Batches this worker has processed.
-    pub batches: u64,
 }
 
 /// A point-in-time view of one tenant's counters and snapshot state.
@@ -207,41 +195,4 @@ impl TenantStats {
             rows.map(|(field, value)| MetricSample::new([prefix.as_str(), field].concat(), value)),
         );
     }
-}
-
-/// A point-in-time view of the whole service.
-///
-/// Aggregates are read from the service-wide total counters the hot path
-/// increments alongside the per-tenant ones, so building this view is a
-/// handful of atomic loads — it never walks the tenant registry, and the
-/// totals are monotonic across tenant churn by construction. The same
-/// `service.*` totals ride every `scrape`; this struct is their
-/// in-process reading.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServiceStats {
-    /// Registered tenants.
-    pub tenants: usize,
-    /// Reports sitting in the update queues right now (all shards).
-    pub queue_depth: usize,
-    /// Per-worker-shard depths and applied counts (one entry per
-    /// configured retrain worker).
-    pub worker_shards: Vec<WorkerShardStats>,
-    /// Predictions served, all tenants ever.
-    pub predictions: u64,
-    /// Queries executed, all tenants ever.
-    pub executions: u64,
-    /// Reports accepted, all tenants ever.
-    pub reports_enqueued: u64,
-    /// Reports applied, all tenants ever.
-    pub reports_applied: u64,
-    /// Retrains fired, all tenants ever.
-    pub retrains: u64,
-    /// Admission-control rejections, all tenants ever.
-    pub rejections: u64,
-    /// Failed applies, all tenants ever.
-    pub apply_failures: u64,
-    /// Stale-snapshot predictions, all tenants ever.
-    pub stale_predictions: u64,
-    /// Snapshot-read (`predict`/`determine`) latency digest.
-    pub predict_latency: LatencySummary,
 }

@@ -30,13 +30,10 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use smartpick_core::RunSample;
-use smartpick_obs::{
-    event, Counter, EventKind, LatencyHistogram, MetricsRegistry, Observability, RestartPolicy,
-    WorkerState,
-};
+use smartpick_obs::{event, Counter, EventKind, LatencyHistogram, MetricsRegistry, Observability};
 use smartpick_store::wal::WalPayload;
 use smartpick_store::{WalRecord, WalWriter};
 
@@ -44,6 +41,47 @@ use crate::persist::{Cause, Cut, ServicePersist, StoreMetrics, WorkerPersist};
 use crate::queue::BoundedQueue;
 use crate::registry::TenantState;
 use crate::stats::{ServiceTotals, ShardCounters};
+
+/// What a retrain worker does when it panics.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RestartPolicy {
+    /// Restart the worker, waiting `backoff × attempt` between tries, up
+    /// to `max_retries` restarts per shard over the worker's lifetime;
+    /// after that the shard is marked failed.
+    Restart {
+        /// Restarts allowed per shard before giving up.
+        max_retries: u32,
+        /// Base delay before a restart (scaled linearly by attempt).
+        backoff: Duration,
+    },
+    /// Never restart: the first panic marks the shard failed (and the
+    /// service unready) — fail-fast for deployments that prefer a crisp
+    /// outage over a limping one.
+    Strict,
+}
+
+/// How a retrain worker's shard is doing; health renders it by name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WorkerState {
+    /// Running (or backing off before a restart).
+    Alive,
+    /// Exited normally (queue closed — shutdown).
+    Done,
+    /// Dead and not coming back: `Strict` panic, retries exhausted, or a
+    /// spawn failure.
+    Failed,
+}
+
+impl WorkerState {
+    /// The name health reports.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            WorkerState::Alive => "alive",
+            WorkerState::Done => "done",
+            WorkerState::Failed => "failed",
+        }
+    }
+}
 
 /// A queued unit of worker work.
 #[derive(Debug)]
@@ -195,12 +233,12 @@ impl Worker {
                 } if attempt < u64::from(max_retries) => (max_retries, backoff),
                 RestartPolicy::Restart { max_retries, .. } => {
                     let why = format!("restart budget exhausted ({max_retries} retries)");
-                    self.ctx.counters.mark_failed(&self.ctx.obs, why);
+                    self.ctx.counters.mark_failed(shard, &self.ctx.obs, why);
                     return;
                 }
                 RestartPolicy::Strict => {
                     let why = "restart policy is strict; shard stays down";
-                    self.ctx.counters.mark_failed(&self.ctx.obs, why);
+                    self.ctx.counters.mark_failed(shard, &self.ctx.obs, why);
                     return;
                 }
             };

@@ -122,23 +122,30 @@ fn concurrent_mixed_tenants_with_live_retrains() {
     }
 
     assert!(service.flush(), "flush completes");
-    let stats = service.stats();
-    assert_eq!(stats.tenants, TENANTS as usize);
+    let scrape = service.scrape(0);
+    assert_eq!(scrape.gauge("service.tenants"), TENANTS as i64);
     // submit() also runs a determination, so both paths count predictions.
-    assert_eq!(stats.predictions, predictions + submissions);
-    assert_eq!(stats.executions, submissions);
+    assert_eq!(
+        scrape.counter("service.predictions"),
+        predictions + submissions
+    );
+    assert_eq!(scrape.counter("service.executions"), submissions);
     // No feedback was shed at this load, and after the flush everything
     // accepted has been applied.
-    assert_eq!(stats.rejections, 0);
-    assert_eq!(stats.reports_enqueued, submissions);
-    assert_eq!(stats.reports_applied, submissions);
-    assert_eq!(stats.apply_failures, 0);
-    assert_eq!(stats.queue_depth, 0);
+    assert_eq!(scrape.counter("service.rejections"), 0);
+    assert_eq!(scrape.counter("service.reports_enqueued"), submissions);
+    assert_eq!(scrape.counter("service.reports_applied"), submissions);
+    assert_eq!(scrape.counter("service.apply_failures"), 0);
+    assert_eq!(scrape.gauge("service.queue_depth"), 0);
     // The tiny trigger means the worker really was retraining under the
     // readers the whole time.
-    assert!(stats.retrains > 0, "retrains must have fired: {stats:?}");
-    assert_eq!(stats.predict_latency.count, predictions + submissions);
-    assert!(stats.predict_latency.p99_us >= stats.predict_latency.p50_us);
+    assert!(
+        scrape.counter("service.retrains") > 0,
+        "retrains must have fired"
+    );
+    let latency = scrape.histogram("service.predict_latency").unwrap();
+    assert_eq!(latency.count, predictions + submissions);
+    assert!(latency.p99_us >= latency.p50_us);
 
     // Per-tenant accounting adds up and snapshots were republished.
     for t in 0..TENANTS {
@@ -229,14 +236,20 @@ fn lifecycle_register_deregister_shutdown() {
     // so aggregates never run backwards.
     service.submit("b", &q, 5).unwrap();
     service.flush();
-    let before = service.stats();
-    assert!(before.executions > 0);
+    let before = service.scrape(0);
+    assert!(before.counter("service.executions") > 0);
     service.deregister_tenant("b").unwrap();
     assert_eq!(service.tenants(), vec!["a".to_owned()]);
-    let after = service.stats();
-    assert_eq!(after.executions, before.executions);
-    assert_eq!(after.reports_applied, before.reports_applied);
-    assert_eq!(after.tenants, 1);
+    let after = service.scrape(0);
+    assert_eq!(
+        after.counter("service.executions"),
+        before.counter("service.executions")
+    );
+    assert_eq!(
+        after.counter("service.reports_applied"),
+        before.counter("service.reports_applied")
+    );
+    assert_eq!(after.gauge("service.tenants"), 1);
 
     service.shutdown();
     assert!(matches!(

@@ -18,10 +18,10 @@ use smartpick_core::properties::SmartpickProperties;
 use smartpick_core::training::TrainOptions;
 use smartpick_core::{ConstraintMode, PredictionRequest};
 use smartpick_ml::forest::ForestParams;
-use smartpick_obs::{EventKind, MetricSample, MetricValue, RestartPolicy};
+use smartpick_obs::{EventKind, MetricSample, MetricValue};
 use smartpick_service::{
-    CompletedRun, CrashPoint, FlushOutcome, FsyncPolicy, PersistenceConfig, ServiceConfig,
-    SmartpickService,
+    CompletedRun, CrashPoint, FlushOutcome, FsyncPolicy, PersistenceConfig, RestartPolicy,
+    ServiceConfig, SmartpickService,
 };
 use smartpick_store::snapshot::SnapshotMeta;
 use smartpick_store::wal::{scan_wal, MAGIC};

@@ -170,7 +170,7 @@ fn shutdown_with_pending_reports_drains_deterministically() {
     assert_eq!(ts.reports_enqueued, REPORTS);
     assert_eq!(ts.reports_applied, REPORTS, "accepted reports are drained");
     assert_eq!(ts.pending_reports, 0);
-    assert_eq!(service.queue_depth(), 0);
+    assert_eq!(service.scrape(0).gauge("service.queue_depth"), 0);
 
     // After shutdown every write path reports Stopped...
     assert!(matches!(
@@ -218,13 +218,13 @@ fn per_shard_stats_expose_parallel_workers() {
     }
     assert!(service.flush());
 
-    let stats = service.stats();
-    assert_eq!(stats.worker_shards.len(), 4);
-    let applied: Vec<u64> = stats
-        .worker_shards
-        .iter()
-        .map(|s| s.reports_applied)
+    let scrape = service.scrape(0);
+    let applied: Vec<u64> = (0..)
+        .map(|shard| format!("service.worker.{shard}.reports_applied"))
+        .take_while(|name| scrape.metric(name).is_some())
+        .map(|name| scrape.counter(&name))
         .collect();
+    assert_eq!(applied.len(), 4);
     assert_eq!(
         applied, expected_per_shard,
         "each report is applied by exactly the worker its tenant hashes to"
@@ -235,13 +235,14 @@ fn per_shard_stats_expose_parallel_workers() {
     );
     assert_eq!(
         applied.iter().sum::<u64>(),
-        stats.reports_applied,
+        scrape.counter("service.reports_applied"),
         "per-shard applies sum to the service total"
     );
-    for shard in &stats.worker_shards {
-        assert_eq!(shard.depth, 0, "flushed: {shard:?}");
+    for shard in 0..applied.len() {
+        let depth = scrape.gauge(&format!("service.worker.{shard}.queue_depth"));
+        assert_eq!(depth, 0, "flushed: shard {shard}");
     }
-    assert_eq!(stats.queue_depth, 0);
+    assert_eq!(scrape.gauge("service.queue_depth"), 0);
 
     // Snapshot age is a live gauge; sanity-check it ticks.
     let ts = service.tenant_stats(&tenants[0]).unwrap();

@@ -155,16 +155,28 @@ proptest! {
         }
 
         prop_assert!(service.flush());
-        let stats = service.stats();
+        let scrape = service.scrape(0);
         // Never loses an update: every success tallied by a client is
         // visible in the service's books, exactly once.
-        prop_assert_eq!(stats.tenants as u64, tally.registers.load(Ordering::Relaxed));
-        prop_assert_eq!(stats.predictions, tally.predicts.load(Ordering::Relaxed));
-        prop_assert_eq!(stats.reports_enqueued, tally.reports.load(Ordering::Relaxed));
-        prop_assert_eq!(stats.reports_applied, tally.reports.load(Ordering::Relaxed));
-        prop_assert_eq!(stats.apply_failures, 0);
-        prop_assert_eq!(stats.rejections, 0);
-        prop_assert_eq!(stats.queue_depth, 0);
+        prop_assert_eq!(
+            scrape.gauge("service.tenants") as u64,
+            tally.registers.load(Ordering::Relaxed)
+        );
+        prop_assert_eq!(
+            scrape.counter("service.predictions"),
+            tally.predicts.load(Ordering::Relaxed)
+        );
+        prop_assert_eq!(
+            scrape.counter("service.reports_enqueued"),
+            tally.reports.load(Ordering::Relaxed)
+        );
+        prop_assert_eq!(
+            scrape.counter("service.reports_applied"),
+            tally.reports.load(Ordering::Relaxed)
+        );
+        prop_assert_eq!(scrape.counter("service.apply_failures"), 0);
+        prop_assert_eq!(scrape.counter("service.rejections"), 0);
+        prop_assert_eq!(scrape.gauge("service.queue_depth"), 0);
         // And every registered tenant is still resolvable.
         for id in service.tenants() {
             let ts = service.tenant_stats(&id).map_err(|e| {
@@ -260,8 +272,12 @@ proptest! {
 
         // Distinct tenants really were applied by distinct workers, and
         // the per-shard books add up.
-        let stats = service.stats();
-        let applied: Vec<u64> = stats.worker_shards.iter().map(|s| s.reports_applied).collect();
+        let scrape = service.scrape(0);
+        let applied: Vec<u64> = (0..)
+            .map(|shard| format!("service.worker.{shard}.reports_applied"))
+            .take_while(|name| scrape.metric(name).is_some())
+            .map(|name| scrape.counter(&name))
+            .collect();
         prop_assert_eq!(applied.len(), WORKERS);
         prop_assert_eq!(
             applied.iter().sum::<u64>(),

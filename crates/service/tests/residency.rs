@@ -607,7 +607,7 @@ fn hot_only_entry_points_match_the_blocking_ones_and_decline_what_could_block() 
     // `StalenessFlagged` event per stale episode).
     let books = |svc: &SmartpickService| {
         let t = svc.tenant_stats("acme").unwrap();
-        let s = svc.stats();
+        let s = svc.scrape(0);
         let flagged = svc
             .observability()
             .events()
@@ -622,11 +622,15 @@ fn hot_only_entry_points_match_the_blocking_ones_and_decline_what_could_block() 
                 t.reports_applied,
                 t.rejections,
                 t.snapshot_generation,
-                s.predictions,
-                s.reports_enqueued,
-                s.predict_latency.count,
+                s.counter("service.predictions"),
+                s.counter("service.reports_enqueued"),
+                s.histogram("service.predict_latency").unwrap().count,
             ],
-            [t.stale_predictions, s.stale_predictions, flagged as u64],
+            [
+                t.stale_predictions,
+                s.counter("service.stale_predictions"),
+                flagged as u64,
+            ],
         )
     };
     assert_eq!(books(&hot_only), books(&blocking));

@@ -232,12 +232,13 @@ proptest! {
         }
 
         prop_assert!(service.flush());
-        let stats = service.stats();
-        prop_assert_eq!(stats.reports_enqueued, accepted.load(Ordering::Relaxed));
-        prop_assert_eq!(stats.reports_applied, accepted.load(Ordering::Relaxed));
-        prop_assert_eq!(stats.apply_failures, 0);
-        prop_assert_eq!(stats.rejections, 0);
-        prop_assert_eq!(stats.queue_depth, 0);
+        let scrape = service.scrape(0);
+        let accepted = accepted.load(Ordering::Relaxed);
+        prop_assert_eq!(scrape.counter("service.reports_enqueued"), accepted);
+        prop_assert_eq!(scrape.counter("service.reports_applied"), accepted);
+        prop_assert_eq!(scrape.counter("service.apply_failures"), 0);
+        prop_assert_eq!(scrape.counter("service.rejections"), 0);
+        prop_assert_eq!(scrape.gauge("service.queue_depth"), 0);
         prop_assert_eq!(service.tenant_stats(TENANT).unwrap().pending_reports, 0);
 
         // Whatever the interleaving left on disk, one more eviction must
@@ -322,11 +323,12 @@ proptest! {
         prop_assert!(service.flush());
         // Every accepted report was applied — including those in flight
         // when their registration was torn down or its tenant evicted.
-        let stats = service.stats();
-        prop_assert_eq!(stats.reports_enqueued, accepted.load(Ordering::Relaxed));
-        prop_assert_eq!(stats.reports_applied, accepted.load(Ordering::Relaxed));
-        prop_assert_eq!(stats.apply_failures, 0);
-        prop_assert_eq!(stats.queue_depth, 0);
+        let scrape = service.scrape(0);
+        let accepted = accepted.load(Ordering::Relaxed);
+        prop_assert_eq!(scrape.counter("service.reports_enqueued"), accepted);
+        prop_assert_eq!(scrape.counter("service.reports_applied"), accepted);
+        prop_assert_eq!(scrape.counter("service.apply_failures"), 0);
+        prop_assert_eq!(scrape.gauge("service.queue_depth"), 0);
 
         // The store directory exists exactly when the tenant is
         // registered: no ghost directories after a deregistration, no

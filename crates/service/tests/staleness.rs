@@ -61,7 +61,8 @@ fn overage_snapshot_predictions_are_flagged_and_counted() {
     let stats = service.tenant_stats("acme").unwrap();
     assert_eq!(stats.predictions, 3);
     assert_eq!(stats.stale_predictions, 3);
-    assert_eq!(service.stats().stale_predictions, 3);
+    let scrape = service.scrape(0);
+    assert_eq!(scrape.counter("service.stale_predictions"), 3);
 }
 
 #[test]

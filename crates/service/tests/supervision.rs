@@ -10,8 +10,10 @@ use smartpick_core::driver::Smartpick;
 use smartpick_core::properties::SmartpickProperties;
 use smartpick_core::training::TrainOptions;
 use smartpick_ml::forest::ForestParams;
-use smartpick_obs::{EventKind, RestartPolicy, WorkerState};
-use smartpick_service::{CompletedRun, FlushOutcome, ServiceConfig, SmartpickService};
+use smartpick_obs::{EventKind, WorkerHealth};
+use smartpick_service::{
+    CompletedRun, FlushOutcome, RestartPolicy, ServiceConfig, SmartpickService,
+};
 use smartpick_workloads::tpcds;
 
 fn template() -> Smartpick {
@@ -45,6 +47,11 @@ fn service(policy: RestartPolicy) -> SmartpickService {
         supervisor_poll: Duration::from_millis(5),
         ..ServiceConfig::default()
     })
+}
+
+/// Shard 0 as health reports it.
+fn shard0(service: &SmartpickService) -> WorkerHealth {
+    service.health().workers.swap_remove(0)
 }
 
 fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
@@ -88,7 +95,7 @@ fn poisoned_worker_restarts_and_loses_no_reports() {
 
     assert!(service.flush(), "flush must drain through the restart");
     wait_until("the restart to be recorded", || {
-        service.worker_status()[0].restarts >= 1
+        shard0(&service).restarts >= 1
     });
 
     // Zero lost reports: everything accepted was applied (at-least-once,
@@ -102,10 +109,10 @@ fn poisoned_worker_restarts_and_loses_no_reports() {
     );
     assert_eq!(stats.pending_reports, 0);
 
-    // The incident is visible everywhere the issue says it must be:
-    // supervisor status…
-    let status = &service.worker_status()[0];
-    assert_eq!(status.state, WorkerState::Alive);
+    // The incident is visible everywhere it must be: the shard's health
+    // entry…
+    let status = shard0(&service);
+    assert_eq!(status.state, "alive");
     assert!(status.restarts >= 1);
     assert!(status
         .last_panic
@@ -147,7 +154,7 @@ fn strict_policy_fails_the_shard_and_goes_unready() {
 
     service.poison_worker(0).unwrap();
     wait_until("the shard to be marked failed", || {
-        service.worker_status()[0].state == WorkerState::Failed
+        shard0(&service).state == "failed"
     });
 
     let health = service.health();
@@ -187,19 +194,19 @@ fn retry_budget_exhaustion_fails_the_shard() {
     // exhausts the policy.
     for _ in 0..3 {
         service.poison_worker(0).unwrap();
-        let target = service.worker_status()[0].restarts + 1;
+        let target = shard0(&service).restarts + 1;
         wait_until("the panic to be handled", || {
-            let s = &service.worker_status()[0];
-            s.state == WorkerState::Failed || s.restarts >= target
+            let s = shard0(&service);
+            s.state == "failed" || s.restarts >= target
         });
-        if service.worker_status()[0].state == WorkerState::Failed {
+        if shard0(&service).state == "failed" {
             break;
         }
     }
     wait_until("the budget to run out", || {
-        service.worker_status()[0].state == WorkerState::Failed
+        shard0(&service).state == "failed"
     });
-    assert_eq!(service.worker_status()[0].restarts, 2);
+    assert_eq!(shard0(&service).restarts, 2);
     let envelope = service.scrape(0);
     assert_eq!(envelope.counter("service.worker.restarts"), 2);
     assert_eq!(envelope.counter("service.worker.panics"), 3);
@@ -229,5 +236,5 @@ fn a_restart_does_not_wait_for_the_residency_tick() {
         service.try_flush(Duration::from_secs(5)),
         FlushOutcome::Flushed
     );
-    assert_eq!(service.worker_status()[0].restarts, 1);
+    assert_eq!(shard0(&service).restarts, 1);
 }

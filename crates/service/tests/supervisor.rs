@@ -7,8 +7,8 @@
 
 use std::time::{Duration, Instant};
 
-use smartpick_obs::{Event, EventKind, RestartPolicy, WorkerState};
-use smartpick_service::{FlushOutcome, ServiceConfig, SmartpickService};
+use smartpick_obs::{Event, EventKind};
+use smartpick_service::{FlushOutcome, RestartPolicy, ServiceConfig, SmartpickService};
 
 fn service(workers: usize, policy: RestartPolicy) -> SmartpickService {
     SmartpickService::new(ServiceConfig {
@@ -58,11 +58,12 @@ fn panicked_worker_is_restarted_and_recorded() {
     service.poison_worker(0).unwrap();
     wait_until(|| incidents(&service) == 1, "the restart");
 
-    let status = &service.worker_status()[0];
-    assert_eq!(status.state, WorkerState::Alive);
+    let health = service.health();
+    let status = &health.workers[0];
+    assert_eq!(status.state, "alive");
     assert_eq!(status.restarts, 1);
     assert_eq!(status.last_panic.as_deref(), Some(POISONED));
-    assert!(service.health().ready);
+    assert!(health.ready);
 
     // The incident is on the record: one panic event naming the panic,
     // one restart event, and both counters.
@@ -84,8 +85,8 @@ fn panicked_worker_is_restarted_and_recorded() {
         FlushOutcome::Flushed
     );
     service.shutdown();
-    let status = &service.worker_status()[0];
-    assert_eq!(status.state, WorkerState::Done);
+    let status = &service.health().workers[0];
+    assert_eq!(status.state, "done");
     assert_eq!(status.restarts, 1);
 }
 
@@ -95,11 +96,12 @@ fn strict_policy_fails_the_shard_on_first_panic() {
     service.poison_worker(0).unwrap();
     wait_until(|| incidents(&service) == 1, "the strict failure");
 
-    let status = &service.worker_status()[0];
-    assert_eq!(status.state, WorkerState::Failed);
+    let health = service.health();
+    let status = &health.workers[0];
+    assert_eq!(status.state, "failed");
     assert_eq!(status.restarts, 0);
     assert_eq!(status.last_panic.as_deref(), Some(POISONED));
-    assert!(!service.health().ready);
+    assert!(!health.ready);
     assert_eq!(events_of(&service, EventKind::WorkerPanic).len(), 1);
     assert!(events_of(&service, EventKind::WorkerRestarted).is_empty());
     let failed = events_of(&service, EventKind::WorkerFailed);
@@ -134,10 +136,12 @@ fn retry_budget_exhaustion_fails_the_shard() {
         wait_until(|| incidents(&service) == n, "the panic to be handled");
     }
 
-    let status = &service.worker_status()[0];
-    assert_eq!(status.state, WorkerState::Failed);
+    let health = service.health();
+    let status = &health.workers[0];
+    assert_eq!(status.state, "failed");
     assert_eq!(status.restarts, 2);
-    assert!(!service.health().ready);
+    assert_eq!(status.last_panic.as_deref(), Some(POISONED));
+    assert!(!health.ready);
     let restarts: Vec<_> = events_of(&service, EventKind::WorkerRestarted)
         .into_iter()
         .filter_map(|e| e.detail)
@@ -165,15 +169,17 @@ fn clean_exits_are_done_not_failed_across_many_shards() {
         },
     );
     service.shutdown();
-    let status = service.worker_status();
-    assert_eq!(status.len(), 3);
+    let health = service.health();
+    assert_eq!(health.workers.len(), 3);
     assert!(
-        status
+        health
+            .workers
             .iter()
-            .all(|s| s.state == WorkerState::Done && s.restarts == 0),
-        "{status:?}"
+            .all(|s| s.state == "done" && s.restarts == 0),
+        "{:?}",
+        health.workers
     );
-    assert_eq!(service.health().reasons, vec!["service is shut down"]);
+    assert_eq!(health.reasons, vec!["service is shut down"]);
     assert_eq!(service.scrape(0).counter("service.worker.restarts"), 0);
     assert!(events_of(&service, EventKind::WorkerFailed).is_empty());
 }

@@ -357,6 +357,7 @@ mod tests {
                 restarts: 3,
                 stalled: false,
                 queue_depth: 4,
+                last_panic: Some("boom".into()),
             }],
         };
         match reserialize(&Response::Health(report)) {
@@ -364,6 +365,7 @@ mod tests {
                 assert!(r.live && !r.ready);
                 assert_eq!(r.workers.len(), 1);
                 assert_eq!(r.workers[0].restarts, 3);
+                assert_eq!(r.workers[0].last_panic.as_deref(), Some("boom"));
                 assert_eq!(r.reasons.len(), 1);
             }
             other => panic!("wrong variant: {other:?}"),

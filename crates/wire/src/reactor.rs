@@ -556,7 +556,6 @@ pub(crate) fn reactor_loop(
 
 fn teardown_conn(conn: Conn, poller: &Poller, shared: &Shared) {
     let _ = poller.delete(conn.stream.as_raw_fd());
-    shared.active.fetch_sub(1, Ordering::SeqCst);
     shared.wm.connections.dec();
     shared.wm.connection_lifetime.record(conn.opened.elapsed());
     shared
@@ -622,7 +621,6 @@ fn accept_ready(
         {
             continue;
         }
-        shared.active.fetch_add(1, Ordering::SeqCst);
         shared.wm.connections.inc();
         shared
             .obs

@@ -151,7 +151,6 @@ pub(crate) struct Shared {
     pub(crate) template: Smartpick,
     pub(crate) config: WireServerConfig,
     pub(crate) shutdown: AtomicBool,
-    pub(crate) active: AtomicUsize,
     /// Blocking operations admitted and not yet finished (see
     /// [`WireServerConfig::pipeline_workers`]).
     pub(crate) blocking_ops: AtomicUsize,
@@ -211,7 +210,6 @@ impl WireServer {
             template,
             config,
             shutdown: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
             blocking_ops: AtomicUsize::new(0),
             obs,
             wm,
@@ -236,11 +234,6 @@ impl WireServer {
     /// The bound listen address (resolves port 0 to the real port).
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
-    }
-
-    /// Connections currently being served.
-    pub fn active_connections(&self) -> usize {
-        self.shared.active.load(Ordering::Relaxed)
     }
 
     /// The service this server fronts.

@@ -94,6 +94,7 @@ fn fixture() -> &'static Fixture {
                     restarts: 3,
                     stalled: false,
                     queue_depth: 12,
+                    last_panic: Some("poisoned".to_owned()),
                 },
                 WorkerHealth {
                     shard: 1,
@@ -101,6 +102,7 @@ fn fixture() -> &'static Fixture {
                     restarts: 0,
                     stalled: true,
                     queue_depth: 1,
+                    last_panic: None,
                 },
             ],
         };

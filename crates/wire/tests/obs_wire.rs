@@ -8,8 +8,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use smartpick_obs::RestartPolicy;
-use smartpick_service::{CompletedRun, ServiceConfig, SmartpickService};
+use smartpick_service::{CompletedRun, RestartPolicy, ServiceConfig, SmartpickService};
 use smartpick_wire::codec::encode_envelope_into;
 use smartpick_wire::frame::{read_frame_any_into, write_frame_v3_buffered};
 use smartpick_wire::{Request, WireClient, WireServer, WireServerConfig, DEFAULT_MAX_FRAME_LEN};
@@ -66,7 +65,7 @@ fn worker_crash_recovery_is_visible_over_the_wire() {
     // The service recovers: flush drains through the restart.
     client.flush().unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
-    while service.worker_status()[0].restarts < 1 {
+    while client.health().unwrap().workers[0].restarts < 1 {
         assert!(Instant::now() < deadline, "restart never recorded");
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -102,6 +101,11 @@ fn worker_crash_recovery_is_visible_over_the_wire() {
     assert_eq!(health.workers.len(), 1);
     assert!(health.workers[0].restarts >= 1);
     assert_eq!(health.workers[0].state, "alive");
+    let last_panic = health.workers[0].last_panic.as_deref();
+    assert!(
+        last_panic.is_some_and(|p| p.contains("poisoned")),
+        "{last_panic:?}"
+    );
 
     // And the restarted worker still applies feedback end to end.
     client.report_run("acme", run).unwrap();

@@ -247,13 +247,13 @@ fn framing_violator_that_never_reads_is_reaped_at_the_drain_deadline() {
     loop {
         // Only the violator and the registrar are connected; the slot is
         // free once the count falls to the registrar alone.
-        if server.active_connections() <= 1 {
+        let active = server.service().scrape(0).gauge("wire.connections");
+        if active <= 1 {
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "framing violator still holds its connection slot: {} active",
-            server.active_connections()
+            "framing violator still holds its connection slot: {active} active"
         );
         std::thread::sleep(Duration::from_millis(20));
     }

@@ -59,11 +59,6 @@ fn one_core_sustains_a_thousand_live_connections() {
 
     // The server's own accounting agrees that all of them are held
     // concurrently by one loop thread.
-    assert!(
-        server.active_connections() >= CONNECTIONS,
-        "server tracks {} active connections, wanted >= {CONNECTIONS}",
-        server.active_connections()
-    );
     let scrape = clients[0].scrape(0).unwrap();
     let connections = scrape
         .metric("wire.connections")

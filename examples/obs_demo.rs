@@ -3,9 +3,9 @@
 //!
 //! The demo trains a small template, serves some predictions, feeds
 //! feedback through the retrain workers, then kills one worker with the
-//! `poison_worker` fault-injection hook and watches the supervisor
-//! restart it: the incident shows up in the event log, the restart
-//! counter, and the health report, and no queued report is lost.
+//! `poison_worker` fault-injection hook and watches the worker restart
+//! itself: the incident shows up in the event log, the restart counter,
+//! and the health report, and no queued report is lost.
 //!
 //! The envelope printed here is byte-for-byte what `Request::Scrape`
 //! returns over the wire (`WireClient::scrape`).
@@ -21,8 +21,8 @@ use smartpick::core::driver::Smartpick;
 use smartpick::core::properties::SmartpickProperties;
 use smartpick::core::training::TrainOptions;
 use smartpick::ml::forest::ForestParams;
-use smartpick::obs::{MetricValue, RestartPolicy, WorkerState};
-use smartpick::service::{ServiceConfig, SmartpickService};
+use smartpick::obs::MetricValue;
+use smartpick::service::{RestartPolicy, ServiceConfig, SmartpickService};
 use smartpick::workloads::tpcds;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -117,17 +117,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Fault injection: kill a retrain worker mid-stream -------------
     println!("\npoisoning retrain worker shard 0 ...");
     service.poison_worker(0)?;
-    let restarted = |s: &SmartpickService| {
-        s.worker_status()
-            .first()
-            .is_some_and(|w| w.restarts >= 1 && w.state == WorkerState::Alive)
-    };
-    while !restarted(&service) {
+    let status = loop {
+        let shard0 = service.health().workers.swap_remove(0);
+        if shard0.restarts >= 1 && shard0.state == "alive" {
+            break shard0;
+        }
         std::thread::sleep(Duration::from_millis(5));
-    }
-    let status = &service.worker_status()[0];
+    };
     println!(
-        "supervisor restarted shard 0 (restarts={}, last panic: {})",
+        "shard 0 restarted itself (restarts={}, last panic: {})",
         status.restarts,
         status.last_panic.as_deref().unwrap_or("-"),
     );
@@ -165,10 +163,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Post-restart the service still takes work: nothing was lost.
     service.submit("acme", &query, 99)?;
     assert!(service.flush(), "restarted shard drains its queue");
-    let stats = service.stats();
+    let envelope = service.scrape(0);
     println!(
         "after recovery: {} reports enqueued, {} applied, 0 pending",
-        stats.reports_enqueued, stats.reports_applied
+        envelope.counter("service.reports_enqueued"),
+        envelope.counter("service.reports_applied")
     );
     Ok(())
 }

@@ -67,15 +67,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     service.flush();
-    let stats = service.stats();
+    // Service totals come from the scrape, the same envelope a wire
+    // client reads.
+    let scrape = service.scrape(0);
     println!(
         "\nservice: {} tenants, {} predictions, {} executions, {} reports applied, {} retrains",
-        stats.tenants, stats.predictions, stats.executions, stats.reports_applied, stats.retrains,
+        scrape.gauge("service.tenants"),
+        scrape.counter("service.predictions"),
+        scrape.counter("service.executions"),
+        scrape.counter("service.reports_applied"),
+        scrape.counter("service.retrains"),
     );
-    println!(
-        "read latency: p50 {} us, p99 {} us over {} reads",
-        stats.predict_latency.p50_us, stats.predict_latency.p99_us, stats.predict_latency.count,
-    );
+    if let Some(latency) = scrape.histogram("service.predict_latency") {
+        println!(
+            "read latency: p50 {} us, p99 {} us over {} reads",
+            latency.p50_us, latency.p99_us, latency.count,
+        );
+    }
     for tenant in service.tenants() {
         let ts = service.tenant_stats(&tenant)?;
         println!(

@@ -13,11 +13,10 @@
 //! * [`engine`] — the Spark-like DAG execution engine.
 //! * [`ml`] — Random Forest / Gaussian Process / Bayesian Optimizer.
 //! * [`obs`] — observability: lock-light metrics registry, structured
-//!   event log, scrape/health envelopes, and the retrain workers'
-//!   restart policy.
+//!   event log, scrape/health envelopes.
 //! * [`service`] — "smartpickd": the concurrent multi-tenant prediction
-//!   service (sharded tenant registry, snapshot reads, sharded retrain
-//!   workers).
+//!   service (sharded tenant registry, snapshot reads, sharded
+//!   self-restarting retrain workers and their restart policy).
 //! * [`wire`] — the framed JSON-over-TCP front-end and typed blocking
 //!   client for smartpickd.
 //! * [`sqlmeta`] — SQL metadata extraction and cosine similarity.

@@ -68,7 +68,7 @@ fn train_predict_plan_round_trip() {
         .expect("service submit succeeds");
     assert!(outcome.report.seconds() > 0.0);
     assert!(service.flush(), "worker applies the report");
-    let stats = service.stats();
-    assert_eq!(stats.executions, 1);
-    assert_eq!(stats.reports_applied, 1);
+    let scrape = service.scrape(0);
+    assert_eq!(scrape.counter("service.executions"), 1);
+    assert_eq!(scrape.counter("service.reports_applied"), 1);
 }
