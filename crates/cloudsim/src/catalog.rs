@@ -214,13 +214,6 @@ impl Catalog {
     pub fn worker_sl(&self) -> &InstanceType {
         &self.worker_sl
     }
-
-    /// Looks an instance type up by its catalog name.
-    pub fn by_name(&self, name: &str) -> Option<&InstanceType> {
-        [&self.worker_vm, &self.master_vm, &self.worker_sl]
-            .into_iter()
-            .find(|t| t.name == name)
-    }
 }
 
 #[cfg(test)]
@@ -252,14 +245,6 @@ mod tests {
             assert_eq!(c.master_vm().vcpus, 4);
             assert_eq!(c.master_vm().memory_mib, 16 * 1024);
         }
-    }
-
-    #[test]
-    fn lookup_by_name() {
-        let c = Catalog::for_provider(Provider::Aws);
-        assert!(c.by_name("t3.small").is_some());
-        assert!(c.by_name("lambda-2048").is_some());
-        assert!(c.by_name("m5.large").is_none());
     }
 
     #[test]

@@ -118,11 +118,6 @@ impl CostReport {
             .map(|i| i.amount)
             .sum()
     }
-
-    /// Merges another report into this one.
-    pub fn merge(&mut self, other: CostReport) {
-        self.items.extend(other.items);
-    }
 }
 
 impl fmt::Display for CostReport {
@@ -154,17 +149,6 @@ mod tests {
         assert_eq!(r.subtotal(CostKind::VmCompute).dollars(), 3.0);
         assert_eq!(r.subtotal(CostKind::SlCompute).dollars(), 0.0);
         assert_eq!(r.items().len(), 3);
-    }
-
-    #[test]
-    fn merge_combines_items() {
-        let mut a = CostReport::new();
-        a.add(CostKind::SlCompute, "x", Money::from_dollars(0.25));
-        let mut b = CostReport::new();
-        b.add(CostKind::VmStorage, "y", Money::from_dollars(0.75));
-        a.merge(b);
-        assert_eq!(a.total().dollars(), 1.0);
-        assert_eq!(a.items().len(), 2);
     }
 
     #[test]

@@ -85,11 +85,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.time, e.event))
     }
 
-    /// The firing time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -135,10 +130,8 @@ mod tests {
     fn peek_and_len() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
         q.push(SimTime::from_millis(3), ());
         assert_eq!(q.len(), 1);
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(3)));
         q.pop();
         assert!(q.is_empty());
     }

@@ -157,19 +157,6 @@ impl CloudEnv {
     pub fn boot(&self) -> &BootModel {
         &self.boot
     }
-
-    /// Returns a copy of this environment with a custom boot model, used by
-    /// ablation benchmarks.
-    pub fn with_boot_model(mut self, boot: BootModel) -> Self {
-        self.boot = boot;
-        self
-    }
-
-    /// Returns a copy of this environment with a custom performance profile.
-    pub fn with_perf_profile(mut self, perf: PerfProfile) -> Self {
-        self.perf = perf;
-        self
-    }
 }
 
 #[cfg(test)]

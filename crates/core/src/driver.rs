@@ -31,7 +31,7 @@ use crate::wp::{
 };
 
 /// Everything one submitted query produced.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QueryOutcome {
     /// WP's resource determination (including `ET_l`).
     pub determination: Determination,

@@ -24,13 +24,6 @@ pub enum SmartpickError {
     /// The predictor has no known queries and the request had no SQL to
     /// similarity-match.
     UnknownQuery(String),
-    /// An invalid property value.
-    InvalidProperty {
-        /// The `smartpick.*` key.
-        key: String,
-        /// The offending value.
-        value: String,
-    },
     /// A persisted driver state failed validation during restore.
     InvalidState(String),
     /// The predictor's search bounds leave the requested constraint mode
@@ -53,9 +46,6 @@ impl fmt::Display for SmartpickError {
                     f,
                     "query `{id}` is unknown and cannot be similarity-matched"
                 )
-            }
-            SmartpickError::InvalidProperty { key, value } => {
-                write!(f, "invalid value `{value}` for property `{key}`")
             }
             SmartpickError::InvalidState(what) => {
                 write!(f, "invalid persisted state: {what}")

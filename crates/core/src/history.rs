@@ -33,13 +33,6 @@ pub struct RunRecord {
     pub cost_dollars: f64,
 }
 
-impl RunRecord {
-    /// Absolute prediction error in seconds.
-    pub fn abs_error(&self) -> f64 {
-        (self.actual_seconds - self.predicted_seconds).abs()
-    }
-}
-
 /// Runs a [`HistoryServer`] keeps: the most recent this many. A constant,
 /// not a setting — it bounds tenant state (snapshot bytes, rehydration
 /// time, resident memory), which no deployment wants unbounded.
@@ -175,11 +168,6 @@ mod tests {
         let mut longer = kept.clone();
         longer.insert(0, record("q", -1.0, 0.0));
         assert_eq!(HistoryServer::from_records(longer).snapshot(), kept);
-    }
-
-    #[test]
-    fn abs_error() {
-        assert_eq!(record("q", 10.0, 13.0).abs_error(), 3.0);
     }
 
     #[test]

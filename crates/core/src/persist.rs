@@ -16,9 +16,7 @@
 //! [`smartpick_cloudsim::CloudEnv::new`] /
 //! [`smartpick_cloudsim::CloudEnv::with_family`]: the environment is
 //! encoded as `(provider, compute_optimised)`, which fully determines the
-//! catalog, performance, pricing and boot models. Environments customised
-//! with `with_boot_model`/`with_perf_profile` do **not** round-trip (the
-//! custom models are not captured) — such drivers should not be persisted.
+//! catalog, performance, pricing and boot models.
 
 use std::sync::Arc;
 

@@ -55,12 +55,6 @@ impl Planner {
         }
     }
 
-    /// Overrides the planning boot time (ablations).
-    pub fn with_boot_secs(mut self, secs: f64) -> Self {
-        self.boot_secs = secs;
-        self
-    }
-
     /// Expected completion time (seconds) of `workload` under `alloc`,
     /// using fluid-flow list scheduling: serverless slots work from t = 0,
     /// VM slots join after the boot window; under relay the serverless

@@ -3,12 +3,8 @@
 //! "Spark applications can easily utilize Smartpick by setting these
 //! properties without any modification" (§5). Defaults match Table 4.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 use smartpick_cloudsim::Provider;
-
-use crate::error::SmartpickError;
 
 /// Smartpick configuration properties (Table 4).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -51,122 +47,6 @@ impl Default for SmartpickProperties {
     }
 }
 
-impl SmartpickProperties {
-    /// Builds properties from `smartpick.*` key/value pairs, starting from
-    /// the Table 4 defaults. Unknown keys are ignored (forward
-    /// compatibility, as Spark does).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SmartpickError::InvalidProperty`] when a known key has an
-    /// unparsable value.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use smartpick_core::properties::SmartpickProperties;
-    /// use std::collections::BTreeMap;
-    ///
-    /// let mut kv = BTreeMap::new();
-    /// kv.insert("smartpick.cloud.compute.provider".into(), "GCP".into());
-    /// kv.insert("smartpick.cloud.compute.knob".into(), "0.5".into());
-    /// let props = SmartpickProperties::from_pairs(&kv)?;
-    /// assert_eq!(props.knob, 0.5);
-    /// # Ok::<(), smartpick_core::SmartpickError>(())
-    /// ```
-    pub fn from_pairs(pairs: &BTreeMap<String, String>) -> Result<Self, SmartpickError> {
-        let mut props = SmartpickProperties::default();
-        for (key, value) in pairs {
-            let invalid = || SmartpickError::InvalidProperty {
-                key: key.clone(),
-                value: value.clone(),
-            };
-            match key.as_str() {
-                "smartpick.cloud.compute.provider" => {
-                    props.provider = value.parse().map_err(|_| invalid())?;
-                }
-                "smartpick.cloud.compute.instanceFamily" => {
-                    props.instance_family = value.clone();
-                }
-                "smartpick.cloud.compute.relay" => {
-                    props.relay = parse_bool(value).ok_or_else(invalid)?;
-                }
-                "smartpick.cloud.compute.knob" => {
-                    let knob: f64 = value.parse().map_err(|_| invalid())?;
-                    if !(0.0..=10.0).contains(&knob) {
-                        return Err(invalid());
-                    }
-                    props.knob = knob;
-                }
-                "smartpick.train.max.batch" => {
-                    props.max_batch = value.parse().map_err(|_| invalid())?;
-                }
-                "smartpick.train.pref.sameInstance" => {
-                    props.same_instance_retrain = parse_bool(value).ok_or_else(invalid)?;
-                }
-                "smartpick.train.min.ram.gb" => {
-                    props.min_ram_gb = value.parse().map_err(|_| invalid())?;
-                }
-                "smartpick.train.errorDifference.trigger" => {
-                    let t: f64 = value.parse().map_err(|_| invalid())?;
-                    if t <= 0.0 {
-                        return Err(invalid());
-                    }
-                    props.error_difference_trigger_secs = t;
-                }
-                _ => {}
-            }
-        }
-        Ok(props)
-    }
-
-    /// Serialises back to Table 4 key/value pairs.
-    pub fn to_pairs(&self) -> BTreeMap<String, String> {
-        let mut kv = BTreeMap::new();
-        kv.insert(
-            "smartpick.cloud.compute.provider".to_owned(),
-            self.provider.name().to_owned(),
-        );
-        kv.insert(
-            "smartpick.cloud.compute.instanceFamily".to_owned(),
-            self.instance_family.clone(),
-        );
-        kv.insert(
-            "smartpick.cloud.compute.relay".to_owned(),
-            self.relay.to_string(),
-        );
-        kv.insert(
-            "smartpick.cloud.compute.knob".to_owned(),
-            self.knob.to_string(),
-        );
-        kv.insert(
-            "smartpick.train.max.batch".to_owned(),
-            self.max_batch.to_string(),
-        );
-        kv.insert(
-            "smartpick.train.pref.sameInstance".to_owned(),
-            self.same_instance_retrain.to_string(),
-        );
-        kv.insert(
-            "smartpick.train.min.ram.gb".to_owned(),
-            self.min_ram_gb.to_string(),
-        );
-        kv.insert(
-            "smartpick.train.errorDifference.trigger".to_owned(),
-            self.error_difference_trigger_secs.to_string(),
-        );
-        kv
-    }
-}
-
-fn parse_bool(s: &str) -> Option<bool> {
-    match s.trim().to_ascii_lowercase().as_str() {
-        "true" | "1" | "yes" => Some(true),
-        "false" | "0" | "no" => Some(false),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,41 +62,5 @@ mod tests {
         assert!(!p.same_instance_retrain);
         assert_eq!(p.min_ram_gb, 4);
         assert_eq!(p.error_difference_trigger_secs, 50.0);
-    }
-
-    #[test]
-    fn round_trip_via_pairs() {
-        let p = SmartpickProperties {
-            provider: Provider::Gcp,
-            knob: 0.8,
-            relay: false,
-            ..SmartpickProperties::default()
-        };
-        let back = SmartpickProperties::from_pairs(&p.to_pairs()).unwrap();
-        assert_eq!(p, back);
-    }
-
-    #[test]
-    fn invalid_values_rejected() {
-        for (k, v) in [
-            ("smartpick.cloud.compute.provider", "azure"),
-            ("smartpick.cloud.compute.knob", "-1"),
-            ("smartpick.cloud.compute.relay", "maybe"),
-            ("smartpick.train.errorDifference.trigger", "0"),
-        ] {
-            let mut kv = BTreeMap::new();
-            kv.insert(k.to_owned(), v.to_owned());
-            assert!(
-                SmartpickProperties::from_pairs(&kv).is_err(),
-                "{k}={v} should be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn unknown_keys_ignored() {
-        let mut kv = BTreeMap::new();
-        kv.insert("smartpick.future.flag".to_owned(), "on".to_owned());
-        assert!(SmartpickProperties::from_pairs(&kv).is_ok());
     }
 }

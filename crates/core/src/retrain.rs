@@ -46,60 +46,8 @@ pub enum RetrainTrigger {
     BatchFull,
 }
 
-/// Serialises as `"same-instance"` / `"separate-instance"`.
-impl serde::Serialize for RetrainLocation {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(
-            match self {
-                RetrainLocation::SameInstance => "same-instance",
-                RetrainLocation::SeparateInstance => "separate-instance",
-            }
-            .to_owned(),
-        )
-    }
-}
-
-impl serde::Deserialize for RetrainLocation {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        match v {
-            serde::Value::Str(s) if s == "same-instance" => Ok(RetrainLocation::SameInstance),
-            serde::Value::Str(s) if s == "separate-instance" => {
-                Ok(RetrainLocation::SeparateInstance)
-            }
-            other => Err(serde::DeError(format!(
-                "expected a retrain location, got {other:?}"
-            ))),
-        }
-    }
-}
-
-/// Serialises as `"error-difference"` / `"batch-full"`.
-impl serde::Serialize for RetrainTrigger {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(
-            match self {
-                RetrainTrigger::ErrorDifference => "error-difference",
-                RetrainTrigger::BatchFull => "batch-full",
-            }
-            .to_owned(),
-        )
-    }
-}
-
-impl serde::Deserialize for RetrainTrigger {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        match v {
-            serde::Value::Str(s) if s == "error-difference" => Ok(RetrainTrigger::ErrorDifference),
-            serde::Value::Str(s) if s == "batch-full" => Ok(RetrainTrigger::BatchFull),
-            other => Err(serde::DeError(format!(
-                "expected a retrain trigger, got {other:?}"
-            ))),
-        }
-    }
-}
-
 /// Outcome of one retraining task.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetrainReport {
     /// What fired it.
     pub trigger: RetrainTrigger,
@@ -159,11 +107,6 @@ impl RetrainMonitor {
     /// Number of retraining tasks fired so far.
     pub fn retrain_count(&self) -> usize {
         self.retrain_count
-    }
-
-    /// Samples waiting for the next batch retrain.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
     }
 
     /// Records one completed run and decides whether retraining fires.
@@ -431,7 +374,7 @@ mod tests {
             (after - 400.0).abs() < (before - 400.0).abs() * 0.7,
             "prediction should converge: before {before}, after {after}"
         );
-        assert_eq!(mon.pending_len(), 0);
+        assert!(mon.pending.is_empty());
         assert_eq!(mon.retrain_count(), 1);
     }
 

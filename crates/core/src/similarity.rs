@@ -59,11 +59,6 @@ impl SimilarityChecker {
         });
     }
 
-    /// Whether `query_id` is registered.
-    pub fn knows(&self, query_id: &str) -> bool {
-        self.known.iter().any(|k| k.query_id == query_id)
-    }
-
     /// Number of registered queries.
     pub fn len(&self) -> usize {
         self.known.len()
@@ -168,6 +163,6 @@ mod tests {
         sc.register(&q);
         sc.register(&q);
         assert_eq!(sc.len(), 1);
-        assert!(sc.knows("tpcds-q11"));
+        assert_eq!(sc.known[0].query_id, "tpcds-q11");
     }
 }

@@ -35,16 +35,6 @@ impl RunReport {
     pub fn seconds(&self) -> f64 {
         self.completion.as_secs_f64()
     }
-
-    /// Fraction of tasks that ran on serverless workers.
-    pub fn sl_task_fraction(&self) -> f64 {
-        let total = self.tasks_on_sl + self.tasks_on_vm;
-        if total == 0 {
-            0.0
-        } else {
-            self.tasks_on_sl as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -65,22 +55,6 @@ mod tests {
             first_task_start: SimTime::ZERO,
         };
         assert_eq!(r.seconds(), 10.0);
-        assert!((r.sl_task_fraction() - 0.3).abs() < 1e-12);
         assert_eq!(r.total_cost().dollars(), 0.0);
-    }
-
-    #[test]
-    fn zero_tasks_fraction_is_zero() {
-        let r = RunReport {
-            query_id: "q".into(),
-            allocation: Allocation::new(0, 1),
-            completion: SimDuration::ZERO,
-            cost: CostReport::new(),
-            tasks_on_sl: 0,
-            tasks_on_vm: 0,
-            stage_completions: vec![],
-            first_task_start: SimTime::ZERO,
-        };
-        assert_eq!(r.sl_task_fraction(), 0.0);
     }
 }

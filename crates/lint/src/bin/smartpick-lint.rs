@@ -65,11 +65,11 @@ fn main() -> ExitCode {
     print!("{}", report.render_human());
 
     if let Some(path) = json {
-        let json_text = match serde_json::to_string(&report) {
+        let json_text = match report.to_json() {
             Ok(t) => t,
             Err(e) => return usage(&format!("cannot serialize report: {e:?}")),
         };
-        if let Err(e) = std::fs::write(&path, json_text + "\n") {
+        if let Err(e) = std::fs::write(&path, json_text) {
             return usage(&format!("cannot write {}: {e}", path.display()));
         }
         println!("wrote {}", path.display());

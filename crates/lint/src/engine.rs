@@ -2,19 +2,22 @@
 //!
 //! [`load_workspace`] walks the repo's own targets (root `src`/`tests`/
 //! `examples` plus every `crates/*` member), skipping `vendor/`,
-//! `target/`, and lint fixtures. [`run`] applies every rule to every
-//! file, then applies the allowlist: suppressed findings stay in the
-//! report flagged `allowed` (with the directive's reason), so the JSON
-//! artifact records *why* each exception exists. A directive that is
-//! malformed or names an unknown rule is itself a finding — a typo can
-//! never silently open a hole in the gate.
+//! `target/`, and lint fixtures; `benchmark/src` and `benchmark/tests`
+//! are read into the identifier index only. [`run`] applies every rule
+//! to every file, then applies the allowlist: suppressed findings stay
+//! in the report flagged `allowed` (with the directive's reason), so the
+//! JSON artifact records *why* each exception exists. A directive that
+//! is malformed or names an unknown rule is itself a finding — a typo
+//! can never silently open a hole in the gate.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use serde::Serialize;
 
-use crate::rules::{all_rules, collect_vendor_exports, is_known_rule, Context, Finding};
+use crate::rules::{
+    all_rules, collect_vendor_exports, is_known_rule, surface, Context, Finding, Surface, UseIndex,
+};
 use crate::source::{FileKind, SourceFile};
 
 /// The loaded workspace: all analyzable files plus shared context.
@@ -23,20 +26,23 @@ pub struct Workspace {
     pub root: PathBuf,
     /// Every analyzable source file.
     pub files: Vec<SourceFile>,
-    /// Facts shared across rules (vendor exports).
+    /// Facts shared across rules (vendor exports, identifier index).
     pub ctx: Context,
 }
+
+/// A package's target directories.
+const TARGETS: [(&str, FileKind); 4] = [
+    ("src", FileKind::Src),
+    ("tests", FileKind::Test),
+    ("benches", FileKind::Bench),
+    ("examples", FileKind::Example),
+];
 
 /// Loads every analyzable `.rs` file under `root`.
 pub fn load_workspace(root: &Path) -> std::io::Result<Workspace> {
     let mut files = Vec::new();
     // Root package targets.
-    for (dir, kind) in [
-        ("src", FileKind::Src),
-        ("tests", FileKind::Test),
-        ("benches", FileKind::Bench),
-        ("examples", FileKind::Example),
-    ] {
+    for (dir, kind) in TARGETS {
         load_dir(root, &root.join(dir), "smartpick", kind, &mut files);
     }
     // Workspace members under crates/.
@@ -52,19 +58,22 @@ pub fn load_workspace(root: &Path) -> std::io::Result<Workspace> {
                 continue;
             };
             let name = name.to_owned();
-            for (dir, kind) in [
-                ("src", FileKind::Src),
-                ("tests", FileKind::Test),
-                ("benches", FileKind::Bench),
-                ("examples", FileKind::Example),
-            ] {
+            for (dir, kind) in TARGETS {
                 load_dir(root, &member.join(dir), &name, kind, &mut files);
             }
         }
     }
     files.sort_by(|a, b| a.rel.cmp(&b.rel));
+    // The end-to-end benchmark (`benchmark/src`, `benchmark/tests`) is a
+    // package of its own: indexed so its calls count as uses, never linted.
+    let bench = root.join("benchmark");
+    let mut harness = Vec::new();
+    for (dir, kind) in TARGETS {
+        load_dir(root, &bench.join(dir), "benchmark", kind, &mut harness);
+    }
     let ctx = Context {
         vendor_exports: collect_vendor_exports(&root.join("vendor")),
+        uses: UseIndex::build(&files, &harness),
     };
     Ok(Workspace {
         root: root.to_owned(),
@@ -135,12 +144,14 @@ pub struct LintReport {
     pub schema: u32,
     pub summary: Summary,
     pub findings: Vec<Finding>,
+    /// `pub` items only tests or only the benchmark use.
+    pub surface: Surface,
 }
 
 impl LintReport {
-    /// Findings not covered by an allow directive.
-    pub fn unallowed(&self) -> impl Iterator<Item = &Finding> {
-        self.findings.iter().filter(|f| !f.allowed)
+    /// The text `lint-report.json` holds: the report as one JSON line.
+    pub fn to_json(&self) -> Result<String, serde_json::Error> {
+        serde_json::to_string(self).map(|text| text + "\n")
     }
 
     /// Human-readable rendering for terminal output.
@@ -160,11 +171,14 @@ impl LintReport {
             }
         }
         out.push_str(&format!(
-            "smartpick-lint: {} files scanned, {} findings ({} allowed, {} unallowed)\n",
+            "smartpick-lint: {} files scanned, {} findings ({} allowed, {} unallowed); \
+             surface: {} test-only, {} harness-only pub items\n",
             self.summary.files_scanned,
             self.summary.total,
             self.summary.allowed,
-            self.summary.unallowed
+            self.summary.unallowed,
+            self.surface.test_only.len(),
+            self.surface.harness_only.len()
         ));
         out
     }
@@ -249,7 +263,7 @@ pub fn run(ws: &Workspace) -> LintReport {
     }
     let total = findings.len();
     LintReport {
-        schema: 1,
+        schema: 2,
         summary: Summary {
             files_scanned: ws.files.len(),
             total,
@@ -258,5 +272,6 @@ pub fn run(ws: &Workspace) -> LintReport {
             by_rule,
         },
         findings,
+        surface: surface(&ws.files, &ws.ctx),
     }
 }

@@ -1,12 +1,15 @@
 //! smartpick-lint: a workspace-aware static analyzer for smartpickd's
-//! concurrency and panic-safety invariants.
+//! concurrency and panic-safety invariants, and for dead surface.
 //!
 //! The serving stack's correctness rests on invariants no type system
 //! checks: lock guards never live across blocking I/O, poisoned mutexes
 //! are recovered with `into_inner()`, server threads have no panic
 //! paths, channels in long-lived state are bounded, and — because the
 //! build is offline against vendored shims — `use` statements only name
-//! items the shims actually export. This crate lexes the workspace's
+//! items the shims actually export. Its size rests on one more: every
+//! `pub` item in a crate's sources is used by something other than its
+//! own tests (`unreferenced-pub`, which also lists the items only tests
+//! or the end-to-end benchmark use). This crate lexes the workspace's
 //! Rust sources with a small total lexer (no rustc, no syn), models each
 //! file as a token stream with test-region and allowlist metadata, and
 //! runs a fixed rule set over it.

@@ -1,6 +1,7 @@
 //! The rule engine's rule set.
 //!
-//! Each rule is a stateless pass over one [`SourceFile`]'s token stream.
+//! Each rule is a stateless pass over one [`SourceFile`]'s token stream
+//! (`unreferenced-pub` also reads the workspace's [`UseIndex`]).
 //! Rules emit [`Finding`]s without consulting the allowlist — the engine
 //! applies `lint:allow` directives afterwards so that every suppressed
 //! finding still appears (flagged `allowed`) in the JSON report.
@@ -11,6 +12,7 @@ mod loop_thread_nonblocking;
 mod panic_free;
 mod poison_recovery;
 mod shim_conformance;
+mod unreferenced_pub;
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -19,6 +21,7 @@ use serde::Serialize;
 use crate::source::SourceFile;
 
 pub use shim_conformance::collect_vendor_exports;
+pub use unreferenced_pub::{surface, Surface, SurfaceItem, UseIndex};
 
 /// One finding, before or after allowlist application.
 #[derive(Debug, Clone, Serialize)]
@@ -55,6 +58,9 @@ impl Finding {
 pub struct Context {
     /// `vendor/<crate>` → the set of item names its sources `pub`-export.
     pub vendor_exports: BTreeMap<String, BTreeSet<String>>,
+    /// Identifier → where it occurs, across the workspace and the
+    /// benchmark.
+    pub uses: UseIndex,
 }
 
 /// One lint rule.
@@ -76,6 +82,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(bounded_channels::BoundedChannels),
         Box::new(shim_conformance::ShimConformance),
         Box::new(loop_thread_nonblocking::LoopThreadNonblocking),
+        Box::new(unreferenced_pub::UnreferencedPub),
     ]
 }
 

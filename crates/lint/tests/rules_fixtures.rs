@@ -6,10 +6,10 @@
 //! the way the engine lexes workspace sources, posing as
 //! `crates/service/src/<fixture>.rs` so the crate-scoped rules apply.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-use smartpick_lint::engine::run_file;
-use smartpick_lint::rules::{collect_vendor_exports, Context, Finding};
+use smartpick_lint::engine::{run, run_file, Workspace};
+use smartpick_lint::rules::{collect_vendor_exports, Context, Finding, UseIndex};
 use smartpick_lint::source::{FileKind, SourceFile};
 
 fn lint_fixture(name: &str, src: &str, ctx: &Context) -> Vec<Finding> {
@@ -85,6 +85,7 @@ fn shim_conformance_fixture() {
         .join("vendor");
     let ctx = Context {
         vendor_exports: collect_vendor_exports(&vendor),
+        ..Context::default()
     };
     assert!(
         ctx.vendor_exports.contains_key("serde"),
@@ -234,4 +235,137 @@ fn residency_module_fixture() {
     }
     let (_, allowed) = split(&findings, "guard-across-blocking");
     assert_eq!(allowed.len(), 1, "{findings:#?}");
+}
+
+/// An in-memory workspace; files under `benchmark/` are indexed as the
+/// harness, never linted.
+fn workspace(files: &[(&str, FileKind, &str)]) -> Workspace {
+    let (harness, linted): (Vec<_>, Vec<_>) = files
+        .iter()
+        .map(|&(rel, kind, src)| {
+            let crate_name = rel.split('/').nth(1).unwrap_or("smartpick");
+            SourceFile::parse_str(rel, crate_name, kind, src)
+        })
+        .partition(|f| f.rel.starts_with("benchmark/"));
+    let ctx = Context {
+        uses: UseIndex::build(&linted, &harness),
+        ..Context::default()
+    };
+    Workspace {
+        root: PathBuf::new(),
+        files: linted,
+        ctx,
+    }
+}
+
+#[test]
+fn unreferenced_pub_classes() {
+    let ml = "pub fn dead_fn() {} // POSITIVE\n\
+              pub const DEAD_CONST: u32 = 1; // POSITIVE\n\
+              pub struct Holder {\n\
+                  pub dead_field: u32, // POSITIVE\n\
+                  pub live_field: u32,\n\
+              }\n\
+              pub enum Mode {\n\
+                  Live,\n\
+                  DeadVariant, // POSITIVE\n\
+              }\n\
+              pub fn cross_crate(h: &Holder) -> u32 { h.live_field }\n\
+              pub fn only_tested() {}\n\
+              pub fn only_benchmarked() {}\n\
+              pub fn own_tests_only() {} // POSITIVE\n\
+              /// `documented_only` is named here and in a string literal.\n\
+              pub fn documented_only() {} // POSITIVE\n\
+              pub fn only_imported() {} // POSITIVE\n\
+              pub(crate) fn narrowed() {}\n\
+              // lint:allow(unreferenced-pub, reason = \"kept for docs/WIRE.md\")\n\
+              pub fn allowed_dead() {}\n\
+              #[cfg(test)]\n\
+              mod tests {\n\
+                  #[test]\n\
+                  fn t() { super::own_tests_only(); }\n\
+              }\n";
+    let core = "use smartpick_ml::only_imported;\n\
+                pub fn caller(h: &smartpick_ml::Holder) -> usize {\n\
+                    let _ = smartpick_ml::Mode::Live;\n\
+                    smartpick_ml::cross_crate(h) as usize + \"documented_only\".len()\n\
+                }\n";
+    let ws = workspace(&[
+        ("crates/ml/src/lib.rs", FileKind::Src, ml),
+        ("crates/core/src/lib.rs", FileKind::Src, core),
+        (
+            "crates/ml/tests/t.rs",
+            FileKind::Test,
+            "#[test]\nfn t() { smartpick_ml::only_tested(); }\n",
+        ),
+        (
+            "benchmark/src/main.rs",
+            FileKind::Src,
+            "fn main() { smartpick_ml::only_benchmarked(); }\n",
+        ),
+    ]);
+    let report = run(&ws);
+    let in_ml: Vec<Finding> = report
+        .findings
+        .iter()
+        .filter(|f| f.file == "crates/ml/src/lib.rs")
+        .cloned()
+        .collect();
+    let (unallowed, allowed) = split(&in_ml, "unreferenced-pub");
+    assert_eq!(unallowed, positive_lines(ml), "{in_ml:#?}");
+    assert_eq!(allowed, vec![20], "{in_ml:#?}");
+    let allowed = in_ml.iter().find(|f| f.allowed).unwrap();
+    assert_eq!(allowed.reason, "kept for docs/WIRE.md");
+
+    // `caller` is used nowhere either; nothing else in core is a finding.
+    let in_core: Vec<_> = report
+        .findings
+        .iter()
+        .filter(|f| f.file == "crates/core/src/lib.rs")
+        .map(|f| f.message.as_str())
+        .collect();
+    assert_eq!(
+        in_core,
+        vec![
+            "`pub fn caller` is used nowhere outside its own file's tests; \
+              delete it or narrow its visibility"
+        ]
+    );
+
+    let items = |list: &[smartpick_lint::rules::SurfaceItem]| {
+        list.iter()
+            .map(|s| (s.item.clone(), s.used_in.clone()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        items(&report.surface.test_only),
+        vec![(
+            "only_tested".to_owned(),
+            vec!["crates/ml/tests/t.rs".to_owned()]
+        )]
+    );
+    assert_eq!(
+        items(&report.surface.harness_only),
+        vec![(
+            "only_benchmarked".to_owned(),
+            vec!["benchmark/src/main.rs".to_owned()]
+        )]
+    );
+}
+
+#[test]
+fn unreferenced_pub_names_methods_by_their_owner() {
+    let src = "pub struct Gauge;\n\
+               impl<T> From<T> for Gauge { fn from(_: T) -> Gauge { Gauge } }\n\
+               impl Gauge {\n\
+                   pub fn set_max(&self) {}\n\
+               }\n";
+    let ws = workspace(&[("crates/obs/src/lib.rs", FileKind::Src, src)]);
+    let report = run(&ws);
+    let messages: Vec<_> = report.findings.iter().map(|f| &f.message).collect();
+    assert_eq!(messages.len(), 1, "{messages:#?}");
+    assert!(
+        messages[0].contains("`pub method Gauge::set_max`"),
+        "{messages:#?}"
+    );
 }

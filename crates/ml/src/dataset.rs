@@ -9,8 +9,6 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::error::MlError;
-
 /// A feature matrix with regression targets.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Dataset {
@@ -81,24 +79,6 @@ impl Dataset {
     /// Panics if `i` is out of bounds.
     pub fn sample(&self, i: usize) -> (&[f64], f64) {
         (&self.features[i], self.targets[i])
-    }
-
-    /// Extends this dataset with all samples of `other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::DimensionMismatch`] when the feature widths
-    /// differ.
-    pub fn extend_from(&mut self, other: &Dataset) -> Result<(), MlError> {
-        if other.n_features() != self.n_features() {
-            return Err(MlError::DimensionMismatch {
-                expected: self.n_features(),
-                actual: other.n_features(),
-            });
-        }
-        self.features.extend(other.features.iter().cloned());
-        self.targets.extend(other.targets.iter().copied());
-        Ok(())
     }
 
     /// Shuffles samples in place.
@@ -232,19 +212,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let b = d.burst(1, 0.05, &mut rng);
         assert_eq!(b.len(), 10);
-    }
-
-    #[test]
-    fn extend_checks_width() {
-        let mut d = toy(3);
-        let other = Dataset::new(vec!["only".into()]);
-        assert!(matches!(
-            d.extend_from(&other),
-            Err(MlError::DimensionMismatch { .. })
-        ));
-        let ok = toy(2);
-        d.extend_from(&ok).unwrap();
-        assert_eq!(d.len(), 5);
     }
 
     #[test]

@@ -268,23 +268,6 @@ impl RandomForest {
         }
     }
 
-    /// Ensemble mean and standard deviation across trees for one input —
-    /// a cheap uncertainty proxy. Runs Welford's online update over the
-    /// per-tree predictions, so no intermediate `Vec` is collected.
-    pub fn predict_with_std(&self, x: &[f64]) -> (f64, f64) {
-        assert_eq!(x.len(), self.n_features, "feature width mismatch");
-        let mut mean = 0.0;
-        let mut m2 = 0.0;
-        for (i, tree) in self.trees.iter().enumerate() {
-            let p = tree.predict(x);
-            let delta = p - mean;
-            mean += delta / (i + 1) as f64;
-            m2 += delta * (p - mean);
-        }
-        let var = m2 / self.trees.len() as f64;
-        (mean, var.sqrt())
-    }
-
     /// Number of trees currently in the ensemble.
     pub fn n_trees(&self) -> usize {
         self.trees.len()
@@ -313,23 +296,6 @@ impl RandomForest {
     /// Number of feature columns.
     pub fn n_features(&self) -> usize {
         self.n_features
-    }
-
-    /// Normalised impurity feature importances (sums to 1 unless all zero).
-    pub fn feature_importances(&self) -> Vec<f64> {
-        let mut total = vec![0.0; self.n_features];
-        for tree in &self.trees {
-            for (i, v) in tree.importance().iter().enumerate() {
-                total[i] += v;
-            }
-        }
-        let sum: f64 = total.iter().sum();
-        if sum > 0.0 {
-            for v in &mut total {
-                *v /= sum;
-            }
-        }
-        total
     }
 }
 
@@ -411,15 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn importances_normalised_and_informative() {
-        let d = wave_data(200);
-        let f = RandomForest::fit(&d, &ForestParams::default(), 4).unwrap();
-        let imp = f.feature_importances();
-        assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!(imp[0] > imp[1], "x should matter more than junk: {imp:?}");
-    }
-
-    #[test]
     fn zero_trees_invalid() {
         let d = wave_data(10);
         let params = ForestParams {
@@ -470,16 +427,6 @@ mod tests {
             RandomForest::from_parts(f.trees().to_vec(), ForestParams::default(), 3),
             Err(MlError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn predict_with_std_reports_spread() {
-        let d = wave_data(200);
-        let f = RandomForest::fit(&d, &ForestParams::default(), 5).unwrap();
-        let (mean, std) = f.predict_with_std(&[5.0, 0.0]);
-        assert!(mean.is_finite() && std >= 0.0);
-        // Welford's mean agrees with the ensemble mean to numerical noise.
-        assert!((mean - f.predict(&[5.0, 0.0])).abs() < 1e-9);
     }
 
     #[test]

@@ -126,19 +126,9 @@ impl GaussianProcess {
         (mean, var)
     }
 
-    /// Posterior mean only.
-    pub fn mean(&self, x: &[f64]) -> f64 {
-        self.posterior(x).0
-    }
-
     /// The (possibly auto-selected) RBF length scale.
     pub fn length_scale(&self) -> f64 {
         self.length_scale
-    }
-
-    /// Number of training observations.
-    pub fn n_observations(&self) -> usize {
-        self.xs.len()
     }
 }
 

@@ -33,7 +33,7 @@
 //!   (the paper's choice) plus EI and UCB for the ablation benches, and the
 //!   paper's termination rule: stop after 10 consecutive probes with <1%
 //!   improvement.
-//! * [`metrics`] — RMSE, MAE, R², the regression standard error, and the
+//! * [`metrics`] — RMSE, R², the regression standard error, and the
 //!   paper's "within 2× standard error" accuracy criterion (§6.2).
 //!
 //! [`gp`], [`linalg`] and the acquisition functions serve only the paper's

@@ -149,12 +149,6 @@ pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
-/// Dot product of two equal-length vectors.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,6 +210,5 @@ mod tests {
     #[test]
     fn vector_helpers() {
         assert_eq!(sq_dist(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
-        assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
     }
 }

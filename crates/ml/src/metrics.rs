@@ -22,22 +22,6 @@ pub fn rmse(truth: &[f64], pred: &[f64]) -> f64 {
     mse.sqrt()
 }
 
-/// Mean absolute error.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty.
-pub fn mae(truth: &[f64], pred: &[f64]) -> f64 {
-    assert_eq!(truth.len(), pred.len(), "length mismatch");
-    assert!(!truth.is_empty(), "empty input");
-    truth
-        .iter()
-        .zip(pred)
-        .map(|(t, p)| (t - p).abs())
-        .sum::<f64>()
-        / truth.len() as f64
-}
-
 /// Coefficient of determination R².
 ///
 /// Returns 1.0 for a perfect fit; can be negative for fits worse than the
@@ -147,7 +131,6 @@ mod tests {
         let t = [1.0, 2.0, 3.0];
         let p = [1.0, 2.0, 5.0];
         assert!((rmse(&t, &p) - (4.0f64 / 3.0).sqrt()).abs() < 1e-12);
-        assert!((mae(&t, &p) - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -443,11 +443,6 @@ impl EventLog {
         self.epoch.elapsed().as_micros() as u64
     }
 
-    /// Events published over the log's lifetime (including evicted ones).
-    pub fn published(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
-    }
-
     /// Events evicted from the ring to stay within capacity.
     pub fn evicted(&self) -> u64 {
         self.evicted.load(Ordering::Relaxed)
@@ -475,7 +470,7 @@ mod tests {
         for _ in 0..5 {
             log.publish(event(EventKind::SnapshotPublished).tenant("t"));
         }
-        assert_eq!(log.published(), 5);
+        assert_eq!(log.seq.load(Ordering::Relaxed), 5);
         assert_eq!(log.evicted(), 2);
         let recent = log.recent(10);
         assert_eq!(

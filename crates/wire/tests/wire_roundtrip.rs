@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use smartpick_core::wp::PredictionRequest;
 use smartpick_service::{CompletedRun, ServiceConfig, SmartpickService};
-use smartpick_wire::codec::{decode_response, encode_value_into};
+use smartpick_wire::codec::{decode_response, encode_response_into, encode_value_into};
 use smartpick_wire::frame::read_frame_any_into;
 use smartpick_wire::{
     ErrorKind, Response, WireClient, WireError, WireServer, WireServerConfig, PROTOCOL_V3,
@@ -31,6 +31,38 @@ fn server() -> WireServer {
         WireServerConfig::default(),
     )
     .expect("bind ephemeral port")
+}
+
+#[test]
+fn a_client_frame_cap_below_a_scrape_refuses_it_and_the_default_cap_reads_it() {
+    // WIRE.md: deployments with many resident tenants raise the cap on
+    // both ends with `set_max_frame_len`. The client's cap is checked on
+    // the response header, before the payload is read.
+    const CAP: usize = 1024;
+    let server = server();
+    server
+        .service()
+        .register_fork("acme", &template(), 7)
+        .unwrap();
+
+    let mut capped = WireClient::connect(server.local_addr()).unwrap();
+    capped
+        .set_io_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    capped.set_max_frame_len(CAP);
+    capped.ping().unwrap();
+    match capped.scrape(0) {
+        Err(WireError::Protocol(msg)) => assert!(msg.contains("frame"), "{msg}"),
+        other => panic!("a scrape over the cap must be a protocol error, got {other:?}"),
+    }
+
+    let mut fresh = WireClient::connect(server.local_addr()).unwrap();
+    fresh.set_io_timeout(Some(Duration::from_secs(60))).unwrap();
+    let scrape = fresh.scrape(0).unwrap();
+    assert!(scrape.metric("tenant.acme.predictions").is_some());
+    let mut bytes = Vec::new();
+    encode_response_into(&Response::Scrape(Box::new(scrape)), &mut bytes);
+    assert!(bytes.len() > CAP, "the scrape is {} bytes", bytes.len());
 }
 
 #[test]

@@ -19,8 +19,9 @@ lint:
     cargo clippy --all-targets -- -D warnings
 
 # CI job: smartpick-lint, the in-repo static analyzer (concurrency and
-# panic-safety invariants; see README "Static analysis"). Refreshes
-# lint-report.json so finding counts are diffable across PRs.
+# panic-safety invariants, dead `pub` surface; see README "Static
+# analysis"). Refreshes lint-report.json so finding counts and the
+# `surface` section are diffable across PRs.
 lint-smartpick:
     cargo run --release -p lint --bin smartpick-lint -- --json lint-report.json
 
