@@ -27,7 +27,9 @@ lint-smartpick:
 
 # CI job: rustdoc builds with warnings denied (broken intra-doc links,
 # missing docs on public items) plus the doc-link check that paths and
-# just recipes referenced by docs/*.md actually exist.
+# just recipes referenced by docs/*.md, README.md and ROADMAP.md
+# actually exist; a `path:line` reference must also name a line the
+# file has.
 docs:
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
     cargo test -q -p smartpick --test doc_links

@@ -3,8 +3,10 @@
 //! recipes. Those references rot silently — a renamed test file or
 //! recipe leaves the docs pointing at nothing. This test walks every
 //! markdown link and every backtick-quoted repo path / `just` recipe
-//! and asserts the target exists. Run via `just docs` (the CI docs
-//! job).
+//! and asserts the target exists. A backtick path may carry a 1-based
+//! line locator, `path:line` (e.g. `crates/core/src/driver.rs:237`);
+//! then the file must exist and have that line. Run via `just docs`
+//! (the CI docs job).
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -116,6 +118,35 @@ fn backtick_paths(text: &str) -> Vec<String> {
     out
 }
 
+/// Resolves one backtick path from the repo root. A span ending in `:`
+/// and ASCII digits is `path:line`, the backtick form of a link's
+/// `#fragment`: the file must exist and `line` must be in
+/// `1..=line count`. Any other span (`foo.rs::name`) resolves whole.
+fn resolve_span(root: &Path, span: &str) -> Result<(), &'static str> {
+    let (path, line) = match span.rsplit_once(':') {
+        Some((path, digits))
+            if !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()) =>
+        {
+            (path, Some(digits))
+        }
+        _ => (span, None),
+    };
+    let file = root.join(path);
+    if !file.exists() {
+        return Err("missing path");
+    }
+    if let Some(digits) = line {
+        let lines = fs::read_to_string(&file).map_or(0, |text| text.lines().count());
+        let in_range = digits
+            .parse::<usize>()
+            .is_ok_and(|n| (1..=lines).contains(&n));
+        if !in_range {
+            return Err("line out of range");
+        }
+    }
+    Ok(())
+}
+
 /// `just <recipe>` references in prose and code blocks.
 fn just_references(text: &str) -> Vec<String> {
     let mut out = Vec::new();
@@ -154,8 +185,8 @@ fn every_doc_reference_resolves() {
         }
         // Backtick paths resolve from the repo root.
         for path in backtick_paths(&text) {
-            if !root.join(&path).exists() {
-                failures.push(format!("{doc_name}: missing path `{path}`"));
+            if let Err(why) = resolve_span(&root, &path) {
+                failures.push(format!("{doc_name}: {why} `{path}`"));
             }
         }
         // `just <recipe>` mentions name real recipes. "just" the word
@@ -178,6 +209,28 @@ fn every_doc_reference_resolves() {
         failures.is_empty(),
         "doc references rotted:\n  {}",
         failures.join("\n  ")
+    );
+}
+
+#[test]
+fn a_line_locator_names_an_existing_line() {
+    let root = repo_root();
+    assert_eq!(resolve_span(&root, "crates/core/src/driver.rs:237"), Ok(()));
+    assert_eq!(
+        resolve_span(&root, "crates/core/src/driver.rs:0"),
+        Err("line out of range")
+    );
+    assert_eq!(
+        resolve_span(&root, "crates/core/src/driver.rs:999999"),
+        Err("line out of range")
+    );
+    assert_eq!(
+        resolve_span(&root, "crates/core/src/nope.rs:1"),
+        Err("missing path")
+    );
+    assert_eq!(
+        resolve_span(&root, "crates/core/src/driver.rs:x"),
+        Err("missing path")
     );
 }
 
