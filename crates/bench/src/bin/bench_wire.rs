@@ -1,7 +1,7 @@
 //! Records the over-wire and connection-scaling numbers into
 //! `BENCH_wire.json`, which CI guards with `tests/bench_wire_json.rs`.
 //!
-//! Three sections:
+//! Four sections:
 //!
 //! * **codec** — median round trips of v3 frames in the binary codec.
 //!   Blocking rows (`ping`, `determine`) give honest single round trips,
@@ -24,6 +24,10 @@
 //! * **connection scaling** — the event loop holding N concurrent
 //!   connections on one thread: wall time to establish all of them and
 //!   the median ping round trip with every connection parked open.
+//! * **request codec** — in process, no socket: the generic
+//!   (`Value`-tree) and direct encode and decode of the q82 and q68
+//!   determine requests, and their payload bytes. The guard test holds
+//!   each direct path to at most half its generic twin.
 //!
 //! Usage: `cargo run --release -p smartpick_bench --bin bench_wire
 //! [output-path]` (default `BENCH_wire.json` in the working directory).
@@ -41,6 +45,9 @@ use smartpick_core::properties::SmartpickProperties;
 use smartpick_core::training::TrainOptions;
 use smartpick_ml::forest::ForestParams;
 use smartpick_service::{ServiceConfig, SmartpickService};
+use smartpick_wire::codec::{
+    decode_envelope, decode_request, encode_envelope_into, encode_request_into,
+};
 use smartpick_wire::{Request, Response, WireClient, WireServer, WireServerConfig};
 use smartpick_workloads::tpcds;
 
@@ -141,6 +148,86 @@ fn measure_pipelined(
     median_us(&mut samples)
 }
 
+/// Median µs per call of each of `paths`, timed in chunks of 1 000 calls
+/// with the paths interleaved chunk by chunk, so a slow spell of the
+/// host lands on all of them alike; one untimed round warms up.
+fn median_call_us<const N: usize>(paths: &mut [&mut dyn FnMut(); N]) -> [f64; N] {
+    const CHUNK: usize = 1000;
+    const ROUNDS: usize = 25;
+    let mut samples = [(); N].map(|()| Vec::with_capacity(ROUNDS));
+    for round in 0..=ROUNDS {
+        for (path, samples) in paths.iter_mut().zip(samples.iter_mut()) {
+            let t = Instant::now();
+            for _ in 0..CHUNK {
+                path();
+            }
+            if round > 0 {
+                samples.push(t.elapsed().as_secs_f64() * 1e6 / CHUNK as f64);
+            }
+        }
+    }
+    samples.map(|mut s| median_us(&mut s))
+}
+
+/// The request-codec section: per query, its determine request's payload
+/// bytes and the median µs of generic encode, direct encode, generic
+/// decode and direct decode, as JSON rows.
+fn request_codec_rows() -> String {
+    println!("determine request codec, in process, median µs per call");
+    smartpick_bench::rule(72);
+    println!(
+        "{:<6} {:>7} {:>14} {:>13} {:>14} {:>13}",
+        "query", "bytes", "generic enc", "direct enc", "generic dec", "direct dec"
+    );
+    smartpick_bench::rule(72);
+    let mut rows = String::new();
+    for (i, q) in [82u32, 68].into_iter().enumerate() {
+        let request = Request::Determine {
+            tenant: "bench".to_owned(),
+            query: tpcds::query(q, 100.0).expect("catalog query"),
+            seed: 99,
+        };
+        let mut bytes = Vec::new();
+        encode_envelope_into(&request, &mut bytes);
+        let mut direct = Vec::new();
+        encode_request_into(&request, &mut direct);
+        assert_eq!(
+            direct, bytes,
+            "q{q}: the direct encoder must write the generic bytes"
+        );
+        let (mut generic_out, mut direct_out) = (Vec::new(), Vec::new());
+        let [generic_enc, direct_enc, generic_dec, direct_dec] = median_call_us(&mut [
+            &mut || encode_envelope_into(std::hint::black_box(&request), &mut generic_out),
+            &mut || encode_request_into(std::hint::black_box(&request), &mut direct_out),
+            &mut || {
+                std::hint::black_box(decode_envelope::<Request>(std::hint::black_box(&bytes)))
+                    .expect("generic decode");
+            },
+            &mut || {
+                std::hint::black_box(decode_request(std::hint::black_box(&bytes)))
+                    .expect("direct decode");
+            },
+        ]);
+        println!(
+            "q{q:<5} {:>7} {generic_enc:>14.2} {direct_enc:>13.2} {generic_dec:>14.2} \
+             {direct_dec:>13.2}",
+            bytes.len()
+        );
+        if i > 0 {
+            rows.push_str(",\n");
+        }
+        let _ = write!(
+            rows,
+            "      {{\"query\": \"q{q}\", \"bytes\": {}, \"generic_encode_us\": \
+             {generic_enc:.2}, \"direct_encode_us\": {direct_enc:.2}, \"generic_decode_us\": \
+             {generic_dec:.2}, \"direct_decode_us\": {direct_dec:.2}}}",
+            bytes.len()
+        );
+    }
+    smartpick_bench::rule(72);
+    rows
+}
+
 /// `(connections, in flight on each)`: 32 in flight however it is split.
 const MULTI_CONNECTION_SHAPES: [(usize, usize); 3] = [(1, 32), (2, 16), (8, 4)];
 
@@ -230,6 +317,8 @@ fn main() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1000);
+
+    let request_codec_rows = request_codec_rows();
 
     let service = Arc::new(SmartpickService::new(ServiceConfig {
         retrain_workers: 2,
@@ -389,7 +478,12 @@ fn main() {
          ],\n  \"multi_connection\": {{\n    \"unit\": \"determines per second, 32 in flight \
          split over N connections, one closed-loop client thread each, unpinned, 2 s \
          window\",\n    \"rows\": [\n{multi_rows}\n    ],\n    \"notes\": \
-         \"{MULTI_CONNECTION_NOTES}\"\n  }},\n  \"connection_scaling\": [\n{scale_rows}\n  ]\n}}\n"
+         \"{MULTI_CONNECTION_NOTES}\"\n  }},\n  \"connection_scaling\": [\n{scale_rows}\n  \
+         ],\n  \"request_codec\": {{\n    \"unit\": \"median microseconds per call, in process: 25 \
+         chunks of 1 000 calls, the four paths interleaved chunk by chunk; generic = \
+         encode_envelope_into / decode_envelope::<Request> (the Value tree), direct = \
+         encode_request_into / decode_request; bytes = the determine request's payload\",\n    \
+         \"rows\": [\n{request_codec_rows}\n    ]\n  }}\n}}\n"
     );
     std::fs::write(&out_path, json).expect("write BENCH_wire.json");
     println!("wrote {out_path}");

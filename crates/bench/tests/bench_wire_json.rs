@@ -1,7 +1,7 @@
 //! Guard for the committed `BENCH_wire.json` (written by
 //! `src/bin/bench_wire.rs`): the recorded round-trip rows,
-//! multi-connection rows and connection-scaling entries parse, are
-//! internally consistent, and hold their acceptance bars — asserted on the
+//! multi-connection rows, connection-scaling entries and request-codec
+//! rows parse, are internally consistent, and hold their acceptance bars — asserted on the
 //! *committed record*, not a re-run, so the test is deterministic.
 
 use serde::Value;
@@ -117,4 +117,36 @@ fn recorded_reactor_scaling_covers_a_thousand_connections() {
         connect_ms < 1000.0,
         "1024 connections took {connect_ms} ms to connect: accept-queue overflow is back"
     );
+}
+
+#[test]
+fn recorded_direct_request_codec_is_at_most_half_the_generic_one() {
+    // A determine request encoded and decoded straight from and into its
+    // struct, against the same request through the `Value` tree: the
+    // tree allocates a `String` per key and per value of the query.
+    let root = load();
+    let Value::Arr(rows) = field(field(&root, "request_codec"), "rows") else {
+        panic!("`request_codec.rows` must be a list");
+    };
+    for query in ["q82", "q68"] {
+        let row = rows
+            .iter()
+            .find(|r| field(r, "query") == &Value::Str(query.to_owned()))
+            .unwrap_or_else(|| panic!("a {query} row is recorded"));
+        assert!(
+            num(field(row, "bytes")) > 1000.0,
+            "{query}: a catalog query's request"
+        );
+        for (generic, direct) in [
+            ("generic_encode_us", "direct_encode_us"),
+            ("generic_decode_us", "direct_decode_us"),
+        ] {
+            let (generic_us, direct_us) = (num(field(row, generic)), num(field(row, direct)));
+            assert!(
+                direct_us > 0.0 && direct_us <= 0.5 * generic_us,
+                "{query}: {direct} {direct_us} µs against {generic} {generic_us} µs; the direct \
+                 path must cost at most half"
+            );
+        }
+    }
 }

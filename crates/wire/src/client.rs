@@ -312,21 +312,22 @@ impl WireClient {
     }
 
     /// [`WireClient::submit`] for the common determine: hybrid search
-    /// with the tenant's knob.
+    /// with the tenant's knob. The frame is the one
+    /// `submit(&Request::Determine { .. })` sends, encoded straight from
+    /// the borrowed parts — neither the query nor the tenant id is
+    /// copied.
     ///
     /// # Errors
     ///
     /// See [`WireClient::submit`].
     pub fn submit_determine(
         &mut self,
-        tenant: impl Into<String>,
+        tenant: &str,
         query: &QueryProfile,
         seed: u64,
     ) -> Result<u64, WireError> {
-        self.submit(&Request::Determine {
-            tenant: tenant.into(),
-            query: query.clone(),
-            seed,
+        self.encoder.send(&mut self.stream, |payload| {
+            codec::encode_determine_into(tenant, query, seed, payload)
         })
     }
 
@@ -412,14 +413,12 @@ impl WireSender {
     /// See [`WireSender::submit`].
     pub fn submit_determine(
         &mut self,
-        tenant: impl Into<String>,
+        tenant: &str,
         query: &QueryProfile,
         seed: u64,
     ) -> Result<u64, WireError> {
-        self.submit(&Request::Determine {
-            tenant: tenant.into(),
-            query: query.clone(),
-            seed,
+        self.encoder.send(&mut self.stream, |payload| {
+            codec::encode_determine_into(tenant, query, seed, payload)
         })
     }
 }
@@ -456,9 +455,21 @@ struct Encoder {
 impl Encoder {
     /// Encodes and writes one v3 request frame under the next id.
     fn submit(&mut self, stream: &mut TcpStream, request: &Request) -> Result<u64, WireError> {
+        self.send(stream, |payload| {
+            codec::encode_request_into(request, payload)
+        })
+    }
+
+    /// Writes the payload `encode` renders as one v3 frame under the
+    /// next id.
+    fn send(
+        &mut self,
+        stream: &mut TcpStream,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<u64, WireError> {
         let id = self.next_id;
         self.next_id += 1;
-        codec::encode_envelope_into(request, &mut self.payload);
+        encode(&mut self.payload);
         write_frame_v3_buffered(stream, id, &self.payload, &mut self.frame)?;
         Ok(id)
     }

@@ -20,9 +20,14 @@
 //! 0x06  count:u32 BE (len:u32 BE key value)*count   object
 //! ```
 //!
-//! Every envelope is a fixed point of encode → decode → encode, and the
-//! determination fast paths below are byte-identical to the generic tree
-//! path — proven variant by variant in `tests/codec_roundtrip.rs`.
+//! Every envelope is a fixed point of encode → decode → encode. The two
+//! messages of a determine — the `Request::Determine` a client sends and
+//! the `Response::Determination` it gets back — have direct fast paths
+//! below ([`encode_request_into`] / [`decode_request`],
+//! [`encode_response_into`] / [`decode_response`]) that are
+//! byte-identical to the generic tree path and fall back to it on any
+//! other variant or any non-canonical layout — proven in
+//! `tests/codec_roundtrip.rs`.
 //!
 //! Decoding is **total**: arbitrary bytes can never panic, over-read,
 //! or allocate unboundedly (container counts are sanity-checked against
@@ -238,31 +243,38 @@ pub fn decode_envelope<T: serde::Deserialize>(bytes: &[u8]) -> Result<T, CodecEr
 }
 
 // ---------------------------------------------------------------------
-// Determination fast paths
+// Determine fast paths
 //
 // The generic path above routes every envelope through the `Value`
-// tree, which costs one heap allocation per field — on both sides. For
-// the serving hot path (a `Response::Determination`, whose `ET_l` list
-// is the bulk of every determine answer) that tree is most of the
-// remaining codec cost, so the functions below encode and decode that
-// variant **directly**, without building the tree at all.
+// tree, which costs one heap allocation per field — on both sides. A
+// determine's two messages are the serving hot path: the
+// `Request::Determine` (a `QueryProfile` of a kilobyte or more, every
+// key and value of which would be a `String` in the tree) and the
+// `Response::Determination` (whose `ET_l` list is the bulk of every
+// answer). For those two variants the tree is most of the codec's
+// cost, so the functions below encode and decode them **directly**,
+// without building the tree at all.
 //
 // Invariants, enforced by `tests/codec_roundtrip.rs`:
 //
-// * `encode_response_into` is byte-identical to the generic
-//   `encode_envelope_into` for every response — the fast path writes
-//   the exact canonical field order the serde derive emits.
-// * `decode_response` accepts exactly what the generic path accepts:
-//   the fast decoder handles the canonical layout and falls back to
-//   `decode_envelope` on *any* deviation (reordered fields, unexpected
-//   kinds, NaN money, trailing bytes), so acceptance never changes.
+// * `encode_request_into` / `encode_response_into` are byte-identical
+//   to the generic `encode_envelope_into` for every request / response
+//   — the fast paths write the exact canonical field order that
+//   `Request::to_value`, `Response::to_value` and the serde derives
+//   emit, and numbers through the same `as f64`.
+// * `decode_request` / `decode_response` accept exactly what
+//   `decode_envelope` accepts and return what it returns: the fast
+//   decoders handle the canonical layout, convert numbers with the
+//   shim's own `n as T` casts, and fall back to `decode_envelope` on
+//   *any* deviation (field count, order or kind, bad UTF-8, NaN money,
+//   trailing bytes), so acceptance and error messages never change.
 
 use smartpick_cloudsim::Money;
 use smartpick_core::tradeoff::EtEntry;
 use smartpick_core::wp::Determination;
-use smartpick_engine::{Allocation, RelayPolicy};
+use smartpick_engine::{Allocation, QueryProfile, RelayPolicy, StageProfile};
 
-use crate::proto::Response;
+use crate::proto::{Request, Response};
 
 fn w_key(out: &mut Vec<u8>, key: &str) {
     push_bytes(out, key.as_bytes());
@@ -281,6 +293,11 @@ fn w_num(out: &mut Vec<u8>, n: f64) {
 fn w_obj(out: &mut Vec<u8>, fields: usize) {
     out.push(TAG_OBJ);
     push_count(out, fields);
+}
+
+fn w_arr(out: &mut Vec<u8>, items: usize) {
+    out.push(TAG_ARR);
+    push_count(out, items);
 }
 
 fn w_relay(out: &mut Vec<u8>, relay: RelayPolicy) {
@@ -310,8 +327,7 @@ fn w_determination(out: &mut Vec<u8>, d: &Determination) {
     w_key(out, "predicted_cost");
     w_num(out, d.predicted_cost.dollars());
     w_key(out, "et_list");
-    out.push(TAG_ARR);
-    push_count(out, d.et_list.len());
+    w_arr(out, d.et_list.len());
     for e in &d.et_list {
         w_obj(out, 3);
         w_key(out, "allocation");
@@ -347,6 +363,76 @@ pub fn encode_response_into(response: &Response, out: &mut Vec<u8>) {
     w_determination(out, d);
 }
 
+/// Renders a determine request from its borrowed parts into `out`
+/// (cleared first): the bytes of `Request::Determine { tenant, query,
+/// seed }` without building the request, so a client need not clone its
+/// query to send it. Fields go in the order `Request::to_value` and the
+/// `QueryProfile` / `StageProfile` derives emit (each struct's
+/// declaration order).
+pub(crate) fn encode_determine_into(
+    tenant: &str,
+    query: &QueryProfile,
+    seed: u64,
+    out: &mut Vec<u8>,
+) {
+    out.clear();
+    w_obj(out, 4);
+    w_key(out, "op");
+    w_str(out, "determine");
+    w_key(out, "tenant");
+    w_str(out, tenant);
+    w_key(out, "query");
+    w_obj(out, 4);
+    w_key(out, "id");
+    w_str(out, &query.id);
+    w_key(out, "sql");
+    w_str(out, &query.sql);
+    w_key(out, "input_gb");
+    w_num(out, query.input_gb);
+    w_key(out, "stages");
+    w_arr(out, query.stages.len());
+    for stage in &query.stages {
+        w_obj(out, 6);
+        w_key(out, "name");
+        w_str(out, &stage.name);
+        w_key(out, "tasks");
+        w_num(out, stage.tasks as f64);
+        w_key(out, "cpu_ms_per_task");
+        w_num(out, stage.cpu_ms_per_task);
+        w_key(out, "input_mib_per_task");
+        w_num(out, stage.input_mib_per_task);
+        w_key(out, "shuffle_mib_per_task");
+        w_num(out, stage.shuffle_mib_per_task);
+        w_key(out, "deps");
+        w_arr(out, stage.deps.len());
+        for &dep in &stage.deps {
+            w_num(out, dep as f64);
+        }
+    }
+    w_key(out, "seed");
+    w_num(out, seed as f64);
+}
+
+/// Renders a [`Request`] as a binary payload into `out` (cleared
+/// first), byte-identical to [`encode_envelope_into`] but skipping the
+/// intermediate `Value` tree for the determine that dominates serving
+/// traffic.
+pub fn encode_request_into(request: &Request, out: &mut Vec<u8>) {
+    match request {
+        Request::Determine {
+            tenant,
+            query,
+            seed,
+        } => encode_determine_into(tenant, query, *seed, out),
+        other => encode_envelope_into(other, out),
+    }
+}
+
+/// The fewest bytes a canonical stage object can take: its tag and
+/// count, then six pairs of at least a key length prefix and a value
+/// tag each — the bound the generic decoder puts on any object's count.
+const MIN_STAGE_BYTES: usize = 5 + 6 * 5;
+
 /// The fast decode path's readers. Every method returns `None` on any
 /// mismatch; the caller then falls back to the generic tree decoder, so
 /// acceptance is unchanged.
@@ -358,6 +444,17 @@ impl<'a> Cursor<'a> {
 
     fn obj(&mut self, fields: usize) -> Option<()> {
         (self.u8()? == TAG_OBJ && self.u32()? as usize == fields).then_some(())
+    }
+
+    /// An array header whose count is believable: every element costs at
+    /// least `min_each` bytes, so a count beyond what the bytes remaining
+    /// could hold is a lie, refused before anything is allocated for it.
+    fn arr(&mut self, min_each: usize) -> Option<usize> {
+        if self.u8()? != TAG_ARR {
+            return None;
+        }
+        let count = self.u32()? as usize;
+        (count <= self.remaining() / min_each).then_some(count)
     }
 
     fn num(&mut self) -> Option<f64> {
@@ -410,15 +507,7 @@ impl<'a> Cursor<'a> {
         self.key("predicted_cost")?;
         let predicted_cost = self.money()?;
         self.key("et_list")?;
-        if self.u8()? != TAG_ARR {
-            return None;
-        }
-        let count = self.u32()? as usize;
-        // Each entry costs well over one byte; a count beyond the bytes
-        // remaining is a lie — bound the allocation before trusting it.
-        if count > self.remaining() {
-            return None;
-        }
+        let count = self.arr(1)?;
         let mut et_list = Vec::with_capacity(count);
         for _ in 0..count {
             self.obj(3)?;
@@ -456,6 +545,95 @@ impl<'a> Cursor<'a> {
             matched_query,
             match_similarity,
         })
+    }
+
+    /// A `QueryProfile` in its derive's field order. Numbers convert
+    /// with the shim's own casts (`n as usize`), so whatever the generic
+    /// decoder would make of a NaN or an out-of-range count, so does
+    /// this.
+    fn query(&mut self) -> Option<QueryProfile> {
+        self.obj(4)?;
+        self.key("id")?;
+        let id = self.str()?.to_owned();
+        self.key("sql")?;
+        let sql = self.str()?.to_owned();
+        self.key("input_gb")?;
+        let input_gb = self.num()?;
+        self.key("stages")?;
+        let count = self.arr(MIN_STAGE_BYTES)?;
+        let mut stages = Vec::with_capacity(count);
+        for _ in 0..count {
+            stages.push(self.stage()?);
+        }
+        Some(QueryProfile {
+            id,
+            sql,
+            input_gb,
+            stages,
+        })
+    }
+
+    fn stage(&mut self) -> Option<StageProfile> {
+        self.obj(6)?;
+        self.key("name")?;
+        let name = self.str()?.to_owned();
+        self.key("tasks")?;
+        let tasks = self.num()? as usize;
+        self.key("cpu_ms_per_task")?;
+        let cpu_ms_per_task = self.num()?;
+        self.key("input_mib_per_task")?;
+        let input_mib_per_task = self.num()?;
+        self.key("shuffle_mib_per_task")?;
+        let shuffle_mib_per_task = self.num()?;
+        self.key("deps")?;
+        // A dependency is one number: its tag and eight bytes.
+        let count = self.arr(9)?;
+        let mut deps = Vec::with_capacity(count);
+        for _ in 0..count {
+            deps.push(self.num()? as usize);
+        }
+        Some(StageProfile {
+            name,
+            tasks,
+            cpu_ms_per_task,
+            input_mib_per_task,
+            shuffle_mib_per_task,
+            deps,
+        })
+    }
+}
+
+fn decode_request_fast(bytes: &[u8]) -> Option<Request> {
+    let mut c = Cursor { bytes, pos: 0 };
+    c.obj(4)?;
+    c.key("op")?;
+    (c.str()? == "determine").then_some(())?;
+    c.key("tenant")?;
+    let tenant = c.str()?.to_owned();
+    c.key("query")?;
+    let query = c.query()?;
+    c.key("seed")?;
+    let seed = c.num()? as u64;
+    // The generic decoder requires exact consumption; so does this one.
+    (c.pos == bytes.len()).then_some(Request::Determine {
+        tenant,
+        query,
+        seed,
+    })
+}
+
+/// Decodes a binary payload into a [`Request`]: the canonical layout of
+/// a determine takes a direct, tree-free path; everything else —
+/// including any non-canonical but valid encoding — falls back to
+/// [`decode_envelope`].
+///
+/// # Errors
+///
+/// Exactly when [`decode_envelope`] errors, with its message.
+pub fn decode_request(bytes: &[u8]) -> Result<Request, CodecError> {
+    match decode_request_fast(bytes) {
+        Some(request) => Ok(request),
+        None => decode_envelope(bytes),
     }
 }
 

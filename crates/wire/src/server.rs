@@ -260,10 +260,11 @@ impl Drop for WireServer {
     }
 }
 
-/// Decodes one v3 payload; the error string becomes the `bad_request`
-/// message for that request id.
+/// Decodes one v3 payload (a determine straight from the bytes, any
+/// other request through the `Value` tree); the error string becomes the
+/// `bad_request` message for that request id.
 pub(crate) fn decode_request(payload: &[u8]) -> Result<Request, String> {
-    codec::decode_envelope::<Request>(payload).map_err(|e| format!("binary payload rejected: {e}"))
+    codec::decode_request(payload).map_err(|e| format!("binary payload rejected: {e}"))
 }
 
 pub(crate) fn execute(request: Request, shared: &Shared) -> Response {

@@ -1,8 +1,10 @@
 //! Property tests for the binary codec over every variant of both
 //! envelope enums: each envelope is a **fixed point** (encode → decode →
 //! encode reproduces the bytes exactly) and decodes to the very value
-//! tree it was encoded from, the response fast paths are byte-identical
-//! to the generic tree encoder and decode what it decodes, and an
+//! tree it was encoded from, the request and response fast paths are
+//! byte-identical to the generic tree encoder and decode what it
+//! decodes — the request decoder on every truncation, byte flip,
+//! reordering and garbage input as well — and an
 //! unknown tag decodes to a clean error (the server turns that into a
 //! `bad_request`). The decoder is total: arbitrary bytes never panic,
 //! never over-read, and always yield a clean [`CodecError`] or a valid
@@ -16,12 +18,12 @@ use std::time::Duration;
 use proptest::prelude::*;
 use serde::{Serialize, Value};
 use smartpick_core::wp::{ConstraintMode, Determination, PredictionRequest};
-use smartpick_engine::QueryProfile;
+use smartpick_engine::{QueryProfile, StageProfile};
 use smartpick_obs::{event, EventKind, HealthReport, Observability, ScrapeEnvelope, WorkerHealth};
 use smartpick_service::{CompletedRun, ServiceConfig, SmartpickService, TenantStats};
 use smartpick_wire::codec::{
-    decode_envelope, decode_response, decode_value, encode_envelope_into, encode_response_into,
-    encode_value_into,
+    decode_envelope, decode_request, decode_response, decode_value, encode_envelope_into,
+    encode_request_into, encode_response_into, encode_value_into,
 };
 use smartpick_wire::{ErrorKind, Rejection, Request, Response};
 
@@ -391,5 +393,268 @@ proptest! {
                 bin.len()
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The determine request's fast paths
+// ---------------------------------------------------------------------
+
+/// Numbers a well-formed query never carries, each of which the f64
+/// number model must still pass through bit for bit.
+const ODD_NUMBERS: [f64; 7] = [f64::NAN, -0.0, -2.5, 1e300, -1e300, f64::INFINITY, 0.0];
+
+/// Seeds at the edges of the f64 number model: 2⁵³ + 1 and `u64::MAX`
+/// are rounded by it, on both paths alike.
+const EDGE_SEEDS: [u64; 3] = [0, (1 << 53) + 1, u64::MAX];
+
+/// `(name, tasks, cpu_ms_per_task, odd-number pick, deps)`.
+type StageSpec = (String, usize, f64, usize, Vec<usize>);
+
+/// A determine request from generated parts: `input_pick` and each
+/// stage's odd pick choose an [`ODD_NUMBERS`] entry when in range,
+/// `seed_pick` an [`EDGE_SEEDS`] entry.
+fn odd_determine(
+    tenant: String,
+    id: String,
+    sql: String,
+    input_pick: usize,
+    stages: Vec<StageSpec>,
+    seed_pick: usize,
+    seed: u64,
+) -> Request {
+    let odd = |pick: usize, otherwise: f64| ODD_NUMBERS.get(pick).copied().unwrap_or(otherwise);
+    Request::Determine {
+        tenant,
+        query: QueryProfile {
+            id,
+            sql,
+            input_gb: odd(input_pick, 100.0),
+            stages: stages
+                .into_iter()
+                .map(|(name, tasks, cpu_ms_per_task, pick, deps)| StageProfile {
+                    name,
+                    tasks,
+                    cpu_ms_per_task,
+                    input_mib_per_task: odd(pick, 64.0),
+                    shuffle_mib_per_task: odd(pick + 1, 8.0),
+                    deps,
+                })
+                .collect(),
+        },
+        seed: EDGE_SEEDS.get(seed_pick).copied().unwrap_or(seed),
+    }
+}
+
+fn fast_encoded(request: &Request) -> Vec<u8> {
+    let mut bytes = vec![0xAA; 3]; // the encoder must clear what it is handed
+    encode_request_into(request, &mut bytes);
+    bytes
+}
+
+/// `decode_request` and the generic decoder agree on `bytes`: both
+/// accept, with the same generic re-encoding, or both refuse with the
+/// same message.
+fn assert_request_decoders_agree(bytes: &[u8]) {
+    match (decode_request(bytes), decode_envelope::<Request>(bytes)) {
+        (Ok(fast), Ok(generic)) => assert_eq!(
+            encoded(&fast),
+            encoded(&generic),
+            "fast and generic request decodes of {} bytes differ",
+            bytes.len()
+        ),
+        (Err(fast), Err(generic)) => assert_eq!(fast, generic, "the errors must be the same"),
+        (fast, generic) => panic!(
+            "acceptance diverged on {} bytes: fast {:?}, generic {:?}",
+            bytes.len(),
+            fast.map(|r| r.to_value()),
+            generic.map(|r| r.to_value())
+        ),
+    }
+}
+
+fn q82_determine() -> Request {
+    Request::Determine {
+        tenant: "acme".to_owned(),
+        query: fixture().query.clone(),
+        seed: 99,
+    }
+}
+
+/// An object's key/value pairs.
+type Pairs = Vec<(String, Value)>;
+
+/// `v` with the pairs of the object at the end of `path` (keys,
+/// outermost first; an array step takes its first element) rewritten by
+/// `edit`, encoded.
+fn edited(v: &Value, path: &[&str], edit: &dyn Fn(&mut Pairs)) -> Vec<u8> {
+    fn walk(v: &mut Value, path: &[&str], edit: &dyn Fn(&mut Pairs)) {
+        match (v, path.split_first()) {
+            (Value::Obj(pairs), None) => edit(pairs),
+            (Value::Obj(pairs), Some((key, rest))) => {
+                let (_, inner) = pairs
+                    .iter_mut()
+                    .find(|(k, _)| k == key)
+                    .expect("key on path");
+                walk(inner, rest, edit);
+            }
+            (Value::Arr(items), Some((_, rest))) => walk(&mut items[0], rest, edit),
+            (other, _) => panic!("no object at the end of the path: {other:?}"),
+        }
+    }
+    let mut v = v.clone();
+    walk(&mut v, path, edit);
+    let mut bytes = Vec::new();
+    encode_value_into(&v, &mut bytes);
+    bytes
+}
+
+#[test]
+fn request_fast_paths_hold_on_the_recorded_queries() {
+    for q in [82, 68] {
+        let request = Request::Determine {
+            tenant: "bench".to_owned(),
+            query: smartpick_workloads::tpcds::query(q, 100.0).unwrap(),
+            seed: 99,
+        };
+        let generic = encoded(&request);
+        assert_eq!(fast_encoded(&request), generic, "q{q}: encode differs");
+        let decoded = decode_request(&generic).expect("canonical determine decodes");
+        assert_eq!(
+            decoded.to_value(),
+            request.to_value(),
+            "q{q}: decode differs"
+        );
+    }
+}
+
+#[test]
+fn every_truncation_and_byte_flip_of_a_determine_decodes_alike() {
+    let bytes = encoded(&q82_determine());
+    assert!(
+        bytes.len() > 1000,
+        "a q82 determine is {} bytes",
+        bytes.len()
+    );
+    for cut in 0..=bytes.len() {
+        assert_request_decoders_agree(&bytes[..cut]);
+    }
+    let mut flipped = bytes.clone();
+    for i in 0..bytes.len() {
+        for mask in [0x01, 0x80, 0xFF] {
+            flipped[i] ^= mask;
+            assert_request_decoders_agree(&flipped);
+            flipped[i] = bytes[i];
+        }
+    }
+    // Trailing bytes after a canonical determine — a null, a lone number
+    // tag, nine zeros: the fast path must require exact consumption, as
+    // the generic one does.
+    for extra in [&[0x00][..], &[0x03], &[0; 9]] {
+        let mut long = bytes.clone();
+        long.extend_from_slice(extra);
+        assert!(
+            decode_request(&long).is_err(),
+            "{} trailing bytes",
+            extra.len()
+        );
+        assert_request_decoders_agree(&long);
+    }
+}
+
+#[test]
+fn non_canonical_determines_fall_back_to_the_generic_decoder() {
+    let tree = q82_determine().to_value();
+    let reversed = |pairs: &mut Pairs| pairs.reverse();
+    let swapped = |pairs: &mut Pairs| pairs.swap(0, 1);
+    let extra = |pairs: &mut Pairs| pairs.push(("extra".to_owned(), Value::Null));
+    let seed_first = |pairs: &mut Pairs| pairs.rotate_right(1);
+    let stringly = |pairs: &mut Pairs| pairs[1].1 = Value::Str("9".to_owned());
+    let variants = [
+        edited(&tree, &[], &reversed),
+        edited(&tree, &[], &seed_first),
+        edited(&tree, &["query"], &reversed),
+        edited(&tree, &["query", "stages", "0"], &swapped),
+        edited(&tree, &[], &extra),
+        edited(&tree, &["query"], &extra),
+        edited(&tree, &["query", "stages", "0"], &extra),
+        // Kinds the derive refuses: the generic error must come back.
+        edited(&tree, &["query", "stages", "0"], &stringly),
+    ];
+    for (i, bytes) in variants.iter().enumerate() {
+        assert_request_decoders_agree(bytes);
+        let accepted = decode_request(bytes).is_ok();
+        assert_eq!(accepted, i + 1 < variants.len(), "variant {i}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every request variant: the direct encoder writes the generic
+    /// encoder's bytes, and the direct decoder returns what the generic
+    /// one does.
+    #[test]
+    fn request_fast_paths_match_the_generic_codec(
+        variant in 0usize..9,
+        tenant in "[a-z][a-z0-9_]{0,11}",
+        seed in 0u64..(1u64 << 53),
+        knob in 0.0f64..1.0,
+        constraint in 0usize..4,
+        events in 0usize..64,
+    ) {
+        let request = request_variant(variant, tenant, seed, knob, constraint, events);
+        let generic = encoded(&request);
+        prop_assert_eq!(&fast_encoded(&request), &generic, "fast request encode differs");
+        let decoded = decode_request(&generic).expect("request decodes");
+        prop_assert_eq!(decoded.to_value(), request.to_value());
+        assert_request_decoders_agree(&generic);
+    }
+
+    /// Determines the catalog never produces — empty stage lists and
+    /// dependency lists, non-ASCII ids, NaN / negative / 1e300 numbers,
+    /// seeds the number model rounds — encode and decode alike on both
+    /// paths.
+    #[test]
+    fn odd_determines_encode_and_decode_as_the_generic_codec_does(
+        tenant in "\\PC{0,12}",
+        id in "\\PC{0,16}",
+        sql in "\\PC{0,40}",
+        input_pick in 0usize..10,
+        stages in prop::collection::vec(
+            (
+                "\\PC{0,8}",
+                0usize..usize::MAX,
+                -1e6f64..1e6,
+                0usize..10,
+                prop::collection::vec(0usize..64, 0..4),
+            ),
+            0..5,
+        ),
+        seed_pick in 0usize..6,
+        seed in 0u64..u64::MAX,
+    ) {
+        let request = odd_determine(tenant, id, sql, input_pick, stages, seed_pick, seed);
+        let generic = encoded(&request);
+        prop_assert_eq!(&fast_encoded(&request), &generic, "fast determine encode differs");
+        let decoded = decode_request(&generic).expect("determine decodes");
+        prop_assert_eq!(encoded(&decoded), generic.clone(), "decode must reproduce the bytes");
+        assert_request_decoders_agree(&generic);
+    }
+
+    /// Arbitrary bytes, alone and spliced into a canonical determine so
+    /// the fast path gets deep before it meets them: both decoders
+    /// accept the same inputs and refuse the rest with one message.
+    #[test]
+    fn request_decoders_agree_on_arbitrary_bytes(
+        bytes in prop::collection::vec(0u8..=255, 0..256),
+        at in 0usize..2048,
+    ) {
+        assert_request_decoders_agree(&bytes);
+        let mut spliced = encoded(&q82_determine());
+        let at = at % spliced.len();
+        let end = (at + bytes.len()).min(spliced.len());
+        spliced.splice(at..end, bytes.iter().copied());
+        assert_request_decoders_agree(&spliced);
     }
 }

@@ -2,16 +2,18 @@
 //! port, real `TcpStream`s, and adversarial raw-socket clients.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
 use smartpick_core::wp::PredictionRequest;
 use smartpick_service::{CompletedRun, ServiceConfig, SmartpickService};
-use smartpick_wire::codec::{decode_response, encode_response_into, encode_value_into};
-use smartpick_wire::frame::read_frame_any_into;
+use smartpick_wire::codec::{
+    decode_response, encode_envelope_into, encode_response_into, encode_value_into,
+};
+use smartpick_wire::frame::{read_frame_any_into, write_frame_v3_buffered};
 use smartpick_wire::{
-    ErrorKind, Response, WireClient, WireError, WireServer, WireServerConfig, PROTOCOL_V3,
+    ErrorKind, Request, Response, WireClient, WireError, WireServer, WireServerConfig, PROTOCOL_V3,
     PROTOCOL_VERSION,
 };
 use smartpick_workloads::tpcds;
@@ -31,6 +33,56 @@ fn server() -> WireServer {
         WireServerConfig::default(),
     )
     .expect("bind ephemeral port")
+}
+
+/// Every byte a client connected to `listener` writes before it hangs
+/// up: `send` connects, submits and drops its client.
+fn bytes_sent(listener: &TcpListener, send: impl FnOnce(SocketAddr)) -> Vec<u8> {
+    send(listener.local_addr().unwrap());
+    let (mut peer, _) = listener.accept().unwrap();
+    peer.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut bytes = Vec::new();
+    peer.read_to_end(&mut bytes).unwrap();
+    bytes
+}
+
+#[test]
+fn submit_determine_writes_the_frames_submit_writes() {
+    let query = tpcds::query(82, 100.0).unwrap();
+    let seed = (1 << 53) + 1;
+    let request = Request::Determine {
+        tenant: "acme".to_owned(),
+        query: query.clone(),
+        seed,
+    };
+    // Two frames, ids 0 and 1, around the generic encoder's payload.
+    let mut payload = Vec::new();
+    encode_envelope_into(&request, &mut payload);
+    let (mut expected, mut frame) = (Vec::new(), Vec::new());
+    for id in 0..2 {
+        write_frame_v3_buffered(&mut expected, id, &payload, &mut frame).unwrap();
+    }
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let submitted = bytes_sent(&listener, |addr| {
+        let mut client = WireClient::connect(addr).unwrap();
+        client.submit(&request).unwrap();
+        client.submit(&request).unwrap();
+    });
+    let borrowed = bytes_sent(&listener, |addr| {
+        let mut client = WireClient::connect(addr).unwrap();
+        client.submit_determine("acme", &query, seed).unwrap();
+        client.submit_determine("acme", &query, seed).unwrap();
+    });
+    let split = bytes_sent(&listener, |addr| {
+        let (mut sender, _receiver) = WireClient::connect(addr).unwrap().split().unwrap();
+        sender.submit_determine("acme", &query, seed).unwrap();
+        sender.submit_determine("acme", &query, seed).unwrap();
+    });
+    assert_eq!(submitted, expected, "submit(&Request::Determine)");
+    assert_eq!(borrowed, expected, "WireClient::submit_determine");
+    assert_eq!(split, expected, "WireSender::submit_determine");
 }
 
 #[test]
