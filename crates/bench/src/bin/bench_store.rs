@@ -2,7 +2,7 @@
 //! tenant costs at rest and what a crash costs at startup, guarded by
 //! `tests/bench_store_json.rs`.
 //!
-//! Five matrices:
+//! Six matrices:
 //!
 //! * **snapshot at rest** — the encoded size of one tenant's full
 //!   driver state (predictor + history + monitor + RNG) as persisted by
@@ -10,6 +10,12 @@
 //!   and for the 2-query model after 256 reports (history ring full, two
 //!   batch retrains in). This is the per-tenant disk bill for the keep-2
 //!   retention policy.
+//! * **rehydrate** — what a cold touch costs one durable fork of the
+//!   end-to-end benchmark's template (8×8 grid, 10 trees), fresh and
+//!   after 256 reports, in process: the CRC over its snapshot,
+//!   `Store::load_snapshot`, and an evicted tenant's first determine
+//!   beyond a hot one's, beside the same loop at the commit before the
+//!   slicing CRC and the shared candidate grids ([`REHYDRATE_BEFORE`]).
 //! * **recovery** — wall time for `SmartpickService::open` to come back
 //!   from a generation-0 snapshot plus a WAL of N accepted reports:
 //!   scan, load, replay through `apply_sample`, republish. The row
@@ -52,6 +58,7 @@
 //! own `target/tmp`.
 
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -63,11 +70,17 @@ use smartpick_ml::forest::ForestParams;
 use smartpick_service::{
     CompletedRun, FsyncPolicy, PersistenceConfig, ServiceConfig, SmartpickService,
 };
+use smartpick_store::crc::crc32;
 use smartpick_store::wal::scan_wal;
-use smartpick_store::WalPayload;
+use smartpick_store::{Store, WalPayload};
 use smartpick_workloads::tpcds;
 
 fn trained_driver(query_ids: &[u32], trees: usize) -> Smartpick {
+    trained_on_grid(query_ids, trees, 4)
+}
+
+/// [`trained_driver`] over a `grid` × `grid` search space.
+fn trained_on_grid(query_ids: &[u32], trees: usize, grid: u32) -> Smartpick {
     let queries: Vec<_> = query_ids
         .iter()
         .map(|&q| tpcds::query(q, 100.0).expect("catalog query"))
@@ -79,8 +92,8 @@ fn trained_driver(query_ids: &[u32], trees: usize) -> Smartpick {
             n_trees: trees,
             ..ForestParams::default()
         },
-        max_vm: 4,
-        max_sl: 4,
+        max_vm: grid,
+        max_sl: grid,
         ..TrainOptions::default()
     };
     Smartpick::train_with_options(
@@ -188,6 +201,124 @@ fn snapshot_json(bytes: u64) -> String {
         "{{\"bytes\": {bytes}, \"kilobytes\": {:.1}}}",
         bytes as f64 / 1024.0
     )
+}
+
+/// Rounds each in-process rehydrate median is taken over, and calls
+/// timed per round.
+const REHYDRATE_ROUNDS: usize = 25;
+const REHYDRATE_CALLS: usize = 40;
+
+/// Evict → determine → determine cycles per rehydrate row.
+const COLD_TOUCHES: usize = 1000;
+
+/// What a cold touch costs one tenant, in microseconds: the CRC over its
+/// snapshot, the store's load (list, read, CRC, decode, model
+/// validation) and the first determine after an eviction beyond a hot
+/// one's.
+#[derive(Clone, Copy)]
+struct Rehydrate {
+    crc32_us: f64,
+    load_snapshot_us: f64,
+    cold_minus_hot_us: f64,
+}
+
+impl Rehydrate {
+    const fn at(crc32_us: f64, load_snapshot_us: f64, cold_minus_hot_us: f64) -> Self {
+        Rehydrate {
+            crc32_us,
+            load_snapshot_us,
+            cold_minus_hot_us,
+        }
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{\"crc32_us\": {:.2}, \"load_snapshot_us\": {:.2}, \"cold_minus_hot_us\": {:.2}}}",
+            self.crc32_us, self.load_snapshot_us, self.cold_minus_hot_us
+        )
+    }
+}
+
+/// The rehydrate rows — (reports fed, measurement) — at commit accc07d
+/// (byte-at-a-time CRC; every decode compiled its own candidate grids),
+/// by this same loop built against that commit, same box, same hour,
+/// pinned to one CPU: the median of seven runs alternated with this
+/// commit's (whose seven read 2.35 / 15.75 / 17.12 µs fresh and
+/// 115.8 / 386.9 / 356.3 µs after 256 reports).
+const REHYDRATE_BEFORE: [(usize, Rehydrate); 2] = [
+    (0, Rehydrate::at(13.91, 44.28, 47.90)),
+    (256, Rehydrate::at(622.85, 976.01, 954.28)),
+];
+
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// The median over [`REHYDRATE_ROUNDS`] rounds of `f`'s mean
+/// microseconds per call, [`REHYDRATE_CALLS`] calls a round.
+fn per_call_us(mut f: impl FnMut()) -> f64 {
+    let rounds = (0..REHYDRATE_ROUNDS)
+        .map(|_| {
+            let started = Instant::now();
+            for _ in 0..REHYDRATE_CALLS {
+                f();
+            }
+            started.elapsed().as_secs_f64() * 1e6 / REHYDRATE_CALLS as f64
+        })
+        .collect();
+    median(rounds)
+}
+
+/// Registers one durable fork of `template`, feeds it `reports` reports
+/// and persists it, then times [`COLD_TOUCHES`] evict → determine
+/// (cold) → determine (hot) cycles on it, and — the service closed — the
+/// CRC and the load of its snapshot. `template` stays alive throughout,
+/// as a serving process's template does. Returns the snapshot's bytes
+/// and the row.
+fn rehydrate_row(reports: usize, template: &Smartpick, run: &CompletedRun) -> (usize, Rehydrate) {
+    let dir = bench_root(&format!("rehydrate{reports}"));
+    let service = SmartpickService::open(&dir, durable_config(&dir)).expect("open store");
+    service
+        .register_fork("bench", template, 1)
+        .expect("register");
+    for fed in 1..=reports {
+        service.report_run("bench", run.clone()).expect("report");
+        if fed.is_multiple_of(16) {
+            assert!(service.flush(), "drain between bursts");
+        }
+    }
+    assert!(service.flush(), "drain the tail");
+    service.persist_tenant("bench").expect("persist");
+    let query = tpcds::query(82, 100.0).expect("catalog query");
+    let (mut cold, mut hot) = (Vec::new(), Vec::new());
+    for seed in 0..COLD_TOUCHES as u64 {
+        assert!(service.evict_tenant("bench").expect("evict"), "evicted");
+        for times in [&mut cold, &mut hot] {
+            let started = Instant::now();
+            black_box(service.determine("bench", &query, seed).expect("determine"));
+            times.push(started.elapsed().as_secs_f64() * 1e6);
+        }
+    }
+    drop(service);
+    let store = Store::open(&dir).expect("open the store");
+    let bytes = store
+        .load_snapshot("bench")
+        .expect("load")
+        .snapshot
+        .expect("a snapshot")
+        .encode();
+    let row = Rehydrate {
+        crc32_us: per_call_us(|| {
+            black_box(crc32(black_box(&bytes)));
+        }),
+        load_snapshot_us: per_call_us(|| {
+            black_box(store.load_snapshot("bench").expect("load"));
+        }),
+        cold_minus_hot_us: median(cold) - median(hot),
+    };
+    let _ = std::fs::remove_dir_all(&dir);
+    (bytes.len(), row)
 }
 
 /// Every byte under the store's `wal/`.
@@ -674,6 +805,40 @@ fn main() {
     }
     smartpick_bench::rule(64);
 
+    // --- a cold touch: what rehydrating one tenant costs --------------
+    println!("rehydrate (8x8 grid, 10 trees; in process, microseconds)");
+    smartpick_bench::rule(64);
+    println!(
+        "{:<10} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "reports", "bytes", "crc", "after", "load", "after", "cold-hot", "after"
+    );
+    smartpick_bench::rule(64);
+    let churn_template = trained_on_grid(&[82, 68], 10, 8);
+    let mut rehydrate_rows = String::new();
+    for (i, (reports, before)) in REHYDRATE_BEFORE.iter().enumerate() {
+        let (bytes, after) = rehydrate_row(*reports, &churn_template, &run);
+        println!(
+            "{reports:<10} {bytes:>8} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2}",
+            before.crc32_us,
+            after.crc32_us,
+            before.load_snapshot_us,
+            after.load_snapshot_us,
+            before.cold_minus_hot_us,
+            after.cold_minus_hot_us
+        );
+        if i > 0 {
+            rehydrate_rows.push_str(",\n");
+        }
+        let _ = write!(
+            rehydrate_rows,
+            "    {{\"reports\": {reports}, \"snapshot_bytes\": {bytes},\n     \"before\": {},\n     \
+             \"after\": {}}}",
+            before.json(),
+            after.json()
+        );
+    }
+    smartpick_bench::rule(64);
+
     // --- recovery time vs WAL length ---------------------------------
     // One report template re-fed N times (fresh run ids each time), so
     // the WAL length is the only variable across rows.
@@ -855,7 +1020,14 @@ fn main() {
          PR 20 (JSON report record), after = this commit\",\n  \"retrain_unit\": \"milliseconds, in process, for one \
          apply_report that fires a batch retrain (100 pending samples burst x10, one configured \
          batch of trees grown on the 1000 rows), median of {RETRAIN_REPS}, and that over the \
-         trees grown; before = PR 15, after = this commit\",\n  \
+         trees grown; before = PR 15, after = this commit\",\n  \"rehydrate_unit\": \"microseconds, \
+         in process, pinned, for one durable fork of the end-to-end benchmark's template (q82 + \
+         q68, 8x8 grid, 10 trees), fresh and after N reports, persisted: crc32 over its snapshot's \
+         bytes and Store::load_snapshot (each the median of {REHYDRATE_ROUNDS} rounds of \
+         {REHYDRATE_CALLS} calls, the template alive), and the median determine on the tenant just \
+         evicted minus the median determine on it hot ({COLD_TOUCHES} of each, alternated); \
+         before = commit accc07d (byte-at-a-time CRC, candidate grids compiled per decode), after \
+         = this commit\",\n  \
          \"snapshot_at_rest\": [\n{snap_rows}\n  ],\n  \
          \"snapshot_after_256_reports\": {{\"trained_queries\": 2,\n     \"before\": {},\n     \
          \"after\": {}}},\n  \
@@ -866,7 +1038,7 @@ fn main() {
          \"idle_fleet\": {{\"tenants\": {idle_fleet}, \"with_records\": {busy}, \
          \"max_resident\": {busy},{fleet_before}\n     \"after\": {}}},\n  \
          \"feedback\": [\n{feedback_rows}\n  ],\n  \"wal_append\": [\n{wal_rows}\n  ],\n  \
-         \"retrain\": [\n{retrain_rows}\n  ]\n}}\n",
+         \"retrain\": [\n{retrain_rows}\n  ],\n  \"rehydrate\": [\n{rehydrate_rows}\n  ]\n}}\n",
         snapshot_json(SNAPSHOT_AFTER_256_BEFORE),
         snapshot_json(snap_256),
         recovery_json(&MANY_TENANTS_JSON_RECORD),

@@ -382,3 +382,44 @@ fn bench_store_json_holds_the_retrain_bars() {
     }
     assert_eq!(seen, [10, 100]);
 }
+
+/// The rehydrate record: what a cold touch costs a fork of the end-to-end
+/// benchmark's template, fresh and after 256 reports, beside the
+/// byte-at-a-time CRC and per-decode candidate grids it replaced. The CRC
+/// over a snapshot is at least 2.5× faster on both tenants, and a fresh
+/// fork's evict → determine costs at most three quarters of what it did
+/// beyond a hot determine.
+#[test]
+fn bench_store_json_holds_the_rehydrate_bars() {
+    let root = load();
+    let rehydrate = rows(&root, "rehydrate");
+    let mut seen = Vec::new();
+    for row in rehydrate {
+        let reports = num(field(row, "reports"));
+        seen.push(reports as u64);
+        assert!(num(field(row, "snapshot_bytes")) > 0.0);
+        let (before, after) = (field(row, "before"), field(row, "after"));
+        let us = |side, key| num(field(side, key));
+        for side in [before, after] {
+            for key in ["crc32_us", "load_snapshot_us", "cold_minus_hot_us"] {
+                assert!(us(side, key).is_finite() && us(side, key) > 0.0, "{key}");
+            }
+        }
+        assert!(
+            2.5 * us(after, "crc32_us") <= us(before, "crc32_us"),
+            "{reports} reports: crc32 must be at least 2.5x faster, got {} against {} us",
+            us(after, "crc32_us"),
+            us(before, "crc32_us")
+        );
+        if reports == 0.0 {
+            assert!(
+                us(after, "cold_minus_hot_us") <= 0.75 * us(before, "cold_minus_hot_us"),
+                "a fresh fork's cold touch must cost at most 3/4 of what it did, got {} against \
+                 {} us",
+                us(after, "cold_minus_hot_us"),
+                us(before, "cold_minus_hot_us")
+            );
+        }
+    }
+    assert_eq!(seen, [0, 256]);
+}

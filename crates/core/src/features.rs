@@ -69,6 +69,27 @@ pub struct QueryFeatures {
     pub total_available_cores: f64,
 }
 
+/// Everything [`QueryFeatures::for_allocation`] reads of its
+/// environment: the worker VM's memory and cores. Two environments with
+/// equal shapes give equal feature rows for every allocation, so a cache
+/// of rows (the predictor's candidate grids) keys on this; any field the
+/// row comes to read must be read through here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct WorkerShape {
+    memory_mib: u32,
+    vcpus: u32,
+}
+
+impl WorkerShape {
+    pub(crate) fn of(env: &CloudEnv) -> Self {
+        let vm = env.catalog().worker_vm();
+        WorkerShape {
+            memory_mib: vm.memory_mib,
+            vcpus: vm.vcpus,
+        }
+    }
+}
+
 impl QueryFeatures {
     /// Builds the deterministic parts of the feature row from an allocation
     /// and environment; context fields (epoch, waiting apps, available
@@ -79,10 +100,11 @@ impl QueryFeatures {
         alloc: &Allocation,
         env: &CloudEnv,
     ) -> Self {
-        let worker_mem = env.catalog().worker_vm().memory_mib as f64;
+        let worker = WorkerShape::of(env);
+        let worker_mem = worker.memory_mib as f64;
         let n = alloc.total_instances() as f64;
         let total_memory = n * worker_mem;
-        let cores = alloc.total_instances() as f64 * env.catalog().worker_vm().vcpus as f64;
+        let cores = alloc.total_instances() as f64 * worker.vcpus as f64;
         QueryFeatures {
             query_code,
             n_vm: alloc.n_vm,

@@ -15,7 +15,9 @@
 //! implements those integrations' restricted searches.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
+
+use parking_lot::Mutex;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,7 +30,7 @@ use smartpick_ml::forest::RandomForest;
 use smartpick_ml::lattice::Lattice;
 
 use crate::error::SmartpickError;
-use crate::features::{QueryFeatures, INPUT_BYTES_COL, N_FEATURES, QUERY_CODE_COL};
+use crate::features::{QueryFeatures, WorkerShape, INPUT_BYTES_COL, N_FEATURES, QUERY_CODE_COL};
 use crate::planner::{Planner, UniformWorkload};
 use crate::similarity::SimilarityChecker;
 use crate::tradeoff::{choose_with_knob, EtEntry};
@@ -161,8 +163,8 @@ pub trait WorkloadPredictionService {
 /// [`QueryFeatures::for_allocation`] derives from `nVM + nSL`) as value
 /// tables, everything else as one uniform value. `determine()` supplies
 /// the two query-dependent columns (`query-code`, `input-size`) per
-/// request; the rest depends only on the grid and the environment, so it
-/// is compiled exactly once per trained predictor.
+/// request; the rest depends only on the grid and the environment's
+/// [`WorkerShape`], so it is compiled once per process per [`GridKey`].
 #[derive(Debug)]
 struct CandidateGrid {
     /// `(n_vm, n_sl)` per candidate, in [`grid_coords`] order — the
@@ -193,10 +195,34 @@ impl CandidateGrid {
     }
 }
 
-/// The four constraint modes' grids, precompiled at assembly time and
-/// shared by every clone/snapshot of the predictor (the bounds they are
-/// keyed on — `max_vm`, `max_sl`, `min_total` — are fixed for the life
-/// of a trained predictor).
+/// Everything [`CandidateGrids::build`] reads: the search bounds (fixed
+/// for the life of a trained predictor) and the worker shape the feature
+/// rows are built from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct GridKey {
+    max_vm: u32,
+    max_sl: u32,
+    min_total: u32,
+    worker: WorkerShape,
+}
+
+/// Every live [`CandidateGrids`], by key. Values are `Weak`, so the
+/// grids die with the last predictor holding them; dead entries are
+/// pruned on insert, which keeps the map as small as the set of live
+/// keys plus those that died since the last insert. A leaf lock: held for
+/// one lookup and, on a miss, the pure build and insert that follow —
+/// never across I/O or another lock.
+type GridInterner = Mutex<HashMap<GridKey, Weak<CandidateGrids>>>;
+
+fn interner() -> &'static GridInterner {
+    static INTERNER: OnceLock<GridInterner> = OnceLock::new();
+    INTERNER.get_or_init(GridInterner::default)
+}
+
+/// The four constraint modes' grids, precompiled once per process per
+/// [`GridKey`] and shared by every predictor assembled with that key —
+/// clones, snapshots, every fork of a template and every rehydration of
+/// one. Grids are pure and immutable, so sharing them is exact.
 #[derive(Debug)]
 struct CandidateGrids {
     hybrid: CandidateGrid,
@@ -206,6 +232,31 @@ struct CandidateGrids {
 }
 
 impl CandidateGrids {
+    /// The interned grids for these bounds over `env`, built on the
+    /// first request for the key (or the first since its last holder
+    /// dropped them).
+    fn shared(
+        env: &CloudEnv,
+        max_vm: u32,
+        max_sl: u32,
+        min_total: u32,
+    ) -> Result<Arc<CandidateGrids>, SmartpickError> {
+        let key = GridKey {
+            max_vm,
+            max_sl,
+            min_total,
+            worker: WorkerShape::of(env),
+        };
+        let mut interned = interner().lock();
+        if let Some(grids) = interned.get(&key).and_then(Weak::upgrade) {
+            return Ok(grids);
+        }
+        let built = Arc::new(CandidateGrids::build(env, max_vm, max_sl, min_total)?);
+        interned.retain(|_, grids| grids.strong_count() > 0);
+        interned.insert(key, Arc::downgrade(&built));
+        Ok(built)
+    }
+
     fn build(
         env: &CloudEnv,
         max_vm: u32,
@@ -242,8 +293,9 @@ pub struct WorkloadPredictor {
     /// Query id → index into `known`, maintained alongside it so id
     /// resolution is a hash lookup instead of a linear scan.
     index: HashMap<String, usize>,
-    /// Precompiled per-constraint search spaces (immutable; shared by
-    /// clones, so a retrained copy-on-write predictor reuses them).
+    /// Precompiled per-constraint search spaces (immutable; interned
+    /// process-wide, so every predictor with the same bounds and worker
+    /// shape holds the same ones).
     grids: Arc<CandidateGrids>,
     sc: SimilarityChecker,
     planner: Planner,
@@ -266,8 +318,9 @@ pub struct WorkloadPredictor {
 
 impl WorkloadPredictor {
     /// Assembles a predictor from its parts (the training pipeline and
-    /// every decode of a stored snapshot), compiling the four constraint
-    /// modes' candidate grids.
+    /// every decode of a stored snapshot), sharing the four constraint
+    /// modes' candidate grids with every live predictor of the same
+    /// bounds and worker shape, or compiling them if there is none.
     ///
     /// # Errors
     ///
@@ -300,12 +353,7 @@ impl WorkloadPredictor {
             .collect();
         Ok(WorkloadPredictor {
             planner: Planner::new(env.clone()),
-            grids: Arc::new(CandidateGrids::build(
-                &env,
-                max_vm,
-                max_sl,
-                min_total.max(1),
-            )?),
+            grids: CandidateGrids::shared(&env, max_vm, max_sl, min_total.max(1))?,
             env,
             forest,
             known,
@@ -856,5 +904,98 @@ mod tests {
             CandidateGrid::compile(&coords, &waiting),
             Err(SmartpickError::Ml(MlError::NonAxisColumn { column: 8 }))
         ));
+    }
+
+    /// A small trained predictor, re-assembled at the given bounds.
+    fn assembled(trained: &WorkloadPredictor, max_vm: u32, max_sl: u32) -> WorkloadPredictor {
+        WorkloadPredictor::assemble(
+            trained.env.clone(),
+            trained.forest.clone(),
+            trained.known.clone(),
+            trained.sc.clone(),
+            false,
+            trained.stderr,
+            max_vm,
+            max_sl,
+            trained.min_total,
+        )
+        .unwrap()
+    }
+
+    fn small_trained() -> WorkloadPredictor {
+        let opts = TrainOptions {
+            configs_per_query: 4,
+            burst_factor: 2,
+            forest: ForestParams {
+                n_trees: 3,
+                ..ForestParams::default()
+            },
+            ..TrainOptions::default()
+        };
+        let query = tpcds::query(82, 100.0).unwrap();
+        train_predictor(&CloudEnv::new(Provider::Aws), &[query], &opts, 7)
+            .unwrap()
+            .0
+    }
+
+    #[test]
+    fn assemblies_with_equal_keys_share_one_set_of_grids() {
+        let trained = small_trained();
+        let (a, b) = (assembled(&trained, 9, 7), assembled(&trained, 9, 7));
+        assert!(Arc::ptr_eq(&a.grids, &b.grids), "equal keys share");
+        assert!(Arc::ptr_eq(&a.grids, &a.clone().grids), "a clone shares");
+        let other = assembled(&trained, 7, 9);
+        assert!(!Arc::ptr_eq(&a.grids, &other.grids), "different bounds");
+    }
+
+    #[test]
+    fn shared_grids_equal_a_fresh_build_for_every_environment() {
+        let envs = [
+            CloudEnv::new(Provider::Aws),
+            CloudEnv::new(Provider::Gcp),
+            CloudEnv::with_family(Provider::Aws, "compute"),
+            CloudEnv::with_family(Provider::Gcp, "compute"),
+        ];
+        // Intern every environment's grids first, so an environment whose
+        // key another already holds is answered with that one's grids.
+        let held: Vec<_> = envs
+            .iter()
+            .map(|env| CandidateGrids::shared(env, 10, 6, 3).unwrap())
+            .collect();
+        for (env, shared) in envs.iter().zip(&held) {
+            let fresh = CandidateGrids::build(env, 10, 6, 3).unwrap();
+            for mode in MODES {
+                let (got, want) = (shared.get(mode), fresh.get(mode));
+                assert_eq!(got.coords, want.coords, "{:?} {mode:?}", env.catalog());
+                assert!(got.lattice == want.lattice, "{:?} {mode:?}", env.catalog());
+            }
+        }
+        // AWS and GCP workers have the same shape; a compute family does not.
+        assert!(Arc::ptr_eq(&held[0], &held[1]));
+        assert!(!Arc::ptr_eq(&held[0], &held[2]));
+        assert!(!Arc::ptr_eq(&held[2], &held[3]));
+    }
+
+    #[test]
+    fn grids_die_with_their_last_predictor_and_leave_the_interner() {
+        let env = CloudEnv::new(Provider::Gcp);
+        let key = GridKey {
+            max_vm: 11,
+            max_sl: 3,
+            min_total: 2,
+            worker: WorkerShape::of(&env),
+        };
+        let interned = |key: &GridKey| interner().lock().contains_key(key);
+        let grids = CandidateGrids::shared(&env, 11, 3, 2).unwrap();
+        let weak = Arc::downgrade(&grids);
+        assert!(interned(&key));
+        drop(grids);
+        assert!(
+            weak.upgrade().is_none(),
+            "the interner holds no strong count"
+        );
+        // The next insert, of any key, prunes the dead entry.
+        let _other = CandidateGrids::shared(&env, 3, 11, 2).unwrap();
+        assert!(!interned(&key), "pruned on insert");
     }
 }

@@ -41,7 +41,7 @@ enum Column {
 
 /// The rows of one `vm`: `sl_lo..=sl_hi` at consecutive row indices from
 /// `row`. An absent `vm` has `sl_lo > sl_hi`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Span {
     sl_lo: i64,
     sl_hi: i64,
@@ -53,7 +53,7 @@ struct Span {
 /// are not propagated through `total = vm + sl`, so a region can be
 /// non-empty on each axis and still hold no row: that costs the visit of
 /// its subtree and adds nothing.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Region {
     lo: [i64; AXES],
     hi: [i64; AXES],
@@ -71,7 +71,7 @@ pub(crate) enum Route {
 }
 
 /// A candidate matrix in compiled form — see the [module docs](self).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Lattice {
     n_rows: usize,
     /// The whole grid's bounding box (empty for a zero-row lattice).

@@ -20,7 +20,7 @@
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, ErrorKind, Write};
 use std::path::{Path, PathBuf};
 
 use crate::error::StoreError;
@@ -183,13 +183,17 @@ impl Store {
     /// not returned).
     pub fn load_snapshot(&self, tenant: &str) -> Result<LoadedSnapshot, StoreError> {
         let dir = self.tenant_dir(tenant);
-        if !dir.is_dir() {
-            return Ok(LoadedSnapshot {
-                snapshot: None,
-                quarantined: Vec::new(),
-            });
-        }
-        let mut snaps = snapshot_files(&dir)?;
+        // No tenant directory (or a file where it should be) is no
+        // snapshot: the listing says so, without a stat beforehand.
+        let mut snaps = match snapshot_files(&dir) {
+            Err(e) if matches!(e.kind(), ErrorKind::NotFound | ErrorKind::NotADirectory) => {
+                return Ok(LoadedSnapshot {
+                    snapshot: None,
+                    quarantined: Vec::new(),
+                })
+            }
+            listed => listed?,
+        };
         snaps.sort_by_key(|s| std::cmp::Reverse(s.0));
         let mut quarantined = Vec::new();
         for (_, path) in snaps {
@@ -449,10 +453,10 @@ impl Store {
 }
 
 /// `(generation, path)` for every `snap-*.snap` in `dir`.
-fn snapshot_files(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StoreError> {
+fn snapshot_files(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     let mut snaps = Vec::new();
-    for entry in fs::read_dir(dir).map_err(StoreError::from)? {
-        let path = entry.map_err(StoreError::from)?.path();
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
         if let Some(generation) = snapshot_generation(&path) {
             snaps.push((generation, path));
         }
@@ -631,6 +635,19 @@ mod tests {
         store.remove_tenant("acme").unwrap();
         assert!(store.tenant_ids().unwrap().is_empty());
         assert!(store.load_snapshot("acme").unwrap().snapshot.is_none());
+    }
+
+    #[test]
+    fn a_missing_tenant_or_a_file_in_its_place_loads_no_snapshot() {
+        let store = Store::open(test_root("absent")).unwrap();
+        let loaded = store.load_snapshot("nobody").unwrap();
+        assert!(loaded.snapshot.is_none() && loaded.quarantined.is_empty());
+
+        let path = store.tenant_dir("squatter");
+        fs::write(&path, b"not a directory").unwrap();
+        let loaded = store.load_snapshot("squatter").unwrap();
+        assert!(loaded.snapshot.is_none() && loaded.quarantined.is_empty());
+        assert_eq!(fs::read(&path).unwrap(), b"not a directory", "left alone");
     }
 
     #[test]

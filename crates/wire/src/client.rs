@@ -178,6 +178,8 @@ impl WireClient {
     }
 
     /// Convenience prediction: hybrid search with the tenant's knob.
+    /// Writes the frame [`WireClient::submit_determine`] writes, straight
+    /// from the borrowed tenant and query, then waits for its answer.
     ///
     /// # Examples
     ///
@@ -198,16 +200,12 @@ impl WireClient {
     /// See [`WireError`].
     pub fn determine(
         &mut self,
-        tenant: impl Into<String>,
+        tenant: &str,
         query: &QueryProfile,
         seed: u64,
     ) -> Result<Determination, WireError> {
-        let request = Request::Determine {
-            tenant: tenant.into(),
-            query: query.clone(),
-            seed,
-        };
-        match self.call(&request)? {
+        let id = self.submit_determine(tenant, query, seed)?;
+        match self.answer(id)? {
             Response::Determination(d) => Ok(d),
             other => Err(unexpected("determination", &other)),
         }
@@ -375,6 +373,11 @@ impl WireClient {
     /// [`WireError::Rejected`].
     fn call(&mut self, request: &Request) -> Result<Response, WireError> {
         let id = self.submit(request)?;
+        self.answer(id)
+    }
+
+    /// Receives the answer to request `id`, the only one in flight.
+    fn answer(&mut self, id: u64) -> Result<Response, WireError> {
         let (got, response) = self.recv()?;
         if got != id {
             return Err(WireError::Protocol(format!(

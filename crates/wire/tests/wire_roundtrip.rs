@@ -80,9 +80,22 @@ fn submit_determine_writes_the_frames_submit_writes() {
         sender.submit_determine("acme", &query, seed).unwrap();
         sender.submit_determine("acme", &query, seed).unwrap();
     });
+    // The blocking call writes its frame, then waits for an answer the
+    // listener never sends: a short read deadline ends each wait.
+    let blocking = bytes_sent(&listener, |addr| {
+        let mut client = WireClient::connect(addr).unwrap();
+        client
+            .set_io_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        for _ in 0..2 {
+            let waited = client.determine("acme", &query, seed);
+            assert!(matches!(waited, Err(WireError::Io(_))), "{waited:?}");
+        }
+    });
     assert_eq!(submitted, expected, "submit(&Request::Determine)");
     assert_eq!(borrowed, expected, "WireClient::submit_determine");
     assert_eq!(split, expected, "WireSender::submit_determine");
+    assert_eq!(blocking, expected, "WireClient::determine");
 }
 
 #[test]
