@@ -32,6 +32,7 @@ use smartpick_core::driver::Smartpick;
 use smartpick_core::properties::SmartpickProperties;
 use smartpick_core::training::TrainOptions;
 use smartpick_core::wp::{PredictionRequest, WorkloadPredictionService};
+use smartpick_engine::simulate_query;
 use smartpick_ml::forest::ForestParams;
 use smartpick_service::{ServiceConfig, SmartpickService};
 use smartpick_workloads::tpcds;
@@ -152,10 +153,13 @@ fn bench_reads_under_retrain(c: &mut Criterion) {
         .predictor()
         .determine(&PredictionRequest::new(query.clone(), 7))
         .expect("determination succeeds");
-    let mut slow_report = seed_driver
-        .shared_resource_manager()
-        .execute(&query, &determination.allocation, 9)
-        .expect("execution succeeds");
+    let mut slow_report = simulate_query(
+        &query,
+        &determination.allocation,
+        seed_driver.predictor().env(),
+        9,
+    )
+    .expect("execution succeeds");
     slow_report.completion =
         smartpick_cloudsim::SimDuration::from_secs_f64(determination.predicted_seconds + 500.0);
 

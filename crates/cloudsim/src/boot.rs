@@ -57,18 +57,6 @@ impl BootModel {
         }
     }
 
-    /// A deterministic model that boots VMs in exactly `vm_secs` and
-    /// serverless in exactly `sl_ms` — used by ablation benches and by the
-    /// Fig. 1 analytical reproduction (55 s, 0 s).
-    pub fn fixed(vm_secs: f64, sl_ms: f64) -> Self {
-        BootModel {
-            vm_mean_secs: vm_secs,
-            vm_sigma_secs: 0.0,
-            sl_mean_ms: sl_ms,
-            sl_sigma_ms: 0.0,
-        }
-    }
-
     /// Mean VM boot latency.
     pub fn vm_mean(&self) -> SimDuration {
         SimDuration::from_secs_f64(self.vm_mean_secs)
@@ -114,19 +102,6 @@ mod tests {
                 "VM boot {vm} outside the measured 31-32s band"
             );
         }
-    }
-
-    #[test]
-    fn fixed_model_is_deterministic() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let model = BootModel::fixed(55.0, 0.0);
-        let a = model.sample(InstanceKind::Vm, &mut rng);
-        let b = model.sample(InstanceKind::Vm, &mut rng);
-        assert_eq!(a, b);
-        assert_eq!(a.as_secs_f64(), 55.0);
-        // Fixed SL boots clamp to the 5 ms floor.
-        let sl = model.sample(InstanceKind::Serverless, &mut rng);
-        assert_eq!(sl.as_millis(), 5);
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! optimal `{nVM, nSL}` (1); unknown queries go through the Similarity
 //! Checker (2); WP pulls features from MFE/History (3–5) and runs RF + BO;
 //! with a non-zero knob the `ET_l` list is traversed (§3.3); the
-//! determination returns (6) and the Resource Manager spawns the instances
-//! and runs the query (7–8); on completion MFE compares predicted vs
-//! actual and fires background retraining when the error exceeds the
-//! trigger (9).
+//! determination returns (6) and the query runs on the simulated cloud
+//! (7–8, [`simulate_query`]; in the paper the Resource Manager spawns
+//! real instances); on completion MFE compares predicted vs actual and
+//! fires background retraining when the error exceeds the trigger (9).
 
 use std::sync::Arc;
 
@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use smartpick_cloudsim::CloudEnv;
-use smartpick_engine::{Allocation, QueryProfile, RunReport};
+use smartpick_engine::{simulate_query, Allocation, QueryProfile, RunReport};
 
 use crate::error::SmartpickError;
 use crate::history::{HistoryServer, RunRecord};
@@ -23,7 +23,6 @@ use crate::mfe::Mfe;
 use crate::persist;
 use crate::properties::SmartpickProperties;
 use crate::retrain::{RetrainMonitor, RetrainReport};
-use crate::rm::ResourceManager;
 use crate::sample::RunSample;
 use crate::training::{train_predictor, TrainOptions, TrainReport};
 use crate::wp::{
@@ -65,12 +64,10 @@ impl QueryOutcome {
 
 /// The assembled Smartpick system.
 ///
-/// The trained predictor (the hot read path) and the Resource Manager are
-/// held behind [`Arc`]s: [`Smartpick::snapshot`] hands out an immutable,
-/// lock-free view that concurrent readers can run predictions against
-/// while this driver keeps training, and
-/// [`Smartpick::shared_resource_manager`] lets executions proceed without
-/// holding whatever lock guards the driver. Training mutations go through
+/// The trained predictor (the hot read path) is held behind an [`Arc`]:
+/// [`Smartpick::snapshot`] hands out an immutable, lock-free view that
+/// concurrent readers can run predictions against while this driver
+/// keeps training. Training mutations go through
 /// [`Arc::make_mut`], i.e. copy-on-write: a retrain never perturbs
 /// snapshots already handed out (cheap, since the forest shares its trees
 /// by `Arc` too).
@@ -80,7 +77,6 @@ pub struct Smartpick {
     predictor: Arc<WorkloadPredictor>,
     history: HistoryServer,
     mfe: Mfe,
-    rm: Arc<ResourceManager>,
     rng: StdRng,
 }
 
@@ -121,8 +117,7 @@ impl Smartpick {
         let (predictor, report) = train_predictor(&env, training_queries, options, seed)?;
         Ok((
             Smartpick {
-                mfe: Mfe::new(env.clone(), props.clone(), seed ^ MFE_SEED_MIX),
-                rm: Arc::new(ResourceManager::new(env)),
+                mfe: Mfe::new(env, props.clone(), seed ^ MFE_SEED_MIX),
                 props,
                 predictor: Arc::new(predictor),
                 history: HistoryServer::new(),
@@ -133,17 +128,19 @@ impl Smartpick {
     }
 
     /// Creates an independent driver that starts from this one's trained
-    /// model but owns fresh monitoring, history, billing and RNG state.
+    /// model but owns fresh monitoring, history and RNG state.
     ///
     /// The model itself is shared copy-on-write (an `Arc` bump, no deep
     /// clone); the two drivers diverge from the first retrain onward. This
     /// is the cheap way to bootstrap many tenants from one kick-start
     /// training run.
     pub fn fork(&self, seed: u64) -> Smartpick {
-        let env = self.predictor.env().clone();
         Smartpick {
-            mfe: Mfe::new(env.clone(), self.props.clone(), seed ^ MFE_SEED_MIX),
-            rm: Arc::new(ResourceManager::new(env)),
+            mfe: Mfe::new(
+                self.predictor.env().clone(),
+                self.props.clone(),
+                seed ^ MFE_SEED_MIX,
+            ),
             props: self.props.clone(),
             predictor: Arc::clone(&self.predictor),
             history: HistoryServer::new(),
@@ -184,9 +181,12 @@ impl Smartpick {
 
         // Steps 7–8: spawn and execute.
         let run_seed: u64 = self.rng.gen();
-        let report = self
-            .rm
-            .execute(query, &determination.allocation, run_seed)?;
+        let report = simulate_query(
+            query,
+            &determination.allocation,
+            self.predictor.env(),
+            run_seed,
+        )?;
 
         // Step 9: record, monitor, maybe retrain.
         let retrain = self.apply_report(query, &determination, &report)?;
@@ -217,9 +217,8 @@ impl Smartpick {
     /// Applies one run's [`RunSample`] to the training state.
     ///
     /// This is the *write half* of the split read/write API: a service
-    /// front-end predicts against [`Smartpick::snapshot`] and executes via
-    /// [`Smartpick::shared_resource_manager`] without touching the driver,
-    /// then feeds each run's sample back through here (possibly batched,
+    /// front-end predicts against [`Smartpick::snapshot`] without touching
+    /// the driver, then feeds each run's sample back through here (possibly batched,
     /// from a background worker, or replayed from a log — the sample is
     /// everything this reads, so all three are the same call). Retraining
     /// mutates the predictor copy-on-write, so snapshots taken earlier are
@@ -295,20 +294,9 @@ impl Smartpick {
         Arc::clone(&self.predictor)
     }
 
-    /// A shared handle to the Resource Manager, so executions (steps 7–8)
-    /// can run without exclusive access to the driver.
-    pub fn shared_resource_manager(&self) -> Arc<ResourceManager> {
-        Arc::clone(&self.rm)
-    }
-
     /// The history server.
     pub fn history(&self) -> &HistoryServer {
         &self.history
-    }
-
-    /// The resource manager (charging statistics).
-    pub fn resource_manager(&self) -> &ResourceManager {
-        &self.rm
     }
 
     /// The configured properties.
@@ -371,8 +359,7 @@ impl Smartpick {
             mfe.retrain_count,
         );
         Smartpick {
-            mfe: Mfe::restore(env.clone(), monitor, mfe.clock_state, mfe.epoch),
-            rm: Arc::new(ResourceManager::new(env)),
+            mfe: Mfe::restore(env, monitor, mfe.clock_state, mfe.epoch),
             props,
             predictor,
             history: HistoryServer::from_records(history),
@@ -436,7 +423,6 @@ mod tests {
         assert!(outcome.report.seconds() > 0.0);
         assert!(outcome.report.total_cost().dollars() > 0.0);
         assert_eq!(sp.history().len(), 1);
-        assert_eq!(sp.resource_manager().stats().queries, 1);
     }
 
     #[test]
@@ -464,10 +450,7 @@ mod tests {
         let determination = snap
             .determine(&PredictionRequest::new(alien.clone(), 3))
             .unwrap();
-        let report = sp
-            .shared_resource_manager()
-            .execute(&alien, &determination.allocation, 4)
-            .unwrap();
+        let report = simulate_query(&alien, &determination.allocation, snap.env(), 4).unwrap();
         let mut sample = RunSample::project(&alien, &determination, &report);
         assert_eq!(sample.profile.as_ref(), Some(&alien));
         assert_eq!(sample.matched_query, "tpcds-q68");
@@ -538,9 +521,8 @@ mod tests {
         let mut forked = sp.fork(1234);
         // Forks share the trained model (same Arc until a retrain)...
         assert!(Arc::ptr_eq(&sp.snapshot(), &forked.snapshot()));
-        // ...but not history or billing.
+        // ...but not history.
         assert_eq!(forked.history().len(), 0);
-        assert_eq!(forked.resource_manager().stats().queries, 0);
         forked.submit(&q).unwrap();
         assert_eq!(forked.history().len(), 1);
         assert_eq!(sp.history().len(), 1);

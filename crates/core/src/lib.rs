@@ -20,15 +20,16 @@
 //! * [`tradeoff`] — the cost–performance **knob** ε (Equation 4, §3.3).
 //! * [`planner`] — the closed-form time/cost model behind §2.2's
 //!   illustrative example and the knob's cost constraint.
-//! * [`rm`] — the **Resource Manager**: spawns instances, tracks the
-//!   REQUEST-ID ↔ INSTANCE-ID relay mapping and cost statistics (§5).
 //! * [`retrain`] — event-driven **background retraining** with the
 //!   data-burst heuristic (§4.2, §5).
 //! * [`training`] — initial model construction (the paper's CLI kick-start
 //!   path: 20 random configs × 5 queries → ±5% burst → 80:20 split).
 //! * [`properties`] — the Table 4 `smartpick.*` property set.
 //! * [`driver`] — the [`driver::Smartpick`] facade wiring it all together
-//!   (Figure 3's steps 0–9).
+//!   (Figure 3's steps 0–9). The paper's Resource Manager, which spawns
+//!   instances in a real cloud (§4.1, §5), is not a component here: a
+//!   submitted query runs on the simulator through
+//!   [`smartpick_engine::simulate_query`].
 //! * [`sample`] — [`RunSample`], the projection of a completed run onto
 //!   what step 9 reads: the one value the feedback path carries and logs.
 //! * [`persist`] — the driver checkpoint for durable tenant state: the
@@ -73,7 +74,6 @@ pub mod persist;
 pub mod planner;
 pub mod properties;
 pub mod retrain;
-pub mod rm;
 pub mod sample;
 pub mod similarity;
 pub mod tradeoff;

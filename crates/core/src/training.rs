@@ -12,11 +12,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use smartpick_cloudsim::CloudEnv;
-use smartpick_engine::{QueryProfile, RelayPolicy};
+use smartpick_engine::{simulate_query, Allocation, QueryProfile, RelayPolicy, RunReport};
 use smartpick_ml::dataset::Dataset;
 use smartpick_ml::forest::{ForestParams, RandomForest};
 use smartpick_ml::metrics;
-use smartpick_workloads::training::{run_random_configs, TrainingRunOptions};
 
 use crate::error::SmartpickError;
 use crate::features::QueryFeatures;
@@ -41,7 +40,9 @@ pub struct TrainOptions {
     /// Search-space bound for the predictor, SLs.
     pub max_sl: u32,
     /// Minimum total instances per configuration, for both the training
-    /// runs and the prediction-time search space.
+    /// runs and the prediction-time search space: training on starving
+    /// one-worker clusters would dominate the error budget with
+    /// many-minute runs no deployment would choose.
     pub min_total: u32,
     /// Train the relay-aware model (Smartpick-r) instead of plain
     /// Smartpick.
@@ -107,28 +108,53 @@ pub fn build_raw_dataset(
     }
     let mut rng = StdRng::seed_from_u64(seed);
     let mut data = Dataset::new(QueryFeatures::names());
-    let run_opts = TrainingRunOptions {
-        configs_per_query: options.configs_per_query,
-        max_vm: options.max_vm,
-        max_sl: options.max_sl,
-        min_total: options.min_total,
-        relay: if options.relay {
-            RelayPolicy::Relay
-        } else {
-            RelayPolicy::None
-        },
-    };
     for (code, query) in queries.iter().enumerate() {
-        let samples = run_random_configs(query, env, &run_opts, rng.gen())?;
-        for s in samples {
+        for (allocation, report) in run_random_configs(query, env, options, rng.gen())? {
             let features =
-                QueryFeatures::for_allocation(code as f64, query.input_gb, &s.allocation, env)
+                QueryFeatures::for_allocation(code as f64, query.input_gb, &allocation, env)
                     .with_start_epoch(rng.gen_range(0.0..86_400.0))
                     .with_contention(rng.gen_range(0..4), rng.gen_range(0.6..1.0));
-            data.push(features.to_vec(), s.report.seconds());
+            data.push(features.to_vec(), report.seconds());
         }
     }
     Ok(data)
+}
+
+/// Runs `options.configs_per_query` random `{nVM, nSL}` configurations
+/// of `query` on the simulator (§6.1: "we run 20 randomly selected
+/// configurations of VMs and SLs for each of the 5 TPC-DS queries").
+///
+/// Every configuration requests at least `options.min_total` instances
+/// (and at least one); the relay policy applies only when both kinds are
+/// present.
+fn run_random_configs(
+    query: &QueryProfile,
+    env: &CloudEnv,
+    options: &TrainOptions,
+    seed: u64,
+) -> Result<Vec<(Allocation, RunReport)>, SmartpickError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let floor = options.min_total.max(1);
+    (0..options.configs_per_query)
+        .map(|i| {
+            let (n_vm, n_sl) = loop {
+                let n_vm = rng.gen_range(0..=options.max_vm);
+                let n_sl = rng.gen_range(0..=options.max_sl);
+                if n_vm + n_sl >= floor {
+                    break (n_vm, n_sl);
+                }
+            };
+            let relay = if options.relay && n_vm > 0 && n_sl > 0 {
+                RelayPolicy::Relay
+            } else {
+                RelayPolicy::None
+            };
+            let alloc = Allocation::new(n_vm, n_sl).with_relay(relay);
+            let run_seed = rng.gen::<u64>() ^ i as u64;
+            let report = simulate_query(query, &alloc, env, run_seed)?;
+            Ok((alloc, report))
+        })
+        .collect()
 }
 
 /// Runs the full §5 training pipeline and assembles a ready
@@ -214,6 +240,59 @@ mod tests {
             .iter()
             .map(|&q| tpcds::query(q, 100.0).unwrap())
             .collect()
+    }
+
+    #[test]
+    fn produces_requested_number_of_samples() {
+        let env = CloudEnv::new(Provider::Aws);
+        let q = tpcds::query(82, 100.0).unwrap();
+        let opts = TrainOptions {
+            configs_per_query: 6,
+            ..TrainOptions::default()
+        };
+        let runs = run_random_configs(&q, &env, &opts, 42).unwrap();
+        assert_eq!(runs.len(), 6);
+        for (allocation, report) in &runs {
+            assert!(allocation.is_viable());
+            assert!(allocation.total_instances() >= opts.min_total);
+            assert!(report.seconds() > 0.0);
+        }
+    }
+
+    #[test]
+    fn deterministic_given_seed() {
+        let env = CloudEnv::new(Provider::Aws);
+        let q = tpcds::query(82, 100.0).unwrap();
+        let opts = TrainOptions {
+            configs_per_query: 4,
+            ..TrainOptions::default()
+        };
+        let a = run_random_configs(&q, &env, &opts, 7).unwrap();
+        let b = run_random_configs(&q, &env, &opts, 7).unwrap();
+        assert_eq!(a.len(), b.len());
+        for ((alloc_a, report_a), (alloc_b, report_b)) in a.iter().zip(&b) {
+            assert_eq!(alloc_a, alloc_b);
+            assert_eq!(report_a.completion, report_b.completion);
+        }
+    }
+
+    #[test]
+    fn relay_only_applied_to_hybrid_configs() {
+        let env = CloudEnv::new(Provider::Aws);
+        let q = tpcds::query(82, 100.0).unwrap();
+        let opts = TrainOptions {
+            configs_per_query: 12,
+            relay: true,
+            ..TrainOptions::default()
+        };
+        for (allocation, _) in run_random_configs(&q, &env, &opts, 3).unwrap() {
+            let expect = if allocation.n_vm == 0 || allocation.n_sl == 0 {
+                RelayPolicy::None
+            } else {
+                RelayPolicy::Relay
+            };
+            assert_eq!(allocation.relay, expect, "{allocation}");
+        }
     }
 
     #[test]

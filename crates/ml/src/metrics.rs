@@ -22,27 +22,6 @@ pub fn rmse(truth: &[f64], pred: &[f64]) -> f64 {
     mse.sqrt()
 }
 
-/// Coefficient of determination R².
-///
-/// Returns 1.0 for a perfect fit; can be negative for fits worse than the
-/// mean predictor. A constant truth vector yields 0.0 by convention.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty.
-pub fn r2(truth: &[f64], pred: &[f64]) -> f64 {
-    assert_eq!(truth.len(), pred.len(), "length mismatch");
-    assert!(!truth.is_empty(), "empty input");
-    let mean = truth.iter().sum::<f64>() / truth.len() as f64;
-    let ss_tot: f64 = truth.iter().map(|t| (t - mean) * (t - mean)).sum();
-    let ss_res: f64 = truth.iter().zip(pred).map(|(t, p)| (t - p) * (t - p)).sum();
-    if ss_tot <= 1e-12 {
-        0.0
-    } else {
-        1.0 - ss_res / ss_tot
-    }
-}
-
 /// Standard error of the regression: `sqrt(SSE / (n - 2))` (the residual
 /// standard error the paper's accuracy rule is built on). Falls back to the
 /// RMSE when `n <= 2`.
@@ -131,14 +110,6 @@ mod tests {
         let t = [1.0, 2.0, 3.0];
         let p = [1.0, 2.0, 5.0];
         assert!((rmse(&t, &p) - (4.0f64 / 3.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn r2_perfect_and_mean() {
-        let t = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(r2(&t, &t), 1.0);
-        let mean = [2.5; 4];
-        assert!(r2(&t, &mean).abs() < 1e-12);
     }
 
     #[test]

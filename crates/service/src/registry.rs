@@ -4,16 +4,16 @@
 //! `parking_lot::RwLock<HashMap<...>>`, so registry traffic scales with
 //! tenants instead of funnelling through one global lock. Lookups take a
 //! shard read lock only long enough to clone the tenant's slot `Arc` out
-//! — no caller ever holds a shard lock across a prediction, execution,
-//! or retrain.
+//! — no caller ever holds a shard lock across a prediction or a
+//! retrain.
 //!
 //! ## Residency
 //!
 //! Each registered tenant occupies a [`TenantSlot`] carrying a
 //! [`Residency`] state machine:
 //!
-//! * **Hot** — the full [`TenantState`] (forest snapshot + driver +
-//!   resource manager) is resident; the read path clones the `Arc` out.
+//! * **Hot** — the full [`TenantState`] (forest snapshot + driver) is
+//!   resident; the read path clones the `Arc` out.
 //! * **Cold** — the heavy state has been dropped after a final snapshot
 //!   persist; only [`ColdMeta`] (generation/epoch/watermark/run-id
 //!   floors) remains in memory. ~2.7 KiB on disk, ~nothing in RAM.
@@ -36,7 +36,6 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard};
 
 use parking_lot::{Mutex, RwLock};
 use smartpick_core::driver::Smartpick;
-use smartpick_core::rm::ResourceManager;
 use smartpick_core::wp::WorkloadPredictor;
 
 use crate::error::ServiceError;
@@ -56,8 +55,6 @@ pub(crate) struct TenantState {
     pub(crate) snapshot: RwLock<Arc<WorkloadPredictor>>,
     /// The training-side driver, owned by the retrain worker.
     pub(crate) driver: Mutex<Smartpick>,
-    /// Shared execution substrate, callable without the driver lock.
-    pub(crate) rm: Arc<ResourceManager>,
     /// The tenant's configured cost–performance knob ε.
     pub(crate) knob: f64,
     /// Hot-path counters, the slot's own: they outlive this state across
@@ -124,7 +121,6 @@ impl TenantState {
     ) -> Self {
         TenantState {
             snapshot: RwLock::new(driver.snapshot()),
-            rm: driver.shared_resource_manager(),
             knob: driver.properties().knob,
             driver: Mutex::new(driver),
             id,

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use smartpick_core::driver::{QueryOutcome, Smartpick};
 use smartpick_core::wp::{ConstraintMode, Determination, PredictionRequest, WorkloadPredictor};
 use smartpick_core::RunSample;
-use smartpick_engine::{QueryProfile, RunReport};
+use smartpick_engine::{simulate_query, QueryProfile, RunReport};
 use smartpick_obs::{
     event, EventKind, Gauge, HealthReport, LatencyHistogram, Observability, ScrapeEnvelope,
     WorkerHealth,
@@ -804,8 +804,8 @@ impl SmartpickService {
     }
 
     /// The full online path: determine against the tenant's snapshot,
-    /// execute on its shared Resource Manager, and feed the completed run
-    /// back through the update queue.
+    /// run the query on the simulator in that snapshot's environment, and
+    /// feed the completed run back through the update queue.
     ///
     /// Retraining is asynchronous here, so the returned outcome always
     /// has `retrain: None`; retrains show up in
@@ -830,13 +830,15 @@ impl SmartpickService {
         // tenant instance) and would cost extra shard hops on the hot
         // path.
         let state = self.resolve(tenant)?;
-        let determination = self.determine_on(&state, &state.read_snapshot(), query, seed)?;
-        let report = state
-            .rm
-            .execute(query, &determination.allocation, seed ^ EXEC_SEED_MIX)
-            .map_err(smartpick_core::SmartpickError::from)?;
-        state.counters.executions.inc();
-        self.totals.executions.inc();
+        let snapshot = state.read_snapshot();
+        let determination = self.determine_on(&state, &snapshot, query, seed)?;
+        let report = simulate_query(
+            query,
+            &determination.allocation,
+            snapshot.env(),
+            seed ^ EXEC_SEED_MIX,
+        )
+        .map_err(smartpick_core::SmartpickError::from)?;
         // Feedback is best-effort under load: a shed report costs model
         // freshness, not correctness. (The retry only covers the
         // eviction race; admission-control rejections still shed.)
@@ -1201,7 +1203,6 @@ impl SmartpickService {
                 .is_some_and(|max| snapshot_age > max),
             stale_predictions: state.counters.stale_predictions.get(),
             predictions: state.counters.predictions.get(),
-            executions: state.counters.executions.get(),
             reports_enqueued: state.counters.reports_enqueued.get(),
             reports_applied: state.counters.reports_applied.get(),
             retrains: state.counters.retrains.get(),

@@ -32,7 +32,6 @@ use crate::worker::WorkerState;
 #[derive(Debug, Default)]
 pub(crate) struct Counters<C> {
     pub(crate) predictions: C,
-    pub(crate) executions: C,
     pub(crate) reports_enqueued: C,
     pub(crate) reports_applied: C,
     pub(crate) retrains: C,
@@ -56,7 +55,6 @@ impl ServiceTotals {
         let c = |field: &str| metrics.counter(&format!("service.{field}"));
         Counters {
             predictions: c("predictions"),
-            executions: c("executions"),
             reports_enqueued: c("reports_enqueued"),
             reports_applied: c("reports_applied"),
             retrains: c("retrains"),
@@ -135,8 +133,6 @@ pub struct TenantStats {
     pub worker_shard: usize,
     /// Predictions served from snapshots.
     pub predictions: u64,
-    /// Queries executed through the service.
-    pub executions: u64,
     /// Run reports accepted into the update queue.
     pub reports_enqueued: u64,
     /// Run reports the worker has applied to the driver.
@@ -163,9 +159,9 @@ pub struct TenantStats {
 }
 
 impl TenantStats {
-    /// Rows one resident tenant adds to a scrape: the eight counters
+    /// Rows one resident tenant adds to a scrape: the seven counters
     /// plus three gauges.
-    pub const SCRAPE_ROWS: usize = 11;
+    pub const SCRAPE_ROWS: usize = 10;
 
     /// Appends this view as `tenant.<id>.<field>` scrape rows, so the
     /// scrape and `tenant_stats` are one reading of the same fields. In
@@ -176,7 +172,6 @@ impl TenantStats {
         let age_us = self.snapshot_age.as_micros() as i64;
         let rows: [_; Self::SCRAPE_ROWS] = [
             ("apply_failures", Counter(self.apply_failures)),
-            ("executions", Counter(self.executions)),
             ("pending_reports", Gauge(self.pending_reports as i64)),
             ("predictions", Counter(self.predictions)),
             ("rejections", Counter(self.rejections)),

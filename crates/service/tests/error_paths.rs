@@ -9,6 +9,7 @@ use smartpick_core::driver::Smartpick;
 use smartpick_core::properties::SmartpickProperties;
 use smartpick_core::training::TrainOptions;
 use smartpick_core::wp::{PredictionRequest, WorkloadPredictionService};
+use smartpick_engine::simulate_query;
 use smartpick_ml::forest::ForestParams;
 use smartpick_service::{CompletedRun, ServiceConfig, ServiceError, SmartpickService};
 use smartpick_workloads::tpcds;
@@ -48,10 +49,8 @@ fn run_with_error(tpl: &Smartpick, error_secs: f64) -> CompletedRun {
         .snapshot()
         .determine(&PredictionRequest::new(query.clone(), 17))
         .unwrap();
-    let mut report = tpl
-        .shared_resource_manager()
-        .execute(&query, &determination.allocation, 23)
-        .unwrap();
+    let mut report =
+        simulate_query(&query, &determination.allocation, tpl.predictor().env(), 23).unwrap();
     report.completion = SimDuration::from_secs_f64(determination.predicted_seconds + error_secs);
     CompletedRun {
         query,

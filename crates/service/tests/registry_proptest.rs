@@ -27,6 +27,7 @@ use smartpick_core::driver::Smartpick;
 use smartpick_core::properties::SmartpickProperties;
 use smartpick_core::training::TrainOptions;
 use smartpick_core::wp::PredictionRequest;
+use smartpick_engine::simulate_query;
 use smartpick_ml::forest::ForestParams;
 use smartpick_service::{CompletedRun, ServiceConfig, ServiceError, SmartpickService};
 use smartpick_workloads::tpcds;
@@ -74,10 +75,8 @@ fn canned_run() -> &'static CompletedRun {
             .snapshot()
             .determine(&PredictionRequest::new(query.clone(), 17))
             .unwrap();
-        let report = tpl
-            .shared_resource_manager()
-            .execute(&query, &determination.allocation, 23)
-            .unwrap();
+        let report =
+            simulate_query(&query, &determination.allocation, tpl.predictor().env(), 23).unwrap();
         CompletedRun {
             query,
             determination,

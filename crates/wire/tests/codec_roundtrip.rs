@@ -18,7 +18,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use serde::{Serialize, Value};
 use smartpick_core::wp::{ConstraintMode, Determination, PredictionRequest};
-use smartpick_engine::{QueryProfile, StageProfile};
+use smartpick_engine::{simulate_query, QueryProfile, StageProfile};
 use smartpick_obs::{event, EventKind, HealthReport, Observability, ScrapeEnvelope, WorkerHealth};
 use smartpick_service::{CompletedRun, ServiceConfig, SmartpickService, TenantStats};
 use smartpick_wire::codec::{
@@ -51,10 +51,13 @@ fn fixture() -> &'static Fixture {
         service.register_fork("fixture", &template, 7).unwrap();
         let query = smartpick_workloads::tpcds::query(82, 100.0).unwrap();
         let determination = service.determine("fixture", &query, 99).unwrap();
-        let report = template
-            .shared_resource_manager()
-            .execute(&query, &determination.allocation, 23)
-            .unwrap();
+        let report = simulate_query(
+            &query,
+            &determination.allocation,
+            template.predictor().env(),
+            23,
+        )
+        .unwrap();
         let run = CompletedRun {
             query: query.clone(),
             determination: determination.clone(),
@@ -586,6 +589,24 @@ fn non_canonical_determines_fall_back_to_the_generic_decoder() {
         let accepted = decode_request(bytes).is_ok();
         assert_eq!(accepted, i + 1 < variants.len(), "variant {i}");
     }
+}
+
+#[test]
+fn a_tenant_stats_answer_with_the_retired_executions_counter_still_decodes() {
+    // Older servers sent an `executions` counter in every `tenant_stats`
+    // answer. Fields are looked up by name, so the extra key is skipped
+    // and the answer decodes to what a current server sends.
+    let current = Response::TenantStats(fixture().tenant_stats.clone());
+    let older = edited(&current.to_value(), &["stats"], &|pairs: &mut Pairs| {
+        pairs.insert(3, ("executions".to_owned(), Value::Num(3.0)));
+    });
+    let mut now = Vec::new();
+    encode_response_into(&current, &mut now);
+    assert!(older.len() > now.len());
+    let decoded = decode_response(&older).expect("an older answer decodes");
+    let mut again = Vec::new();
+    encode_response_into(&decoded, &mut again);
+    assert_eq!(again, now);
 }
 
 proptest! {

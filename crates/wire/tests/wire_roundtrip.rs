@@ -6,7 +6,9 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
+use smartpick_cloudsim::{CloudEnv, Provider};
 use smartpick_core::wp::PredictionRequest;
+use smartpick_engine::simulate_query;
 use smartpick_service::{CompletedRun, ServiceConfig, SmartpickService};
 use smartpick_wire::codec::{
     decode_response, encode_envelope_into, encode_response_into, encode_value_into,
@@ -158,12 +160,8 @@ fn full_round_trip_advances_snapshot_generation() {
 
     // Execute locally (the test stands in for the data-analytics engine)
     // and feed the completed run back over the wire.
-    let report = server
-        .service()
-        .inspect_tenant("acme", |driver| driver.shared_resource_manager())
-        .unwrap()
-        .execute(&query, &det.allocation, 23)
-        .unwrap();
+    let env = CloudEnv::new(Provider::Aws);
+    let report = simulate_query(&query, &det.allocation, &env, 23).unwrap();
     client
         .report_run(
             "acme",

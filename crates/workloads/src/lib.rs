@@ -17,11 +17,6 @@
 //! 100 GB, then 500 GB for the growth experiment) and carry structurally
 //! representative SQL so the Similarity Checker has real text to parse.
 //!
-//! [`training`] runs randomly drawn `{nVM, nSL}` configurations of each
-//! query through the execution engine — the paper's "20 randomly selected
-//! configurations for each of the 5 TPC-DS queries" recipe (§6.1) — to
-//! produce the raw material for prediction-model training.
-//!
 //! ## Example
 //!
 //! ```
@@ -38,8 +33,6 @@
 pub mod suite;
 pub mod tpcds;
 pub mod tpch;
-pub mod training;
 pub mod wordcount;
 
 pub use suite::{Benchmark, QueryRef};
-pub use training::{run_random_configs, ConfigSample, TrainingRunOptions};

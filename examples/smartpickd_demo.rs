@@ -71,10 +71,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // client reads.
     let scrape = service.scrape(0);
     println!(
-        "\nservice: {} tenants, {} predictions, {} executions, {} reports applied, {} retrains",
+        "\nservice: {} tenants, {} predictions, {} reports applied, {} retrains",
         scrape.gauge("service.tenants"),
         scrape.counter("service.predictions"),
-        scrape.counter("service.executions"),
         scrape.counter("service.reports_applied"),
         scrape.counter("service.retrains"),
     );

@@ -12,6 +12,7 @@ use std::sync::Arc;
 use smartpick::cloudsim::{CloudEnv, Provider};
 use smartpick::core::driver::Smartpick;
 use smartpick::core::properties::SmartpickProperties;
+use smartpick::engine::simulate_query;
 use smartpick::service::{CompletedRun, ServiceConfig, SmartpickService};
 use smartpick::wire::{Response, WireClient, WireServer, WireServerConfig};
 use smartpick::workloads::tpcds;
@@ -77,9 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The demo stands in for the data-analytics engine: execute locally,
     // then feed the completed run back over the wire.
-    let report = service
-        .inspect_tenant("acme", |driver| driver.shared_resource_manager())?
-        .execute(&query, &det.allocation, 23)?;
+    let report = simulate_query(&query, &det.allocation, &CloudEnv::new(Provider::Aws), 23)?;
     println!(
         "executed: actual {:.1}s, cost {}",
         report.seconds(),

@@ -150,10 +150,12 @@ bench-wire-record:
 
 # Source lines per crate (`crates/*/src` only — tests, benches and
 # fixtures excluded): the per-crate line table CHANGES.md keeps one row
-# of per PR.
+# of per PR. `serving closure` sums the workspace crates a server binary
+# links (`smartpick_wire`'s normal dependencies, as cargo resolves them).
 loc:
     @for c in crates/*; do printf '%-18s %6d\n' "$c" "$(find "$c/src" -name '*.rs' -exec cat {} + | wc -l)"; done
     @printf '%-18s %6d\n' total "$(find crates/*/src -name '*.rs' -exec cat {} + | wc -l)"
+    @printf '%-18s %6d\n' 'serving closure' "$(find $(cargo tree -q -p smartpick_wire -e normal --prefix none | sed -n 's|.*(\(/.*/crates/[^)]*\)).*|\1/src|p' | sort -u) -name '*.rs' -exec cat {} + | wc -l)"
 
 # Reproduce all paper figure/table binaries (release). Fails fast: a
 # panicking figure binary fails the recipe (and the CI smoke job).

@@ -52,8 +52,6 @@ fn known_queries_flow_end_to_end_on_both_providers() {
             assert!(outcome.determination.allocation.is_viable());
         }
         assert_eq!(sp.history().len(), 2);
-        assert_eq!(sp.resource_manager().stats().queries, 2);
-        assert!(sp.resource_manager().stats().total_cost_dollars > 0.0);
     }
 }
 
