@@ -263,7 +263,7 @@ impl Smartpick {
             predicted_seconds: sample.predicted_seconds,
             cost_dollars: sample.cost_dollars,
         };
-        let trigger = self.mfe.after_run(&self.history, record);
+        let trigger = self.mfe.after_run(&mut self.history, record);
 
         match trigger {
             Some(trigger) => {
@@ -460,7 +460,8 @@ mod tests {
         sample.predicted_seconds = sample.actual_seconds + 500.0;
         assert!(sp.apply_sample(&sample).unwrap().is_some());
         assert_eq!(sp.predictor().code_of(&alien.id), Some(2.0));
-        assert_eq!(sp.history().recent(1)[0].features.query_code, 2.0);
+        let newest = sp.history().snapshot().pop().unwrap();
+        assert_eq!(newest.features.query_code, 2.0);
     }
 
     #[test]
@@ -600,6 +601,7 @@ mod tests {
             sp.submit(&q).unwrap();
         }
         assert_eq!(sp.history().len(), 3);
-        assert_eq!(sp.history().for_query("tpcds-q82").len(), 3);
+        let ids = sp.history().snapshot();
+        assert!(ids.iter().all(|r| r.query_id == "tpcds-q82"));
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! "History Server captures and stores the metrics outlined in Table 3"
 //! and serves them to other components (the paper exposes it over internal
-//! DNS; here it is a thread-safe in-process store). A tenant's snapshot
-//! carries the records in `smartpick-store`'s binary.
+//! DNS; here it is a field of each tenant's driver, read and written only
+//! under that driver's lock, so it has no lock of its own). A tenant's
+//! snapshot carries the records in `smartpick-store`'s binary.
 //!
 //! The store is a ring of the last [`HISTORY_CAPACITY`] runs. Nothing on
 //! the serving path reads a record back — training data lives in the
@@ -13,8 +14,6 @@
 //! every report it had ever been sent.
 
 use std::collections::VecDeque;
-
-use parking_lot::RwLock;
 
 use crate::features::QueryFeatures;
 
@@ -38,7 +37,7 @@ pub struct RunRecord {
 /// time, resident memory), which no deployment wants unbounded.
 pub const HISTORY_CAPACITY: usize = 256;
 
-/// Thread-safe store of the last [`HISTORY_CAPACITY`] run records.
+/// Store of the last [`HISTORY_CAPACITY`] run records.
 ///
 /// # Example
 ///
@@ -48,7 +47,7 @@ pub const HISTORY_CAPACITY: usize = 256;
 /// use smartpick_cloudsim::{CloudEnv, Provider};
 /// use smartpick_engine::Allocation;
 ///
-/// let history = HistoryServer::new();
+/// let mut history = HistoryServer::new();
 /// let env = CloudEnv::new(Provider::Aws);
 /// history.record(RunRecord {
 ///     query_id: "tpcds-q11".into(),
@@ -58,11 +57,11 @@ pub const HISTORY_CAPACITY: usize = 256;
 ///     cost_dollars: 0.04,
 /// });
 /// assert_eq!(history.len(), 1);
-/// assert_eq!(history.for_query("tpcds-q11").len(), 1);
+/// assert_eq!(history.snapshot()[0].query_id, "tpcds-q11");
 /// ```
 #[derive(Debug, Default)]
 pub struct HistoryServer {
-    records: RwLock<VecDeque<RunRecord>>,
+    records: VecDeque<RunRecord>,
 }
 
 impl HistoryServer {
@@ -77,51 +76,31 @@ impl HistoryServer {
     pub fn from_records(records: Vec<RunRecord>) -> Self {
         let mut records = VecDeque::from(records);
         records.drain(..records.len().saturating_sub(HISTORY_CAPACITY));
-        HistoryServer {
-            records: RwLock::new(records),
-        }
+        HistoryServer { records }
     }
 
     /// Appends a record, dropping the oldest once [`HISTORY_CAPACITY`] are
     /// held.
-    pub fn record(&self, record: RunRecord) {
-        let mut records = self.records.write();
-        if records.len() == HISTORY_CAPACITY {
-            records.pop_front();
+    pub fn record(&mut self, record: RunRecord) {
+        if self.records.len() == HISTORY_CAPACITY {
+            self.records.pop_front();
         }
-        records.push_back(record);
+        self.records.push_back(record);
     }
 
     /// Number of stored records (at most [`HISTORY_CAPACITY`]).
     pub fn len(&self) -> usize {
-        self.records.read().len()
+        self.records.len()
     }
 
     /// Whether the history is empty.
     pub fn is_empty(&self) -> bool {
-        self.records.read().is_empty()
+        self.records.is_empty()
     }
 
     /// A snapshot of all stored records, oldest first.
     pub fn snapshot(&self) -> Vec<RunRecord> {
-        self.records.read().iter().cloned().collect()
-    }
-
-    /// Records for one query id.
-    pub fn for_query(&self, query_id: &str) -> Vec<RunRecord> {
-        self.records
-            .read()
-            .iter()
-            .filter(|r| r.query_id == query_id)
-            .cloned()
-            .collect()
-    }
-
-    /// The most recent `n` records (oldest first).
-    pub fn recent(&self, n: usize) -> Vec<RunRecord> {
-        let records = self.records.read();
-        let start = records.len().saturating_sub(n);
-        records.range(start..).cloned().collect()
+        self.records.iter().cloned().collect()
     }
 }
 
@@ -143,50 +122,32 @@ mod tests {
     }
 
     #[test]
-    fn stores_and_filters() {
-        let h = HistoryServer::new();
+    fn stores_in_arrival_order() {
+        let mut h = HistoryServer::new();
         h.record(record("a", 10.0, 9.0));
         h.record(record("b", 20.0, 22.0));
         h.record(record("a", 11.0, 10.5));
         assert_eq!(h.len(), 3);
-        assert_eq!(h.for_query("a").len(), 2);
-        assert_eq!(h.recent(2).len(), 2);
-        assert_eq!(h.recent(2)[0].query_id, "b");
+        let ids: Vec<_> = h.snapshot().into_iter().map(|r| r.query_id).collect();
+        assert_eq!(ids, ["a", "b", "a"]);
     }
 
     #[test]
     fn keeps_the_last_capacity_records() {
-        let h = HistoryServer::new();
+        let mut h = HistoryServer::new();
         for i in 0..HISTORY_CAPACITY + 10 {
             h.record(record("q", i as f64, 0.0));
         }
         assert_eq!(h.len(), HISTORY_CAPACITY);
         let kept = h.snapshot();
         assert_eq!(kept[0].actual_seconds, 10.0);
-        assert_eq!(h.recent(1)[0].actual_seconds, (HISTORY_CAPACITY + 9) as f64);
+        assert_eq!(
+            kept[HISTORY_CAPACITY - 1].actual_seconds,
+            (HISTORY_CAPACITY + 9) as f64
+        );
         // The restore path applies the same bound to what it is handed.
         let mut longer = kept.clone();
         longer.insert(0, record("q", -1.0, 0.0));
         assert_eq!(HistoryServer::from_records(longer).snapshot(), kept);
-    }
-
-    #[test]
-    fn concurrent_access_is_safe() {
-        use std::sync::Arc;
-        let h = Arc::new(HistoryServer::new());
-        let handles: Vec<_> = (0..8)
-            .map(|i| {
-                let h = Arc::clone(&h);
-                std::thread::spawn(move || {
-                    for j in 0..30 {
-                        h.record(record(&format!("q{i}"), j as f64, j as f64));
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle.join().unwrap();
-        }
-        assert_eq!(h.len(), 240);
     }
 }

@@ -76,7 +76,7 @@ impl Mfe {
     /// retraining should fire (§4.2's "independent monitor thread").
     pub fn after_run(
         &mut self,
-        history: &HistoryServer,
+        history: &mut HistoryServer,
         record: RunRecord,
     ) -> Option<RetrainTrigger> {
         let trigger = self.monitor.observe(
@@ -170,11 +170,11 @@ mod tests {
             },
             4,
         );
-        let history = HistoryServer::new();
+        let mut history = HistoryServer::new();
         let ctx = m.next_context();
         let f = m.features_for(0.0, 100.0, &Allocation::new(1, 1), &ctx);
         let trigger = m.after_run(
-            &history,
+            &mut history,
             RunRecord {
                 query_id: "q".into(),
                 features: f,

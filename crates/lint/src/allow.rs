@@ -152,14 +152,11 @@ mod tests {
     #[test]
     fn missing_reason_is_malformed() {
         assert!(matches!(
-            parse_allow(&comment(" lint:allow(poison-recovery)", false)),
+            parse_allow(&comment(" lint:allow(one-lock-type)", false)),
             ParsedAllow::Malformed(_)
         ));
         assert!(matches!(
-            parse_allow(&comment(
-                " lint:allow(poison-recovery, reason = \"\")",
-                false
-            )),
+            parse_allow(&comment(" lint:allow(one-lock-type, reason = \"\")", false)),
             ParsedAllow::Malformed(_)
         ));
         assert!(matches!(

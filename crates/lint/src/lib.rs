@@ -2,8 +2,8 @@
 //! concurrency and panic-safety invariants, and for dead surface.
 //!
 //! The serving stack's correctness rests on invariants no type system
-//! checks: lock guards never live across blocking I/O, poisoned mutexes
-//! are recovered with `into_inner()`, server threads have no panic
+//! checks: lock guards never live across blocking I/O, every lock is
+//! the non-poisoning `parking_lot` shim's, server threads have no panic
 //! paths, channels in long-lived state are bounded, and — because the
 //! build is offline against vendored shims — `use` statements only name
 //! items the shims actually export. Its size rests on one more: every

@@ -186,7 +186,7 @@ fn is_acquisition(toks: &[Tok], i: usize) -> bool {
         && toks.get(i + 3).is_some_and(|t| t.is_punct(')'))
 }
 
-/// Skips the poison-recovery suffix chain after an acquisition:
+/// Skips the poison-handling suffix chain after an acquisition:
 /// `.unwrap()`, `.expect(...)`, `.unwrap_or_else(...)`, `?`. Returns the
 /// index of the first token past the chain.
 fn skip_recovery_chain(toks: &[Tok], mut i: usize) -> usize {

@@ -9,8 +9,8 @@
 mod bounded_channels;
 mod guard_across_blocking;
 mod loop_thread_nonblocking;
+mod one_lock_type;
 mod panic_free;
-mod poison_recovery;
 mod shim_conformance;
 mod unreferenced_pub;
 
@@ -78,7 +78,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(guard_across_blocking::GuardAcrossBlocking),
         Box::new(panic_free::PanicFree),
-        Box::new(poison_recovery::PoisonRecovery),
+        Box::new(one_lock_type::OneLockType),
         Box::new(bounded_channels::BoundedChannels),
         Box::new(shim_conformance::ShimConformance),
         Box::new(loop_thread_nonblocking::LoopThreadNonblocking),

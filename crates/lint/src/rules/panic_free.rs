@@ -8,8 +8,9 @@
 //! `panic!`/`unreachable!`/`todo!`/`unimplemented!`, or index a
 //! collection with a runtime value (use `.get()` or a justified allow).
 //! `assert!` config validation is permitted: failing fast at startup is
-//! the point. Bare `.lock().unwrap()` is left to the `poison-recovery`
-//! rule so one site yields one finding.
+//! the point. A `.lock().unwrap()` is a finding like any other unwrap:
+//! the shim's locks return guards, so only a `std::sync` lock (itself a
+//! `one-lock-type` finding) has a `Result` to unwrap.
 
 use crate::lexer::{Tok, TokKind};
 use crate::rules::{Context, Finding, Rule};
@@ -47,8 +48,6 @@ impl Rule for PanicFree {
             if file.is_test_line(t.line) {
                 continue;
             }
-            // `.unwrap()` / `.expect(` — except directly after `lock()`,
-            // which the poison-recovery rule owns.
             if t.is_punct('.') {
                 if let Some(m) = toks.get(i + 1) {
                     let is_unwrap = m.is_ident("unwrap")
@@ -56,7 +55,7 @@ impl Rule for PanicFree {
                         && toks.get(i + 3).is_some_and(|t| t.is_punct(')'));
                     let is_expect =
                         m.is_ident("expect") && toks.get(i + 2).is_some_and(|t| t.is_punct('('));
-                    if (is_unwrap || is_expect) && !follows_lock_call(toks, i) {
+                    if is_unwrap || is_expect {
                         out.push(Finding::new(
                             NAME,
                             file,
@@ -112,11 +111,6 @@ fn in_scope(file: &SourceFile) -> bool {
         "core" => file.rel.ends_with("src/driver.rs"),
         _ => false,
     }
-}
-
-/// Whether the `.` at `i` directly follows a `lock ( )` call.
-fn follows_lock_call(toks: &[Tok], i: usize) -> bool {
-    i >= 3 && toks[i - 1].is_punct(')') && toks[i - 2].is_punct('(') && toks[i - 3].is_ident("lock")
 }
 
 /// Whether the `[` at `i` is indexing a value (vs a slice type, an

@@ -76,17 +76,19 @@ impl Rule for ShimConformance {
 
 /// One leaf of a use tree: the item actually imported.
 #[derive(Debug)]
-struct Leaf {
+pub(super) struct Leaf {
     /// The item's name in the source crate (before any `as` alias).
-    name: String,
+    pub(super) name: String,
     /// The alias, when `as` renames it (`pub use` exports the alias).
     alias: Option<String>,
-    line: u32,
+    /// The segment before the leaf (`sync` in `std::sync::{Arc, Mutex}`).
+    pub(super) module: String,
+    pub(super) line: u32,
 }
 
 /// Walks a use tree starting at `start` (just past `use`), returning its
 /// leaves, the first path segment, and the index past the closing `;`.
-fn parse_use_tree(toks: &[Tok], start: usize) -> (Vec<Leaf>, Option<String>, usize) {
+pub(super) fn parse_use_tree(toks: &[Tok], start: usize) -> (Vec<Leaf>, Option<String>, usize) {
     let mut leaves = Vec::new();
     let mut first_segment: Option<String> = None;
     // Stack of "parent" segments: the ident before each `::{`, so that a
@@ -126,12 +128,13 @@ fn parse_use_tree(toks: &[Tok], start: usize) -> (Vec<Leaf>, Option<String>, usi
                 continue;
             }
             if terminal && t.text != "*" {
+                let module = last_ident
+                    .clone()
+                    .or_else(|| parents.last().cloned())
+                    .unwrap_or_default();
                 let mut name = t.text.clone();
                 if name == "self" {
-                    name = last_ident
-                        .clone()
-                        .or_else(|| parents.last().cloned())
-                        .unwrap_or_default();
+                    name = module.clone();
                 }
                 let mut alias = None;
                 if next.is_some_and(|n| n.is_ident("as")) {
@@ -142,9 +145,11 @@ fn parse_use_tree(toks: &[Tok], start: usize) -> (Vec<Leaf>, Option<String>, usi
                     leaves.push(Leaf {
                         name,
                         alias,
+                        module,
                         line: t.line,
                     });
                 }
+                last_ident = None; // the next leaf's module is its own path's
             } else {
                 last_ident = Some(t.text.clone());
             }

@@ -60,10 +60,10 @@ fn panic_free_fixture() {
 }
 
 #[test]
-fn poison_recovery_fixture() {
-    let src = include_str!("fixtures/poison_recovery.rs");
-    let findings = lint_fixture("poison_recovery", src, &Context::default());
-    let (unallowed, allowed) = split(&findings, "poison-recovery");
+fn one_lock_type_fixture() {
+    let src = include_str!("fixtures/one_lock_type.rs");
+    let findings = lint_fixture("one_lock_type", src, &Context::default());
+    let (unallowed, allowed) = split(&findings, "one-lock-type");
     assert_eq!(unallowed, positive_lines(src), "{findings:#?}");
     assert_eq!(allowed.len(), 1, "{findings:#?}");
 }
@@ -193,7 +193,7 @@ fn rules_out_of_scope_crates_stay_quiet() {
 
 #[test]
 fn malformed_and_unknown_allows_are_findings() {
-    let src = "// lint:allow(poison-recovery)\n\
+    let src = "// lint:allow(one-lock-type)\n\
                // lint:allow(no-such-rule, reason = \"typo\")\n\
                fn f() {}\n";
     let findings = lint_fixture("malformed", src, &Context::default());
@@ -215,15 +215,15 @@ fn positive_lines_for(src: &str, rule: &str) -> Vec<u32> {
 fn residency_module_fixture() {
     // The residency module (eviction sweep, single-flight rehydration)
     // is service-crate code, so every crate-scoped rule covers its
-    // idioms: no driver guard across the persist handoff, bare
-    // `.lock().unwrap()` on a slot is a poisoning cascade, runtime
+    // idioms: no driver guard across the persist handoff, no `std::sync`
+    // slot lock (its `.lock().unwrap()` is a poisoning cascade), runtime
     // indexing on the evict path can panic a server thread — while the
     // rehydration condvar wait stays a non-finding by design.
     let src = include_str!("fixtures/residency.rs");
     let findings = lint_fixture("residency", src, &Context::default());
     for rule in [
         "guard-across-blocking",
-        "poison-recovery",
+        "one-lock-type",
         "panic-free-server-paths",
     ] {
         let (unallowed, _) = split(&findings, rule);

@@ -21,8 +21,9 @@
 //!   workers (the §4.2 monitor thread, made real and sharded by tenant
 //!   hash), which carry each run as the `RunSample` admission projected
 //!   it onto, and the [`RestartPolicy`] each applies to itself.
-//! * `queue` *(private)* — the bounded MPSC queues providing
-//!   service-wide backpressure, one shard per retrain worker.
+//! * `queue` *(private)* — the bounded MPMC [`BoundedQueue`]: one shard
+//!   per retrain worker provides service-wide backpressure, and
+//!   `smartpick_wire`'s executor pool runs on one too.
 //! * `residency` *(private)* — tiered tenant residency: with
 //!   [`ServiceConfig::max_resident_tenants`] set, a sweep thread evicts
 //!   the least-recently-touched excess to their durable snapshots and the first
@@ -80,6 +81,7 @@ pub mod worker;
 
 pub use error::ServiceError;
 pub use persist::PersistenceConfig;
+pub use queue::{BoundedQueue, PushRejected};
 pub use service::{CompletedRun, FlushOutcome, ServiceConfig, SmartpickService};
 // The store's fsync knob is part of `PersistenceConfig`'s surface.
 pub use smartpick_store::FsyncPolicy;

@@ -1,12 +1,17 @@
-//! The bounded MPSC update queues feeding the retrain workers.
+//! The bounded MPMC queue behind the retrain workers and the wire
+//! executor pool.
 //!
-//! `std::sync::mpsc` hides its depth, and the vendored `parking_lot` shim
-//! has no `Condvar`, so this is a small purpose-built queue over
-//! `std::sync::{Mutex, Condvar}`: non-blocking bounded producers (full is
-//! an admission-control rejection, never a stall on the client's hot
-//! path), a blocking consumer, an exact [`BoundedQueue::len`] for the
+//! `std::sync::mpsc` hides its depth and has a single consumer, so this
+//! is a small purpose-built queue over the `parking_lot` shim's
+//! `Mutex` and `Condvar`: non-blocking bounded producers (full is an
+//! admission-control rejection, never a stall on the client's hot path),
+//! blocking consumers, an exact [`BoundedQueue::len`] for the
 //! queue-depth stat, and close semantics for shutdown (producers are
-//! rejected, the consumer drains what is left and then sees end-of-queue).
+//! rejected, consumers drain what is left and then see end-of-queue).
+//! A condvar is notified only when a thread is parked on it (an
+//! uncontended hand-off makes no wake syscall), and one consumer at a
+//! time: a woken consumer that leaves items behind wakes the next, so a
+//! burst of pushes does not turn every idle consumer runnable at once.
 //!
 //! [`ShardedQueue`] splays the service's update traffic across N such
 //! queues — one per retrain worker — by tenant hash: every tenant's
@@ -14,14 +19,16 @@
 //! order), while distinct tenants on distinct shards retrain in parallel.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
+
+use parking_lot::{Condvar, Mutex};
 
 /// Why a push was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PushRejected {
+pub enum PushRejected {
     /// The queue is at capacity.
     Full,
-    /// The queue has been closed (service shutting down).
+    /// The queue has been closed (shutting down).
     Closed,
 }
 
@@ -29,11 +36,28 @@ pub(crate) enum PushRejected {
 struct Inner<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// Consumers parked on `not_empty`.
+    parked_consumers: usize,
+    /// Producers parked on `not_full`.
+    parked_producers: usize,
+    /// A consumer has been notified and is not back yet.
+    consumer_waking: bool,
 }
 
-/// A bounded multi-producer single-consumer queue.
+impl<T> Inner<T> {
+    /// Whether to wake a parked consumer: not while another is on its way.
+    /// Waking every idle executor for a burst of jobs lets them crowd the
+    /// retrain workers off a shared core.
+    fn claim_consumer_wake(&mut self) -> bool {
+        let wake = self.parked_consumers > 0 && !self.consumer_waking;
+        self.consumer_waking |= wake;
+        wake
+    }
+}
+
+/// A bounded multi-producer multi-consumer queue.
 #[derive(Debug)]
-pub(crate) struct BoundedQueue<T> {
+pub struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
     not_empty: Condvar,
     not_full: Condvar,
@@ -41,13 +65,16 @@ pub(crate) struct BoundedQueue<T> {
 }
 
 impl<T> BoundedQueue<T> {
-    /// Creates a queue holding at most `capacity` items.
-    pub(crate) fn new(capacity: usize) -> Self {
+    /// Creates a queue holding at most `capacity` items; panics on zero.
+    pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
         BoundedQueue {
             inner: Mutex::new(Inner {
                 items: VecDeque::with_capacity(capacity.min(1024)),
                 closed: false,
+                parked_consumers: 0,
+                parked_producers: 0,
+                consumer_waking: false,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -56,18 +83,8 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Attempts to enqueue without blocking.
-    pub(crate) fn try_push(&self, item: T) -> Result<(), PushRejected> {
-        let mut inner = self.lock();
-        if inner.closed {
-            return Err(PushRejected::Closed);
-        }
-        if inner.items.len() >= self.capacity {
-            return Err(PushRejected::Full);
-        }
-        inner.items.push_back(item);
-        drop(inner);
-        self.not_empty.notify_one();
-        Ok(())
+    pub fn try_push(&self, item: T) -> Result<(), PushRejected> {
+        self.push(item, false)
     }
 
     /// Enqueues, blocking while the queue is full. Only fails once the
@@ -75,48 +92,66 @@ impl<T> BoundedQueue<T> {
     /// without burning CPU; data producers use the non-blocking
     /// [`BoundedQueue::try_push`] so backpressure stays a rejection.
     pub(crate) fn push_blocking(&self, item: T) -> Result<(), PushRejected> {
-        let mut inner = self.lock();
-        loop {
-            if inner.closed {
-                return Err(PushRejected::Closed);
+        self.push(item, true)
+    }
+
+    fn push(&self, item: T, block: bool) -> Result<(), PushRejected> {
+        let mut inner = self.inner.lock();
+        while inner.items.len() >= self.capacity && !inner.closed {
+            if !block {
+                return Err(PushRejected::Full);
             }
-            if inner.items.len() < self.capacity {
-                inner.items.push_back(item);
-                drop(inner);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            inner = self.not_full.wait(inner).unwrap_or_else(|e| e.into_inner());
+            inner.parked_producers += 1;
+            self.not_full.wait(&mut inner);
+            inner.parked_producers -= 1;
         }
+        if inner.closed {
+            return Err(PushRejected::Closed);
+        }
+        inner.items.push_back(item);
+        let wake = inner.claim_consumer_wake();
+        drop(inner);
+        if wake {
+            self.not_empty.notify_one();
+        }
+        Ok(())
     }
 
     /// Dequeues the next item, blocking while the queue is empty. Returns
     /// `None` once the queue is closed *and* drained.
-    pub(crate) fn pop(&self) -> Option<T> {
-        let mut inner = self.lock();
+    pub fn pop(&self) -> Option<T> {
+        let mut inner = self.inner.lock();
         loop {
             if let Some(item) = inner.items.pop_front() {
+                let wake_producer = inner.parked_producers > 0;
+                let wake_consumer = !inner.items.is_empty() && inner.claim_consumer_wake();
                 drop(inner);
-                self.not_full.notify_one();
+                if wake_producer {
+                    self.not_full.notify_one();
+                }
+                if wake_consumer {
+                    self.not_empty.notify_one();
+                }
                 return Some(item);
             }
             if inner.closed {
                 return None;
             }
-            inner = self
-                .not_empty
-                .wait(inner)
-                .unwrap_or_else(|e| e.into_inner());
+            inner.parked_consumers += 1;
+            self.not_empty.wait(&mut inner);
+            inner.parked_consumers -= 1;
+            inner.consumer_waking = false;
         }
     }
 
     /// Dequeues up to `n` immediately available items without blocking.
     pub(crate) fn drain_up_to(&self, n: usize) -> Vec<T> {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         let take = n.min(inner.items.len());
         let items: Vec<T> = inner.items.drain(..take).collect();
+        let wake = !items.is_empty() && inner.parked_producers > 0;
         drop(inner);
-        if !items.is_empty() {
+        if wake {
             self.not_full.notify_all();
         }
         items
@@ -131,37 +166,40 @@ impl<T> BoundedQueue<T> {
     /// exceed it by at most one worker batch — and ignores `closed`, so a
     /// restarted worker can still drain rescued work during shutdown.
     pub(crate) fn requeue_front(&self, items: Vec<T>) {
-        if items.is_empty() {
-            return;
-        }
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         for item in items.into_iter().rev() {
             inner.items.push_front(item);
         }
+        let wake = inner.parked_consumers > 0;
         drop(inner);
-        self.not_empty.notify_all();
+        if wake {
+            self.not_empty.notify_all();
+        }
     }
 
     /// Current depth.
     pub(crate) fn len(&self) -> usize {
-        self.lock().items.len()
+        self.inner.lock().items.len()
     }
 
     /// Whether [`BoundedQueue::close`] has been called.
     pub(crate) fn is_closed(&self) -> bool {
-        self.lock().closed
+        self.inner.lock().closed
     }
 
-    /// Closes the queue: producers are rejected from now on; the consumer
-    /// drains the remaining items and then sees end-of-queue.
-    pub(crate) fn close(&self) {
-        self.lock().closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner<T>> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    /// Closes the queue: producers are rejected from now on; consumers
+    /// drain the remaining items and then see end-of-queue.
+    pub fn close(&self) {
+        let mut inner = self.inner.lock();
+        inner.closed = true;
+        let (consumers, producers) = (inner.parked_consumers > 0, inner.parked_producers > 0);
+        drop(inner);
+        if consumers {
+            self.not_empty.notify_all();
+        }
+        if producers {
+            self.not_full.notify_all();
+        }
     }
 }
 
@@ -245,7 +283,6 @@ impl<T> ShardedQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn bounded_fifo_with_backpressure() {
@@ -273,19 +310,25 @@ mod tests {
 
     #[test]
     fn push_blocking_parks_until_space_and_fails_closed() {
-        let q = Arc::new(BoundedQueue::new(1));
+        let q = BoundedQueue::new(1);
         q.try_push(0).unwrap();
-        let producer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.push_blocking(1))
-        };
-        // The producer is parked on a full queue; popping frees a slot.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(q.pop(), Some(0));
-        producer.join().unwrap().unwrap();
-        assert_eq!(q.pop(), Some(1));
+        // A parked producer wakes when a consumer pops or drains a slot free.
+        for (next, drain) in [(1, false), (2, true)] {
+            std::thread::scope(|s| {
+                let producer = s.spawn(|| q.push_blocking(next));
+                wait_until(&q, |i| i.parked_producers == 1);
+                let freed = if drain {
+                    q.drain_up_to(10)
+                } else {
+                    q.pop().into_iter().collect()
+                };
+                assert_eq!(freed, vec![next - 1]);
+                producer.join().unwrap().unwrap();
+            });
+        }
+        assert_eq!(q.pop(), Some(2));
         q.close();
-        assert_eq!(q.push_blocking(2), Err(PushRejected::Closed));
+        assert_eq!(q.push_blocking(3), Err(PushRejected::Closed));
     }
 
     #[test]
@@ -333,30 +376,35 @@ mod tests {
         assert_eq!(q.pop(), None);
     }
 
+    /// Spins until `q`'s state satisfies `parked`.
+    fn wait_until<T>(q: &BoundedQueue<T>, parked: fn(&Inner<T>) -> bool) {
+        while !parked(&q.inner.lock()) {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn blocking_pop_wakes_on_push_and_close() {
-        let q = Arc::new(BoundedQueue::new(4));
-        let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut seen = Vec::new();
-                while let Some(v) = q.pop() {
-                    seen.push(v);
-                }
-                seen
-            })
-        };
-        for i in 0..20 {
-            loop {
-                match q.try_push(i) {
-                    Ok(()) => break,
-                    Err(PushRejected::Full) => std::thread::yield_now(),
-                    Err(PushRejected::Closed) => unreachable!(),
+        // Three consumers: each item is popped exactly once, none is left
+        // behind while all park, and the close wakes every parked consumer.
+        let q = BoundedQueue::new(4);
+        let mut seen: Vec<u32> = std::thread::scope(|s| {
+            let consumers: Vec<_> = (0..3)
+                .map(|_| s.spawn(|| std::iter::from_fn(|| q.pop()).collect::<Vec<_>>()))
+                .collect();
+            for i in 0..200 {
+                while q.try_push(i) == Err(PushRejected::Full) {
+                    std::thread::yield_now();
                 }
             }
-        }
-        q.close();
-        let seen = consumer.join().unwrap();
-        assert_eq!(seen, (0..20).collect::<Vec<_>>());
+            wait_until(&q, |i| i.parked_consumers == 3 && i.items.is_empty());
+            q.close();
+            consumers
+                .into_iter()
+                .flat_map(|c| c.join().unwrap())
+                .collect()
+        });
+        seen.sort_unstable();
+        assert_eq!(seen, (0..200).collect::<Vec<_>>());
     }
 }

@@ -32,9 +32,9 @@ use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard};
+use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock};
 use smartpick_core::driver::Smartpick;
 use smartpick_core::wp::WorkloadPredictor;
 
@@ -210,9 +210,11 @@ pub(crate) enum Acquired {
 /// One registered tenant's registry slot: the [`Residency`] state
 /// machine plus the identity that survives residency transitions.
 ///
-/// The mutex is `std::sync` (not `parking_lot`) because the
-/// single-flight protocol needs a [`Condvar`]; it is held only for state
-/// inspection/transition — never across the snapshot load I/O.
+/// The single-flight protocol parks late arrivals on a [`Condvar`]; the
+/// residency mutex is held only for state inspection/transition — never
+/// across the snapshot load I/O. Every transition writes a whole
+/// `Residency` value, so the cell stays valid when the shim hands a
+/// panicking holder's lock to the next caller.
 #[derive(Debug)]
 pub(crate) struct TenantSlot {
     /// The tenant id.
@@ -226,7 +228,7 @@ pub(crate) struct TenantSlot {
     /// against a defunct slot stamps its state defunct too, so late
     /// persistence is suppressed.
     pub(crate) defunct: AtomicBool,
-    residency: StdMutex<Residency>,
+    residency: Mutex<Residency>,
     rehydrated: Condvar,
 }
 
@@ -236,23 +238,16 @@ impl TenantSlot {
             id,
             counters,
             defunct: AtomicBool::new(false),
-            residency: StdMutex::new(residency),
+            residency: Mutex::new(residency),
             rehydrated: Condvar::new(),
         }
-    }
-
-    /// Locks the residency cell, recovering the data from a poisoned
-    /// mutex: every transition writes a whole `Residency` value, so the
-    /// cell is valid even if a panicking thread was holding the lock.
-    fn cell(&self) -> MutexGuard<'_, Residency> {
-        self.residency.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Resolves the slot: returns the hot state, or claims the
     /// single-flight rehydration for this caller, blocking while another
     /// caller's rehydration is in flight.
     pub(crate) fn acquire(&self) -> Acquired {
-        let mut cell = self.cell();
+        let mut cell = self.residency.lock();
         loop {
             match &*cell {
                 Residency::Hot(state) => return Acquired::Hot(Arc::clone(state)),
@@ -261,12 +256,7 @@ impl TenantSlot {
                     *cell = Residency::Rehydrating;
                     return Acquired::MustRehydrate(meta);
                 }
-                Residency::Rehydrating => {
-                    cell = self
-                        .rehydrated
-                        .wait(cell)
-                        .unwrap_or_else(|e| e.into_inner());
-                }
+                Residency::Rehydrating => self.rehydrated.wait(&mut cell),
             }
         }
     }
@@ -281,9 +271,7 @@ impl TenantSlot {
         if defunct {
             state.defunct.store(true, Ordering::SeqCst);
         }
-        let mut cell = self.cell();
-        *cell = Residency::Hot(state);
-        drop(cell);
+        *self.residency.lock() = Residency::Hot(state);
         self.rehydrated.notify_all();
         defunct
     }
@@ -291,9 +279,7 @@ impl TenantSlot {
     /// Aborts a claimed rehydration (load failure): restores `Cold` so
     /// the next caller gets its own attempt, and wakes waiters.
     pub(crate) fn abort_rehydrate(&self, meta: ColdMeta) {
-        let mut cell = self.cell();
-        *cell = Residency::Cold(meta);
-        drop(cell);
+        *self.residency.lock() = Residency::Cold(meta);
         self.rehydrated.notify_all();
     }
 
@@ -301,7 +287,7 @@ impl TenantSlot {
     /// `expect` (a concurrent deregister + re-register swaps the state
     /// out; going cold then would throw away the *new* tenant).
     pub(crate) fn make_cold(&self, expect: &Arc<TenantState>, meta: ColdMeta) -> bool {
-        let mut cell = self.cell();
+        let mut cell = self.residency.lock();
         match &*cell {
             Residency::Hot(state) if Arc::ptr_eq(state, expect) => {
                 *cell = Residency::Cold(meta);
@@ -313,7 +299,7 @@ impl TenantSlot {
 
     /// The hot state, if resident right now (no waiting, no claiming).
     pub(crate) fn peek_hot(&self) -> Option<Arc<TenantState>> {
-        match &*self.cell() {
+        match &*self.residency.lock() {
             Residency::Hot(state) => Some(Arc::clone(state)),
             _ => None,
         }

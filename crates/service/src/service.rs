@@ -520,7 +520,8 @@ impl SmartpickService {
         };
         // The file lock is held from before the insert through the clear
         // and the write, so no eviction or admin checkpoint lands in
-        // between to be wiped. Lock order: file lock, then registry shard.
+        // between to be wiped. Lock order: file lock, then registry shard
+        // (docs/ARCHITECTURE.md's lock table).
         match &self.persist {
             Some(sp) => sp.files.locked(&id, register),
             None => register(),

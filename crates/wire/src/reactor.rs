@@ -31,9 +31,10 @@
 //! - Every other decoded request — a cold, rehydrating or unknown
 //!   tenant, a sweep over the gate, a report that lost the eviction
 //!   race, `flush`, `scrape`, `tenant_stats`, registration —
-//!   goes to a server-wide **executor pool** over a bounded run queue
-//!   (its depth is the `wire.reactor.run_queue_depth` gauge); a full
-//!   queue answers `busy` rather than blocking the loop.
+//!   goes to a server-wide **executor pool** over one bounded run queue
+//!   (a `smartpick_service::BoundedQueue` every executor pops from; its
+//!   depth is the `wire.reactor.run_queue_depth` gauge); a full queue
+//!   answers `busy` rather than blocking the loop.
 //! - Executors hand completed responses back over a bounded completion
 //!   queue and nudge the loop awake through one half of a
 //!   `UnixStream::pair` registered with the poller, so a completion
@@ -76,12 +77,13 @@ use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use polling::{Event, Events, Interest, Poller};
 use smartpick_obs::{event, EventKind};
+use smartpick_service::BoundedQueue;
 
 use crate::error::ErrorKind;
 use crate::frame::{self, FrameHeader, PROTOCOL_V3};
@@ -354,7 +356,7 @@ fn run_inline(request: Request, shared: &Shared) -> Inline {
 /// The server-wide executor pool: workers pull jobs off one bounded
 /// queue and push completions plus a waker nudge back to the loop.
 struct Executors {
-    job_tx: SyncSender<Job>,
+    jobs: Arc<BoundedQueue<Job>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -365,52 +367,49 @@ impl Executors {
         waker_tx: &UnixStream,
         queue_cap: usize,
     ) -> Executors {
-        let (job_tx, job_rx) = sync_channel::<Job>(queue_cap);
-        let job_rx = Arc::new(Mutex::new(job_rx));
+        let jobs = Arc::new(BoundedQueue::<Job>::new(queue_cap));
         let mut workers = Vec::with_capacity(shared.config.pipeline_workers);
         for i in 0..shared.config.pipeline_workers {
             let shared = Arc::clone(shared);
             let comp_tx = comp_tx.clone();
-            let job_rx = Arc::clone(&job_rx);
+            let jobs = Arc::clone(&jobs);
             let Ok(waker) = waker_tx.try_clone() else {
                 continue;
             };
             let worker = std::thread::Builder::new()
                 .name(format!("smartpick-wire-rexec-{i}"))
-                .spawn(move || loop {
-                    // The mutex guards *dequeueing* only (workers take
-                    // turns waiting on the channel); execution below
-                    // runs unlocked and in parallel.
-                    // lint:allow(guard-across-blocking, reason = "the lock exists to make workers take turns on recv; it guards nothing but the dequeue itself and is dropped before execution")
-                    let msg = job_rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
-                    let Ok(job) = msg else { return };
-                    shared.wm.reactor_run_queue.dec();
-                    let blocking = is_blocking(&job.request);
-                    let response = execute(job.request, &shared);
-                    if blocking {
-                        shared.blocking_ops.fetch_sub(1, Ordering::SeqCst);
+                .spawn(move || {
+                    while let Some(job) = jobs.pop() {
+                        shared.wm.reactor_run_queue.dec();
+                        let blocking = is_blocking(&job.request);
+                        let response = execute(job.request, &shared);
+                        if blocking {
+                            shared.blocking_ops.fetch_sub(1, Ordering::SeqCst);
+                        }
+                        let done = Completion {
+                            token: job.token,
+                            id: job.id,
+                            response,
+                        };
+                        if comp_tx.send(done).is_err() {
+                            return;
+                        }
+                        // Nudge the event loop; a full waker pipe means a
+                        // wakeup is already pending, which is just as good.
+                        let _ = (&waker).write(&[1]);
                     }
-                    let done = Completion {
-                        token: job.token,
-                        id: job.id,
-                        response,
-                    };
-                    if comp_tx.send(done).is_err() {
-                        return;
-                    }
-                    // Nudge the event loop; a full waker pipe means a
-                    // wakeup is already pending, which is just as good.
-                    let _ = (&waker).write(&[1]);
                 });
             if let Ok(worker) = worker {
                 workers.push(worker);
             }
         }
-        Executors { job_tx, workers }
+        Executors { jobs, workers }
     }
 
+    /// Closes the run queue, so each executor drains what is queued and
+    /// exits, then joins them.
     fn join(self) {
-        drop(self.job_tx);
+        self.jobs.close();
         for worker in self.workers {
             let _ = worker.join();
         }
@@ -479,7 +478,7 @@ pub(crate) fn reactor_loop(
                     let Some(conn) = conns.get_mut(&token) else {
                         continue;
                     };
-                    if !service_conn(conn, ev, &poller, &shared, &executors.job_tx, token) {
+                    if !service_conn(conn, ev, &poller, &shared, &executors.jobs, token) {
                         closed.push(token);
                     }
                 }
@@ -492,7 +491,7 @@ pub(crate) fn reactor_loop(
             let Some(conn) = conns.get_mut(&token) else {
                 continue; // connection closed while executing
             };
-            if !apply_completion(conn, done, &poller, &shared, &executors.job_tx, token) {
+            if !apply_completion(conn, done, &poller, &shared, &executors.jobs, token) {
                 closed.push(token);
             }
         }
@@ -651,10 +650,10 @@ fn service_conn(
     ev: &Event,
     poller: &Poller,
     shared: &Arc<Shared>,
-    job_tx: &SyncSender<Job>,
+    jobs: &BoundedQueue<Job>,
     token: usize,
 ) -> bool {
-    if (ev.readable || ev.closed) && !read_ready(conn, shared, job_tx, token) {
+    if (ev.readable || ev.closed) && !read_ready(conn, shared, jobs, token) {
         return false;
     }
     if ev.writable {
@@ -665,7 +664,7 @@ fn service_conn(
         // parsing, resume on what is already buffered (no readable event
         // will re-announce it).
         if conn.paused {
-            parse_and_admit(conn, shared, job_tx, token);
+            parse_and_admit(conn, shared, jobs, token);
         }
     }
     update_interest(conn, poller, token);
@@ -689,7 +688,7 @@ const READ_QUANTUM: usize = 256 * 1024;
 fn read_ready(
     conn: &mut Conn,
     shared: &Arc<Shared>,
-    job_tx: &SyncSender<Job>,
+    jobs: &BoundedQueue<Job>,
     token: usize,
 ) -> bool {
     let mut chunk = [0u8; 16 * 1024];
@@ -709,7 +708,7 @@ fn read_ready(
                 if conn.closing.is_none() {
                     // lint:allow(panic-free-server-paths, reason = "n is the byte count read() just returned for this very buffer, so n <= chunk.len() by the io contract")
                     conn.read_buf.extend_from_slice(&chunk[..n]);
-                    parse_and_admit(conn, shared, job_tx, token);
+                    parse_and_admit(conn, shared, jobs, token);
                     if conn.paused || conn.closing.is_some() {
                         break;
                     }
@@ -723,7 +722,7 @@ fn read_ready(
             Err(_) => return false,
         }
     }
-    parse_and_admit(conn, shared, job_tx, token);
+    parse_and_admit(conn, shared, jobs, token);
     true
 }
 
@@ -731,7 +730,7 @@ fn read_ready(
 /// cheap, queueing the rest — and flushes the responses once. Stops for
 /// flow control (in-flight cap, unread responses) or a fatal framing
 /// violation.
-fn parse_and_admit(conn: &mut Conn, shared: &Arc<Shared>, job_tx: &SyncSender<Job>, token: usize) {
+fn parse_and_admit(conn: &mut Conn, shared: &Arc<Shared>, jobs: &BoundedQueue<Job>, token: usize) {
     while conn.closing.is_none() {
         // Flow control: at the in-flight cap, or with more than a frame's
         // worth of responses the peer has not taken, leave further frames
@@ -784,7 +783,7 @@ fn parse_and_admit(conn: &mut Conn, shared: &Arc<Shared>, job_tx: &SyncSender<Jo
                     }
                     Inline::Declined(request) => request,
                 };
-                if let Err(reason) = admit(conn, shared, job_tx, token, id, request) {
+                if let Err(reason) = admit(conn, shared, jobs, token, id, request) {
                     shared.wm.busy_rejections.inc();
                     shared
                         .obs
@@ -824,7 +823,7 @@ fn outbound_full(conn: &mut Conn, bound: usize) -> bool {
 fn admit(
     conn: &mut Conn,
     shared: &Shared,
-    job_tx: &SyncSender<Job>,
+    jobs: &BoundedQueue<Job>,
     token: usize,
     id: u64,
     request: Request,
@@ -840,7 +839,7 @@ fn admit(
         shared.blocking_ops.fetch_add(1, Ordering::SeqCst);
     }
     let job = Job { token, id, request };
-    if job_tx.try_send(job).is_err() {
+    if jobs.try_push(job).is_err() {
         if blocking {
             shared.blocking_ops.fetch_sub(1, Ordering::SeqCst);
         }
@@ -861,7 +860,7 @@ fn apply_completion(
     done: Completion,
     poller: &Poller,
     shared: &Arc<Shared>,
-    job_tx: &SyncSender<Job>,
+    jobs: &BoundedQueue<Job>,
     token: usize,
 ) -> bool {
     conn.in_flight = conn.in_flight.saturating_sub(1);
@@ -874,7 +873,7 @@ fn apply_completion(
     // read interest — unless the pause still holds, which the parse
     // pass re-checks first.
     if conn.paused {
-        parse_and_admit(conn, shared, job_tx, token);
+        parse_and_admit(conn, shared, jobs, token);
     }
     update_interest(conn, poller, token);
     true
